@@ -54,6 +54,17 @@ class Interval:
         hi_ok = x < self.hi if self.hi_open else x <= self.hi + pad
         return lo_ok and hi_ok
 
+    def contains_array(self, xs: np.ndarray) -> np.ndarray:
+        """Elementwise contains() over an array of points, in one pass."""
+        xs = np.asarray(xs, dtype=float)
+        if self.bounded:
+            pad = DOMAIN_STRETCH_RTOL * (self.hi - self.lo)
+        else:
+            pad = DOMAIN_STRETCH_RTOL * np.maximum(1.0, np.abs(xs))
+        lo_ok = xs > self.lo if self.lo_open else xs >= self.lo - pad
+        hi_ok = xs < self.hi if self.hi_open else xs <= self.hi + pad
+        return lo_ok & hi_ok
+
     def contains_interval(self, a: float, b: float) -> bool:
         lo_ok = a > self.lo if self.lo_open else a >= self.lo
         hi_ok = b < self.hi if self.hi_open else b <= self.hi
@@ -91,16 +102,21 @@ class Flags:
 
 @dataclass(frozen=True)
 class ScalarFunction:
+    """A catalog function.  ``fn`` is its one formula, written with numpy
+    operations so it maps a float array elementwise; the scalar call and
+    ``eval_array`` both go through it."""
+
     name: str
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     domain: Interval
     flags: Flags
 
     def __call__(self, x: float) -> float:
-        return self.fn(float(x))
+        return float(self.fn(np.float64(x)))
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.fn(float(x)) for x in np.asarray(xs).ravel()])
+        """f at every point of ``xs``; the result has the shape of ``xs``."""
+        return np.asarray(self.fn(np.asarray(xs, dtype=float)), dtype=float)
 
     def __repr__(self) -> str:
         return f"ScalarFunction({self.name!r} on {self.domain})"
@@ -115,11 +131,12 @@ def _is_integral(r: float) -> bool:
     return math.isfinite(r) and r == round(r)
 
 
-def _power_eval(r: float) -> Callable[[float], float]:
+def _power_eval(r: float) -> Callable[[np.ndarray], np.ndarray]:
     if _is_integral(r):
-        k = int(round(r))
-        return lambda x: float(x) ** k
-    return lambda x: float(max(x, 0.0)) ** r
+        k = float(round(r))
+        return lambda x: x ** k
+    # Spectra admitted by the domain stretch may sit just below 0.
+    return lambda x: np.maximum(x, 0.0) ** r
 
 
 def _power_flags(r: float, dom: Interval) -> Flags:
@@ -149,8 +166,13 @@ def _affine_flags(a: float, b: float, dom: Interval) -> Flags:
     )
 
 
-def _xlogx(x: float) -> float:
-    return 0.0 if x <= 0.0 else x * math.log(x)
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    positive = x > 0.0
+    return np.where(positive, x * np.log(np.where(positive, x, 1.0)), 0.0)
+
+
+def _neg_sqrt(x: np.ndarray) -> np.ndarray:
+    return -np.sqrt(np.maximum(x, 0.0))
 
 
 def builtin(name: str, *params: float, domain: tuple[float, float] | None = None) -> ScalarFunction:
@@ -175,7 +197,7 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     if name == "identity":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
-        return ScalarFunction("identity", lambda x: float(x), dom, _affine_flags(1.0, 0.0, dom))
+        return ScalarFunction("identity", np.positive, dom, _affine_flags(1.0, 0.0, dom))
     if name == "affine":
         _require_params(name, params, 2)
         a, b = float(params[0]), float(params[1])
@@ -188,20 +210,20 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
         dom = _restrict(Interval(), domain, name)
         flags = Flags(convex=True, increasing=True, positive=True,
                       operator_convex=False, f0_nonpositive=False)
-        return ScalarFunction("exp", math.exp, dom, flags)
+        return ScalarFunction("exp", np.exp, dom, flags)
     if name == "neg_sqrt":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
         flags = Flags(convex=True, increasing=False, positive=False,
                       operator_convex=True,
                       f0_nonpositive=True if dom.contains_interval(0.0, 0.0) else None)
-        return ScalarFunction("neg_sqrt", lambda x: -math.sqrt(max(x, 0.0)), dom, flags)
+        return ScalarFunction("neg_sqrt", _neg_sqrt, dom, flags)
     if name == "inverse":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0, lo_open=True), domain, name)
         flags = Flags(convex=True, increasing=False, positive=True,
                       operator_convex=True, f0_nonpositive=None)
-        return ScalarFunction("inverse", lambda x: 1.0 / x, dom, flags)
+        return ScalarFunction("inverse", np.reciprocal, dom, flags)
     if name == "xlogx":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)

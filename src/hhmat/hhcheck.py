@@ -35,6 +35,8 @@ from .segquad import (
     poly_segment_oracle_exact,
     scalar_segment_integral,
     segment_integral,
+    segment_stacks,
+    segment_sum,
 )
 
 UNITARY_TOL = 1e-9
@@ -143,8 +145,7 @@ def _require_flag(f: ScalarFunction, flag: str, exc=None) -> list[str]:
 def _spectra_reasons(f: ScalarFunction, mats: dict[str, HermitianMatrix]) -> list[str]:
     reasons = []
     for label, h in mats.items():
-        bad = [float(x) for x in eig(h).values if not f.domain.contains(float(x))]
-        if bad:
+        if not np.all(f.domain.contains_array(eig(h).values)):
             reasons.append(f"spectrum of {label} leaves domain {f.domain} of {f.name}")
     return reasons
 
@@ -438,12 +439,12 @@ def check_theorem_t3(
     grid = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
     pa, pb = phi.apply(a), phi.apply(b)
     pfa, pfb = phi.apply(apply_function(f, a)), phi.apply(apply_function(f, b))
-    for t in grid:
-        t = float(t)
-        lhs_t = apply_function(f, t * pa + (1.0 - t) * pb)
-        rhs_t = _sandwich(u, t * pfa + (1.0 - t) * pfb)
-        if not orders.loewner_leq(lhs_t, rhs_t, tol).holds:
-            raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
+    for chunk, lhs_values in segment_stacks(f, pa, pb, grid):
+        for t, lhs in zip(grid[chunk], lhs_values):
+            t = float(t)
+            rhs_t = _sandwich(u, t * pfa + (1.0 - t) * pfb)
+            if not orders.loewner_leq(HermitianMatrix(lhs), rhs_t, tol).holds:
+                raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
     integral = segment_integral(f, pa, pb, quad)
     average = (pfa + pfb) / 2.0
     verdict = orders.eigen_dominance(integral, average, tol)
@@ -634,20 +635,15 @@ def check_refinement_chain(
     if reasons:
         raise HypothesisUnmet(*reasons)
     n_panels = int(k) ** int(p)
-
-    def mix(t: float) -> HermitianMatrix:
-        return apply_function(f, t * a + (1.0 - t) * b)
-
-    l0 = mix(0.5)
-    mid_sum = mix(1.0 / (2.0 * n_panels))
-    for i in range(1, n_panels):
-        mid_sum = mid_sum + mix((2 * i + 1) / (2.0 * n_panels))
-    l1 = mid_sum / n_panels
+    panels = np.arange(n_panels)
+    l0 = apply_function(f, 0.5 * a + 0.5 * b)
+    mids = (2 * panels + 1) / (2.0 * n_panels)
+    l1 = HermitianMatrix(segment_sum(f, a, b, mids, np.ones(n_panels))) / n_panels
     l2 = segment_integral(f, a, b, quad)
-    trap_sum = mix(0.0) + mix(1.0)
-    for i in range(1, n_panels):
-        trap_sum = trap_sum + 2.0 * mix(i / n_panels)
-    l3 = trap_sum / (2.0 * n_panels)
+    # trapezoid: both endpoints once, every interior panel edge twice
+    edges = np.concatenate(([0.0, 1.0], panels[1:] / n_panels))
+    edge_weights = np.concatenate(([1.0, 1.0], np.full(n_panels - 1, 2.0)))
+    l3 = HermitianMatrix(segment_sum(f, a, b, edges, edge_weights)) / (2.0 * n_panels)
     l4 = (apply_function(f, a) + apply_function(f, b)) / 2.0
     terms = (l0, l1, l2, l3, l4)
     links = tuple(orders.loewner_leq(terms[i], terms[i + 1], tol) for i in range(4))

@@ -2,12 +2,14 @@
 calculus and the unitarily invariant norm family.
 
 All values are immutable after construction and all operations are pure, so
-everything here is safe to call from concurrent workers.
+everything here is safe to call from concurrent workers.  A matrix caches its
+own eigendecomposition on first use; two workers racing to fill the cache
+compute the same result, so the race is harmless.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -29,6 +31,12 @@ ASYMMETRY_RTOL = 1e-10
 # Relative bounds for eigendecomposition self-checks.
 EIG_RECON_RTOL = 1e-10
 EIG_ORTHO_TOL = 1e-10
+# Largest stack, in matrix entries, handed to one batched eigendecomposition.
+# The solver and its validation keep several temporaries the size of the
+# stack, so an unbounded stack at large n shows up in peak memory; 4096
+# entries put every node of a small-n quadrature pass in one stack while a
+# large-n pass goes a few matrices at a time.
+STACK_ENTRY_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +51,8 @@ class HermitianMatrix:
 
     entries: np.ndarray
     asymmetry_residual: float = 0.0
+    # Filled by eig() on first use; entries are read-only, so it stays valid.
+    _eigen: "EigenSystem | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         raw = np.asarray(self.entries, dtype=complex)
@@ -162,35 +172,101 @@ def hermitian_from(raw) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(raw, dtype=complex))
 
 
+def stack_chunks(count: int, n: int):
+    """Slices cutting ``count`` stacked n x n matrices into stacks of at most
+    STACK_ENTRY_BUDGET entries (at least one matrix each)."""
+    step = max(1, STACK_ENTRY_BUDGET // max(1, n * n))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def _ct(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a (k, n, n) stack of Hermitian matrices in one solver
+    call.  Returns (values, vectors) of shapes (k, n) and (k, n, n), with
+    eigenvalues descending and ``values[i, j]`` paired with ``vectors[i, :, j]``.
+
+    Every matrix is validated as eig() documents: reconstruction to
+    ``EIG_RECON_RTOL`` relative to max(1, its spectral radius) and
+    orthonormality to ``EIG_ORTHO_TOL``.  The first matrix that fails raises
+    ConvergenceFailure.
+    """
+    try:
+        w, v = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
+    # eigh returns ascending order; a stable flip gives descending while
+    # preserving solver order inside ties.
+    values = np.ascontiguousarray(w[:, ::-1].astype(float))
+    vectors = np.ascontiguousarray(v[:, :, ::-1])
+    k, n = values.shape
+    if k == 0 or n == 0:
+        return values, vectors
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
+    recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
+    recon_err = np.max(np.abs(recon), axis=(1, 2))
+    bad = np.flatnonzero(recon_err > EIG_RECON_RTOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceFailure(
+            f"eigendecomposition reconstruction error {recon_err[i]:.3e} "
+            f"exceeds {EIG_RECON_RTOL:.0e} * {scale[i]:.3e}"
+        )
+    ortho_err = np.max(np.abs(_ct(vectors) @ vectors - np.eye(n)), axis=(1, 2))
+    bad = np.flatnonzero(ortho_err > EIG_ORTHO_TOL)
+    if bad.size:
+        raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
+    return values, vectors
+
+
 def eig(h: HermitianMatrix) -> EigenSystem:
     """Eigendecomposition with eigenvalues sorted in descending order.
 
     The solver output is validated: reconstruction must match the input to
     ``EIG_RECON_RTOL`` relative to max(1, spectral radius) and the eigenvector
-    matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.
+    matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
+    cached on ``h``, so each matrix is decomposed and validated once.
     """
-    try:
-        w, v = np.linalg.eigh(h.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigh failed: {exc}") from exc
-    # eigh returns ascending order; a stable flip gives descending while
-    # preserving solver order inside ties.
-    values = np.ascontiguousarray(w[::-1].astype(float))
-    vectors = np.ascontiguousarray(v[:, ::-1])
-    n = h.dim
-    scale = max(1.0, float(np.max(np.abs(values))) if n else 0.0)
-    recon_err = float(np.max(np.abs((vectors * values) @ vectors.conj().T - h.entries)))
-    if recon_err > EIG_RECON_RTOL * scale:
-        raise ConvergenceFailure(
-            f"eigendecomposition reconstruction error {recon_err:.3e} "
-            f"exceeds {EIG_RECON_RTOL:.0e} * {scale:.3e}"
+    if h._eigen is None:
+        values, vectors = eig_stack(h.entries[None])
+        values, vectors = values[0], vectors[0]
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        object.__setattr__(h, "_eigen", EigenSystem(values=values, vectors=vectors))
+    return h._eigen
+
+
+def _spectral_apply(f: "ScalarFunction", values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """f applied through stacked spectral decompositions, (k, n) values and
+    (k, n, n) vectors; returns the (k, n, n) stack of exactly Hermitian f(H).
+
+    Every eigenvalue must lie in the domain of f (endpoints are stretched by
+    a small relative tolerance, see funcat.Interval.contains).
+    """
+    inside = f.domain.contains_array(values)
+    if not np.all(inside):
+        bad = values[~inside].tolist()
+        raise SpectrumOutOfDomain(
+            f"eigenvalues {bad} of the argument lie outside domain {f.domain} of {f.name}",
+            offending=bad,
         )
-    ortho_err = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))))
-    if ortho_err > EIG_ORTHO_TOL:
-        raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err:.3e}")
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return EigenSystem(values=values, vectors=vectors)
+    fvals = f.eval_array(np.clip(values, *f.domain.clip_bounds()))
+    result = (vectors * fvals[:, None, :]) @ _ct(vectors)
+    # Symmetrize so downstream construction is exact regardless of rounding.
+    return (result + _ct(result)) / 2.0
+
+
+def apply_function_stack(f: "ScalarFunction", stack: np.ndarray) -> np.ndarray:
+    """f(H) for every matrix of a (k, n, n) Hermitian stack, with one
+    eigendecomposition call and one domain check for the whole stack.
+
+    Callers keep stacks within STACK_ENTRY_BUDGET (see stack_chunks).
+    """
+    return _spectral_apply(f, *eig_stack(stack))
 
 
 def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
@@ -200,16 +276,7 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     stretched by a small relative tolerance, see funcat.Interval.contains).
     """
     es = eig(h)
-    bad = [float(x) for x in es.values if not f.domain.contains(float(x))]
-    if bad:
-        raise SpectrumOutOfDomain(
-            f"eigenvalues {bad} of the argument lie outside domain {f.domain} of {f.name}",
-            offending=bad,
-        )
-    fvals = f.eval_array(np.clip(es.values, *f.domain.clip_bounds()))
-    result = (es.vectors * fvals) @ es.vectors.conj().T
-    # Symmetrize so downstream construction is exact regardless of rounding.
-    return HermitianMatrix((result + result.conj().T) / 2.0)
+    return HermitianMatrix(_spectral_apply(f, es.values[None], es.vectors[None])[0])
 
 
 def singular_values(h: HermitianMatrix) -> np.ndarray:

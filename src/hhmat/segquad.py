@@ -9,6 +9,7 @@ certify the quadrature at small sizes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,15 @@ import numpy as np
 
 from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge, SpectrumOutOfDomain
 from .funcat import ScalarFunction
-from .matcore import HermitianMatrix, apply_function, eig, operator_norm
+# apply_function is no longer called here but stays bound: hhbench's tracer
+# counts quadrature nodes through this module's apply_function binding.
+from .matcore import (  # noqa: F401
+    HermitianMatrix,
+    apply_function,
+    apply_function_stack,
+    eig,
+    stack_chunks,
+)
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
 WORD_CAP = 6  # 2**6 = 64 words
@@ -40,23 +49,59 @@ class QuadratureSpec:
 
 
 def _check_spectrum_in_domain(f: ScalarFunction, h: HermitianMatrix, label: str):
-    bad = [float(x) for x in eig(h).values if not f.domain.contains(float(x))]
-    if bad:
+    values = eig(h).values
+    inside = f.domain.contains_array(values)
+    if not np.all(inside):
+        bad = values[~inside].tolist()
         raise SpectrumOutOfDomain(
             f"spectrum of {label} leaves domain {f.domain} of {f.name}: {bad}",
             offending=bad,
         )
 
 
-def _gauss_pass(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, nodes: int) -> np.ndarray:
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    ts = (x + 1.0) / 2.0
-    ws = w / 2.0
+def segment_stacks(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
+    """Yield (chunk, values): ``values[j]`` is f(tA + (1-t)B) at t = ts[chunk][j].
+
+    Each chunk is one apply_function_stack call, so the points of a chunk
+    share one eigendecomposition call and one validation pass; chunks hold
+    at most matcore.STACK_ENTRY_BUDGET entries.
+    """
+    if a.dim != b.dim:
+        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    ts = np.asarray(ts, dtype=float)
+    for chunk in stack_chunks(len(ts), a.dim):
+        t = ts[chunk, None, None]
+        yield chunk, apply_function_stack(f, t * a.entries + (1.0 - t) * b.entries)
+
+
+def segment_sum(
+    f: ScalarFunction,
+    a: HermitianMatrix,
+    b: HermitianMatrix,
+    ts: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Entries of the sum over j of weights[j] * f(ts[j] A + (1 - ts[j]) B)."""
+    weights = np.asarray(weights, dtype=float)
     acc = np.zeros_like(a.entries)
-    for t, weight in zip(ts, ws):
-        node_matrix = float(t) * a + float(1.0 - t) * b
-        acc = acc + weight * apply_function(f, node_matrix).entries
+    for chunk, values in segment_stacks(f, a, b, ts):
+        acc += np.sum(weights[chunk, None, None] * values, axis=0)
     return acc
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [0, 1].  Computing a
+    rule costs an eigenvalue solve, more than a small-n pass itself."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    ts, ws = (x + 1.0) / 2.0, w / 2.0
+    ts.flags.writeable = False
+    ws.flags.writeable = False
+    return ts, ws
+
+
+def _gauss_pass(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, nodes: int) -> np.ndarray:
+    return segment_sum(f, a, b, *_gauss_rule(nodes))
 
 
 def segment_integral(
@@ -72,6 +117,14 @@ def segment_integral(
     bounds are convex in t, so a dense check is unnecessary at these
     tolerances).  With refine=True the node count doubles until successive
     results agree to rtol in relative operator norm, capped at NODE_CAP.
+
+    A pass evaluates its nodes in stacks (see segment_stacks): one
+    eigendecomposition call per stack, with the reconstruction and
+    orthonormality checks and the domain check still applied to every
+    node's matrix.  A stack holds at most matcore.STACK_ENTRY_BUDGET
+    entries because the solver's temporaries grow with the stack; the
+    budget keeps a whole pass in one stack at small n and bounds peak
+    memory at large n.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")

@@ -31,6 +31,20 @@ class TestInterval:
         with pytest.raises(BadParams):
             Interval(2.0, 1.0)
 
+    @pytest.mark.parametrize("interval", [
+        Interval(0.0, 2.0),
+        Interval(lo=0.0),
+        Interval(0.0, math.inf, lo_open=True),
+        Interval(),
+        Interval(-1.0, 3.0, hi_open=True),
+    ])
+    def test_contains_array_matches_contains(self, interval):
+        points = [-1e-6, -2e-9, -1e-10, 0.0, 1e-300, 1.0, 2.0, 2.0 + 1e-9, 3.0,
+                  3.0 - 1e-15, -1e12, 1e12, math.inf, -math.inf, math.nan]
+        got = interval.contains_array(np.array(points).reshape(3, 5))
+        assert got.shape == (3, 5)
+        assert got.ravel().tolist() == [interval.contains(x) for x in points]
+
 
 class TestCatalog:
     def test_identity_flags(self):
@@ -199,3 +213,47 @@ class TestValidateFlags:
             f = from_descriptor(desc)
             report = validate_flags(f, INTERVALS[desc], 101, rng=rng, matrix_trials=30)
             assert report.checks["operator_convex"].status == "confirmed", desc
+
+
+# The per-point formulas the catalog used before its entries were written as
+# numpy array functions; the array forms must reproduce them.
+SCALAR_REFERENCE = {
+    "identity": lambda x: x,
+    "affine:2,0.5": lambda x: 2.0 * x + 0.5,
+    "power:1.5": lambda x: max(x, 0.0) ** 1.5,
+    "power:2": lambda x: x ** 2,
+    "power:2@0,inf": lambda x: x ** 2,
+    "power:4": lambda x: x ** 4,
+    "cube": lambda x: x ** 3,
+    "exp": math.exp,
+    "neg_sqrt": lambda x: -math.sqrt(max(x, 0.0)),
+    "inverse": lambda x: 1.0 / x,
+    "xlogx": lambda x: 0.0 if x <= 0.0 else x * math.log(x),
+}
+MAX_ULP = 4
+
+
+def _domain_grid(f, lo: float, hi: float) -> np.ndarray:
+    """Points over [lo, hi] with both endpoints, 0 when f admits it, and a
+    point just below a closed lower endpoint inside the domain stretch."""
+    points = list(np.linspace(lo, hi, 201))
+    if f.domain.contains(0.0):
+        points.append(0.0)
+    if not f.domain.lo_open and math.isfinite(f.domain.lo):
+        below = f.domain.lo - 1e-10
+        assert f.domain.contains(below)
+        points.append(below)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("desc", CATALOG_DESCRIPTORS)
+def test_array_form_matches_scalar_call_and_reference(desc):
+    assert set(SCALAR_REFERENCE) == set(CATALOG_DESCRIPTORS)
+    f = from_descriptor(desc)
+    grid = _domain_grid(f, *INTERVALS[desc])
+    array = f.eval_array(grid)
+    scalar = np.array([f(x) for x in grid])
+    reference = np.array([SCALAR_REFERENCE[desc](float(x)) for x in grid])
+    np.testing.assert_array_max_ulp(array, scalar, maxulp=MAX_ULP)
+    np.testing.assert_array_max_ulp(array, reference, maxulp=MAX_ULP)
+    assert f.eval_array(grid.reshape(-1, 1)).shape == (grid.size, 1)

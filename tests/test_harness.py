@@ -1,0 +1,42 @@
+"""Eigendecomposition caching and worker-count determinism of suites."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from conftest import make_rng, random_hermitian_raw
+from hhmat.harness import InstanceSpec, run_suite
+from hhmat.matcore import eig
+
+
+class TestEigenCache:
+    def test_matrix_is_decomposed_once(self):
+        h = random_hermitian_raw(4, make_rng(0))
+        assert eig(h) is eig(h)
+
+    def test_cached_decomposition_is_read_only(self):
+        es = eig(random_hermitian_raw(3, make_rng(1)))
+        with pytest.raises(ValueError):
+            es.values[0] = 0.0
+        with pytest.raises(ValueError):
+            es.vectors[0, 0] = 0.0
+
+    def test_derived_matrices_are_decomposed_afresh(self):
+        rng = make_rng(2)
+        h, k = random_hermitian_raw(4, rng), random_hermitian_raw(4, rng)
+        es_h, es_k = eig(h), eig(k)
+        for derived in (h + k, h * 2.5, 2.5 * h, h - k, -h, h / 4.0):
+            es = eig(derived)
+            assert es is not es_h and es is not es_k
+            expected = np.linalg.eigvalsh(derived.entries)[::-1]
+            np.testing.assert_allclose(es.values, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("theorem", ["t4", "norm_chain"])
+def test_suite_json_is_identical_across_worker_counts(theorem):
+    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="exp", trials=8, seed=11)
+    serial = run_suite(spec, theorem, workers=1)
+    parallel = run_suite(spec, theorem, workers=2)
+    assert serial.passes == spec.trials
+    assert serial.to_json() == parallel.to_json()

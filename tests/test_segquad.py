@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_hermitian_raw, random_psd
-from hhmat.errors import BadParams, NoConvergence, RTooLarge, SpectrumOutOfDomain
+from hhmat import matcore, segquad
+from hhmat.errors import (
+    BadParams,
+    ConvergenceFailure,
+    NoConvergence,
+    RTooLarge,
+    SpectrumOutOfDomain,
+)
 from hhmat.funcat import CATALOG_DESCRIPTORS, builtin, from_descriptor
 from hhmat.matcore import apply_function, hermitian_from
 from hhmat.segquad import (
@@ -90,6 +97,73 @@ class TestSegmentIntegral:
         a, b = random_hermitian_raw(2, rng), random_hermitian_raw(2, rng)
         with pytest.raises(NoConvergence):
             segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=4, rtol=1e-300))
+
+
+def _eigh_spoiling_one_matrix(monkeypatch, spoil):
+    """Patch numpy's eigh, as matcore calls it, so that for every stack of
+    more than one matrix the middle matrix's (w, v) pass through spoil."""
+    real_eigh = np.linalg.eigh
+
+    def fake(stack):
+        w, v = real_eigh(stack)
+        if w.ndim == 2 and w.shape[0] > 1:
+            w, v = w.copy(), v.copy()
+            i = w.shape[0] // 2
+            w[i], v[i] = spoil(w[i], v[i])
+        return w, v
+
+    monkeypatch.setattr(matcore.np.linalg, "eigh", fake)
+
+
+class TestBatchedChecks:
+    """Stacking the quadrature nodes keeps every per-matrix check."""
+
+    def _pair(self):
+        rng = make_rng(7)
+        return random_hermitian_raw(3, rng), random_hermitian_raw(3, rng)
+
+    def test_bad_reconstruction_of_one_node_raises(self, monkeypatch):
+        a, b = self._pair()
+
+        def shift_eigenvalue(w, v):
+            w[0] += 1e-6
+            return w, v
+
+        _eigh_spoiling_one_matrix(monkeypatch, shift_eigenvalue)
+        with pytest.raises(ConvergenceFailure, match="reconstruction error"):
+            segment_integral(builtin("exp"), a, b)
+
+    def test_non_orthonormal_vectors_of_one_node_raise(self, monkeypatch):
+        a, b = self._pair()
+
+        def stretch_column(w, v):
+            # V S diag(w / s^2) S V* reconstructs H, but V S is not unitary
+            s = 1.0 + 1e-6
+            v[:, 0] *= s
+            w[0] /= s * s
+            return w, v
+
+        _eigh_spoiling_one_matrix(monkeypatch, stretch_column)
+        with pytest.raises(ConvergenceFailure, match="not orthonormal"):
+            segment_integral(builtin("exp"), a, b)
+
+    def test_unspoiled_solver_passes(self, monkeypatch):
+        a, b = self._pair()
+        expected = segment_integral(builtin("exp"), a, b).entries
+        _eigh_spoiling_one_matrix(monkeypatch, lambda w, v: (w, v))
+        np.testing.assert_array_equal(segment_integral(builtin("exp"), a, b).entries, expected)
+
+    def test_node_spectrum_outside_domain_raises_with_offending(self, monkeypatch):
+        # Skip the endpoint checks: the node check alone must catch the
+        # nodes t < 1/2, where tA + (1-t)B = diag(2t - 1, 1) leaves (0, inf).
+        monkeypatch.setattr(segquad, "_check_spectrum_in_domain", lambda *args: None)
+        a = hermitian_from(np.diag([1.0, 1.0]))
+        b = hermitian_from(np.diag([-1.0, 1.0]))
+        with pytest.raises(SpectrumOutOfDomain, match="outside domain") as err:
+            segment_integral(builtin("inverse"), a, b, QuadratureSpec(nodes=16))
+        offending = err.value.offending
+        assert len(offending) == 8  # the 8 of 16 nodes below t = 1/2
+        assert all(x < 0.0 for x in offending)
 
 
 class TestWordOracle:
