@@ -203,9 +203,7 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # preserving solver order inside ties.
     values = np.ascontiguousarray(w[:, ::-1].astype(float))
     vectors = np.ascontiguousarray(v[:, :, ::-1])
-    k, n = values.shape
-    if k == 0 or n == 0:
-        return values, vectors
+    n = values.shape[1]
     scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
     recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
     recon_err = np.max(np.abs(recon), axis=(1, 2))
