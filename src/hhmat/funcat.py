@@ -40,30 +40,22 @@ class Interval:
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
-    def _pad(self, x: float) -> float:
+    def contains(self, x: float) -> bool:
+        return bool(self.contains_array(x))
+
+    def contains_array(self, xs: np.ndarray) -> np.ndarray:
+        """Elementwise membership of an array of points."""
+        xs = np.asarray(xs, dtype=float)
         # Numerically computed spectra may fall marginally outside closed
         # endpoints; stretch by a small amount relative to the interval
         # length (or to the point's own scale on half-lines).
         if self.bounded:
-            return DOMAIN_STRETCH_RTOL * (self.hi - self.lo)
-        return DOMAIN_STRETCH_RTOL * max(1.0, abs(x))
-
-    def contains(self, x: float) -> bool:
-        pad = self._pad(x)
-        lo_ok = x > self.lo if self.lo_open else x >= self.lo - pad
-        hi_ok = x < self.hi if self.hi_open else x <= self.hi + pad
-        return lo_ok and hi_ok
-
-    def contains_array(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise contains() over an array of points, in one pass."""
-        xs = np.asarray(xs, dtype=float)
-        if self.bounded:
             pad = DOMAIN_STRETCH_RTOL * (self.hi - self.lo)
         else:
             pad = DOMAIN_STRETCH_RTOL * np.maximum(1.0, np.abs(xs))
-        lo_ok = xs > self.lo if self.lo_open else xs >= self.lo - pad
-        hi_ok = xs < self.hi if self.hi_open else xs <= self.hi + pad
-        return lo_ok & hi_ok
+        inside = xs > self.lo if self.lo_open else xs >= self.lo - pad
+        inside &= xs < self.hi if self.hi_open else xs <= self.hi + pad
+        return inside
 
     def contains_interval(self, a: float, b: float) -> bool:
         lo_ok = a > self.lo if self.lo_open else a >= self.lo

@@ -35,7 +35,7 @@ from .segquad import (
     poly_segment_oracle_exact,
     scalar_segment_integral,
     segment_integral,
-    segment_stacks,
+    segment_points,
     segment_sum,
 )
 
@@ -439,12 +439,11 @@ def check_theorem_t3(
     grid = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
     pa, pb = phi.apply(a), phi.apply(b)
     pfa, pfb = phi.apply(apply_function(f, a)), phi.apply(apply_function(f, b))
-    for chunk, lhs_values in segment_stacks(f, pa, pb, grid):
-        for t, lhs in zip(grid[chunk], lhs_values):
-            t = float(t)
-            rhs_t = _sandwich(u, t * pfa + (1.0 - t) * pfb)
-            if not orders.loewner_leq(HermitianMatrix(lhs), rhs_t, tol).holds:
-                raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
+    for t, point in zip(grid, segment_points(pa, pb, grid)):
+        t = float(t)
+        rhs_t = _sandwich(u, t * pfa + (1.0 - t) * pfb)
+        if not orders.loewner_leq(apply_function(f, point), rhs_t, tol).holds:
+            raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
     integral = segment_integral(f, pa, pb, quad)
     average = (pfa + pfb) / 2.0
     verdict = orders.eigen_dominance(integral, average, tol)

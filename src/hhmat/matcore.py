@@ -31,12 +31,6 @@ ASYMMETRY_RTOL = 1e-10
 # Relative bounds for eigendecomposition self-checks.
 EIG_RECON_RTOL = 1e-10
 EIG_ORTHO_TOL = 1e-10
-# Largest stack, in matrix entries, handed to one batched eigendecomposition.
-# The solver and its validation keep several temporaries the size of the
-# stack, so an unbounded stack at large n shows up in peak memory; 4096
-# entries put every node of a small-n quadrature pass in one stack while a
-# large-n pass goes a few matrices at a time.
-STACK_ENTRY_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +52,21 @@ class HermitianMatrix:
         raw = np.asarray(self.entries, dtype=complex)
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise NonSquareError(f"expected a square grid, got shape {raw.shape}")
-        herm = (raw + raw.conj().T) / 2.0
-        residual = float(np.max(np.abs(raw - herm))) if raw.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(raw))) if raw.size else 0.0)
-        if residual > ASYMMETRY_RTOL * scale:
-            raise ExcessAsymmetryError(
-                f"asymmetry residual {residual:.3e} exceeds "
-                f"{ASYMMETRY_RTOL:.0e} * {scale:.3e}"
-            )
+        ct = raw.conj().T
+        if (raw == ct).all():
+            # Exactly Hermitian already, as real combinations of Hermitian
+            # matrices and symmetrized results are (every quadrature node
+            # and every apply_function result): the Hermitian part is raw.
+            herm, residual = raw.copy(), 0.0
+        else:
+            herm = (raw + ct) / 2.0
+            residual = float(np.max(np.abs(raw - herm)))
+            scale = max(1.0, float(np.max(np.abs(raw))))
+            if residual > ASYMMETRY_RTOL * scale:
+                raise ExcessAsymmetryError(
+                    f"asymmetry residual {residual:.3e} exceeds "
+                    f"{ASYMMETRY_RTOL:.0e} * {scale:.3e}"
+                )
         herm.flags.writeable = False
         object.__setattr__(self, "entries", herm)
         object.__setattr__(self, "asymmetry_residual", residual)
@@ -172,14 +173,6 @@ def hermitian_from(raw) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(raw, dtype=complex))
 
 
-def stack_chunks(count: int, n: int):
-    """Slices cutting ``count`` stacked n x n matrices into stacks of at most
-    STACK_ENTRY_BUDGET entries (at least one matrix each)."""
-    step = max(1, STACK_ENTRY_BUDGET // max(1, n * n))
-    for start in range(0, count, step):
-        yield slice(start, min(start + step, count))
-
-
 def _ct(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack."""
     return np.conj(np.swapaxes(stack, -1, -2))
@@ -221,6 +214,20 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
+    """Eigendecompositions of same-size matrices, validated and cached as
+    eig() documents.  The matrices not yet decomposed go to the solver
+    together, as one stack (see eig_stack)."""
+    todo = [h for h in hs if h._eigen is None]
+    if todo:
+        values, vectors = eig_stack(np.stack([h.entries for h in todo]))
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        for h, w, v in zip(todo, values, vectors):
+            object.__setattr__(h, "_eigen", EigenSystem(values=w, vectors=v))
+    return [h._eigen for h in hs]
+
+
 def eig(h: HermitianMatrix) -> EigenSystem:
     """Eigendecomposition with eigenvalues sorted in descending order.
 
@@ -229,42 +236,7 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
     cached on ``h``, so each matrix is decomposed and validated once.
     """
-    if h._eigen is None:
-        values, vectors = eig_stack(h.entries[None])
-        values, vectors = values[0], vectors[0]
-        values.flags.writeable = False
-        vectors.flags.writeable = False
-        object.__setattr__(h, "_eigen", EigenSystem(values=values, vectors=vectors))
-    return h._eigen
-
-
-def _spectral_apply(f: "ScalarFunction", values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """f applied through stacked spectral decompositions, (k, n) values and
-    (k, n, n) vectors; returns the (k, n, n) stack of exactly Hermitian f(H).
-
-    Every eigenvalue must lie in the domain of f (endpoints are stretched by
-    a small relative tolerance, see funcat.Interval.contains).
-    """
-    inside = f.domain.contains_array(values)
-    if not np.all(inside):
-        bad = values[~inside].tolist()
-        raise SpectrumOutOfDomain(
-            f"eigenvalues {bad} of the argument lie outside domain {f.domain} of {f.name}",
-            offending=bad,
-        )
-    fvals = f.eval_array(np.clip(values, *f.domain.clip_bounds()))
-    result = (vectors * fvals[:, None, :]) @ _ct(vectors)
-    # Symmetrize so downstream construction is exact regardless of rounding.
-    return (result + _ct(result)) / 2.0
-
-
-def apply_function_stack(f: "ScalarFunction", stack: np.ndarray) -> np.ndarray:
-    """f(H) for every matrix of a (k, n, n) Hermitian stack, with one
-    eigendecomposition call and one domain check for the whole stack.
-
-    Callers keep stacks within STACK_ENTRY_BUDGET (see stack_chunks).
-    """
-    return _spectral_apply(f, *eig_stack(stack))
+    return eig_many([h])[0]
 
 
 def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
@@ -274,7 +246,18 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     stretched by a small relative tolerance, see funcat.Interval.contains).
     """
     es = eig(h)
-    return HermitianMatrix(_spectral_apply(f, es.values[None], es.vectors[None])[0])
+    inside = f.domain.contains_array(es.values)
+    if not inside.all():
+        bad = es.values[~inside].tolist()
+        raise SpectrumOutOfDomain(
+            f"eigenvalues {bad} of the argument lie outside domain {f.domain} of {f.name}",
+            offending=bad,
+        )
+    lo, hi = f.domain.clip_bounds()
+    fvals = f.eval_array(np.minimum(np.maximum(es.values, lo), hi))
+    result = (es.vectors * fvals) @ es.vectors.conj().T
+    # Symmetrize so downstream construction is exact regardless of rounding.
+    return HermitianMatrix((result + result.conj().T) / 2.0)
 
 
 def singular_values(h: HermitianMatrix) -> np.ndarray:

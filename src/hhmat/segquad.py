@@ -19,18 +19,16 @@ import numpy as np
 
 from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge, SpectrumOutOfDomain
 from .funcat import ScalarFunction
-# apply_function is no longer called here but stays bound: hhbench's tracer
-# counts quadrature nodes through this module's apply_function binding.
-from .matcore import (  # noqa: F401
-    HermitianMatrix,
-    apply_function,
-    apply_function_stack,
-    eig,
-    stack_chunks,
-)
+from .matcore import HermitianMatrix, apply_function, eig, eig_many
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
 WORD_CAP = 6  # 2**6 = 64 words
+# Largest stack, in matrix entries, of segment points decomposed in one
+# solver call.  The solver and its validation keep several temporaries the
+# size of the stack, so an unbounded stack at large n shows up in peak
+# memory; 4096 entries put every node of a small-n quadrature pass in one
+# stack while a large-n pass goes one or a few matrices at a time.
+STACK_ENTRY_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -59,19 +57,20 @@ def _check_spectrum_in_domain(f: ScalarFunction, h: HermitianMatrix, label: str)
         )
 
 
-def segment_stacks(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
-    """Yield (chunk, values): ``values[j]`` is f(tA + (1-t)B) at t = ts[chunk][j].
+def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
+    """Yield the matrices tA + (1-t)B for t in ts, already decomposed.
 
-    Each chunk is one apply_function_stack call, so the points of a chunk
-    share one eigendecomposition call and one validation pass; chunks hold
-    at most matcore.STACK_ENTRY_BUDGET entries.
+    Consecutive points are decomposed together (see matcore.eig_many) in
+    stacks of at most STACK_ENTRY_BUDGET entries, one stack at a time.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    ts = np.asarray(ts, dtype=float)
-    for chunk in stack_chunks(len(ts), a.dim):
-        t = ts[chunk, None, None]
-        yield chunk, apply_function_stack(f, t * a.entries + (1.0 - t) * b.entries)
+    step = max(1, STACK_ENTRY_BUDGET // max(1, a.dim * a.dim))
+    for start in range(0, len(ts), step):
+        t = np.asarray(ts[start:start + step], dtype=float)[:, None, None]
+        points = [HermitianMatrix(m) for m in t * a.entries + (1.0 - t) * b.entries]
+        eig_many(points)
+        yield from points
 
 
 def segment_sum(
@@ -82,10 +81,9 @@ def segment_sum(
     weights: np.ndarray,
 ) -> np.ndarray:
     """Entries of the sum over j of weights[j] * f(ts[j] A + (1 - ts[j]) B)."""
-    weights = np.asarray(weights, dtype=float)
     acc = np.zeros_like(a.entries)
-    for chunk, values in segment_stacks(f, a, b, ts):
-        acc += np.sum(weights[chunk, None, None] * values, axis=0)
+    for weight, point in zip(weights, segment_points(a, b, ts)):
+        acc = acc + weight * apply_function(f, point).entries
     return acc
 
 
@@ -118,13 +116,13 @@ def segment_integral(
     tolerances).  With refine=True the node count doubles until successive
     results agree to rtol in relative operator norm, capped at NODE_CAP.
 
-    A pass evaluates its nodes in stacks (see segment_stacks): one
-    eigendecomposition call per stack, with the reconstruction and
-    orthonormality checks and the domain check still applied to every
-    node's matrix.  A stack holds at most matcore.STACK_ENTRY_BUDGET
-    entries because the solver's temporaries grow with the stack; the
-    budget keeps a whole pass in one stack at small n and bounds peak
-    memory at large n.
+    A pass decomposes its nodes in stacks (see segment_points): one
+    solver call per stack, with the reconstruction and orthonormality
+    checks still applied to every node's matrix; f is then applied to each
+    node by apply_function, which checks that node's spectrum against the
+    domain.  A stack holds at most STACK_ENTRY_BUDGET entries because the
+    solver's temporaries grow with the stack; the budget keeps a whole pass
+    in one stack at small n and bounds peak memory at large n.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")

@@ -27,23 +27,31 @@ class TestInterval:
         assert j.contains(-1e-10)
         assert j.contains(1e12)
 
+    def test_half_line_pad_scales_at_a_far_endpoint(self):
+        j = Interval(lo=100.0)
+        below = [100.0 - 5e-8, 100.0 - 2e-7]  # the pad here is about 1e-7
+        assert j.contains_array(np.array(below)).tolist() == [True, False]
+        assert [j.contains(x) for x in below] == [True, False]
+
     def test_empty_interval_rejected(self):
         with pytest.raises(BadParams):
             Interval(2.0, 1.0)
 
-    @pytest.mark.parametrize("interval", [
-        Interval(0.0, 2.0),
-        Interval(lo=0.0),
-        Interval(0.0, math.inf, lo_open=True),
-        Interval(),
-        Interval(-1.0, 3.0, hi_open=True),
+    # Membership of POINTS, one digit per point, under the stretched rule.
+    @pytest.mark.parametrize("interval, expected", [
+        (Interval(0.0, 2.0), "0111111100000"),
+        (Interval(lo=0.0), "0011111111010"),
+        (Interval(0.0, math.inf, lo_open=True), "0000111111010"),
+        (Interval(), "1111111111110"),
+        (Interval(-1.0, 3.0, hi_open=True), "1111111101000"),
     ])
-    def test_contains_array_matches_contains(self, interval):
+    def test_contains_array_applies_the_stretched_rule(self, interval, expected):
         points = [-1e-6, -2e-9, -1e-10, 0.0, 1e-300, 1.0, 2.0, 2.0 + 1e-9, 3.0,
-                  3.0 - 1e-15, -1e12, 1e12, math.inf, -math.inf, math.nan]
-        got = interval.contains_array(np.array(points).reshape(3, 5))
-        assert got.shape == (3, 5)
-        assert got.ravel().tolist() == [interval.contains(x) for x in points]
+                  3.0 - 1e-15, -1e12, 1e12, math.nan]
+        got = interval.contains_array(np.array(points[:12]).reshape(3, 4))
+        assert got.shape == (3, 4)
+        assert "".join("1" if x else "0" for x in got.ravel()) == expected[:12]
+        assert "".join("1" if interval.contains(x) else "0" for x in points) == expected
 
 
 class TestCatalog:

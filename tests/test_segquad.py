@@ -161,9 +161,28 @@ class TestBatchedChecks:
         b = hermitian_from(np.diag([-1.0, 1.0]))
         with pytest.raises(SpectrumOutOfDomain, match="outside domain") as err:
             segment_integral(builtin("inverse"), a, b, QuadratureSpec(nodes=16))
-        offending = err.value.offending
-        assert len(offending) == 8  # the 8 of 16 nodes below t = 1/2
-        assert all(x < 0.0 for x in offending)
+        # the first node, t0 = (1 + x0) / 2, is the first to fail
+        t0 = (1.0 + np.polynomial.legendre.leggauss(16)[0][0]) / 2.0
+        assert err.value.offending == [pytest.approx(2.0 * t0 - 1.0)]
+
+
+@pytest.mark.parametrize("n, stack_sizes", [(4, [16, 32]), (48, [1] * 48)])
+def test_stacks_stay_within_the_entry_budget(monkeypatch, n, stack_sizes):
+    real_eigh = np.linalg.eigh
+    seen = []
+
+    def recording(stack):
+        seen.append(stack.shape[0])
+        return real_eigh(stack)
+
+    rng = make_rng(8)
+    a, b = random_hermitian_raw(n, rng), random_hermitian_raw(n, rng)
+    matcore.eig(a), matcore.eig(b)
+    monkeypatch.setattr(matcore.np.linalg, "eigh", recording)
+    segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=16, rtol=1e-6))
+    # a whole small-n pass fits one stack; a large-n pass goes one matrix at a time
+    assert seen == stack_sizes
+    assert max(seen) * n * n <= max(segquad.STACK_ENTRY_BUDGET, n * n)
 
 
 class TestWordOracle:
