@@ -312,16 +312,29 @@ def _parse_grid(grid, n: int) -> list[list[Fraction]]:
     return [[_parse_entry(x) for x in row] for row in grid]
 
 
+def _float_grid(grid, n: int) -> np.ndarray:
+    """The grid's entries as floats, each the float of its exact rational.
+
+    A finite float is its own exact rational, so a grid of finite floats
+    (what matrix_to_json writes) is converted in one array call, with
+    + 0.0 mapping -0.0 to 0.0 as the Fraction round trip does.  Other grids
+    go through _parse_grid, which also raises for NaN and infinite floats.
+    """
+    if len(grid) == n and all(len(row) == n and all(type(x) is float for x in row)
+                              for row in grid):
+        out = np.array(grid, dtype=float).reshape(n, n) + 0.0
+        if np.isfinite(out).all():
+            return out
+    return np.array([[float(x) for x in row] for row in _parse_grid(grid, n)],
+                    dtype=float).reshape(n, n)
+
+
 def matrix_from_json(obj: dict) -> HermitianMatrix:
     """Load a HermitianMatrix from the matrix literal format."""
     n = int(obj["n"])
-    re = _parse_grid(obj["re"], n)
-    im = _parse_grid(obj["im"], n) if obj.get("im") is not None else None
-    raw = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            raw[i, j] = float(re[i][j]) + (1j * float(im[i][j]) if im else 0.0)
-    return hermitian_from(raw)
+    re = _float_grid(obj["re"], n)
+    im = _float_grid(obj["im"], n) if obj.get("im") is not None else np.zeros((n, n))
+    return hermitian_from(re + 1j * im)
 
 
 def exact_matrix_from_json(obj: dict) -> np.ndarray:

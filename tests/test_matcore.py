@@ -195,3 +195,43 @@ class TestMatrixLiteral:
     def test_im_defaults_to_zero(self):
         h = matrix_from_json({"n": 1, "re": [[2]]})
         assert h.entries[0, 0] == 2.0 + 0.0j
+
+    @staticmethod
+    def _per_entry(obj):
+        """Entries built one Fraction at a time, as the format defines them."""
+        from fractions import Fraction
+        n = obj["n"]
+        raw = np.empty((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                im = obj.get("im")
+                raw[i, j] = (float(Fraction(obj["re"][i][j]))
+                             + (1j * float(Fraction(im[i][j])) if im else 0.0))
+        return hermitian_from(raw).entries
+
+    def test_float_grids_match_the_per_entry_rationals_bit_for_bit(self):
+        rng = make_rng(11)
+        specials = [0.0, -0.0, 1.5, -2.25, 5e-324, -1e-300, 1e300]
+        for trial in range(60):
+            n = int(rng.integers(1, 6))
+            re = rng.choice(specials, (n, n)) if trial % 3 == 0 else rng.standard_normal((n, n))
+            im = rng.choice(specials, (n, n)) if trial % 3 == 0 else rng.standard_normal((n, n))
+            obj = {"n": n, "re": ((re + re.T) / 2).tolist()}
+            if trial % 2:
+                obj["im"] = ((im - im.T) / 2).tolist()
+            assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
+
+    def test_mixed_grids_take_the_exact_path(self):
+        obj = {"n": 2, "re": [[-0.0, "1/3"], ["1/3", 2]], "im": [[0.0, -1.5], [1.5, -0.0]]}
+        assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
+
+    @pytest.mark.parametrize("bad, exc", [(float("nan"), ValueError), (float("inf"), OverflowError)])
+    def test_non_finite_entries_are_refused(self, bad, exc):
+        with pytest.raises(exc):
+            matrix_from_json({"n": 1, "re": [[bad]]})
+        with pytest.raises(exc):
+            matrix_from_json({"n": 1, "re": [[1.0]], "im": [[bad]]})
+
+    def test_ragged_float_grid_is_not_square(self):
+        with pytest.raises(NonSquareError):
+            matrix_from_json({"n": 2, "re": [[1.0, 2.0], [2.0]]})
