@@ -8,6 +8,7 @@ numerically and hunts for witnesses against flags declared false.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,6 +22,7 @@ from .errors import BadParams, FlagContradicted, UnknownName
 DOMAIN_STRETCH_RTOL = 1e-9
 # Tolerance for the midpoint-convexity and monotonicity grid tests.
 FLAG_TEST_RTOL = 1e-10
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -44,27 +46,43 @@ class Interval:
         return bool(self.contains_array(x))
 
     def contains_array(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise membership of an array of points."""
+        """Elementwise membership of an array of points.
+
+        Only finite closed endpoints and open endpoints are compared
+        against, so on the closed real line this is a NaN test.
+        """
         xs = np.asarray(xs, dtype=float)
+        inside = ~np.isnan(xs)
+        if self.lo_open:
+            inside &= xs > self.lo
+        elif self.lo > -math.inf:
+            inside &= xs >= self.lo - self._pad(xs)
+        if self.hi_open:
+            inside &= xs < self.hi
+        elif self.hi < math.inf:
+            inside &= xs <= self.hi + self._pad(xs)
+        return inside
+
+    def _pad(self, xs: np.ndarray) -> float | np.ndarray:
         # Numerically computed spectra may fall marginally outside closed
         # endpoints; stretch by a small amount relative to the interval
-        # length (or to the point's own scale on half-lines).
+        # length (or to the point's own scale on half-lines, capped so that
+        # an infinite point gets a finite stretch and stays outside).
         if self.bounded:
-            pad = DOMAIN_STRETCH_RTOL * (self.hi - self.lo)
-        else:
-            pad = DOMAIN_STRETCH_RTOL * np.maximum(1.0, np.abs(xs))
-        inside = xs > self.lo if self.lo_open else xs >= self.lo - pad
-        inside &= xs < self.hi if self.hi_open else xs <= self.hi + pad
-        return inside
+            return DOMAIN_STRETCH_RTOL * (self.hi - self.lo)
+        return DOMAIN_STRETCH_RTOL * np.maximum(1.0, np.minimum(np.abs(xs), _FLOAT_MAX))
 
     def contains_interval(self, a: float, b: float) -> bool:
         lo_ok = a > self.lo if self.lo_open else a >= self.lo
         hi_ok = b < self.hi if self.hi_open else b <= self.hi
         return lo_ok and hi_ok and a <= b
 
-    def clip_bounds(self) -> tuple[float, float]:
-        """Bounds for clipping values already admitted by contains()."""
-        return self.lo, self.hi
+    def clip(self, xs: np.ndarray) -> np.ndarray:
+        """Points admitted by contains_array, moved into [lo, hi]; the real
+        line moves none."""
+        if self.lo == -math.inf and self.hi == math.inf:
+            return xs
+        return np.minimum(np.maximum(xs, self.lo), self.hi)
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -238,8 +256,14 @@ def _restrict(natural: Interval, domain: tuple[float, float] | None, name: str) 
     return Interval(lo=lo, hi=hi, lo_open=natural.lo_open and lo == natural.lo)
 
 
+@functools.lru_cache(maxsize=64)
 def from_descriptor(text: str) -> ScalarFunction:
-    """Parse CLI descriptors like "exp", "power:1.5" or "power:2@0,inf"."""
+    """Parse CLI descriptors like "exp", "power:1.5" or "power:2@0,inf".
+
+    Each descriptor string is parsed once and its function shared, so a
+    cache keyed on the function (the mond_pecaric_alpha memo) hits from one
+    trial to the next.
+    """
     body, _, dom = text.partition("@")
     name, _, argstr = body.partition(":")
     params = tuple(float(a) for a in argstr.split(",")) if argstr else ()

@@ -420,10 +420,13 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     """Run the named checker over seeded trials; deterministic per root seed.
 
     The counterexample suite is a single fixed trial regardless of the
-    requested count.
+    requested count.  A power_norm suite whose function is not a power is
+    refused with BadParams before any trial runs.
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
+    if theorem == "power_norm":
+        _power_exponent(spec.function)
     if theorem == "counterexample" and spec.trials != 1:
         spec = replace(spec, trials=1)
     start = time.perf_counter()

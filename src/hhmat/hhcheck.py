@@ -9,6 +9,7 @@ t^3 fails is reproduced in exact rational arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,8 @@ from .segquad import (
 UNITARY_TOL = 1e-9
 ALPHA_GRID_POINTS = 10_000
 ALPHA_XTOL = 1e-12
+# (f, omega, Omega) keys kept by the mond_pecaric_alpha memo.
+ALPHA_MEMO_SIZE = 64
 
 
 # -- report types --------------------------------------------------------------
@@ -477,6 +480,7 @@ def _golden_max(g, lo: float, hi: float, xtol: float = ALPHA_XTOL) -> tuple[floa
     return t, g(t)
 
 
+@functools.lru_cache(maxsize=ALPHA_MEMO_SIZE)
 def mond_pecaric_alpha(f: ScalarFunction, omega: float, Omega: float) -> AlphaResult:
     """Maximum over [omega, Omega] of the chord value of f at t divided by
     f(t); this constant weights the endpoint average in the converse bound.
@@ -484,6 +488,10 @@ def mond_pecaric_alpha(f: ScalarFunction, omega: float, Omega: float) -> AlphaRe
     The function must be strictly positive on the interval.  A coarse grid
     scan locates the maximum and golden-section refinement narrows the
     argmax below ALPHA_XTOL.
+
+    Results are memoized on (f, omega, Omega): a suite passes its one
+    interval to every trial, so only its first trial computes alpha.
+    Errors are not memoized.
     """
     if not omega < Omega:
         raise BadInterval(f"need omega < Omega, got [{omega}, {Omega}]")
@@ -509,6 +517,16 @@ def mond_pecaric_alpha(f: ScalarFunction, omega: float, Omega: float) -> AlphaRe
     if ratios[i] > g_star:
         t_star, g_star = float(grid[i]), float(ratios[i])
     return AlphaResult(alpha=float(g_star), argmax_t=float(t_star), omega=omega, Omega=Omega)
+
+
+def _working_alpha(f: ScalarFunction, omega: float, Omega: float) -> float:
+    """alpha on the working interval.  That f is defined and strictly
+    positive there is a hypothesis of the converse bound, so an interval
+    outside f's domain or a non-positive value of f is one unmet."""
+    try:
+        return mond_pecaric_alpha(f, omega, Omega).alpha
+    except (BadInterval, NotPositive) as exc:
+        raise HypothesisUnmet(str(exc)) from exc
 
 
 def check_theorem_t4(
@@ -546,10 +564,7 @@ def check_theorem_t4(
                 reasons.append(f"spectrum of {label} leaves [{omega}, {Omega}]")
     if reasons:
         raise HypothesisUnmet(*reasons)
-    try:
-        alpha = mond_pecaric_alpha(f, omega, Omega).alpha
-    except NotPositive as exc:
-        raise HypothesisUnmet(str(exc)) from exc
+    alpha = _working_alpha(f, omega, Omega)
     lhs = phi.apply(segment_integral(f, a, b, quad))
     rhs = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
     return orders.loewner_leq(lhs, rhs, tol)
@@ -585,10 +600,7 @@ def check_norm_chain_corollary(
         omega, Omega = float(interval[0]), float(interval[1])
     if reasons:
         raise HypothesisUnmet(*reasons)
-    try:
-        alpha = mond_pecaric_alpha(f, omega, Omega).alpha
-    except NotPositive as exc:
-        raise HypothesisUnmet(str(exc)) from exc
+    alpha = _working_alpha(f, omega, Omega)
     m0 = apply_function(f, (pa + pb) / 2.0)
     m1 = phi.apply(segment_integral(f, a, b, quad))
     m2 = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))

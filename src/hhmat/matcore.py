@@ -55,8 +55,7 @@ class HermitianMatrix:
         ct = raw.conj().T
         if (raw == ct).all():
             # Exactly Hermitian already, as real combinations of Hermitian
-            # matrices and symmetrized results are (every quadrature node
-            # and every apply_function result): the Hermitian part is raw.
+            # matrices are (h + k, 2.5 * h, ...): the Hermitian part is raw.
             herm, residual = raw.copy(), 0.0
         else:
             herm = (raw + ct) / 2.0
@@ -173,6 +172,34 @@ def hermitian_from(raw) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(raw, dtype=complex))
 
 
+def _exact_hermitian(entries: np.ndarray) -> HermitianMatrix:
+    """Wrap a square complex array that is exactly Hermitian by construction.
+
+    The constructor's exactness test always passes on such an array, so it
+    is skipped, and so is the copy: the array itself becomes the read-only
+    entries, with residual 0.  Only for (R + R*)/2 and for real combinations
+    of exactly Hermitian matrices (see segment_matrices); anything else goes
+    through the constructor.
+    """
+    entries.flags.writeable = False
+    h = object.__new__(HermitianMatrix)
+    object.__setattr__(h, "entries", entries)
+    object.__setattr__(h, "asymmetry_residual", 0.0)
+    object.__setattr__(h, "_eigen", None)
+    return h
+
+
+def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[HermitianMatrix]:
+    """The matrices tA + (1-t)B for t in ts, built in one array expression.
+
+    Multiplying by a real scalar and adding act on real and imaginary parts
+    separately and commute with conjugation, so these matrices are exactly
+    Hermitian, as A and B are.
+    """
+    t = np.asarray(ts, dtype=float)[:, None, None]
+    return [_exact_hermitian(m) for m in t * a.entries + (1.0 - t) * b.entries]
+
+
 def _ct(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack."""
     return np.conj(np.swapaxes(stack, -1, -2))
@@ -197,9 +224,11 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.ascontiguousarray(w[:, ::-1].astype(float))
     vectors = np.ascontiguousarray(v[:, :, ::-1])
     n = values.shape[1]
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=1))
+    # initial=0.0 leaves every maximum of absolute values unchanged and
+    # gives 0 for 0x0 matrices, whose decomposition is empty.
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
     recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
-    recon_err = np.max(np.abs(recon), axis=(1, 2))
+    recon_err = np.max(np.abs(recon), axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(recon_err > EIG_RECON_RTOL * scale)
     if bad.size:
         i = bad[0]
@@ -207,7 +236,8 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"eigendecomposition reconstruction error {recon_err[i]:.3e} "
             f"exceeds {EIG_RECON_RTOL:.0e} * {scale[i]:.3e}"
         )
-    ortho_err = np.max(np.abs(_ct(vectors) @ vectors - np.eye(n)), axis=(1, 2))
+    ortho_err = np.max(np.abs(_ct(vectors) @ vectors - np.eye(n)), axis=(1, 2),
+                       initial=0.0)
     bad = np.flatnonzero(ortho_err > EIG_ORTHO_TOL)
     if bad.size:
         raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
@@ -234,8 +264,11 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     The solver output is validated: reconstruction must match the input to
     ``EIG_RECON_RTOL`` relative to max(1, spectral radius) and the eigenvector
     matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
-    cached on ``h``, so each matrix is decomposed and validated once.
+    cached on ``h``, so each matrix is decomposed and validated once.  A 0x0
+    matrix has the empty decomposition.
     """
+    if h._eigen is not None:
+        return h._eigen
     return eig_many([h])[0]
 
 
@@ -253,11 +286,12 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
             f"eigenvalues {bad} of the argument lie outside domain {f.domain} of {f.name}",
             offending=bad,
         )
-    lo, hi = f.domain.clip_bounds()
-    fvals = f.eval_array(np.minimum(np.maximum(es.values, lo), hi))
+    fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
-    # Symmetrize so downstream construction is exact regardless of rounding.
-    return HermitianMatrix((result + result.conj().T) / 2.0)
+    # (R + R*)/2 is exactly Hermitian whatever the rounding in R.
+    result += result.conj().T
+    result /= 2.0
+    return _exact_hermitian(result)
 
 
 def singular_values(h: HermitianMatrix) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge, SpectrumOutOfDomain
 from .funcat import ScalarFunction
-from .matcore import HermitianMatrix, apply_function, eig, eig_many
+from .matcore import HermitianMatrix, apply_function, eig, eig_many, segment_matrices
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
 WORD_CAP = 6  # 2**6 = 64 words
@@ -67,8 +67,7 @@ def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     step = max(1, STACK_ENTRY_BUDGET // max(1, a.dim * a.dim))
     for start in range(0, len(ts), step):
-        t = np.asarray(ts[start:start + step], dtype=float)[:, None, None]
-        points = [HermitianMatrix(m) for m in t * a.entries + (1.0 - t) * b.entries]
+        points = segment_matrices(a, b, ts[start:start + step])
         eig_many(points)
         yield from points
 
@@ -83,7 +82,7 @@ def segment_sum(
     """Entries of the sum over j of weights[j] * f(ts[j] A + (1 - ts[j]) B)."""
     acc = np.zeros_like(a.entries)
     for weight, point in zip(weights, segment_points(a, b, ts)):
-        acc = acc + weight * apply_function(f, point).entries
+        acc += weight * apply_function(f, point).entries
     return acc
 
 

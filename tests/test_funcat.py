@@ -33,6 +33,18 @@ class TestInterval:
         assert j.contains_array(np.array(below)).tolist() == [True, False]
         assert [j.contains(x) for x in below] == [True, False]
 
+    def test_half_line_excludes_the_infinity_beyond_its_finite_end(self):
+        lower, upper = Interval(lo=0.0), Interval(hi=0.0)
+        assert not lower.contains(-math.inf) and lower.contains(math.inf)
+        assert not upper.contains(math.inf) and upper.contains(-math.inf)
+        assert lower.contains_array(np.array([-math.inf, math.inf])).tolist() == [False, True]
+        assert upper.contains_array(np.array([-math.inf, math.inf])).tolist() == [True, False]
+
+    def test_real_line_clips_nothing(self):
+        xs = np.array([-1e300, 0.0, 1e300])
+        assert Interval().clip(xs) is xs
+        assert Interval(lo=0.0).clip(xs).tolist() == [0.0, 0.0, 1e300]
+
     def test_empty_interval_rejected(self):
         with pytest.raises(BadParams):
             Interval(2.0, 1.0)
@@ -146,6 +158,11 @@ class TestCatalog:
         g = from_descriptor("affine:1,-0.5")
         assert g(2.0) == 1.5
         assert from_descriptor("exp").name == "exp"
+
+    def test_descriptor_functions_are_shared(self):
+        assert from_descriptor("power:2") is from_descriptor("power:2")
+        assert from_descriptor("power:2") is not from_descriptor("power:2@0,inf")
+        assert from_descriptor("affine:2,0.5") == from_descriptor("affine:2,0.5")
 
 
 INTERVALS = {

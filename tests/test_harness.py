@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_hermitian_raw
+from hhmat.errors import BadParams
 from hhmat.harness import InstanceSpec, run_suite
 from hhmat.matcore import eig
 
@@ -40,3 +41,16 @@ def test_suite_json_is_identical_across_worker_counts(theorem):
     parallel = run_suite(spec, theorem, workers=2)
     assert serial.passes == spec.trials
     assert serial.to_json() == parallel.to_json()
+
+
+@pytest.mark.parametrize("theorem", ["t4", "norm_chain"])
+def test_interval_outside_the_domain_skips_every_trial(theorem):
+    # [0, 2] is not inside (0, inf], the domain of the inverse
+    report = run_suite(InstanceSpec(n=6, seed=3, trials=20, function="inverse"), theorem)
+    assert (report.skips, report.failure_count) == (20, 0)
+    assert all("not inside domain" in rec["detail"] for rec in report.records)
+
+
+def test_power_norm_with_a_non_power_function_is_refused_up_front():
+    with pytest.raises(BadParams, match="needs a power function"):
+        run_suite(InstanceSpec(n=3, trials=5, function="exp"), "power_norm")

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import eig2x2, make_rng, random_hermitian_raw, random_unitary
+from conftest import eig2x2, make_rng, random_hermitian_raw, random_psd, random_unitary
 from hhmat import funcat, matcore
 from hhmat.errors import BadSpec, ExcessAsymmetryError, NonSquareError, SpectrumOutOfDomain
 from hhmat.matcore import (
+    HermitianMatrix,
     NormSpec,
     apply_function,
     eig,
     hermitian_from,
     matrix_from_json,
     matrix_to_json,
+    segment_matrices,
     ui_norm,
 )
 
@@ -78,6 +80,50 @@ class TestEig:
             scale = max(1.0, es.spectral_radius)
             assert np.max(np.abs(es.reconstruct() - h.entries)) <= 1e-10 * scale
             assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(n))) <= 1e-10
+
+
+    def test_empty_matrix_has_the_empty_decomposition(self):
+        es = eig(HermitianMatrix(np.zeros((0, 0))))
+        assert es.values.shape == (0,)
+        assert es.vectors.shape == (0, 0)
+        assert es.spectral_radius == 0.0
+
+
+def _exactly_hermitian(m: np.ndarray) -> bool:
+    # The constructor's own exactness test.
+    return bool((m == m.conj().T).all())
+
+
+class TestExactHermitianByConstruction:
+    """Node matrices and apply_function results skip the constructor's
+    exactness test; these check that the test would always pass on them."""
+
+    def test_segment_matrices_are_exactly_hermitian(self):
+        rng = make_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            scale = float(10.0 ** rng.uniform(-6, 6))
+            a = random_hermitian_raw(n, rng, scale=scale)
+            b = random_hermitian_raw(n, rng, scale=float(rng.uniform(0.1, 10.0)))
+            ts = rng.uniform(-0.5, 1.5, size=int(rng.integers(1, 9)))
+            for t, m in zip(ts, segment_matrices(a, b, ts)):
+                assert _exactly_hermitian(m.entries)
+                assert m.asymmetry_residual == 0.0 and not m.entries.flags.writeable
+                # the values the constructor would have kept, bit for bit
+                expected = HermitianMatrix(t * a.entries + (1.0 - t) * b.entries)
+                assert expected.asymmetry_residual == 0.0
+                np.testing.assert_array_equal(m.entries, expected.entries)
+
+    def test_apply_function_results_are_exactly_hermitian(self):
+        rng = make_rng(22)
+        fs = [funcat.builtin(name) for name in ("exp", "identity", "cube")]
+        fs.append(funcat.builtin("power", 2.5))
+        for trial in range(300):
+            n = int(rng.integers(1, 9))
+            h = random_psd(n, rng, scale=float(rng.uniform(0.1, 3.0)))  # inside every domain
+            out = apply_function(fs[trial % len(fs)], h)
+            assert _exactly_hermitian(out.entries)
+            assert out.asymmetry_residual == 0.0 and not out.entries.flags.writeable
 
 
 class TestApplyFunction:
