@@ -120,8 +120,12 @@ def main(argv=None) -> int:
                     json.dump(payload, fh, sort_keys=True)
             return 0 if report.passes else 1
         if args.command == "replay":
-            with open(args.file, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            try:
+                with open(args.file, "r", encoding="utf-8") as fh:
+                    payload = json.load(fh)
+            except (OSError, ValueError) as exc:  # unreadable, or not JSON
+                print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+                return 2
             results = harness.replay(payload)
             bad = 0
             for inst, result in results:

@@ -262,15 +262,18 @@ def from_descriptor(text: str) -> ScalarFunction:
 
     Each descriptor string is parsed once and its function shared, so a
     cache keyed on the function (the mond_pecaric_alpha memo) hits from one
-    trial to the next.
+    trial to the next.  A number field that does not parse raises BadParams.
     """
     body, _, dom = text.partition("@")
     name, _, argstr = body.partition(":")
-    params = tuple(float(a) for a in argstr.split(",")) if argstr else ()
-    domain = None
-    if dom:
-        lo_s, _, hi_s = dom.partition(",")
-        domain = (float(lo_s), float(hi_s))
+    try:
+        params = tuple(float(a) for a in argstr.split(",")) if argstr else ()
+        domain = None
+        if dom:
+            lo_s, _, hi_s = dom.partition(",")
+            domain = (float(lo_s), float(hi_s))
+    except ValueError as exc:
+        raise BadParams(f"cannot parse function descriptor {text!r}: {exc}") from None
     return builtin(name, *params, domain=domain)
 
 

@@ -420,15 +420,19 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     """Run the named checker over seeded trials; deterministic per root seed.
 
     The counterexample suite is a single fixed trial regardless of the
-    requested count.  A power_norm suite whose function is not a power is
-    refused with BadParams before any trial runs.
+    requested count and function.  The function descriptor of any other
+    suite is parsed before any trial runs, so a malformed one raises its
+    package error (BadParams, UnknownName) up front; so is a power_norm
+    suite whose function is not a power.
     """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
+    if theorem == "counterexample":
+        spec = replace(spec, trials=1)
+    else:
+        from_descriptor(spec.function)
     if theorem == "power_norm":
         _power_exponent(spec.function)
-    if theorem == "counterexample" and spec.trials != 1:
-        spec = replace(spec, trials=1)
     start = time.perf_counter()
     jobs = [(spec, theorem, i) for i in range(spec.trials)]
     if workers > 1:
@@ -457,6 +461,8 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
 
 def replay(obj: dict) -> list[tuple[dict, TrialResult]]:
     """Re-run instances from a report, a failure entry, or a bare instance."""
+    if not isinstance(obj, dict):
+        raise BadParams("replay input is not a JSON object")
     if "failures" in obj:
         instances = [fail["instance"] for fail in obj["failures"]]
     elif "instance" in obj:

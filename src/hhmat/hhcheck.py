@@ -386,10 +386,10 @@ def check_bourin_t2(
     id_sum = maps[0].identity_image()
     for phi in maps[1:]:
         id_sum = id_sum + phi.identity_image()
-    sum_values = eig(id_sum).values
     dist = float(np.max(np.abs(id_sum.entries - np.eye(m))))
     if dist > plmaps.UNITAL_TOL:
         # case (ii): the identity images sum below I and f(0) <= 0
+        sum_values = eig(id_sum).values
         if float(sum_values[0]) > 1.0 + plmaps.UNITAL_TOL:
             reasons.append(f"sum of Phi_i(I) has top eigenvalue {float(sum_values[0]):.6g} > 1")
         if not f.domain.contains(0.0):

@@ -47,6 +47,10 @@ class HermitianMatrix:
     asymmetry_residual: float = 0.0
     # Filled by eig() on first use; entries are read-only, so it stays valid.
     _eigen: "EigenSystem | None" = field(default=None, init=False, repr=False)
+    # Set by apply_function on f(H): (f of H's eigenvalues, H's eigenvectors),
+    # from which eig() derives this matrix's decomposition without a solver.
+    _spectral_pair: "tuple[np.ndarray, np.ndarray] | None" = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
         raw = np.asarray(self.entries, dtype=complex)
@@ -149,12 +153,15 @@ class NormSpec:
 
     @staticmethod
     def parse(text: str) -> "NormSpec":
-        """Parse "kyfan:K", "schatten:P" or "operator"."""
+        """Parse "kyfan:K", "schatten:P" or "operator"; BadSpec otherwise."""
         head, _, arg = text.partition(":")
-        if head == "kyfan":
-            return NormSpec.ky_fan(int(arg))
-        if head == "schatten":
-            return NormSpec.schatten(float(arg))
+        try:
+            if head == "kyfan":
+                return NormSpec.ky_fan(int(arg))
+            if head == "schatten":
+                return NormSpec.schatten(float(arg))
+        except ValueError:  # a number field that does not parse
+            pass
         if head == "operator" and not arg:
             return NormSpec.operator()
         raise BadSpec(f"cannot parse norm spec {text!r}")
@@ -172,20 +179,22 @@ def hermitian_from(raw) -> HermitianMatrix:
     return HermitianMatrix(np.asarray(raw, dtype=complex))
 
 
-def _exact_hermitian(entries: np.ndarray) -> HermitianMatrix:
+def _exact_hermitian(entries: np.ndarray, spectral_pair=None) -> HermitianMatrix:
     """Wrap a square complex array that is exactly Hermitian by construction.
 
     The constructor's exactness test always passes on such an array, so it
     is skipped, and so is the copy: the array itself becomes the read-only
     entries, with residual 0.  Only for (R + R*)/2 and for real combinations
     of exactly Hermitian matrices (see segment_matrices); anything else goes
-    through the constructor.
+    through the constructor.  ``spectral_pair`` is apply_function's
+    (values, vectors) of the result, kept as a reference for eig().
     """
     entries.flags.writeable = False
     h = object.__new__(HermitianMatrix)
     object.__setattr__(h, "entries", entries)
     object.__setattr__(h, "asymmetry_residual", 0.0)
     object.__setattr__(h, "_eigen", None)
+    object.__setattr__(h, "_spectral_pair", spectral_pair)
     return h
 
 
@@ -203,6 +212,24 @@ def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[Hermiti
 def _ct(stack: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack."""
     return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _check_reconstruction(values: np.ndarray, vectors: np.ndarray, stack: np.ndarray):
+    """Raise ConvergenceFailure unless each vectors[i] diag(values[i])
+    vectors[i]* matches stack[i] to EIG_RECON_RTOL relative to max(1, its
+    spectral radius)."""
+    # initial=0.0 leaves every maximum of absolute values unchanged and
+    # gives 0 for 0x0 matrices, whose decomposition is empty.
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
+    recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
+    recon_err = np.max(np.abs(recon), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(recon_err > EIG_RECON_RTOL * scale)
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceFailure(
+            f"eigendecomposition reconstruction error {recon_err[i]:.3e} "
+            f"exceeds {EIG_RECON_RTOL:.0e} * {scale[i]:.3e}"
+        )
 
 
 def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +251,7 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.ascontiguousarray(w[:, ::-1].astype(float))
     vectors = np.ascontiguousarray(v[:, :, ::-1])
     n = values.shape[1]
-    # initial=0.0 leaves every maximum of absolute values unchanged and
-    # gives 0 for 0x0 matrices, whose decomposition is empty.
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
-    recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
-    recon_err = np.max(np.abs(recon), axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(recon_err > EIG_RECON_RTOL * scale)
-    if bad.size:
-        i = bad[0]
-        raise ConvergenceFailure(
-            f"eigendecomposition reconstruction error {recon_err[i]:.3e} "
-            f"exceeds {EIG_RECON_RTOL:.0e} * {scale[i]:.3e}"
-        )
+    _check_reconstruction(values, vectors, stack)
     ortho_err = np.max(np.abs(_ct(vectors) @ vectors - np.eye(n)), axis=(1, 2),
                        initial=0.0)
     bad = np.flatnonzero(ortho_err > EIG_ORTHO_TOL)
@@ -244,17 +260,35 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The decomposition of f(H) from the pair apply_function kept on it:
+    f's values sorted descending (stable, so ties keep H's order) with H's
+    eigenvectors permuted to match.  The reconstruction is checked against
+    the stored entries; orthonormality is that of H's validated vectors."""
+    fvals, vectors = h._spectral_pair
+    order = np.argsort(-fvals, kind="stable")
+    values, vectors = fvals[order], vectors[:, order]
+    _check_reconstruction(values[None], vectors[None], h.entries[None])
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return values, vectors
+
+
 def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
     """Eigendecompositions of same-size matrices, validated and cached as
-    eig() documents.  The matrices not yet decomposed go to the solver
-    together, as one stack (see eig_stack)."""
+    eig() documents.  A result of apply_function takes its decomposition
+    from its argument's (see eig); the other matrices not yet decomposed go
+    to the solver together, as one stack (see eig_stack)."""
     todo = [h for h in hs if h._eigen is None]
-    if todo:
-        values, vectors = eig_stack(np.stack([h.entries for h in todo]))
+    found = [(h, *_derived_eigen(h)) for h in todo if h._spectral_pair is not None]
+    solve = [h for h in todo if h._spectral_pair is None]
+    if solve:
+        values, vectors = eig_stack(np.stack([h.entries for h in solve]))
         values.flags.writeable = False
         vectors.flags.writeable = False
-        for h, w, v in zip(todo, values, vectors):
-            object.__setattr__(h, "_eigen", EigenSystem(values=w, vectors=v))
+        found += zip(solve, values, vectors)
+    for h, w, v in found:
+        object.__setattr__(h, "_eigen", EigenSystem(values=w, vectors=v))
     return [h._eigen for h in hs]
 
 
@@ -266,6 +300,14 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
     cached on ``h``, so each matrix is decomposed and validated once.  A 0x0
     matrix has the empty decomposition.
+
+    A result R = f(H) of apply_function is not sent to the solver: by the
+    spectral mapping theorem its eigenvalues are f of H's, with H's
+    eigenvectors.  The values are sorted descending (stably, so a decreasing
+    or non-monotone f pairs them correctly) and the vectors permuted to
+    match; the rebuilt matrix must match R's entries to ``EIG_RECON_RTOL``
+    as above, or ConvergenceFailure is raised.  The vectors are H's, already
+    checked orthonormal.
     """
     if h._eigen is not None:
         return h._eigen
@@ -277,6 +319,10 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
 
     Requires the spectrum of H to lie in the domain of f (endpoints are
     stretched by a small relative tolerance, see funcat.Interval.contains).
+
+    The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
+    which eig() turns into its decomposition, checked, if it is ever asked
+    for; a result that is never decomposed pays nothing more.
     """
     es = eig(h)
     inside = f.domain.contains_array(es.values)
@@ -291,7 +337,7 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     # (R + R*)/2 is exactly Hermitian whatever the rounding in R.
     result += result.conj().T
     result /= 2.0
-    return _exact_hermitian(result)
+    return _exact_hermitian(result, (fvals, es.vectors))
 
 
 def singular_values(h: HermitianMatrix) -> np.ndarray:
@@ -349,16 +395,22 @@ def _parse_grid(grid, n: int) -> list[list[Fraction]]:
 def _float_grid(grid, n: int) -> np.ndarray:
     """The grid's entries as floats, each the float of its exact rational.
 
-    A finite float is its own exact rational, so a grid of finite floats
-    (what matrix_to_json writes) is converted in one array call, with
-    + 0.0 mapping -0.0 to 0.0 as the Fraction round trip does.  Other grids
-    go through _parse_grid, which also raises for NaN and infinite floats.
+    A finite float is its own exact rational, and numpy rounds an int mixed
+    into a float grid (bools included) to the nearest float as Fraction
+    does, so a grid that numpy reads as an n x n array of finite float64 is
+    converted in one call, with + 0.0 mapping -0.0 to 0.0 as the Fraction
+    round trip does.  Every other grid (strings, all-int, object or ragged
+    grids, NaN and infinite floats) goes through _parse_grid, which raises
+    for the ones that are not matrix literals.
     """
-    if len(grid) == n and all(len(row) == n and all(type(x) is float for x in row)
-                              for row in grid):
-        out = np.array(grid, dtype=float).reshape(n, n) + 0.0
-        if np.isfinite(out).all():
-            return out
+    try:
+        out = np.array(grid)
+    except ValueError:  # ragged
+        out = None
+    if (out is not None and out.dtype == np.float64 and out.shape == (n, n)
+            and np.isfinite(out).all()):
+        out += 0.0
+        return out
     return np.array([[float(x) for x in row] for row in _parse_grid(grid, n)],
                     dtype=float).reshape(n, n)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotOrthonormal, TargetDimMismatch
-from .matcore import HermitianMatrix, eig, hermitian_from, operator_norm
+from .matcore import HermitianMatrix, eig, hermitian_from
 
 UNITAL_TOL = 1e-10
 SUBUNITAL_POSITIVITY_TOL = 1e-12
@@ -200,11 +200,12 @@ class UnitalityReport:
 
 
 def unitality_status(phi: PositiveLinearMap) -> UnitalityReport:
-    image = phi.identity_image()
-    m = phi.target_dim
-    dist = operator_norm(image - hermitian_from(np.eye(m)))
-    values = eig(image).values
+    """Classify Phi(I) from its one decomposition.  Phi(I) - I has the
+    eigenvalues lambda_i - 1, so its operator norm, the identity distance,
+    is the larger of |lambda_max - 1| and |lambda_min - 1|."""
+    values = eig(phi.identity_image()).values
     lam_min, lam_max = float(values[-1]), float(values[0])
+    dist = max(abs(lam_max - 1.0), abs(lam_min - 1.0))
     if dist <= UNITAL_TOL:
         status = "Unital"
     elif lam_max <= 1.0 + UNITAL_TOL and lam_min > SUBUNITAL_POSITIVITY_TOL:

@@ -58,3 +58,25 @@ def test_json_output_is_identical_across_worker_counts(tmp_path):
     first, second = (p.read_bytes() for p in paths)
     assert first == second
     assert json.loads(first)["trials"] == 6
+
+
+def test_malformed_function_descriptor_exits_2(capsys):
+    code = cli.main(["verify", "--theorem", "t4", "--f", "power:abc", "--trials", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: cannot parse function descriptor 'power:abc'" in captured.err
+    assert captured.out == ""
+
+
+def test_replay_of_a_missing_or_non_json_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert cli.main(["replay", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert cli.main(["replay", str(broken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text("5")
+    assert cli.main(["replay", str(scalar)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err

@@ -159,6 +159,11 @@ class TestCatalog:
         assert g(2.0) == 1.5
         assert from_descriptor("exp").name == "exp"
 
+    @pytest.mark.parametrize("text", ["power:abc", "exp@0", "power:2@0,x", "affine:1,"])
+    def test_malformed_number_in_descriptor(self, text):
+        with pytest.raises(BadParams, match="cannot parse function descriptor"):
+            from_descriptor(text)
+
     def test_descriptor_functions_are_shared(self):
         assert from_descriptor("power:2") is from_descriptor("power:2")
         assert from_descriptor("power:2") is not from_descriptor("power:2@0,inf")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_rng, random_hermitian_raw
 from hhmat.errors import BadParams
-from hhmat.harness import InstanceSpec, run_suite
+from hhmat.harness import InstanceSpec, generate_instance, replay, run_instance, run_suite
 from hhmat.matcore import eig
 
 
@@ -54,3 +54,25 @@ def test_interval_outside_the_domain_skips_every_trial(theorem):
 def test_power_norm_with_a_non_power_function_is_refused_up_front():
     with pytest.raises(BadParams, match="needs a power function"):
         run_suite(InstanceSpec(n=3, trials=5, function="exp"), "power_norm")
+
+
+@pytest.mark.parametrize("theorem", ["t4", "chain", "power_norm"])
+def test_malformed_function_descriptor_is_refused_up_front(theorem):
+    with pytest.raises(BadParams, match="cannot parse function descriptor"):
+        run_suite(InstanceSpec(n=3, trials=5, function="power:abc"), theorem)
+
+
+def test_counterexample_suite_does_not_read_the_function():
+    report = run_suite(InstanceSpec(trials=5, function="power:abc"), "counterexample")
+    assert (report.trials, report.passes) == (1, 1)
+
+
+@pytest.mark.parametrize("bad", ["kyfan:abc", "schatten:x"])
+def test_replayed_malformed_norm_spec_is_a_failed_trial(bad):
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
+    inst = generate_instance("norm_chain", spec, 0)
+    assert run_instance(inst).status == "pass"
+    inst["specs"] = inst["specs"][:1] + [bad]
+    [(_, result)] = replay(inst)
+    assert (result.status, result.margin) == ("fail", None)
+    assert result.detail == f"BadSpec: cannot parse norm spec {bad!r}"

@@ -5,7 +5,13 @@ import pytest
 
 from conftest import eig2x2, make_rng, random_hermitian_raw, random_psd, random_unitary
 from hhmat import funcat, matcore
-from hhmat.errors import BadSpec, ExcessAsymmetryError, NonSquareError, SpectrumOutOfDomain
+from hhmat.errors import (
+    BadSpec,
+    ConvergenceFailure,
+    ExcessAsymmetryError,
+    NonSquareError,
+    SpectrumOutOfDomain,
+)
 from hhmat.matcore import (
     HermitianMatrix,
     NormSpec,
@@ -174,6 +180,68 @@ class TestApplyFunction:
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
 
 
+def _with_spectrum(values, rng) -> HermitianMatrix:
+    u = random_unitary(len(values), rng)
+    return hermitian_from((u * np.asarray(values, dtype=float)) @ u.conj().T)
+
+
+class TestDecompositionOfFunctionValues:
+    """eig of f(H) comes from H's decomposition, not from the solver."""
+
+    @pytest.mark.parametrize("desc, spectrum", [
+        ("exp", [1.9, 1.2, 1.2, 0.3, -0.8, -1.5]),
+        # decreasing on (0, inf): the order of H's eigenvalues reverses
+        ("inverse", [4.0, 2.5, 1.0, 1.0, 0.5, 0.125]),
+        # not monotone: the spectrum crosses 0 and the squares interleave
+        ("power:2", [1.5, 0.7, 0.2, -0.3, -1.2, -1.6]),
+    ])
+    def test_matches_a_fresh_solver_decomposition(self, desc, spectrum):
+        rng = make_rng(31)
+        f = funcat.from_descriptor(desc)
+        for _ in range(20):
+            h = _with_spectrum(spectrum, rng)
+            out = apply_function(f, h)
+            es = eig(out)
+            scale = max(1.0, es.spectral_radius)
+            fresh = np.linalg.eigvalsh(out.entries)[::-1]
+            assert np.max(np.abs(es.values - fresh)) <= 1e-12 * scale
+            assert np.all(np.diff(es.values) <= 0.0)
+            # each value sits with its own vector
+            assert np.max(np.abs(es.reconstruct() - out.entries)) <= 1e-12 * scale
+            assert np.max(np.abs(out.entries @ es.vectors - es.vectors * es.values)) <= 1e-12 * scale
+            # H's vectors, permuted: no solver call made them
+            hv = eig(h).vectors
+            assert all(any(np.array_equal(col, hv[:, j]) for j in range(h.dim))
+                       for col in es.vectors.T)
+            assert not es.values.flags.writeable and not es.vectors.flags.writeable
+
+    def test_is_built_once_and_reused(self, monkeypatch):
+        calls = []
+        derive = matcore._derived_eigen
+        monkeypatch.setattr(matcore, "_derived_eigen", lambda h: calls.append(h) or derive(h))
+        out = apply_function(funcat.builtin("exp"), random_hermitian_raw(4, make_rng(32)))
+        assert calls == []  # nothing is built until the decomposition is asked for
+        assert matcore.eig_many([out])[0] is eig(out)
+        assert calls == [out]
+
+    def test_altered_entries_fail_the_reconstruction_check(self):
+        out = apply_function(funcat.builtin("exp"), random_hermitian_raw(4, make_rng(33)))
+        altered = out.entries.copy()
+        altered[0, 0] += 1e-6
+        object.__setattr__(out, "entries", altered)
+        with pytest.raises(ConvergenceFailure, match="reconstruction"):
+            eig(out)
+        assert out._eigen is None
+
+    def test_matrices_built_from_results_go_to_the_solver(self):
+        f = funcat.builtin("exp")
+        out = apply_function(f, random_hermitian_raw(3, make_rng(34)))
+        for other in (out + out, 2.0 * out, out - out, HermitianMatrix(out.entries)):
+            assert other._spectral_pair is None
+            fresh = np.linalg.eigvalsh(other.entries)[::-1]
+            np.testing.assert_allclose(eig(other).values, fresh, atol=1e-12)
+
+
 class TestNorms:
     def test_ky_fan_example(self):
         h = hermitian_from(np.diag([3.0, 1.0, -2.0]))
@@ -199,6 +267,9 @@ class TestNorms:
             ui_norm(h, NormSpec("frobenius"))
         with pytest.raises(BadSpec):
             NormSpec.parse("nuclear:1")
+        for text in ("kyfan:abc", "kyfan:1.5", "kyfan:", "schatten:x", "operator:2"):
+            with pytest.raises(BadSpec, match="cannot parse norm spec"):
+                NormSpec.parse(text)
 
     def test_parse_roundtrip(self):
         for text in ("kyfan:2", "schatten:1", "schatten:2", "operator"):
@@ -269,6 +340,18 @@ class TestMatrixLiteral:
 
     def test_mixed_grids_take_the_exact_path(self):
         obj = {"n": 2, "re": [[-0.0, "1/3"], ["1/3", 2]], "im": [[0.0, -1.5], [1.5, -0.0]]}
+        assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
+
+    @pytest.mark.parametrize("re, im", [
+        ([[1, 2.5], [2.5, -3]], [[0, -0.5], [0.5, 0]]),  # ints and floats
+        ([[True, 0.25], [0.25, False]], None),  # bools and floats
+        ([[1, 2], [2, 7]], [[0, -1], [1, 0]]),  # ints only
+        ([[2 ** 53 + 1, 0.5], [0.5, -(2 ** 63)]], None),  # ints that round
+        ([[2 ** 64 + 1, 0.5], [0.5, -(2 ** 90) - 1]], None),  # beyond int64
+        ([[-0.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [0.0, -0.0]]),
+    ])
+    def test_number_grids_match_the_per_entry_rationals_bit_for_bit(self, re, im):
+        obj = {"n": 2, "re": re} if im is None else {"n": 2, "re": re, "im": im}
         assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
 
     @pytest.mark.parametrize("bad, exc", [(float("nan"), ValueError), (float("inf"), OverflowError)])

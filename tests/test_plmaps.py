@@ -92,6 +92,26 @@ class TestUnitality:
         phi = CongruenceSum((np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),))
         assert unitality_status(phi).status == "Neither"
 
+    def test_identity_distance_is_the_operator_norm_of_the_gap(self):
+        rng = make_rng(9)
+        for trial in range(40):
+            n = int(rng.integers(1, 6))
+            s = float(rng.uniform(0.2, 1.5)) if trial % 2 else 1.0
+            phi = CongruenceSum((s * _sample_maps(max(n, 2), rng)["congruence"].factors[0],))
+            gap = phi.identity_image().entries - np.eye(phi.target_dim)
+            expected = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
+            assert unitality_status(phi).identity_distance == pytest.approx(expected, abs=1e-14)
+
+    def test_one_solver_call(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        maps = _sample_maps(4, make_rng(10))
+        for phi in maps.values():
+            calls.clear()
+            unitality_status(phi)
+            assert len(calls) == 1
+
 
 class TestDiagBlock:
     def test_single_map_passthrough(self):
