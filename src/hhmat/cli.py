@@ -130,7 +130,7 @@ def main(argv=None) -> int:
             bad = 0
             for inst, result in results:
                 margin = "n/a" if result.margin is None else f"{result.margin:.3e}"
-                print(f"{inst['theorem']} seed={inst.get('seed')}: "
+                print(f"{inst.get('theorem')} seed={inst.get('seed')}: "
                       f"{result.status} margin={margin} {result.detail}")
                 bad += result.status == "fail"
             return 1 if bad else 0

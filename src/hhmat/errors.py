@@ -17,6 +17,10 @@ class ExcessAsymmetryError(Error):
     """Raw input deviates from Hermitian symmetry beyond the rejection bound."""
 
 
+class NonFiniteEntries(Error):
+    """Raw input has a NaN or infinite entry."""
+
+
 class ConvergenceFailure(Error):
     """The eigensolver did not converge or its output failed validation."""
 

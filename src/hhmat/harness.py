@@ -2,7 +2,8 @@
 
 Per-trial randomness is derived from (root seed, trial index), so suites are
 bit-reproducible for a fixed root seed regardless of worker count, and every
-failing instance is dumped as replayable JSON.
+failing instance is dumped as replayable JSON.  A trial runs from arrays:
+instances become JSON (instance_to_json) only where they leave the process.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,15 +179,38 @@ def default_norm_specs(m: int) -> list[NormSpec]:
 # -- instance generation -------------------------------------------------------
 
 def _vec_to_json(x: np.ndarray) -> dict:
-    return {"re": x.real.tolist(), "im": x.imag.tolist()}
+    x.flags.writeable = False
+    return {"re": x.real, "im": x.imag}
 
 
 def _vec_from_json(obj: dict) -> np.ndarray:
     return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
 
 
+def instance_to_json(obj):
+    """The JSON form of an instance: each numpy array in it (the "re" and
+    "im" grids of its matrix, map-factor and vector literals) becomes nested
+    lists of floats; everything else is kept.  A float survives json.dumps
+    and json.loads exactly, so replaying the JSON rebuilds the same matrices
+    bit for bit and gives the same verdict and margin."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: instance_to_json(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [instance_to_json(value) for value in obj]
+    return obj
+
+
 def generate_instance(theorem: str, spec: InstanceSpec, index: int) -> dict:
-    """Build the replayable JSON instance for one trial."""
+    """Build the replayable instance for one trial.
+
+    The instance has the shape of its JSON form, except that the "re" and
+    "im" grids of its matrix, map-factor and vector literals are read-only
+    numpy arrays (views of the generated entries) rather than nested lists.
+    run_instance reads either form; instance_to_json gives the JSON form,
+    which run_suite records for a failed trial.
+    """
     if theorem not in THEOREM_IDS:
         raise UnknownTheorem(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
     rng = trial_rng(spec.seed, index)
@@ -273,34 +296,50 @@ def _power_exponent(descriptor: str) -> float:
     return 3.0 if name == "cube" else float(rest)
 
 
+def _field(inst: dict, key: str):
+    """inst[key], or BadParams naming the field when the instance lacks it."""
+    try:
+        return inst[key]
+    except KeyError:
+        raise BadParams(f"instance has no field {key!r}") from None
+
+
 def run_instance(inst: dict) -> TrialResult:
-    """Execute one replayable instance and classify the outcome."""
-    theorem = inst["theorem"]
+    """Execute one instance and classify the outcome.
+
+    The instance is what generate_instance returns (literal grids as
+    arrays) or its JSON form (nested lists, as read from a replay file);
+    both give the same matrices bit for bit, so the same verdict and margin.
+    An unmet hypothesis makes a skip.  Any other package error, a missing
+    field included, makes a failed trial whose detail names the error; only
+    an unknown theorem id raises (UnknownTheorem).
+    """
     quad = QuadratureSpec(nodes=int(inst.get("quad_nodes", 16)),
                           rtol=float(inst.get("quad_rtol", 1e-11)))
     tol = orders.DEFAULT_TOL
     try:
+        theorem = _field(inst, "theorem")
         if theorem == "counterexample":
             report = hhcheck.reproduce_counterexample()
             return TrialResult("pass" if report.passes else "fail",
                                0.0 if report.passes else -1.0)
-        f = from_descriptor(inst["f"])
+        f = from_descriptor(_field(inst, "f"))
         if theorem == "scalar":
-            x, y = inst["xy"]
+            x, y = _field(inst, "xy")
             report = hhcheck.check_scalar_hh(f, x, y, tol)
             return TrialResult("pass" if report.holds else "fail", report.min_margin)
         if theorem == "chain":
-            a, b = matrix_from_json(inst["a"]), matrix_from_json(inst["b"])
+            a, b = matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
             report = hhcheck.check_refinement_chain(
-                f, a, b, int(inst["k"]), int(inst["p"]), tol, quad)
+                f, a, b, int(_field(inst, "k")), int(_field(inst, "p")), tol, quad)
             return TrialResult("pass" if report.holds else "fail", report.min_margin)
         if theorem == "trace":
-            a, b = matrix_from_json(inst["a"]), matrix_from_json(inst["b"])
+            a, b = matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
             verdict = hhcheck.check_trace_corollary(f, a, b, tol, quad)
             return TrialResult("pass" if verdict.holds else "fail", verdict.margin)
         if theorem == "bourin":
-            maps = [map_from_json(obj) for obj in inst["maps"]]
-            a_list = [matrix_from_json(obj) for obj in inst["a_list"]]
+            maps = [map_from_json(obj) for obj in _field(inst, "maps")]
+            a_list = [matrix_from_json(obj) for obj in _field(inst, "a_list")]
             report = hhcheck.check_bourin_t2(f, maps, a_list, tol)
             margin = report.dominance.margin
             if report.witness_verdict is not None:
@@ -308,13 +347,13 @@ def run_instance(inst: dict) -> TrialResult:
             ok = report.holds and (report.witness_verdict is None or report.witness_verdict.holds)
             return TrialResult("pass" if ok else "fail", margin)
 
-        phi = map_from_json(inst["map"])
+        phi = map_from_json(_field(inst, "map"))
         if theorem == "jensen":
-            a = matrix_from_json(inst["a"])
-            x = _vec_from_json(inst["x"])
+            a = matrix_from_json(_field(inst, "a"))
+            x = _vec_from_json(_field(inst, "x"))
             verdict = hhcheck.check_jensen_map(f, phi, a, x, tol)
             return TrialResult("pass" if verdict.holds else "fail", verdict.margin)
-        a, b = matrix_from_json(inst["a"]), matrix_from_json(inst["b"])
+        a, b = matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
         if theorem == "t1":
             report = hhcheck.check_theorem_t1(f, phi, a, b, tol, quad)
             return TrialResult("pass" if report.holds else "fail", report.min_deficit)
@@ -323,17 +362,17 @@ def run_instance(inst: dict) -> TrialResult:
             return TrialResult("pass" if report.holds else "fail", report.min_margin)
         if theorem == "t4":
             verdict = hhcheck.check_theorem_t4(
-                f, phi, a, b, tuple(inst["interval"]), tol, quad)
+                f, phi, a, b, tuple(_field(inst, "interval")), tol, quad)
             return TrialResult("pass" if verdict.holds else "fail", verdict.margin)
         if theorem == "power_norm":
-            specs = [NormSpec.parse(s) for s in inst["specs"]]
+            specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
             report = hhcheck.check_power_norm_corollary(
-                _power_exponent(inst["f"]), phi, a, b, specs, tol, quad)
+                _power_exponent(_field(inst, "f")), phi, a, b, specs, tol, quad)
             return TrialResult("pass" if report.holds else "fail", report.min_margin)
         if theorem == "norm_chain":
-            specs = [NormSpec.parse(s) for s in inst["specs"]]
+            specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
             report = hhcheck.check_norm_chain_corollary(
-                f, phi, a, b, specs, tuple(inst["interval"]), tol, quad)
+                f, phi, a, b, specs, tuple(_field(inst, "interval")), tol, quad)
             if all(c.skipped for c in report.comparisons):
                 return TrialResult("skip", None, "all norm comparisons skipped (non-PSD terms)")
             margin = report.min_margin
@@ -412,7 +451,8 @@ def _run_one(args) -> tuple[int, dict, dict | None]:
     }
     if result.detail:
         record["detail"] = result.detail
-    failure = {"trial": index, "instance": inst} if result.status == "fail" else None
+    failure = ({"trial": index, "instance": instance_to_json(inst)}
+               if result.status == "fail" else None)
     return index, record, failure
 
 
@@ -436,6 +476,9 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     start = time.perf_counter()
     jobs = [(spec, theorem, i) for i in range(spec.trials)]
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one, jobs, chunksize=max(1, spec.trials // (4 * workers))))
     else:

@@ -19,6 +19,7 @@ from .errors import (
     BadSpec,
     ConvergenceFailure,
     ExcessAsymmetryError,
+    NonFiniteEntries,
     NonSquareError,
     SpectrumOutOfDomain,
 )
@@ -39,8 +40,9 @@ class HermitianMatrix:
 
     The constructor replaces the raw entries by their Hermitian part
     (M + M*)/2, which is exactly Hermitian in floating point, and records how
-    far the raw input was from symmetric.  Inputs whose skew part exceeds
-    ``ASYMMETRY_RTOL * max(1, max|entry|)`` are rejected.
+    far the raw input was from symmetric.  Inputs with a NaN or infinite
+    entry, and inputs whose skew part exceeds
+    ``ASYMMETRY_RTOL * max(1, max|entry|)``, are rejected.
     """
 
     entries: np.ndarray
@@ -56,6 +58,8 @@ class HermitianMatrix:
         raw = np.asarray(self.entries, dtype=complex)
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
             raise NonSquareError(f"expected a square grid, got shape {raw.shape}")
+        if not np.isfinite(raw).all():
+            raise NonFiniteEntries("matrix entries must be finite, got NaN or infinity")
         ct = raw.conj().T
         if (raw == ct).all():
             # Exactly Hermitian already, as real combinations of Hermitian
@@ -223,7 +227,8 @@ def _check_reconstruction(values: np.ndarray, vectors: np.ndarray, stack: np.nda
     scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
     recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
     recon_err = np.max(np.abs(recon), axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(recon_err > EIG_RECON_RTOL * scale)
+    # Negated <= so that a NaN error (a NaN from the solver) fails too.
+    bad = np.flatnonzero(~(recon_err <= EIG_RECON_RTOL * scale))
     if bad.size:
         i = bad[0]
         raise ConvergenceFailure(
@@ -254,7 +259,7 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _check_reconstruction(values, vectors, stack)
     ortho_err = np.max(np.abs(_ct(vectors) @ vectors - np.eye(n)), axis=(1, 2),
                        initial=0.0)
-    bad = np.flatnonzero(ortho_err > EIG_ORTHO_TOL)
+    bad = np.flatnonzero(~(ortho_err <= EIG_ORTHO_TOL))
     if bad.size:
         raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
     return values, vectors
@@ -374,9 +379,12 @@ def operator_norm(h: HermitianMatrix) -> float:
 
 # -- matrix literal format ---------------------------------------------------
 #
-# JSON object {"n": int, "re": [[...]], "im": [[...]]} with "im" optional.
-# Entries may be numbers or strings; strings are parsed exactly as rationals
-# ("1.75", "31/6") so fixed rational inputs survive the round trip.
+# Object {"n": int, "re": grid, "im": grid} with "im" optional.  In JSON a
+# grid is nested lists whose entries may be numbers or strings; strings are
+# parsed exactly as rationals ("1.75", "31/6") so fixed rational inputs
+# survive the round trip.  In memory, matrix_to_json writes each grid as a
+# read-only n x n float array, which harness.instance_to_json turns into
+# nested lists where an instance leaves the process.
 
 def _parse_entry(x) -> Fraction:
     if isinstance(x, str):
@@ -395,13 +403,14 @@ def _parse_grid(grid, n: int) -> list[list[Fraction]]:
 def _float_grid(grid, n: int) -> np.ndarray:
     """The grid's entries as floats, each the float of its exact rational.
 
-    A finite float is its own exact rational, and numpy rounds an int mixed
-    into a float grid (bools included) to the nearest float as Fraction
-    does, so a grid that numpy reads as an n x n array of finite float64 is
-    converted in one call, with + 0.0 mapping -0.0 to 0.0 as the Fraction
-    round trip does.  Every other grid (strings, all-int, object or ragged
-    grids, NaN and infinite floats) goes through _parse_grid, which raises
-    for the ones that are not matrix literals.
+    The grid is nested lists (JSON) or an array (matrix_to_json's views,
+    which this copies).  A finite float is its own exact rational, and numpy
+    rounds an int mixed into a float grid (bools included) to the nearest
+    float as Fraction does, so a grid that numpy reads as an n x n array of
+    finite float64 is converted in one call, with + 0.0 mapping -0.0 to 0.0
+    as the Fraction round trip does.  Every other grid (strings, all-int,
+    object or ragged grids, NaN and infinite floats) goes through
+    _parse_grid, which raises for the ones that are not matrix literals.
     """
     try:
         out = np.array(grid)
@@ -433,8 +442,10 @@ def exact_matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def matrix_to_json(h: HermitianMatrix) -> dict:
+    """The matrix literal of h, with "re" and "im" read-only views of h's
+    entries; "im" is left out when every entry is real."""
     ent = h.entries
-    out: dict = {"n": h.dim, "re": ent.real.tolist()}
+    out: dict = {"n": h.dim, "re": ent.real}
     if np.any(ent.imag):
-        out["im"] = ent.imag.tolist()
+        out["im"] = ent.imag
     return out

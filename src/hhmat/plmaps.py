@@ -226,9 +226,12 @@ def diag_block_map(*maps: PositiveLinearMap) -> PositiveLinearMap:
 # -- serialization for replay files -------------------------------------------
 
 def _cplx_to_json(x: np.ndarray) -> dict:
-    out = {"rows": x.shape[0], "cols": x.shape[1], "re": x.real.tolist()}
+    """The literal of a read-only factor: "re" and "im" are views of x, which
+    harness.instance_to_json turns into nested lists for JSON; "im" is left
+    out when x is real."""
+    out = {"rows": x.shape[0], "cols": x.shape[1], "re": x.real}
     if np.any(x.imag):
-        out["im"] = x.imag.tolist()
+        out["im"] = x.imag
     return out
 
 

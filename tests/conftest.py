@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,14 @@ def random_hermitian_raw(n: int, rng: np.random.Generator, scale: float = 1.0) -
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_from(scale * (g @ g.conj().T) / n)
+
+
+def wide_factor_map(tmp_path: Path) -> str:
+    """A map descriptor for a unital congruence from C^4 to C^3, which no
+    3x3 input fits, so every t4 trial at n=3 fails with DimMismatch."""
+    path = tmp_path / "factor.json"
+    path.write_text(json.dumps([{"rows": 4, "cols": 3, "re": np.eye(4, 3).tolist()}]))
+    return f"congruence:{path}"
 
 
 def eig2x2(m) -> tuple[float, float]:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 
+from conftest import wide_factor_map
 from hhmat import cli
-from hhmat.harness import InstanceSpec, generate_instance, random_hermitian
+from hhmat.harness import InstanceSpec, generate_instance, instance_to_json, random_hermitian
 from hhmat.matcore import matrix_to_json
 
 
@@ -26,15 +27,37 @@ def test_replay_of_a_failing_instance_exits_1(tmp_path, capsys):
     inst = generate_instance("t4", spec, 0)
     inst["b"] = matrix_to_json(random_hermitian(3, 0.5, 2.0, 1))  # a is 4x4
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(inst))
+    path.write_text(json.dumps(instance_to_json(inst)))
     assert cli.main(["replay", str(path)]) == 1
     assert "t4 seed=[0, 0]: fail margin=n/a DimMismatch" in capsys.readouterr().out
+
+
+def test_replay_of_an_instance_missing_a_field_exits_1(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"theorem": "t4", "f": "exp"}))
+    assert cli.main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "t4 seed=None: fail margin=n/a BadParams: instance has no field 'map'" in captured.out
+    assert captured.err == ""
+
+
+def test_suite_with_failures_prints_and_writes_replayable_instances(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = cli.main(["verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2",
+                     "--n", "3", "--trials", "2", "--map", wide_factor_map(tmp_path),
+                     "--json", str(report)])
+    out = capsys.readouterr().out
+    assert code == 1
+    printed = [json.loads(line) for line in out.splitlines() if line.startswith("  {")]
+    assert printed == [fail["instance"] for fail in json.loads(report.read_text())["failures"]]
+    assert len(printed) == 2
+    assert cli.main(["replay", str(report)]) == 1
 
 
 def test_replay_of_a_passing_instance_exits_0(tmp_path):
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(generate_instance("t4", spec, 0)))
+    path.write_text(json.dumps(instance_to_json(generate_instance("t4", spec, 0))))
     assert cli.main(["replay", str(path)]) == 0
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hhmat
 from conftest import make_rng, random_hermitian_raw
 from hhmat.errors import BadParams
 from hhmat.harness import InstanceSpec, generate_instance, replay, run_instance, run_suite
@@ -76,3 +82,17 @@ def test_replayed_malformed_norm_spec_is_a_failed_trial(bad):
     [(_, result)] = replay(inst)
     assert (result.status, result.margin) == ("fail", None)
     assert result.detail == f"BadSpec: cannot parse norm spec {bad!r}"
+
+
+def test_replayed_instance_missing_a_field_is_a_failed_trial():
+    [(_, result)] = replay({"theorem": "t4", "f": "exp"})
+    assert (result.status, result.margin) == ("fail", None)
+    assert result.detail == "BadParams: instance has no field 'map'"
+
+
+def test_import_does_not_load_the_process_pool():
+    src = Path(hhmat.__file__).resolve().parent.parent
+    code = "import hhmat, sys; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from hhmat.errors import (
     BadSpec,
     ConvergenceFailure,
     ExcessAsymmetryError,
+    NonFiniteEntries,
     NonSquareError,
     SpectrumOutOfDomain,
 )
@@ -55,6 +56,11 @@ class TestConstruction:
         with pytest.raises(NonSquareError):
             hermitian_from([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NonFiniteEntries):
+            eig(hermitian_from([[bad, 0], [0, 1]]))
+
     def test_entries_immutable(self):
         h = hermitian_from(np.eye(2))
         with pytest.raises(ValueError):
@@ -87,6 +93,38 @@ class TestEig:
             assert np.max(np.abs(es.reconstruct() - h.entries)) <= 1e-10 * scale
             assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(n))) <= 1e-10
 
+
+    @staticmethod
+    def _patch_eigh(monkeypatch, spoil):
+        """Make np.linalg.eigh return spoil(values, vectors), both copies."""
+        eigh = np.linalg.eigh
+
+        def spoiled(stack):
+            w, v = eigh(stack)
+            w, v = w.copy(), v.copy()
+            spoil(w, v)
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
+
+    def test_nan_eigenvalue_fails_the_reconstruction_check(self, monkeypatch):
+        def spoil(w, v):
+            w[..., 0] = np.nan
+
+        self._patch_eigh(monkeypatch, spoil)
+        with pytest.raises(ConvergenceFailure, match="reconstruction error nan"):
+            eig(random_hermitian_raw(3, make_rng(5)))
+
+    def test_nan_eigenvector_fails_the_orthonormality_check(self, monkeypatch):
+        # Skip the reconstruction check, which the NaN would fail first.
+        monkeypatch.setattr(matcore, "_check_reconstruction", lambda *args: None)
+
+        def spoil(w, v):
+            v[..., 0, 0] = np.nan
+
+        self._patch_eigh(monkeypatch, spoil)
+        with pytest.raises(ConvergenceFailure, match="not orthonormal: nan"):
+            eig(random_hermitian_raw(3, make_rng(5)))
 
     def test_empty_matrix_has_the_empty_decomposition(self):
         es = eig(HermitianMatrix(np.zeros((0, 0))))
