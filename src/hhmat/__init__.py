@@ -35,21 +35,16 @@ from .orders import (
     MajorizationReport,
     OrderVerdict,
     eigen_dominance,
-    ky_fan_dominance_scan,
     loewner_leq,
-    top_k_frame_sum,
     unitary_witness,
     weak_majorization,
 )
 from .plmaps import (
     Compression,
     CongruenceSum,
-    DiagBlockSum,
     IdentityMap,
     Pinching,
     PositiveLinearMap,
-    apply_map,
-    diag_block_map,
     unitality_status,
 )
 from .segquad import QuadratureSpec, poly_segment_oracle, segment_integral

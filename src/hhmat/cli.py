@@ -1,5 +1,10 @@
 """Command line interface.
 
+    hhmat verify --theorem ID [options]   run a randomized checker suite
+    hhmat alpha --f F --interval LO,HI    chord-ratio constant of a function
+    hhmat counterexample [--json FILE]    reproduce the fixed 2x2 counterexample
+    hhmat replay FILE                     re-run instances from a report file
+
 Exit codes: 0 all checks passed or were hypothesis-skipped, 1 at least one
 inequality violation, 2 usage error.
 """
@@ -9,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import harness, hhcheck
 from .errors import Error
@@ -25,37 +31,28 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hhmat")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a randomized checker suite")
+    # Spec options left out keep the InstanceSpec defaults.
+    verify = sub.add_parser("verify", help="run a randomized checker suite",
+                            argument_default=argparse.SUPPRESS)
     verify.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    verify.add_argument("--n", type=int, default=4)
-    verify.add_argument("--m", type=int, default=None)
-    verify.add_argument("--f", default="power:2")
-    verify.add_argument("--map", default="identity")
-    verify.add_argument("--interval", type=_interval, default=(0.0, 2.0))
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--n", type=int)
+    verify.add_argument("--m", type=int)
+    verify.add_argument("--f", dest="function")
+    verify.add_argument("--map", dest="map_desc")
+    verify.add_argument("--interval", type=_interval)
+    verify.add_argument("--trials", type=int)
+    verify.add_argument("--seed", type=int)
+    verify.add_argument("--k", type=int, dest="chain_k", help="chain: panels per level")
+    verify.add_argument("--p", type=int, dest="chain_p", help="chain: levels, k**p panels")
+    verify.add_argument("--quad-nodes", type=int)
+    verify.add_argument("--quad-rtol", type=float)
     verify.add_argument("--workers", type=int, default=1)
-    verify.add_argument("--quad-nodes", type=int, default=16)
-    verify.add_argument("--quad-rtol", type=float, default=1e-11)
-    verify.add_argument("--json", dest="json_out")
-    verify.add_argument("--csv", dest="csv_out")
+    verify.add_argument("--json", dest="json_out", default=None)
+    verify.add_argument("--csv", dest="csv_out", default=None)
 
     alpha = sub.add_parser("alpha", help="chord-ratio constant of a catalog function")
     alpha.add_argument("--f", required=True)
     alpha.add_argument("--interval", type=_interval, required=True)
-
-    chain = sub.add_parser("chain", help="five-term refinement chain suite")
-    chain.add_argument("--f", required=True)
-    chain.add_argument("--k", type=int, required=True)
-    chain.add_argument("--p", type=int, required=True)
-    chain.add_argument("--n", type=int, default=4)
-    chain.add_argument("--seed", type=int, default=0)
-    chain.add_argument("--interval", type=_interval, default=(0.25, 2.0))
-    chain.add_argument("--trials", type=int, default=1)
-    chain.add_argument("--quad-nodes", type=int, default=16)
-    chain.add_argument("--quad-rtol", type=float, default=1e-11)
-    chain.add_argument("--json", dest="json_out")
-    chain.add_argument("--csv", dest="csv_out")
 
     ce = sub.add_parser("counterexample", help="reproduce the fixed 2x2 counterexample")
     ce.add_argument("--json", dest="json_out")
@@ -65,45 +62,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_suite(report: harness.SuiteReport, json_out: str | None, csv_out: str | None) -> int:
-    print(report.summary())
-    for fail in report.failures:
-        print(f"  FAIL trial {fail['trial']}: instance below")
-        print("  " + json.dumps(fail["instance"], sort_keys=True))
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-    if csv_out:
-        report.write_csv(csv_out)
-    return 0 if not report.failures else 1
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            spec = InstanceSpec(
-                n=args.n, m=args.m, interval=args.interval, function=args.f,
-                map_desc=args.map, trials=args.trials, seed=args.seed,
-                quad_nodes=args.quad_nodes, quad_rtol=args.quad_rtol,
-            )
+            spec = InstanceSpec(**{field.name: getattr(args, field.name)
+                                   for field in fields(InstanceSpec) if hasattr(args, field.name)})
             report = harness.run_suite(spec, args.theorem, workers=args.workers)
-            return _emit_suite(report, args.json_out, args.csv_out)
+            print(report.summary())
+            for fail in report.failures:
+                print(f"  FAIL trial {fail['trial']}: instance below")
+                print("  " + json.dumps(fail["instance"], sort_keys=True))
+            if args.json_out:
+                with open(args.json_out, "w", encoding="utf-8") as fh:
+                    fh.write(report.to_json())
+            if args.csv_out:
+                report.write_csv(args.csv_out)
+            return 0 if not report.failures else 1
         if args.command == "alpha":
             f = from_descriptor(args.f)
             result = hhcheck.mond_pecaric_alpha(f, *args.interval)
             print(f"alpha={result.alpha!r} argmax_t={result.argmax_t!r} "
                   f"interval=[{result.omega:g},{result.Omega:g}]")
             return 0
-        if args.command == "chain":
-            spec = InstanceSpec(
-                n=args.n, interval=args.interval, function=args.f,
-                trials=args.trials, seed=args.seed,
-                chain_k=args.k, chain_p=args.p,
-                quad_nodes=args.quad_nodes, quad_rtol=args.quad_rtol,
-            )
-            report = harness.run_suite(spec, "chain")
-            return _emit_suite(report, args.json_out, args.csv_out)
         if args.command == "counterexample":
             report = hhcheck.reproduce_counterexample()
             payload = report.to_jsonable()

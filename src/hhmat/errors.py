@@ -44,15 +44,8 @@ class DimMismatch(Error):
 
 
 class NotOrthonormal(Error):
-    """Frame columns are not orthonormal within tolerance."""
-
-
-class NotPSD(Error):
-    """A positive-semidefinite input was required."""
-
-
-class NotUnitary(Error):
-    """A supplied matrix is not unitary within tolerance."""
+    """The columns of a compression's isometry are not orthonormal within
+    tolerance."""
 
 
 # -- scalar function catalog -------------------------------------------------
@@ -72,12 +65,6 @@ class FlagContradicted(Error):
         super().__init__(message)
         self.flag = flag
         self.witness = witness
-
-
-# -- positive linear maps ----------------------------------------------------
-
-class TargetDimMismatch(Error):
-    """Component maps do not share a target dimension."""
 
 
 # -- quadrature --------------------------------------------------------------

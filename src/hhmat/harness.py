@@ -12,6 +12,7 @@ import csv
 import json
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -28,11 +29,6 @@ from .plmaps import (
     map_from_json,
 )
 from .segquad import QuadratureSpec
-
-THEOREM_IDS = (
-    "scalar", "jensen", "t1", "trace", "power_norm", "bourin",
-    "t3", "t4", "chain", "norm_chain", "counterexample",
-)
 
 # random_hermitian shrinks the requested spectrum window by at least this
 # fraction on each side, keeping boundary-domain errors away.
@@ -63,9 +59,6 @@ class InstanceSpec:
         lo, hi = self.interval
         if not lo < hi:
             raise BadInterval(f"need omega < Omega, got [{lo}, {hi}]")
-
-    def quad(self) -> QuadratureSpec:
-        return QuadratureSpec(nodes=self.quad_nodes, rtol=self.quad_rtol)
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -159,32 +152,12 @@ def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Posi
     raise BadParams(f"unknown map descriptor {desc!r}")
 
 
-def _split_congruence_maps(k: int, n: int, rng: np.random.Generator) -> list[PositiveLinearMap]:
-    """k single-factor congruence maps whose identity images sum to I_n."""
-    stacked = _random_isometry(k * n, n, rng)
-    return [CongruenceSum((stacked[i * n:(i + 1) * n, :],)) for i in range(k)]
-
-
-def _random_unit_vector(m: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return x / np.linalg.norm(x)
-
-
-def default_norm_specs(m: int) -> list[NormSpec]:
+def default_norm_specs(m: int) -> list[str]:
+    """Every Ky Fan norm of an m x m matrix, the trace and Frobenius norms
+    and the operator norm, as norm spec strings."""
     specs = [NormSpec.ky_fan(k) for k in range(1, m + 1)]
     specs += [NormSpec.schatten(1.0), NormSpec.schatten(2.0), NormSpec.operator()]
-    return specs
-
-
-# -- instance generation -------------------------------------------------------
-
-def _vec_to_json(x: np.ndarray) -> dict:
-    x.flags.writeable = False
-    return {"re": x.real, "im": x.imag}
-
-
-def _vec_from_json(obj: dict) -> np.ndarray:
-    return np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
+    return [str(spec) for spec in specs]
 
 
 def instance_to_json(obj):
@@ -202,6 +175,165 @@ def instance_to_json(obj):
     return obj
 
 
+# -- the theorem registry ---------------------------------------------------------
+#
+# generate(spec, rng, phi) returns a theorem's instance fields, phi being the
+# trial's map (None if the suite takes none).  run(inst, f, phi, quad, tol)
+# judges an instance with f and phi loaded (None if not read), looking its
+# checker up on hhcheck at call time so that rebinding one there reaches it.
+
+@dataclass(frozen=True)
+class TrialResult:
+    status: str  # pass | fail | skip
+    margin: float | None
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """A theorem suite: its instance generator and runner, and what it reads."""
+
+    generate: Callable
+    run: Callable
+    reads_f: bool = True
+    takes_map: bool = True
+    trials: int | None = None  # fixed trial count, whatever the spec asks
+    power_f: bool = False  # f must be a power
+
+
+def _judged(report) -> TrialResult:
+    """pass or fail as a checker's report holds, with its worst margin."""
+    return TrialResult("pass" if report.holds else "fail", report.margin)
+
+
+def _pair(spec: InstanceSpec, rng: np.random.Generator, phi=None, lo: float | None = None) -> dict:
+    """A random pair A, B with spectra in the spec interval (above lo if given)."""
+    lo, hi = (spec.interval[0] if lo is None else lo), spec.interval[1]
+    return {"a": matrix_to_json(random_hermitian(spec.n, lo, hi, rng)),
+            "b": matrix_to_json(random_hermitian(spec.n, lo, hi, rng))}
+
+
+def _load_pair(inst: dict) -> tuple[HermitianMatrix, HermitianMatrix]:
+    return matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
+
+
+def _gen_scalar(spec, rng, phi) -> dict:
+    lo, hi = spec.interval
+    width = hi - lo
+    return {"xy": [float(rng.uniform(lo, lo + 0.4 * width)),
+                   float(rng.uniform(lo + 0.6 * width, hi))]}
+
+
+def _gen_jensen(spec, rng, phi) -> dict:
+    a = matrix_to_json(random_hermitian(spec.n, *spec.interval, rng))
+    x = rng.standard_normal(phi.target_dim) + 1j * rng.standard_normal(phi.target_dim)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return {"a": a, "x": {"re": x.real, "im": x.imag}}
+
+
+def _gen_bourin(spec, rng, phi) -> dict:
+    # k single-factor congruence maps whose identity images sum to I_n
+    n, k = spec.n, int(rng.integers(1, 4))
+    stacked = _random_isometry(k * n, n, rng)
+    maps = [CongruenceSum((stacked[i * n:(i + 1) * n, :],)) for i in range(k)]
+    return {"maps": [m.to_jsonable() for m in maps],
+            "a_list": [matrix_to_json(random_hermitian(n, *spec.interval, rng))
+                       for _ in range(k)]}
+
+
+def _gen_t3(spec, rng, phi) -> dict:
+    # simultaneously diagonalizable pair so the identity works as the
+    # uniform unitary whenever the map preserves the common basis
+    lo, hi = spec.interval
+    basis = _random_isometry(spec.n, spec.n, rng)
+    da = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
+    db = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
+    return {"a": matrix_to_json(hermitian_from((basis * da) @ basis.conj().T)),
+            "b": matrix_to_json(hermitian_from((basis * db) @ basis.conj().T))}
+
+
+def _gen_power_norm(spec, rng, phi) -> dict:
+    # PSD inputs are required, so clamp the sampling window at zero
+    lo, hi = spec.interval
+    if not max(lo, 0.0) < hi:
+        raise BadInterval(f"interval [{lo}, {hi}] leaves no room above 0")
+    return {**_pair(spec, rng, lo=max(lo, 0.0)), "specs": default_norm_specs(phi.target_dim)}
+
+
+def _run_counterexample(inst, f, phi, quad, tol) -> TrialResult:
+    passes = hhcheck.reproduce_counterexample().passes
+    return TrialResult("pass" if passes else "fail", 0.0 if passes else -1.0)
+
+
+def _run_scalar(inst, f, phi, quad, tol) -> TrialResult:
+    x, y = _field(inst, "xy")
+    return _judged(hhcheck.check_scalar_hh(f, x, y, tol))
+
+
+def _run_jensen(inst, f, phi, quad, tol) -> TrialResult:
+    a, x = matrix_from_json(_field(inst, "a")), _field(inst, "x")
+    x = np.array(x["re"], dtype=float) + 1j * np.array(x["im"], dtype=float)
+    return _judged(hhcheck.check_jensen_map(f, phi, a, x, tol))
+
+
+def _run_power_norm(inst, f, phi, quad, tol) -> TrialResult:
+    a, b = _load_pair(inst)
+    specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
+    r = _power_exponent(_field(inst, "f"))
+    return _judged(hhcheck.check_power_norm_corollary(r, phi, a, b, specs, tol, quad))
+
+
+def _run_bourin(inst, f, phi, quad, tol) -> TrialResult:
+    maps = [map_from_json(obj) for obj in _field(inst, "maps")]
+    a_list = [matrix_from_json(obj) for obj in _field(inst, "a_list")]
+    return _judged(hhcheck.check_bourin_t2(f, maps, a_list, tol))
+
+
+def _run_norm_chain(inst, f, phi, quad, tol) -> TrialResult:
+    a, b = _load_pair(inst)
+    specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
+    interval = tuple(_field(inst, "interval"))
+    report = hhcheck.check_norm_chain_corollary(f, phi, a, b, specs, interval, tol, quad)
+    if all(c.skipped for c in report.comparisons):
+        return TrialResult("skip", None, "all norm comparisons skipped (non-PSD terms)")
+    return _judged(report)
+
+
+THEOREMS: dict[str, Theorem] = {
+    "scalar": Theorem(_gen_scalar, _run_scalar, takes_map=False),
+    "jensen": Theorem(_gen_jensen, _run_jensen),
+    "t1": Theorem(_pair, lambda inst, f, phi, quad, tol: _judged(
+        hhcheck.check_theorem_t1(f, phi, *_load_pair(inst), tol, quad))),
+    "trace": Theorem(_pair, lambda inst, f, phi, quad, tol: _judged(
+        hhcheck.check_trace_corollary(f, *_load_pair(inst), tol, quad)), takes_map=False),
+    "power_norm": Theorem(_gen_power_norm, _run_power_norm, power_f=True),
+    "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
+    "t3": Theorem(_gen_t3, lambda inst, f, phi, quad, tol: _judged(
+        hhcheck.check_theorem_t3(f, phi, *_load_pair(inst), tol, quad))),
+    "t4": Theorem(_pair, lambda inst, f, phi, quad, tol: _judged(hhcheck.check_theorem_t4(
+        f, phi, *_load_pair(inst), tuple(_field(inst, "interval")), tol, quad))),
+    "chain": Theorem(
+        lambda spec, rng, phi: {**_pair(spec, rng), "k": spec.chain_k, "p": spec.chain_p},
+        lambda inst, f, phi, quad, tol: _judged(hhcheck.check_refinement_chain(
+            f, *_load_pair(inst), int(_field(inst, "k")), int(_field(inst, "p")), tol, quad)),
+        takes_map=False),
+    "norm_chain": Theorem(
+        lambda spec, rng, phi: {**_pair(spec, rng), "specs": default_norm_specs(phi.target_dim)},
+        _run_norm_chain),
+    "counterexample": Theorem(lambda spec, rng, phi: {}, _run_counterexample,
+                              reads_f=False, takes_map=False, trials=1),
+}
+THEOREM_IDS = tuple(THEOREMS)
+
+
+def _theorem(theorem) -> Theorem:
+    try:
+        return THEOREMS[theorem]
+    except (KeyError, TypeError):  # TypeError: an unhashable id read from JSON
+        raise UnknownTheorem(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}") from None
+
+
 def generate_instance(theorem: str, spec: InstanceSpec, index: int) -> dict:
     """Build the replayable instance for one trial.
 
@@ -211,8 +343,7 @@ def generate_instance(theorem: str, spec: InstanceSpec, index: int) -> dict:
     run_instance reads either form; instance_to_json gives the JSON form,
     which run_suite records for a failed trial.
     """
-    if theorem not in THEOREM_IDS:
-        raise UnknownTheorem(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
+    entry = _theorem(theorem)
     rng = trial_rng(spec.seed, index)
     lo, hi = spec.interval
     inst: dict = {
@@ -223,71 +354,15 @@ def generate_instance(theorem: str, spec: InstanceSpec, index: int) -> dict:
         "quad_nodes": spec.quad_nodes,
         "quad_rtol": spec.quad_rtol,
     }
-    if theorem == "counterexample":
-        return inst
-    if theorem == "scalar":
-        width = hi - lo
-        inst["xy"] = [float(rng.uniform(lo, lo + 0.4 * width)),
-                      float(rng.uniform(lo + 0.6 * width, hi))]
-        return inst
-    if theorem == "chain":
-        inst["a"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-        inst["b"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-        inst["k"] = spec.chain_k
-        inst["p"] = spec.chain_p
-        return inst
-    if theorem == "trace":
-        inst["a"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-        inst["b"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-        return inst
-    if theorem == "bourin":
-        k = int(rng.integers(1, 4))
-        maps = _split_congruence_maps(k, spec.n, rng)
-        inst["maps"] = [phi.to_jsonable() for phi in maps]
-        inst["a_list"] = [matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-                          for _ in range(k)]
-        return inst
-
-    phi = make_map(spec.map_desc, spec.n, spec.m, rng)
-    inst["map"] = phi.to_jsonable()
-    if theorem == "jensen":
-        inst["a"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-        inst["x"] = _vec_to_json(_random_unit_vector(phi.target_dim, rng))
-        return inst
-    if theorem == "t3":
-        # simultaneously diagonalizable pair so the identity works as the
-        # uniform unitary whenever the map preserves the common basis
-        basis = _random_isometry(spec.n, spec.n, rng)
-        da = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
-        db = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
-        inst["a"] = matrix_to_json(hermitian_from((basis * da) @ basis.conj().T))
-        inst["b"] = matrix_to_json(hermitian_from((basis * db) @ basis.conj().T))
-        return inst
-    if theorem == "power_norm":
-        # PSD inputs are required, so clamp the sampling window at zero
-        lo_eff = max(lo, 0.0)
-        if not lo_eff < hi:
-            raise BadInterval(f"interval [{lo}, {hi}] leaves no room above 0")
-        inst["a"] = matrix_to_json(random_hermitian(spec.n, lo_eff, hi, rng))
-        inst["b"] = matrix_to_json(random_hermitian(spec.n, lo_eff, hi, rng))
-        inst["specs"] = [str(s) for s in default_norm_specs(phi.target_dim)]
-        return inst
-    # t1, t4, norm_chain share the (f, Phi, A, B) shape
-    inst["a"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-    inst["b"] = matrix_to_json(random_hermitian(spec.n, lo, hi, rng))
-    if theorem == "norm_chain":
-        inst["specs"] = [str(s) for s in default_norm_specs(phi.target_dim)]
+    phi = None
+    if entry.takes_map:
+        phi = make_map(spec.map_desc, spec.n, spec.m, rng)
+        inst["map"] = phi.to_jsonable()
+    inst.update(entry.generate(spec, rng, phi))
     return inst
 
 
 # -- instance execution ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrialResult:
-    status: str  # pass | fail | skip
-    margin: float | None
-    detail: str = ""
-
 
 def _power_exponent(descriptor: str) -> float:
     name, _, rest = descriptor.partition("@")[0].partition(":")
@@ -296,12 +371,12 @@ def _power_exponent(descriptor: str) -> float:
     return 3.0 if name == "cube" else float(rest)
 
 
-def _field(inst: dict, key: str):
-    """inst[key], or BadParams naming the field when the instance lacks it."""
+def _field(obj, key: str, what: str = "instance"):
+    """obj[key], or BadParams naming the field when obj lacks it."""
     try:
-        return inst[key]
-    except KeyError:
-        raise BadParams(f"instance has no field {key!r}") from None
+        return obj[key]
+    except (KeyError, TypeError):
+        raise BadParams(f"{what} has no field {key!r}") from None
 
 
 def run_instance(inst: dict) -> TrialResult:
@@ -316,68 +391,11 @@ def run_instance(inst: dict) -> TrialResult:
     """
     quad = QuadratureSpec(nodes=int(inst.get("quad_nodes", 16)),
                           rtol=float(inst.get("quad_rtol", 1e-11)))
-    tol = orders.DEFAULT_TOL
     try:
-        theorem = _field(inst, "theorem")
-        if theorem == "counterexample":
-            report = hhcheck.reproduce_counterexample()
-            return TrialResult("pass" if report.passes else "fail",
-                               0.0 if report.passes else -1.0)
-        f = from_descriptor(_field(inst, "f"))
-        if theorem == "scalar":
-            x, y = _field(inst, "xy")
-            report = hhcheck.check_scalar_hh(f, x, y, tol)
-            return TrialResult("pass" if report.holds else "fail", report.min_margin)
-        if theorem == "chain":
-            a, b = matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
-            report = hhcheck.check_refinement_chain(
-                f, a, b, int(_field(inst, "k")), int(_field(inst, "p")), tol, quad)
-            return TrialResult("pass" if report.holds else "fail", report.min_margin)
-        if theorem == "trace":
-            a, b = matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
-            verdict = hhcheck.check_trace_corollary(f, a, b, tol, quad)
-            return TrialResult("pass" if verdict.holds else "fail", verdict.margin)
-        if theorem == "bourin":
-            maps = [map_from_json(obj) for obj in _field(inst, "maps")]
-            a_list = [matrix_from_json(obj) for obj in _field(inst, "a_list")]
-            report = hhcheck.check_bourin_t2(f, maps, a_list, tol)
-            margin = report.dominance.margin
-            if report.witness_verdict is not None:
-                margin = min(margin, report.witness_verdict.margin)
-            ok = report.holds and (report.witness_verdict is None or report.witness_verdict.holds)
-            return TrialResult("pass" if ok else "fail", margin)
-
-        phi = map_from_json(_field(inst, "map"))
-        if theorem == "jensen":
-            a = matrix_from_json(_field(inst, "a"))
-            x = _vec_from_json(_field(inst, "x"))
-            verdict = hhcheck.check_jensen_map(f, phi, a, x, tol)
-            return TrialResult("pass" if verdict.holds else "fail", verdict.margin)
-        a, b = matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
-        if theorem == "t1":
-            report = hhcheck.check_theorem_t1(f, phi, a, b, tol, quad)
-            return TrialResult("pass" if report.holds else "fail", report.min_deficit)
-        if theorem == "t3":
-            report = hhcheck.check_theorem_t3(f, phi, a, b, None, None, tol, quad)
-            return TrialResult("pass" if report.holds else "fail", report.min_margin)
-        if theorem == "t4":
-            verdict = hhcheck.check_theorem_t4(
-                f, phi, a, b, tuple(_field(inst, "interval")), tol, quad)
-            return TrialResult("pass" if verdict.holds else "fail", verdict.margin)
-        if theorem == "power_norm":
-            specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
-            report = hhcheck.check_power_norm_corollary(
-                _power_exponent(_field(inst, "f")), phi, a, b, specs, tol, quad)
-            return TrialResult("pass" if report.holds else "fail", report.min_margin)
-        if theorem == "norm_chain":
-            specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
-            report = hhcheck.check_norm_chain_corollary(
-                f, phi, a, b, specs, tuple(_field(inst, "interval")), tol, quad)
-            if all(c.skipped for c in report.comparisons):
-                return TrialResult("skip", None, "all norm comparisons skipped (non-PSD terms)")
-            margin = report.min_margin
-            return TrialResult("pass" if report.holds else "fail", margin)
-        raise UnknownTheorem(f"unknown theorem id {theorem!r}")
+        entry = _theorem(_field(inst, "theorem"))
+        f = from_descriptor(_field(inst, "f")) if entry.reads_f else None
+        phi = map_from_json(_field(inst, "map")) if entry.takes_map else None
+        return entry.run(inst, f, phi, quad, orders.DEFAULT_TOL)
     except HypothesisUnmet as exc:
         return TrialResult("skip", None, str(exc))
     except UnknownTheorem:
@@ -459,20 +477,22 @@ def _run_one(args) -> tuple[int, dict, dict | None]:
 def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport:
     """Run the named checker over seeded trials; deterministic per root seed.
 
-    The counterexample suite is a single fixed trial regardless of the
-    requested count and function.  The function descriptor of any other
-    suite is parsed before any trial runs, so a malformed one raises its
-    package error (BadParams, UnknownName) up front; so is a power_norm
-    suite whose function is not a power.
+    The spec is checked against the registry entry before any trial runs.
+    A suite with a fixed trial count (counterexample: one fixed trial) runs
+    that many.  The function descriptor of a suite that reads f is parsed,
+    so a malformed one raises its package error (BadParams, UnknownName) up
+    front; so does a power_norm suite whose function is not a power, and a
+    suite that takes no map given one other than the identity (BadParams).
     """
-    if theorem not in THEOREM_IDS:
-        raise UnknownTheorem(f"unknown theorem id {theorem!r}; choose from {THEOREM_IDS}")
-    if theorem == "counterexample":
-        spec = replace(spec, trials=1)
-    else:
+    entry = _theorem(theorem)
+    if entry.trials is not None:
+        spec = replace(spec, trials=entry.trials)
+    if entry.reads_f:
         from_descriptor(spec.function)
-    if theorem == "power_norm":
+    if entry.power_f:
         _power_exponent(spec.function)
+    if not entry.takes_map and spec.map_desc != "identity":
+        raise BadParams(f"the {theorem} suite takes no map, got {spec.map_desc!r}")
     start = time.perf_counter()
     jobs = [(spec, theorem, i) for i in range(spec.trials)]
     if workers > 1:
@@ -507,7 +527,7 @@ def replay(obj: dict) -> list[tuple[dict, TrialResult]]:
     if not isinstance(obj, dict):
         raise BadParams("replay input is not a JSON object")
     if "failures" in obj:
-        instances = [fail["instance"] for fail in obj["failures"]]
+        instances = [_field(fail, "instance", "failure entry") for fail in obj["failures"]]
     elif "instance" in obj:
         instances = [obj["instance"]]
     elif "theorem" in obj:

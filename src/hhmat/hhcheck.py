@@ -24,11 +24,9 @@ from .errors import (
     NotConvexFlag,
     NotOperatorConvexFlag,
     NotPositive,
-    NotPSD,
-    NotUnitary,
 )
 from .funcat import ScalarFunction, builtin
-from .matcore import HermitianMatrix, apply_function, eig, hermitian_from, ui_norm
+from .matcore import HermitianMatrix, apply_function, eig, spectrum_outside, ui_norm
 from .orders import DEFAULT_TOL, MajorizationReport, OrderVerdict
 from .plmaps import PositiveLinearMap
 from .segquad import (
@@ -59,15 +57,8 @@ class ChainReport:
     holds: bool
 
     @property
-    def min_margin(self) -> float:
+    def margin(self) -> float:
         return min(link.margin for link in self.links)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "links": [link.to_jsonable() for link in self.links],
-            "holds": self.holds,
-        }
 
 
 @dataclass(frozen=True)
@@ -79,10 +70,6 @@ class AlphaResult:
     omega: float
     Omega: float
 
-    def to_jsonable(self) -> dict:
-        return {"alpha": self.alpha, "argmax_t": self.argmax_t,
-                "omega": self.omega, "Omega": self.Omega}
-
 
 @dataclass(frozen=True)
 class NormComparison:
@@ -93,29 +80,25 @@ class NormComparison:
     holds: bool
     skipped: bool = False
 
-    def to_jsonable(self) -> dict:
-        return {"spec": self.spec, "lhs": self.lhs, "rhs": self.rhs,
-                "margin": self.margin, "holds": self.holds, "skipped": self.skipped}
-
 
 @dataclass(frozen=True)
 class NormReport:
     comparisons: tuple[NormComparison, ...]
-    holds: bool
 
     @property
-    def min_margin(self) -> float:
+    def holds(self) -> bool:
+        return all(c.holds for c in self.comparisons)
+
+    @property
+    def margin(self) -> float:
         margins = [c.margin for c in self.comparisons if not c.skipped]
         return min(margins) if margins else math.inf
-
-    def to_jsonable(self) -> dict:
-        return {"comparisons": [c.to_jsonable() for c in self.comparisons],
-                "holds": self.holds}
 
 
 @dataclass(frozen=True)
 class BourinReport:
-    """Eigenvalue dominance plus the constructed conjugating unitary."""
+    """Eigenvalue dominance plus the constructed conjugating unitary; it holds
+    when dominance holds and the witness confirms it."""
 
     dominance: OrderVerdict
     witness: np.ndarray | None
@@ -123,15 +106,13 @@ class BourinReport:
 
     @property
     def holds(self) -> bool:
-        return self.dominance.holds
+        return self.dominance.holds and (self.witness_verdict is None or self.witness_verdict.holds)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "dominance": self.dominance.to_jsonable(),
-            "witness_found": self.witness is not None,
-            "witness_verdict": None if self.witness_verdict is None
-            else self.witness_verdict.to_jsonable(),
-        }
+    @property
+    def margin(self) -> float:
+        if self.witness_verdict is None:
+            return self.dominance.margin
+        return min(self.dominance.margin, self.witness_verdict.margin)
 
 
 # -- hypothesis helpers ---------------------------------------------------------
@@ -145,35 +126,51 @@ def _require_flag(f: ScalarFunction, flag: str, exc=None) -> list[str]:
     return []
 
 
+def _check_hypotheses(reasons: list[str]):
+    """Raise HypothesisUnmet listing every failed hypothesis, if any failed."""
+    if reasons:
+        raise HypothesisUnmet(*reasons)
+
+
 def _spectra_reasons(f: ScalarFunction, mats: dict[str, HermitianMatrix]) -> list[str]:
-    reasons = []
-    for label, h in mats.items():
-        if not np.all(f.domain.contains_array(eig(h).values)):
-            reasons.append(f"spectrum of {label} leaves domain {f.domain} of {f.name}")
-    return reasons
+    return [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
+            for label, h in mats.items() if spectrum_outside(f, h).size]
 
 
-def _map_hypothesis_reasons(
-    phi: PositiveLinearMap,
+def _map_case_reasons(
     f: ScalarFunction,
+    image: HermitianMatrix,
     *,
-    strict_positive: bool,
-    zero_value: str = "nonpositive",  # "nonpositive" | "zero"
+    strict_positive: bool = False,
+    f0: str | None = "nonpositive",  # "nonpositive" | "zero" | None
+    unital_ok: bool = True,
+    label: str = "Phi(I)",
 ) -> list[str]:
-    """Empty list when the map satisfies case (i) unital, or case (ii)
-    subunital with the required behavior of f at 0."""
-    rep = plmaps.unitality_status(phi)
-    if rep.status == "Unital":
+    """Empty list when the identity image Phi(I) (for a sum of maps, the sum
+    of their identity images) meets case (i), Phi(I) = I, or case (ii),
+    Phi(I) <= I (and strictly positive when asked) with 0 in the domain of f
+    and f(0) <= 0 declared (f0="zero": f(0) = 0).  f0=None admits case (i)
+    only; unital_ok=False admits case (ii) only.
+
+    Phi(I) within UNITAL_TOL of I in the Frobenius norm is unital with no
+    decomposition: that norm bounds the operator-norm distance that
+    unitality_status measures, so unitality_status runs only past this test.
+    """
+    if unital_ok and np.linalg.norm(image.entries - np.eye(image.dim)) <= plmaps.UNITAL_TOL:
         return []
+    rep = plmaps.unitality_status(image)
+    if unital_ok and rep.status == "Unital":
+        return []
+    if f0 is None:
+        return [f"{label} is not I (distance {rep.identity_distance:.3g}); a unital map is needed"]
     reasons = []
     if rep.lambda_max > 1.0 + plmaps.UNITAL_TOL:
-        reasons.append(f"Phi(I) has top eigenvalue {rep.lambda_max:.6g} > 1")
+        reasons.append(f"{label} has top eigenvalue {rep.lambda_max:.6g} > 1")
     if strict_positive and rep.lambda_min <= plmaps.SUBUNITAL_POSITIVITY_TOL:
-        reasons.append("Phi(I) is not strictly positive")
+        reasons.append(f"{label} is not strictly positive")
     if not f.domain.contains(0.0):
         reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
-        return reasons
-    if zero_value == "zero":
+    elif f0 == "zero":
         if abs(f(0.0)) > 1e-12:
             reasons.append(f"{f.name}(0) = {f(0.0):.3g} is not 0")
     elif f.flags.f0_nonpositive is not True:
@@ -181,32 +178,20 @@ def _map_hypothesis_reasons(
     return reasons
 
 
-def _sandwich(u: np.ndarray, h: HermitianMatrix) -> HermitianMatrix:
-    """U H U* for unitary U."""
-    return HermitianMatrix(u @ h.entries @ u.conj().T)
-
-
-def _require_unitary(u: np.ndarray, m: int):
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (m, m):
-        raise NotUnitary(f"expected a {m}x{m} unitary, got shape {u.shape}")
-    err = float(np.max(np.abs(u.conj().T @ u - np.eye(m))))
-    if err > UNITARY_TOL:
-        raise NotUnitary(f"U*U deviates from identity by {err:.3e}")
-    return u
-
-
-def _require_psd(h: HermitianMatrix, label: str, tol: float = DEFAULT_TOL):
-    values = eig(h).values
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    if float(values[-1]) < -tol * scale:
-        raise NotPSD(f"{label} has negative eigenvalue {float(values[-1]):.3e}")
+def _norm_comparison(label: str, lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec,
+                     tol: float, judged: bool = True) -> NormComparison:
+    """|||lhs_m||| <= |||rhs_m||| in the norm spec; always holding, and marked
+    skipped, when not judged."""
+    lhs, rhs = ui_norm(lhs_m, spec), ui_norm(rhs_m, spec)
+    margin = rhs - lhs
+    return NormComparison(spec=label, lhs=lhs, rhs=rhs, margin=margin,
+                          holds=margin >= -tol * max(1.0, lhs, rhs) if judged else True,
+                          skipped=not judged)
 
 
 def _is_psd(h: HermitianMatrix, tol: float = DEFAULT_TOL) -> bool:
-    values = eig(h).values
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 0.0)
-    return float(values[-1]) >= -tol * scale
+    es = eig(h)
+    return float(es.values[-1]) >= -tol * max(1.0, es.spectral_radius)
 
 
 # -- scalar two-sided bound ------------------------------------------------------
@@ -250,25 +235,15 @@ def check_jensen_map(
     Hypotheses: (i) Phi unital and x a unit vector, or (ii) ||x|| <= 1 with
     0 in the domain, f(0) <= 0, and 0 < Phi(I) <= I.
     """
-    reasons = _require_flag(f, "convex")
-    reasons += _spectra_reasons(f, {"A": a})
+    reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a})
     x = np.asarray(x, dtype=complex).ravel()
     norm = float(np.linalg.norm(x))
-    rep = plmaps.unitality_status(phi)
-    if not (rep.status == "Unital" and abs(norm - 1.0) <= UNITARY_TOL):
-        # case (ii): needs the f(0) condition even when the map is unital
-        if norm > 1.0 + UNITARY_TOL:
-            reasons.append(f"||x|| = {norm:.6g} exceeds 1")
-        if not f.domain.contains(0.0):
-            reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
-        elif f.flags.f0_nonpositive is not True:
-            reasons.append(f"{f.name}(0) <= 0 is not declared")
-        if rep.lambda_max > 1.0 + plmaps.UNITAL_TOL:
-            reasons.append(f"Phi(I) has top eigenvalue {rep.lambda_max:.6g} > 1")
-        if rep.lambda_min <= plmaps.SUBUNITAL_POSITIVITY_TOL:
-            reasons.append("Phi(I) is not strictly positive")
-    if reasons:
-        raise HypothesisUnmet(*reasons)
+    if norm > 1.0 + UNITARY_TOL:
+        reasons.append(f"||x|| = {norm:.6g} exceeds 1")
+    # case (i) needs a unit vector; otherwise case (ii), even for a unital map
+    reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True,
+                                 unital_ok=abs(norm - 1.0) <= UNITARY_TOL)
+    _check_hypotheses(reasons)
     pa = phi.apply(a)
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))
@@ -290,11 +265,9 @@ def check_theorem_t1(
 ) -> MajorizationReport:
     """Eigenvalues of f((Phi(A)+Phi(B))/2) are weakly majorized by those of
     Phi(integral of f along the segment from B to A)."""
-    reasons = _require_flag(f, "convex")
-    reasons += _spectra_reasons(f, {"A": a, "B": b})
-    reasons += _map_hypothesis_reasons(phi, f, strict_positive=True)
-    if reasons:
-        raise HypothesisUnmet(*reasons)
+    reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b})
+    reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True)
+    _check_hypotheses(reasons)
     lhs = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
     rhs = phi.apply(segment_integral(f, a, b, quad))
     return orders.weak_majorization(lhs, rhs, tol)
@@ -309,10 +282,7 @@ def check_trace_corollary(
 ) -> OrderVerdict:
     """Trace form of the midpoint bound: Tr f((A+B)/2) <= Tr of the segment
     integral.  Checked directly rather than through the partial sums."""
-    reasons = _require_flag(f, "convex")
-    reasons += _spectra_reasons(f, {"A": a, "B": b})
-    if reasons:
-        raise HypothesisUnmet(*reasons)
+    _check_hypotheses(_require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b}))
     lhs = apply_function(f, (a + b) / 2.0).trace
     rhs = segment_integral(f, a, b, quad).trace
     margin = rhs - lhs
@@ -333,25 +303,15 @@ def check_power_norm_corollary(
     inputs: |||((Phi(A)+Phi(B))/2)^r||| <= |||Phi(segment integral of t^r)|||."""
     if not r > 1.0:
         raise BadParams(f"power norm comparison needs r > 1, got {r}")
-    _require_psd(a, "A", tol)
-    _require_psd(b, "B", tol)
     f = builtin("power", r)
-    reasons = _map_hypothesis_reasons(phi, f, strict_positive=False)
-    if reasons:
-        raise HypothesisUnmet(*reasons)
+    reasons = [f"{label} has negative eigenvalue {float(eig(h).values[-1]):.3e}"
+               for label, h in (("A", a), ("B", b)) if not _is_psd(h, tol)]
+    reasons += _map_case_reasons(f, phi.identity_image())
+    _check_hypotheses(reasons)
     lhs_m = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
     rhs_m = phi.apply(segment_integral(f, a, b, quad))
-    comparisons = []
-    for spec in specs:
-        lhs, rhs = ui_norm(lhs_m, spec), ui_norm(rhs_m, spec)
-        margin = rhs - lhs
-        scale = max(1.0, lhs, rhs)
-        comparisons.append(NormComparison(
-            spec=str(spec), lhs=lhs, rhs=rhs, margin=margin,
-            holds=margin >= -tol * scale,
-        ))
-    return NormReport(comparisons=tuple(comparisons),
-                      holds=all(c.holds for c in comparisons))
+    return NormReport(tuple(_norm_comparison(str(spec), lhs_m, rhs_m, spec, tol)
+                            for spec in specs))
 
 
 # -- monotone-convex endpoint bound (unitary conjugate form) -----------------------
@@ -380,24 +340,11 @@ def check_bourin_t2(
     for i, (phi, h) in enumerate(zip(maps, a_list)):
         if phi.source_dim != h.dim:
             reasons.append(f"map {i} expects dim {phi.source_dim}, matrix has {h.dim}")
-    if reasons:
-        raise HypothesisUnmet(*reasons)
-    m = maps[0].target_dim
+    _check_hypotheses(reasons)
     id_sum = maps[0].identity_image()
     for phi in maps[1:]:
         id_sum = id_sum + phi.identity_image()
-    dist = float(np.max(np.abs(id_sum.entries - np.eye(m))))
-    if dist > plmaps.UNITAL_TOL:
-        # case (ii): the identity images sum below I and f(0) <= 0
-        sum_values = eig(id_sum).values
-        if float(sum_values[0]) > 1.0 + plmaps.UNITAL_TOL:
-            reasons.append(f"sum of Phi_i(I) has top eigenvalue {float(sum_values[0]):.6g} > 1")
-        if not f.domain.contains(0.0):
-            reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
-        elif f.flags.f0_nonpositive is not True:
-            reasons.append(f"{f.name}(0) <= 0 is not declared")
-        if reasons:
-            raise HypothesisUnmet(*reasons)
+    _check_hypotheses(_map_case_reasons(f, id_sum, label="sum of Phi_i(I)"))
     arg = maps[0].apply(a_list[0])
     val = maps[0].apply(apply_function(f, a_list[0]))
     for phi, h in zip(maps[1:], a_list[1:]):
@@ -408,7 +355,9 @@ def check_bourin_t2(
     witness = orders.unitary_witness(lhs, val, tol) if dominance.holds else None
     witness_verdict = None
     if witness is not None:
-        witness_verdict = orders.loewner_leq(lhs, _sandwich(witness.conj().T, val), tol * 10)
+        u = witness.conj().T  # lhs <= U val U*
+        witness_verdict = orders.loewner_leq(lhs, HermitianMatrix(u @ val.entries @ u.conj().T),
+                                             tol * 10)
     return BourinReport(dominance=dominance, witness=witness, witness_verdict=witness_verdict)
 
 
@@ -419,8 +368,6 @@ def check_theorem_t3(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    u: np.ndarray | None = None,
-    t_grid=None,
     tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
@@ -428,23 +375,19 @@ def check_theorem_t3(
     + (1-t) Phi(f(B))] U* along the whole segment, then the eigenvalues of the
     segment integral are dominated by those of the endpoint average.
 
-    The uniform hypothesis is verified only at the supplied grid points with
-    the supplied U (default: identity); a failing grid point raises
-    HypothesisUnmet rather than judging the conclusion.
+    The uniform hypothesis is verified with U = I at 33 evenly spaced t; a
+    failing point raises HypothesisUnmet rather than judging the conclusion.
     """
     reasons = _require_flag(f, "convex") + _require_flag(f, "increasing")
     reasons += _spectra_reasons(f, {"A": a, "B": b})
-    reasons += _map_hypothesis_reasons(phi, f, strict_positive=False)
-    if reasons:
-        raise HypothesisUnmet(*reasons)
-    m = phi.target_dim
-    u = _require_unitary(np.eye(m) if u is None else u, m)
-    grid = np.linspace(0.0, 1.0, 33) if t_grid is None else np.asarray(t_grid, dtype=float)
+    reasons += _map_case_reasons(f, phi.identity_image())
+    _check_hypotheses(reasons)
+    grid = np.linspace(0.0, 1.0, 33)
     pa, pb = phi.apply(a), phi.apply(b)
     pfa, pfb = phi.apply(apply_function(f, a)), phi.apply(apply_function(f, b))
     for t, point in zip(grid, segment_points(pa, pb, grid)):
         t = float(t)
-        rhs_t = _sandwich(u, t * pfa + (1.0 - t) * pfb)
+        rhs_t = t * pfa + (1.0 - t) * pfb
         if not orders.loewner_leq(apply_function(f, point), rhs_t, tol).holds:
             raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
     integral = segment_integral(f, pa, pb, quad)
@@ -519,12 +462,41 @@ def mond_pecaric_alpha(f: ScalarFunction, omega: float, Omega: float) -> AlphaRe
     return AlphaResult(alpha=float(g_star), argmax_t=float(t_star), omega=omega, Omega=Omega)
 
 
-def _working_alpha(f: ScalarFunction, omega: float, Omega: float) -> float:
-    """alpha on the working interval.  That f is defined and strictly
-    positive there is a hypothesis of the converse bound, so an interval
-    outside f's domain or a non-positive value of f is one unmet."""
+def _converse_hypotheses(
+    f: ScalarFunction,
+    phi: PositiveLinearMap,
+    a: HermitianMatrix,
+    b: HermitianMatrix,
+    interval: tuple[float, float] | None,
+    **map_case,
+) -> tuple[HermitianMatrix, HermitianMatrix, float]:
+    """(Phi(A), Phi(B), alpha) once the hypotheses of the converse bound
+    hold: f convex, the spectra of A, B, Phi(A) and Phi(B) in its domain, the
+    map case (see _map_case_reasons) and the working interval [omega, Omega].
+
+    A supplied interval must contain those four spectra (to a 1e-9 relative
+    pad); without one it is their spectral hull, widened by 0.5 each side if
+    it is a point.  f must be defined and strictly positive on it, so an
+    interval outside f's domain or a non-positive value of f is one unmet.
+    """
+    pa, pb = phi.apply(a), phi.apply(b)
+    mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
+    reasons = _require_flag(f, "convex") + _spectra_reasons(f, mats)
+    reasons += _map_case_reasons(f, phi.identity_image(), **map_case)
+    if interval is None:
+        omega = min(float(eig(h).values[-1]) for h in mats.values())
+        Omega = max(float(eig(h).values[0]) for h in mats.values())
+        if not omega < Omega:
+            omega, Omega = omega - 0.5, Omega + 0.5
+    else:
+        omega, Omega = float(interval[0]), float(interval[1])
+        pad = 1e-9 * max(1.0, Omega - omega)
+        reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]"
+                    for label, h in mats.items()
+                    if eig(h).values[-1] < omega - pad or eig(h).values[0] > Omega + pad]
+    _check_hypotheses(reasons)
     try:
-        return mond_pecaric_alpha(f, omega, Omega).alpha
+        return pa, pb, mond_pecaric_alpha(f, omega, Omega).alpha
     except (BadInterval, NotPositive) as exc:
         raise HypothesisUnmet(str(exc)) from exc
 
@@ -542,29 +514,11 @@ def check_theorem_t4(
     of f(Phi(A)) and f(Phi(B)), with alpha the chord-ratio constant on the
     working interval.
 
-    The interval must contain the spectra of A, B, Phi(A) and Phi(B); when
-    omitted it defaults to their spectral hull.
+    Phi must be unital, and the interval must contain the spectra of A, B,
+    Phi(A) and Phi(B); when omitted it defaults to their spectral hull (see
+    _converse_hypotheses).
     """
-    reasons = _require_flag(f, "convex")
-    pa, pb = phi.apply(a), phi.apply(b)
-    mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
-    reasons += _spectra_reasons(f, mats)
-    if interval is None:
-        lows = [float(eig(h).values[-1]) for h in mats.values()]
-        highs = [float(eig(h).values[0]) for h in mats.values()]
-        omega, Omega = min(lows), max(highs)
-        if not omega < Omega:
-            omega, Omega = omega - 0.5, Omega + 0.5
-    else:
-        omega, Omega = float(interval[0]), float(interval[1])
-        pad = 1e-9 * max(1.0, Omega - omega)
-        for label, h in mats.items():
-            values = eig(h).values
-            if float(values[-1]) < omega - pad or float(values[0]) > Omega + pad:
-                reasons.append(f"spectrum of {label} leaves [{omega}, {Omega}]")
-    if reasons:
-        raise HypothesisUnmet(*reasons)
-    alpha = _working_alpha(f, omega, Omega)
+    pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval, f0=None)
     lhs = phi.apply(segment_integral(f, a, b, quad))
     rhs = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
     return orders.loewner_leq(lhs, rhs, tol)
@@ -583,44 +537,21 @@ def check_norm_chain_corollary(
     """Three-term norm chain: |||f((Phi(A)+Phi(B))/2)||| <= |||Phi(segment
     integral)||| <= alpha |||(f(Phi(A))+f(Phi(B)))/2|||.
 
-    Norm monotonicity from the underlying matrix orders needs PSD displayed
-    matrices, so comparisons involving a non-PSD term are reported skipped.
+    The hypotheses are those of check_theorem_t4 (see _converse_hypotheses),
+    except that Phi may also be subunital with f(0) = 0.  Norm monotonicity
+    from the underlying matrix orders needs PSD displayed matrices, so
+    comparisons involving a non-PSD term are reported skipped.
     """
-    reasons = _require_flag(f, "convex")
-    pa, pb = phi.apply(a), phi.apply(b)
-    mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
-    reasons += _spectra_reasons(f, mats)
-    reasons += _map_hypothesis_reasons(phi, f, strict_positive=True, zero_value="zero")
-    if interval is None:
-        omega = min(float(eig(h).values[-1]) for h in mats.values())
-        Omega = max(float(eig(h).values[0]) for h in mats.values())
-        if not omega < Omega:
-            omega, Omega = omega - 0.5, Omega + 0.5
-    else:
-        omega, Omega = float(interval[0]), float(interval[1])
-    if reasons:
-        raise HypothesisUnmet(*reasons)
-    alpha = _working_alpha(f, omega, Omega)
+    pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval,
+                                         strict_positive=True, f0="zero")
     m0 = apply_function(f, (pa + pb) / 2.0)
     m1 = phi.apply(segment_integral(f, a, b, quad))
     m2 = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
     terms = (m0, m1, m2)
     psd = [_is_psd(m, tol) for m in terms]
-    comparisons = []
-    for spec in specs:
-        for link, (i, j) in enumerate(((0, 1), (1, 2))):
-            pair_psd = psd[i] and psd[j]
-            lhs, rhs = ui_norm(terms[i], spec), ui_norm(terms[j], spec)
-            margin = rhs - lhs
-            scale = max(1.0, lhs, rhs)
-            comparisons.append(NormComparison(
-                spec=f"{spec}:link{link}",
-                lhs=lhs, rhs=rhs, margin=margin,
-                holds=(margin >= -tol * scale) if pair_psd else True,
-                skipped=not pair_psd,
-            ))
-    return NormReport(comparisons=tuple(comparisons),
-                      holds=all(c.holds for c in comparisons))
+    return NormReport(tuple(
+        _norm_comparison(f"{spec}:link{link}", terms[i], terms[j], spec, tol, psd[i] and psd[j])
+        for spec in specs for link, (i, j) in enumerate(((0, 1), (1, 2)))))
 
 
 # -- five-term refinement chain for operator convex functions ----------------------
@@ -642,9 +573,7 @@ def check_refinement_chain(
         raise NotOperatorConvexFlag(f"{f.name} is not declared operator convex")
     if k < 1 or p < 1:
         raise BadParams(f"k and p must be positive integers, got k={k}, p={p}")
-    reasons = _spectra_reasons(f, {"A": a, "B": b})
-    if reasons:
-        raise HypothesisUnmet(*reasons)
+    _check_hypotheses(_spectra_reasons(f, {"A": a, "B": b}))
     n_panels = int(k) ** int(p)
     panels = np.arange(n_panels)
     l0 = apply_function(f, 0.5 * a + 0.5 * b)
@@ -677,14 +606,6 @@ COUNTEREXAMPLE_B = np.array([[F(1), F(0)], [F(0), F(0)]], dtype=object)
 EXPECTED_MID_CUBED = np.array([[F(17, 4), F(7, 4)], [F(7, 4), F(3, 4)]], dtype=object)
 EXPECTED_SEGMENT_INTEGRAL = np.array([[F(31, 6), F(5, 2)], [F(5, 2), F(4, 3)]], dtype=object)
 EXPECTED_ENDPOINT_AVG = np.array([[F(7), F(4)], [F(4), F(5, 2)]], dtype=object)
-
-
-def counterexample_matrices() -> tuple[HermitianMatrix, HermitianMatrix]:
-    """Float versions of the fixed counterexample pair."""
-    return (
-        hermitian_from(COUNTEREXAMPLE_A.astype(float)),
-        hermitian_from(COUNTEREXAMPLE_B.astype(float)),
-    )
 
 
 def _det2(m: np.ndarray) -> Fraction:

@@ -9,6 +9,7 @@ compute the same result, so the race is harmless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    BadParams,
     BadSpec,
     ConvergenceFailure,
     ExcessAsymmetryError,
@@ -105,10 +107,6 @@ class HermitianMatrix:
     def __neg__(self) -> "HermitianMatrix":
         return HermitianMatrix(-self.entries)
 
-    def conjugate_by(self, u: np.ndarray) -> "HermitianMatrix":
-        """Return U* H U for a square matrix U (unitary in all intended uses)."""
-        return HermitianMatrix(u.conj().T @ self.entries @ u)
-
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim}, residual={self.asymmetry_residual:.2e})"
 
@@ -123,9 +121,6 @@ class EigenSystem:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
 
     @property
     def spectral_radius(self) -> float:
@@ -319,24 +314,32 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     return eig_many([h])[0]
 
 
+def spectrum_outside(f: "ScalarFunction", h: HermitianMatrix) -> np.ndarray:
+    """The eigenvalues of H outside the domain of f, descending; empty when
+    the spectrum fits (endpoints are stretched by a small relative
+    tolerance, see funcat.Interval.contains)."""
+    values = eig(h).values
+    return values[~f.domain.contains_array(values)]
+
+
 def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus f(H) via the spectral decomposition.
 
-    Requires the spectrum of H to lie in the domain of f (endpoints are
-    stretched by a small relative tolerance, see funcat.Interval.contains).
+    Requires the spectrum of H to lie in the domain of f (see
+    spectrum_outside); SpectrumOutOfDomain otherwise.
 
     The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
     which eig() turns into its decomposition, checked, if it is ever asked
     for; a result that is never decomposed pays nothing more.
     """
-    es = eig(h)
-    inside = f.domain.contains_array(es.values)
-    if not inside.all():
-        bad = es.values[~inside].tolist()
+    bad = spectrum_outside(f, h)
+    if bad.size:
         raise SpectrumOutOfDomain(
-            f"eigenvalues {bad} of the argument lie outside domain {f.domain} of {f.name}",
-            offending=bad,
+            f"eigenvalues {bad.tolist()} of the argument lie outside domain {f.domain} "
+            f"of {f.name}",
+            offending=bad.tolist(),
         )
+    es = eig(h)
     fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
     # (R + R*)/2 is exactly Hermitian whatever the rounding in R.
@@ -373,10 +376,6 @@ def ui_norm(h: HermitianMatrix, spec: NormSpec) -> float:
     raise BadSpec(f"unknown norm kind {spec.kind!r}")
 
 
-def operator_norm(h: HermitianMatrix) -> float:
-    return ui_norm(h, NormSpec.operator())
-
-
 # -- matrix literal format ---------------------------------------------------
 #
 # Object {"n": int, "re": grid, "im": grid} with "im" optional.  In JSON a
@@ -387,11 +386,18 @@ def operator_norm(h: HermitianMatrix) -> float:
 # nested lists where an instance leaves the process.
 
 def _parse_entry(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))
+    """The exact rational of one entry: a number, or a string such as "31/6".
+    A NaN or infinite entry raises NonFiniteEntries, anything else that is
+    not a number BadParams."""
+    try:
+        if isinstance(x, (str, int)):
+            return Fraction(x)
+        x = float(x)
+    except (TypeError, ValueError):
+        raise BadParams(f"matrix entry {x!r} is not a number") from None
+    if not math.isfinite(x):
+        raise NonFiniteEntries("matrix entries must be finite, got NaN or infinity")
+    return Fraction(x)
 
 
 def _parse_grid(grid, n: int) -> list[list[Fraction]]:
@@ -425,20 +431,15 @@ def _float_grid(grid, n: int) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> HermitianMatrix:
-    """Load a HermitianMatrix from the matrix literal format."""
-    n = int(obj["n"])
-    re = _float_grid(obj["re"], n)
+    """Load a HermitianMatrix from the matrix literal format; a literal
+    without "n" or "re" raises BadParams."""
+    try:
+        n, re = int(obj["n"]), obj["re"]
+    except KeyError as exc:
+        raise BadParams(f"matrix literal has no field {exc.args[0]!r}") from None
+    re = _float_grid(re, n)
     im = _float_grid(obj["im"], n) if obj.get("im") is not None else np.zeros((n, n))
     return hermitian_from(re + 1j * im)
-
-
-def exact_matrix_from_json(obj: dict) -> np.ndarray:
-    """Load the real part of a matrix literal as exact Fractions (object array)."""
-    n = int(obj["n"])
-    re = _parse_grid(obj["re"], n)
-    if obj.get("im") is not None and any(x for row in _parse_grid(obj["im"], n) for x in row):
-        raise BadSpec("exact loading supports real matrices only")
-    return np.array(re, dtype=object)
 
 
 def matrix_to_json(h: HermitianMatrix) -> dict:

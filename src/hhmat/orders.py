@@ -2,22 +2,19 @@
 
 Three nested orders: the Loewner order (difference is PSD), entrywise
 dominance of descending eigenvalue vectors, and weak majorization of the
-eigenvalue partial sums.  Also the top-k frame bound and the Ky Fan
-dominance scan tying weak majorization to the Ky Fan norm family.
+eigenvalue partial sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
-from .errors import DimMismatch, NotOrthonormal, NotPSD
-from .matcore import HermitianMatrix, NormSpec, eig
+from .errors import DimMismatch
+from .matcore import HermitianMatrix, eig
 
 DEFAULT_TOL = 1e-9
-FRAME_ORTHO_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,13 +30,6 @@ class OrderVerdict:
     margin: float
     witness: object | None = None
 
-    def to_jsonable(self) -> dict:
-        out = {"holds": self.holds, "margin": self.margin}
-        if self.witness is not None:
-            w = self.witness
-            out["witness"] = w.tolist() if isinstance(w, np.ndarray) else w
-        return out
-
 
 @dataclass(frozen=True)
 class MajorizationReport:
@@ -51,17 +41,8 @@ class MajorizationReport:
     holds: bool
 
     @property
-    def min_deficit(self) -> float:
+    def margin(self) -> float:
         return float(np.min(self.deficits))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "holds": self.holds,
-            "margin": self.min_deficit,
-            "deficits": self.deficits.tolist(),
-            "partial_sums_a": self.partial_sums_a.tolist(),
-            "partial_sums_b": self.partial_sums_b.tolist(),
-        }
 
 
 def _check_same_dim(a: HermitianMatrix, b: HermitianMatrix):
@@ -119,65 +100,3 @@ def unitary_witness(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT
     va = eig(a).vectors
     vb = eig(b).vectors
     return vb @ va.conj().T
-
-
-def top_k_frame_sum(h: HermitianMatrix, frame: np.ndarray) -> float:
-    """Sum of quadratic forms <H x_j, x_j> over an orthonormal frame.
-
-    Never exceeds the sum of the k largest eigenvalues of H (maximum
-    principle); the frame must be orthonormal within FRAME_ORTHO_TOL.
-    """
-    frame = np.asarray(frame, dtype=complex)
-    if frame.ndim == 1:
-        frame = frame[:, None]
-    if frame.shape[0] != h.dim:
-        raise DimMismatch(f"frame vectors have length {frame.shape[0]}, expected {h.dim}")
-    gram_err = float(np.max(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))))
-    if gram_err > FRAME_ORTHO_TOL:
-        raise NotOrthonormal(f"frame Gram error {gram_err:.3e} exceeds {FRAME_ORTHO_TOL:.0e}")
-    return float(np.trace(frame.conj().T @ h.entries @ frame).real)
-
-
-@dataclass(frozen=True)
-class KyFanScanReport:
-    """Per-k agreement between weak majorization and Ky Fan norm ordering."""
-
-    majorization: MajorizationReport
-    norm_margins: np.ndarray
-    agreement: np.ndarray = field(repr=False)
-
-    @property
-    def agree(self) -> bool:
-        return bool(np.all(self.agreement))
-
-    def to_jsonable(self) -> dict:
-        return {
-            "majorization": self.majorization.to_jsonable(),
-            "norm_margins": self.norm_margins.tolist(),
-            "agree": self.agree,
-        }
-
-
-def ky_fan_dominance_scan(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> KyFanScanReport:
-    """For PSD inputs, check that each top-k partial-sum verdict matches the
-    corresponding Ky Fan norm comparison (they must, since eigenvalues are
-    the singular values)."""
-    _check_same_dim(a, b)
-    for label, m in (("first", a), ("second", b)):
-        lam_min = float(eig(m).values[-1])
-        if lam_min < -tol * max(1.0, matcore.operator_norm(m)):
-            raise NotPSD(f"{label} argument has negative eigenvalue {lam_min:.3e}")
-    report = weak_majorization(a, b, tol)
-    n = a.dim
-    margins = np.empty(n)
-    agreement = np.empty(n, dtype=bool)
-    scale = max(1.0, float(np.max(np.abs(report.partial_sums_a))),
-                float(np.max(np.abs(report.partial_sums_b))))
-    for k in range(1, n + 1):
-        margins[k - 1] = matcore.ui_norm(b, NormSpec.ky_fan(k)) - matcore.ui_norm(a, NormSpec.ky_fan(k))
-        norm_ok = margins[k - 1] >= -tol * scale
-        sum_ok = report.deficits[k - 1] >= -tol * scale
-        agreement[k - 1] = norm_ok == sum_ok
-    margins.flags.writeable = False
-    agreement.flags.writeable = False
-    return KyFanScanReport(majorization=report, norm_margins=margins, agreement=agreement)

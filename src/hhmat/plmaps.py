@@ -1,8 +1,8 @@
 """Positive linear maps between matrix algebras.
 
 Maps are represented structurally by their factors (congruence sums,
-pinchings, compressions, identity, and block-diagonal sums of maps), so
-application is exact and cheap; no dense superoperator form is kept.
+pinchings, compressions and the identity), so application is exact and
+cheap; no dense superoperator form is kept.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotOrthonormal, TargetDimMismatch
+from .errors import BadParams, DimMismatch, NotOrthonormal
 from .matcore import HermitianMatrix, eig, hermitian_from
 
 UNITAL_TOL = 1e-10
@@ -138,49 +138,6 @@ class CongruenceSum(PositiveLinearMap):
         return {"kind": "congruence", "factors": [_cplx_to_json(x) for x in self.factors]}
 
 
-@dataclass(frozen=True, eq=False)
-class DiagBlockSum(PositiveLinearMap):
-    """Psi(diag(A_1, ..., A_k)) = sum_i Phi_i(A_i) on block-diagonal inputs.
-
-    General inputs are pinched to their diagonal blocks first, which keeps
-    the composite a positive linear map.
-    """
-
-    maps: tuple[PositiveLinearMap, ...]
-
-    def __post_init__(self):
-        maps = tuple(self.maps)
-        if not maps:
-            raise TargetDimMismatch("need at least one component map")
-        m = maps[0].target_dim
-        for phi in maps:
-            if phi.target_dim != m:
-                raise TargetDimMismatch(
-                    f"component target dims differ: {phi.target_dim} vs {m}"
-                )
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "source_dim", sum(p.source_dim for p in maps))
-        object.__setattr__(self, "target_dim", m)
-
-    def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self._check_source(a)
-        acc = np.zeros((self.target_dim, self.target_dim), dtype=complex)
-        offset = 0
-        for phi in self.maps:
-            n_i = phi.source_dim
-            block = HermitianMatrix(a.entries[offset:offset + n_i, offset:offset + n_i])
-            acc += phi.apply(block).entries
-            offset += n_i
-        return HermitianMatrix(acc)
-
-    def to_jsonable(self) -> dict:
-        return {"kind": "diag_block", "maps": [p.to_jsonable() for p in self.maps]}
-
-
-def apply_map(phi: PositiveLinearMap, a: HermitianMatrix) -> HermitianMatrix:
-    return phi.apply(a)
-
-
 @dataclass(frozen=True)
 class UnitalityReport:
     """Classification of Phi(I): Unital, Subunital (0 < Phi(I) <= I), Neither."""
@@ -190,20 +147,14 @@ class UnitalityReport:
     lambda_min: float
     lambda_max: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "status": self.status,
-            "identity_distance": self.identity_distance,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-        }
 
-
-def unitality_status(phi: PositiveLinearMap) -> UnitalityReport:
-    """Classify Phi(I) from its one decomposition.  Phi(I) - I has the
-    eigenvalues lambda_i - 1, so its operator norm, the identity distance,
-    is the larger of |lambda_max - 1| and |lambda_min - 1|."""
-    values = eig(phi.identity_image()).values
+def unitality_status(phi: PositiveLinearMap | HermitianMatrix) -> UnitalityReport:
+    """Classify Phi(I), given the map or Phi(I) itself (for a sum of maps,
+    the sum of their identity images), from its one decomposition.
+    Phi(I) - I has the eigenvalues lambda_i - 1, so its operator norm, the
+    identity distance, is the larger of |lambda_max - 1| and |lambda_min - 1|."""
+    image = phi if isinstance(phi, HermitianMatrix) else phi.identity_image()
+    values = eig(image).values
     lam_min, lam_max = float(values[-1]), float(values[0])
     dist = max(abs(lam_max - 1.0), abs(lam_min - 1.0))
     if dist <= UNITAL_TOL:
@@ -214,13 +165,6 @@ def unitality_status(phi: PositiveLinearMap) -> UnitalityReport:
         status = "Neither"
     return UnitalityReport(status=status, identity_distance=dist,
                            lambda_min=lam_min, lambda_max=lam_max)
-
-
-def diag_block_map(*maps: PositiveLinearMap) -> PositiveLinearMap:
-    """Combine maps with a common target into one acting on block diagonals."""
-    if len(maps) == 1:
-        return maps[0]
-    return DiagBlockSum(tuple(maps))
 
 
 # -- serialization for replay files -------------------------------------------
@@ -244,7 +188,7 @@ def _cplx_from_json(obj: dict) -> np.ndarray:
 
 
 def map_from_json(obj: dict) -> PositiveLinearMap:
-    kind = obj["kind"]
+    kind = obj.get("kind")
     if kind == "identity":
         return IdentityMap(int(obj["n"]))
     if kind == "compression":
@@ -253,6 +197,4 @@ def map_from_json(obj: dict) -> PositiveLinearMap:
         return Pinching(tuple(tuple(b) for b in obj["blocks"]))
     if kind == "congruence":
         return CongruenceSum(tuple(_cplx_from_json(x) for x in obj["factors"]))
-    if kind == "diag_block":
-        return DiagBlockSum(tuple(map_from_json(p) for p in obj["maps"]))
-    raise TargetDimMismatch(f"unknown map kind {kind!r}")
+    raise BadParams(f"unknown map kind {kind!r}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge, SpectrumOutOfDomain
 from .funcat import ScalarFunction
-from .matcore import HermitianMatrix, apply_function, eig, eig_many, segment_matrices
+from .matcore import HermitianMatrix, apply_function, eig_many, segment_matrices, spectrum_outside
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
 WORD_CAP = 6  # 2**6 = 64 words
@@ -47,10 +47,8 @@ class QuadratureSpec:
 
 
 def _check_spectrum_in_domain(f: ScalarFunction, h: HermitianMatrix, label: str):
-    values = eig(h).values
-    inside = f.domain.contains_array(values)
-    if not np.all(inside):
-        bad = values[~inside].tolist()
+    bad = spectrum_outside(f, h).tolist()
+    if bad:
         raise SpectrumOutOfDomain(
             f"spectrum of {label} leaves domain {f.domain} of {f.name}: {bad}",
             offending=bad,
@@ -145,6 +143,11 @@ def segment_integral(
 
 
 def _word_integral(a: np.ndarray, b: np.ndarray, r: int, exact: bool) -> np.ndarray:
+    r = int(r)
+    if r < 1:
+        raise BadParams(f"power must be a positive integer, got {r}")
+    if r > WORD_CAP:
+        raise RTooLarge(f"word expansion capped at r={WORD_CAP}, got {r}")
     letters = (b, a)  # bit 1 selects A, bit 0 selects B
     acc = None
     for bits in itertools.product((0, 1), repeat=r):
@@ -166,11 +169,6 @@ def poly_segment_oracle(r: int, a: HermitianMatrix, b: HermitianMatrix) -> Hermi
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    r = int(r)
-    if r < 1:
-        raise BadParams(f"power must be a positive integer, got {r}")
-    if r > WORD_CAP:
-        raise RTooLarge(f"word expansion capped at r={WORD_CAP}, got {r}")
     total = _word_integral(a.entries, b.entries, r, exact=False)
     return HermitianMatrix((total + total.conj().T) / 2.0)
 
@@ -181,11 +179,6 @@ def poly_segment_oracle_exact(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarra
     Inputs are object arrays of Fractions (real symmetric); the result is an
     object array of Fractions.
     """
-    r = int(r)
-    if r < 1:
-        raise BadParams(f"power must be a positive integer, got {r}")
-    if r > WORD_CAP:
-        raise RTooLarge(f"word expansion capped at r={WORD_CAP}, got {r}")
     return _word_integral(np.asarray(a, dtype=object), np.asarray(b, dtype=object), r, exact=True)
 
 

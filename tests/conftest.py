@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hhmat.matcore import HermitianMatrix, hermitian_from
+from hhmat.matcore import EigenSystem, HermitianMatrix, hermitian_from
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -30,6 +30,16 @@ def random_hermitian_raw(n: int, rng: np.random.Generator, scale: float = 1.0) -
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return hermitian_from(scale * (g @ g.conj().T) / n)
+
+
+def conjugate_by(h: HermitianMatrix, u: np.ndarray) -> HermitianMatrix:
+    """U* H U for a square matrix U (unitary in all uses here)."""
+    return HermitianMatrix(u.conj().T @ h.entries @ u)
+
+
+def reconstruct(es: EigenSystem) -> np.ndarray:
+    """vectors @ diag(values) @ vectors*, the matrix es decomposes."""
+    return (es.vectors * es.values) @ es.vectors.conj().T
 
 
 def wide_factor_map(tmp_path: Path) -> str:

@@ -8,9 +8,18 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import wide_factor_map
-from hhmat import cli
-from hhmat.harness import InstanceSpec, generate_instance, instance_to_json, random_hermitian
+from hhmat import cli, hhcheck
+from hhmat.harness import (
+    THEOREM_IDS,
+    THEOREMS,
+    InstanceSpec,
+    generate_instance,
+    instance_to_json,
+    random_hermitian,
+)
 from hhmat.matcore import matrix_to_json
 
 
@@ -103,3 +112,88 @@ def test_replay_of_a_missing_or_non_json_file_exits_2(tmp_path, capsys):
     scalar.write_text("5")
     assert cli.main(["replay", str(scalar)]) == 2
     assert "not a JSON object" in capsys.readouterr().err
+
+
+# exp meets every hypothesis on [0.5, 2] except the operator convexity the
+# chain needs and the power the power-norm corollary needs
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_verify_judges_every_trial(theorem, capsys):
+    function = "power:2" if theorem in ("chain", "power_norm") else "exp"
+    code = cli.main(["verify", "--theorem", theorem, "--f", function, "--interval", "0.5,2",
+                     "--n", "3", "--trials", "4", "--seed", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert " skips=0 failures=0 " in out
+
+
+def test_verify_passes_k_and_p_to_the_chain_instances(monkeypatch, capsys):
+    seen = []
+    check = hhcheck.check_refinement_chain
+
+    def spy(f, a, b, k, p, *args):
+        seen.append((k, p))
+        return check(f, a, b, k, p, *args)
+
+    monkeypatch.setattr(hhcheck, "check_refinement_chain", spy)
+    code = cli.main(["verify", "--theorem", "chain", "--f", "power:2", "--interval", "0.5,2",
+                     "--k", "3", "--p", "2", "--n", "3", "--trials", "2"])
+    assert code == 0
+    assert seen == [(3, 2), (3, 2)]
+    assert "chain: trials=2 passes=2" in capsys.readouterr().out
+
+
+def test_chain_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["chain", "--f", "power:2", "--k", "2", "--p", "1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'chain'" in capsys.readouterr().err
+
+
+MAP_FREE = ("scalar", "trace", "bourin", "chain", "counterexample")
+
+
+def test_the_registry_marks_the_map_free_suites():
+    assert {t for t, entry in THEOREMS.items() if not entry.takes_map} == set(MAP_FREE)
+
+
+@pytest.mark.parametrize("theorem", MAP_FREE)
+def test_map_given_to_a_map_free_suite_exits_2(theorem, capsys):
+    code = cli.main(["verify", "--theorem", theorem, "--f", "exp", "--map", "compress:2",
+                     "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: the {theorem} suite takes no map, got 'compress:2'" in captured.err
+    assert captured.out == ""
+
+
+def test_explicit_identity_map_is_accepted_by_a_map_free_suite():
+    assert cli.main(["verify", "--theorem", "trace", "--f", "exp", "--map", "identity",
+                     "--trials", "2"]) == 0
+
+
+def _t4_instance() -> dict:
+    spec = InstanceSpec(n=2, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
+    return instance_to_json(generate_instance("t4", spec, 0))
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda inst: inst["a"].pop("n"), "BadParams: matrix literal has no field 'n'"),
+    (lambda inst: inst["a"]["re"][0].__setitem__(0, float("nan")),
+     "NonFiniteEntries: matrix entries must be finite, got NaN or infinity"),
+])
+def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
+    inst = _t4_instance()
+    edit(inst)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))  # NaN is written as the JSON extension NaN
+    assert cli.main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"t4 seed=[0, 0]: fail margin=n/a {detail}" in captured.out
+    assert captured.err == ""
+
+
+def test_replay_of_a_failure_entry_without_an_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"failures": [{"trial": 0}]}))
+    assert cli.main(["replay", str(path)]) == 2
+    assert "error: failure entry has no field 'instance'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Eigendecomposition caching and worker-count determinism of suites."""
+"""Eigendecomposition caching, worker-count determinism of suites, and the
+theorem registry."""
 
 from __future__ import annotations
 
@@ -12,9 +13,19 @@ import pytest
 
 import hhmat
 from conftest import make_rng, random_hermitian_raw
-from hhmat.errors import BadParams
-from hhmat.harness import InstanceSpec, generate_instance, replay, run_instance, run_suite
+from hhmat import hhcheck
+from hhmat.errors import BadParams, UnknownTheorem
+from hhmat.harness import (
+    THEOREM_IDS,
+    THEOREMS,
+    InstanceSpec,
+    generate_instance,
+    replay,
+    run_instance,
+    run_suite,
+)
 from hhmat.matcore import eig
+from hhmat.orders import OrderVerdict
 
 
 class TestEigenCache:
@@ -96,3 +107,34 @@ def test_import_does_not_load_the_process_pool():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_theorem_ids_are_the_registry_keys():
+    assert THEOREM_IDS == tuple(THEOREMS)
+    assert [t for t, entry in THEOREMS.items() if entry.trials is not None] == ["counterexample"]
+    assert [t for t, entry in THEOREMS.items() if entry.power_f] == ["power_norm"]
+    assert [t for t, entry in THEOREMS.items() if not entry.reads_f] == ["counterexample"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generate_instance("t5", InstanceSpec(), 0),
+    lambda: run_instance({"theorem": "t5", "f": "exp"}),
+    lambda: run_suite(InstanceSpec(trials=1), "t5"),
+    lambda: run_instance({"theorem": ["t4"]}),
+])
+def test_an_unknown_theorem_id_raises(call):
+    with pytest.raises(UnknownTheorem, match="unknown theorem id"):
+        call()
+
+
+def test_runners_look_their_checker_up_at_call_time(monkeypatch):
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
+    inst = generate_instance("t4", spec, 0)
+    monkeypatch.setattr(hhcheck, "check_theorem_t4",
+                        lambda *args: OrderVerdict(holds=False, margin=-1.0))
+    assert (run_instance(inst).status, run_instance(inst).margin) == ("fail", -1.0)
+
+
+def test_replay_of_a_malformed_failures_entry_is_refused():
+    with pytest.raises(BadParams, match="failure entry has no field 'instance'"):
+        replay({"failures": [{"trial": 0}]})

@@ -1,5 +1,5 @@
-"""The chord-ratio memo, the hypotheses around it, and the solver calls a
-checker makes."""
+"""The chord-ratio memo, the hypotheses around it, the shared hypothesis
+helpers, and the solver calls a checker makes."""
 
 from __future__ import annotations
 
@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_psd
-from hhmat import matcore
+from hhmat import hhcheck, matcore, plmaps
 from hhmat.errors import BadInterval, HypothesisUnmet
 from hhmat.funcat import builtin, from_descriptor
-from hhmat.harness import InstanceSpec, generate_instance, random_hermitian, run_instance
+from hhmat.harness import (
+    InstanceSpec,
+    generate_instance,
+    random_hermitian,
+    run_instance,
+    run_suite,
+)
 from hhmat.hhcheck import check_theorem_t4, mond_pecaric_alpha
-from hhmat.plmaps import IdentityMap
+from hhmat.matcore import hermitian_from, matrix_to_json
+from hhmat.plmaps import CongruenceSum, IdentityMap
 from hhmat.segquad import segment_integral
 
 
@@ -88,3 +95,88 @@ def test_t4_builds_no_decomposition_of_a_function_value(monkeypatch):
     segment_integral(f, a, b)
     assert check_theorem_t4(f, IdentityMap(4), a, b, interval=(0.5, 2.0)).holds
     assert derived == []
+
+
+# -- the shared hypothesis helpers ------------------------------------------------
+
+SUBUNITAL_SUITE = dict(n=4, interval=(0.5, 2.0), function="power:2",
+                       map_desc="subcongruence", trials=40, seed=1)
+
+
+def test_norm_chain_on_a_supplied_interval_tests_containment():
+    # Phi(A) = s^2 A with s < 1 pushes spectra below omega = 0.5; judged
+    # anyway, 33 of these 40 trials used to fail
+    report = run_suite(InstanceSpec(**SUBUNITAL_SUITE), "norm_chain")
+    assert (report.failure_count, report.skips, report.passes) == (0, 37, 3)
+    skipped = [rec["detail"] for rec in report.records if rec["verdict"] == "skip"]
+    assert all("leaves [0.5, 2.0]" in detail for detail in skipped)
+
+
+def test_t4_needs_a_unital_map():
+    # trial 1 keeps every spectrum inside [0.5, 2] and used to fail
+    inst = generate_instance("t4", InstanceSpec(**SUBUNITAL_SUITE), 1)
+    result = run_instance(inst)
+    assert (result.status, result.margin) == ("skip", None)
+    assert result.detail.startswith("Phi(I) is not I (distance ")
+    assert result.detail.endswith("); a unital map is needed")
+    rng = make_rng(7)
+    a, b = (random_hermitian(3, 0.5, 2.0, rng) for _ in range(2))
+    half = CongruenceSum((np.eye(3) / np.sqrt(2.0),))
+    with pytest.raises(HypothesisUnmet, match="a unital map is needed"):
+        check_theorem_t4(from_descriptor("exp"), half, a, b)
+
+
+def test_power_norm_on_a_non_psd_input_is_a_skip():
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
+    inst = generate_instance("power_norm", spec, 0)
+    assert run_instance(inst).status == "pass"
+    inst["a"] = matrix_to_json(hermitian_from(np.diag([1.0, 0.5, -0.25])))
+    result = run_instance(inst)
+    assert (result.status, result.margin) == ("skip", None)
+    assert result.detail == "A has negative eigenvalue -2.500e-01"
+
+
+def test_unital_identity_image_needs_no_decomposition(monkeypatch):
+    def refuse(image):
+        raise AssertionError("unitality_status called on a unital image")
+
+    monkeypatch.setattr(plmaps, "unitality_status", refuse)
+    f = from_descriptor("exp")
+    for phi in (IdentityMap(4), CongruenceSum((np.eye(4) / np.sqrt(2.0),) * 2)):
+        assert hhcheck._map_case_reasons(f, phi.identity_image(), f0=None) == []
+
+
+def test_map_case_reasons_name_each_unmet_condition():
+    f = from_descriptor("exp")
+    inflating = hermitian_from(np.diag([2.0, 1.0]))
+    singular = hermitian_from(np.diag([1.0, 0.0]))
+    assert hhcheck._map_case_reasons(f, inflating) == [
+        "Phi(I) has top eigenvalue 2 > 1", "exp(0) <= 0 is not declared"]
+    assert hhcheck._map_case_reasons(from_descriptor("power:2"), singular,
+                                     strict_positive=True) == ["Phi(I) is not strictly positive"]
+    assert hhcheck._map_case_reasons(from_descriptor("inverse"), singular) == [
+        "0 is outside the domain (0, inf] of inverse"]
+    assert hhcheck._map_case_reasons(f, singular, f0="zero") == ["exp(0) = 1 is not 0"]
+    # a unital map does not admit case (i) when unital_ok is False
+    assert hhcheck._map_case_reasons(f, hermitian_from(np.eye(2)), unital_ok=False) == [
+        "exp(0) <= 0 is not declared"]
+
+
+def test_jensen_with_a_short_vector_needs_case_ii():
+    rng = make_rng(8)
+    a = random_hermitian(3, 0.5, 2.0, rng)
+    x = np.ones(3) / 3.0  # norm < 1
+    with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) <= 0 is not declared$"):
+        hhcheck.check_jensen_map(from_descriptor("exp"), IdentityMap(3), a, x)
+    verdict = hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
+    assert verdict.holds
+
+
+def test_bourin_with_subunital_maps_needs_f0_nonpositive():
+    rng = make_rng(9)
+    maps = [CongruenceSum((np.eye(3) / 2.0,)), CongruenceSum((np.eye(3) / 2.0,))]
+    a_list = [random_hermitian(3, 0.5, 2.0, rng) for _ in maps]
+    with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) <= 0 is not declared$"):
+        hhcheck.check_bourin_t2(from_descriptor("exp"), maps, a_list)
+    report = hhcheck.check_bourin_t2(from_descriptor("power:2@0,inf"), maps, a_list)
+    assert report.holds and report.margin >= 0.0

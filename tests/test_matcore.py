@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import eig2x2, make_rng, random_hermitian_raw, random_psd, random_unitary
+from conftest import (
+    conjugate_by,
+    eig2x2,
+    make_rng,
+    random_hermitian_raw,
+    random_psd,
+    random_unitary,
+    reconstruct,
+)
 from hhmat import funcat, matcore
 from hhmat.errors import (
+    BadParams,
     BadSpec,
     ConvergenceFailure,
     ExcessAsymmetryError,
@@ -90,7 +99,7 @@ class TestEig:
             es = eig(h)
             assert np.all(np.diff(es.values) <= 1e-14)
             scale = max(1.0, es.spectral_radius)
-            assert np.max(np.abs(es.reconstruct() - h.entries)) <= 1e-10 * scale
+            assert np.max(np.abs(reconstruct(es) - h.entries)) <= 1e-10 * scale
             assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(n))) <= 1e-10
 
 
@@ -195,6 +204,17 @@ class TestApplyFunction:
             apply_function(funcat.builtin("cube"), h)
         assert any(x < 0 for x in err.value.offending)
 
+    def test_spectrum_outside_lists_the_offending_eigenvalues(self):
+        h = hermitian_from(np.diag([-1.0, 2.0, -3.0]))
+        cube = funcat.builtin("cube")  # domain [0, inf)
+        assert matcore.spectrum_outside(cube, h).tolist() == [-1.0, -3.0]
+        assert matcore.spectrum_outside(funcat.builtin("exp"), h).size == 0
+        with pytest.raises(SpectrumOutOfDomain) as err:
+            apply_function(cube, h)
+        assert err.value.offending == [-1.0, -3.0]
+        assert str(err.value) == ("eigenvalues [-1.0, -3.0] of the argument lie outside "
+                                  "domain [0, inf] of cube")
+
     def test_spectral_mapping_property(self):
         rng = make_rng(7)
         fs = [funcat.builtin("exp"), funcat.builtin("power", 2), funcat.builtin("affine", -1.5, 0.25)]
@@ -212,7 +232,7 @@ class TestApplyFunction:
             n = int(rng.integers(2, 7))
             h = random_hermitian_raw(n, rng)
             u = random_unitary(n, rng)
-            lhs = apply_function(f, h.conjugate_by(u)).entries
+            lhs = apply_function(f, conjugate_by(h, u)).entries
             rhs = (u.conj().T @ apply_function(f, h).entries @ u)
             scale = max(1.0, float(np.max(np.abs(rhs))))
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
@@ -245,7 +265,7 @@ class TestDecompositionOfFunctionValues:
             assert np.max(np.abs(es.values - fresh)) <= 1e-12 * scale
             assert np.all(np.diff(es.values) <= 0.0)
             # each value sits with its own vector
-            assert np.max(np.abs(es.reconstruct() - out.entries)) <= 1e-12 * scale
+            assert np.max(np.abs(reconstruct(es) - out.entries)) <= 1e-12 * scale
             assert np.max(np.abs(out.entries @ es.vectors - es.vectors * es.values)) <= 1e-12 * scale
             # H's vectors, permuted: no solver call made them
             hv = eig(h).vectors
@@ -319,7 +339,7 @@ class TestNorms:
             n = int(rng.integers(2, 7))
             h = random_hermitian_raw(n, rng, scale=float(rng.uniform(0.1, 5.0)))
             u = random_unitary(n, rng)
-            hu = h.conjugate_by(u)
+            hu = conjugate_by(h, u)
             specs = [NormSpec.ky_fan(k) for k in range(1, n + 1)]
             specs += [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.operator()]
             for spec in specs:
@@ -340,12 +360,6 @@ class TestMatrixLiteral:
         h = matrix_from_json(obj)
         assert h.entries[0, 0].real == 1.75
         assert h.entries[0, 1].real == pytest.approx(31 / 6, abs=1e-16)
-
-    def test_exact_loader(self):
-        from fractions import Fraction
-        obj = {"n": 2, "re": [["17/4", "7/4"], ["7/4", "3/4"]]}
-        exact = matcore.exact_matrix_from_json(obj)
-        assert exact[0, 0] == Fraction(17, 4)
 
     def test_im_defaults_to_zero(self):
         h = matrix_from_json({"n": 1, "re": [[2]]})
@@ -392,12 +406,22 @@ class TestMatrixLiteral:
         obj = {"n": 2, "re": re} if im is None else {"n": 2, "re": re, "im": im}
         assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
 
-    @pytest.mark.parametrize("bad, exc", [(float("nan"), ValueError), (float("inf"), OverflowError)])
-    def test_non_finite_entries_are_refused(self, bad, exc):
-        with pytest.raises(exc):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_are_refused(self, bad):
+        with pytest.raises(NonFiniteEntries):
             matrix_from_json({"n": 1, "re": [[bad]]})
-        with pytest.raises(exc):
+        with pytest.raises(NonFiniteEntries):
             matrix_from_json({"n": 1, "re": [[1.0]], "im": [[bad]]})
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"re": [[1.0]]}, "matrix literal has no field 'n'"),
+        ({"n": 1}, "matrix literal has no field 're'"),
+        ({"n": 1, "re": [["one"]]}, "matrix entry 'one' is not a number"),
+        ({"n": 1, "re": [[None]]}, "matrix entry None is not a number"),
+    ])
+    def test_malformed_literals_raise_bad_params(self, obj, message):
+        with pytest.raises(BadParams, match=message):
+            matrix_from_json(obj)
 
     def test_ragged_float_grid_is_not_square(self):
         with pytest.raises(NonSquareError):

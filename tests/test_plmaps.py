@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_hermitian_raw, random_psd
-from hhmat.errors import DimMismatch, NotOrthonormal, TargetDimMismatch
+from hhmat.errors import BadParams, DimMismatch, NotOrthonormal
 from hhmat.matcore import eig, hermitian_from
 from hhmat.orders import loewner_leq
 from hhmat.plmaps import (
     Compression,
     CongruenceSum,
-    DiagBlockSum,
     IdentityMap,
     Pinching,
-    apply_map,
-    diag_block_map,
     map_from_json,
     unitality_status,
 )
@@ -33,12 +30,12 @@ def _sample_maps(n, rng):
 class TestApply:
     def test_identity_map(self):
         a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
-        assert apply_map(IdentityMap(2), a) is a
+        assert IdentityMap(2).apply(a) is a
 
     def test_corner_compression(self):
         a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
         phi = Compression(np.array([[1.0], [0.0]], dtype=complex))
-        out = apply_map(phi, a)
+        out = phi.apply(a)
         assert out.dim == 1
         assert out.entries[0, 0] == pytest.approx(2.0)
 
@@ -46,18 +43,18 @@ class TestApply:
         a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
         x = np.eye(2, dtype=complex) / np.sqrt(2.0)
         phi = CongruenceSum((x, x))
-        np.testing.assert_allclose(apply_map(phi, a).entries, a.entries, atol=1e-14)
+        np.testing.assert_allclose(phi.apply(a).entries, a.entries, atol=1e-14)
 
     def test_pinching_truncates_off_blocks(self):
         a = random_hermitian_raw(4, make_rng(0))
         phi = Pinching(((0, 1), (2, 3)))
-        out = apply_map(phi, a)
+        out = phi.apply(a)
         np.testing.assert_allclose(out.entries[:2, :2], a.entries[:2, :2], atol=1e-15)
         np.testing.assert_allclose(out.entries[2:, :2], 0.0, atol=1e-15)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            apply_map(IdentityMap(3), hermitian_from(np.eye(2)))
+            IdentityMap(3).apply(hermitian_from(np.eye(2)))
 
     def test_bad_isometry_rejected(self):
         with pytest.raises(NotOrthonormal):
@@ -102,6 +99,10 @@ class TestUnitality:
             expected = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
             assert unitality_status(phi).identity_distance == pytest.approx(expected, abs=1e-14)
 
+    def test_identity_image_gives_the_maps_report(self):
+        for phi in _sample_maps(4, make_rng(11)).values():
+            assert unitality_status(phi.identity_image()) == unitality_status(phi)
+
     def test_one_solver_call(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
@@ -113,38 +114,6 @@ class TestUnitality:
             assert len(calls) == 1
 
 
-class TestDiagBlock:
-    def test_single_map_passthrough(self):
-        phi = IdentityMap(2)
-        assert diag_block_map(phi) is phi
-
-    def test_averaging_map(self):
-        rng = make_rng(2)
-        a, b = random_hermitian_raw(2, rng), random_hermitian_raw(2, rng)
-        half = CongruenceSum((np.eye(2, dtype=complex) / np.sqrt(2.0),))
-        psi = diag_block_map(half, half)
-        block = np.zeros((4, 4), dtype=complex)
-        block[:2, :2] = a.entries
-        block[2:, 2:] = b.entries
-        out = psi.apply(hermitian_from(block))
-        np.testing.assert_allclose(out.entries, ((a + b) / 2.0).entries, atol=1e-14)
-
-    def test_identity_image_sums_components(self):
-        rng = make_rng(3)
-        maps = []
-        for _ in range(2):
-            v = np.linalg.qr(rng.standard_normal((3, 2))
-                             + 1j * rng.standard_normal((3, 2)))[0][:, :2]
-            maps.append(Compression(v))
-        psi = diag_block_map(*maps)
-        expected = maps[0].identity_image() + maps[1].identity_image()
-        np.testing.assert_allclose(psi.identity_image().entries, expected.entries, atol=1e-13)
-
-    def test_target_mismatch(self):
-        with pytest.raises(TargetDimMismatch):
-            DiagBlockSum((IdentityMap(2), IdentityMap(3)))
-
-
 class TestMapProperties:
     def test_positivity_on_random_psd(self):
         rng = make_rng(4)
@@ -152,7 +121,7 @@ class TestMapProperties:
         for name, phi in maps.items():
             for _ in range(125):
                 a = random_psd(phi.source_dim, rng)
-                out = apply_map(phi, a)
+                out = phi.apply(a)
                 lam_min = float(eig(out).values[-1])
                 scale = max(1.0, float(eig(out).values[0]))
                 assert lam_min >= -1e-9 * scale, name
@@ -164,8 +133,8 @@ class TestMapProperties:
                 a = random_hermitian_raw(phi.source_dim, rng)
                 b = random_hermitian_raw(phi.source_dim, rng)
                 alpha, beta = float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))
-                lhs = apply_map(phi, alpha * a + beta * b).entries
-                rhs = alpha * apply_map(phi, a).entries + beta * apply_map(phi, b).entries
+                lhs = phi.apply(alpha * a + beta * b).entries
+                rhs = alpha * phi.apply(a).entries + beta * phi.apply(b).entries
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs))), name
 
     def test_kadison_smoke_for_unital_maps(self):
@@ -179,21 +148,22 @@ class TestMapProperties:
             phi = maps[name]
             for _ in range(50):
                 a = random_hermitian_raw(phi.source_dim, rng)
-                lhs = apply_function(square, apply_map(phi, a))
-                rhs = apply_map(phi, apply_function(square, a))
+                lhs = apply_function(square, phi.apply(a))
+                rhs = phi.apply(apply_function(square, a))
                 assert loewner_leq(lhs, rhs, 1e-8).holds, name
 
 
 class TestSerialization:
     def test_roundtrip_all_kinds(self):
         rng = make_rng(7)
-        maps = list(_sample_maps(3, rng).values())
-        maps.append(DiagBlockSum((maps[0], Pinching(((0, 1), (2,))))))
+        maps = _sample_maps(3, rng)
         a = random_hermitian_raw(3, rng)
-        for phi in maps[:4]:
+        for phi in maps.values():
             again = map_from_json(phi.to_jsonable())
             np.testing.assert_allclose(
-                apply_map(again, a).entries, apply_map(phi, a).entries, atol=1e-14)
-        psi = maps[4]
-        again = map_from_json(psi.to_jsonable())
-        assert again.source_dim == psi.source_dim
+                again.apply(a).entries, phi.apply(a).entries, atol=1e-14)
+
+    @pytest.mark.parametrize("obj", [{"kind": "diag_block", "maps": []}, {"n": 2}])
+    def test_unknown_kind_raises_bad_params(self, obj):
+        with pytest.raises(BadParams, match="unknown map kind"):
+            map_from_json(obj)
