@@ -37,13 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     verify.add_argument("--n", type=int)
     verify.add_argument("--m", type=int)
-    verify.add_argument("--f", dest="function")
-    verify.add_argument("--map", dest="map_desc")
+    verify.add_argument("--f", dest="function", metavar="F")
+    verify.add_argument("--map", dest="map_desc", metavar="MAP")
     verify.add_argument("--interval", type=_interval)
     verify.add_argument("--trials", type=int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--k", type=int, dest="chain_k", help="chain: panels per level")
-    verify.add_argument("--p", type=int, dest="chain_p", help="chain: levels, k**p panels")
+    verify.add_argument("--k", type=int, dest="chain_k", metavar="K", help="chain: k**p panels")
+    verify.add_argument("--p", type=int, dest="chain_p", metavar="P", help="chain: k**p panels")
     verify.add_argument("--quad-nodes", type=int)
     verify.add_argument("--quad-rtol", type=float)
     verify.add_argument("--workers", type=int, default=1)
