@@ -19,7 +19,8 @@ import numpy as np
 from . import hhcheck, orders, plmaps
 from .errors import BadInterval, BadParams, Error, HypothesisUnmet, UnknownTheorem
 from .funcat import from_descriptor
-from .matcore import HermitianMatrix, NormSpec, hermitian_from, matrix_from_json, matrix_to_json
+from .matcore import (HermitianMatrix, NormSpec, hermitian_from, json_field, matrix_from_json,
+                      matrix_to_json)
 from .plmaps import (
     Compression,
     CongruenceSum,
@@ -179,8 +180,9 @@ def instance_to_json(obj):
 #
 # generate(spec, rng, phi) returns a theorem's instance fields, phi being the
 # trial's map (None if the suite takes none).  run(inst, f, phi, quad, tol)
-# judges an instance with f and phi loaded (None if not read), looking its
-# checker up on hhcheck at call time so that rebinding one there reaches it.
+# judges an instance with f and phi loaded (None if not read) and returns
+# the checker's report, looking the checker up on hhcheck at call time so
+# that rebinding one there reaches it.
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -201,11 +203,6 @@ class Theorem:
     power_f: bool = False  # f must be a power
 
 
-def _judged(report) -> TrialResult:
-    """pass or fail as a checker's report holds, with its worst margin."""
-    return TrialResult("pass" if report.holds else "fail", report.margin)
-
-
 def _pair(spec: InstanceSpec, rng: np.random.Generator, phi=None, lo: float | None = None) -> dict:
     """A random pair A, B with spectra in the spec interval (above lo if given)."""
     lo, hi = (spec.interval[0] if lo is None else lo), spec.interval[1]
@@ -214,7 +211,7 @@ def _pair(spec: InstanceSpec, rng: np.random.Generator, phi=None, lo: float | No
 
 
 def _load_pair(inst: dict) -> tuple[HermitianMatrix, HermitianMatrix]:
-    return matrix_from_json(_field(inst, "a")), matrix_from_json(_field(inst, "b"))
+    return matrix_from_json(json_field(inst, "a")), matrix_from_json(json_field(inst, "b"))
 
 
 def _gen_scalar(spec, rng, phi) -> dict:
@@ -261,62 +258,59 @@ def _gen_power_norm(spec, rng, phi) -> dict:
     return {**_pair(spec, rng, lo=max(lo, 0.0)), "specs": default_norm_specs(phi.target_dim)}
 
 
-def _run_counterexample(inst, f, phi, quad, tol) -> TrialResult:
+def _run_counterexample(inst, f, phi, quad, tol) -> orders.OrderVerdict:
     passes = hhcheck.reproduce_counterexample().passes
-    return TrialResult("pass" if passes else "fail", 0.0 if passes else -1.0)
+    return orders.OrderVerdict(holds=passes, margin=0.0 if passes else -1.0)
 
 
-def _run_scalar(inst, f, phi, quad, tol) -> TrialResult:
-    x, y = _field(inst, "xy")
-    return _judged(hhcheck.check_scalar_hh(f, x, y, tol))
+def _run_scalar(inst, f, phi, quad, tol):
+    x, y = json_field(inst, "xy")
+    return hhcheck.check_scalar_hh(f, x, y, tol)
 
 
-def _run_jensen(inst, f, phi, quad, tol) -> TrialResult:
-    a, x = matrix_from_json(_field(inst, "a")), _field(inst, "x")
+def _run_jensen(inst, f, phi, quad, tol):
+    a, x = matrix_from_json(json_field(inst, "a")), json_field(inst, "x")
     x = np.array(x["re"], dtype=float) + 1j * np.array(x["im"], dtype=float)
-    return _judged(hhcheck.check_jensen_map(f, phi, a, x, tol))
+    return hhcheck.check_jensen_map(f, phi, a, x, tol)
 
 
-def _run_power_norm(inst, f, phi, quad, tol) -> TrialResult:
+def _run_power_norm(inst, f, phi, quad, tol):
     a, b = _load_pair(inst)
-    specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
-    r = _power_exponent(_field(inst, "f"))
-    return _judged(hhcheck.check_power_norm_corollary(r, phi, a, b, specs, tol, quad))
+    specs = [NormSpec.parse(s) for s in json_field(inst, "specs")]
+    r = _power_exponent(json_field(inst, "f"))
+    return hhcheck.check_power_norm_corollary(r, phi, a, b, specs, tol, quad)
 
 
-def _run_bourin(inst, f, phi, quad, tol) -> TrialResult:
-    maps = [map_from_json(obj) for obj in _field(inst, "maps")]
-    a_list = [matrix_from_json(obj) for obj in _field(inst, "a_list")]
-    return _judged(hhcheck.check_bourin_t2(f, maps, a_list, tol))
+def _run_bourin(inst, f, phi, quad, tol):
+    maps = [map_from_json(obj) for obj in json_field(inst, "maps")]
+    a_list = [matrix_from_json(obj) for obj in json_field(inst, "a_list")]
+    return hhcheck.check_bourin_t2(f, maps, a_list, tol)
 
 
-def _run_norm_chain(inst, f, phi, quad, tol) -> TrialResult:
+def _run_norm_chain(inst, f, phi, quad, tol):
     a, b = _load_pair(inst)
-    specs = [NormSpec.parse(s) for s in _field(inst, "specs")]
-    interval = tuple(_field(inst, "interval"))
-    report = hhcheck.check_norm_chain_corollary(f, phi, a, b, specs, interval, tol, quad)
-    if all(c.skipped for c in report.comparisons):
-        return TrialResult("skip", None, "all norm comparisons skipped (non-PSD terms)")
-    return _judged(report)
+    specs = [NormSpec.parse(s) for s in json_field(inst, "specs")]
+    interval = tuple(json_field(inst, "interval"))
+    return hhcheck.check_norm_chain_corollary(f, phi, a, b, specs, interval, tol, quad)
 
 
 THEOREMS: dict[str, Theorem] = {
     "scalar": Theorem(_gen_scalar, _run_scalar, takes_map=False),
     "jensen": Theorem(_gen_jensen, _run_jensen),
-    "t1": Theorem(_pair, lambda inst, f, phi, quad, tol: _judged(
-        hhcheck.check_theorem_t1(f, phi, *_load_pair(inst), tol, quad))),
-    "trace": Theorem(_pair, lambda inst, f, phi, quad, tol: _judged(
-        hhcheck.check_trace_corollary(f, *_load_pair(inst), tol, quad)), takes_map=False),
+    "t1": Theorem(_pair, lambda inst, f, phi, quad, tol: hhcheck.check_theorem_t1(
+        f, phi, *_load_pair(inst), tol, quad)),
+    "trace": Theorem(_pair, lambda inst, f, phi, quad, tol: hhcheck.check_trace_corollary(
+        f, *_load_pair(inst), tol, quad), takes_map=False),
     "power_norm": Theorem(_gen_power_norm, _run_power_norm, power_f=True),
     "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
-    "t3": Theorem(_gen_t3, lambda inst, f, phi, quad, tol: _judged(
-        hhcheck.check_theorem_t3(f, phi, *_load_pair(inst), tol, quad))),
-    "t4": Theorem(_pair, lambda inst, f, phi, quad, tol: _judged(hhcheck.check_theorem_t4(
-        f, phi, *_load_pair(inst), tuple(_field(inst, "interval")), tol, quad))),
+    "t3": Theorem(_gen_t3, lambda inst, f, phi, quad, tol: hhcheck.check_theorem_t3(
+        f, phi, *_load_pair(inst), tol, quad)),
+    "t4": Theorem(_pair, lambda inst, f, phi, quad, tol: hhcheck.check_theorem_t4(
+        f, phi, *_load_pair(inst), tuple(json_field(inst, "interval")), tol, quad)),
     "chain": Theorem(
         lambda spec, rng, phi: {**_pair(spec, rng), "k": spec.chain_k, "p": spec.chain_p},
-        lambda inst, f, phi, quad, tol: _judged(hhcheck.check_refinement_chain(
-            f, *_load_pair(inst), int(_field(inst, "k")), int(_field(inst, "p")), tol, quad)),
+        lambda inst, f, phi, quad, tol: hhcheck.check_refinement_chain(
+            f, *_load_pair(inst), int(json_field(inst, "k")), int(json_field(inst, "p")), tol, quad),
         takes_map=False),
     "norm_chain": Theorem(
         lambda spec, rng, phi: {**_pair(spec, rng), "specs": default_norm_specs(phi.target_dim)},
@@ -371,31 +365,25 @@ def _power_exponent(descriptor: str) -> float:
     return 3.0 if name == "cube" else float(rest)
 
 
-def _field(obj, key: str, what: str = "instance"):
-    """obj[key], or BadParams naming the field when obj lacks it."""
-    try:
-        return obj[key]
-    except (KeyError, TypeError):
-        raise BadParams(f"{what} has no field {key!r}") from None
-
-
 def run_instance(inst: dict) -> TrialResult:
     """Execute one instance and classify the outcome.
 
     The instance is what generate_instance returns (literal grids as
     arrays) or its JSON form (nested lists, as read from a replay file);
     both give the same matrices bit for bit, so the same verdict and margin.
-    An unmet hypothesis makes a skip.  Any other package error, a missing
-    field included, makes a failed trial whose detail names the error; only
-    an unknown theorem id raises (UnknownTheorem).
+    This is the one place a checker's report becomes a TrialResult: a pass
+    or a fail as it holds, with its margin.  An unmet hypothesis makes a
+    skip.  Any other package error, a missing field included, makes a failed
+    trial whose detail names the error; only an unknown theorem id raises
+    (UnknownTheorem).
     """
     quad = QuadratureSpec(nodes=int(inst.get("quad_nodes", 16)),
                           rtol=float(inst.get("quad_rtol", 1e-11)))
     try:
-        entry = _theorem(_field(inst, "theorem"))
-        f = from_descriptor(_field(inst, "f")) if entry.reads_f else None
-        phi = map_from_json(_field(inst, "map")) if entry.takes_map else None
-        return entry.run(inst, f, phi, quad, orders.DEFAULT_TOL)
+        entry = _theorem(json_field(inst, "theorem"))
+        f = from_descriptor(json_field(inst, "f")) if entry.reads_f else None
+        phi = map_from_json(json_field(inst, "map")) if entry.takes_map else None
+        report = entry.run(inst, f, phi, quad, orders.DEFAULT_TOL)
     except HypothesisUnmet as exc:
         return TrialResult("skip", None, str(exc))
     except UnknownTheorem:
@@ -404,6 +392,7 @@ def run_instance(inst: dict) -> TrialResult:
         # A checker error with hypotheses supposedly satisfiable is a bug
         # signal; record it as a deterministic failure rather than crashing.
         return TrialResult("fail", None, f"{type(exc).__name__}: {exc}")
+    return TrialResult("pass" if report.holds else "fail", report.margin)
 
 
 # -- suite orchestration ----------------------------------------------------------
@@ -527,7 +516,7 @@ def replay(obj: dict) -> list[tuple[dict, TrialResult]]:
     if not isinstance(obj, dict):
         raise BadParams("replay input is not a JSON object")
     if "failures" in obj:
-        instances = [_field(fail, "instance", "failure entry") for fail in obj["failures"]]
+        instances = [json_field(fail, "instance", "failure entry") for fail in obj["failures"]]
     elif "instance" in obj:
         instances = [obj["instance"]]
     elif "theorem" in obj:

@@ -5,6 +5,12 @@ before judging the conclusion and raises HypothesisUnmet when they fail, so
 an inequality violation with hypotheses met is always a bug signal.  The
 fixed 2x2 counterexample showing that the naive two-sided matrix bound for
 t^3 fails is reproduced in exact rational arithmetic.
+
+A checker returns the OrderVerdict of its one comparison, a ChainReport of
+labelled verdicts for several, or (t1) the MajorizationReport of the
+partial sums; a harness reads only holds and margin.  Each verdict comes
+from orders.judge.  No judged link means a skip: a checker left with no
+comparison to judge raises HypothesisUnmet.
 """
 
 from __future__ import annotations
@@ -49,16 +55,19 @@ ALPHA_MEMO_SIZE = 64
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Ordered inequality chain: terms t_0 <= t_1 <= ... judged link by link."""
+    """Labelled verdicts, never none: the links of an inequality chain, one
+    norm comparison per norm, or dominance and its witness.  It holds when
+    every link holds; its margin is the smallest link margin."""
 
-    labels: tuple[str, ...]
-    terms: tuple
-    links: tuple[OrderVerdict, ...]
-    holds: bool
+    links: dict[str, OrderVerdict]
+
+    @property
+    def holds(self) -> bool:
+        return all(link.holds for link in self.links.values())
 
     @property
     def margin(self) -> float:
-        return min(link.margin for link in self.links)
+        return min(link.margin for link in self.links.values())
 
 
 @dataclass(frozen=True)
@@ -69,50 +78,6 @@ class AlphaResult:
     argmax_t: float
     omega: float
     Omega: float
-
-
-@dataclass(frozen=True)
-class NormComparison:
-    spec: str
-    lhs: float
-    rhs: float
-    margin: float
-    holds: bool
-    skipped: bool = False
-
-
-@dataclass(frozen=True)
-class NormReport:
-    comparisons: tuple[NormComparison, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(c.holds for c in self.comparisons)
-
-    @property
-    def margin(self) -> float:
-        margins = [c.margin for c in self.comparisons if not c.skipped]
-        return min(margins) if margins else math.inf
-
-
-@dataclass(frozen=True)
-class BourinReport:
-    """Eigenvalue dominance plus the constructed conjugating unitary; it holds
-    when dominance holds and the witness confirms it."""
-
-    dominance: OrderVerdict
-    witness: np.ndarray | None
-    witness_verdict: OrderVerdict | None
-
-    @property
-    def holds(self) -> bool:
-        return self.dominance.holds and (self.witness_verdict is None or self.witness_verdict.holds)
-
-    @property
-    def margin(self) -> float:
-        if self.witness_verdict is None:
-            return self.dominance.margin
-        return min(self.dominance.margin, self.witness_verdict.margin)
 
 
 # -- hypothesis helpers ---------------------------------------------------------
@@ -142,15 +107,15 @@ def _map_case_reasons(
     image: HermitianMatrix,
     *,
     strict_positive: bool = False,
-    f0: str | None = "nonpositive",  # "nonpositive" | "zero" | None
+    subunital_ok: bool = True,
     unital_ok: bool = True,
     label: str = "Phi(I)",
 ) -> list[str]:
     """Empty list when the identity image Phi(I) (for a sum of maps, the sum
     of their identity images) meets case (i), Phi(I) = I, or case (ii),
     Phi(I) <= I (and strictly positive when asked) with 0 in the domain of f
-    and f(0) <= 0 declared (f0="zero": f(0) = 0).  f0=None admits case (i)
-    only; unital_ok=False admits case (ii) only.
+    and f(0) <= 0 declared.  subunital_ok=False admits case (i) only;
+    unital_ok=False admits case (ii) only.
 
     Phi(I) within UNITAL_TOL of I in the Frobenius norm is unital with no
     decomposition: that norm bounds the operator-norm distance that
@@ -161,7 +126,7 @@ def _map_case_reasons(
     rep = plmaps.unitality_status(image)
     if unital_ok and rep.status == "Unital":
         return []
-    if f0 is None:
+    if not subunital_ok:
         return [f"{label} is not I (distance {rep.identity_distance:.3g}); a unital map is needed"]
     reasons = []
     if rep.lambda_max > 1.0 + plmaps.UNITAL_TOL:
@@ -170,28 +135,20 @@ def _map_case_reasons(
         reasons.append(f"{label} is not strictly positive")
     if not f.domain.contains(0.0):
         reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
-    elif f0 == "zero":
-        if abs(f(0.0)) > 1e-12:
-            reasons.append(f"{f.name}(0) = {f(0.0):.3g} is not 0")
     elif f.flags.f0_nonpositive is not True:
         reasons.append(f"{f.name}(0) <= 0 is not declared")
     return reasons
 
 
-def _norm_comparison(label: str, lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec,
-                     tol: float, judged: bool = True) -> NormComparison:
-    """|||lhs_m||| <= |||rhs_m||| in the norm spec; always holding, and marked
-    skipped, when not judged."""
+def _norm_link(lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec, tol: float) -> OrderVerdict:
+    """|||lhs_m||| <= |||rhs_m||| in the norm spec."""
     lhs, rhs = ui_norm(lhs_m, spec), ui_norm(rhs_m, spec)
-    margin = rhs - lhs
-    return NormComparison(spec=label, lhs=lhs, rhs=rhs, margin=margin,
-                          holds=margin >= -tol * max(1.0, lhs, rhs) if judged else True,
-                          skipped=not judged)
+    return orders.judge(rhs - lhs, max(lhs, rhs), tol)
 
 
 def _is_psd(h: HermitianMatrix, tol: float = DEFAULT_TOL) -> bool:
     es = eig(h)
-    return float(es.values[-1]) >= -tol * max(1.0, es.spectral_radius)
+    return orders.judge(float(es.values[-1]), es.spectral_radius, tol).holds
 
 
 # -- scalar two-sided bound ------------------------------------------------------
@@ -208,17 +165,9 @@ def check_scalar_hh(f: ScalarFunction, x: float, y: float, tol: float = DEFAULT_
     t0 = width * f((x + y) / 2.0)
     t1 = scalar_segment_integral(f, x, y)
     t2 = width * (f(x) + f(y)) / 2.0
-    scale = max(1.0, abs(t0), abs(t1), abs(t2))
-    links = (
-        OrderVerdict(holds=t1 - t0 >= -tol * scale, margin=t1 - t0),
-        OrderVerdict(holds=t2 - t1 >= -tol * scale, margin=t2 - t1),
-    )
-    return ChainReport(
-        labels=("scaled_midpoint", "integral", "scaled_endpoint_average"),
-        terms=(t0, t1, t2),
-        links=links,
-        holds=all(link.holds for link in links),
-    )
+    scale = max(abs(t0), abs(t1), abs(t2))
+    return ChainReport({"scaled_midpoint<=integral": orders.judge(t1 - t0, scale, tol),
+                        "integral<=scaled_endpoint_average": orders.judge(t2 - t1, scale, tol)})
 
 
 # -- quadratic-form comparison under a positive map --------------------------------
@@ -248,9 +197,7 @@ def check_jensen_map(
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))
     rhs = float((x.conj() @ pfa.entries @ x).real)
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return OrderVerdict(holds=margin >= -tol * scale, margin=margin)
+    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)), tol)
 
 
 # -- weak-majorization midpoint bound ----------------------------------------------
@@ -285,9 +232,7 @@ def check_trace_corollary(
     _check_hypotheses(_require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b}))
     lhs = apply_function(f, (a + b) / 2.0).trace
     rhs = segment_integral(f, a, b, quad).trace
-    margin = rhs - lhs
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return OrderVerdict(holds=margin >= -tol * scale, margin=margin)
+    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)), tol)
 
 
 def check_power_norm_corollary(
@@ -298,20 +243,22 @@ def check_power_norm_corollary(
     specs,
     tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> NormReport:
+) -> ChainReport:
     """Unitarily invariant norm comparison for f(t) = t^r, r > 1, on PSD
-    inputs: |||((Phi(A)+Phi(B))/2)^r||| <= |||Phi(segment integral of t^r)|||."""
+    inputs: |||((Phi(A)+Phi(B))/2)^r||| <= |||Phi(segment integral of t^r)|||,
+    one link per norm spec."""
     if not r > 1.0:
         raise BadParams(f"power norm comparison needs r > 1, got {r}")
     f = builtin("power", r)
+    specs = list(specs)
     reasons = [f"{label} has negative eigenvalue {float(eig(h).values[-1]):.3e}"
                for label, h in (("A", a), ("B", b)) if not _is_psd(h, tol)]
     reasons += _map_case_reasons(f, phi.identity_image())
+    reasons += [] if specs else ["no norm spec to judge"]
     _check_hypotheses(reasons)
     lhs_m = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
     rhs_m = phi.apply(segment_integral(f, a, b, quad))
-    return NormReport(tuple(_norm_comparison(str(spec), lhs_m, rhs_m, spec, tol)
-                            for spec in specs))
+    return ChainReport({str(spec): _norm_link(lhs_m, rhs_m, spec, tol) for spec in specs})
 
 
 # -- monotone-convex endpoint bound (unitary conjugate form) -----------------------
@@ -321,13 +268,14 @@ def check_bourin_t2(
     maps,
     a_list,
     tol: float = DEFAULT_TOL,
-) -> BourinReport:
+) -> ChainReport:
     """f(sum_i Phi_i(A_i)) is dominated, after a unitary conjugation, by
     sum_i Phi_i(f(A_i)) for increasing convex f.
 
     Existence of the conjugating unitary is equivalent to eigenvalue
-    dominance, so the checker reports the dominance verdict and constructs
-    the witness when it holds.
+    dominance, so the checker reports the "dominance" verdict and, when it
+    holds, constructs the unitary and reports the Loewner check it passes,
+    to ten times the tolerance, as the "witness" link.
     """
     maps, a_list = list(maps), list(a_list)
     if len(maps) != len(a_list) or not maps:
@@ -351,14 +299,12 @@ def check_bourin_t2(
         arg = arg + phi.apply(h)
         val = val + phi.apply(apply_function(f, h))
     lhs = apply_function(f, arg)
-    dominance = orders.eigen_dominance(lhs, val, tol)
-    witness = orders.unitary_witness(lhs, val, tol) if dominance.holds else None
-    witness_verdict = None
-    if witness is not None:
-        u = witness.conj().T  # lhs <= U val U*
-        witness_verdict = orders.loewner_leq(lhs, HermitianMatrix(u @ val.entries @ u.conj().T),
-                                             tol * 10)
-    return BourinReport(dominance=dominance, witness=witness, witness_verdict=witness_verdict)
+    links = {"dominance": orders.eigen_dominance(lhs, val, tol)}
+    if links["dominance"].holds:
+        u = orders.unitary_witness(lhs, val, tol).conj().T  # lhs <= U val U*
+        links["witness"] = orders.loewner_leq(lhs, HermitianMatrix(u @ val.entries @ u.conj().T),
+                                              tol * 10)
+    return ChainReport(links)
 
 
 # -- conditional endpoint bound with a supplied uniform unitary --------------------
@@ -370,7 +316,7 @@ def check_theorem_t3(
     b: HermitianMatrix,
     tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> ChainReport:
+) -> OrderVerdict:
     """If one unitary U satisfies f(t Phi(A) + (1-t) Phi(B)) <= U [t Phi(f(A))
     + (1-t) Phi(f(B))] U* along the whole segment, then the eigenvalues of the
     segment integral are dominated by those of the endpoint average.
@@ -391,14 +337,7 @@ def check_theorem_t3(
         if not orders.loewner_leq(apply_function(f, point), rhs_t, tol).holds:
             raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
     integral = segment_integral(f, pa, pb, quad)
-    average = (pfa + pfb) / 2.0
-    verdict = orders.eigen_dominance(integral, average, tol)
-    return ChainReport(
-        labels=("segment_integral", "endpoint_average"),
-        terms=(integral, average),
-        links=(verdict,),
-        holds=verdict.holds,
-    )
+    return orders.eigen_dominance(integral, (pfa + pfb) / 2.0, tol)
 
 
 # -- chord-ratio constant and the converse bound -----------------------------------
@@ -468,11 +407,10 @@ def _converse_hypotheses(
     a: HermitianMatrix,
     b: HermitianMatrix,
     interval: tuple[float, float] | None,
-    **map_case,
 ) -> tuple[HermitianMatrix, HermitianMatrix, float]:
     """(Phi(A), Phi(B), alpha) once the hypotheses of the converse bound
-    hold: f convex, the spectra of A, B, Phi(A) and Phi(B) in its domain, the
-    map case (see _map_case_reasons) and the working interval [omega, Omega].
+    hold: f convex, the spectra of A, B, Phi(A) and Phi(B) in its domain, Phi
+    unital and the working interval [omega, Omega].
 
     A supplied interval must contain those four spectra (to a 1e-9 relative
     pad); without one it is their spectral hull, widened by 0.5 each side if
@@ -482,7 +420,7 @@ def _converse_hypotheses(
     pa, pb = phi.apply(a), phi.apply(b)
     mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, mats)
-    reasons += _map_case_reasons(f, phi.identity_image(), **map_case)
+    reasons += _map_case_reasons(f, phi.identity_image(), subunital_ok=False)
     if interval is None:
         omega = min(float(eig(h).values[-1]) for h in mats.values())
         Omega = max(float(eig(h).values[0]) for h in mats.values())
@@ -518,7 +456,7 @@ def check_theorem_t4(
     Phi(A) and Phi(B); when omitted it defaults to their spectral hull (see
     _converse_hypotheses).
     """
-    pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval, f0=None)
+    pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval)
     lhs = phi.apply(segment_integral(f, a, b, quad))
     rhs = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
     return orders.loewner_leq(lhs, rhs, tol)
@@ -533,25 +471,29 @@ def check_norm_chain_corollary(
     interval: tuple[float, float] | None = None,
     tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> NormReport:
+) -> ChainReport:
     """Three-term norm chain: |||f((Phi(A)+Phi(B))/2)||| <= |||Phi(segment
-    integral)||| <= alpha |||(f(Phi(A))+f(Phi(B)))/2|||.
+    integral)||| <= alpha |||(f(Phi(A))+f(Phi(B)))/2|||, two links per norm
+    spec, labelled "<spec>:link0" and "<spec>:link1".
 
-    The hypotheses are those of check_theorem_t4 (see _converse_hypotheses),
-    except that Phi may also be subunital with f(0) = 0.  Norm monotonicity
-    from the underlying matrix orders needs PSD displayed matrices, so
-    comparisons involving a non-PSD term are reported skipped.
+    The hypotheses are those of check_theorem_t4 (see _converse_hypotheses):
+    the second link is the converse bound, which needs a unital map.  Norm
+    monotonicity from the underlying matrix orders needs PSD displayed
+    matrices, so a link with a non-PSD term is left out, and a chain with
+    every link left out is an unmet hypothesis.
     """
-    pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval,
-                                         strict_positive=True, f0="zero")
+    pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval)
     m0 = apply_function(f, (pa + pb) / 2.0)
     m1 = phi.apply(segment_integral(f, a, b, quad))
     m2 = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
     terms = (m0, m1, m2)
     psd = [_is_psd(m, tol) for m in terms]
-    return NormReport(tuple(
-        _norm_comparison(f"{spec}:link{link}", terms[i], terms[j], spec, tol, psd[i] and psd[j])
-        for spec in specs for link, (i, j) in enumerate(((0, 1), (1, 2)))))
+    links = {f"{spec}:link{link}": _norm_link(terms[i], terms[j], spec, tol)
+             for spec in specs for link, (i, j) in enumerate(((0, 1), (1, 2)))
+             if psd[i] and psd[j]}
+    if not links:
+        raise HypothesisUnmet("all norm comparisons skipped (non-PSD terms)")
+    return ChainReport(links)
 
 
 # -- five-term refinement chain for operator convex functions ----------------------
@@ -586,14 +528,9 @@ def check_refinement_chain(
     l3 = HermitianMatrix(segment_sum(f, a, b, edges, edge_weights)) / (2.0 * n_panels)
     l4 = (apply_function(f, a) + apply_function(f, b)) / 2.0
     terms = (l0, l1, l2, l3, l4)
-    links = tuple(orders.loewner_leq(terms[i], terms[i + 1], tol) for i in range(4))
-    return ChainReport(
-        labels=("midpoint", "midpoint_riemann", "integral", "trapezoid_riemann",
-                "endpoint_average"),
-        terms=terms,
-        links=links,
-        holds=all(link.holds for link in links),
-    )
+    labels = ("midpoint", "midpoint_riemann", "integral", "trapezoid_riemann", "endpoint_average")
+    return ChainReport({f"{labels[i]}<={labels[i + 1]}":
+                        orders.loewner_leq(terms[i], terms[i + 1], tol) for i in range(4)})
 
 
 # -- the fixed 2x2 counterexample ---------------------------------------------------

@@ -430,14 +430,20 @@ def _float_grid(grid, n: int) -> np.ndarray:
                     dtype=float).reshape(n, n)
 
 
+def json_field(obj, key: str, what: str = "instance"):
+    """obj[key], or BadParams naming the field when obj, the `what` of a
+    replayed instance, lacks it."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        raise BadParams(f"{what} has no field {key!r}") from None
+
+
 def matrix_from_json(obj: dict) -> HermitianMatrix:
     """Load a HermitianMatrix from the matrix literal format; a literal
     without "n" or "re" raises BadParams."""
-    try:
-        n, re = int(obj["n"]), obj["re"]
-    except KeyError as exc:
-        raise BadParams(f"matrix literal has no field {exc.args[0]!r}") from None
-    re = _float_grid(re, n)
+    n = int(json_field(obj, "n", "matrix literal"))
+    re = _float_grid(json_field(obj, "re", "matrix literal"), n)
     im = _float_grid(obj["im"], n) if obj.get("im") is not None else np.zeros((n, n))
     return hermitian_from(re + 1j * im)
 

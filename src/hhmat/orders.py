@@ -1,8 +1,13 @@
-"""Order relations between Hermitian matrices.
+"""Order relations between Hermitian matrices, and the one tolerance rule.
 
 Three nested orders: the Loewner order (difference is PSD), entrywise
 dominance of descending eigenvalue vectors, and weak majorization of the
 eigenvalue partial sums.
+
+Every comparison in the package, these orders and the scalar, trace, norm
+and PSD comparisons of the checkers alike, reduces to a signed margin and a
+magnitude scale of its operands and is judged by judge(): it holds when
+margin >= -tol * max(1, scale).  That rule is written nowhere else.
 """
 
 from __future__ import annotations
@@ -19,16 +24,24 @@ DEFAULT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    """Outcome of a single order comparison.
+    """Outcome of a single comparison, as judge() gives it.
 
-    margin is signed: the smallest eigenvalue of the gap (Loewner) or the
-    smallest entrywise surplus (dominance).  holds is margin >= -tol * scale
-    with scale = max(1, magnitude of the operands).
+    margin is signed: the smallest eigenvalue of the gap (Loewner), the
+    smallest entrywise surplus (dominance), or rhs - lhs of a scalar or norm
+    comparison.  holds is margin >= -tol * max(1, scale), scale being the
+    magnitude of the operands.  witness, kept only when the comparison
+    fails, locates the failure.
     """
 
     holds: bool
     margin: float
     witness: object | None = None
+
+
+def judge(margin: float, scale: float, tol: float = DEFAULT_TOL, witness=None) -> OrderVerdict:
+    """The one tolerance rule: margin >= -tol * max(1, scale)."""
+    holds = bool(margin >= -tol * max(1.0, scale))
+    return OrderVerdict(holds=holds, margin=margin, witness=None if holds else witness)
 
 
 @dataclass(frozen=True)
@@ -54,11 +67,7 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL
     """Is a <= b in the Loewner order, i.e. is b - a PSD up to tolerance?"""
     _check_same_dim(a, b)
     gap = eig(b - a)
-    margin = float(gap.values[-1])
-    scale = max(1.0, gap.spectral_radius)
-    holds = margin >= -tol * scale
-    witness = None if holds else gap.vectors[:, -1]
-    return OrderVerdict(holds=holds, margin=margin, witness=witness)
+    return judge(float(gap.values[-1]), gap.spectral_radius, tol, witness=gap.vectors[:, -1])
 
 
 def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
@@ -67,10 +76,8 @@ def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT
     la, lb = eig(a).values, eig(b).values
     gaps = lb - la
     j = int(np.argmin(gaps))
-    margin = float(gaps[j])
-    scale = max(1.0, float(np.max(np.abs(la))), float(np.max(np.abs(lb))))
-    holds = margin >= -tol * scale
-    return OrderVerdict(holds=holds, margin=margin, witness=None if holds else j)
+    scale = max(float(np.max(np.abs(la))), float(np.max(np.abs(lb))))
+    return judge(float(gaps[j]), scale, tol, witness=j)
 
 
 def weak_majorization(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> MajorizationReport:
@@ -79,8 +86,8 @@ def weak_majorization(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAU
     psa = np.cumsum(eig(a).values)
     psb = np.cumsum(eig(b).values)
     deficits = psb - psa
-    scale = max(1.0, float(np.max(np.abs(psa))), float(np.max(np.abs(psb))))
-    holds = bool(np.min(deficits) >= -tol * scale)
+    scale = max(float(np.max(np.abs(psa))), float(np.max(np.abs(psb))))
+    holds = judge(float(np.min(deficits)), scale, tol).holds
     for arr in (psa, psb, deficits):
         arr.flags.writeable = False
     return MajorizationReport(partial_sums_a=psa, partial_sums_b=psb, deficits=deficits, holds=holds)

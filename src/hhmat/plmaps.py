@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DimMismatch, NotOrthonormal
-from .matcore import HermitianMatrix, eig, hermitian_from
+from .matcore import HermitianMatrix, eig, hermitian_from, json_field
 
 UNITAL_TOL = 1e-10
 SUBUNITAL_POSITIVITY_TOL = 1e-12
@@ -180,21 +180,24 @@ def _cplx_to_json(x: np.ndarray) -> dict:
 
 
 def _cplx_from_json(obj: dict) -> np.ndarray:
-    re = np.array(obj["re"], dtype=float)
-    x = re.astype(complex)
+    x = np.array(json_field(obj, "re", "factor literal"), dtype=float).astype(complex)
     if obj.get("im") is not None:
         x = x + 1j * np.array(obj["im"], dtype=float)
-    return x.reshape(int(obj["rows"]), int(obj["cols"]))
+    return x.reshape(int(json_field(obj, "rows", "factor literal")),
+                     int(json_field(obj, "cols", "factor literal")))
 
 
 def map_from_json(obj: dict) -> PositiveLinearMap:
+    """Load a map literal; one without a field its kind needs raises
+    BadParams naming the field."""
     kind = obj.get("kind")
+    what = f"{kind} map literal"
     if kind == "identity":
-        return IdentityMap(int(obj["n"]))
+        return IdentityMap(int(json_field(obj, "n", what)))
     if kind == "compression":
-        return Compression(_cplx_from_json(obj["v"]))
+        return Compression(_cplx_from_json(json_field(obj, "v", what)))
     if kind == "pinching":
-        return Pinching(tuple(tuple(b) for b in obj["blocks"]))
+        return Pinching(tuple(tuple(b) for b in json_field(obj, "blocks", what)))
     if kind == "congruence":
-        return CongruenceSum(tuple(_cplx_from_json(x) for x in obj["factors"]))
+        return CongruenceSum(tuple(_cplx_from_json(x) for x in json_field(obj, "factors", what)))
     raise BadParams(f"unknown map kind {kind!r}")

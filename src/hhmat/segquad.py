@@ -1,6 +1,6 @@
 """Integration of the matrix segment curve t -> f(tA + (1-t)B) over [0, 1].
 
-Gauss-Legendre quadrature with optional node doubling, plus an independent
+Gauss-Legendre quadrature with node doubling, plus an independent
 word-expansion oracle for integer powers: (tA + (1-t)B)^r expands into
 noncommutative words in {A, B} whose scalar coefficients integrate exactly
 as Beta integrals.  The oracle is exponential in r by design; it exists to
@@ -33,10 +33,9 @@ STACK_ENTRY_BUDGET = 4096
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre node count, optional adaptive doubling, and its rtol."""
+    """Gauss-Legendre starting node count and the rtol its doubling stops at."""
 
     nodes: int = 16
-    refine: bool = True
     rtol: float = 1e-11
 
     def __post_init__(self):
@@ -110,8 +109,8 @@ def segment_integral(
     Spectra are required to stay inside the domain of f; this is checked at
     the endpoints and at every quadrature node (the segment's spectral
     bounds are convex in t, so a dense check is unnecessary at these
-    tolerances).  With refine=True the node count doubles until successive
-    results agree to rtol in relative operator norm, capped at NODE_CAP.
+    tolerances).  The node count doubles until successive results agree to
+    rtol in relative max-entry norm, capped at NODE_CAP.
 
     A pass decomposes its nodes in stacks (see segment_points): one
     solver call per stack, with the reconstruction and orthonormality
@@ -127,8 +126,6 @@ def segment_integral(
     _check_spectrum_in_domain(f, b, "the t=0 endpoint")
     nodes = spec.nodes
     current = _gauss_pass(f, a, b, nodes)
-    if not spec.refine:
-        return HermitianMatrix((current + current.conj().T) / 2.0)
     while True:
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
@@ -189,9 +186,9 @@ def scalar_segment_integral(f, x: float, y: float, rtol: float = 1e-12, nodes: i
         raise BadParams(f"need x < y, got [{x}, {y}]")
 
     def one_pass(n: int) -> float:
-        u, w = np.polynomial.legendre.leggauss(n)
-        ts = x + (u + 1.0) * (y - x) / 2.0
-        return float(sum(wi * f(t) for wi, t in zip(w, ts)) * (y - x) / 2.0)
+        # halving is exact: these nodes and sums match the [-1, 1] rule's
+        ts, ws = _gauss_rule(n)
+        return float(sum(wi * f(t) for wi, t in zip(ws, x + ts * (y - x))) * (y - x))
 
     current = one_pass(nodes)
     while True:

@@ -6,6 +6,7 @@ violation (or a recorded failure on replay); 2: usage error.
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -176,10 +177,29 @@ def _t4_instance() -> dict:
     return instance_to_json(generate_instance("t4", spec, 0))
 
 
+def _without(literal: dict, key: str) -> dict:
+    return {k: v for k, v in literal.items() if k != key}
+
+
+FACTOR = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
+MAP_LITERALS = {
+    "identity": ("n", {"kind": "identity", "n": 2}),
+    "compression": ("v", {"kind": "compression", "v": FACTOR}),
+    "pinching": ("blocks", {"kind": "pinching", "blocks": [[0], [1]]}),
+    "congruence": ("factors", {"kind": "congruence", "factors": [FACTOR]}),
+}
+
+
 @pytest.mark.parametrize("edit, detail", [
     (lambda inst: inst["a"].pop("n"), "BadParams: matrix literal has no field 'n'"),
     (lambda inst: inst["a"]["re"][0].__setitem__(0, float("nan")),
      "NonFiniteEntries: matrix entries must be finite, got NaN or infinity"),
+    *[(lambda inst, key=key, literal=literal: inst.__setitem__("map", _without(literal, key)),
+       f"BadParams: {kind} map literal has no field {key!r}")
+      for kind, (key, literal) in MAP_LITERALS.items()],
+    *[(lambda inst, key=key: inst.__setitem__(
+        "map", {"kind": "congruence", "factors": [_without(FACTOR, key)]}),
+       f"BadParams: factor literal has no field {key!r}") for key in FACTOR],
 ])
 def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
     inst = _t4_instance()
@@ -197,3 +217,28 @@ def test_replay_of_a_failure_entry_without_an_instance_exits_2(tmp_path, capsys)
     path.write_text(json.dumps({"failures": [{"trial": 0}]}))
     assert cli.main(["replay", str(path)]) == 2
     assert "error: failure entry has no field 'instance'" in capsys.readouterr().err
+
+
+def test_alpha_prints_the_chord_ratio_constant(capsys):
+    assert cli.main(["alpha", "--f", "exp", "--interval", "0.5,2"]) == 0
+    assert capsys.readouterr().out == (
+        "alpha=1.3137397067311165 argmax_t=1.0691746129448738 interval=[0.5,2]\n")
+
+
+def test_verify_writes_one_csv_row_per_trial(tmp_path):
+    # t3 under a random pinching: 4 passes and 2 trials whose uniform
+    # unitary hypothesis fails
+    paths = {ext: tmp_path / f"report.{ext}" for ext in ("json", "csv")}
+    assert cli.main(["verify", "--theorem", "t3", "--f", "exp", "--interval", "0.5,2",
+                     "--map", "pinch", "--n", "3", "--trials", "6", "--seed", "1",
+                     "--json", str(paths["json"]), "--csv", str(paths["csv"])]) == 0
+    records = json.loads(paths["json"].read_text())["records"]
+    with open(paths["csv"], newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["theorem", "trial", "seed", "verdict", "margin"]
+    assert [row[:4] for row in rows] == [
+        ["t3", str(rec["trial"]), rec["seed"], rec["verdict"]] for rec in records]
+    assert sorted(row[3] for row in rows) == ["pass"] * 4 + ["skip"] * 2
+    for row, rec in zip(rows, records):
+        assert row[4] == ("" if rec["verdict"] == "skip" else repr(rec["margin"]))
+        assert rec["margin"] is None or float(row[4]) == rec["margin"]

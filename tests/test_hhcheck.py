@@ -104,12 +104,24 @@ SUBUNITAL_SUITE = dict(n=4, interval=(0.5, 2.0), function="power:2",
 
 
 def test_norm_chain_on_a_supplied_interval_tests_containment():
-    # Phi(A) = s^2 A with s < 1 pushes spectra below omega = 0.5; judged
-    # anyway, 33 of these 40 trials used to fail
+    # Phi(A) = s^2 A with s < 1 pushes spectra below omega = 0.5 in 37 of
+    # these 40 trials; judged anyway, 33 used to fail.  The map is not
+    # unital either, and each skip names every unmet hypothesis.
     report = run_suite(InstanceSpec(**SUBUNITAL_SUITE), "norm_chain")
-    assert (report.failure_count, report.skips, report.passes) == (0, 37, 3)
-    skipped = [rec["detail"] for rec in report.records if rec["verdict"] == "skip"]
-    assert all("leaves [0.5, 2.0]" in detail for detail in skipped)
+    assert (report.failure_count, report.skips, report.passes) == (0, 40, 0)
+    details = [rec["detail"] for rec in report.records]
+    assert all("a unital map is needed" in detail for detail in details)
+    assert sum("leaves [0.5, 2.0]" in detail for detail in details) == 37
+
+
+def test_norm_chain_needs_a_unital_map():
+    # trial 9 keeps every spectrum inside [0.5, 2] with Phi(I) = 0.605 I; its
+    # second link is the converse bound, and it used to fail by -0.458
+    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="power:2",
+                        map_desc="subcongruence", seed=3, trials=12)
+    result = run_instance(generate_instance("norm_chain", spec, 9))
+    assert (result.status, result.margin) == ("skip", None)
+    assert result.detail == "Phi(I) is not I (distance 0.395); a unital map is needed"
 
 
 def test_t4_needs_a_unital_map():
@@ -136,6 +148,14 @@ def test_power_norm_on_a_non_psd_input_is_a_skip():
     assert result.detail == "A has negative eigenvalue -2.500e-01"
 
 
+def test_power_norm_with_no_norm_spec_is_a_skip():
+    # nothing to judge used to pass with margin inf
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
+    inst = {**generate_instance("power_norm", spec, 0), "specs": []}
+    result = run_instance(inst)
+    assert (result.status, result.margin, result.detail) == ("skip", None, "no norm spec to judge")
+
+
 def test_unital_identity_image_needs_no_decomposition(monkeypatch):
     def refuse(image):
         raise AssertionError("unitality_status called on a unital image")
@@ -143,7 +163,7 @@ def test_unital_identity_image_needs_no_decomposition(monkeypatch):
     monkeypatch.setattr(plmaps, "unitality_status", refuse)
     f = from_descriptor("exp")
     for phi in (IdentityMap(4), CongruenceSum((np.eye(4) / np.sqrt(2.0),) * 2)):
-        assert hhcheck._map_case_reasons(f, phi.identity_image(), f0=None) == []
+        assert hhcheck._map_case_reasons(f, phi.identity_image(), subunital_ok=False) == []
 
 
 def test_map_case_reasons_name_each_unmet_condition():
@@ -156,7 +176,8 @@ def test_map_case_reasons_name_each_unmet_condition():
                                      strict_positive=True) == ["Phi(I) is not strictly positive"]
     assert hhcheck._map_case_reasons(from_descriptor("inverse"), singular) == [
         "0 is outside the domain (0, inf] of inverse"]
-    assert hhcheck._map_case_reasons(f, singular, f0="zero") == ["exp(0) = 1 is not 0"]
+    assert hhcheck._map_case_reasons(f, singular, subunital_ok=False) == [
+        "Phi(I) is not I (distance 1); a unital map is needed"]
     # a unital map does not admit case (i) when unital_ok is False
     assert hhcheck._map_case_reasons(f, hermitian_from(np.eye(2)), unital_ok=False) == [
         "exp(0) <= 0 is not declared"]

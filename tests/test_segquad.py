@@ -30,7 +30,7 @@ B_FIXED = hermitian_from([[1.0, 0.0], [0.0, 0.0]])
 class TestSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
-        assert spec.nodes == 16 and spec.refine and spec.rtol == 1e-11
+        assert spec.nodes == 16 and spec.rtol == 1e-11
 
     def test_validation(self):
         with pytest.raises(BadParams):
@@ -224,7 +224,7 @@ class TestOracleEquivalence:
     def test_quadrature_matches_words_sampled(self):
         # exactness: an n-node rule integrates degree 2n-1, so nodes=4 covers r<=6
         rng = make_rng(6)
-        spec = QuadratureSpec(nodes=4, refine=False)
+        spec = QuadratureSpec(nodes=4)
         for _ in range(20):
             n = int(rng.integers(2, 7))
             a = random_hermitian_raw(n, rng)
