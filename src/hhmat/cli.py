@@ -108,6 +108,8 @@ def main(argv=None) -> int:
                 print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
                 return 2
             results = harness.replay(payload)
+            if not results:
+                print("no failed trials to replay")
             bad = 0
             for inst, result in results:
                 margin = "n/a" if result.margin is None else f"{result.margin:.3e}"

@@ -16,17 +16,19 @@ from typing import Callable
 
 import numpy as np
 
-from . import hhcheck, orders, plmaps
+from . import hhcheck, orders
 from .errors import BadInterval, BadParams, Error, HypothesisUnmet, UnknownTheorem
 from .funcat import from_descriptor
-from .matcore import (HermitianMatrix, NormSpec, hermitian_from, json_field, matrix_from_json,
-                      matrix_to_json)
+from .matcore import (HermitianMatrix, NormSpec, array_from_json, array_to_json, count_field,
+                      hermitian_from, json_field, list_field, matrix_from_json, matrix_to_json,
+                      number_field)
 from .plmaps import (
     Compression,
     CongruenceSum,
     IdentityMap,
     Pinching,
     PositiveLinearMap,
+    factor_from_json,
     map_from_json,
 )
 from .segquad import QuadratureSpec
@@ -60,6 +62,7 @@ class InstanceSpec:
         lo, hi = self.interval
         if not lo < hi:
             raise BadInterval(f"need omega < Omega, got [{lo}, {hi}]")
+        QuadratureSpec(self.quad_nodes, self.quad_rtol)  # BadParams when out of range
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -139,7 +142,7 @@ def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Posi
     if kind in ("congruence", "subcongruence"):
         if kind == "congruence" and arg.endswith(".json"):
             with open(arg, "r", encoding="utf-8") as fh:
-                factors = [plmaps._cplx_from_json(obj) for obj in json.load(fh)]
+                factors = [factor_from_json(obj) for obj in json.load(fh)]
             return CongruenceSum(tuple(factors))
         k = int(arg) if arg else int(rng.integers(1, 4))
         target = m if m is not None else n
@@ -179,10 +182,10 @@ def instance_to_json(obj):
 # -- the theorem registry ---------------------------------------------------------
 #
 # generate(spec, rng, phi) returns a theorem's instance fields, phi being the
-# trial's map (None if the suite takes none).  run(inst, f, phi, quad, tol)
-# judges an instance with f and phi loaded (None if not read) and returns
-# the checker's report, looking the checker up on hhcheck at call time so
-# that rebinding one there reaches it.
+# trial's map (None if the suite takes none).  run(inst, f, phi, quad) judges
+# an instance with f and phi loaded (None if not read) and returns the
+# checker's report, looking the checker up on hhcheck at call time so that
+# rebinding one there reaches it.
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -226,7 +229,7 @@ def _gen_jensen(spec, rng, phi) -> dict:
     x = rng.standard_normal(phi.target_dim) + 1j * rng.standard_normal(phi.target_dim)
     x /= np.linalg.norm(x)
     x.flags.writeable = False
-    return {"a": a, "x": {"re": x.real, "im": x.imag}}
+    return {"a": a, "x": array_to_json(x)}
 
 
 def _gen_bourin(spec, rng, phi) -> dict:
@@ -258,59 +261,59 @@ def _gen_power_norm(spec, rng, phi) -> dict:
     return {**_pair(spec, rng, lo=max(lo, 0.0)), "specs": default_norm_specs(phi.target_dim)}
 
 
-def _run_counterexample(inst, f, phi, quad, tol) -> orders.OrderVerdict:
+def _run_counterexample(inst, f, phi, quad) -> orders.OrderVerdict:
     passes = hhcheck.reproduce_counterexample().passes
     return orders.OrderVerdict(holds=passes, margin=0.0 if passes else -1.0)
 
 
-def _run_scalar(inst, f, phi, quad, tol):
-    x, y = json_field(inst, "xy")
-    return hhcheck.check_scalar_hh(f, x, y, tol)
+def _run_scalar(inst, f, phi, quad):
+    x, y = number_field(inst, "xy", (2,)).tolist()
+    return hhcheck.check_scalar_hh(f, x, y)
 
 
-def _run_jensen(inst, f, phi, quad, tol):
-    a, x = matrix_from_json(json_field(inst, "a")), json_field(inst, "x")
-    x = np.array(x["re"], dtype=float) + 1j * np.array(x["im"], dtype=float)
-    return hhcheck.check_jensen_map(f, phi, a, x, tol)
+def _run_jensen(inst, f, phi, quad):
+    a = matrix_from_json(json_field(inst, "a"))
+    x = array_from_json(json_field(inst, "x"), (phi.target_dim,), "vector")
+    return hhcheck.check_jensen_map(f, phi, a, x)
 
 
-def _run_power_norm(inst, f, phi, quad, tol):
+def _run_power_norm(inst, f, phi, quad):
     a, b = _load_pair(inst)
-    specs = [NormSpec.parse(s) for s in json_field(inst, "specs")]
+    specs = [NormSpec.parse(s) for s in list_field(inst, "specs", str)]
     r = _power_exponent(json_field(inst, "f"))
-    return hhcheck.check_power_norm_corollary(r, phi, a, b, specs, tol, quad)
+    return hhcheck.check_power_norm_corollary(r, phi, a, b, specs, quad)
 
 
-def _run_bourin(inst, f, phi, quad, tol):
-    maps = [map_from_json(obj) for obj in json_field(inst, "maps")]
-    a_list = [matrix_from_json(obj) for obj in json_field(inst, "a_list")]
-    return hhcheck.check_bourin_t2(f, maps, a_list, tol)
+def _run_bourin(inst, f, phi, quad):
+    maps = [map_from_json(obj) for obj in list_field(inst, "maps", dict)]
+    a_list = [matrix_from_json(obj) for obj in list_field(inst, "a_list", dict)]
+    return hhcheck.check_bourin_t2(f, maps, a_list)
 
 
-def _run_norm_chain(inst, f, phi, quad, tol):
+def _run_norm_chain(inst, f, phi, quad):
     a, b = _load_pair(inst)
-    specs = [NormSpec.parse(s) for s in json_field(inst, "specs")]
-    interval = tuple(json_field(inst, "interval"))
-    return hhcheck.check_norm_chain_corollary(f, phi, a, b, specs, interval, tol, quad)
+    specs = [NormSpec.parse(s) for s in list_field(inst, "specs", str)]
+    interval = tuple(number_field(inst, "interval", (2,)).tolist())
+    return hhcheck.check_norm_chain_corollary(f, phi, a, b, specs, interval, quad)
 
 
 THEOREMS: dict[str, Theorem] = {
     "scalar": Theorem(_gen_scalar, _run_scalar, takes_map=False),
     "jensen": Theorem(_gen_jensen, _run_jensen),
-    "t1": Theorem(_pair, lambda inst, f, phi, quad, tol: hhcheck.check_theorem_t1(
-        f, phi, *_load_pair(inst), tol, quad)),
-    "trace": Theorem(_pair, lambda inst, f, phi, quad, tol: hhcheck.check_trace_corollary(
-        f, *_load_pair(inst), tol, quad), takes_map=False),
+    "t1": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_theorem_t1(
+        f, phi, *_load_pair(inst), quad)),
+    "trace": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_trace_corollary(
+        f, *_load_pair(inst), quad), takes_map=False),
     "power_norm": Theorem(_gen_power_norm, _run_power_norm, power_f=True),
     "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
-    "t3": Theorem(_gen_t3, lambda inst, f, phi, quad, tol: hhcheck.check_theorem_t3(
-        f, phi, *_load_pair(inst), tol, quad)),
-    "t4": Theorem(_pair, lambda inst, f, phi, quad, tol: hhcheck.check_theorem_t4(
-        f, phi, *_load_pair(inst), tuple(json_field(inst, "interval")), tol, quad)),
+    "t3": Theorem(_gen_t3, lambda inst, f, phi, quad: hhcheck.check_theorem_t3(
+        f, phi, *_load_pair(inst), quad)),
+    "t4": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_theorem_t4(
+        f, phi, *_load_pair(inst), tuple(number_field(inst, "interval", (2,)).tolist()), quad)),
     "chain": Theorem(
         lambda spec, rng, phi: {**_pair(spec, rng), "k": spec.chain_k, "p": spec.chain_p},
-        lambda inst, f, phi, quad, tol: hhcheck.check_refinement_chain(
-            f, *_load_pair(inst), int(json_field(inst, "k")), int(json_field(inst, "p")), tol, quad),
+        lambda inst, f, phi, quad: hhcheck.check_refinement_chain(
+            f, *_load_pair(inst), count_field(inst, "k"), count_field(inst, "p"), quad),
         takes_map=False),
     "norm_chain": Theorem(
         lambda spec, rng, phi: {**_pair(spec, rng), "specs": default_norm_specs(phi.target_dim)},
@@ -373,17 +376,18 @@ def run_instance(inst: dict) -> TrialResult:
     both give the same matrices bit for bit, so the same verdict and margin.
     This is the one place a checker's report becomes a TrialResult: a pass
     or a fail as it holds, with its margin.  An unmet hypothesis makes a
-    skip.  Any other package error, a missing field included, makes a failed
-    trial whose detail names the error; only an unknown theorem id raises
-    (UnknownTheorem).
+    skip.  Any other package error, a missing or malformed field included,
+    makes a failed trial whose detail names the error; only an unknown
+    theorem id raises (UnknownTheorem).
     """
-    quad = QuadratureSpec(nodes=int(inst.get("quad_nodes", 16)),
-                          rtol=float(inst.get("quad_rtol", 1e-11)))
     try:
         entry = _theorem(json_field(inst, "theorem"))
+        quad = QuadratureSpec(
+            nodes=count_field(inst, "quad_nodes") if "quad_nodes" in inst else 16,
+            rtol=float(number_field(inst, "quad_rtol", ())) if "quad_rtol" in inst else 1e-11)
         f = from_descriptor(json_field(inst, "f")) if entry.reads_f else None
         phi = map_from_json(json_field(inst, "map")) if entry.takes_map else None
-        report = entry.run(inst, f, phi, quad, orders.DEFAULT_TOL)
+        report = entry.run(inst, f, phi, quad)
     except HypothesisUnmet as exc:
         return TrialResult("skip", None, str(exc))
     except UnknownTheorem:

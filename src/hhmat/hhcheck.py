@@ -140,20 +140,20 @@ def _map_case_reasons(
     return reasons
 
 
-def _norm_link(lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec, tol: float) -> OrderVerdict:
+def _norm_link(lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec) -> OrderVerdict:
     """|||lhs_m||| <= |||rhs_m||| in the norm spec."""
     lhs, rhs = ui_norm(lhs_m, spec), ui_norm(rhs_m, spec)
-    return orders.judge(rhs - lhs, max(lhs, rhs), tol)
+    return orders.judge(rhs - lhs, max(lhs, rhs))
 
 
-def _is_psd(h: HermitianMatrix, tol: float = DEFAULT_TOL) -> bool:
+def _is_psd(h: HermitianMatrix) -> bool:
     es = eig(h)
-    return orders.judge(float(es.values[-1]), es.spectral_radius, tol).holds
+    return orders.judge(float(es.values[-1]), es.spectral_radius).holds
 
 
 # -- scalar two-sided bound ------------------------------------------------------
 
-def check_scalar_hh(f: ScalarFunction, x: float, y: float, tol: float = DEFAULT_TOL) -> ChainReport:
+def check_scalar_hh(f: ScalarFunction, x: float, y: float) -> ChainReport:
     """Scalar two-sided mean-value bound for a convex function on [x, y]:
     (y-x) f((x+y)/2) <= integral of f over [x, y] <= (y-x) (f(x)+f(y))/2."""
     _require_flag(f, "convex", NotConvexFlag)
@@ -166,8 +166,8 @@ def check_scalar_hh(f: ScalarFunction, x: float, y: float, tol: float = DEFAULT_
     t1 = scalar_segment_integral(f, x, y)
     t2 = width * (f(x) + f(y)) / 2.0
     scale = max(abs(t0), abs(t1), abs(t2))
-    return ChainReport({"scaled_midpoint<=integral": orders.judge(t1 - t0, scale, tol),
-                        "integral<=scaled_endpoint_average": orders.judge(t2 - t1, scale, tol)})
+    return ChainReport({"scaled_midpoint<=integral": orders.judge(t1 - t0, scale),
+                        "integral<=scaled_endpoint_average": orders.judge(t2 - t1, scale)})
 
 
 # -- quadratic-form comparison under a positive map --------------------------------
@@ -177,7 +177,6 @@ def check_jensen_map(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     x: np.ndarray,
-    tol: float = DEFAULT_TOL,
 ) -> OrderVerdict:
     """f(<Phi(A)x, x>) <= <Phi(f(A))x, x> for convex f.
 
@@ -197,7 +196,7 @@ def check_jensen_map(
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))
     rhs = float((x.conj() @ pfa.entries @ x).real)
-    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)), tol)
+    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)))
 
 
 # -- weak-majorization midpoint bound ----------------------------------------------
@@ -207,7 +206,6 @@ def check_theorem_t1(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> MajorizationReport:
     """Eigenvalues of f((Phi(A)+Phi(B))/2) are weakly majorized by those of
@@ -217,14 +215,13 @@ def check_theorem_t1(
     _check_hypotheses(reasons)
     lhs = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
     rhs = phi.apply(segment_integral(f, a, b, quad))
-    return orders.weak_majorization(lhs, rhs, tol)
+    return orders.weak_majorization(lhs, rhs)
 
 
 def check_trace_corollary(
     f: ScalarFunction,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OrderVerdict:
     """Trace form of the midpoint bound: Tr f((A+B)/2) <= Tr of the segment
@@ -232,7 +229,7 @@ def check_trace_corollary(
     _check_hypotheses(_require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b}))
     lhs = apply_function(f, (a + b) / 2.0).trace
     rhs = segment_integral(f, a, b, quad).trace
-    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)), tol)
+    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)))
 
 
 def check_power_norm_corollary(
@@ -241,7 +238,6 @@ def check_power_norm_corollary(
     a: HermitianMatrix,
     b: HermitianMatrix,
     specs,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
     """Unitarily invariant norm comparison for f(t) = t^r, r > 1, on PSD
@@ -252,13 +248,13 @@ def check_power_norm_corollary(
     f = builtin("power", r)
     specs = list(specs)
     reasons = [f"{label} has negative eigenvalue {float(eig(h).values[-1]):.3e}"
-               for label, h in (("A", a), ("B", b)) if not _is_psd(h, tol)]
+               for label, h in (("A", a), ("B", b)) if not _is_psd(h)]
     reasons += _map_case_reasons(f, phi.identity_image())
     reasons += [] if specs else ["no norm spec to judge"]
     _check_hypotheses(reasons)
     lhs_m = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
     rhs_m = phi.apply(segment_integral(f, a, b, quad))
-    return ChainReport({str(spec): _norm_link(lhs_m, rhs_m, spec, tol) for spec in specs})
+    return ChainReport({str(spec): _norm_link(lhs_m, rhs_m, spec) for spec in specs})
 
 
 # -- monotone-convex endpoint bound (unitary conjugate form) -----------------------
@@ -267,7 +263,6 @@ def check_bourin_t2(
     f: ScalarFunction,
     maps,
     a_list,
-    tol: float = DEFAULT_TOL,
 ) -> ChainReport:
     """f(sum_i Phi_i(A_i)) is dominated, after a unitary conjugation, by
     sum_i Phi_i(f(A_i)) for increasing convex f.
@@ -299,11 +294,11 @@ def check_bourin_t2(
         arg = arg + phi.apply(h)
         val = val + phi.apply(apply_function(f, h))
     lhs = apply_function(f, arg)
-    links = {"dominance": orders.eigen_dominance(lhs, val, tol)}
+    links = {"dominance": orders.eigen_dominance(lhs, val)}
     if links["dominance"].holds:
-        u = orders.unitary_witness(lhs, val, tol).conj().T  # lhs <= U val U*
+        u = orders.unitary_witness(lhs, val).conj().T  # lhs <= U val U*
         links["witness"] = orders.loewner_leq(lhs, HermitianMatrix(u @ val.entries @ u.conj().T),
-                                              tol * 10)
+                                              DEFAULT_TOL * 10)
     return ChainReport(links)
 
 
@@ -314,7 +309,6 @@ def check_theorem_t3(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OrderVerdict:
     """If one unitary U satisfies f(t Phi(A) + (1-t) Phi(B)) <= U [t Phi(f(A))
@@ -334,10 +328,10 @@ def check_theorem_t3(
     for t, point in zip(grid, segment_points(pa, pb, grid)):
         t = float(t)
         rhs_t = t * pfa + (1.0 - t) * pfb
-        if not orders.loewner_leq(apply_function(f, point), rhs_t, tol).holds:
+        if not orders.loewner_leq(apply_function(f, point), rhs_t).holds:
             raise HypothesisUnmet(f"uniform-unitary comparison fails at t={t:.6g}")
     integral = segment_integral(f, pa, pb, quad)
-    return orders.eigen_dominance(integral, (pfa + pfb) / 2.0, tol)
+    return orders.eigen_dominance(integral, (pfa + pfb) / 2.0)
 
 
 # -- chord-ratio constant and the converse bound -----------------------------------
@@ -445,7 +439,6 @@ def check_theorem_t4(
     a: HermitianMatrix,
     b: HermitianMatrix,
     interval: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OrderVerdict:
     """Converse bound: Phi(segment integral of f) <= alpha times the average
@@ -459,7 +452,7 @@ def check_theorem_t4(
     pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval)
     lhs = phi.apply(segment_integral(f, a, b, quad))
     rhs = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
-    return orders.loewner_leq(lhs, rhs, tol)
+    return orders.loewner_leq(lhs, rhs)
 
 
 def check_norm_chain_corollary(
@@ -469,7 +462,6 @@ def check_norm_chain_corollary(
     b: HermitianMatrix,
     specs,
     interval: tuple[float, float] | None = None,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
     """Three-term norm chain: |||f((Phi(A)+Phi(B))/2)||| <= |||Phi(segment
@@ -480,15 +472,16 @@ def check_norm_chain_corollary(
     the second link is the converse bound, which needs a unital map.  Norm
     monotonicity from the underlying matrix orders needs PSD displayed
     matrices, so a link with a non-PSD term is left out, and a chain with
-    every link left out is an unmet hypothesis.
+    every link left out, or with no norm spec, is an unmet hypothesis.
     """
+    _check_hypotheses([] if specs else ["no norm spec to judge"])
     pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval)
     m0 = apply_function(f, (pa + pb) / 2.0)
     m1 = phi.apply(segment_integral(f, a, b, quad))
     m2 = alpha * 0.5 * (apply_function(f, pa) + apply_function(f, pb))
     terms = (m0, m1, m2)
-    psd = [_is_psd(m, tol) for m in terms]
-    links = {f"{spec}:link{link}": _norm_link(terms[i], terms[j], spec, tol)
+    psd = [_is_psd(m) for m in terms]
+    links = {f"{spec}:link{link}": _norm_link(terms[i], terms[j], spec)
              for spec in specs for link, (i, j) in enumerate(((0, 1), (1, 2)))
              if psd[i] and psd[j]}
     if not links:
@@ -504,7 +497,6 @@ def check_refinement_chain(
     b: HermitianMatrix,
     k: int,
     p: int,
-    tol: float = DEFAULT_TOL,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
     """Five-term chain for operator convex f: the midpoint value, a midpoint
@@ -530,7 +522,7 @@ def check_refinement_chain(
     terms = (l0, l1, l2, l3, l4)
     labels = ("midpoint", "midpoint_riemann", "integral", "trapezoid_riemann", "endpoint_average")
     return ChainReport({f"{labels[i]}<={labels[i + 1]}":
-                        orders.loewner_leq(terms[i], terms[i + 1], tol) for i in range(4)})
+                        orders.loewner_leq(terms[i], terms[i + 1]) for i in range(4)})
 
 
 # -- the fixed 2x2 counterexample ---------------------------------------------------

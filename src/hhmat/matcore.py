@@ -9,9 +9,7 @@ compute the same result, so the race is harmless.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -322,23 +320,29 @@ def spectrum_outside(f: "ScalarFunction", h: HermitianMatrix) -> np.ndarray:
     return values[~f.domain.contains_array(values)]
 
 
+def check_spectrum_in_domain(f: "ScalarFunction", h: HermitianMatrix, label: str = "the argument"):
+    """SpectrumOutOfDomain, naming H by `label` and listing the offending
+    eigenvalues, unless the spectrum of H lies in the domain of f (see
+    spectrum_outside)."""
+    bad = spectrum_outside(f, h).tolist()
+    if bad:
+        raise SpectrumOutOfDomain(
+            f"eigenvalues {bad} of {label} lie outside domain {f.domain} of {f.name}",
+            offending=bad,
+        )
+
+
 def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus f(H) via the spectral decomposition.
 
-    Requires the spectrum of H to lie in the domain of f (see
-    spectrum_outside); SpectrumOutOfDomain otherwise.
+    Requires the spectrum of H to lie in the domain of f; SpectrumOutOfDomain
+    otherwise (see check_spectrum_in_domain).
 
     The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
     which eig() turns into its decomposition, checked, if it is ever asked
     for; a result that is never decomposed pays nothing more.
     """
-    bad = spectrum_outside(f, h)
-    if bad.size:
-        raise SpectrumOutOfDomain(
-            f"eigenvalues {bad.tolist()} of the argument lie outside domain {f.domain} "
-            f"of {f.name}",
-            offending=bad.tolist(),
-        )
+    check_spectrum_in_domain(f, h)
     es = eig(h)
     fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
@@ -376,59 +380,14 @@ def ui_norm(h: HermitianMatrix, spec: NormSpec) -> float:
     raise BadSpec(f"unknown norm kind {spec.kind!r}")
 
 
-# -- matrix literal format ---------------------------------------------------
+# -- array literal format ----------------------------------------------------
 #
-# Object {"n": int, "re": grid, "im": grid} with "im" optional.  In JSON a
-# grid is nested lists whose entries may be numbers or strings; strings are
-# parsed exactly as rationals ("1.75", "31/6") so fixed rational inputs
-# survive the round trip.  In memory, matrix_to_json writes each grid as a
-# read-only n x n float array, which harness.instance_to_json turns into
+# {"re": grid, "im": grid} with "im" optional (zero when left out).  A grid
+# is numbers (no strings) nested to exactly the literal's shape.  A matrix
+# literal adds "n" for shape (n, n), a map-factor literal "rows" and "cols";
+# a vector literal adds nothing.  In memory, array_to_json writes each grid
+# as a read-only float array view, which harness.instance_to_json turns into
 # nested lists where an instance leaves the process.
-
-def _parse_entry(x) -> Fraction:
-    """The exact rational of one entry: a number, or a string such as "31/6".
-    A NaN or infinite entry raises NonFiniteEntries, anything else that is
-    not a number BadParams."""
-    try:
-        if isinstance(x, (str, int)):
-            return Fraction(x)
-        x = float(x)
-    except (TypeError, ValueError):
-        raise BadParams(f"matrix entry {x!r} is not a number") from None
-    if not math.isfinite(x):
-        raise NonFiniteEntries("matrix entries must be finite, got NaN or infinity")
-    return Fraction(x)
-
-
-def _parse_grid(grid, n: int) -> list[list[Fraction]]:
-    if len(grid) != n or any(len(row) != n for row in grid):
-        raise NonSquareError(f"grid is not {n}x{n}")
-    return [[_parse_entry(x) for x in row] for row in grid]
-
-
-def _float_grid(grid, n: int) -> np.ndarray:
-    """The grid's entries as floats, each the float of its exact rational.
-
-    The grid is nested lists (JSON) or an array (matrix_to_json's views,
-    which this copies).  A finite float is its own exact rational, and numpy
-    rounds an int mixed into a float grid (bools included) to the nearest
-    float as Fraction does, so a grid that numpy reads as an n x n array of
-    finite float64 is converted in one call, with + 0.0 mapping -0.0 to 0.0
-    as the Fraction round trip does.  Every other grid (strings, all-int,
-    object or ragged grids, NaN and infinite floats) goes through
-    _parse_grid, which raises for the ones that are not matrix literals.
-    """
-    try:
-        out = np.array(grid)
-    except ValueError:  # ragged
-        out = None
-    if (out is not None and out.dtype == np.float64 and out.shape == (n, n)
-            and np.isfinite(out).all()):
-        out += 0.0
-        return out
-    return np.array([[float(x) for x in row] for row in _parse_grid(grid, n)],
-                    dtype=float).reshape(n, n)
-
 
 def json_field(obj, key: str, what: str = "instance"):
     """obj[key], or BadParams naming the field when obj, the `what` of a
@@ -439,20 +398,65 @@ def json_field(obj, key: str, what: str = "instance"):
         raise BadParams(f"{what} has no field {key!r}") from None
 
 
+def count_field(obj, key: str, what: str = "instance") -> int:
+    """obj[key] as a positive int; BadParams naming the field otherwise."""
+    x = json_field(obj, key, what)
+    if isinstance(x, bool) or not (isinstance(x, int) and x >= 1):
+        raise BadParams(f"{what} field {key!r} is not a positive integer: {x!r}")
+    return x
+
+
+def list_field(obj, key: str, of: type, what: str = "instance") -> list:
+    """obj[key] as a list of `of` values; BadParams naming the field otherwise."""
+    x = json_field(obj, key, what)
+    if not (isinstance(x, list) and all(isinstance(v, of) for v in x)):
+        raise BadParams(f"{what} field {key!r} is not a list of {of.__name__}")
+    return x
+
+
+def number_field(obj, key: str, shape: tuple[int, ...], what: str = "instance") -> np.ndarray:
+    """obj[key] as a new float array of exactly `shape`; BadParams naming the
+    field when it is not numbers (ints, bools or floats) of that shape.
+    numpy rounds each int, beyond int64 too, to the nearest float as float()
+    does; + 0.0 maps -0.0 to 0.0."""
+    try:
+        out = np.array(json_field(obj, key, what))  # ValueError: ragged
+        if out.shape == shape and (
+                out.dtype.kind in "biuf" or all(isinstance(x, (int, float)) for x in out.flat)):
+            return out.astype(float, copy=False) + 0.0  # OverflowError: int too large for a float
+    except (ValueError, OverflowError):
+        pass
+    raise BadParams(f"{what} field {key!r} is not a number grid of shape {shape}")
+
+
+def array_to_json(x: np.ndarray) -> dict:
+    """The array literal of a read-only array: "re" and "im" are views of x;
+    "im" is left out when x is real."""
+    out: dict = {"re": x.real}
+    if np.any(x.imag):
+        out["im"] = x.imag
+    return out
+
+
+def array_from_json(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The complex array of shape `shape` that an array literal holds.  A
+    literal without "re", or with a grid that is not numbers of that shape,
+    raises BadParams naming the `what` literal; a NaN or infinite entry
+    raises NonFiniteEntries."""
+    re = number_field(obj, "re", shape, f"{what} literal")
+    im = number_field(obj, "im", shape, f"{what} literal") if obj.get("im") is not None else 0.0
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise NonFiniteEntries(f"{what} entries must be finite, got NaN or infinity")
+    return re + 1j * im
+
+
 def matrix_from_json(obj: dict) -> HermitianMatrix:
-    """Load a HermitianMatrix from the matrix literal format; a literal
-    without "n" or "re" raises BadParams."""
-    n = int(json_field(obj, "n", "matrix literal"))
-    re = _float_grid(json_field(obj, "re", "matrix literal"), n)
-    im = _float_grid(obj["im"], n) if obj.get("im") is not None else np.zeros((n, n))
-    return hermitian_from(re + 1j * im)
+    """Load a HermitianMatrix from its literal (see array_from_json)."""
+    n = count_field(obj, "n", "matrix literal")
+    return hermitian_from(array_from_json(obj, (n, n), "matrix"))
 
 
 def matrix_to_json(h: HermitianMatrix) -> dict:
     """The matrix literal of h, with "re" and "im" read-only views of h's
     entries; "im" is left out when every entry is real."""
-    ent = h.entries
-    out: dict = {"n": h.dim, "re": ent.real}
-    if np.any(ent.imag):
-        out["im"] = ent.imag
-    return out
+    return {"n": h.dim, **array_to_json(h.entries)}

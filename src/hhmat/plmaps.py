@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DimMismatch, NotOrthonormal
-from .matcore import HermitianMatrix, eig, hermitian_from, json_field
+from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, eig,
+                      hermitian_from, json_field, list_field)
 
 UNITAL_TOL = 1e-10
 SUBUNITAL_POSITIVITY_TOL = 1e-12
@@ -77,7 +78,7 @@ class Compression(PositiveLinearMap):
         return HermitianMatrix(self.v.conj().T @ a.entries @ self.v)
 
     def to_jsonable(self) -> dict:
-        return {"kind": "compression", "v": _cplx_to_json(self.v)}
+        return {"kind": "compression", "v": factor_to_json(self.v)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +136,7 @@ class CongruenceSum(PositiveLinearMap):
         return HermitianMatrix(acc)
 
     def to_jsonable(self) -> dict:
-        return {"kind": "congruence", "factors": [_cplx_to_json(x) for x in self.factors]}
+        return {"kind": "congruence", "factors": [factor_to_json(x) for x in self.factors]}
 
 
 @dataclass(frozen=True)
@@ -169,35 +170,31 @@ def unitality_status(phi: PositiveLinearMap | HermitianMatrix) -> UnitalityRepor
 
 # -- serialization for replay files -------------------------------------------
 
-def _cplx_to_json(x: np.ndarray) -> dict:
-    """The literal of a read-only factor: "re" and "im" are views of x, which
-    harness.instance_to_json turns into nested lists for JSON; "im" is left
-    out when x is real."""
-    out = {"rows": x.shape[0], "cols": x.shape[1], "re": x.real}
-    if np.any(x.imag):
-        out["im"] = x.imag
-    return out
+def factor_to_json(x: np.ndarray) -> dict:
+    """The factor literal of a read-only factor: its array literal (see
+    matcore.array_to_json) with "rows" and "cols"."""
+    return {"rows": x.shape[0], "cols": x.shape[1], **array_to_json(x)}
 
 
-def _cplx_from_json(obj: dict) -> np.ndarray:
-    x = np.array(json_field(obj, "re", "factor literal"), dtype=float).astype(complex)
-    if obj.get("im") is not None:
-        x = x + 1j * np.array(obj["im"], dtype=float)
-    return x.reshape(int(json_field(obj, "rows", "factor literal")),
-                     int(json_field(obj, "cols", "factor literal")))
+def factor_from_json(obj) -> np.ndarray:
+    """The factor a factor literal holds (see matcore.array_from_json)."""
+    shape = (count_field(obj, "rows", "factor literal"), count_field(obj, "cols", "factor literal"))
+    return array_from_json(obj, shape, "factor")
 
 
-def map_from_json(obj: dict) -> PositiveLinearMap:
-    """Load a map literal; one without a field its kind needs raises
-    BadParams naming the field."""
+def map_from_json(obj) -> PositiveLinearMap:
+    """Load a map literal; one without a field its kind needs, or with a
+    field of the wrong type or shape, raises BadParams naming the field."""
+    if not isinstance(obj, dict):
+        raise BadParams(f"map literal {obj!r} is not an object")
     kind = obj.get("kind")
     what = f"{kind} map literal"
     if kind == "identity":
-        return IdentityMap(int(json_field(obj, "n", what)))
+        return IdentityMap(count_field(obj, "n", what))
     if kind == "compression":
-        return Compression(_cplx_from_json(json_field(obj, "v", what)))
+        return Compression(factor_from_json(json_field(obj, "v", what)))
     if kind == "pinching":
-        return Pinching(tuple(tuple(b) for b in json_field(obj, "blocks", what)))
+        return Pinching(tuple(tuple(b) for b in list_field(obj, "blocks", list, what)))
     if kind == "congruence":
-        return CongruenceSum(tuple(_cplx_from_json(x) for x in json_field(obj, "factors", what)))
+        return CongruenceSum(tuple(map(factor_from_json, list_field(obj, "factors", dict, what))))
     raise BadParams(f"unknown map kind {kind!r}")

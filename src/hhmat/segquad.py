@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge, SpectrumOutOfDomain
+from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import HermitianMatrix, apply_function, eig_many, segment_matrices, spectrum_outside
+from .matcore import (HermitianMatrix, apply_function, eig_many, segment_matrices,
+                      check_spectrum_in_domain as _check_spectrum_in_domain)
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
 WORD_CAP = 6  # 2**6 = 64 words
@@ -39,19 +40,10 @@ class QuadratureSpec:
     rtol: float = 1e-11
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise BadParams(f"node count must be >= 1, got {self.nodes}")
+        if not 1 <= self.nodes <= NODE_CAP:
+            raise BadParams(f"node count must be in 1..{NODE_CAP}, got {self.nodes}")
         if not self.rtol > 0.0:
             raise BadParams(f"rtol must be positive, got {self.rtol}")
-
-
-def _check_spectrum_in_domain(f: ScalarFunction, h: HermitianMatrix, label: str):
-    bad = spectrum_outside(f, h).tolist()
-    if bad:
-        raise SpectrumOutOfDomain(
-            f"spectrum of {label} leaves domain {f.domain} of {f.name}: {bad}",
-            offending=bad,
-        )
 
 
 def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):

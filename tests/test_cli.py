@@ -101,6 +101,15 @@ def test_malformed_function_descriptor_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("option", [["--quad-nodes", "0"], ["--quad-nodes", "2048"],
+                                    ["--quad-rtol", "0"]])
+def test_quadrature_out_of_range_exits_2(option, capsys):
+    code = cli.main(["verify", "--theorem", "t4", "--f", "exp", "--trials", "3", *option])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_replay_of_a_missing_or_non_json_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli.main(["replay", str(missing)]) == 2
@@ -172,9 +181,17 @@ def test_explicit_identity_map_is_accepted_by_a_map_free_suite():
                      "--trials", "2"]) == 0
 
 
-def _t4_instance() -> dict:
+def _instance(theorem: str) -> dict:
     spec = InstanceSpec(n=2, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
-    return instance_to_json(generate_instance("t4", spec, 0))
+    return instance_to_json(generate_instance(theorem, spec, 0))
+
+
+def _replaced(theorem: str, key: str, value):
+    """An edit that turns the instance into the theorem's, with key set to value."""
+    def edit(inst):
+        inst.clear()
+        inst.update(_instance(theorem), **{key: value})
+    return edit
 
 
 def _without(literal: dict, key: str) -> dict:
@@ -200,16 +217,63 @@ MAP_LITERALS = {
     *[(lambda inst, key=key: inst.__setitem__(
         "map", {"kind": "congruence", "factors": [_without(FACTOR, key)]}),
        f"BadParams: factor literal has no field {key!r}") for key in FACTOR],
+    # a field of the wrong type or shape
+    (_replaced("jensen", "x", {}), "BadParams: vector literal has no field 're'"),
+    (_replaced("jensen", "x", 5), "BadParams: vector literal has no field 're'"),
+    (_replaced("jensen", "x", {"re": [1.0]}),
+     "BadParams: vector literal field 're' is not a number grid of shape (2,)"),
+    (_replaced("t4", "map", 5), "BadParams: map literal 5 is not an object"),
+    (_replaced("t4", "map", {"kind": "pinching", "blocks": 5}),
+     "BadParams: pinching map literal field 'blocks' is not a list of list"),
+    (_replaced("t4", "map", {"kind": "identity", "n": "x"}),
+     "BadParams: identity map literal field 'n' is not a positive integer: 'x'"),
+    (_replaced("t4", "map", {"kind": "compression", "v": {**FACTOR, "rows": 3}}),
+     "BadParams: factor literal field 're' is not a number grid of shape (3, 2)"),
+    (lambda inst: inst["a"].__setitem__("re", 5),
+     "BadParams: matrix literal field 're' is not a number grid of shape (2, 2)"),
+    (lambda inst: inst["a"].__setitem__("im", 5),
+     "BadParams: matrix literal field 'im' is not a number grid of shape (2, 2)"),
+    (_replaced("t4", "quad_nodes", "x"),
+     "BadParams: instance field 'quad_nodes' is not a positive integer: 'x'"),
+    (_replaced("t4", "quad_nodes", 0),
+     "BadParams: instance field 'quad_nodes' is not a positive integer: 0"),
+    (_replaced("t4", "interval", 5),
+     "BadParams: instance field 'interval' is not a number grid of shape (2,)"),
+    (_replaced("t4", "interval", [1.0]),
+     "BadParams: instance field 'interval' is not a number grid of shape (2,)"),
+    (_replaced("norm_chain", "specs", 5), "BadParams: instance field 'specs' is not a list of str"),
+    (_replaced("norm_chain", "specs", [5]),
+     "BadParams: instance field 'specs' is not a list of str"),
+    (_replaced("scalar", "xy", [1.0]),
+     "BadParams: instance field 'xy' is not a number grid of shape (2,)"),
+    (_replaced("chain", "k", "x"), "BadParams: instance field 'k' is not a positive integer: 'x'"),
+    (_replaced("bourin", "maps", 5), "BadParams: instance field 'maps' is not a list of dict"),
 ])
 def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
-    inst = _t4_instance()
+    inst = _instance("t4")
     edit(inst)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(inst))  # NaN is written as the JSON extension NaN
     assert cli.main(["replay", str(path)]) == 1
     captured = capsys.readouterr()
-    assert f"t4 seed=[0, 0]: fail margin=n/a {detail}" in captured.out
+    assert f"{inst['theorem']} seed=[0, 0]: fail margin=n/a {detail}\n" == captured.out
     assert captured.err == ""
+
+
+def test_replayed_vector_literal_without_im_is_real(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({**_instance("jensen"), "x": {"re": [0.6, 0.8]}}))
+    assert cli.main(["replay", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("jensen seed=[0, 0]: pass margin=")
+
+
+def test_replay_of_a_report_without_failures_says_so(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2",
+                     "--n", "3", "--trials", "2", "--json", str(report)]) == 0
+    capsys.readouterr()
+    assert cli.main(["replay", str(report)]) == 0
+    assert capsys.readouterr().out == "no failed trials to replay\n"
 
 
 def test_replay_of_a_failure_entry_without_an_instance_exits_2(tmp_path, capsys):

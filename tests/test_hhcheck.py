@@ -148,10 +148,12 @@ def test_power_norm_on_a_non_psd_input_is_a_skip():
     assert result.detail == "A has negative eigenvalue -2.500e-01"
 
 
-def test_power_norm_with_no_norm_spec_is_a_skip():
-    # nothing to judge used to pass with margin inf
+@pytest.mark.parametrize("theorem", ["power_norm", "norm_chain"])
+def test_power_norm_with_no_norm_spec_is_a_skip(theorem):
+    # nothing to judge used to pass with margin inf (power_norm) or name
+    # non-PSD terms as the cause (norm_chain)
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
-    inst = {**generate_instance("power_norm", spec, 0), "specs": []}
+    inst = {**generate_instance(theorem, spec, 0), "specs": []}
     result = run_instance(inst)
     assert (result.status, result.margin, result.detail) == ("skip", None, "no norm spec to judge")
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from hhmat.matcore import (
     HermitianMatrix,
     NormSpec,
     apply_function,
+    array_from_json,
+    array_to_json,
     eig,
     hermitian_from,
     matrix_from_json,
@@ -355,12 +358,6 @@ class TestMatrixLiteral:
         again = matrix_from_json(matrix_to_json(h))
         np.testing.assert_allclose(again.entries, h.entries, atol=1e-15)
 
-    def test_string_rationals_parse_exactly(self):
-        obj = {"n": 2, "re": [["1.75", "31/6"], ["31/6", "0.5"]]}
-        h = matrix_from_json(obj)
-        assert h.entries[0, 0].real == 1.75
-        assert h.entries[0, 1].real == pytest.approx(31 / 6, abs=1e-16)
-
     def test_im_defaults_to_zero(self):
         h = matrix_from_json({"n": 1, "re": [[2]]})
         assert h.entries[0, 0] == 2.0 + 0.0j
@@ -390,9 +387,13 @@ class TestMatrixLiteral:
                 obj["im"] = ((im - im.T) / 2).tolist()
             assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
 
-    def test_mixed_grids_take_the_exact_path(self):
-        obj = {"n": 2, "re": [[-0.0, "1/3"], ["1/3", 2]], "im": [[0.0, -1.5], [1.5, -0.0]]}
-        assert matrix_from_json(obj).entries.tobytes() == self._per_entry(obj).tobytes()
+    def test_string_entries_are_bad_params(self):
+        # no writer emits strings, and a float cannot keep a rational exact
+        for obj in ({"n": 2, "re": [["1.75", "31/6"], ["31/6", "0.5"]]},
+                    {"n": 2, "re": [[-0.0, "1/3"], ["1/3", 2]]},
+                    {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, "-1.5"], ["1.5", 0.0]]}):
+            with pytest.raises(BadParams, match="is not a number grid of shape"):
+                matrix_from_json(obj)
 
     @pytest.mark.parametrize("re, im", [
         ([[1, 2.5], [2.5, -3]], [[0, -0.5], [0.5, 0]]),  # ints and floats
@@ -416,13 +417,28 @@ class TestMatrixLiteral:
     @pytest.mark.parametrize("obj, message", [
         ({"re": [[1.0]]}, "matrix literal has no field 'n'"),
         ({"n": 1}, "matrix literal has no field 're'"),
-        ({"n": 1, "re": [["one"]]}, "matrix entry 'one' is not a number"),
-        ({"n": 1, "re": [[None]]}, "matrix entry None is not a number"),
+        ({"n": 1, "re": [["one"]]}, "number grid"),
+        ({"n": 1, "re": [[None]]}, "number grid"),
     ])
     def test_malformed_literals_raise_bad_params(self, obj, message):
         with pytest.raises(BadParams, match=message):
             matrix_from_json(obj)
 
     def test_ragged_float_grid_is_not_square(self):
-        with pytest.raises(NonSquareError):
+        with pytest.raises(BadParams, match=r"'re' is not a number grid of shape \(2, 2\)"):
             matrix_from_json({"n": 2, "re": [[1.0, 2.0], [2.0]]})
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_vector_literal_round_trips_bit_for_bit(self, real):
+        rng = make_rng(12)
+        x = rng.standard_normal(5) + 1j * (0.0 if real else rng.standard_normal(5))
+        x.flags.writeable = False
+        literal = array_to_json(x)
+        assert sorted(literal) == (["re"] if real else ["im", "re"])
+        for grid in literal.values():  # read-only views of x
+            assert not grid.flags.writeable and np.shares_memory(grid, x)
+        as_json = json.loads(json.dumps({key: grid.tolist() for key, grid in literal.items()}))
+        for obj in (literal, as_json):
+            assert array_from_json(obj, (5,), "vector").tobytes() == x.tobytes()
+        with pytest.raises(BadParams, match=r"vector literal field 're' is not a number grid"):
+            array_from_json(literal, (4,), "vector")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from hhmat.plmaps import (
     CongruenceSum,
     IdentityMap,
     Pinching,
+    factor_from_json,
+    factor_to_json,
     map_from_json,
     unitality_status,
 )
@@ -162,6 +166,23 @@ class TestSerialization:
             again = map_from_json(phi.to_jsonable())
             np.testing.assert_allclose(
                 again.apply(a).entries, phi.apply(a).entries, atol=1e-14)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_factor_literal_round_trips_bit_for_bit(self, real):
+        rng = make_rng(8)
+        x = rng.standard_normal((4, 2)) + 1j * (0.0 if real else rng.standard_normal((4, 2)))
+        x.flags.writeable = False
+        literal = factor_to_json(x)
+        assert (literal["rows"], literal["cols"], "im" in literal) == (4, 2, not real)
+        for grid in (literal[key] for key in ("re", "im") if key in literal):  # views of x
+            assert not grid.flags.writeable and np.shares_memory(grid, x)
+        as_json = json.loads(json.dumps({key: value.tolist() if key in ("re", "im") else value
+                                         for key, value in literal.items()}))
+        for obj in (literal, as_json):
+            assert factor_from_json(obj).tobytes() == x.tobytes()
+        with pytest.raises(BadParams, match=r"factor literal field 're' is not a number grid "
+                                            r"of shape \(3, 2\)"):
+            factor_from_json({**literal, "rows": 3})
 
     @pytest.mark.parametrize("obj", [{"kind": "diag_block", "maps": []}, {"n": 2}])
     def test_unknown_kind_raises_bad_params(self, obj):

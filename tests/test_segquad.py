@@ -92,6 +92,16 @@ class TestSegmentIntegral:
         with pytest.raises(SpectrumOutOfDomain):
             segment_integral(builtin("inverse"), indefinite, pd)
 
+    def test_domain_error_names_the_endpoint_and_its_eigenvalues(self):
+        indefinite = hermitian_from(np.diag([1.0, -1.0]))
+        pd = hermitian_from(np.diag([1.0, 2.0]))
+        for a, b, label in ((indefinite, pd, "t=1"), (pd, indefinite, "t=0")):
+            with pytest.raises(SpectrumOutOfDomain) as err:
+                segment_integral(builtin("inverse"), a, b)
+            assert err.value.offending == [-1.0]
+            assert str(err.value) == (f"eigenvalues [-1.0] of the {label} endpoint lie outside "
+                                      "domain (0, inf] of inverse")
+
     def test_unreachable_rtol_hits_node_cap(self):
         rng = make_rng(5)
         a, b = random_hermitian_raw(2, rng), random_hermitian_raw(2, rng)
