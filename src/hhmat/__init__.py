@@ -3,7 +3,7 @@ Hermitian matrices: majorization, converse-constant and operator-convex
 refinement forms, with an exactly reproduced 2x2 counterexample."""
 
 from .funcat import Interval, ScalarFunction, builtin, from_descriptor, validate_flags
-from .harness import InstanceSpec, SuiteReport, random_hermitian, run_suite
+from .harness import InstanceSpec, SuiteReport, run_suite
 from .hhcheck import (
     AlphaResult,
     ChainReport,
@@ -29,6 +29,7 @@ from .matcore import (
     hermitian_from,
     matrix_from_json,
     matrix_to_json,
+    random_hermitian,
     ui_norm,
 )
 from .orders import (

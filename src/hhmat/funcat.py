@@ -27,12 +27,12 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval or half-line; open endpoints are honored strictly."""
+    """Closed interval or half-line; an open lower endpoint is honored
+    strictly.  The upper endpoint is closed, or infinite."""
 
     lo: float = -math.inf
     hi: float = math.inf
     lo_open: bool = False
-    hi_open: bool = False
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -48,8 +48,8 @@ class Interval:
     def contains_array(self, xs: np.ndarray) -> np.ndarray:
         """Elementwise membership of an array of points.
 
-        Only finite closed endpoints and open endpoints are compared
-        against, so on the closed real line this is a NaN test.
+        Only finite endpoints are compared against, so on the real line
+        this is a NaN test.
         """
         xs = np.asarray(xs, dtype=float)
         inside = ~np.isnan(xs)
@@ -57,9 +57,7 @@ class Interval:
             inside &= xs > self.lo
         elif self.lo > -math.inf:
             inside &= xs >= self.lo - self._pad(xs)
-        if self.hi_open:
-            inside &= xs < self.hi
-        elif self.hi < math.inf:
+        if self.hi < math.inf:
             inside &= xs <= self.hi + self._pad(xs)
         return inside
 
@@ -74,8 +72,7 @@ class Interval:
 
     def contains_interval(self, a: float, b: float) -> bool:
         lo_ok = a > self.lo if self.lo_open else a >= self.lo
-        hi_ok = b < self.hi if self.hi_open else b <= self.hi
-        return lo_ok and hi_ok and a <= b
+        return lo_ok and b <= self.hi and a <= b
 
     def clip(self, xs: np.ndarray) -> np.ndarray:
         """Points admitted by contains_array, moved into [lo, hi]; the real
@@ -86,8 +83,7 @@ class Interval:
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        return f"{left}{self.lo:g}, {self.hi:g}{right}"
+        return f"{left}{self.lo:g}, {self.hi:g}]"
 
 
 @dataclass(frozen=True)
@@ -310,34 +306,25 @@ class FlagReport:
     checks: dict[str, FlagCheck] = field(default_factory=dict)
 
 
-def _random_probe_pair(n: int, a: float, b: float, rng: np.random.Generator):
-    """Two random Hermitian matrices with spectra inside [a, b]."""
-    out = []
-    for _ in range(2):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (g + g.conj().T) / 2.0
-        w, v = np.linalg.eigh(h)
-        span = w[-1] - w[0]
-        width = b - a
-        if span < 1e-12:
-            w = np.full(n, (a + b) / 2.0)
-        else:
-            w = a + 0.01 * width + (w - w[0]) * (0.98 * width / span)
-        out.append(matcore.hermitian_from((v * w) @ v.conj().T))
-    return out[0], out[1]
+def _midpoint_violation(f, A, B, lams=(0.25, 0.5, 0.75)):
+    """(A, B, lam, margin) for the first lam at which
+    f(lam A + (1-lam) B) <= lam f(A) + (1-lam) f(B) fails, else None."""
+    fa, fb = matcore.apply_function(f, A), matcore.apply_function(f, B)
+    for lam in lams:
+        mix = matcore.apply_function(f, lam * A + (1.0 - lam) * B)
+        verdict = orders.loewner_leq(mix, lam * fa + (1.0 - lam) * fb)
+        if not verdict.holds:
+            return (A, B, lam, verdict.margin)
+    return None
 
 
 def _search_operator_convexity_violation(f, a, b, rng, trials):
-    lams = (0.25, 0.5, 0.75)
     for n in (2, 3):
         for _ in range(trials):
-            A, B = _random_probe_pair(n, a, b, rng)
-            fa, fb = matcore.apply_function(f, A), matcore.apply_function(f, B)
-            for lam in lams:
-                mix = matcore.apply_function(f, lam * A + (1.0 - lam) * B)
-                verdict = orders.loewner_leq(mix, lam * fa + (1.0 - lam) * fb)
-                if not verdict.holds:
-                    return (A, B, lam, verdict.margin)
+            pair = [matcore.random_hermitian(n, a, b, rng) for _ in range(2)]
+            witness = _midpoint_violation(f, *pair)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -418,14 +405,7 @@ def validate_flags(
     # probe pair below is a known violator for cube-like functions.
     witness = _search_operator_convexity_violation(f, a, b, rng, matrix_trials)
     if witness is None and effective["operator_convex"] is False:
-        fixed = _fixed_probe_pair(f, a, b)
-        if fixed is not None:
-            A, B = fixed
-            fa, fb = matcore.apply_function(f, A), matcore.apply_function(f, B)
-            mix = matcore.apply_function(f, 0.5 * A + 0.5 * B)
-            verdict = orders.loewner_leq(mix, 0.5 * fa + 0.5 * fb)
-            if not verdict.holds:
-                witness = (A, B, 0.5, verdict.margin)
+        witness = _fixed_probe_violation(f, a, b)
     if witness is not None:
         A, B, lam, margin = witness
         witness = {
@@ -445,14 +425,12 @@ def validate_flags(
     return FlagReport(function=f.name, interval=(a, b), checks=checks)
 
 
-def _fixed_probe_pair(f, a, b):
+def _fixed_probe_violation(f, a, b):
     # Deterministic violating candidate for convex-but-not-operator-convex
-    # functions; spectra are {(3 +- sqrt(5))/2} and {1, 0}.
-    hi_needed = (3.0 + math.sqrt(5.0)) / 2.0
-    if not (f.domain.contains(0.0) and f.domain.contains(hi_needed)):
-        return None
-    if a > 0.0 or b < hi_needed:
+    # functions; spectra are {(3 +- sqrt(5))/2} and {1, 0}, which [a, b],
+    # inside the domain of f, must cover.
+    if a > 0.0 or b < (3.0 + math.sqrt(5.0)) / 2.0:
         return None
     A = matcore.hermitian_from([[2.0, 1.0], [1.0, 1.0]])
     B = matcore.hermitian_from([[1.0, 0.0], [0.0, 0.0]])
-    return A, B
+    return _midpoint_violation(f, A, B, lams=(0.5,))

@@ -21,7 +21,7 @@ from .errors import BadInterval, BadParams, Error, HypothesisUnmet, UnknownTheor
 from .funcat import from_descriptor
 from .matcore import (HermitianMatrix, NormSpec, array_from_json, array_to_json, count_field,
                       hermitian_from, json_field, list_field, matrix_from_json, matrix_to_json,
-                      number_field)
+                      number_field, random_hermitian, str_field)
 from .plmaps import (
     Compression,
     CongruenceSum,
@@ -32,11 +32,6 @@ from .plmaps import (
     map_from_json,
 )
 from .segquad import QuadratureSpec
-
-# random_hermitian shrinks the requested spectrum window by at least this
-# fraction on each side, keeping boundary-domain errors away.
-SPECTRUM_SHRINK = 0.1
-
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -70,32 +65,6 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatrix:
-    """Random Hermitian matrix with spectrum strictly inside [omega, Omega].
-
-    A complex Gaussian is symmetrized, then affinely rescaled so the extreme
-    eigenvalues land a random 1-10% of the interval width inside each
-    endpoint.  ``seed`` may be an int or a Generator.
-    """
-    if not omega < Omega:
-        raise BadInterval(f"need omega < Omega, got [{omega}, {Omega}]")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
-    width = Omega - omega
-    lo = omega + SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
-    hi = Omega - SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
-    if n == 1:
-        return hermitian_from([[rng.uniform(lo, hi)]])
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    span = float(w[-1] - w[0])
-    if span < 1e-12:
-        w = np.linspace(lo, hi, n)
-    else:
-        w = lo + (w - w[0]) * ((hi - lo) / span)
-    return hermitian_from((v * w) @ v.conj().T)
-
-
 def _random_isometry(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     q, _ = np.linalg.qr(g)
@@ -116,7 +85,7 @@ def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Posi
     """Build a positive linear map from a descriptor.
 
     identity | compress[:m] | pinch[:b1,b2,...] | congruence[:k] |
-    subcongruence[:k] | congruence@<file.json>.  Random choices draw from
+    subcongruence[:k] | congruence:<file.json>.  Random choices draw from
     ``rng``; explicit parameters are deterministic.
     """
     kind, _, arg = desc.partition(":")
@@ -268,11 +237,12 @@ def _run_counterexample(inst, f, phi, quad) -> orders.OrderVerdict:
 
 def _run_scalar(inst, f, phi, quad):
     x, y = number_field(inst, "xy", (2,)).tolist()
-    return hhcheck.check_scalar_hh(f, x, y)
+    return hhcheck.check_scalar_hh(f, x, y, quad)
 
 
 def _run_jensen(inst, f, phi, quad):
     a = matrix_from_json(json_field(inst, "a"))
+    phi.check_source(a)  # before x is read at phi's target dimension
     x = array_from_json(json_field(inst, "x"), (phi.target_dim,), "vector")
     return hhcheck.check_jensen_map(f, phi, a, x)
 
@@ -280,7 +250,7 @@ def _run_jensen(inst, f, phi, quad):
 def _run_power_norm(inst, f, phi, quad):
     a, b = _load_pair(inst)
     specs = [NormSpec.parse(s) for s in list_field(inst, "specs", str)]
-    r = _power_exponent(json_field(inst, "f"))
+    r = _power_exponent(str_field(inst, "f"))
     return hhcheck.check_power_norm_corollary(r, phi, a, b, specs, quad)
 
 
@@ -385,7 +355,7 @@ def run_instance(inst: dict) -> TrialResult:
         quad = QuadratureSpec(
             nodes=count_field(inst, "quad_nodes") if "quad_nodes" in inst else 16,
             rtol=float(number_field(inst, "quad_rtol", ())) if "quad_rtol" in inst else 1e-11)
-        f = from_descriptor(json_field(inst, "f")) if entry.reads_f else None
+        f = from_descriptor(str_field(inst, "f")) if entry.reads_f else None
         phi = map_from_json(json_field(inst, "map")) if entry.takes_map else None
         report = entry.run(inst, f, phi, quad)
     except HypothesisUnmet as exc:

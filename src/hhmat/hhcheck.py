@@ -32,13 +32,13 @@ from .errors import (
     NotPositive,
 )
 from .funcat import ScalarFunction, builtin
-from .matcore import HermitianMatrix, apply_function, eig, spectrum_outside, ui_norm
+from .matcore import (HermitianMatrix, apply_function, eig, hermitian_from, spectrum_outside,
+                      ui_norm)
 from .orders import DEFAULT_TOL, MajorizationReport, OrderVerdict
 from .plmaps import PositiveLinearMap
 from .segquad import (
     QuadratureSpec,
     poly_segment_oracle_exact,
-    scalar_segment_integral,
     segment_integral,
     segment_points,
     segment_sum,
@@ -153,9 +153,17 @@ def _is_psd(h: HermitianMatrix) -> bool:
 
 # -- scalar two-sided bound ------------------------------------------------------
 
-def check_scalar_hh(f: ScalarFunction, x: float, y: float) -> ChainReport:
+def check_scalar_hh(
+    f: ScalarFunction,
+    x: float,
+    y: float,
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> ChainReport:
     """Scalar two-sided mean-value bound for a convex function on [x, y]:
-    (y-x) f((x+y)/2) <= integral of f over [x, y] <= (y-x) (f(x)+f(y))/2."""
+    (y-x) f((x+y)/2) <= integral of f over [x, y] <= (y-x) (f(x)+f(y))/2.
+
+    The bound is the 1x1 case of the matrix one: the integral is (y-x) times
+    the segment integral from B = [x] (t=0) to A = [y] (t=1)."""
     _require_flag(f, "convex", NotConvexFlag)
     if not y > x:
         raise BadInterval(f"need x < y, got [{x}, {y}]")
@@ -163,7 +171,7 @@ def check_scalar_hh(f: ScalarFunction, x: float, y: float) -> ChainReport:
         raise HypothesisUnmet(f"[{x}, {y}] is not inside domain {f.domain} of {f.name}")
     width = y - x
     t0 = width * f((x + y) / 2.0)
-    t1 = scalar_segment_integral(f, x, y)
+    t1 = width * segment_integral(f, hermitian_from([[y]]), hermitian_from([[x]]), quad).trace
     t2 = width * (f(x) + f(y)) / 2.0
     scale = max(abs(t0), abs(t1), abs(t2))
     return ChainReport({"scaled_midpoint<=integral": orders.judge(t1 - t0, scale),
@@ -183,6 +191,7 @@ def check_jensen_map(
     Hypotheses: (i) Phi unital and x a unit vector, or (ii) ||x|| <= 1 with
     0 in the domain, f(0) <= 0, and 0 < Phi(I) <= I.
     """
+    pa = phi.apply(a)  # DimMismatch before Phi(I) is built
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a})
     x = np.asarray(x, dtype=complex).ravel()
     norm = float(np.linalg.norm(x))
@@ -192,7 +201,6 @@ def check_jensen_map(
     reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True,
                                  unital_ok=abs(norm - 1.0) <= UNITARY_TOL)
     _check_hypotheses(reasons)
-    pa = phi.apply(a)
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))
     rhs = float((x.conj() @ pfa.entries @ x).real)
@@ -210,10 +218,11 @@ def check_theorem_t1(
 ) -> MajorizationReport:
     """Eigenvalues of f((Phi(A)+Phi(B))/2) are weakly majorized by those of
     Phi(integral of f along the segment from B to A)."""
+    pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b})
     reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True)
     _check_hypotheses(reasons)
-    lhs = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
+    lhs = apply_function(f, (pa + pb) / 2.0)
     rhs = phi.apply(segment_integral(f, a, b, quad))
     return orders.weak_majorization(lhs, rhs)
 
@@ -249,10 +258,11 @@ def check_power_norm_corollary(
     specs = list(specs)
     reasons = [f"{label} has negative eigenvalue {float(eig(h).values[-1]):.3e}"
                for label, h in (("A", a), ("B", b)) if not _is_psd(h)]
+    pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
     reasons += _map_case_reasons(f, phi.identity_image())
     reasons += [] if specs else ["no norm spec to judge"]
     _check_hypotheses(reasons)
-    lhs_m = apply_function(f, (phi.apply(a) + phi.apply(b)) / 2.0)
+    lhs_m = apply_function(f, (pa + pb) / 2.0)
     rhs_m = phi.apply(segment_integral(f, a, b, quad))
     return ChainReport({str(spec): _norm_link(lhs_m, rhs_m, spec) for spec in specs})
 
@@ -318,12 +328,12 @@ def check_theorem_t3(
     The uniform hypothesis is verified with U = I at 33 evenly spaced t; a
     failing point raises HypothesisUnmet rather than judging the conclusion.
     """
+    pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
     reasons = _require_flag(f, "convex") + _require_flag(f, "increasing")
     reasons += _spectra_reasons(f, {"A": a, "B": b})
     reasons += _map_case_reasons(f, phi.identity_image())
     _check_hypotheses(reasons)
     grid = np.linspace(0.0, 1.0, 33)
-    pa, pb = phi.apply(a), phi.apply(b)
     pfa, pfb = phi.apply(apply_function(f, a)), phi.apply(apply_function(f, b))
     for t, point in zip(grid, segment_points(pa, pb, grid)):
         t = float(t)

@@ -1,7 +1,7 @@
-"""Dense Hermitian matrices: construction, eigendecomposition, functional
-calculus and the unitarily invariant norm family.
+"""Dense Hermitian matrices: construction, random draws, eigendecomposition,
+functional calculus and the unitarily invariant norm family.
 
-All values are immutable after construction and all operations are pure, so
+Values are immutable and every operation but random_hermitian is pure, so
 everything here is safe to call from concurrent workers.  A matrix caches its
 own eigendecomposition on first use; two workers racing to fill the cache
 compute the same result, so the race is harmless.
@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    BadInterval,
     BadParams,
     BadSpec,
     ConvergenceFailure,
@@ -32,6 +33,9 @@ ASYMMETRY_RTOL = 1e-10
 # Relative bounds for eigendecomposition self-checks.
 EIG_RECON_RTOL = 1e-10
 EIG_ORTHO_TOL = 1e-10
+# random_hermitian shrinks the requested spectrum window by at least this
+# fraction on each side, keeping boundary-domain errors away.
+SPECTRUM_SHRINK = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +178,32 @@ class NormSpec:
 def hermitian_from(raw) -> HermitianMatrix:
     """Build a HermitianMatrix from any square complex grid, symmetrizing."""
     return HermitianMatrix(np.asarray(raw, dtype=complex))
+
+
+def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatrix:
+    """Random Hermitian matrix with spectrum strictly inside [omega, Omega].
+
+    A complex Gaussian is symmetrized, then affinely rescaled so the extreme
+    eigenvalues land a random 1-10% of the interval width inside each
+    endpoint.  ``seed`` may be an int or a Generator.
+    """
+    if not omega < Omega:
+        raise BadInterval(f"need omega < Omega, got [{omega}, {Omega}]")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(int(seed))
+    width = Omega - omega
+    lo = omega + SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
+    hi = Omega - SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
+    if n == 1:
+        return hermitian_from([[rng.uniform(lo, hi)]])
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (g + g.conj().T) / 2.0
+    w, v = np.linalg.eigh(h)
+    span = float(w[-1] - w[0])
+    if span < 1e-12:
+        w = np.linspace(lo, hi, n)
+    else:
+        w = lo + (w - w[0]) * ((hi - lo) / span)
+    return hermitian_from((v * w) @ v.conj().T)
 
 
 def _exact_hermitian(entries: np.ndarray, spectral_pair=None) -> HermitianMatrix:
@@ -396,6 +426,14 @@ def json_field(obj, key: str, what: str = "instance"):
         return obj[key]
     except (KeyError, TypeError):
         raise BadParams(f"{what} has no field {key!r}") from None
+
+
+def str_field(obj, key: str, what: str = "instance") -> str:
+    """obj[key] as a string; BadParams naming the field otherwise."""
+    x = json_field(obj, key, what)
+    if not isinstance(x, str):
+        raise BadParams(f"{what} field {key!r} is not a string")
+    return x
 
 
 def count_field(obj, key: str, what: str = "instance") -> int:

@@ -70,30 +70,30 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL
     return judge(float(gap.values[-1]), gap.spectral_radius, tol, witness=gap.vectors[:, -1])
 
 
-def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
+def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
     """Is lambda_j(a) <= lambda_j(b) for every j (descending order)?"""
     _check_same_dim(a, b)
     la, lb = eig(a).values, eig(b).values
     gaps = lb - la
     j = int(np.argmin(gaps))
     scale = max(float(np.max(np.abs(la))), float(np.max(np.abs(lb))))
-    return judge(float(gaps[j]), scale, tol, witness=j)
+    return judge(float(gaps[j]), scale, witness=j)
 
 
-def weak_majorization(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> MajorizationReport:
+def weak_majorization(a: HermitianMatrix, b: HermitianMatrix) -> MajorizationReport:
     """Compare all top-k eigenvalue partial sums of a against b."""
     _check_same_dim(a, b)
     psa = np.cumsum(eig(a).values)
     psb = np.cumsum(eig(b).values)
     deficits = psb - psa
     scale = max(float(np.max(np.abs(psa))), float(np.max(np.abs(psb))))
-    holds = judge(float(np.min(deficits)), scale, tol).holds
+    holds = judge(float(np.min(deficits)), scale).holds
     for arr in (psa, psb, deficits):
         arr.flags.writeable = False
     return MajorizationReport(partial_sums_a=psa, partial_sums_b=psb, deficits=deficits, holds=holds)
 
 
-def unitary_witness(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+def unitary_witness(a: HermitianMatrix, b: HermitianMatrix) -> np.ndarray | None:
     """A unitary U with a <= U* b U, or None when eigenvalue dominance fails.
 
     Pairing eigenvectors by descending eigenvalue gives U = V_b V_a*; then
@@ -102,7 +102,7 @@ def unitary_witness(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT
     eigenspaces works since only the sorted values matter.
     """
     _check_same_dim(a, b)
-    if not eigen_dominance(a, b, tol).holds:
+    if not eigen_dominance(a, b).holds:
         return None
     va = eig(a).vectors
     vb = eig(b).vectors

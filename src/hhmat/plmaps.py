@@ -32,7 +32,7 @@ class PositiveLinearMap:
     def identity_image(self) -> HermitianMatrix:
         return self.apply(hermitian_from(np.eye(self.source_dim)))
 
-    def _check_source(self, a: HermitianMatrix):
+    def check_source(self, a: HermitianMatrix):
         if a.dim != self.source_dim:
             raise DimMismatch(f"map expects dim {self.source_dim}, got {a.dim}")
 
@@ -49,7 +49,7 @@ class IdentityMap(PositiveLinearMap):
         object.__setattr__(self, "target_dim", self.n)
 
     def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self._check_source(a)
+        self.check_source(a)
         return a
 
     def to_jsonable(self) -> dict:
@@ -74,7 +74,7 @@ class Compression(PositiveLinearMap):
         object.__setattr__(self, "target_dim", m)
 
     def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self._check_source(a)
+        self.check_source(a)
         return HermitianMatrix(self.v.conj().T @ a.entries @ self.v)
 
     def to_jsonable(self) -> dict:
@@ -98,7 +98,7 @@ class Pinching(PositiveLinearMap):
         object.__setattr__(self, "target_dim", n)
 
     def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self._check_source(a)
+        self.check_source(a)
         out = np.zeros_like(a.entries)
         for b in self.blocks:
             idx = np.ix_(b, b)
@@ -129,7 +129,7 @@ class CongruenceSum(PositiveLinearMap):
         object.__setattr__(self, "target_dim", m)
 
     def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self._check_source(a)
+        self.check_source(a)
         acc = np.zeros((self.target_dim, self.target_dim), dtype=complex)
         for x in self.factors:
             acc += x.conj().T @ a.entries @ x
@@ -194,7 +194,10 @@ def map_from_json(obj) -> PositiveLinearMap:
     if kind == "compression":
         return Compression(factor_from_json(json_field(obj, "v", what)))
     if kind == "pinching":
-        return Pinching(tuple(tuple(b) for b in list_field(obj, "blocks", list, what)))
+        blocks = list_field(obj, "blocks", list, what)
+        if not all(type(i) is int for b in blocks for i in b):  # no bools or floats
+            raise BadParams(f"{what} field 'blocks' is not a list of lists of int")
+        return Pinching(tuple(map(tuple, blocks)))
     if kind == "congruence":
         return CongruenceSum(tuple(map(factor_from_json, list_field(obj, "factors", dict, what))))
     raise BadParams(f"unknown map kind {kind!r}")

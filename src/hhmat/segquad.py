@@ -170,24 +170,3 @@ def poly_segment_oracle_exact(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarra
     """
     return _word_integral(np.asarray(a, dtype=object), np.asarray(b, dtype=object), r, exact=True)
 
-
-def scalar_segment_integral(f, x: float, y: float, rtol: float = 1e-12, nodes: int = 16) -> float:
-    """Gauss-Legendre integral of a scalar function over [x, y], refined by
-    node doubling until successive values agree to rtol."""
-    if not y > x:
-        raise BadParams(f"need x < y, got [{x}, {y}]")
-
-    def one_pass(n: int) -> float:
-        # halving is exact: these nodes and sums match the [-1, 1] rule's
-        ts, ws = _gauss_rule(n)
-        return float(sum(wi * f(t) for wi, t in zip(ws, x + ts * (y - x))) * (y - x))
-
-    current = one_pass(nodes)
-    while True:
-        if 2 * nodes > NODE_CAP:
-            raise NoConvergence(f"scalar quadrature did not settle below {NODE_CAP} nodes")
-        nodes *= 2
-        refined = one_pass(nodes)
-        if abs(refined - current) <= rtol * max(1.0, abs(refined)):
-            return refined
-        current = refined

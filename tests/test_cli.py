@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from conftest import wide_factor_map
@@ -19,9 +20,11 @@ from hhmat.harness import (
     InstanceSpec,
     generate_instance,
     instance_to_json,
+    make_map,
     random_hermitian,
 )
 from hhmat.matcore import matrix_to_json
+from hhmat.plmaps import CongruenceSum, factor_to_json
 
 
 def test_passing_suite_exits_0(capsys):
@@ -248,6 +251,12 @@ MAP_LITERALS = {
      "BadParams: instance field 'xy' is not a number grid of shape (2,)"),
     (_replaced("chain", "k", "x"), "BadParams: instance field 'k' is not a positive integer: 'x'"),
     (_replaced("bourin", "maps", 5), "BadParams: instance field 'maps' is not a list of dict"),
+    *[(_replaced("t4", "f", f), "BadParams: instance field 'f' is not a string")
+      for f in (5, None, True, [1], {})],
+    *[(_replaced("t4", "map", {"kind": "pinching", "blocks": blocks}),
+       "BadParams: pinching map literal field 'blocks' is not a list of lists of int")
+      for blocks in ([[None], [1, 2]], [["a"], [1, 2]], [[1.5], [0, 2]], [[0.5], [1, 2]],
+                     [[True], [0, 2]])],
 ])
 def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
     inst = _instance("t4")
@@ -258,6 +267,53 @@ def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit,
     captured = capsys.readouterr()
     assert f"{inst['theorem']} seed=[0, 0]: fail margin=n/a {detail}\n" == captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("n", [10**19, 3])
+@pytest.mark.parametrize("theorem", ["t1", "t3", "jensen", "power_norm", "t4", "norm_chain"])
+def test_replayed_identity_map_of_another_dimension_is_a_dim_mismatch(tmp_path, capsys,
+                                                                      theorem, n):
+    # the instance's matrices are 2x2; no identity of size n is built
+    inst = {**_instance(theorem), "f": "power:2@0,inf", "map": {"kind": "identity", "n": n}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(inst))
+    assert cli.main(["replay", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"{theorem} seed=[0, 0]: fail margin=n/a DimMismatch: map expects dim {n}, got 2\n")
+    assert captured.err == ""
+
+
+def test_replayed_scalar_quadrature_that_cannot_settle_is_a_failed_trial(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({**_instance("scalar"), "quad_nodes": 4, "quad_rtol": 1e-300}))
+    assert cli.main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "scalar seed=[0, 0]: fail margin=n/a NoConvergence: quadrature did not settle")
+
+
+def test_scalar_suite_honours_its_quadrature_options(capsys):
+    args = ["verify", "--theorem", "scalar", "--f", "exp", "--interval", "0.5,2", "--trials", "3"]
+    assert cli.main(args) == 0
+    assert "scalar: trials=3 passes=3 skips=0 failures=0" in capsys.readouterr().out
+    # a pass can still settle bit for bit; the others hit the node cap
+    assert cli.main(args + ["--quad-rtol", "1e-300"]) == 1
+    assert "failures=0" not in capsys.readouterr().out
+
+
+def test_verify_with_a_congruence_read_from_a_file(tmp_path, capsys):
+    # two 3x3 factors stacked into an isometry: a unital congruence sum
+    rng = np.random.default_rng(7)
+    stacked, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    factors = [stacked[:3], stacked[3:]]
+    path = tmp_path / "factors.json"
+    path.write_text(json.dumps(instance_to_json([factor_to_json(x) for x in factors])))
+    phi = make_map(f"congruence:{path}", 3, None, rng)
+    assert isinstance(phi, CongruenceSum)
+    assert all(np.array_equal(x, y) for x, y in zip(phi.factors, factors, strict=True))
+    assert cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
+                     "--n", "3", "--trials", "3", "--map", f"congruence:{path}"]) == 0
+    assert "t1: trials=3 passes=3 skips=0 failures=0" in capsys.readouterr().out
 
 
 def test_replayed_vector_literal_without_im_is_real(tmp_path, capsys):

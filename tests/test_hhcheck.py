@@ -203,3 +203,20 @@ def test_bourin_with_subunital_maps_needs_f0_nonpositive():
         hhcheck.check_bourin_t2(from_descriptor("exp"), maps, a_list)
     report = hhcheck.check_bourin_t2(from_descriptor("power:2@0,inf"), maps, a_list)
     assert report.holds and report.margin >= 0.0
+
+
+@pytest.mark.parametrize("desc, below, above", [
+    # on [0, 1]; below: integral - midpoint value, above: endpoint average - integral
+    ("power:2", 1 / 3 - 1 / 4, 1 / 2 - 1 / 3),
+    ("exp", np.e - 1.0 - np.exp(0.5), (1.0 + np.e) / 2.0 - (np.e - 1.0)),
+], ids=["power:2", "exp"])
+def test_scalar_bound_integrates_as_the_1x1_segment_integral(desc, below, above):
+    links = hhcheck.check_scalar_hh(from_descriptor(desc), 0.0, 1.0).links
+    assert links["scaled_midpoint<=integral"].margin == pytest.approx(below, abs=1e-13)
+    assert links["integral<=scaled_endpoint_average"].margin == pytest.approx(above, abs=1e-13)
+
+
+@pytest.mark.parametrize("x, y", [(1.0, 0.0), (1.0, 1.0)])
+def test_scalar_bound_needs_x_below_y(x, y):
+    with pytest.raises(BadInterval):
+        hhcheck.check_scalar_hh(builtin("exp"), x, y)

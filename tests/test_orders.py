@@ -168,15 +168,15 @@ class TestFrameSum:
             assert value <= bound + 1e-8 * max(1.0, abs(bound))
 
 
-def ky_fan_scan(a, b, tol=DEFAULT_TOL):
+def ky_fan_scan(a, b):
     """(weak-majorization report, Ky Fan norm margins, per-k agreement of the
     partial-sum verdict with the Ky Fan norm verdict)."""
-    report = weak_majorization(a, b, tol)
+    report = weak_majorization(a, b)
     scale = max(1.0, float(np.max(np.abs(report.partial_sums_a))),
                 float(np.max(np.abs(report.partial_sums_b))))
     margins = np.array([ui_norm(b, NormSpec.ky_fan(k)) - ui_norm(a, NormSpec.ky_fan(k))
                         for k in range(1, a.dim + 1)])
-    agreement = (margins >= -tol * scale) == (report.deficits >= -tol * scale)
+    agreement = (margins >= -DEFAULT_TOL * scale) == (report.deficits >= -DEFAULT_TOL * scale)
     return report, margins, agreement
 
 

@@ -19,7 +19,6 @@ from hhmat.segquad import (
     QuadratureSpec,
     poly_segment_oracle,
     poly_segment_oracle_exact,
-    scalar_segment_integral,
     segment_integral,
 )
 
@@ -246,18 +245,3 @@ class TestOracleEquivalence:
                 scale = max(1.0, float(np.max(np.abs(words.entries))))
                 assert np.max(np.abs(quad.entries - words.entries)) <= 1e-11 * scale
 
-
-class TestScalarIntegral:
-    def test_polynomial(self):
-        assert scalar_segment_integral(lambda t: t * t, 0.0, 1.0) == pytest.approx(1 / 3, abs=1e-13)
-
-    def test_exponential(self):
-        assert scalar_segment_integral(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-
-    def test_bad_interval(self):
-        with pytest.raises(BadParams):
-            scalar_segment_integral(math.exp, 1.0, 0.0)
-
-    def test_oscillatory_integrand_does_not_settle(self):
-        with pytest.raises(NoConvergence):
-            scalar_segment_integral(lambda t: math.sin(1e8 * t), 0.0, 1.0)
