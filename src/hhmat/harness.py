@@ -9,6 +9,7 @@ instances become JSON (instance_to_json) only where they leave the process.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,10 @@ from .plmaps import (
     map_from_json,
 )
 from .segquad import QuadratureSpec
+
+# Factor files whose congruence sums _congruence_from_file keeps.
+CONGRUENCE_FILE_MEMO_SIZE = 8
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -81,6 +86,24 @@ def _random_partition(n: int, rng: np.random.Generator) -> tuple[tuple[int, ...]
     return tuple(blocks)
 
 
+@functools.lru_cache(maxsize=CONGRUENCE_FILE_MEMO_SIZE)
+def _congruence_from_file(path: str) -> CongruenceSum:
+    """The congruence sum of the JSON list of factor literals in the file,
+    read once per process and path, as generate_instance builds the map of
+    every trial; the map is immutable, so the trials share it.  BadParams
+    naming the file when it cannot be read, is not JSON or holds no list; a
+    malformed literal raises as factor_from_json does.  Errors are not
+    memoized."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            literals = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise BadParams(f"cannot read congruence factors from {path}: {exc}") from None
+    if not isinstance(literals, list):
+        raise BadParams(f"congruence factor file {path} does not hold a list")
+    return CongruenceSum(tuple(factor_from_json(obj) for obj in literals))
+
+
 def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> PositiveLinearMap:
     """Build a positive linear map from a descriptor.
 
@@ -110,9 +133,7 @@ def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Posi
         return Pinching(_random_partition(n, rng))
     if kind in ("congruence", "subcongruence"):
         if kind == "congruence" and arg.endswith(".json"):
-            with open(arg, "r", encoding="utf-8") as fh:
-                factors = [factor_from_json(obj) for obj in json.load(fh)]
-            return CongruenceSum(tuple(factors))
+            return _congruence_from_file(arg)
         k = int(arg) if arg else int(rng.integers(1, 4))
         target = m if m is not None else n
         stacked = _random_isometry(k * n, target, rng)

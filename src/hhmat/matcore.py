@@ -10,6 +10,7 @@ compute the same result, so the race is harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     BadParams,
     BadSpec,
     ConvergenceFailure,
+    DimMismatch,
     ExcessAsymmetryError,
     NonFiniteEntries,
     NonSquareError,
@@ -92,10 +94,18 @@ class HermitianMatrix:
 
     # Real linear combinations of Hermitian matrices stay Hermitian, so a
     # little arithmetic sugar keeps checker code close to the formulas.
+    def _check_same_dim(self, other: "HermitianMatrix"):
+        """DimMismatch naming both sizes, not numpy's broadcasting
+        ValueError, when other differs in size."""
+        if self.dim != other.dim:
+            raise DimMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
+
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
+        self._check_same_dim(other)
         return HermitianMatrix(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
+        self._check_same_dim(other)
         return HermitianMatrix(self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianMatrix":
@@ -127,6 +137,14 @@ class EigenSystem:
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """|values| in descending order, read-only; sorted once per
+        decomposition, however many norms are read off it."""
+        sigma = np.sort(np.abs(self.values))[::-1]
+        sigma.flags.writeable = False
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -186,6 +204,10 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     A complex Gaussian is symmetrized, then affinely rescaled so the extreme
     eigenvalues land a random 1-10% of the interval width inside each
     endpoint.  ``seed`` may be an int or a Generator.
+
+    The rescaling s*w + c of the eigenvalues w of H is s*H + c*I, so only
+    the extreme eigenvalues are solved for.  s*H + c*I is exactly Hermitian,
+    as H is with its real diagonal, so it has residual 0.
     """
     if not omega < Omega:
         raise BadInterval(f"need omega < Omega, got [{omega}, {Omega}]")
@@ -197,13 +219,14 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
         return hermitian_from([[rng.uniform(lo, hi)]])
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
+    w = np.linalg.eigvalsh(h)
     span = float(w[-1] - w[0])
     if span < 1e-12:
-        w = np.linspace(lo, hi, n)
-    else:
-        w = lo + (w - w[0]) * ((hi - lo) / span)
-    return hermitian_from((v * w) @ v.conj().T)
+        return hermitian_from(np.diag(np.linspace(lo, hi, n)))
+    s = (hi - lo) / span
+    h *= s
+    h[np.diag_indices(n)] += lo - s * w[0]
+    return hermitian_from(h)
 
 
 def _exact_hermitian(entries: np.ndarray, spectral_pair=None) -> HermitianMatrix:
@@ -382,11 +405,6 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     return _exact_hermitian(result, (fvals, es.vectors))
 
 
-def singular_values(h: HermitianMatrix) -> np.ndarray:
-    """Singular values of a Hermitian matrix: |eigenvalues|, descending."""
-    return np.sort(np.abs(eig(h).values))[::-1]
-
-
 def ui_norm(h: HermitianMatrix, spec: NormSpec) -> float:
     """Evaluate a unitarily invariant norm of a Hermitian matrix.
 
@@ -398,15 +416,14 @@ def ui_norm(h: HermitianMatrix, spec: NormSpec) -> float:
     if spec.kind == "kyfan":
         if spec.k is None or not (1 <= int(spec.k) <= n):
             raise BadSpec(f"Ky Fan k must be in 1..{n}, got {spec.k}")
-        sigma = singular_values(h)
-        return float(np.sum(sigma[: int(spec.k)]))
+        return float(np.sum(eig(h).singular_values[: int(spec.k)]))
     if spec.kind == "schatten":
         if spec.p is None or spec.p < 1.0:
             raise BadSpec(f"Schatten p must be >= 1, got {spec.p}")
-        sigma = singular_values(h)
+        sigma = eig(h).singular_values
         return float(np.sum(sigma ** spec.p) ** (1.0 / spec.p))
     if spec.kind == "operator":
-        return float(singular_values(h)[0]) if n else 0.0
+        return float(eig(h).singular_values[0]) if n else 0.0
     raise BadSpec(f"unknown norm kind {spec.kind!r}")
 
 

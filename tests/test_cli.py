@@ -35,14 +35,17 @@ def test_passing_suite_exits_0(capsys):
     assert "t4: trials=4 passes=4 skips=0 failures=0" in out
 
 
-def test_replay_of_a_failing_instance_exits_1(tmp_path, capsys):
-    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
-    inst = generate_instance("t4", spec, 0)
+# t4 applies its map to b first; trace and chain add a and b
+@pytest.mark.parametrize("theorem", ["t4", "trace", "chain"])
+def test_replay_of_a_failing_instance_exits_1(tmp_path, capsys, theorem):
+    function = "power:2" if theorem == "chain" else "exp"  # the chain needs operator convexity
+    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function=function, trials=1, seed=0)
+    inst = generate_instance(theorem, spec, 0)
     inst["b"] = matrix_to_json(random_hermitian(3, 0.5, 2.0, 1))  # a is 4x4
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance_to_json(inst)))
     assert cli.main(["replay", str(path)]) == 1
-    assert "t4 seed=[0, 0]: fail margin=n/a DimMismatch" in capsys.readouterr().out
+    assert f"{theorem} seed=[0, 0]: fail margin=n/a DimMismatch" in capsys.readouterr().out
 
 
 def test_replay_of_an_instance_missing_a_field_exits_1(tmp_path, capsys):
@@ -301,19 +304,40 @@ def test_scalar_suite_honours_its_quadrature_options(capsys):
     assert "failures=0" not in capsys.readouterr().out
 
 
-def test_verify_with_a_congruence_read_from_a_file(tmp_path, capsys):
+def test_verify_with_a_congruence_read_from_a_file(tmp_path, capsys, monkeypatch):
     # two 3x3 factors stacked into an isometry: a unital congruence sum
     rng = np.random.default_rng(7)
     stacked, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
     factors = [stacked[:3], stacked[3:]]
     path = tmp_path / "factors.json"
     path.write_text(json.dumps(instance_to_json([factor_to_json(x) for x in factors])))
+    loads = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name) or load(fh))
     phi = make_map(f"congruence:{path}", 3, None, rng)
     assert isinstance(phi, CongruenceSum)
     assert all(np.array_equal(x, y) for x, y in zip(phi.factors, factors, strict=True))
     assert cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
-                     "--n", "3", "--trials", "3", "--map", f"congruence:{path}"]) == 0
-    assert "t1: trials=3 passes=3 skips=0 failures=0" in capsys.readouterr().out
+                     "--n", "3", "--trials", "5", "--map", f"congruence:{path}"]) == 0
+    assert "t1: trials=5 passes=5 skips=0 failures=0" in capsys.readouterr().out
+    assert loads == [str(path)]  # read by make_map above, by no trial again
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read congruence factors from "),
+    ("{not json", "cannot read congruence factors from "),
+    ("5", "does not hold a list"),
+])
+def test_verify_with_an_unreadable_congruence_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "factors.json"
+    if content is not None:
+        path.write_text(content)
+    code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
+                     "--trials", "5", "--map", f"congruence:{path}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert str(path) in captured.err and captured.out == ""
 
 
 def test_replayed_vector_literal_without_im_is_real(tmp_path, capsys):

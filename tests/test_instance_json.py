@@ -3,9 +3,12 @@ process.
 
 ``data/instance_sha256.json`` holds the sha256 of
 ``json.dumps(instance, sort_keys=True)`` for every theorem id and each map
-descriptor in SPEC, at n=3, seeds 0-1 and trial indices 0-2, recorded while
-generate_instance still wrote nested lists.  The JSON form that
-instance_to_json gives must match those bytes exactly.
+descriptor in SPEC, at n=3, seeds 0-1 and trial indices 0-2, recorded when
+random_hermitian began to shift and scale its GUE matrix (s*H + c*I) rather
+than rebuild it from its eigensystem.  That moved the entries of the 288
+instances with a random_hermitian draw by at most 1.8e-15 and left every
+other field byte-identical.  The JSON form that instance_to_json gives must
+match those bytes exactly.
 
 Regenerate the file, only when a change is meant to alter instances, with
 

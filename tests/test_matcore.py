@@ -9,6 +9,7 @@ from conftest import (
     eig2x2,
     make_rng,
     random_hermitian_raw,
+    random_hermitian_reference,
     random_psd,
     random_unitary,
     reconstruct,
@@ -18,12 +19,14 @@ from hhmat.errors import (
     BadParams,
     BadSpec,
     ConvergenceFailure,
+    DimMismatch,
     ExcessAsymmetryError,
     NonFiniteEntries,
     NonSquareError,
     SpectrumOutOfDomain,
 )
 from hhmat.matcore import (
+    SPECTRUM_SHRINK,
     HermitianMatrix,
     NormSpec,
     apply_function,
@@ -33,6 +36,7 @@ from hhmat.matcore import (
     hermitian_from,
     matrix_from_json,
     matrix_to_json,
+    random_hermitian,
     segment_matrices,
     ui_norm,
 )
@@ -72,6 +76,12 @@ class TestConstruction:
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(NonFiniteEntries):
             eig(hermitian_from([[bad, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("op", ["__add__", "__sub__"])
+    def test_sizes_that_differ_are_a_dim_mismatch(self, op):
+        a, b = hermitian_from(np.eye(3)), hermitian_from(np.eye(2))
+        with pytest.raises(DimMismatch, match="dimensions differ: 3 vs 2"):
+            getattr(a, op)(b)
 
     def test_entries_immutable(self):
         h = hermitian_from(np.eye(2))
@@ -303,7 +313,54 @@ class TestDecompositionOfFunctionValues:
             np.testing.assert_allclose(eig(other).values, fresh, atol=1e-12)
 
 
+class TestRandomHermitian:
+    """The draw shifts and scales the GUE matrix, s*H + c*I, instead of
+    rebuilding it from its eigensystem (conftest's reference)."""
+
+    @pytest.mark.parametrize("omega, Omega", [(0.5, 2.0), (-3.0, 100.0)])
+    @pytest.mark.parametrize("n", [1, 2, 4, 48])
+    def test_matches_the_eigenvector_construction(self, n, omega, Omega):
+        floor = SPECTRUM_SHRINK * 0.1 * (Omega - omega)  # the least shrink: 1%
+        for seed in range(6):
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            h = random_hermitian(n, omega, Omega, rng)
+            ref = random_hermitian_reference(n, omega, Omega, ref_rng)
+            scale = max(1.0, float(np.max(np.abs(ref.entries))))
+            assert np.max(np.abs(h.entries - ref.entries)) <= 1e-13 * scale
+            assert h.asymmetry_residual == 0.0
+            values = eig(h).values
+            assert omega + floor <= values[-1] and values[0] <= Omega - floor
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_a_flat_spectrum_is_spread_over_the_window(self, monkeypatch):
+        # a GUE draw never has a flat spectrum: solvers that report one
+        # send both constructions down their diag(linspace(lo, hi, n)) path
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.zeros(len(h)))
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: (np.zeros(len(h)), np.eye(len(h))))
+        rng, ref_rng = make_rng(3), make_rng(3)
+        h = random_hermitian(4, 0.5, 2.0, rng)
+        ref = random_hermitian_reference(4, 0.5, 2.0, ref_rng)
+        np.testing.assert_array_equal(h.entries, ref.entries)
+        assert np.all(np.diff(np.diag(h.entries).real) > 0)
+        assert h.asymmetry_residual == 0.0
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestNorms:
+    def test_singular_values_are_sorted_once_per_decomposition(self, monkeypatch):
+        h = random_hermitian_raw(6, make_rng(24))
+        specs = [NormSpec.ky_fan(k) for k in range(1, 7)]
+        specs += [NormSpec.schatten(1), NormSpec.schatten(2.5), NormSpec.operator()]
+        sigma = np.sort(np.abs(eig(h).values))[::-1]
+        expected = [float(np.sum(sigma[:spec.k])) if spec.kind == "kyfan"
+                    else float(np.sum(sigma ** spec.p) ** (1.0 / spec.p))
+                    if spec.kind == "schatten" else float(sigma[0]) for spec in specs]
+        sorts = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
+        assert [ui_norm(h, spec) for spec in specs * 3] == expected * 3  # bit for bit
+        assert len(sorts) == 1
+
     def test_ky_fan_example(self):
         h = hermitian_from(np.diag([3.0, 1.0, -2.0]))
         assert ui_norm(h, NormSpec.ky_fan(2)) == pytest.approx(5.0, abs=1e-13)
