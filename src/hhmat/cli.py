@@ -70,6 +70,9 @@ def main(argv=None) -> int:
                                    for field in fields(InstanceSpec) if hasattr(args, field.name)})
             report = harness.run_suite(spec, args.theorem, workers=args.workers)
             print(report.summary())
+            if report.judged == 0:
+                print(f"warning: the {args.theorem} suite judged none of its "
+                      f"{report.trials} trials", file=sys.stderr)
             for fail in report.failures:
                 print(f"  FAIL trial {fail['trial']}: instance below")
                 print("  " + json.dumps(fail["instance"], sort_keys=True))

@@ -2,15 +2,16 @@
 
 Theorem checkers gate their hypotheses on the declared flags (convex,
 increasing, positive, operator convex, f(0) <= 0).  The catalog is fixed so
-the flag assignments stay auditable; validate_flags spot-checks them
-numerically and hunts for witnesses against flags declared false.
+the flag assignments stay auditable; validate_flags tests each flag on an
+interval by deterministic grid and matrix tests, which refute a declared-true
+flag or give a witness against a declared-false one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -154,7 +155,6 @@ def _power_flags(r: float, dom: Interval) -> Flags:
         increasing=True if (nonneg or odd) else False,
         positive=dom.lo > 0.0 or (dom.lo == 0.0 and dom.lo_open),
         operator_convex=1.0 <= r <= 2.0,
-        f0_nonpositive=True if dom.contains_interval(0.0, 0.0) else None,
     )
 
 
@@ -163,13 +163,7 @@ def _affine_flags(a: float, b: float, dom: Interval) -> Flags:
         positive = min(a * dom.lo + b, a * dom.hi + b) > 0.0
     else:
         positive = a == 0.0 and b > 0.0
-    return Flags(
-        convex=True,
-        increasing=a >= 0.0,
-        positive=positive,
-        operator_convex=True,
-        f0_nonpositive=(b <= 0.0) if dom.contains_interval(0.0, 0.0) else None,
-    )
+    return Flags(convex=True, increasing=a >= 0.0, positive=positive, operator_convex=True)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -186,7 +180,8 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
 
     Supported names: power(r), exp, identity, cube, neg_sqrt, inverse,
     xlogx, affine(a, b).  Restricting the domain recomputes flags (e.g.
-    power(2) is increasing on [0, inf) but not on all of R).
+    power(2) is increasing on [0, inf) but not on all of R).  f0_nonpositive
+    is f(0) <= 0 when the domain holds 0, and None otherwise.
     """
     if name == "power":
         _require_params(name, params, 1)
@@ -195,49 +190,44 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
             raise BadParams(f"power exponent must be >= 1 for guaranteed convexity, got {r}")
         natural = Interval() if _is_integral(r) else Interval(lo=0.0)
         dom = _restrict(natural, domain, name)
-        return ScalarFunction(f"power:{r:g}", _power_eval(r), dom, _power_flags(r, dom))
-    if name == "cube":
+        label, fn, flags = f"power:{r:g}", _power_eval(r), _power_flags(r, dom)
+    elif name == "cube":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
-        return ScalarFunction("cube", _power_eval(3.0), dom, _power_flags(3.0, dom))
-    if name == "identity":
+        label, fn, flags = "cube", _power_eval(3.0), _power_flags(3.0, dom)
+    elif name == "identity":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
-        return ScalarFunction("identity", np.positive, dom, _affine_flags(1.0, 0.0, dom))
-    if name == "affine":
+        label, fn, flags = "identity", np.positive, _affine_flags(1.0, 0.0, dom)
+    elif name == "affine":
         _require_params(name, params, 2)
         a, b = float(params[0]), float(params[1])
         dom = _restrict(Interval(), domain, name)
-        return ScalarFunction(
-            f"affine:{a:g},{b:g}", lambda x: a * x + b, dom, _affine_flags(a, b, dom)
-        )
-    if name == "exp":
+        label, fn, flags = f"affine:{a:g},{b:g}", lambda x: a * x + b, _affine_flags(a, b, dom)
+    elif name == "exp":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
-        flags = Flags(convex=True, increasing=True, positive=True,
-                      operator_convex=False, f0_nonpositive=False)
-        return ScalarFunction("exp", np.exp, dom, flags)
-    if name == "neg_sqrt":
+        label, fn = "exp", np.exp
+        flags = Flags(convex=True, increasing=True, positive=True, operator_convex=False)
+    elif name == "neg_sqrt":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
-        flags = Flags(convex=True, increasing=False, positive=False,
-                      operator_convex=True,
-                      f0_nonpositive=True if dom.contains_interval(0.0, 0.0) else None)
-        return ScalarFunction("neg_sqrt", _neg_sqrt, dom, flags)
-    if name == "inverse":
+        label, fn = "neg_sqrt", _neg_sqrt
+        flags = Flags(convex=True, increasing=False, positive=False, operator_convex=True)
+    elif name == "inverse":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0, lo_open=True), domain, name)
-        flags = Flags(convex=True, increasing=False, positive=True,
-                      operator_convex=True, f0_nonpositive=None)
-        return ScalarFunction("inverse", np.reciprocal, dom, flags)
-    if name == "xlogx":
+        label, fn = "inverse", np.reciprocal
+        flags = Flags(convex=True, increasing=False, positive=True, operator_convex=True)
+    elif name == "xlogx":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
-        flags = Flags(convex=True, increasing=False, positive=False,
-                      operator_convex=True,
-                      f0_nonpositive=True if dom.contains_interval(0.0, 0.0) else None)
-        return ScalarFunction("xlogx", _xlogx, dom, flags)
-    raise UnknownName(f"no catalog entry named {name!r}")
+        label, fn = "xlogx", _xlogx
+        flags = Flags(convex=True, increasing=False, positive=False, operator_convex=True)
+    else:
+        raise UnknownName(f"no catalog entry named {name!r}")
+    f0 = bool(fn(np.float64(0.0)) <= 0.0) if dom.contains_interval(0.0, 0.0) else None
+    return ScalarFunction(label, fn, dom, replace(flags, f0_nonpositive=f0))
 
 
 def _restrict(natural: Interval, domain: tuple[float, float] | None, name: str) -> Interval:
@@ -291,6 +281,10 @@ CATALOG_DESCRIPTORS = (
 
 # -- numeric flag validation --------------------------------------------------
 
+# Diagonal points of the operator-convexity star probe.
+STAR_PROBE_POINTS = 4
+
+
 @dataclass(frozen=True)
 class FlagCheck:
     status: str  # confirmed | witnessed_false | no_witness | skipped
@@ -306,25 +300,45 @@ class FlagReport:
     checks: dict[str, FlagCheck] = field(default_factory=dict)
 
 
-def _midpoint_violation(f, A, B, lams=(0.25, 0.5, 0.75)):
-    """(A, B, lam, margin) for the first lam at which
-    f(lam A + (1-lam) B) <= lam f(A) + (1-lam) f(B) fails, else None."""
-    fa, fb = matcore.apply_function(f, A), matcore.apply_function(f, B)
-    for lam in lams:
-        mix = matcore.apply_function(f, lam * A + (1.0 - lam) * B)
-        verdict = orders.loewner_leq(mix, lam * fa + (1.0 - lam) * fb)
-        if not verdict.holds:
-            return (A, B, lam, verdict.margin)
-    return None
+def _midpoint_violation(f, A, B) -> dict | None:
+    """The replayable witness {"a", "b", "margin"} when
+    f((A + B)/2) <= (f(A) + f(B))/2 fails in the Loewner order, else None."""
+    mid = matcore.apply_function(f, 0.5 * A + 0.5 * B)
+    avg = 0.5 * matcore.apply_function(f, A) + 0.5 * matcore.apply_function(f, B)
+    verdict = orders.loewner_leq(mid, avg)
+    if verdict.holds:
+        return None
+    return {"a": matcore.matrix_to_json(A), "b": matcore.matrix_to_json(B),
+            "margin": verdict.margin}
 
 
-def _search_operator_convexity_violation(f, a, b, rng, trials):
-    for n in (2, 3):
-        for _ in range(trials):
-            pair = [matcore.random_hermitian(n, a, b, rng) for _ in range(2)]
-            witness = _midpoint_violation(f, *pair)
-            if witness is not None:
-                return witness
+def _star_probe_violation(f, a: float, b: float) -> dict | None:
+    """Midpoint test of the pairs A +- tH that decide operator convexity to
+    second order.
+
+    With points x_1..x_k inside [a, b], each x_0 among them gives
+    A = diag(x_0, x_1, ..., x_k) and the star H = e_0 1* + 1 e_0* with zero
+    diagonal.  By the Daleckii-Krein formula, the gap
+    (f(A + tH) + f(A - tH))/2 - f(A) is t^2 [f[x_0, x_i, x_j]] + O(t^4) on
+    indices 1..k, where f[., ., .] is the second divided difference.  Kraus
+    (1936; Bhatia, Matrix Analysis, Ch. V) showed that f is operator convex
+    on an interval exactly when that matrix is positive semidefinite for
+    every choice of points.  So a function that is not operator convex shows
+    a negative direction here, with no derivative and no random draw, while
+    an operator convex one meets the midpoint inequality for every pair.
+    ||H|| = sqrt(k), so t = delta / (2 sqrt(k)) keeps both spectra within
+    delta/2 of the points, inside [a, b].
+    """
+    delta = 0.05 * (b - a)
+    xs = np.linspace(a + delta, b - delta, STAR_PROBE_POINTS)
+    star = np.zeros((STAR_PROBE_POINTS + 1,) * 2)
+    star[0, 1:] = star[1:, 0] = delta / (2.0 * math.sqrt(STAR_PROBE_POINTS))
+    for x0 in xs:
+        diag = np.diag(np.concatenate(([x0], xs)))
+        witness = _midpoint_violation(
+            f, matcore.hermitian_from(diag + star), matcore.hermitian_from(diag - star))
+        if witness is not None:
+            return witness
     return None
 
 
@@ -333,22 +347,26 @@ def validate_flags(
     interval: tuple[float, float],
     grid_points: int = 201,
     *,
-    rng: np.random.Generator | None = None,
     claims: dict | None = None,
-    matrix_trials: int = 40,
 ) -> FlagReport:
-    """Numerically confirm declared-true flags on a grid over ``interval``.
+    """Test the declared flags of f on ``interval`` by deterministic tests.
 
-    A declared-true flag that fails raises FlagContradicted with a witness.
-    For declared-false flags a directed search records a witness showing the
-    property really fails (cube's operator convexity, for instance).  The
-    ``claims`` mapping overrides declarations, so a caller can ask "what if
-    this were operator convex" and get the refuting witness as an error.
+    Convexity is the midpoint test on every pair of grid points, monotonicity
+    the largest drop from a grid point to a later one, positivity the grid
+    minimum, f0_nonpositive the value at 0, and operator convexity the star
+    probe of _star_probe_violation.  A declared-true flag that fails raises
+    FlagContradicted with a witness: the worst pair of a grid test, or the
+    first failing matrix pair.  A declared-false flag that fails records the
+    witness (witnessed_false); one that no test refutes is no_witness.  An
+    operator-convexity witness {"a", "b", "margin"} holds the pair as matrix
+    literals, which matrix_from_json reads back to the same matrices and so
+    the same margin.  The ``claims`` mapping overrides declarations, so a
+    caller can ask "what if this were operator convex" and get the refuting
+    witness as an error.
     """
     a, b = float(interval[0]), float(interval[1])
     if not f.domain.contains_interval(a, b):
         raise BadParams(f"interval [{a}, {b}] not inside domain {f.domain} of {f.name}")
-    rng = rng if rng is not None else np.random.default_rng(0)
     grid = np.linspace(a, b, max(int(grid_points), 3))
     vals = f.eval_array(grid)
     if not np.all(np.isfinite(vals)):
@@ -376,24 +394,18 @@ def validate_flags(
         else:
             checks[flag] = FlagCheck("no_witness")
 
-    # Midpoint convexity on random grid pairs.
-    witness = None
-    for _ in range(10 * len(grid)):
-        s, t = rng.choice(grid, size=2)
-        gap = (f(s) + f(t)) / 2.0 - f((s + t) / 2.0)
-        if gap < -tol:
-            witness = (float(s), float(t), float(gap))
-            break
+    # Midpoint convexity on every pair of grid points.
+    i, j = np.triu_indices(len(grid), 1)
+    gaps = (vals[i] + vals[j]) / 2.0 - f.eval_array((grid[i] + grid[j]) / 2.0)
+    w = int(np.argmin(gaps))
+    witness = (float(grid[i[w]]), float(grid[j[w]]), float(gaps[w])) if gaps[w] < -tol else None
     settle("convex", witness)
 
-    # Monotonicity on ordered random pairs.
-    witness = None
-    for _ in range(10 * len(grid)):
-        s, t = sorted(rng.choice(grid, size=2))
-        drop = f(s) - f(t)
-        if drop > tol:
-            witness = (float(s), float(t), float(drop))
-            break
+    # Monotonicity: the largest drop from a grid point to a later one.
+    drops = np.maximum.accumulate(vals)[:-1] - vals[1:]
+    w = int(np.argmax(drops))
+    top = float(grid[np.argmax(vals[:w + 1])])
+    witness = (top, float(grid[w + 1]), float(drops[w])) if drops[w] > tol else None
     settle("increasing", witness)
 
     # Strict positivity on the grid.
@@ -401,20 +413,7 @@ def validate_flags(
     witness = (float(grid[i_min]), float(vals[i_min])) if vals[i_min] <= 0.0 else None
     settle("positive", witness)
 
-    # Operator convexity sampled on random 2x2 and 3x3 pairs.  The fixed
-    # probe pair below is a known violator for cube-like functions.
-    witness = _search_operator_convexity_violation(f, a, b, rng, matrix_trials)
-    if witness is None and effective["operator_convex"] is False:
-        witness = _fixed_probe_violation(f, a, b)
-    if witness is not None:
-        A, B, lam, margin = witness
-        witness = {
-            "a": A.entries.real.tolist(),
-            "b": B.entries.real.tolist(),
-            "lambda": lam,
-            "margin": margin,
-        }
-    settle("operator_convex", witness)
+    settle("operator_convex", _star_probe_violation(f, a, b))
 
     if effective["f0_nonpositive"] is None or not f.domain.contains(0.0):
         checks["f0_nonpositive"] = FlagCheck("skipped")
@@ -423,14 +422,3 @@ def validate_flags(
         settle("f0_nonpositive", (0.0, float(v0)) if v0 > tol else None)
 
     return FlagReport(function=f.name, interval=(a, b), checks=checks)
-
-
-def _fixed_probe_violation(f, a, b):
-    # Deterministic violating candidate for convex-but-not-operator-convex
-    # functions; spectra are {(3 +- sqrt(5))/2} and {1, 0}, which [a, b],
-    # inside the domain of f, must cover.
-    if a > 0.0 or b < (3.0 + math.sqrt(5.0)) / 2.0:
-        return None
-    A = matcore.hermitian_from([[2.0, 1.0], [1.0, 1.0]])
-    B = matcore.hermitian_from([[1.0, 0.0], [0.0, 0.0]])
-    return _midpoint_violation(f, A, B, lams=(0.5,))

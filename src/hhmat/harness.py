@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -434,11 +435,24 @@ class SuiteReport:
                     "" if rec["margin"] is None else repr(rec["margin"]),
                 ])
 
+    @property
+    def judged(self) -> int:
+        """Trials that met their hypotheses and so were judged pass or fail."""
+        return self.trials - self.skips
+
     def summary(self) -> str:
+        """One line of counts; when trials were skipped, a second line with
+        the three commonest skip reasons, by count and then text."""
         worst = "n/a" if self.worst_margin is None else f"{self.worst_margin:.3e}"
-        return (f"{self.theorem}: trials={self.trials} passes={self.passes} "
+        line = (f"{self.theorem}: trials={self.trials} passes={self.passes} "
                 f"skips={self.skips} failures={self.failure_count} "
+                f"judged={self.judged}/{self.trials} "
                 f"worst_margin={worst} time={self.wall_time_s:.2f}s")
+        reasons = Counter(rec["detail"] for rec in self.records if rec["verdict"] == "skip")
+        if reasons:
+            top = sorted(reasons.items(), key=lambda item: (-item[1], item[0]))[:3]
+            line += "\n  skipped: " + "; ".join(f"{count}x {text}" for text, count in top)
+        return line
 
 
 def _run_one(args) -> tuple[int, dict, dict | None]:

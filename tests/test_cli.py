@@ -18,6 +18,7 @@ from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
     InstanceSpec,
+    SuiteReport,
     generate_instance,
     instance_to_json,
     make_map,
@@ -32,7 +33,36 @@ def test_passing_suite_exits_0(capsys):
                      "--n", "3", "--trials", "4"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "t4: trials=4 passes=4 skips=0 failures=0" in out
+    assert "t4: trials=4 passes=4 skips=0 failures=0 judged=4/4 " in out
+    assert "skipped:" not in out
+
+
+def test_suite_that_judges_nothing_says_so_and_exits_0(capsys):
+    # the default f, power:2, is not positive at 0, which the default [0, 2] holds
+    code = cli.main(["verify", "--theorem", "t4", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert " skips=5 failures=0 judged=0/5 " in captured.out
+    assert "\n  skipped: 5x power:2(0) = 0 is not positive\n" in captured.out
+    assert captured.err == "warning: the t4 suite judged none of its 5 trials\n"
+
+
+def test_skip_reasons_are_ordered_by_count_then_text():
+    records = [{"trial": i, "verdict": "skip", "detail": d}
+               for i, d in enumerate(["b", "c", "a", "b", "d", "c"])]
+    report = SuiteReport(theorem="t3", spec=InstanceSpec(), trials=7, passes=1, skips=6,
+                         worst_margin=0.5, records=records + [{"verdict": "pass"}])
+    assert report.judged == 1
+    assert report.summary().splitlines()[1] == "  skipped: 2x b; 2x c; 1x a"
+
+
+def test_counterexample_is_reproduced_exactly(tmp_path, capsys):
+    path = tmp_path / "ce.json"
+    assert cli.main(["counterexample", "--json", str(path)]) == 0
+    assert "counterexample reproduced exactly\n" in capsys.readouterr().out
+    payload = json.loads(path.read_text())
+    assert payload["passes"] is True
+    assert (payload["left_gap_det"], payload["right_gap_det"]) == ("-1/36", "-1/9")
 
 
 # t4 applies its map to b first; trace and chain add a and b

@@ -1,12 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_rng
 from hhmat import funcat
 from hhmat.errors import BadParams, FlagContradicted, UnknownName
 from hhmat.funcat import CATALOG_DESCRIPTORS, Interval, builtin, from_descriptor, validate_flags
+from hhmat.harness import instance_to_json
+from hhmat.matcore import apply_function, matrix_from_json
+from hhmat.orders import loewner_leq
 
 
 class TestInterval:
@@ -186,39 +189,36 @@ INTERVALS = {
 
 class TestValidateFlags:
     def test_cube_convexity_confirmed(self):
-        report = validate_flags(builtin("cube"), (0.0, 2.0), 101, rng=make_rng(0))
+        report = validate_flags(builtin("cube"), (0.0, 2.0), 101)
         assert report.checks["convex"].status == "confirmed"
         assert report.checks["increasing"].status == "confirmed"
 
     def test_exp_confirmed(self):
-        report = validate_flags(builtin("exp"), (-1.0, 1.0), 101, rng=make_rng(1))
+        report = validate_flags(builtin("exp"), (-1.0, 1.0), 101)
         assert report.checks["convex"].status == "confirmed"
         assert report.checks["increasing"].status == "confirmed"
         assert report.checks["positive"].status == "confirmed"
 
     def test_cube_operator_convexity_witnessed_false(self):
-        report = validate_flags(builtin("cube"), (0.0, 3.0), 101, rng=make_rng(2))
+        report = validate_flags(builtin("cube"), (0.0, 3.0), 101)
         assert report.checks["operator_convex"].status == "witnessed_false"
         assert report.checks["operator_convex"].witness is not None
 
     def test_claiming_cube_operator_convex_raises_with_witness(self):
         with pytest.raises(FlagContradicted) as err:
-            validate_flags(builtin("cube"), (0.0, 3.0), 101, rng=make_rng(3),
-                           claims={"operator_convex": True})
+            validate_flags(builtin("cube"), (0.0, 3.0), 101, claims={"operator_convex": True})
         assert err.value.flag == "operator_convex"
         assert err.value.witness is not None
 
     def test_false_claim_without_witness_is_reported_not_raised(self):
         # claiming exp is not increasing finds no refuting witness (it is),
         # and the incomplete search is reported honestly
-        report = validate_flags(builtin("exp"), (-1.0, 1.0), 101, rng=make_rng(4),
-                                claims={"increasing": False})
+        report = validate_flags(builtin("exp"), (-1.0, 1.0), 101, claims={"increasing": False})
         assert report.checks["increasing"].status == "no_witness"
 
     def test_declared_true_positivity_contradicted(self):
         with pytest.raises(FlagContradicted) as err:
-            validate_flags(builtin("identity"), (-1.0, 1.0), 101, rng=make_rng(5),
-                           claims={"positive": True})
+            validate_flags(builtin("identity"), (-1.0, 1.0), 101, claims={"positive": True})
         assert err.value.flag == "positive"
 
     def test_interval_outside_domain_rejected(self):
@@ -228,20 +228,106 @@ class TestValidateFlags:
     def test_whole_catalog_validates(self):
         # every declared-true flag passes; declared-false flags either find
         # a witness or are honestly reported unwitnessed
-        rng = make_rng(99)
         for desc in CATALOG_DESCRIPTORS:
             f = from_descriptor(desc)
-            report = validate_flags(f, INTERVALS[desc], 151, rng=rng, matrix_trials=25)
+            report = validate_flags(f, INTERVALS[desc], 151)
             for flag, declared in f.flags.as_dict().items():
                 if declared is True:
                     assert report.checks[flag].status == "confirmed", (desc, flag)
 
     def test_operator_convex_entries_pass_sampling(self):
-        rng = make_rng(17)
         for desc in ("power:1.5", "power:2", "inverse", "neg_sqrt", "xlogx"):
             f = from_descriptor(desc)
-            report = validate_flags(f, INTERVALS[desc], 101, rng=rng, matrix_trials=30)
+            report = validate_flags(f, INTERVALS[desc], 101)
             assert report.checks["operator_convex"].status == "confirmed", desc
+
+    # power:3 is not convex on [-1, 1] and power:2 not increasing there
+    @pytest.mark.parametrize("desc, flag", [("power:3", "convex"), ("power:2", "increasing")])
+    def test_grid_witness_is_the_worst_pair(self, desc, flag):
+        f = from_descriptor(desc)
+        grid = np.linspace(-1.0, 1.0, 21)
+        pairs = [(s, t) for k, s in enumerate(grid) for t in grid[k + 1:]]
+        if flag == "convex":
+            worst = min(pairs, key=lambda p: (f(p[0]) + f(p[1])) / 2.0 - f((p[0] + p[1]) / 2.0))
+            excess = (f(worst[0]) + f(worst[1])) / 2.0 - f((worst[0] + worst[1]) / 2.0)
+        else:
+            worst = max(pairs, key=lambda p: f(p[0]) - f(p[1]))
+            excess = f(worst[0]) - f(worst[1])
+        check = validate_flags(f, (-1.0, 1.0), 21).checks[flag]
+        assert check.status == "witnessed_false"
+        assert check.witness[:2] == worst
+        assert check.witness[2] == pytest.approx(excess, rel=1e-12)
+
+
+NOT_OPERATOR_CONVEX = [d for d in CATALOG_DESCRIPTORS
+                       if from_descriptor(d).flags.operator_convex is False]
+PROBE_INTERVALS = [(0.0, 2.0), (0.25, 2.0), (0.5, 2.0)]
+
+
+def _replay_operator_convexity_witness(f, witness, interval):
+    """Margin of the midpoint inequality on the witness pair, read back from
+    its JSON text; both matrices have their spectra inside the interval."""
+    pair = json.loads(json.dumps(instance_to_json(witness)))
+    A, B = matrix_from_json(pair["a"]), matrix_from_json(pair["b"])
+    for h in (A, B):
+        spectrum = np.linalg.eigvalsh(h.entries)
+        assert interval[0] <= spectrum[0] and spectrum[-1] <= interval[1]
+    verdict = loewner_leq(apply_function(f, 0.5 * A + 0.5 * B),
+                          0.5 * apply_function(f, A) + 0.5 * apply_function(f, B))
+    assert not verdict.holds
+    return verdict.margin
+
+
+@pytest.mark.parametrize("interval", PROBE_INTERVALS + [(0.0, 3.0)])
+@pytest.mark.parametrize("desc", NOT_OPERATOR_CONVEX + ["power:3@0,inf", "power:2.5"])
+def test_operator_convexity_witness_replays_to_the_same_margin(desc, interval):
+    f = from_descriptor(desc)
+    check = validate_flags(f, interval).checks["operator_convex"]
+    assert check.status == "witnessed_false"
+    replayed = _replay_operator_convexity_witness(f, check.witness, interval)
+    assert replayed.hex() == check.witness["margin"].hex()
+
+
+@pytest.mark.parametrize("interval", PROBE_INTERVALS)
+@pytest.mark.parametrize("desc", NOT_OPERATOR_CONVEX)
+def test_refuted_operator_convexity_claim_carries_a_replayable_witness(desc, interval):
+    f = from_descriptor(desc)
+    with pytest.raises(FlagContradicted) as err:
+        validate_flags(f, interval, claims={"operator_convex": True})
+    replayed = _replay_operator_convexity_witness(f, err.value.witness, interval)
+    assert replayed.hex() == err.value.witness["margin"].hex()
+
+
+# Flags of each catalog entry, and of its restrictions to [0, 2] and [0.5, 2],
+# as they were when each entry wrote f0_nonpositive by hand: convex,
+# increasing, positive, operator_convex, f0_nonpositive as T, F or - (None).
+HAND_WRITTEN_FLAGS = {
+    "identity": "TTFTT", "identity@0,2": "TTFTT", "identity@0.5,2": "TTTT-",
+    "affine:2,0.5": "TTFTF", "affine:2,0.5@0,2": "TTTTF", "affine:2,0.5@0.5,2": "TTTT-",
+    "power:1.5": "TTFTT", "power:1.5@0,2": "TTFTT", "power:1.5@0.5,2": "TTTT-",
+    "power:2": "TFFTT", "power:2@0,2": "TTFTT", "power:2@0.5,2": "TTTT-",
+    "power:2@0,inf": "TTFTT",
+    "power:4": "TFFFT", "power:4@0,2": "TTFFT", "power:4@0.5,2": "TTTF-",
+    "cube": "TTFFT", "cube@0,2": "TTFFT", "cube@0.5,2": "TTTF-",
+    "exp": "TTTFF", "exp@0,2": "TTTFF", "exp@0.5,2": "TTTFF",
+    "neg_sqrt": "TFFTT", "neg_sqrt@0,2": "TFFTT", "neg_sqrt@0.5,2": "TFFT-",
+    "inverse": "TFTT-", "inverse@0,2": "TFTT-", "inverse@0.5,2": "TFTT-",
+    "xlogx": "TFFTT", "xlogx@0,2": "TFFTT", "xlogx@0.5,2": "TFFT-",
+}
+
+
+def test_f0_nonpositive_rule_keeps_every_flag_but_exp_off_zero():
+    restricted = {d.partition("@")[0] + dom
+                  for d in CATALOG_DESCRIPTORS for dom in ("@0,2", "@0.5,2")}
+    assert set(HAND_WRITTEN_FLAGS) == set(CATALOG_DESCRIPTORS) | restricted
+    code = {True: "T", False: "F", None: "-"}
+    changed = {}
+    for desc, before in HAND_WRITTEN_FLAGS.items():
+        now = "".join(code[v] for v in from_descriptor(desc).flags.as_dict().values())
+        if now != before:
+            changed[desc] = (before, now)
+    # exp(0) = 1 > 0 is no fact about f on [0.5, 2], which holds no 0
+    assert changed == {"exp@0.5,2": ("TTTFF", "TTTF-")}
 
 
 # The per-point formulas the catalog used before its entries were written as
