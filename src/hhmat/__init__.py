@@ -33,7 +33,6 @@ from .matcore import (
     ui_norm,
 )
 from .orders import (
-    MajorizationReport,
     OrderVerdict,
     eigen_dominance,
     loewner_leq,

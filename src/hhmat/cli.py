@@ -89,20 +89,19 @@ def main(argv=None) -> int:
                   f"interval=[{result.omega:g},{result.Omega:g}]")
             return 0
         if args.command == "counterexample":
-            report = hhcheck.reproduce_counterexample()
-            payload = report.to_jsonable()
+            payload = hhcheck.reproduce_counterexample()
             for key in ("mid_cubed", "segment_integral", "endpoint_average"):
                 print(f"{key}: {payload[key]}")
             print(f"left gap det = {payload['left_gap_det']} "
-                  f"(left inequality fails: {report.left_fails})")
+                  f"(left inequality fails: {payload['left_fails']})")
             print(f"right gap det = {payload['right_gap_det']} "
-                  f"(right inequality fails: {report.right_fails})")
-            print("counterexample reproduced exactly" if report.passes
+                  f"(right inequality fails: {payload['right_fails']})")
+            print("counterexample reproduced exactly" if payload["passes"]
                   else "counterexample reproduction FAILED")
             if args.json_out:
                 with open(args.json_out, "w", encoding="utf-8") as fh:
                     json.dump(payload, fh, sort_keys=True)
-            return 0 if report.passes else 1
+            return 0 if payload["passes"] else 1
         if args.command == "replay":
             try:
                 with open(args.file, "r", encoding="utf-8") as fh:

@@ -99,14 +99,6 @@ class HypothesisUnmet(Error):
         self.reasons = list(reasons)
 
 
-class NotConvexFlag(HypothesisUnmet):
-    """The scalar function is not declared convex."""
-
-
-class NotOperatorConvexFlag(HypothesisUnmet):
-    """The scalar function is not declared operator convex."""
-
-
 # -- harness -----------------------------------------------------------------
 
 class UnknownTheorem(Error):

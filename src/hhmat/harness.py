@@ -13,12 +13,12 @@ import functools
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import hhcheck, orders
+from . import hhcheck
 from .errors import BadInterval, BadParams, Error, HypothesisUnmet, UnknownTheorem
 from .funcat import from_descriptor
 from .matcore import (HermitianMatrix, NormSpec, array_from_json, array_to_json, count_field,
@@ -52,14 +52,16 @@ class InstanceSpec:
     seed: int = 0
     chain_k: int = 2
     chain_p: int = 1
-    quad_nodes: int = 16
-    quad_rtol: float = 1e-11
+    quad_nodes: int = QuadratureSpec.nodes
+    quad_rtol: float = QuadratureSpec.rtol
 
     def __post_init__(self):
         if self.n < 1 or (self.m is not None and self.m < 1):
             raise BadParams(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
         if self.trials < 1:
             raise BadParams(f"trial count must be >= 1, got {self.trials}")
+        if self.chain_k < 1 or self.chain_p < 1:
+            raise BadParams(f"k and p must be >= 1, got k={self.chain_k}, p={self.chain_p}")
         lo, hi = self.interval
         if not lo < hi:
             raise BadInterval(f"need omega < Omega, got [{lo}, {hi}]")
@@ -72,6 +74,9 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _random_isometry(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """A random n x m matrix with orthonormal columns; BadParams if m > n."""
+    if m > n:
+        raise BadParams(f"an isometry into C^{n} has at most {n} columns, got m={m}")
     g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     q, _ = np.linalg.qr(g)
     return q[:, :m]
@@ -105,25 +110,33 @@ def _congruence_from_file(path: str) -> CongruenceSum:
     return CongruenceSum(tuple(factor_from_json(obj) for obj in literals))
 
 
+def _descriptor_count(desc: str, text: str) -> int:
+    """A count written in a map descriptor: an integer >= 1, else BadParams."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise BadParams(f"map descriptor {desc!r} needs integer counts >= 1, got {text!r}")
+    return int(text)
+
+
 def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> PositiveLinearMap:
     """Build a positive linear map from a descriptor.
 
     identity | compress[:m] | pinch[:b1,b2,...] | congruence[:k] |
     subcongruence[:k] | congruence:<file.json>.  Random choices draw from
-    ``rng``; explicit parameters are deterministic.
+    ``rng``; explicit parameters are deterministic.  Every written count
+    must be an integer >= 1 (BadParams).
     """
     kind, _, arg = desc.partition(":")
     if kind == "identity":
         return IdentityMap(n)
     if kind == "compress":
         if arg:
-            target = int(arg)
+            target = _descriptor_count(desc, arg)
             return Compression(np.eye(n, target, dtype=complex))
         target = m if m is not None else int(rng.integers(1, n + 1))
         return Compression(_random_isometry(n, target, rng))
     if kind == "pinch":
         if arg:
-            sizes = [int(s) for s in arg.split(",")]
+            sizes = [_descriptor_count(desc, s) for s in arg.split(",")]
             if sum(sizes) != n:
                 raise BadParams(f"pinch block sizes {sizes} do not sum to {n}")
             blocks, start = [], 0
@@ -135,7 +148,7 @@ def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Posi
     if kind in ("congruence", "subcongruence"):
         if kind == "congruence" and arg.endswith(".json"):
             return _congruence_from_file(arg)
-        k = int(arg) if arg else int(rng.integers(1, 4))
+        k = _descriptor_count(desc, arg) if arg else int(rng.integers(1, 4))
         target = m if m is not None else n
         stacked = _random_isometry(k * n, target, rng)
         factors = tuple(stacked[i * n:(i + 1) * n, :] for i in range(k))
@@ -173,10 +186,11 @@ def instance_to_json(obj):
 # -- the theorem registry ---------------------------------------------------------
 #
 # generate(spec, rng, phi) returns a theorem's instance fields, phi being the
-# trial's map (None if the suite takes none).  run(inst, f, phi, quad) judges
-# an instance with f and phi loaded (None if not read) and returns the
-# checker's report, looking the checker up on hhcheck at call time so that
-# rebinding one there reaches it.
+# trial's map (None if the suite takes none), or raises a package error for a
+# spec the theorem cannot use.  run(inst, f, phi, quad) judges an instance
+# with f and phi loaded and returns the checker's verdict (holds and margin),
+# looking the checker up on hhcheck at call time so that rebinding one there
+# reaches it.
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -187,14 +201,11 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class Theorem:
-    """A theorem suite: its instance generator and runner, and what it reads."""
+    """A theorem suite: its instance generator and runner, and whether it takes a map."""
 
     generate: Callable
     run: Callable
-    reads_f: bool = True
     takes_map: bool = True
-    trials: int | None = None  # fixed trial count, whatever the spec asks
-    power_f: bool = False  # f must be a power
 
 
 def _pair(spec: InstanceSpec, rng: np.random.Generator, phi=None, lo: float | None = None) -> dict:
@@ -245,16 +256,12 @@ def _gen_t3(spec, rng, phi) -> dict:
 
 
 def _gen_power_norm(spec, rng, phi) -> dict:
-    # PSD inputs are required, so clamp the sampling window at zero
+    # f must be a power; PSD inputs are required, so clamp the window at zero
+    _power_exponent(spec.function)
     lo, hi = spec.interval
     if not max(lo, 0.0) < hi:
         raise BadInterval(f"interval [{lo}, {hi}] leaves no room above 0")
     return {**_pair(spec, rng, lo=max(lo, 0.0)), "specs": default_norm_specs(phi.target_dim)}
-
-
-def _run_counterexample(inst, f, phi, quad) -> orders.OrderVerdict:
-    passes = hhcheck.reproduce_counterexample().passes
-    return orders.OrderVerdict(holds=passes, margin=0.0 if passes else -1.0)
 
 
 def _run_scalar(inst, f, phi, quad):
@@ -296,7 +303,7 @@ THEOREMS: dict[str, Theorem] = {
         f, phi, *_load_pair(inst), quad)),
     "trace": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_trace_corollary(
         f, *_load_pair(inst), quad), takes_map=False),
-    "power_norm": Theorem(_gen_power_norm, _run_power_norm, power_f=True),
+    "power_norm": Theorem(_gen_power_norm, _run_power_norm),
     "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
     "t3": Theorem(_gen_t3, lambda inst, f, phi, quad: hhcheck.check_theorem_t3(
         f, phi, *_load_pair(inst), quad)),
@@ -310,8 +317,6 @@ THEOREMS: dict[str, Theorem] = {
     "norm_chain": Theorem(
         lambda spec, rng, phi: {**_pair(spec, rng), "specs": default_norm_specs(phi.target_dim)},
         _run_norm_chain),
-    "counterexample": Theorem(lambda spec, rng, phi: {}, _run_counterexample,
-                              reads_f=False, takes_map=False, trials=1),
 }
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -375,9 +380,10 @@ def run_instance(inst: dict) -> TrialResult:
     try:
         entry = _theorem(json_field(inst, "theorem"))
         quad = QuadratureSpec(
-            nodes=count_field(inst, "quad_nodes") if "quad_nodes" in inst else 16,
-            rtol=float(number_field(inst, "quad_rtol", ())) if "quad_rtol" in inst else 1e-11)
-        f = from_descriptor(str_field(inst, "f")) if entry.reads_f else None
+            nodes=count_field(inst, "quad_nodes") if "quad_nodes" in inst else QuadratureSpec.nodes,
+            rtol=(float(number_field(inst, "quad_rtol", ())) if "quad_rtol" in inst
+                  else QuadratureSpec.rtol))
+        f = from_descriptor(str_field(inst, "f"))
         phi = map_from_json(json_field(inst, "map")) if entry.takes_map else None
         report = entry.run(inst, f, phi, quad)
     except HypothesisUnmet as exc:
@@ -475,20 +481,14 @@ def _run_one(args) -> tuple[int, dict, dict | None]:
 def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport:
     """Run the named checker over seeded trials; deterministic per root seed.
 
-    The spec is checked against the registry entry before any trial runs.
-    A suite with a fixed trial count (counterexample: one fixed trial) runs
-    that many.  The function descriptor of a suite that reads f is parsed,
-    so a malformed one raises its package error (BadParams, UnknownName) up
-    front; so does a power_norm suite whose function is not a power, and a
-    suite that takes no map given one other than the identity (BadParams).
+    The function descriptor is parsed before any trial runs, so a malformed
+    one raises its package error (BadParams, UnknownName) up front; so does
+    a suite that takes no map given one other than the identity (BadParams).
+    A spec the theorem's generator refuses (a malformed map descriptor, a
+    power_norm function that is not a power) raises from the first trial.
     """
     entry = _theorem(theorem)
-    if entry.trials is not None:
-        spec = replace(spec, trials=entry.trials)
-    if entry.reads_f:
-        from_descriptor(spec.function)
-    if entry.power_f:
-        _power_exponent(spec.function)
+    from_descriptor(spec.function)
     if not entry.takes_map and spec.map_desc != "identity":
         raise BadParams(f"the {theorem} suite takes no map, got {spec.map_desc!r}")
     start = time.perf_counter()

@@ -6,11 +6,11 @@ an inequality violation with hypotheses met is always a bug signal.  The
 fixed 2x2 counterexample showing that the naive two-sided matrix bound for
 t^3 fails is reproduced in exact rational arithmetic.
 
-A checker returns the OrderVerdict of its one comparison, a ChainReport of
-labelled verdicts for several, or (t1) the MajorizationReport of the
-partial sums; a harness reads only holds and margin.  Each verdict comes
-from orders.judge.  No judged link means a skip: a checker left with no
-comparison to judge raises HypothesisUnmet.
+A checker returns the OrderVerdict of its one comparison (for t1, weak
+majorization of the eigenvalue partial sums) or a ChainReport of labelled
+verdicts for several; a harness reads only holds and margin.  Each verdict
+comes from orders.judge.  No judged link means a skip: a checker left with
+no comparison to judge raises HypothesisUnmet.
 """
 
 from __future__ import annotations
@@ -23,18 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import orders, plmaps
-from .errors import (
-    BadInterval,
-    BadParams,
-    HypothesisUnmet,
-    NotConvexFlag,
-    NotOperatorConvexFlag,
-    NotPositive,
-)
+from .errors import BadInterval, BadParams, HypothesisUnmet, NotPositive
 from .funcat import ScalarFunction, builtin
 from .matcore import (HermitianMatrix, apply_function, eig, hermitian_from, spectrum_outside,
                       ui_norm)
-from .orders import DEFAULT_TOL, MajorizationReport, OrderVerdict
+from .orders import DEFAULT_TOL, OrderVerdict
 from .plmaps import PositiveLinearMap
 from .segquad import (
     QuadratureSpec,
@@ -82,12 +75,9 @@ class AlphaResult:
 
 # -- hypothesis helpers ---------------------------------------------------------
 
-def _require_flag(f: ScalarFunction, flag: str, exc=None) -> list[str]:
+def _require_flag(f: ScalarFunction, flag: str) -> list[str]:
     if getattr(f.flags, flag) is not True:
-        reason = f"{f.name} is not declared {flag}"
-        if exc is not None:
-            raise exc(reason)
-        return [reason]
+        return [f"{f.name} is not declared {flag.replace('_', ' ')}"]
     return []
 
 
@@ -124,7 +114,7 @@ def _map_case_reasons(
     if unital_ok and np.linalg.norm(image.entries - np.eye(image.dim)) <= plmaps.UNITAL_TOL:
         return []
     rep = plmaps.unitality_status(image)
-    if unital_ok and rep.status == "Unital":
+    if unital_ok and rep.identity_distance <= plmaps.UNITAL_TOL:
         return []
     if not subunital_ok:
         return [f"{label} is not I (distance {rep.identity_distance:.3g}); a unital map is needed"]
@@ -164,7 +154,7 @@ def check_scalar_hh(
 
     The bound is the 1x1 case of the matrix one: the integral is (y-x) times
     the segment integral from B = [x] (t=0) to A = [y] (t=1)."""
-    _require_flag(f, "convex", NotConvexFlag)
+    _check_hypotheses(_require_flag(f, "convex"))
     if not y > x:
         raise BadInterval(f"need x < y, got [{x}, {y}]")
     if not f.domain.contains_interval(x, y):
@@ -215,9 +205,11 @@ def check_theorem_t1(
     a: HermitianMatrix,
     b: HermitianMatrix,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> MajorizationReport:
+) -> OrderVerdict:
     """Eigenvalues of f((Phi(A)+Phi(B))/2) are weakly majorized by those of
-    Phi(integral of f along the segment from B to A)."""
+    Phi(integral of f along the segment from B to A): the verdict of
+    orders.weak_majorization, witnessed by the index of the partial sum with
+    the smallest deficit."""
     pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b})
     reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True)
@@ -410,32 +402,25 @@ def _converse_hypotheses(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    interval: tuple[float, float] | None,
+    interval: tuple[float, float],
 ) -> tuple[HermitianMatrix, HermitianMatrix, float]:
     """(Phi(A), Phi(B), alpha) once the hypotheses of the converse bound
     hold: f convex, the spectra of A, B, Phi(A) and Phi(B) in its domain, Phi
     unital and the working interval [omega, Omega].
 
-    A supplied interval must contain those four spectra (to a 1e-9 relative
-    pad); without one it is their spectral hull, widened by 0.5 each side if
-    it is a point.  f must be defined and strictly positive on it, so an
-    interval outside f's domain or a non-positive value of f is one unmet.
+    The interval must contain those four spectra (to a 1e-9 relative pad).
+    f must be defined and strictly positive on it, so an interval outside
+    f's domain or a non-positive value of f is one unmet.
     """
     pa, pb = phi.apply(a), phi.apply(b)
     mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, mats)
     reasons += _map_case_reasons(f, phi.identity_image(), subunital_ok=False)
-    if interval is None:
-        omega = min(float(eig(h).values[-1]) for h in mats.values())
-        Omega = max(float(eig(h).values[0]) for h in mats.values())
-        if not omega < Omega:
-            omega, Omega = omega - 0.5, Omega + 0.5
-    else:
-        omega, Omega = float(interval[0]), float(interval[1])
-        pad = 1e-9 * max(1.0, Omega - omega)
-        reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]"
-                    for label, h in mats.items()
-                    if eig(h).values[-1] < omega - pad or eig(h).values[0] > Omega + pad]
+    omega, Omega = float(interval[0]), float(interval[1])
+    pad = 1e-9 * max(1.0, Omega - omega)
+    reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]"
+                for label, h in mats.items()
+                if eig(h).values[-1] < omega - pad or eig(h).values[0] > Omega + pad]
     _check_hypotheses(reasons)
     try:
         return pa, pb, mond_pecaric_alpha(f, omega, Omega).alpha
@@ -448,7 +433,7 @@ def check_theorem_t4(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    interval: tuple[float, float] | None = None,
+    interval: tuple[float, float],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OrderVerdict:
     """Converse bound: Phi(segment integral of f) <= alpha times the average
@@ -456,8 +441,7 @@ def check_theorem_t4(
     working interval.
 
     Phi must be unital, and the interval must contain the spectra of A, B,
-    Phi(A) and Phi(B); when omitted it defaults to their spectral hull (see
-    _converse_hypotheses).
+    Phi(A) and Phi(B) (see _converse_hypotheses).
     """
     pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval)
     lhs = phi.apply(segment_integral(f, a, b, quad))
@@ -471,7 +455,7 @@ def check_norm_chain_corollary(
     a: HermitianMatrix,
     b: HermitianMatrix,
     specs,
-    interval: tuple[float, float] | None = None,
+    interval: tuple[float, float],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
     """Three-term norm chain: |||f((Phi(A)+Phi(B))/2)||| <= |||Phi(segment
@@ -513,8 +497,7 @@ def check_refinement_chain(
     Riemann sum over k^p panels, the segment integral, the matching trapezoid
     sum, and the endpoint average, each below the next in the Loewner order.
     """
-    if f.flags.operator_convex is not True:
-        raise NotOperatorConvexFlag(f"{f.name} is not declared operator convex")
+    _check_hypotheses(_require_flag(f, "operator_convex"))
     if k < 1 or p < 1:
         raise BadParams(f"k and p must be positive integers, got k={k}, p={p}")
     _check_hypotheses(_spectra_reasons(f, {"A": a, "B": b}))
@@ -551,46 +534,11 @@ def _det2(m: np.ndarray) -> Fraction:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
-    mid_cubed: np.ndarray
-    segment_integral: np.ndarray
-    endpoint_average: np.ndarray
-    matches_mid: bool
-    matches_integral: bool
-    matches_endpoint: bool
-    left_gap: np.ndarray
-    right_gap: np.ndarray
-    left_gap_det: Fraction
-    right_gap_det: Fraction
-    left_fails: bool
-    right_fails: bool
-
-    @property
-    def passes(self) -> bool:
-        return (self.matches_mid and self.matches_integral and self.matches_endpoint
-                and self.left_fails and self.right_fails)
-
-    def to_jsonable(self) -> dict:
-        def grid(m):
-            return [[str(x) for x in row] for row in m.tolist()]
-        return {
-            "mid_cubed": grid(self.mid_cubed),
-            "segment_integral": grid(self.segment_integral),
-            "endpoint_average": grid(self.endpoint_average),
-            "matches": [self.matches_mid, self.matches_integral, self.matches_endpoint],
-            "left_gap_det": str(self.left_gap_det),
-            "right_gap_det": str(self.right_gap_det),
-            "left_fails": self.left_fails,
-            "right_fails": self.right_fails,
-            "passes": self.passes,
-        }
-
-
-def reproduce_counterexample() -> CounterexampleReport:
+def reproduce_counterexample() -> dict:
     """Recompute, in exact rational arithmetic, the three displayed matrices
     for t^3 on the fixed 2x2 pair and certify that both sides of the naive
-    two-sided Loewner bound fail.
+    two-sided Loewner bound fail.  Returns the JSON form, rationals as
+    strings; "passes" is true when all three matrices match and both fail.
 
     Failure of each side is witnessed by a negative determinant of the 2x2
     gap (positive-semidefiniteness would force all principal minors to be
@@ -601,21 +549,21 @@ def reproduce_counterexample() -> CounterexampleReport:
     mid_cubed = mid.dot(mid).dot(mid)
     integral = poly_segment_oracle_exact(3, a, b)
     endpoint = (a.dot(a).dot(a) + b.dot(b).dot(b)) * F(1, 2)
-    left_gap = integral - mid_cubed
-    right_gap = endpoint - integral
-    left_det = _det2(left_gap)
-    right_det = _det2(right_gap)
-    return CounterexampleReport(
-        mid_cubed=mid_cubed,
-        segment_integral=integral,
-        endpoint_average=endpoint,
-        matches_mid=bool(np.all(mid_cubed == EXPECTED_MID_CUBED)),
-        matches_integral=bool(np.all(integral == EXPECTED_SEGMENT_INTEGRAL)),
-        matches_endpoint=bool(np.all(endpoint == EXPECTED_ENDPOINT_AVG)),
-        left_gap=left_gap,
-        right_gap=right_gap,
-        left_gap_det=left_det,
-        right_gap_det=right_det,
-        left_fails=left_det < 0,
-        right_fails=right_det < 0,
-    )
+    left_det, right_det = _det2(integral - mid_cubed), _det2(endpoint - integral)
+    matches = [bool(np.all(mid_cubed == EXPECTED_MID_CUBED)),
+               bool(np.all(integral == EXPECTED_SEGMENT_INTEGRAL)),
+               bool(np.all(endpoint == EXPECTED_ENDPOINT_AVG))]
+
+    def grid(m):
+        return [[str(x) for x in row] for row in m.tolist()]
+    return {
+        "mid_cubed": grid(mid_cubed),
+        "segment_integral": grid(integral),
+        "endpoint_average": grid(endpoint),
+        "matches": matches,
+        "left_gap_det": str(left_det),
+        "right_gap_det": str(right_det),
+        "left_fails": left_det < 0,
+        "right_fails": right_det < 0,
+        "passes": all(matches) and left_det < 0 and right_det < 0,
+    }

@@ -27,10 +27,11 @@ class OrderVerdict:
     """Outcome of a single comparison, as judge() gives it.
 
     margin is signed: the smallest eigenvalue of the gap (Loewner), the
-    smallest entrywise surplus (dominance), or rhs - lhs of a scalar or norm
-    comparison.  holds is margin >= -tol * max(1, scale), scale being the
-    magnitude of the operands.  witness, kept only when the comparison
-    fails, locates the failure.
+    smallest entrywise surplus (dominance), the smallest partial-sum deficit
+    (weak majorization), or rhs - lhs of a scalar or norm comparison.
+    holds is margin >= -tol * max(1, scale), scale being the magnitude of
+    the operands.  witness, kept only when the comparison fails, locates
+    the failure.
     """
 
     holds: bool
@@ -44,30 +45,19 @@ def judge(margin: float, scale: float, tol: float = DEFAULT_TOL, witness=None) -
     return OrderVerdict(holds=holds, margin=margin, witness=None if holds else witness)
 
 
-@dataclass(frozen=True)
-class MajorizationReport:
-    """Partial-sum comparison of two descending eigenvalue vectors."""
-
-    partial_sums_a: np.ndarray
-    partial_sums_b: np.ndarray
-    deficits: np.ndarray
-    holds: bool
-
-    @property
-    def margin(self) -> float:
-        return float(np.min(self.deficits))
-
-
 def _check_same_dim(a: HermitianMatrix, b: HermitianMatrix):
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
 
 
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
-    """Is a <= b in the Loewner order, i.e. is b - a PSD up to tolerance?"""
+    """Is a <= b in the Loewner order: is b - a PSD to a tolerance scaled by the
+    larger of the gap's spectral radius and the largest entry of |a| and |b|?"""
     _check_same_dim(a, b)
     gap = eig(b - a)
-    return judge(float(gap.values[-1]), gap.spectral_radius, tol, witness=gap.vectors[:, -1])
+    scale = max(gap.spectral_radius, float(np.max(np.abs(a.entries))),
+                float(np.max(np.abs(b.entries))))
+    return judge(float(gap.values[-1]), scale, tol, witness=gap.vectors[:, -1])
 
 
 def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
@@ -80,17 +70,16 @@ def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
     return judge(float(gaps[j]), scale, witness=j)
 
 
-def weak_majorization(a: HermitianMatrix, b: HermitianMatrix) -> MajorizationReport:
-    """Compare all top-k eigenvalue partial sums of a against b."""
+def weak_majorization(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
+    """Is every top-k eigenvalue partial sum of a at most that of b?  The
+    margin is the smallest deficit; the witness is its 0-based index."""
     _check_same_dim(a, b)
     psa = np.cumsum(eig(a).values)
     psb = np.cumsum(eig(b).values)
     deficits = psb - psa
+    i = int(np.argmin(deficits))
     scale = max(float(np.max(np.abs(psa))), float(np.max(np.abs(psb))))
-    holds = judge(float(np.min(deficits)), scale).holds
-    for arr in (psa, psb, deficits):
-        arr.flags.writeable = False
-    return MajorizationReport(partial_sums_a=psa, partial_sums_b=psb, deficits=deficits, holds=holds)
+    return judge(float(deficits[i]), scale, witness=i)
 
 
 def unitary_witness(a: HermitianMatrix, b: HermitianMatrix) -> np.ndarray | None:

@@ -141,30 +141,22 @@ class CongruenceSum(PositiveLinearMap):
 
 @dataclass(frozen=True)
 class UnitalityReport:
-    """Classification of Phi(I): Unital, Subunital (0 < Phi(I) <= I), Neither."""
+    """The extreme eigenvalues of Phi(I) and its operator-norm distance to I."""
 
-    status: str
     identity_distance: float
     lambda_min: float
     lambda_max: float
 
 
 def unitality_status(phi: PositiveLinearMap | HermitianMatrix) -> UnitalityReport:
-    """Classify Phi(I), given the map or Phi(I) itself (for a sum of maps,
+    """Measure Phi(I), given the map or Phi(I) itself (for a sum of maps,
     the sum of their identity images), from its one decomposition.
     Phi(I) - I has the eigenvalues lambda_i - 1, so its operator norm, the
     identity distance, is the larger of |lambda_max - 1| and |lambda_min - 1|."""
     image = phi if isinstance(phi, HermitianMatrix) else phi.identity_image()
     values = eig(image).values
     lam_min, lam_max = float(values[-1]), float(values[0])
-    dist = max(abs(lam_max - 1.0), abs(lam_min - 1.0))
-    if dist <= UNITAL_TOL:
-        status = "Unital"
-    elif lam_max <= 1.0 + UNITAL_TOL and lam_min > SUBUNITAL_POSITIVITY_TOL:
-        status = "Subunital"
-    else:
-        status = "Neither"
-    return UnitalityReport(status=status, identity_distance=dist,
+    return UnitalityReport(identity_distance=max(abs(lam_max - 1.0), abs(lam_min - 1.0)),
                            lambda_min=lam_min, lambda_max=lam_max)
 
 

@@ -107,12 +107,15 @@ def test_replay_of_a_passing_instance_exits_0(tmp_path):
     assert cli.main(["replay", str(path)]) == 0
 
 
-def test_power_norm_with_a_non_power_function_exits_2(capsys):
-    code = cli.main(["verify", "--theorem", "power_norm", "--f", "exp", "--trials", "3"])
+# the generator refuses it in the first trial, in a worker process too
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_power_norm_with_a_non_power_function_exits_2(workers, capsys):
+    code = cli.main(["verify", "--theorem", "power_norm", "--f", "exp", "--trials", "3",
+                     "--workers", workers])
     captured = capsys.readouterr()
     assert code == 2
-    assert "needs a power function" in captured.err
-    assert "FAIL" not in captured.out
+    assert captured.err.startswith("error: ") and "needs a power function" in captured.err
+    assert captured.out == ""
 
 
 def test_json_output_is_identical_across_worker_counts(tmp_path):
@@ -195,7 +198,31 @@ def test_chain_subcommand_is_gone(capsys):
     assert "invalid choice: 'chain'" in capsys.readouterr().err
 
 
-MAP_FREE = ("scalar", "trace", "bourin", "chain", "counterexample")
+def test_counterexample_is_not_a_verify_theorem(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--theorem", "counterexample"])
+    assert info.value.code == 2
+    assert "invalid choice: 'counterexample'" in capsys.readouterr().err
+
+
+# each ended in a traceback, or ran as something else, before it was refused
+@pytest.mark.parametrize("args", [
+    ["--map", "compress:abc"], ["--map", "pinch:a"], ["--map", "congruence:x"],
+    ["--map", "congruence:2.5"], ["--map", "compress:0"], ["--map", "subcongruence:-1"],
+    ["--n", "4", "--m", "9", "--map", "compress"],
+    ["--theorem", "chain", "--f", "power:2", "--k", "0"],
+], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
+        "subcongruence:-1", "m>n", "k=0"])
+def test_malformed_verify_options_exit_2(args, capsys):
+    code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
+                     "--trials", "3", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+MAP_FREE = ("scalar", "trace", "bourin", "chain")
 
 
 def test_the_registry_marks_the_map_free_suites():
@@ -218,7 +245,8 @@ def test_explicit_identity_map_is_accepted_by_a_map_free_suite():
 
 
 def _instance(theorem: str) -> dict:
-    spec = InstanceSpec(n=2, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
+    function = "power:2" if theorem == "power_norm" else "exp"  # power_norm needs a power
+    spec = InstanceSpec(n=2, interval=(0.5, 2.0), function=function, trials=1, seed=0)
     return instance_to_json(generate_instance(theorem, spec, 0))
 
 

@@ -221,6 +221,11 @@ class TestValidateFlags:
             validate_flags(builtin("identity"), (-1.0, 1.0), 101, claims={"positive": True})
         assert err.value.flag == "positive"
 
+    def test_identity_on_a_wide_interval_is_operator_convex(self):
+        # the star probe's gaps carry rounding of operands near 1e8
+        report = validate_flags(builtin("identity"), (-1e8, 1e8))
+        assert report.checks["operator_convex"].status == "confirmed"
+
     def test_interval_outside_domain_rejected(self):
         with pytest.raises(BadParams):
             validate_flags(builtin("cube"), (-1.0, 1.0), 101)

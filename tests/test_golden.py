@@ -3,7 +3,7 @@
 ``data/golden_margins.json`` holds every trial's verdict, margin and detail
 for every theorem suite and every catalog function at n=6, seed 3, 20
 trials, skipped trials included, and lists the suites that run_suite
-refuses up front with the error it raises.  A change to how results are
+refuses with the error it raises.  A change to how results are
 computed (batching, caching, vectorized scalar functions, shared hypothesis
 code) must give identical verdicts and details and margins within
 MARGIN_ATOL.

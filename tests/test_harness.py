@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
     InstanceSpec,
+    Theorem,
     generate_instance,
     replay,
     run_instance,
@@ -79,9 +81,16 @@ def test_malformed_function_descriptor_is_refused_up_front(theorem):
         run_suite(InstanceSpec(n=3, trials=5, function="power:abc"), theorem)
 
 
-def test_counterexample_suite_does_not_read_the_function():
-    report = run_suite(InstanceSpec(trials=5, function="power:abc"), "counterexample")
-    assert (report.trials, report.passes) == (1, 1)
+def test_counterexample_is_not_a_suite():
+    # hhmat counterexample reproduces it exactly, with no margin to report
+    with pytest.raises(UnknownTheorem, match="unknown theorem id 'counterexample'"):
+        run_suite(InstanceSpec(trials=1), "counterexample")
+
+
+@pytest.mark.parametrize("field", ["chain_k", "chain_p"])
+def test_chain_counts_below_1_are_refused(field):
+    with pytest.raises(BadParams, match="k and p must be >= 1"):
+        InstanceSpec(**{field: 0})
 
 
 @pytest.mark.parametrize("bad", ["kyfan:abc", "schatten:x"])
@@ -111,9 +120,7 @@ def test_import_does_not_load_the_process_pool():
 
 def test_theorem_ids_are_the_registry_keys():
     assert THEOREM_IDS == tuple(THEOREMS)
-    assert [t for t, entry in THEOREMS.items() if entry.trials is not None] == ["counterexample"]
-    assert [t for t, entry in THEOREMS.items() if entry.power_f] == ["power_norm"]
-    assert [t for t, entry in THEOREMS.items() if not entry.reads_f] == ["counterexample"]
+    assert [f.name for f in fields(Theorem)] == ["generate", "run", "takes_map"]
 
 
 @pytest.mark.parametrize("call", [

@@ -134,8 +134,9 @@ def test_t4_needs_a_unital_map():
     rng = make_rng(7)
     a, b = (random_hermitian(3, 0.5, 2.0, rng) for _ in range(2))
     half = CongruenceSum((np.eye(3) / np.sqrt(2.0),))
-    with pytest.raises(HypothesisUnmet, match="a unital map is needed"):
-        check_theorem_t4(from_descriptor("exp"), half, a, b)
+    # Phi(A) = A/2 keeps its spectrum inside [0.25, 2]
+    with pytest.raises(HypothesisUnmet, match=r"^Phi\(I\) is not I .*a unital map is needed$"):
+        check_theorem_t4(from_descriptor("exp"), half, a, b, (0.25, 2.0))
 
 
 def test_power_norm_on_a_non_psd_input_is_a_skip():
@@ -168,10 +169,30 @@ def test_unital_identity_image_needs_no_decomposition(monkeypatch):
         assert hhcheck._map_case_reasons(f, phi.identity_image(), subunital_ok=False) == []
 
 
+@pytest.mark.parametrize("check, message", [
+    (lambda a, b: hhcheck.check_scalar_hh(from_descriptor("power:3"), -1.0, 1.0),
+     "power:3 is not declared convex"),
+    (lambda a, b: hhcheck.check_refinement_chain(from_descriptor("exp"), a, b, 2, 1),
+     "exp is not declared operator convex"),
+], ids=["scalar", "chain"])
+def test_an_undeclared_flag_is_an_unmet_hypothesis(check, message):
+    rng = make_rng(10)
+    a, b = (random_hermitian(3, 0.5, 2.0, rng) for _ in range(2))
+    with pytest.raises(HypothesisUnmet) as info:
+        check(a, b)
+    assert type(info.value) is HypothesisUnmet
+    assert info.value.reasons == [message]
+
+
 def test_map_case_reasons_name_each_unmet_condition():
     f = from_descriptor("exp")
     inflating = hermitian_from(np.diag([2.0, 1.0]))
     singular = hermitian_from(np.diag([1.0, 0.0]))
+    quarter = hermitian_from(np.eye(2) / 4.0)  # 0 < Phi(I) <= I: case (ii)
+    assert hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), quarter,
+                                     strict_positive=True) == []
+    assert hhcheck._map_case_reasons(f, quarter, strict_positive=True) == [
+        "exp(0) <= 0 is not declared"]
     assert hhcheck._map_case_reasons(f, inflating) == [
         "Phi(I) has top eigenvalue 2 > 1", "exp(0) <= 0 is not declared"]
     assert hhcheck._map_case_reasons(from_descriptor("power:2"), singular,

@@ -8,6 +8,7 @@ from hhmat.errors import BadParams, DimMismatch, NotOrthonormal
 from hhmat.matcore import eig, hermitian_from
 from hhmat.orders import loewner_leq
 from hhmat.plmaps import (
+    UNITAL_TOL,
     Compression,
     CongruenceSum,
     IdentityMap,
@@ -71,27 +72,34 @@ class TestApply:
 
 class TestUnitality:
     def test_identity_unital(self):
-        assert unitality_status(IdentityMap(3)).status == "Unital"
+        assert unitality_status(IdentityMap(3)).identity_distance <= UNITAL_TOL
 
     def test_compression_unital(self):
         rng = make_rng(1)
         v = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0][:, :2]
-        assert unitality_status(Compression(v)).status == "Unital"
+        assert unitality_status(Compression(v)).identity_distance <= UNITAL_TOL
 
     def test_halved_identity_subunital(self):
+        # Phi(I) = I/4: 0 < Phi(I) <= I
         phi = CongruenceSum((np.eye(2, dtype=complex) / 2.0,))
         report = unitality_status(phi)
-        assert report.status == "Subunital"
         assert report.lambda_max == pytest.approx(0.25, abs=1e-12)
+        assert report.lambda_min == pytest.approx(0.25, abs=1e-12)
+        assert report.identity_distance == pytest.approx(0.75, abs=1e-12)
 
     def test_inflating_congruence_neither(self):
+        # Phi(I) = 2I is above I
         phi = CongruenceSum((np.sqrt(2.0) * np.eye(2, dtype=complex),))
-        assert unitality_status(phi).status == "Neither"
+        report = unitality_status(phi)
+        assert report.lambda_max == pytest.approx(2.0, abs=1e-12)
+        assert report.identity_distance == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficient_identity_image_neither(self):
-        # Phi(I) PSD but singular: fails the strict positivity of Subunital
+        # Phi(I) PSD but singular: not strictly positive
         phi = CongruenceSum((np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),))
-        assert unitality_status(phi).status == "Neither"
+        report = unitality_status(phi)
+        assert (report.lambda_min, report.lambda_max) == (0.0, 1.0)
+        assert report.identity_distance == 1.0
 
     def test_identity_distance_is_the_operator_norm_of_the_gap(self):
         rng = make_rng(9)
