@@ -118,19 +118,33 @@ def _descriptor_count(desc: str, text: str) -> int:
 
 
 def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> PositiveLinearMap:
-    """Build a positive linear map from a descriptor.
+    """Build a positive linear map from n x n to m x m matrices from a descriptor.
 
     identity | compress[:m] | pinch[:b1,b2,...] | congruence[:k] |
     subcongruence[:k] | congruence:<file.json>.  Random choices draw from
     ``rng``; explicit parameters are deterministic.  Every written count
-    must be an integer >= 1 (BadParams).
+    must be an integer >= 1 (BadParams).  m = None leaves the target size
+    to the descriptor; a map whose target size is not a given m (identity
+    and pinch with m != n, compress:<k> with k != m, a factor file of
+    another size) raises BadParams rather than dropping m.
     """
+    phi = _build_map(desc, n, m, rng)
+    if m is not None and phi.target_dim != m:
+        raise BadParams(f"map descriptor {desc!r} maps into C^{phi.target_dim}, "
+                        f"so it cannot honour m={m}")
+    return phi
+
+
+def _build_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> PositiveLinearMap:
     kind, _, arg = desc.partition(":")
     if kind == "identity":
         return IdentityMap(n)
     if kind == "compress":
         if arg:
             target = _descriptor_count(desc, arg)
+            if target > n:
+                raise BadParams(f"map descriptor {desc!r} asks for m={target} > n={n}: "
+                                f"an isometry into C^{n} has at most {n} columns")
             return Compression(np.eye(n, target, dtype=complex))
         target = m if m is not None else int(rng.integers(1, n + 1))
         return Compression(_random_isometry(n, target, rng))
@@ -483,14 +497,18 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
 
     The function descriptor is parsed before any trial runs, so a malformed
     one raises its package error (BadParams, UnknownName) up front; so does
-    a suite that takes no map given one other than the identity (BadParams).
-    A spec the theorem's generator refuses (a malformed map descriptor, a
-    power_norm function that is not a power) raises from the first trial.
+    a suite that takes no map given one other than the identity, or given
+    an m other than n (BadParams).  A spec the theorem's generator refuses
+    (a malformed map descriptor, an m the map cannot honour, a power_norm
+    function that is not a power) raises from the first trial.
     """
     entry = _theorem(theorem)
     from_descriptor(spec.function)
     if not entry.takes_map and spec.map_desc != "identity":
         raise BadParams(f"the {theorem} suite takes no map, got {spec.map_desc!r}")
+    if not entry.takes_map and spec.m not in (None, spec.n):
+        raise BadParams(f"the {theorem} suite takes no map, so m={spec.m} cannot differ "
+                        f"from n={spec.n}")
     start = time.perf_counter()
     jobs = [(spec, theorem, i) for i in range(spec.trials)]
     if workers > 1:

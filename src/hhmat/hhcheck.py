@@ -25,8 +25,8 @@ import numpy as np
 from . import orders, plmaps
 from .errors import BadInterval, BadParams, HypothesisUnmet, NotPositive
 from .funcat import ScalarFunction, builtin
-from .matcore import (HermitianMatrix, apply_function, eig, hermitian_from, spectrum_outside,
-                      ui_norm)
+from .matcore import (HermitianMatrix, apply_function, eig, eig_many, hermitian_from,
+                      spectrum_outside, ui_norm)
 from .orders import DEFAULT_TOL, OrderVerdict
 from .plmaps import PositiveLinearMap
 from .segquad import (
@@ -88,6 +88,13 @@ def _check_hypotheses(reasons: list[str]):
 
 
 def _spectra_reasons(f: ScalarFunction, mats: dict[str, HermitianMatrix]) -> list[str]:
+    """A reason for each labelled matrix whose spectrum leaves the domain of
+    f.  The matrices of each size are decomposed in one eig_many call."""
+    by_dim: dict[int, list[HermitianMatrix]] = {}
+    for h in mats.values():
+        by_dim.setdefault(h.dim, []).append(h)
+    for same_size in by_dim.values():
+        eig_many(same_size)
     return [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
             for label, h in mats.items() if spectrum_outside(f, h).size]
 

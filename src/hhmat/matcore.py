@@ -229,7 +229,7 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     return hermitian_from(h)
 
 
-def _exact_hermitian(entries: np.ndarray, spectral_pair=None) -> HermitianMatrix:
+def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None) -> HermitianMatrix:
     """Wrap a square complex array that is exactly Hermitian by construction.
 
     The constructor's exactness test always passes on such an array, so it
@@ -237,26 +237,30 @@ def _exact_hermitian(entries: np.ndarray, spectral_pair=None) -> HermitianMatrix
     entries, with residual 0.  Only for (R + R*)/2 and for real combinations
     of exactly Hermitian matrices (see segment_matrices); anything else goes
     through the constructor.  ``spectral_pair`` is apply_function's
-    (values, vectors) of the result, kept as a reference for eig().
+    (values, vectors) of the result, kept as a reference for eig();
+    ``eigen`` is the matrix's validated EigenSystem, when already known.
     """
     entries.flags.writeable = False
     h = object.__new__(HermitianMatrix)
-    object.__setattr__(h, "entries", entries)
-    object.__setattr__(h, "asymmetry_residual", 0.0)
-    object.__setattr__(h, "_eigen", None)
-    object.__setattr__(h, "_spectral_pair", spectral_pair)
+    h.__dict__.update(entries=entries, asymmetry_residual=0.0, _eigen=eigen,
+                      _spectral_pair=spectral_pair)
     return h
 
 
 def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[HermitianMatrix]:
-    """The matrices tA + (1-t)B for t in ts, built in one array expression.
+    """The matrices tA + (1-t)B for t in ts, built in one array expression
+    and decomposed from that array in one solver call (see eig_stack); each
+    comes with its decomposition cached, as eig() would leave it.
 
     Multiplying by a real scalar and adding act on real and imaginary parts
     separately and commute with conjugation, so these matrices are exactly
     Hermitian, as A and B are.
     """
     t = np.asarray(ts, dtype=float)[:, None, None]
-    return [_exact_hermitian(m) for m in t * a.entries + (1.0 - t) * b.entries]
+    stack = t * a.entries + (1.0 - t) * b.entries
+    values, vectors = eig_stack(stack)
+    return [_exact_hermitian(m, eigen=EigenSystem(values=w, vectors=v))
+            for m, w, v in zip(stack, values, vectors)]
 
 
 def _ct(stack: np.ndarray) -> np.ndarray:
@@ -264,14 +268,16 @@ def _ct(stack: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(stack, -1, -2))
 
 
-def _check_reconstruction(values: np.ndarray, vectors: np.ndarray, stack: np.ndarray):
+def _check_reconstruction(values: np.ndarray, vectors: np.ndarray, vectors_ct: np.ndarray,
+                          stack: np.ndarray):
     """Raise ConvergenceFailure unless each vectors[i] diag(values[i])
     vectors[i]* matches stack[i] to EIG_RECON_RTOL relative to max(1, its
-    spectral radius)."""
+    spectral radius); ``vectors_ct`` is _ct(vectors)."""
     # initial=0.0 leaves every maximum of absolute values unchanged and
     # gives 0 for 0x0 matrices, whose decomposition is empty.
     scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
-    recon = (vectors * values[:, None, :]) @ _ct(vectors) - stack
+    recon = (vectors * values[:, None, :]) @ vectors_ct
+    recon -= stack
     recon_err = np.max(np.abs(recon), axis=(1, 2), initial=0.0)
     # Negated <= so that a NaN error (a NaN from the solver) fails too.
     bad = np.flatnonzero(~(recon_err <= EIG_RECON_RTOL * scale))
@@ -291,7 +297,7 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Every matrix is validated as eig() documents: reconstruction to
     ``EIG_RECON_RTOL`` relative to max(1, its spectral radius) and
     orthonormality to ``EIG_ORTHO_TOL``.  The first matrix that fails raises
-    ConvergenceFailure.
+    ConvergenceFailure.  Both arrays are read-only.
     """
     try:
         w, v = np.linalg.eigh(stack)
@@ -301,13 +307,16 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # preserving solver order inside ties.
     values = np.ascontiguousarray(w[:, ::-1].astype(float))
     vectors = np.ascontiguousarray(v[:, :, ::-1])
-    n = values.shape[1]
-    _check_reconstruction(values, vectors, stack)
-    ortho_err = np.max(np.abs(_ct(vectors) @ vectors - np.eye(n)), axis=(1, 2),
-                       initial=0.0)
+    vectors_ct = _ct(vectors)
+    _check_reconstruction(values, vectors, vectors_ct, stack)
+    gram = vectors_ct @ vectors
+    gram -= np.eye(values.shape[1])
+    ortho_err = np.max(np.abs(gram), axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(~(ortho_err <= EIG_ORTHO_TOL))
     if bad.size:
         raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
+    values.flags.writeable = False
+    vectors.flags.writeable = False
     return values, vectors
 
 
@@ -319,7 +328,7 @@ def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     fvals, vectors = h._spectral_pair
     order = np.argsort(-fvals, kind="stable")
     values, vectors = fvals[order], vectors[:, order]
-    _check_reconstruction(values[None], vectors[None], h.entries[None])
+    _check_reconstruction(values[None], vectors[None], _ct(vectors[None]), h.entries[None])
     values.flags.writeable = False
     vectors.flags.writeable = False
     return values, vectors
@@ -329,15 +338,13 @@ def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
     """Eigendecompositions of same-size matrices, validated and cached as
     eig() documents.  A result of apply_function takes its decomposition
     from its argument's (see eig); the other matrices not yet decomposed go
-    to the solver together, as one stack (see eig_stack)."""
-    todo = [h for h in hs if h._eigen is None]
+    to the solver together, as one stack (see eig_stack), each once however
+    often it is listed."""
+    todo = list({id(h): h for h in hs if h._eigen is None}.values())
     found = [(h, *_derived_eigen(h)) for h in todo if h._spectral_pair is not None]
     solve = [h for h in todo if h._spectral_pair is None]
     if solve:
-        values, vectors = eig_stack(np.stack([h.entries for h in solve]))
-        values.flags.writeable = False
-        vectors.flags.writeable = False
-        found += zip(solve, values, vectors)
+        found += zip(solve, *eig_stack(np.stack([h.entries for h in solve])))
     for h, w, v in found:
         object.__setattr__(h, "_eigen", EigenSystem(values=w, vectors=v))
     return [h._eigen for h in hs]
@@ -389,14 +396,20 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus f(H) via the spectral decomposition.
 
     Requires the spectrum of H to lie in the domain of f; SpectrumOutOfDomain
-    otherwise (see check_spectrum_in_domain).
+    otherwise (see check_spectrum_in_domain).  The domain is an interval,
+    and its membership test, stretch included, admits a point whenever it
+    admits a smaller and a larger one, so the test is made on the two
+    extreme eigenvalues of the validated, descending spectrum; only when one
+    is outside does check_spectrum_in_domain list every offending eigenvalue.
 
     The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
     which eig() turns into its decomposition, checked, if it is ever asked
     for; a result that is never decomposed pays nothing more.
     """
-    check_spectrum_in_domain(f, h)
     es = eig(h)
+    ends = f.domain.contains_array(es.values[::max(1, es.values.size - 1)])
+    if es.values.size and not (ends[0] and ends[-1]):
+        check_spectrum_in_domain(f, h)
     fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
     # (R + R*)/2 is exactly Hermitian whatever the rounding in R.

@@ -5,6 +5,13 @@ word-expansion oracle for integer powers: (tA + (1-t)B)^r expands into
 noncommutative words in {A, B} whose scalar coefficients integrate exactly
 as Beta integrals.  The oracle is exponential in r by design; it exists to
 certify the quadrature at small sizes.
+
+Segment points reach f as a lazy stream (segment_points) of matrices built
+and decomposed a stack at a time, at most STACK_ENTRY_BUDGET entries a
+stack.  Every integral evaluates its first two rules, so one stream serves
+both: at small n their nodes share one solver call, and at large n the
+stream still holds one stack at a time.  f is applied node by node, each
+node's spectrum checked against its domain.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import (HermitianMatrix, apply_function, eig_many, segment_matrices,
+from .matcore import (HermitianMatrix, apply_function, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
@@ -49,16 +56,26 @@ class QuadratureSpec:
 def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
     """Yield the matrices tA + (1-t)B for t in ts, already decomposed.
 
-    Consecutive points are decomposed together (see matcore.eig_many) in
-    stacks of at most STACK_ENTRY_BUDGET entries, one stack at a time.
+    Consecutive points are built and decomposed together (see
+    matcore.segment_matrices) in stacks of at most STACK_ENTRY_BUDGET
+    entries, one stack at a time: the next stack is made only once the
+    consumer has taken every point of the last, so a stream over many
+    large points holds few of them at once.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     step = max(1, STACK_ENTRY_BUDGET // max(1, a.dim * a.dim))
     for start in range(0, len(ts), step):
-        points = segment_matrices(a, b, ts[start:start + step])
-        eig_many(points)
-        yield from points
+        yield from segment_matrices(a, b, ts[start:start + step])
+
+
+def _weighted_sum(f: ScalarFunction, weights: np.ndarray, points, like: np.ndarray) -> np.ndarray:
+    """Entries of the sum over j of weights[j] * f(points[j]), drawing one
+    point from the iterator `points` per weight and no more."""
+    acc = np.zeros_like(like)
+    for weight, point in zip(weights, points):
+        acc += weight * apply_function(f, point).entries
+    return acc
 
 
 def segment_sum(
@@ -69,10 +86,7 @@ def segment_sum(
     weights: np.ndarray,
 ) -> np.ndarray:
     """Entries of the sum over j of weights[j] * f(ts[j] A + (1 - ts[j]) B)."""
-    acc = np.zeros_like(a.entries)
-    for weight, point in zip(weights, segment_points(a, b, ts)):
-        acc += weight * apply_function(f, point).entries
-    return acc
+    return _weighted_sum(f, weights, segment_points(a, b, ts), a.entries)
 
 
 @functools.lru_cache(maxsize=16)
@@ -86,8 +100,14 @@ def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-def _gauss_pass(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, nodes: int) -> np.ndarray:
-    return segment_sum(f, a, b, *_gauss_rule(nodes))
+def _gauss_pass(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, nodes: int,
+                points=None) -> np.ndarray:
+    """The `nodes`-node Gauss-Legendre sum, its points drawn from `points`
+    (a segment_points stream positioned at this rule's nodes) or, when that
+    is None, from a stream of its own."""
+    ts, ws = _gauss_rule(nodes)
+    return _weighted_sum(f, ws, segment_points(a, b, ts) if points is None else points,
+                         a.entries)
 
 
 def segment_integral(
@@ -104,27 +124,35 @@ def segment_integral(
     tolerances).  The node count doubles until successive results agree to
     rtol in relative max-entry norm, capped at NODE_CAP.
 
-    A pass decomposes its nodes in stacks (see segment_points): one
-    solver call per stack, with the reconstruction and orthonormality
-    checks still applied to every node's matrix; f is then applied to each
-    node by apply_function, which checks that node's spectrum against the
-    domain.  A stack holds at most STACK_ENTRY_BUDGET entries because the
-    solver's temporaries grow with the stack; the budget keeps a whole pass
-    in one stack at small n and bounds peak memory at large n.
+    Nodes are decomposed in stacks (see segment_points): one solver call
+    per stack, with the reconstruction and orthonormality checks still
+    applied to every node's matrix; f is then applied to each node by
+    apply_function, which checks that node's spectrum against the domain.
+    Every integral evaluates its first two rules, so their points come
+    from one stream over the concatenated nodes of both (spec.nodes, then
+    twice that): at small n one solver call decomposes all of them, while
+    each pass still sums its own nodes in rule order.  Later rules draw
+    streams of their own.  A stack holds at most STACK_ENTRY_BUDGET entries
+    because the solver's temporaries grow with the stack; the budget keeps
+    the opening pair in one stack at small n and, as the stream is lazy,
+    bounds peak memory at large n.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     _check_spectrum_in_domain(f, a, "the t=1 endpoint")
     _check_spectrum_in_domain(f, b, "the t=0 endpoint")
     nodes = spec.nodes
-    current = _gauss_pass(f, a, b, nodes)
+    opening_rules = [nodes] + ([2 * nodes] if 2 * nodes <= NODE_CAP else [])
+    opening = segment_points(a, b, np.concatenate([_gauss_rule(k)[0] for k in opening_rules]))
+    current = _gauss_pass(f, a, b, nodes, opening)
     while True:
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
                 f"quadrature did not settle to rtol={spec.rtol:g} below {NODE_CAP} nodes"
             )
         nodes *= 2
-        refined = _gauss_pass(f, a, b, nodes)
+        refined = _gauss_pass(f, a, b, nodes, opening)
+        opening = None
         scale = max(1.0, float(np.max(np.abs(refined))))
         if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
             return HermitianMatrix((refined + refined.conj().T) / 2.0)

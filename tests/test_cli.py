@@ -211,8 +211,11 @@ def test_counterexample_is_not_a_verify_theorem(capsys):
     ["--map", "congruence:2.5"], ["--map", "compress:0"], ["--map", "subcongruence:-1"],
     ["--n", "4", "--m", "9", "--map", "compress"],
     ["--theorem", "chain", "--f", "power:2", "--k", "0"],
+    ["--n", "4", "--m", "2", "--map", "pinch"], ["--n", "4", "--m", "2", "--map", "identity"],
+    ["--theorem", "trace", "--m", "3"], ["--n", "4", "--map", "compress:9"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
-        "subcongruence:-1", "m>n", "k=0"])
+        "subcongruence:-1", "m>n", "k=0", "pinch-m", "identity-m", "map-free-m",
+        "compress:9"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--trials", "3", *args])

@@ -22,6 +22,7 @@ from hhmat.harness import (
     InstanceSpec,
     Theorem,
     generate_instance,
+    make_map,
     replay,
     run_instance,
     run_suite,
@@ -145,3 +146,36 @@ def test_runners_look_their_checker_up_at_call_time(monkeypatch):
 def test_replay_of_a_malformed_failures_entry_is_refused():
     with pytest.raises(BadParams, match="failure entry has no field 'instance'"):
         replay({"failures": [{"trial": 0}]})
+
+
+@pytest.mark.parametrize("desc, m, target", [
+    ("identity", 2, 4), ("pinch", 2, 4), ("pinch:1,3", 3, 4), ("compress:2", 3, 2),
+])
+def test_a_map_that_cannot_honour_m_is_refused(desc, m, target):
+    with pytest.raises(BadParams, match=rf"^map descriptor '{desc}' maps into C\^{target}, "
+                                        rf"so it cannot honour m={m}$"):
+        make_map(desc, 4, m, make_rng(0))
+
+
+@pytest.mark.parametrize("desc, m", [
+    ("identity", None), ("identity", 4), ("pinch", 4), ("compress:2", 2), ("compress", 3),
+    ("congruence", 2), ("subcongruence:2", 3),
+])
+def test_a_map_that_honours_m_is_built(desc, m):
+    phi = make_map(desc, 4, m, make_rng(0))
+    assert (phi.source_dim, phi.target_dim) == (4, 4 if m is None else m)
+
+
+def test_compress_beyond_n_columns_names_the_descriptor():
+    with pytest.raises(BadParams) as err:
+        make_map("compress:9", 4, None, make_rng(0))
+    assert str(err.value) == ("map descriptor 'compress:9' asks for m=9 > n=4: "
+                              "an isometry into C^4 has at most 4 columns")
+
+
+@pytest.mark.parametrize("theorem", ["scalar", "trace", "bourin", "chain"])
+def test_a_map_free_suite_refuses_an_m_other_than_n(theorem):
+    with pytest.raises(BadParams, match=f"^the {theorem} suite takes no map, "
+                                        "so m=3 cannot differ from n=4$"):
+        run_suite(InstanceSpec(n=4, m=3, trials=1, function="power:2"), theorem)
+    assert run_suite(InstanceSpec(n=4, m=4, trials=1, function="power:2"), theorem).trials == 1

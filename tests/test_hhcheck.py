@@ -73,9 +73,10 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def test_unital_bourin_trial_makes_k_plus_3_solver_calls(monkeypatch):
-    # one eigh for each A_i, one for the argument sum, one for the sum of
-    # Phi_i(f(A_i)) and one for the witness gap; f(argument sum) takes its
-    # argument's decomposition and the identity images, summing to I, none
+    # the solver decomposes each A_i, the argument sum, the sum of
+    # Phi_i(f(A_i)) and the witness gap; f(argument sum) takes its
+    # argument's decomposition and the identity images, summing to I, none.
+    # The A_i go to the solver in one call, the other three one call each.
     spec = InstanceSpec(n=5, interval=(0.5, 2.0), function="exp", trials=1, seed=4)
     inst = generate_instance("bourin", spec, 0)
     assert len(inst["a_list"]) == 3
@@ -83,8 +84,21 @@ def test_unital_bourin_trial_makes_k_plus_3_solver_calls(monkeypatch):
     derived = _count_calls(monkeypatch, matcore, "_derived_eigen")
     result = run_instance(inst)
     assert result.status == "pass"
-    assert len(eigh) == 3 + 3
+    assert sum(len(stack) for (stack,) in eigh) == 3 + 3
+    assert [len(stack) for (stack,) in eigh] == [3, 1, 1, 1]
     assert len(derived) == 1
+
+
+@pytest.mark.parametrize("map_desc, operands", [("identity", 2), ("congruence", 4)])
+def test_t4_trial_makes_three_solver_calls_at_small_n(monkeypatch, map_desc, operands):
+    # one for A, B, Phi(A) and Phi(B) (the identity map's images are A and
+    # B themselves), one for all 16 + 32 nodes of the opening quadrature
+    # pair and one for the gap of the Loewner comparison
+    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="exp", map_desc=map_desc, seed=2)
+    inst = generate_instance("t4", spec, 0)
+    eigh = _count_calls(monkeypatch, np.linalg, "eigh")
+    assert run_instance(inst).status == "pass"
+    assert [len(stack) for (stack,) in eigh] == [operands, 16 + 32, 1]
 
 
 def test_t4_builds_no_decomposition_of_a_function_value(monkeypatch):

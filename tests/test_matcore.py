@@ -228,6 +228,26 @@ class TestApplyFunction:
         assert str(err.value) == ("eigenvalues [-1.0, -3.0] of the argument lie outside "
                                   "domain [0, inf] of cube")
 
+    @pytest.mark.parametrize("desc", funcat.CATALOG_DESCRIPTORS + ("power:2@0.5,2",))
+    def test_extreme_eigenvalues_decide_as_the_whole_spectrum(self, desc):
+        # Spectra with points on, just inside and just outside each finite
+        # endpoint, within and beyond its stretch: apply_function refuses
+        # exactly the spectra spectrum_outside faults, listing the same points.
+        f = funcat.from_descriptor(desc)
+        rng = make_rng(13)
+        ends = [x for x in (f.domain.lo, f.domain.hi) if math.isfinite(x)]
+        near = [x + d * max(1.0, abs(x)) for x in ends for d in (0.0, -1e-10, 1e-10, -1e-6, 1e-6)]
+        for _ in range(40):
+            pool = near + list(rng.uniform(-3.0, 3.0, size=4))
+            h = hermitian_from(np.diag(rng.choice(pool, size=int(rng.integers(1, 6)))))
+            outside = matcore.spectrum_outside(f, h).tolist()
+            if outside:
+                with pytest.raises(SpectrumOutOfDomain) as err:
+                    apply_function(f, h)
+                assert err.value.offending == outside
+            else:
+                apply_function(f, h)
+
     def test_spectral_mapping_property(self):
         rng = make_rng(7)
         fs = [funcat.builtin("exp"), funcat.builtin("power", 2), funcat.builtin("affine", -1.5, 0.25)]

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -175,7 +176,7 @@ class TestBatchedChecks:
         assert err.value.offending == [pytest.approx(2.0 * t0 - 1.0)]
 
 
-@pytest.mark.parametrize("n, stack_sizes", [(4, [16, 32]), (48, [1] * 48)])
+@pytest.mark.parametrize("n, stack_sizes", [(4, [48]), (48, [1] * 48)])
 def test_stacks_stay_within_the_entry_budget(monkeypatch, n, stack_sizes):
     real_eigh = np.linalg.eigh
     seen = []
@@ -189,9 +190,34 @@ def test_stacks_stay_within_the_entry_budget(monkeypatch, n, stack_sizes):
     matcore.eig(a), matcore.eig(b)
     monkeypatch.setattr(matcore.np.linalg, "eigh", recording)
     segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=16, rtol=1e-6))
-    # a whole small-n pass fits one stack; a large-n pass goes one matrix at a time
+    # the 16 + 32 nodes of the opening pair fit one stack at small n; at
+    # large n they go one matrix at a time
     assert seen == stack_sizes
     assert max(seen) * n * n <= max(segquad.STACK_ENTRY_BUDGET, n * n)
+
+
+def test_large_points_are_decomposed_one_stack_at_a_time(monkeypatch):
+    # The opening pair's stream is lazy: while f is applied to a node, no
+    # other stack of decomposed points is still alive.
+    made, alive = [], []
+    build, apply = segquad.segment_matrices, segquad.apply_function
+
+    def building(*args):
+        points = build(*args)
+        made.append([weakref.ref(p) for p in points])
+        return points
+
+    def applying(f, point):
+        alive.append(sum(any(ref() is not None for ref in stack) for stack in made))
+        return apply(f, point)
+
+    monkeypatch.setattr(segquad, "segment_matrices", building)
+    monkeypatch.setattr(segquad, "apply_function", applying)
+    rng = make_rng(9)
+    a, b = random_hermitian_raw(48, rng), random_hermitian_raw(48, rng)
+    segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=16, rtol=1e-6))
+    assert [len(stack) for stack in made] == [1] * 48
+    assert alive == [1] * 48
 
 
 class TestWordOracle:

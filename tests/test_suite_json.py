@@ -1,0 +1,65 @@
+"""Fixed-seed suite JSON, byte for byte, against recorded hashes.
+
+``data/suite_sha256.json`` holds, for every theorem id, each function,
+interval size and map in SPEC (seed 3, 6 trials), the sha256 of
+``run_suite(...).to_json()``, or the error text of a suite that run_suite
+refuses.  It was recorded before the spectral path began to decompose a
+quadrature's first two rules in one stream, each checker's operands in one
+solver call and to read the domain off the extreme eigenvalues; a change to
+how results are computed, not to what they are, must leave every byte as
+it was.
+
+Regenerate the file, only when a change is meant to alter results, with
+
+    PYTHONPATH=src python tests/test_suite_json.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from hhmat.errors import Error
+from hhmat.harness import THEOREM_IDS, InstanceSpec, run_suite
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "suite_sha256.json"
+SPEC = {"functions": ["exp", "power:2", "inverse", "xlogx"],
+        "sizes": [[6, [0.0, 2.0]], [4, [0.5, 2.0]]],
+        "maps": ["identity", "pinch", "congruence"],
+        "seed": 3, "trials": 6}
+
+
+def _outcomes() -> dict[str, str]:
+    out = {}
+    for theorem in THEOREM_IDS:
+        for function in SPEC["functions"]:
+            for n, interval in SPEC["sizes"]:
+                for map_desc in SPEC["maps"]:
+                    spec = InstanceSpec(n=n, interval=tuple(interval), function=function,
+                                        map_desc=map_desc, trials=SPEC["trials"],
+                                        seed=SPEC["seed"])
+                    key = f"{theorem} {function} n={n} {interval} {map_desc}"
+                    try:
+                        text = run_suite(spec, theorem).to_json()
+                    except Error as exc:
+                        out[key] = f"refused {type(exc).__name__}: {exc}"
+                        continue
+                    out[key] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_suite_json_matches_the_recorded_bytes():
+    data = json.loads(GOLDEN.read_text())
+    assert data["spec"] == SPEC
+    assert _outcomes() == data["outcomes"]
+
+
+def write_golden():
+    GOLDEN.write_text(json.dumps({"spec": SPEC, "outcomes": _outcomes()}, indent=1,
+                                 sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    sys.exit(write_golden())
