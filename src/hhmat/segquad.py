@@ -41,14 +41,16 @@ STACK_ENTRY_BUDGET = 4096
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre starting node count and the rtol its doubling stops at."""
+    """Gauss-Legendre starting node count and the rtol its doubling stops at.
+    Every integral evaluates the starting rule and its double, so the start
+    is at most NODE_CAP // 2."""
 
     nodes: int = 16
     rtol: float = 1e-11
 
     def __post_init__(self):
-        if not 1 <= self.nodes <= NODE_CAP:
-            raise BadParams(f"node count must be in 1..{NODE_CAP}, got {self.nodes}")
+        if not 1 <= self.nodes <= NODE_CAP // 2:
+            raise BadParams(f"node count must be in 1..{NODE_CAP // 2}, got {self.nodes}")
         if not self.rtol > 0.0:
             raise BadParams(f"rtol must be positive, got {self.rtol}")
 

@@ -35,6 +35,10 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(BadParams):
             QuadratureSpec(nodes=0)
+        # a start above NODE_CAP // 2 has no double to compare with
+        assert QuadratureSpec(nodes=512).nodes == segquad.NODE_CAP // 2
+        with pytest.raises(BadParams, match=r"node count must be in 1\.\.512, got 513"):
+            QuadratureSpec(nodes=513)
         with pytest.raises(BadParams):
             QuadratureSpec(rtol=0.0)
 
