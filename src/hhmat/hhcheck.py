@@ -24,7 +24,7 @@ import numpy as np
 
 from . import orders, plmaps
 from .errors import BadInterval, BadParams, HypothesisUnmet, NotPositive
-from .funcat import ScalarFunction, builtin
+from .funcat import Interval, ScalarFunction, builtin
 from .matcore import (HermitianMatrix, apply_function, eig, eig_many, hermitian_from,
                       spectrum_outside, ui_norm)
 from .orders import DEFAULT_TOL, OrderVerdict
@@ -89,14 +89,10 @@ def _check_hypotheses(reasons: list[str]):
 
 def _spectra_reasons(f: ScalarFunction, mats: dict[str, HermitianMatrix]) -> list[str]:
     """A reason for each labelled matrix whose spectrum leaves the domain of
-    f.  The matrices of each size are decomposed in one eig_many call."""
-    by_dim: dict[int, list[HermitianMatrix]] = {}
-    for h in mats.values():
-        by_dim.setdefault(h.dim, []).append(h)
-    for same_size in by_dim.values():
-        eig_many(same_size)
+    f, the matrices decomposed in one eig_many call."""
+    eig_many(list(mats.values()))
     return [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
-            for label, h in mats.items() if spectrum_outside(f, h).size]
+            for label, h in mats.items() if spectrum_outside(f.domain, h).size]
 
 
 def _map_case_reasons(
@@ -415,19 +411,23 @@ def _converse_hypotheses(
     hold: f convex, the spectra of A, B, Phi(A) and Phi(B) in its domain, Phi
     unital and the working interval [omega, Omega].
 
-    The interval must contain those four spectra (to a 1e-9 relative pad).
-    f must be defined and strictly positive on it, so an interval outside
-    f's domain or a non-positive value of f is one unmet.
+    The interval must contain those four spectra, judged as a domain is
+    (see matcore.spectrum_outside).  An empty interval (omega >= Omega)
+    contains none; a NaN end is left to mond_pecaric_alpha, which names it.
+    f must be defined and strictly positive on the interval, so an interval
+    outside f's domain or a non-positive value of f is one unmet.
     """
     pa, pb = phi.apply(a), phi.apply(b)
     mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, mats)
     reasons += _map_case_reasons(f, phi.identity_image(), subunital_ok=False)
     omega, Omega = float(interval[0]), float(interval[1])
-    pad = 1e-9 * max(1.0, Omega - omega)
-    reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]"
-                for label, h in mats.items()
-                if eig(h).values[-1] < omega - pad or eig(h).values[0] > Omega + pad]
+    try:
+        working = Interval(omega, Omega)
+        outside = [label for label, h in mats.items() if spectrum_outside(working, h).size]
+    except BadParams:  # omega >= Omega, or a NaN end
+        outside = list(mats) if omega >= Omega else []
+    reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]" for label in outside]
     _check_hypotheses(reasons)
     try:
         return pa, pb, mond_pecaric_alpha(f, omega, Omega).alpha

@@ -28,7 +28,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .funcat import ScalarFunction
+    from .funcat import Interval, ScalarFunction
 
 # Relative bound on the skew part of raw input before construction is refused.
 ASYMMETRY_RTOL = 1e-10
@@ -94,18 +94,12 @@ class HermitianMatrix:
 
     # Real linear combinations of Hermitian matrices stay Hermitian, so a
     # little arithmetic sugar keeps checker code close to the formulas.
-    def _check_same_dim(self, other: "HermitianMatrix"):
-        """DimMismatch naming both sizes, not numpy's broadcasting
-        ValueError, when other differs in size."""
-        if self.dim != other.dim:
-            raise DimMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
-
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        self._check_same_dim(other)
+        check_same_dim(self, other)
         return HermitianMatrix(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        self._check_same_dim(other)
+        check_same_dim(self, other)
         return HermitianMatrix(self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianMatrix":
@@ -191,6 +185,13 @@ class NormSpec:
         if self.kind == "schatten":
             return f"schatten:{self.p:g}"
         return "operator"
+
+
+def check_same_dim(a: HermitianMatrix, b: HermitianMatrix):
+    """DimMismatch naming both sizes, not numpy's broadcasting ValueError,
+    when a and b differ in size; the one same-size check of the package."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
 
 
 def hermitian_from(raw) -> HermitianMatrix:
@@ -335,16 +336,17 @@ def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
-    """Eigendecompositions of same-size matrices, validated and cached as
+    """Eigendecompositions of matrices of any sizes, validated and cached as
     eig() documents.  A result of apply_function takes its decomposition
     from its argument's (see eig); the other matrices not yet decomposed go
-    to the solver together, as one stack (see eig_stack), each once however
-    often it is listed."""
+    to the solver one stack per size (see eig_stack), in the order their
+    sizes first appear, each once however often it is listed."""
     todo = list({id(h): h for h in hs if h._eigen is None}.values())
     found = [(h, *_derived_eigen(h)) for h in todo if h._spectral_pair is not None]
     solve = [h for h in todo if h._spectral_pair is None]
-    if solve:
-        found += zip(solve, *eig_stack(np.stack([h.entries for h in solve])))
+    for dim in dict.fromkeys(h.dim for h in solve):
+        same_size = [h for h in solve if h.dim == dim]
+        found += zip(same_size, *eig_stack(np.stack([h.entries for h in same_size])))
     for h, w, v in found:
         object.__setattr__(h, "_eigen", EigenSystem(values=w, vectors=v))
     return [h._eigen for h in hs]
@@ -372,20 +374,27 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     return eig_many([h])[0]
 
 
-def spectrum_outside(f: "ScalarFunction", h: HermitianMatrix) -> np.ndarray:
-    """The eigenvalues of H outside the domain of f, descending; empty when
-    the spectrum fits (endpoints are stretched by a small relative
-    tolerance, see funcat.Interval.contains)."""
+def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> np.ndarray:
+    """The eigenvalues of H outside the interval (a domain or a working
+    interval), descending; empty when the spectrum fits.  The one membership
+    rule for spectra: Interval.contains_array, stretch included, admits a
+    point whenever it admits a smaller and a larger one, so it is asked only
+    of the two extreme eigenvalues of the validated, descending spectrum,
+    and of every eigenvalue only when an extreme is outside."""
     values = eig(h).values
-    return values[~f.domain.contains_array(values)]
+    ends = interval.contains_array(values[::max(1, values.size - 1)])
+    if not values.size or ends[0] and ends[-1]:
+        return values[:0]
+    return values[~interval.contains_array(values)]
 
 
 def check_spectrum_in_domain(f: "ScalarFunction", h: HermitianMatrix, label: str = "the argument"):
     """SpectrumOutOfDomain, naming H by `label` and listing the offending
     eigenvalues, unless the spectrum of H lies in the domain of f (see
     spectrum_outside)."""
-    bad = spectrum_outside(f, h).tolist()
-    if bad:
+    bad = spectrum_outside(f.domain, h)
+    if bad.size:
+        bad = bad.tolist()
         raise SpectrumOutOfDomain(
             f"eigenvalues {bad} of {label} lie outside domain {f.domain} of {f.name}",
             offending=bad,
@@ -396,20 +405,15 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus f(H) via the spectral decomposition.
 
     Requires the spectrum of H to lie in the domain of f; SpectrumOutOfDomain
-    otherwise (see check_spectrum_in_domain).  The domain is an interval,
-    and its membership test, stretch included, admits a point whenever it
-    admits a smaller and a larger one, so the test is made on the two
-    extreme eigenvalues of the validated, descending spectrum; only when one
-    is outside does check_spectrum_in_domain list every offending eigenvalue.
+    otherwise (see check_spectrum_in_domain; when the spectrum fits, only
+    its two extreme eigenvalues are tested).
 
     The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
     which eig() turns into its decomposition, checked, if it is ever asked
     for; a result that is never decomposed pays nothing more.
     """
-    es = eig(h)
-    ends = f.domain.contains_array(es.values[::max(1, es.values.size - 1)])
-    if es.values.size and not (ends[0] and ends[-1]):
-        check_spectrum_in_domain(f, h)
+    check_spectrum_in_domain(f, h)
+    es = h._eigen  # cached by the check's eig(h)
     fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
     # (R + R*)/2 is exactly Hermitian whatever the rounding in R.

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch
-from .matcore import HermitianMatrix, eig
+from .matcore import HermitianMatrix, check_same_dim, eig
 
 DEFAULT_TOL = 1e-9
 
@@ -45,15 +44,10 @@ def judge(margin: float, scale: float, tol: float = DEFAULT_TOL, witness=None) -
     return OrderVerdict(holds=holds, margin=margin, witness=None if holds else witness)
 
 
-def _check_same_dim(a: HermitianMatrix, b: HermitianMatrix):
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-
-
 def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
     """Is a <= b in the Loewner order: is b - a PSD to a tolerance scaled by the
     larger of the gap's spectral radius and the largest entry of |a| and |b|?"""
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     gap = eig(b - a)
     scale = max(gap.spectral_radius, float(np.max(np.abs(a.entries))),
                 float(np.max(np.abs(b.entries))))
@@ -62,7 +56,7 @@ def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL
 
 def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
     """Is lambda_j(a) <= lambda_j(b) for every j (descending order)?"""
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     la, lb = eig(a).values, eig(b).values
     gaps = lb - la
     j = int(np.argmin(gaps))
@@ -73,7 +67,7 @@ def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
 def weak_majorization(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
     """Is every top-k eigenvalue partial sum of a at most that of b?  The
     margin is the smallest deficit; the witness is its 0-based index."""
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     psa = np.cumsum(eig(a).values)
     psb = np.cumsum(eig(b).values)
     deficits = psb - psa
@@ -90,7 +84,7 @@ def unitary_witness(a: HermitianMatrix, b: HermitianMatrix) -> np.ndarray | None
     sorted eigenvalues do.  Any orthonormal choice inside degenerate
     eigenspaces works since only the sorted values matter.
     """
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     if not eigen_dominance(a, b).holds:
         return None
     va = eig(a).vectors

@@ -8,10 +8,11 @@ certify the quadrature at small sizes.
 
 Segment points reach f as a lazy stream (segment_points) of matrices built
 and decomposed a stack at a time, at most STACK_ENTRY_BUDGET entries a
-stack.  Every integral evaluates its first two rules, so one stream serves
-both: at small n their nodes share one solver call, and at large n the
-stream still holds one stack at a time.  f is applied node by node, each
-node's spectrum checked against its domain.
+stack; every quadrature pass sums the stream it is handed.  Every integral
+evaluates its first two rules, so one opening stream serves both: at small
+n their nodes share one solver call, and at large n the stream still holds
+one stack at a time.  Each later rule gets a stream of its own.  f is
+applied node by node, each node's spectrum checked against its domain.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParams, DimMismatch, NoConvergence, RTooLarge
+from .errors import BadParams, NoConvergence, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import (HermitianMatrix, apply_function, segment_matrices,
+from .matcore import (HermitianMatrix, apply_function, check_same_dim, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
@@ -64,8 +65,7 @@ def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
     consumer has taken every point of the last, so a stream over many
     large points holds few of them at once.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    check_same_dim(a, b)
     step = max(1, STACK_ENTRY_BUDGET // max(1, a.dim * a.dim))
     for start in range(0, len(ts), step):
         yield from segment_matrices(a, b, ts[start:start + step])
@@ -102,14 +102,10 @@ def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-def _gauss_pass(f: ScalarFunction, a: HermitianMatrix, b: HermitianMatrix, nodes: int,
-                points=None) -> np.ndarray:
-    """The `nodes`-node Gauss-Legendre sum, its points drawn from `points`
-    (a segment_points stream positioned at this rule's nodes) or, when that
-    is None, from a stream of its own."""
-    ts, ws = _gauss_rule(nodes)
-    return _weighted_sum(f, ws, segment_points(a, b, ts) if points is None else points,
-                         a.entries)
+def _gauss_pass(f: ScalarFunction, nodes: int, points, like: np.ndarray) -> np.ndarray:
+    """The `nodes`-node Gauss-Legendre sum, its points drawn from `points`,
+    a segment_points stream positioned at this rule's nodes."""
+    return _weighted_sum(f, _gauss_rule(nodes)[1], points, like)
 
 
 def segment_integral(
@@ -130,34 +126,34 @@ def segment_integral(
     per stack, with the reconstruction and orthonormality checks still
     applied to every node's matrix; f is then applied to each node by
     apply_function, which checks that node's spectrum against the domain.
-    Every integral evaluates its first two rules, so their points come
-    from one stream over the concatenated nodes of both (spec.nodes, then
-    twice that): at small n one solver call decomposes all of them, while
-    each pass still sums its own nodes in rule order.  Later rules draw
-    streams of their own.  A stack holds at most STACK_ENTRY_BUDGET entries
-    because the solver's temporaries grow with the stack; the budget keeps
-    the opening pair in one stack at small n and, as the stream is lazy,
-    bounds peak memory at large n.
+    Each pass draws its points from a stream handed to it.  Every integral
+    evaluates its first two rules (QuadratureSpec keeps the second within
+    NODE_CAP), so both draw from one opening stream over their concatenated
+    nodes (spec.nodes, then twice that): at small n one solver call
+    decomposes all of them, while each pass still sums its own nodes in
+    rule order.  Each later rule gets a stream of its own.  A stack holds
+    at most STACK_ENTRY_BUDGET entries because the solver's temporaries
+    grow with the stack; the budget keeps the opening pair in one stack at
+    small n and, as the stream is lazy, bounds peak memory at large n.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    check_same_dim(a, b)
     _check_spectrum_in_domain(f, a, "the t=1 endpoint")
     _check_spectrum_in_domain(f, b, "the t=0 endpoint")
     nodes = spec.nodes
-    opening_rules = [nodes] + ([2 * nodes] if 2 * nodes <= NODE_CAP else [])
-    opening = segment_points(a, b, np.concatenate([_gauss_rule(k)[0] for k in opening_rules]))
-    current = _gauss_pass(f, a, b, nodes, opening)
+    opening = segment_points(a, b, np.concatenate([_gauss_rule(nodes)[0],
+                                                   _gauss_rule(2 * nodes)[0]]))
+    current = _gauss_pass(f, nodes, opening, a.entries)
     while True:
+        nodes *= 2
+        points = opening if nodes == 2 * spec.nodes else segment_points(a, b, _gauss_rule(nodes)[0])
+        refined = _gauss_pass(f, nodes, points, a.entries)
+        scale = max(1.0, float(np.max(np.abs(refined))))
+        if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
+            return HermitianMatrix((refined + refined.conj().T) / 2.0)
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
                 f"quadrature did not settle to rtol={spec.rtol:g} below {NODE_CAP} nodes"
             )
-        nodes *= 2
-        refined = _gauss_pass(f, a, b, nodes, opening)
-        opening = None
-        scale = max(1.0, float(np.max(np.abs(refined))))
-        if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
-            return HermitianMatrix((refined + refined.conj().T) / 2.0)
         current = refined
 
 
@@ -186,8 +182,7 @@ def poly_segment_oracle(r: int, a: HermitianMatrix, b: HermitianMatrix) -> Hermi
     Each word w in {A, B}^r with j letters A contributes
     j! (r-j)! / (r+1)! times the matrix product w; no quadrature involved.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    check_same_dim(a, b)
     total = _word_integral(a.entries, b.entries, r, exact=False)
     return HermitianMatrix((total + total.conj().T) / 2.0)
 

@@ -12,6 +12,7 @@ from hhmat.errors import BadInterval, HypothesisUnmet
 from hhmat.funcat import builtin, from_descriptor
 from hhmat.harness import (
     InstanceSpec,
+    TrialResult,
     generate_instance,
     random_hermitian,
     run_instance,
@@ -126,6 +127,29 @@ def test_norm_chain_on_a_supplied_interval_tests_containment():
     details = [rec["detail"] for rec in report.records]
     assert all("a unital map is needed" in detail for detail in details)
     assert sum("leaves [0.5, 2.0]" in detail for detail in details) == 37
+
+
+def test_the_working_interval_stretches_as_a_domain_does():
+    # [1, 1.5] is stretched by 1e-9 * 0.5 at each end, as spectra against a
+    # domain of that width are: 3e-10 beyond Omega is inside, 7e-10 is not
+    f, phi, b = from_descriptor("exp"), IdentityMap(2), hermitian_from(np.diag([1.1, 1.2]))
+    inside = hermitian_from(np.diag([1.5 + 3e-10, 1.2]))
+    assert check_theorem_t4(f, phi, inside, b, interval=(1.0, 1.5)).holds
+    beyond = hermitian_from(np.diag([1.5 + 7e-10, 1.2]))
+    with pytest.raises(HypothesisUnmet) as err:
+        check_theorem_t4(f, phi, beyond, b, interval=(1.0, 1.5))
+    assert str(err.value) == ("spectrum of A leaves [1.0, 1.5]; "
+                              "spectrum of Phi(A) leaves [1.0, 1.5]")
+
+
+@pytest.mark.parametrize("interval, detail", [
+    ((2.0, 1.0), "; ".join(f"spectrum of {label} leaves [2.0, 1.0]"
+                           for label in ("A", "B", "Phi(A)", "Phi(B)"))),
+    ((float("nan"), 2.0), "need omega < Omega, got [nan, 2.0]"),
+])
+def test_an_interval_that_is_not_one_is_a_skip(interval, detail):
+    inst = generate_instance("t4", InstanceSpec(n=3, interval=(0.5, 2.0), function="exp"), 0)
+    assert run_instance({**inst, "interval": list(interval)}) == TrialResult("skip", None, detail)
 
 
 def test_norm_chain_needs_a_unital_map():

@@ -77,11 +77,29 @@ class TestConstruction:
         with pytest.raises(NonFiniteEntries):
             eig(hermitian_from([[bad, 0], [0, 1]]))
 
-    @pytest.mark.parametrize("op", ["__add__", "__sub__"])
-    def test_sizes_that_differ_are_a_dim_mismatch(self, op):
+    # Every entry point that pairs two matrices raises the one same-size
+    # error, matcore.check_same_dim's, before numpy sees the shapes.
+    @pytest.mark.parametrize("op", [
+        "__add__", "__sub__", "loewner_leq", "eigen_dominance", "weak_majorization",
+        "unitary_witness", "segment_points", "segment_integral", "poly_segment_oracle"])
+    def test_sizes_that_differ_are_a_dim_mismatch(self, op, monkeypatch):
+        from hhmat import orders, segquad
+
+        calls = []
+        check = matcore.check_same_dim
+        for module in (matcore, orders, segquad):
+            monkeypatch.setattr(module, "check_same_dim",
+                                lambda a, b: calls.append((a.dim, b.dim)) or check(a, b))
+        run = {
+            "segment_points": lambda a, b: list(segquad.segment_points(a, b, np.array([0.5]))),
+            "segment_integral": lambda a, b: segquad.segment_integral(funcat.builtin("exp"), a, b),
+            "poly_segment_oracle": lambda a, b: segquad.poly_segment_oracle(2, a, b),
+        }.get(op) or getattr(orders, op, None) or (lambda a, b: getattr(a, op)(b))
         a, b = hermitian_from(np.eye(3)), hermitian_from(np.eye(2))
-        with pytest.raises(DimMismatch, match="dimensions differ: 3 vs 2"):
-            getattr(a, op)(b)
+        with pytest.raises(DimMismatch) as err:
+            run(a, b)
+        assert str(err.value) == "dimensions differ: 3 vs 2"
+        assert calls == [(3, 2)]
 
     def test_entries_immutable(self):
         h = hermitian_from(np.eye(2))
@@ -220,8 +238,8 @@ class TestApplyFunction:
     def test_spectrum_outside_lists_the_offending_eigenvalues(self):
         h = hermitian_from(np.diag([-1.0, 2.0, -3.0]))
         cube = funcat.builtin("cube")  # domain [0, inf)
-        assert matcore.spectrum_outside(cube, h).tolist() == [-1.0, -3.0]
-        assert matcore.spectrum_outside(funcat.builtin("exp"), h).size == 0
+        assert matcore.spectrum_outside(cube.domain, h).tolist() == [-1.0, -3.0]
+        assert matcore.spectrum_outside(funcat.builtin("exp").domain, h).size == 0
         with pytest.raises(SpectrumOutOfDomain) as err:
             apply_function(cube, h)
         assert err.value.offending == [-1.0, -3.0]
@@ -231,8 +249,9 @@ class TestApplyFunction:
     @pytest.mark.parametrize("desc", funcat.CATALOG_DESCRIPTORS + ("power:2@0.5,2",))
     def test_extreme_eigenvalues_decide_as_the_whole_spectrum(self, desc):
         # Spectra with points on, just inside and just outside each finite
-        # endpoint, within and beyond its stretch: apply_function refuses
-        # exactly the spectra spectrum_outside faults, listing the same points.
+        # endpoint, within and beyond its stretch: spectrum_outside lists
+        # what a whole-spectrum membership test lists, and apply_function
+        # refuses exactly those spectra, naming the same points.
         f = funcat.from_descriptor(desc)
         rng = make_rng(13)
         ends = [x for x in (f.domain.lo, f.domain.hi) if math.isfinite(x)]
@@ -240,13 +259,27 @@ class TestApplyFunction:
         for _ in range(40):
             pool = near + list(rng.uniform(-3.0, 3.0, size=4))
             h = hermitian_from(np.diag(rng.choice(pool, size=int(rng.integers(1, 6)))))
-            outside = matcore.spectrum_outside(f, h).tolist()
+            values = eig(h).values
+            outside = matcore.spectrum_outside(f.domain, h).tolist()
+            assert outside == values[~f.domain.contains_array(values)].tolist()
             if outside:
                 with pytest.raises(SpectrumOutOfDomain) as err:
                     apply_function(f, h)
                 assert err.value.offending == outside
             else:
                 apply_function(f, h)
+
+    def test_spectrum_outside_a_working_interval_narrower_than_1(self):
+        # [0.5, 0.9] stretches by 1e-9 * 0.4 at each end, as a domain of that
+        # width does, not by 1e-9
+        working = funcat.Interval(0.5, 0.9)
+        for ends, outside in [((0.5, 0.9), []), ((0.5 - 3e-10, 0.9 + 3e-10), []),
+                              ((0.5 - 6e-10, 0.7), [0.5 - 6e-10]),
+                              ((0.7, 0.9 + 6e-10), [0.9 + 6e-10]),
+                              ((0.4, 1.0), [1.0, 0.4])]:
+            h = hermitian_from(np.diag([ends[0], 0.7, ends[1]]))
+            assert matcore.spectrum_outside(working, h).tolist() == outside
+        assert matcore.spectrum_outside(working, hermitian_from(np.zeros((0, 0)))).size == 0
 
     def test_spectral_mapping_property(self):
         rng = make_rng(7)
@@ -314,6 +347,25 @@ class TestDecompositionOfFunctionValues:
         assert calls == []  # nothing is built until the decomposition is asked for
         assert matcore.eig_many([out])[0] is eig(out)
         assert calls == [out]
+
+    def test_mixed_sizes_make_one_solver_call_per_size(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+        stacks = []
+
+        def recording(stack):
+            stacks.append(stack.shape)
+            return real_eigh(stack)
+
+        rng = make_rng(35)
+        hs = [random_hermitian_raw(n, rng) for n in (3, 2, 3, 4, 2)]
+        monkeypatch.setattr(matcore.np.linalg, "eigh", recording)
+        found = matcore.eig_many(hs + [hs[0]])
+        # sizes in the order they first appear, each matrix decomposed once
+        assert stacks == [(2, 3, 3), (2, 2, 2), (1, 4, 4)]
+        assert [es is h._eigen for es, h in zip(found, hs + [hs[0]])] == [True] * 6
+        for h, es in zip(hs, found):
+            scale = max(1.0, es.spectral_radius)
+            assert np.max(np.abs(reconstruct(es) - h.entries)) <= 1e-12 * scale
 
     def test_altered_entries_fail_the_reconstruction_check(self):
         out = apply_function(funcat.builtin("exp"), random_hermitian_raw(4, make_rng(33)))

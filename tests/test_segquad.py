@@ -224,6 +224,40 @@ def test_large_points_are_decomposed_one_stack_at_a_time(monkeypatch):
     assert alive == [1] * 48
 
 
+def test_each_pass_sums_the_stream_it_is_handed(monkeypatch):
+    # exp from a one-node start needs several doublings: the first two
+    # passes share the opening stream, each later pass gets its own, and
+    # every pass draws exactly its rule's nodes from it
+    passes = []
+    real_pass = segquad._gauss_pass
+
+    def recording(f, nodes, points, like):
+        drawn = []
+
+        def tap():
+            for point in points:
+                drawn.append(point)
+                yield point
+
+        out = real_pass(f, nodes, tap(), like)
+        passes.append((nodes, len(drawn), points))
+        return out
+
+    monkeypatch.setattr(segquad, "_gauss_pass", recording)
+    rng = make_rng(10)
+    a, b = random_hermitian_raw(3, rng), random_hermitian_raw(3, rng)
+    out = segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=1))
+    rules = [nodes for nodes, _, _ in passes]
+    assert len(rules) >= 3 and rules == [2 ** i for i in range(len(rules))]
+    assert [drawn for _, drawn, _ in passes] == rules
+    streams = [points for _, _, points in passes]
+    assert streams[0] is streams[1]
+    assert len({id(points) for points in streams[1:]}) == len(streams) - 1
+    monkeypatch.undo()
+    reference = segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=64))
+    assert np.max(np.abs(out.entries - reference.entries)) <= 1e-10
+
+
 class TestWordOracle:
     def test_r_one_is_midpoint(self):
         out = poly_segment_oracle(1, A_FIXED, B_FIXED)
