@@ -60,11 +60,12 @@ class InstanceSpec:
             raise BadParams(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
         if self.trials < 1:
             raise BadParams(f"trial count must be >= 1, got {self.trials}")
-        if self.chain_k < 1 or self.chain_p < 1:
-            raise BadParams(f"k and p must be >= 1, got k={self.chain_k}, p={self.chain_p}")
+        hhcheck.chain_panels(self.chain_k, self.chain_p)  # BadParams when out of range
         lo, hi = self.interval
         if not lo < hi:
             raise BadInterval(f"need omega < Omega, got [{lo}, {hi}]")
+        if not np.isfinite(self.interval).all():
+            raise BadInterval(f"interval [{lo}, {hi}] is not finite: trials draw spectra inside it")
         QuadratureSpec(self.quad_nodes, self.quad_rtol)  # BadParams when out of range
 
 
@@ -500,9 +501,12 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     a suite that takes no map given one other than the identity, or given
     an m other than n (BadParams).  A spec the theorem's generator refuses
     (a malformed map descriptor, an m the map cannot honour, a power_norm
-    function that is not a power) raises from the first trial.
+    function that is not a power) raises from the first trial.  A worker
+    count below 1 is refused (BadParams).
     """
     entry = _theorem(theorem)
+    if workers < 1:
+        raise BadParams(f"worker count must be >= 1, got {workers}")
     from_descriptor(spec.function)
     if not entry.takes_map and spec.map_desc != "identity":
         raise BadParams(f"the {theorem} suite takes no map, got {spec.map_desc!r}")

@@ -30,6 +30,7 @@ from .matcore import (HermitianMatrix, apply_function, eig, eig_many, hermitian_
 from .orders import DEFAULT_TOL, OrderVerdict
 from .plmaps import PositiveLinearMap
 from .segquad import (
+    NODE_CAP,
     QuadratureSpec,
     poly_segment_oracle_exact,
     segment_integral,
@@ -492,6 +493,18 @@ def check_norm_chain_corollary(
 
 # -- five-term refinement chain for operator convex functions ----------------------
 
+def chain_panels(k: int, p: int) -> int:
+    """k**p, the refinement chain's panel count; BadParams unless k, p >= 1
+    and k**p <= NODE_CAP.  The bound is decided without forming k**p, which
+    a replayed p can make huge: for k >= 2, k**p > NODE_CAP as soon as p
+    reaches NODE_CAP.bit_length()."""
+    if k < 1 or p < 1:
+        raise BadParams(f"k and p must be >= 1, got k={k}, p={p}")
+    if k ** min(p, NODE_CAP.bit_length()) > NODE_CAP:
+        raise BadParams(f"the chain's k**p panels must be at most {NODE_CAP}, got k={k}, p={p}")
+    return k ** p
+
+
 def check_refinement_chain(
     f: ScalarFunction,
     a: HermitianMatrix,
@@ -503,12 +516,11 @@ def check_refinement_chain(
     """Five-term chain for operator convex f: the midpoint value, a midpoint
     Riemann sum over k^p panels, the segment integral, the matching trapezoid
     sum, and the endpoint average, each below the next in the Loewner order.
+    k and p are bounded as chain_panels documents.
     """
     _check_hypotheses(_require_flag(f, "operator_convex"))
-    if k < 1 or p < 1:
-        raise BadParams(f"k and p must be positive integers, got k={k}, p={p}")
+    n_panels = chain_panels(int(k), int(p))
     _check_hypotheses(_spectra_reasons(f, {"A": a, "B": b}))
-    n_panels = int(k) ** int(p)
     panels = np.arange(n_panels)
     l0 = apply_function(f, 0.5 * a + 0.5 * b)
     mids = (2 * panels + 1) / (2.0 * n_panels)

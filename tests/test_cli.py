@@ -213,9 +213,13 @@ def test_counterexample_is_not_a_verify_theorem(capsys):
     ["--theorem", "chain", "--f", "power:2", "--k", "0"],
     ["--n", "4", "--m", "2", "--map", "pinch"], ["--n", "4", "--m", "2", "--map", "identity"],
     ["--theorem", "trace", "--m", "3"], ["--n", "4", "--map", "compress:9"],
+    ["--theorem", "chain", "--f", "power:2", "--k", "2", "--p", "70"],
+    ["--theorem", "t4", "--quad-nodes", "600"], ["--theorem", "t4", "--interval", "0.5,inf"],
+    ["--workers", "-2"], ["--workers", "0"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
         "subcongruence:-1", "m>n", "k=0", "pinch-m", "identity-m", "map-free-m",
-        "compress:9"])
+        "compress:9", "k**p>cap", "quad-nodes>cap/2", "interval-inf", "workers=-2",
+        "workers=0"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--trials", "3", *args])

@@ -15,7 +15,7 @@ import pytest
 import hhmat
 from conftest import make_rng, random_hermitian_raw
 from hhmat import hhcheck
-from hhmat.errors import BadParams, UnknownTheorem
+from hhmat.errors import BadInterval, BadParams, UnknownTheorem
 from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
@@ -92,6 +92,41 @@ def test_counterexample_is_not_a_suite():
 def test_chain_counts_below_1_are_refused(field):
     with pytest.raises(BadParams, match="k and p must be >= 1"):
         InstanceSpec(**{field: 0})
+
+
+@pytest.mark.parametrize("k, p", [(2, 11), (2, 70), (33, 2), (1025, 1)])
+def test_chain_panels_beyond_the_node_cap_are_refused(k, p):
+    with pytest.raises(BadParams, match=rf"k\*\*p panels must be at most 1024, got k={k}, p={p}"):
+        InstanceSpec(chain_k=k, chain_p=p)
+
+
+@pytest.mark.parametrize("k, p", [(2, 10), (32, 2), (1024, 1), (1, 10 ** 9)])
+def test_chain_panels_up_to_the_node_cap_are_accepted(k, p):
+    assert hhcheck.chain_panels(k, p) == k ** p <= 1024
+    InstanceSpec(chain_k=k, chain_p=p)
+
+
+@pytest.mark.parametrize("p", [70, 10 ** 30])
+def test_replayed_chain_beyond_the_node_cap_is_a_failed_trial(p):
+    # 2**70 panels used to end in numpy's "Maximum allowed size exceeded";
+    # the bound is decided without forming 2**p
+    inst = generate_instance("chain", InstanceSpec(n=3, interval=(0.5, 2.0), trials=1), 0)
+    result = run_instance({**inst, "k": 2, "p": p})
+    assert (result.status, result.margin) == ("fail", None)
+    assert result.detail == f"BadParams: the chain's k**p panels must be at most 1024, got k=2, p={p}"
+
+
+@pytest.mark.parametrize("interval", [(0.5, np.inf), (-np.inf, 2.0), (-np.inf, np.inf)])
+def test_an_unbounded_suite_interval_is_refused(interval):
+    lo, hi = interval
+    with pytest.raises(BadInterval, match=rf"interval \[{lo}, {hi}\] is not finite"):
+        InstanceSpec(interval=interval)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_a_worker_count_below_1_is_refused(workers):
+    with pytest.raises(BadParams, match=f"worker count must be >= 1, got {workers}"):
+        run_suite(InstanceSpec(trials=1), "t1", workers=workers)
 
 
 @pytest.mark.parametrize("bad", ["kyfan:abc", "schatten:x"])
