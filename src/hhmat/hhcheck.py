@@ -93,7 +93,7 @@ def _spectra_reasons(f: ScalarFunction, mats: dict[str, HermitianMatrix]) -> lis
     f, the matrices decomposed in one eig_many call."""
     eig_many(list(mats.values()))
     return [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
-            for label, h in mats.items() if spectrum_outside(f.domain, h).size]
+            for label, h in mats.items() if spectrum_outside(f.domain, h)]
 
 
 def _map_case_reasons(
@@ -425,9 +425,10 @@ def _converse_hypotheses(
     omega, Omega = float(interval[0]), float(interval[1])
     try:
         working = Interval(omega, Omega)
-        outside = [label for label, h in mats.items() if spectrum_outside(working, h).size]
     except BadParams:  # omega >= Omega, or a NaN end
         outside = list(mats) if omega >= Omega else []
+    else:
+        outside = [label for label, h in mats.items() if spectrum_outside(working, h)]
     reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]" for label in outside]
     _check_hypotheses(reasons)
     try:

@@ -374,9 +374,9 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     return eig_many([h])[0]
 
 
-def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> np.ndarray:
+def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> list[float]:
     """The eigenvalues of H outside the interval (a domain or a working
-    interval), descending; empty when the spectrum fits.  The one membership
+    interval), descending; [] when the spectrum fits.  The one membership
     rule for spectra: Interval.contains_array, stretch included, admits a
     point whenever it admits a smaller and a larger one, so it is asked only
     of the two extreme eigenvalues of the validated, descending spectrum,
@@ -384,8 +384,8 @@ def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> np.ndarray:
     values = eig(h).values
     ends = interval.contains_array(values[::max(1, values.size - 1)])
     if not values.size or ends[0] and ends[-1]:
-        return values[:0]
-    return values[~interval.contains_array(values)]
+        return []
+    return values[~interval.contains_array(values)].tolist()
 
 
 def check_spectrum_in_domain(f: "ScalarFunction", h: HermitianMatrix, label: str = "the argument"):
@@ -393,8 +393,7 @@ def check_spectrum_in_domain(f: "ScalarFunction", h: HermitianMatrix, label: str
     eigenvalues, unless the spectrum of H lies in the domain of f (see
     spectrum_outside)."""
     bad = spectrum_outside(f.domain, h)
-    if bad.size:
-        bad = bad.tolist()
+    if bad:
         raise SpectrumOutOfDomain(
             f"eigenvalues {bad} of {label} lie outside domain {f.domain} of {f.name}",
             offending=bad,
@@ -404,16 +403,17 @@ def check_spectrum_in_domain(f: "ScalarFunction", h: HermitianMatrix, label: str
 def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus f(H) via the spectral decomposition.
 
-    Requires the spectrum of H to lie in the domain of f; SpectrumOutOfDomain
-    otherwise (see check_spectrum_in_domain; when the spectrum fits, only
-    its two extreme eigenvalues are tested).
+    Requires the spectrum of H to lie in the domain of f (see
+    spectrum_outside: when it fits, only its two extreme eigenvalues are
+    tested); check_spectrum_in_domain raises SpectrumOutOfDomain otherwise.
 
     The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
     which eig() turns into its decomposition, checked, if it is ever asked
     for; a result that is never decomposed pays nothing more.
     """
-    check_spectrum_in_domain(f, h)
-    es = h._eigen  # cached by the check's eig(h)
+    if spectrum_outside(f.domain, h):
+        check_spectrum_in_domain(f, h)
+    es = h._eigen  # cached by spectrum_outside's eig(h)
     fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
     # (R + R*)/2 is exactly Hermitian whatever the rounding in R.
