@@ -146,7 +146,7 @@ def test_the_working_interval_stretches_as_a_domain_does():
     ((2.0, 1.0), "; ".join(f"spectrum of {label} leaves [2.0, 1.0]"
                            for label in ("A", "B", "Phi(A)", "Phi(B)"))),
     ((float("nan"), 2.0), "need omega < Omega, got [nan, 2.0]"),
-])
+], ids=["empty", "nan"])
 def test_an_interval_that_is_not_one_is_a_skip(interval, detail):
     inst = generate_instance("t4", InstanceSpec(n=3, interval=(0.5, 2.0), function="exp"), 0)
     assert run_instance({**inst, "interval": list(interval)}) == TrialResult("skip", None, detail)

@@ -14,7 +14,7 @@ from conftest import (
     random_unitary,
     reconstruct,
 )
-from hhmat import funcat, matcore
+from hhmat import funcat, matcore, orders, segquad
 from hhmat.errors import (
     BadParams,
     BadSpec,
@@ -79,25 +79,28 @@ class TestConstruction:
 
     # Every entry point that pairs two matrices raises the one same-size
     # error, matcore.check_same_dim's, before numpy sees the shapes.
-    @pytest.mark.parametrize("op", [
-        "__add__", "__sub__", "loewner_leq", "eigen_dominance", "weak_majorization",
-        "unitary_witness", "segment_points", "segment_integral", "poly_segment_oracle"])
-    def test_sizes_that_differ_are_a_dim_mismatch(self, op, monkeypatch):
-        from hhmat import orders, segquad
+    PAIRED = {
+        "__add__": lambda a, b: a + b,
+        "__sub__": lambda a, b: a - b,
+        "loewner_leq": lambda a, b: orders.loewner_leq(a, b),
+        "eigen_dominance": lambda a, b: orders.eigen_dominance(a, b),
+        "weak_majorization": lambda a, b: orders.weak_majorization(a, b),
+        "unitary_witness": lambda a, b: orders.unitary_witness(a, b),
+        "segment_points": lambda a, b: list(segquad.segment_points(a, b, np.array([0.5]))),
+        "segment_integral": lambda a, b: segquad.segment_integral(funcat.builtin("exp"), a, b),
+        "poly_segment_oracle": lambda a, b: segquad.poly_segment_oracle(2, a, b),
+    }
 
+    @pytest.mark.parametrize("op", PAIRED)
+    def test_sizes_that_differ_are_a_dim_mismatch(self, op, monkeypatch):
         calls = []
         check = matcore.check_same_dim
         for module in (matcore, orders, segquad):
             monkeypatch.setattr(module, "check_same_dim",
                                 lambda a, b: calls.append((a.dim, b.dim)) or check(a, b))
-        run = {
-            "segment_points": lambda a, b: list(segquad.segment_points(a, b, np.array([0.5]))),
-            "segment_integral": lambda a, b: segquad.segment_integral(funcat.builtin("exp"), a, b),
-            "poly_segment_oracle": lambda a, b: segquad.poly_segment_oracle(2, a, b),
-        }.get(op) or getattr(orders, op, None) or (lambda a, b: getattr(a, op)(b))
         a, b = hermitian_from(np.eye(3)), hermitian_from(np.eye(2))
         with pytest.raises(DimMismatch) as err:
-            run(a, b)
+            self.PAIRED[op](a, b)
         assert str(err.value) == "dimensions differ: 3 vs 2"
         assert calls == [(3, 2)]
 
