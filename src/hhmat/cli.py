@@ -4,6 +4,7 @@
     hhmat alpha --f F --interval LO,HI    chord-ratio constant of a function
     hhmat counterexample [--json FILE]    reproduce the fixed 2x2 counterexample
     hhmat replay FILE                     re-run instances from a report file
+    (LO may start with '-': --interval -1,2 is --interval=-1,2)
 
 Exit codes: 0 all checks passed or were hypothesis-skipped, 1 at least one
 inequality violation, 2 usage error.
@@ -63,7 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # "--interval VALUE" as "--interval=VALUE": argparse reads a VALUE like -1,2 as an option
+    words = iter(sys.argv[1:] if argv is None else argv)
+    args = _build_parser().parse_args(
+        [f"{word}={next(words, '')}" if word == "--interval" else word for word in words])
     try:
         if args.command == "verify":
             spec = InstanceSpec(**{field.name: getattr(args, field.name)

@@ -79,12 +79,9 @@ class NoConvergence(Error):
 
 # -- checkers ----------------------------------------------------------------
 
-class NotPositive(Error):
-    """The scalar function is not strictly positive on the working interval."""
-
-
 class BadInterval(Error):
-    """Interval endpoints are missing or out of order."""
+    """An empty interval, or a working interval that is unbounded or on which
+    the scalar function is not strictly positive or not finite."""
 
 
 class HypothesisUnmet(Error):

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import matcore, orders
-from .errors import BadParams, FlagContradicted, UnknownName
+from .errors import BadInterval, BadParams, FlagContradicted, UnknownName
 
 # Relative endpoint stretch used for domain membership of computed spectra.
 DOMAIN_STRETCH_RTOL = 1e-9
@@ -37,7 +37,7 @@ class Interval:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise BadParams(f"empty interval [{self.lo}, {self.hi}]")
+            raise BadInterval(f"empty interval [{self.lo}, {self.hi}]")
 
     @property
     def bounded(self) -> bool:
@@ -87,6 +87,15 @@ class Interval:
         return f"{left}{self.lo:g}, {self.hi:g}]"
 
 
+def working_interval(lo: float, hi: float) -> Interval:
+    """[lo, hi] as a working interval (of a suite, a converse bound or a
+    scalar trial): BadInterval unless non-empty (no NaN end) and of finite length."""
+    working = Interval(float(lo), float(hi))
+    if not math.isfinite(working.hi - working.lo):
+        raise BadInterval(f"interval [{working.lo}, {working.hi}] is not finite")
+    return working
+
+
 @dataclass(frozen=True)
 class Flags:
     """Tri-state analytic declarations: True, False, or None for unknown."""
@@ -111,12 +120,13 @@ class Flags:
 class ScalarFunction:
     """A catalog function.  ``fn`` is its one formula, written with numpy
     operations so it maps a float array elementwise; the scalar call and
-    ``eval_array`` both go through it."""
+    ``eval_array`` both go through it.  ``power`` is r for t^r, else None."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     domain: Interval
     flags: Flags
+    power: float | None = None
 
     def __call__(self, x: float) -> float:
         return float(self.fn(np.float64(x)))
@@ -183,6 +193,7 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     power(2) is increasing on [0, inf) but not on all of R).  f0_nonpositive
     is f(0) <= 0 when the domain holds 0, and None otherwise.
     """
+    power = None
     if name == "power":
         _require_params(name, params, 1)
         r = float(params[0])
@@ -190,11 +201,11 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
             raise BadParams(f"power exponent must be >= 1 for guaranteed convexity, got {r}")
         natural = Interval() if _is_integral(r) else Interval(lo=0.0)
         dom = _restrict(natural, domain, name)
-        label, fn, flags = f"power:{r:g}", _power_eval(r), _power_flags(r, dom)
+        label, fn, flags, power = f"power:{r:g}", _power_eval(r), _power_flags(r, dom), r
     elif name == "cube":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
-        label, fn, flags = "cube", _power_eval(3.0), _power_flags(3.0, dom)
+        label, fn, flags, power = "cube", _power_eval(3.0), _power_flags(3.0, dom), 3.0
     elif name == "identity":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
@@ -227,7 +238,7 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     else:
         raise UnknownName(f"no catalog entry named {name!r}")
     f0 = bool(fn(np.float64(0.0)) <= 0.0) if dom.contains_interval(0.0, 0.0) else None
-    return ScalarFunction(label, fn, dom, replace(flags, f0_nonpositive=f0))
+    return ScalarFunction(label, fn, dom, replace(flags, f0_nonpositive=f0), power)
 
 
 def _restrict(natural: Interval, domain: tuple[float, float] | None, name: str) -> Interval:

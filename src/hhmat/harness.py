@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import hhcheck
-from .errors import BadInterval, BadParams, Error, HypothesisUnmet, UnknownTheorem
-from .funcat import from_descriptor
+from .errors import BadParams, Error, HypothesisUnmet, UnknownTheorem
+from .funcat import from_descriptor, working_interval
 from .matcore import (HermitianMatrix, NormSpec, array_from_json, array_to_json, count_field,
                       hermitian_from, json_field, list_field, matrix_from_json, matrix_to_json,
                       number_field, random_hermitian, str_field)
@@ -61,11 +61,7 @@ class InstanceSpec:
         if self.trials < 1:
             raise BadParams(f"trial count must be >= 1, got {self.trials}")
         hhcheck.chain_panels(self.chain_k, self.chain_p)  # BadParams when out of range
-        lo, hi = self.interval
-        if not lo < hi:
-            raise BadInterval(f"need omega < Omega, got [{lo}, {hi}]")
-        if not np.isfinite(self.interval).all():
-            raise BadInterval(f"interval [{lo}, {hi}] is not finite: trials draw spectra inside it")
+        working_interval(*self.interval)  # BadInterval: trials draw spectra inside it
         QuadratureSpec(self.quad_nodes, self.quad_rtol)  # BadParams when out of range
 
 
@@ -272,11 +268,9 @@ def _gen_t3(spec, rng, phi) -> dict:
 
 def _gen_power_norm(spec, rng, phi) -> dict:
     # f must be a power; PSD inputs are required, so clamp the window at zero
-    _power_exponent(spec.function)
-    lo, hi = spec.interval
-    if not max(lo, 0.0) < hi:
-        raise BadInterval(f"interval [{lo}, {hi}] leaves no room above 0")
-    return {**_pair(spec, rng, lo=max(lo, 0.0)), "specs": default_norm_specs(phi.target_dim)}
+    hhcheck.require_power(from_descriptor(spec.function))
+    window = working_interval(max(spec.interval[0], 0.0), spec.interval[1])
+    return {**_pair(spec, rng, lo=window.lo), "specs": default_norm_specs(phi.target_dim)}
 
 
 def _run_scalar(inst, f, phi, quad):
@@ -294,8 +288,7 @@ def _run_jensen(inst, f, phi, quad):
 def _run_power_norm(inst, f, phi, quad):
     a, b = _load_pair(inst)
     specs = [NormSpec.parse(s) for s in list_field(inst, "specs", str)]
-    r = _power_exponent(str_field(inst, "f"))
-    return hhcheck.check_power_norm_corollary(r, phi, a, b, specs, quad)
+    return hhcheck.check_power_norm_corollary(f, phi, a, b, specs, quad)
 
 
 def _run_bourin(inst, f, phi, quad):
@@ -373,13 +366,6 @@ def generate_instance(theorem: str, spec: InstanceSpec, index: int) -> dict:
 
 # -- instance execution ---------------------------------------------------------
 
-def _power_exponent(descriptor: str) -> float:
-    name, _, rest = descriptor.partition("@")[0].partition(":")
-    if name not in ("power", "cube"):
-        raise BadParams(f"power-norm suite needs a power function, got {descriptor!r}")
-    return 3.0 if name == "cube" else float(rest)
-
-
 def run_instance(inst: dict) -> TrialResult:
     """Execute one instance and classify the outcome.
 
@@ -416,15 +402,29 @@ def run_instance(inst: dict) -> TrialResult:
 
 @dataclass
 class SuiteReport:
+    """Records, one per trial in trial order; the counts are read from them."""
+
     theorem: str
     spec: InstanceSpec
-    trials: int
-    passes: int
-    skips: int
-    worst_margin: float | None
     records: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
     wall_time_s: float = 0.0
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
+
+    @property
+    def passes(self) -> int:
+        return sum(rec["verdict"] == "pass" for rec in self.records)
+
+    @property
+    def skips(self) -> int:
+        return sum(rec["verdict"] == "skip" for rec in self.records)
+
+    @property
+    def worst_margin(self) -> float | None:
+        return min((r["margin"] for r in self.records if r["margin"] is not None), default=None)
 
     @property
     def failure_count(self) -> int:
@@ -476,7 +476,7 @@ class SuiteReport:
         return line
 
 
-def _run_one(args) -> tuple[int, dict, dict | None]:
+def _run_one(args) -> tuple[dict, dict | None]:
     spec, theorem, index = args
     inst = generate_instance(theorem, spec, index)
     result = run_instance(inst)
@@ -490,7 +490,7 @@ def _run_one(args) -> tuple[int, dict, dict | None]:
         record["detail"] = result.detail
     failure = ({"trial": index, "instance": instance_to_json(inst)}
                if result.status == "fail" else None)
-    return index, record, failure
+    return record, failure
 
 
 def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport:
@@ -501,8 +501,9 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     a suite that takes no map given one other than the identity, or given
     an m other than n (BadParams).  A spec the theorem's generator refuses
     (a malformed map descriptor, an m the map cannot honour, a power_norm
-    function that is not a power) raises from the first trial.  A worker
-    count below 1 is refused (BadParams).
+    function that is not a power with r > 1) raises from the first trial.
+    A worker count below 1 is refused (BadParams).  Records keep trial
+    order, as the serial loop and Executor.map both do.
     """
     entry = _theorem(theorem)
     if workers < 1:
@@ -523,21 +524,11 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
             outcomes = list(pool.map(_run_one, jobs, chunksize=max(1, spec.trials // (4 * workers))))
     else:
         outcomes = [_run_one(job) for job in jobs]
-    outcomes.sort(key=lambda item: item[0])
-    records = [rec for _, rec, _ in outcomes]
-    failures = [fail for _, _, fail in outcomes if fail is not None]
-    margins = [rec["margin"] for rec in records if rec["margin"] is not None]
-    passes = sum(1 for rec in records if rec["verdict"] == "pass")
-    skips = sum(1 for rec in records if rec["verdict"] == "skip")
     return SuiteReport(
         theorem=theorem,
         spec=spec,
-        trials=spec.trials,
-        passes=passes,
-        skips=skips,
-        worst_margin=min(margins) if margins else None,
-        records=records,
-        failures=failures,
+        records=[rec for rec, _ in outcomes],
+        failures=[fail for _, fail in outcomes if fail is not None],
         wall_time_s=time.perf_counter() - start,
     )
 

@@ -17,14 +17,15 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import orders, plmaps
-from .errors import BadInterval, BadParams, HypothesisUnmet, NotPositive
-from .funcat import Interval, ScalarFunction, builtin
+from .errors import BadInterval, BadParams, HypothesisUnmet
+from .funcat import ScalarFunction, working_interval
 from .matcore import (HermitianMatrix, apply_function, eig, eig_many, hermitian_from,
                       spectrum_outside, ui_norm)
 from .orders import DEFAULT_TOL, OrderVerdict
@@ -159,8 +160,7 @@ def check_scalar_hh(
     The bound is the 1x1 case of the matrix one: the integral is (y-x) times
     the segment integral from B = [x] (t=0) to A = [y] (t=1)."""
     _check_hypotheses(_require_flag(f, "convex"))
-    if not y > x:
-        raise BadInterval(f"need x < y, got [{x}, {y}]")
+    working_interval(x, y)
     if not f.domain.contains_interval(x, y):
         raise HypothesisUnmet(f"[{x}, {y}] is not inside domain {f.domain} of {f.name}")
     width = y - x
@@ -237,20 +237,26 @@ def check_trace_corollary(
     return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)))
 
 
+def require_power(f: ScalarFunction):
+    """BadParams unless f is t^r with r > 1, as the power-norm corollary needs."""
+    if f.power is None:
+        raise BadParams(f"power-norm suite needs a power function, got {f.name!r}")
+    if not f.power > 1.0:
+        raise BadParams(f"power norm comparison needs r > 1, got {f.power}")
+
+
 def check_power_norm_corollary(
-    r: float,
+    f: ScalarFunction,
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
     specs,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
-    """Unitarily invariant norm comparison for f(t) = t^r, r > 1, on PSD
-    inputs: |||((Phi(A)+Phi(B))/2)^r||| <= |||Phi(segment integral of t^r)|||,
-    one link per norm spec."""
-    if not r > 1.0:
-        raise BadParams(f"power norm comparison needs r > 1, got {r}")
-    f = builtin("power", r)
+    """Unitarily invariant norm comparison for f(t) = t^r, r > 1 (see
+    require_power), on PSD inputs: |||((Phi(A)+Phi(B))/2)^r||| <=
+    |||Phi(segment integral of t^r)|||, one link per norm spec."""
+    require_power(f)
     specs = list(specs)
     reasons = [f"{label} has negative eigenvalue {float(eig(h).values[-1]):.3e}"
                for label, h in (("A", a), ("B", b)) if not _is_psd(h)]
@@ -281,24 +287,15 @@ def check_bourin_t2(
     maps, a_list = list(maps), list(a_list)
     if len(maps) != len(a_list) or not maps:
         raise BadParams("need equally many maps and matrices, at least one each")
+    # DimMismatch before Phi_i(I) is built: a map of another source or target size
+    arg = functools.reduce(operator.add, (phi.apply(h) for phi, h in zip(maps, a_list)))
     reasons = _require_flag(f, "convex") + _require_flag(f, "increasing")
     reasons += _spectra_reasons(f, {f"A_{i}": h for i, h in enumerate(a_list)})
-    targets = {phi.target_dim for phi in maps}
-    if len(targets) > 1:
-        reasons.append(f"target dimensions differ: {sorted(targets)}")
-    for i, (phi, h) in enumerate(zip(maps, a_list)):
-        if phi.source_dim != h.dim:
-            reasons.append(f"map {i} expects dim {phi.source_dim}, matrix has {h.dim}")
     _check_hypotheses(reasons)
-    id_sum = maps[0].identity_image()
-    for phi in maps[1:]:
-        id_sum = id_sum + phi.identity_image()
+    id_sum = functools.reduce(operator.add, (phi.identity_image() for phi in maps))
     _check_hypotheses(_map_case_reasons(f, id_sum, label="sum of Phi_i(I)"))
-    arg = maps[0].apply(a_list[0])
-    val = maps[0].apply(apply_function(f, a_list[0]))
-    for phi, h in zip(maps[1:], a_list[1:]):
-        arg = arg + phi.apply(h)
-        val = val + phi.apply(apply_function(f, h))
+    val = functools.reduce(operator.add, (phi.apply(apply_function(f, h))
+                                          for phi, h in zip(maps, a_list)))
     lhs = apply_function(f, arg)
     links = {"dominance": orders.eigen_dominance(lhs, val)}
     if links["dominance"].holds:
@@ -367,30 +364,33 @@ def mond_pecaric_alpha(f: ScalarFunction, omega: float, Omega: float) -> AlphaRe
     """Maximum over [omega, Omega] of the chord value of f at t divided by
     f(t); this constant weights the endpoint average in the converse bound.
 
-    The function must be strictly positive on the interval.  A coarse grid
-    scan locates the maximum and golden-section refinement narrows the
-    argmax below ALPHA_XTOL.
+    [omega, Omega] must be a working interval (funcat.working_interval) in
+    f's domain with f positive and the ratio finite on its grid, else
+    BadInterval (numpy's own warnings are off).  A coarse grid scan locates
+    the maximum and golden-section refinement narrows it below ALPHA_XTOL.
 
     Results are memoized on (f, omega, Omega): a suite passes its one
     interval to every trial, so only its first trial computes alpha.
     Errors are not memoized.
     """
-    if not omega < Omega:
-        raise BadInterval(f"need omega < Omega, got [{omega}, {Omega}]")
+    working_interval(omega, Omega)
     if not f.domain.contains_interval(omega, Omega):
         raise BadInterval(f"[{omega}, {Omega}] is not inside domain {f.domain} of {f.name}")
     grid = np.linspace(omega, Omega, ALPHA_GRID_POINTS)
-    vals = f.eval_array(grid)
+    width = Omega - omega
+    with np.errstate(all="ignore"):
+        vals = f.eval_array(grid)
+        f_lo, f_hi = float(vals[0]), float(vals[-1])
+        ratios = ((Omega - grid) * f_lo + (grid - omega) * f_hi) / (width * vals)
     if np.min(vals) <= 0.0:
         t_bad = float(grid[int(np.argmin(vals))])
-        raise NotPositive(f"{f.name}({t_bad:.6g}) = {float(np.min(vals)):.3g} is not positive")
-    f_lo, f_hi = float(vals[0]), float(vals[-1])
-    width = Omega - omega
+        raise BadInterval(f"{f.name}({t_bad:.6g}) = {float(np.min(vals)):.3g} is not positive")
+    if not np.isfinite(ratios).all():  # a NaN or infinite value of f makes a NaN ratio
+        raise BadInterval(f"the chord ratio of {f.name} is not finite on [{omega}, {Omega}]")
 
     def g(t: float) -> float:
         return ((Omega - t) * f_lo + (t - omega) * f_hi) / (width * f(t))
 
-    ratios = ((Omega - grid) * f_lo + (grid - omega) * f_hi) / (width * vals)
     i = int(np.argmax(ratios))
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
@@ -412,29 +412,23 @@ def _converse_hypotheses(
     hold: f convex, the spectra of A, B, Phi(A) and Phi(B) in its domain, Phi
     unital and the working interval [omega, Omega].
 
-    The interval must contain those four spectra, judged as a domain is
-    (see matcore.spectrum_outside).  An empty interval (omega >= Omega)
-    contains none; a NaN end is left to mond_pecaric_alpha, which names it.
-    f must be defined and strictly positive on the interval, so an interval
-    outside f's domain or a non-positive value of f is one unmet.
+    The interval must be a working interval (funcat.working_interval) that
+    contains those four spectra, judged as a domain is (see
+    matcore.spectrum_outside), and on which alpha exists (see
+    mond_pecaric_alpha).  Each is an unmet hypothesis.
     """
     pa, pb = phi.apply(a), phi.apply(b)
     mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, mats)
     reasons += _map_case_reasons(f, phi.identity_image(), subunital_ok=False)
-    omega, Omega = float(interval[0]), float(interval[1])
     try:
-        working = Interval(omega, Omega)
-    except BadParams:  # omega >= Omega, or a NaN end
-        outside = list(mats) if omega >= Omega else []
-    else:
-        outside = [label for label, h in mats.items() if spectrum_outside(working, h)]
-    reasons += [f"spectrum of {label} leaves [{omega}, {Omega}]" for label in outside]
-    _check_hypotheses(reasons)
-    try:
-        return pa, pb, mond_pecaric_alpha(f, omega, Omega).alpha
-    except (BadInterval, NotPositive) as exc:
-        raise HypothesisUnmet(str(exc)) from exc
+        working = working_interval(*interval)
+        reasons += [f"spectrum of {label} leaves [{working.lo}, {working.hi}]"
+                    for label, h in mats.items() if spectrum_outside(working, h)]
+        _check_hypotheses(reasons)
+        return pa, pb, mond_pecaric_alpha(f, working.lo, working.hi).alpha
+    except BadInterval as exc:  # reasons is empty past _check_hypotheses
+        raise HypothesisUnmet(*reasons, str(exc)) from exc
 
 
 def check_theorem_t4(

@@ -48,11 +48,12 @@ def test_suite_that_judges_nothing_says_so_and_exits_0(capsys):
 
 
 def test_skip_reasons_are_ordered_by_count_then_text():
-    records = [{"trial": i, "verdict": "skip", "detail": d}
+    records = [{"trial": i, "verdict": "skip", "margin": None, "detail": d}
                for i, d in enumerate(["b", "c", "a", "b", "d", "c"])]
-    report = SuiteReport(theorem="t3", spec=InstanceSpec(), trials=7, passes=1, skips=6,
-                         worst_margin=0.5, records=records + [{"verdict": "pass"}])
-    assert report.judged == 1
+    report = SuiteReport(theorem="t3", spec=InstanceSpec(),
+                         records=records + [{"trial": 6, "verdict": "pass", "margin": 0.5}])
+    assert (report.trials, report.passes, report.skips, report.judged) == (7, 1, 6, 1)
+    assert report.worst_margin == 0.5
     assert report.summary().splitlines()[1] == "  skipped: 2x b; 2x c; 1x a"
 
 
@@ -65,13 +66,18 @@ def test_counterexample_is_reproduced_exactly(tmp_path, capsys):
     assert (payload["left_gap_det"], payload["right_gap_det"]) == ("-1/36", "-1/9")
 
 
-# t4 applies its map to b first; trace and chain add a and b
-@pytest.mark.parametrize("theorem", ["t4", "trace", "chain"])
+# t4 applies its map to b first; trace and chain add a and b; bourin applies
+# its first map, which expects 4x4, to a_list[0]
+@pytest.mark.parametrize("theorem", ["t4", "trace", "chain", "bourin"])
 def test_replay_of_a_failing_instance_exits_1(tmp_path, capsys, theorem):
     function = "power:2" if theorem == "chain" else "exp"  # the chain needs operator convexity
     spec = InstanceSpec(n=4, interval=(0.5, 2.0), function=function, trials=1, seed=0)
     inst = generate_instance(theorem, spec, 0)
-    inst["b"] = matrix_to_json(random_hermitian(3, 0.5, 2.0, 1))  # a is 4x4
+    small = matrix_to_json(random_hermitian(3, 0.5, 2.0, 1))  # the others are 4x4
+    if theorem == "bourin":
+        inst["a_list"][0] = small
+    else:
+        inst["b"] = small
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance_to_json(inst)))
     assert cli.main(["replay", str(path)]) == 1
@@ -432,6 +438,37 @@ def test_alpha_prints_the_chord_ratio_constant(capsys):
     assert cli.main(["alpha", "--f", "exp", "--interval", "0.5,2"]) == 0
     assert capsys.readouterr().out == (
         "alpha=1.3137397067311165 argmax_t=1.0691746129448738 interval=[0.5,2]\n")
+
+
+# 0.5,inf and 0.5,1e308 used to print alpha=nan and exit 0
+@pytest.mark.parametrize("interval, message", [
+    ("0.5,inf", "interval [0.5, inf] is not finite"),
+    ("2,1", "empty interval [2.0, 1.0]"),
+    ("nan,2", "empty interval [nan, 2.0]"),
+    ("0.5,1e308", "the chord ratio of exp is not finite on [0.5, 1e+308]"),
+])
+def test_alpha_on_an_interval_that_is_not_one_exits_2(interval, message, capsys):
+    assert cli.main(["alpha", "--f", "exp", "--interval", interval]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+# a separate value starting with '-' used to read as an option
+@pytest.mark.parametrize("interval", [["--interval", "-1,2"], ["--interval=-1,2"]],
+                         ids=["separate", "attached"])
+def test_an_interval_may_start_with_a_minus(interval, capsys):
+    assert cli.main(["alpha", "--f", "exp", *interval]) == 0
+    assert capsys.readouterr().out.endswith(" interval=[-1,2]\n")
+    assert cli.main(["verify", "--theorem", "trace", *interval, "--trials", "3"]) == 0
+    assert "trace: trials=3 passes=3 skips=0 failures=0 " in capsys.readouterr().out
+
+
+def test_an_interval_option_without_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["alpha", "--f", "exp", "--interval"])
+    assert info.value.code == 2
+    assert "error: argument --interval: invalid _interval value: ''" in capsys.readouterr().err
 
 
 def test_verify_writes_one_csv_row_per_trial(tmp_path):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hhmat import funcat
-from hhmat.errors import BadParams, FlagContradicted, UnknownName
-from hhmat.funcat import CATALOG_DESCRIPTORS, Interval, builtin, from_descriptor, validate_flags
+from hhmat.errors import BadInterval, BadParams, FlagContradicted, UnknownName
+from hhmat.funcat import (CATALOG_DESCRIPTORS, Interval, builtin, from_descriptor, validate_flags,
+                          working_interval)
 from hhmat.harness import instance_to_json
 from hhmat.matcore import apply_function, matrix_from_json
 from hhmat.orders import loewner_leq
@@ -49,8 +50,25 @@ class TestInterval:
         assert Interval(lo=0.0).clip(xs).tolist() == [0.0, 0.0, 1e300]
 
     def test_empty_interval_rejected(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadInterval, match=r"^empty interval \[2.0, 1.0\]$"):
             Interval(2.0, 1.0)
+
+    # one text per defect: empty (a NaN end included), or not of finite length
+    @pytest.mark.parametrize("lo, hi, message", [
+        (2.0, 1.0, "empty interval [2.0, 1.0]"),
+        (1.0, 1.0, "empty interval [1.0, 1.0]"),
+        (math.nan, 2.0, "empty interval [nan, 2.0]"),
+        (0.5, math.inf, "interval [0.5, inf] is not finite"),
+        (-math.inf, 2.0, "interval [-inf, 2.0] is not finite"),
+        (-1e308, 1e308, "interval [-1e+308, 1e+308] is not finite"),
+    ])
+    def test_working_interval_names_its_defect(self, lo, hi, message):
+        with pytest.raises(BadInterval) as info:
+            working_interval(lo, hi)
+        assert str(info.value) == message
+
+    def test_working_interval_is_the_closed_interval(self):
+        assert working_interval(0, 2) == Interval(0.0, 2.0)
 
     # Membership of POINTS, one digit per point, under the stretched rule.
     @pytest.mark.parametrize("interval, expected", [
@@ -99,6 +117,13 @@ class TestCatalog:
         f = builtin("power", 1.5)
         assert f.domain.lo == 0.0
         assert f.flags.operator_convex is True
+
+    @pytest.mark.parametrize("desc, power", [
+        ("power:1.5", 1.5), ("power:2@0,inf", 2.0), ("cube", 3.0), ("exp", None),
+        ("identity", None), ("affine:2,0.5", None),
+    ])
+    def test_power_is_the_exponent_of_a_power(self, desc, power):
+        assert from_descriptor(desc).power == power
 
     def test_power_below_one_rejected(self):
         with pytest.raises(BadParams):

@@ -16,11 +16,13 @@ import hhmat
 from conftest import make_rng, random_hermitian_raw
 from hhmat import hhcheck
 from hhmat.errors import BadInterval, BadParams, UnknownTheorem
+from hhmat.funcat import from_descriptor
 from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
     InstanceSpec,
     Theorem,
+    TrialResult,
     generate_instance,
     make_map,
     replay,
@@ -74,6 +76,30 @@ def test_interval_outside_the_domain_skips_every_trial(theorem):
 def test_power_norm_with_a_non_power_function_is_refused_up_front():
     with pytest.raises(BadParams, match="needs a power function"):
         run_suite(InstanceSpec(n=3, trials=5, function="exp"), "power_norm")
+
+
+def test_power_norm_with_power_1_is_refused_up_front():
+    # each trial used to fail with the checker's BadParams
+    with pytest.raises(BadParams, match=r"^power norm comparison needs r > 1, got 1.0$"):
+        run_suite(InstanceSpec(n=3, trials=5, function="power:1"), "power_norm")
+
+
+@pytest.mark.parametrize("function", ["cube", "power:2@0,inf", "power:1.5"])
+def test_power_norm_judges_the_loaded_function(monkeypatch, function):
+    seen = []
+    check = hhcheck.check_power_norm_corollary
+    monkeypatch.setattr(hhcheck, "check_power_norm_corollary",
+                        lambda f, *args: seen.append(f) or check(f, *args))
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function=function, trials=2)
+    assert run_suite(spec, "power_norm").passes == 2
+    assert seen == [from_descriptor(function)] * 2
+
+
+def test_replayed_power_norm_with_a_non_power_function_is_a_failed_trial():
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1)
+    inst = {**generate_instance("power_norm", spec, 0), "f": "exp"}
+    assert run_instance(inst) == TrialResult(
+        "fail", None, "BadParams: power-norm suite needs a power function, got 'exp'")
 
 
 @pytest.mark.parametrize("theorem", ["t4", "chain", "power_norm"])

@@ -142,14 +142,24 @@ def test_the_working_interval_stretches_as_a_domain_does():
                               "spectrum of Phi(A) leaves [1.0, 1.5]")
 
 
+# [0.5, inf] and [0.5, 1e308] used to fail with NonFiniteEntries (alpha was NaN)
 @pytest.mark.parametrize("interval, detail", [
-    ((2.0, 1.0), "; ".join(f"spectrum of {label} leaves [2.0, 1.0]"
-                           for label in ("A", "B", "Phi(A)", "Phi(B)"))),
-    ((float("nan"), 2.0), "need omega < Omega, got [nan, 2.0]"),
-], ids=["empty", "nan"])
-def test_an_interval_that_is_not_one_is_a_skip(interval, detail):
-    inst = generate_instance("t4", InstanceSpec(n=3, interval=(0.5, 2.0), function="exp"), 0)
+    ((2.0, 1.0), "empty interval [2.0, 1.0]"),
+    ((float("nan"), 2.0), "empty interval [nan, 2.0]"),
+    ((0.5, float("inf")), "interval [0.5, inf] is not finite"),
+    ((0.5, 1e308), "the chord ratio of exp is not finite on [0.5, 1e+308]"),
+], ids=["empty", "nan", "inf", "1e308"])
+@pytest.mark.parametrize("theorem", ["t4", "norm_chain"])
+def test_an_interval_that_is_not_one_is_a_skip(theorem, interval, detail):
+    inst = generate_instance(theorem, InstanceSpec(n=3, interval=(0.5, 2.0), function="exp"), 0)
     assert run_instance({**inst, "interval": list(interval)}) == TrialResult("skip", None, detail)
+
+
+def test_a_bad_interval_is_named_with_the_other_unmet_hypotheses():
+    inst = generate_instance("t4", InstanceSpec(n=3, interval=(0.5, 2.0), function="exp"), 0)
+    result = run_instance({**inst, "f": "power:3", "interval": [2.0, 1.0]})
+    assert result == TrialResult("skip", None, "; ".join([
+        "power:3 is not declared convex", "empty interval [2.0, 1.0]"]))
 
 
 def test_norm_chain_needs_a_unital_map():
