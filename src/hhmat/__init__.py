@@ -40,7 +40,6 @@ from .orders import (
     weak_majorization,
 )
 from .plmaps import (
-    Compression,
     CongruenceSum,
     IdentityMap,
     Pinching,

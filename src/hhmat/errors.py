@@ -43,11 +43,6 @@ class DimMismatch(Error):
     """Operands have incompatible dimensions."""
 
 
-class NotOrthonormal(Error):
-    """The columns of a compression's isometry are not orthonormal within
-    tolerance."""
-
-
 # -- scalar function catalog -------------------------------------------------
 
 class UnknownName(Error):

@@ -2,16 +2,16 @@
 
 Theorem checkers gate their hypotheses on the declared flags (convex,
 increasing, positive, operator convex, f(0) <= 0).  The catalog is fixed so
-the flag assignments stay auditable; validate_flags tests each flag on an
-interval by deterministic grid and matrix tests, which refute a declared-true
-flag or give a witness against a declared-false one.
+the flag assignments stay auditable; validate_flags tests the flags
+declared (or claimed) true on an interval by deterministic grid and matrix
+tests, and refutes the first one that fails with a witness.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -105,15 +105,6 @@ class Flags:
     positive: bool | None = None
     operator_convex: bool | None = None
     f0_nonpositive: bool | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "convex": self.convex,
-            "increasing": self.increasing,
-            "positive": self.positive,
-            "operator_convex": self.operator_convex,
-            "f0_nonpositive": self.f0_nonpositive,
-        }
 
 
 @dataclass(frozen=True)
@@ -292,23 +283,10 @@ CATALOG_DESCRIPTORS = (
 
 # -- numeric flag validation --------------------------------------------------
 
+# Points of the grid tests.
+FLAG_GRID_POINTS = 201
 # Diagonal points of the operator-convexity star probe.
 STAR_PROBE_POINTS = 4
-
-
-@dataclass(frozen=True)
-class FlagCheck:
-    status: str  # confirmed | witnessed_false | no_witness | skipped
-    witness: object | None = None
-
-
-@dataclass(frozen=True)
-class FlagReport:
-    """Per-flag validation outcomes; contradictions raise before this exists."""
-
-    function: str
-    interval: tuple[float, float]
-    checks: dict[str, FlagCheck] = field(default_factory=dict)
 
 
 def _midpoint_violation(f, A, B) -> dict | None:
@@ -353,83 +331,58 @@ def _star_probe_violation(f, a: float, b: float) -> dict | None:
     return None
 
 
-def validate_flags(
-    f: ScalarFunction,
-    interval: tuple[float, float],
-    grid_points: int = 201,
-    *,
-    claims: dict | None = None,
-) -> FlagReport:
-    """Test the declared flags of f on ``interval`` by deterministic tests.
+def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
+                   claims: dict | None = None) -> None:
+    """Test on ``interval`` each flag of f that is declared true, or made
+    true by ``claims`` (which overrides the declarations), and raise
+    FlagContradicted with a witness for the first one a test refutes.  To
+    get a witness against a flag declared false, claim it true.
 
-    Convexity is the midpoint test on every pair of grid points, monotonicity
-    the largest drop from a grid point to a later one, positivity the grid
-    minimum, f0_nonpositive the value at 0, and operator convexity the star
-    probe of _star_probe_violation.  A declared-true flag that fails raises
-    FlagContradicted with a witness: the worst pair of a grid test, or the
-    first failing matrix pair.  A declared-false flag that fails records the
-    witness (witnessed_false); one that no test refutes is no_witness.  An
-    operator-convexity witness {"a", "b", "margin"} holds the pair as matrix
-    literals, which matrix_from_json reads back to the same matrices and so
-    the same margin.  The ``claims`` mapping overrides declarations, so a
-    caller can ask "what if this were operator convex" and get the refuting
-    witness as an error.
+    The interval must be a working interval (see working_interval) inside
+    the domain of f, on which f is finite (BadParams; numpy's own warnings
+    are off while f is evaluated).  Convexity is the midpoint test on every
+    pair of grid points, monotonicity the largest drop from a grid point to
+    a later one, positivity the grid minimum, f0_nonpositive the value at 0
+    when the domain holds 0, and operator convexity the star probe of
+    _star_probe_violation.  A grid test's witness is its worst pair or
+    point.  An operator-convexity witness {"a", "b", "margin"} holds the
+    pair as matrix literals, which matrix_from_json reads back to the same
+    matrices and so the same margin.
     """
-    a, b = float(interval[0]), float(interval[1])
+    working = working_interval(*interval)
+    a, b = working.lo, working.hi
     if not f.domain.contains_interval(a, b):
         raise BadParams(f"interval [{a}, {b}] not inside domain {f.domain} of {f.name}")
-    grid = np.linspace(a, b, max(int(grid_points), 3))
-    vals = f.eval_array(grid)
+    grid = np.linspace(a, b, FLAG_GRID_POINTS)
+    with np.errstate(all="ignore"):
+        vals = f.eval_array(grid)
     if not np.all(np.isfinite(vals)):
         raise BadParams(f"{f.name} is not finite on [{a}, {b}]")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    tol = FLAG_TEST_RTOL * scale
+    tol = FLAG_TEST_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    claimed = {**asdict(f.flags), **(claims or {})}
 
-    effective = dict(f.flags.as_dict())
-    if claims:
-        effective.update(claims)
-    checks: dict[str, FlagCheck] = {}
+    def refute(flag: str, witness):
+        if witness is not None:
+            raise FlagContradicted(f"{f.name}: flag {flag!r} declared true but refuted",
+                                   flag, witness)
 
-    def settle(flag: str, witness):
-        declared = effective[flag]
-        if declared is None:
-            checks[flag] = FlagCheck("skipped")
-        elif declared and witness is not None:
-            raise FlagContradicted(
-                f"{f.name}: flag {flag!r} declared true but refuted", flag, witness
-            )
-        elif declared:
-            checks[flag] = FlagCheck("confirmed")
-        elif witness is not None:
-            checks[flag] = FlagCheck("witnessed_false", witness)
-        else:
-            checks[flag] = FlagCheck("no_witness")
-
-    # Midpoint convexity on every pair of grid points.
-    i, j = np.triu_indices(len(grid), 1)
-    gaps = (vals[i] + vals[j]) / 2.0 - f.eval_array((grid[i] + grid[j]) / 2.0)
-    w = int(np.argmin(gaps))
-    witness = (float(grid[i[w]]), float(grid[j[w]]), float(gaps[w])) if gaps[w] < -tol else None
-    settle("convex", witness)
-
-    # Monotonicity: the largest drop from a grid point to a later one.
-    drops = np.maximum.accumulate(vals)[:-1] - vals[1:]
-    w = int(np.argmax(drops))
-    top = float(grid[np.argmax(vals[:w + 1])])
-    witness = (top, float(grid[w + 1]), float(drops[w])) if drops[w] > tol else None
-    settle("increasing", witness)
-
-    # Strict positivity on the grid.
-    i_min = int(np.argmin(vals))
-    witness = (float(grid[i_min]), float(vals[i_min])) if vals[i_min] <= 0.0 else None
-    settle("positive", witness)
-
-    settle("operator_convex", _star_probe_violation(f, a, b))
-
-    if effective["f0_nonpositive"] is None or not f.domain.contains(0.0):
-        checks["f0_nonpositive"] = FlagCheck("skipped")
-    else:
+    if claimed["convex"]:  # midpoint convexity on every pair of grid points
+        i, j = np.triu_indices(len(grid), 1)
+        # halves first, so that no sum overflows; halving is exact
+        gaps = vals[i] / 2.0 + vals[j] / 2.0 - f.eval_array(grid[i] / 2.0 + grid[j] / 2.0)
+        w = int(np.argmin(gaps))
+        refute("convex", (float(grid[i[w]]), float(grid[j[w]]), float(gaps[w]))
+               if gaps[w] < -tol else None)
+    if claimed["increasing"]:  # the largest drop from a grid point to a later one
+        drops = np.maximum.accumulate(vals)[:-1] - vals[1:]
+        w = int(np.argmax(drops))
+        top = float(grid[np.argmax(vals[:w + 1])])
+        refute("increasing", (top, float(grid[w + 1]), float(drops[w])) if drops[w] > tol else None)
+    if claimed["positive"]:  # strict positivity on the grid
+        w = int(np.argmin(vals))
+        refute("positive", (float(grid[w]), float(vals[w])) if vals[w] <= 0.0 else None)
+    if claimed["operator_convex"]:
+        refute("operator_convex", _star_probe_violation(f, a, b))
+    if claimed["f0_nonpositive"] and f.domain.contains(0.0):
         v0 = f(0.0)
-        settle("f0_nonpositive", (0.0, float(v0)) if v0 > tol else None)
-
-    return FlagReport(function=f.name, interval=(a, b), checks=checks)
+        refute("f0_nonpositive", (0.0, float(v0)) if v0 > tol else None)

@@ -24,15 +24,8 @@ from .funcat import from_descriptor, working_interval
 from .matcore import (HermitianMatrix, NormSpec, array_from_json, array_to_json, count_field,
                       hermitian_from, json_field, list_field, matrix_from_json, matrix_to_json,
                       number_field, random_hermitian, str_field)
-from .plmaps import (
-    Compression,
-    CongruenceSum,
-    IdentityMap,
-    Pinching,
-    PositiveLinearMap,
-    factor_from_json,
-    map_from_json,
-)
+from .plmaps import (CongruenceSum, IdentityMap, Pinching, PositiveLinearMap, factor_from_json,
+                     map_from_json)
 from .segquad import QuadratureSpec
 
 # Factor files whose congruence sums _congruence_from_file keeps.
@@ -142,9 +135,9 @@ def _build_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Po
             if target > n:
                 raise BadParams(f"map descriptor {desc!r} asks for m={target} > n={n}: "
                                 f"an isometry into C^{n} has at most {n} columns")
-            return Compression(np.eye(n, target, dtype=complex))
+            return CongruenceSum((np.eye(n, target, dtype=complex),))
         target = m if m is not None else int(rng.integers(1, n + 1))
-        return Compression(_random_isometry(n, target, rng))
+        return CongruenceSum((_random_isometry(n, target, rng),))
     if kind == "pinch":
         if arg:
             sizes = [_descriptor_count(desc, s) for s in arg.split(",")]
@@ -269,8 +262,7 @@ def _gen_t3(spec, rng, phi) -> dict:
 def _gen_power_norm(spec, rng, phi) -> dict:
     # f must be a power; PSD inputs are required, so clamp the window at zero
     hhcheck.require_power(from_descriptor(spec.function))
-    window = working_interval(max(spec.interval[0], 0.0), spec.interval[1])
-    return {**_pair(spec, rng, lo=window.lo), "specs": default_norm_specs(phi.target_dim)}
+    return _pair(spec, rng, lo=working_interval(max(spec.interval[0], 0.0), spec.interval[1]).lo)
 
 
 def _run_scalar(inst, f, phi, quad):
@@ -283,12 +275,6 @@ def _run_jensen(inst, f, phi, quad):
     phi.check_source(a)  # before x is read at phi's target dimension
     x = array_from_json(json_field(inst, "x"), (phi.target_dim,), "vector")
     return hhcheck.check_jensen_map(f, phi, a, x)
-
-
-def _run_power_norm(inst, f, phi, quad):
-    a, b = _load_pair(inst)
-    specs = [NormSpec.parse(s) for s in list_field(inst, "specs", str)]
-    return hhcheck.check_power_norm_corollary(f, phi, a, b, specs, quad)
 
 
 def _run_bourin(inst, f, phi, quad):
@@ -311,7 +297,8 @@ THEOREMS: dict[str, Theorem] = {
         f, phi, *_load_pair(inst), quad)),
     "trace": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_trace_corollary(
         f, *_load_pair(inst), quad), takes_map=False),
-    "power_norm": Theorem(_gen_power_norm, _run_power_norm),
+    "power_norm": Theorem(_gen_power_norm, lambda inst, f, phi, quad:
+                          hhcheck.check_power_norm_corollary(f, phi, *_load_pair(inst), quad)),
     "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
     "t3": Theorem(_gen_t3, lambda inst, f, phi, quad: hhcheck.check_theorem_t3(
         f, phi, *_load_pair(inst), quad)),

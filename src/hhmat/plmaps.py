@@ -1,8 +1,13 @@
 """Positive linear maps between matrix algebras.
 
 Maps are represented structurally by their factors (congruence sums,
-pinchings, compressions and the identity), so application is exact and
-cheap; no dense superoperator form is kept.
+pinchings and the identity), so application is exact and cheap; no dense
+superoperator form is kept.  A compression A -> V* A V to an isometry V is
+the one-factor congruence sum (V,), the one-term Kraus form of Choi (Linear
+Algebra Appl. 10, 1975).  No map is judged at construction: whether one is
+unital or subunital is read off its identity image Phi(I) by the checkers
+(hhcheck._map_case_reasons), so a factor that is not an isometry is a map
+whose hypotheses fail, not a malformed one.
 """
 
 from __future__ import annotations
@@ -11,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, DimMismatch, NotOrthonormal
+from .errors import BadParams, DimMismatch
 from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, eig,
-                      hermitian_from, json_field, list_field)
+                      hermitian_from, list_field)
 
 UNITAL_TOL = 1e-10
 SUBUNITAL_POSITIVITY_TOL = 1e-12
-ISOMETRY_TOL = 1e-8
 
 
 class PositiveLinearMap:
@@ -57,31 +61,6 @@ class IdentityMap(PositiveLinearMap):
 
 
 @dataclass(frozen=True, eq=False)
-class Compression(PositiveLinearMap):
-    """A -> V* A V for an isometry V (columns orthonormal)."""
-
-    v: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
-        n, m = v.shape
-        err = float(np.max(np.abs(v.conj().T @ v - np.eye(m))))
-        if err > ISOMETRY_TOL:
-            raise NotOrthonormal(f"compression columns not orthonormal: {err:.3e}")
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "source_dim", n)
-        object.__setattr__(self, "target_dim", m)
-
-    def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self.check_source(a)
-        return HermitianMatrix(self.v.conj().T @ a.entries @ self.v)
-
-    def to_jsonable(self) -> dict:
-        return {"kind": "compression", "v": factor_to_json(self.v)}
-
-
-@dataclass(frozen=True, eq=False)
 class Pinching(PositiveLinearMap):
     """Block-diagonal truncation along a partition of the index set."""
 
@@ -111,7 +90,8 @@ class Pinching(PositiveLinearMap):
 
 @dataclass(frozen=True, eq=False)
 class CongruenceSum(PositiveLinearMap):
-    """A -> sum_i X_i* A X_i for factors X_i of shape n x m."""
+    """A -> sum_i X_i* A X_i for factors X_i of shape n x m; one factor V
+    with orthonormal columns is the compression A -> V* A V."""
 
     factors: tuple[np.ndarray, ...]
 
@@ -148,12 +128,11 @@ class UnitalityReport:
     lambda_max: float
 
 
-def unitality_status(phi: PositiveLinearMap | HermitianMatrix) -> UnitalityReport:
-    """Measure Phi(I), given the map or Phi(I) itself (for a sum of maps,
-    the sum of their identity images), from its one decomposition.
-    Phi(I) - I has the eigenvalues lambda_i - 1, so its operator norm, the
-    identity distance, is the larger of |lambda_max - 1| and |lambda_min - 1|."""
-    image = phi if isinstance(phi, HermitianMatrix) else phi.identity_image()
+def unitality_status(image: HermitianMatrix) -> UnitalityReport:
+    """Measure an identity image Phi(I) (for a sum of maps, the sum of their
+    identity images) from its one decomposition.  Phi(I) - I has the
+    eigenvalues lambda_i - 1, so its operator norm, the identity distance,
+    is the larger of |lambda_max - 1| and |lambda_min - 1|."""
     values = eig(image).values
     lam_min, lam_max = float(values[-1]), float(values[0])
     return UnitalityReport(identity_distance=max(abs(lam_max - 1.0), abs(lam_min - 1.0)),
@@ -183,8 +162,6 @@ def map_from_json(obj) -> PositiveLinearMap:
     what = f"{kind} map literal"
     if kind == "identity":
         return IdentityMap(count_field(obj, "n", what))
-    if kind == "compression":
-        return Compression(factor_from_json(json_field(obj, "v", what)))
     if kind == "pinching":
         blocks = list_field(obj, "blocks", list, what)
         if not all(type(i) is int for b in blocks for i in b):  # no bools or floats

@@ -278,7 +278,6 @@ def _without(literal: dict, key: str) -> dict:
 FACTOR = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
 MAP_LITERALS = {
     "identity": ("n", {"kind": "identity", "n": 2}),
-    "compression": ("v", {"kind": "compression", "v": FACTOR}),
     "pinching": ("blocks", {"kind": "pinching", "blocks": [[0], [1]]}),
     "congruence": ("factors", {"kind": "congruence", "factors": [FACTOR]}),
 }
@@ -304,7 +303,7 @@ MAP_LITERALS = {
      "BadParams: pinching map literal field 'blocks' is not a list of list"),
     (_replaced("t4", "map", {"kind": "identity", "n": "x"}),
      "BadParams: identity map literal field 'n' is not a positive integer: 'x'"),
-    (_replaced("t4", "map", {"kind": "compression", "v": {**FACTOR, "rows": 3}}),
+    (_replaced("t4", "map", {"kind": "congruence", "factors": [{**FACTOR, "rows": 3}]}),
      "BadParams: factor literal field 're' is not a number grid of shape (3, 2)"),
     (lambda inst: inst["a"].__setitem__("re", 5),
      "BadParams: matrix literal field 're' is not a number grid of shape (2, 2)"),

@@ -29,8 +29,9 @@ from hhmat.harness import (
     run_instance,
     run_suite,
 )
-from hhmat.matcore import eig
+from hhmat.matcore import eig, hermitian_from
 from hhmat.orders import OrderVerdict
+from hhmat.plmaps import CongruenceSum
 
 
 class TestEigenCache:
@@ -232,6 +233,16 @@ def test_compress_beyond_n_columns_names_the_descriptor():
         make_map("compress:9", 4, None, make_rng(0))
     assert str(err.value) == ("map descriptor 'compress:9' asks for m=9 > n=4: "
                               "an isometry into C^4 has at most 4 columns")
+
+
+def test_compress_is_a_one_factor_congruence_sum():
+    phi = make_map("compress:2", 4, None, make_rng(0))
+    assert isinstance(phi, CongruenceSum) and len(phi.factors) == 1
+    assert phi.to_jsonable()["kind"] == "congruence"
+    [v] = phi.factors
+    a = random_hermitian_raw(4, make_rng(1))
+    expected = hermitian_from(v.conj().T @ a.entries @ v)
+    assert phi.apply(a).entries.tobytes() == expected.entries.tobytes()
 
 
 @pytest.mark.parametrize("theorem", ["scalar", "trace", "bourin", "chain"])

@@ -3,6 +3,8 @@ helpers, and the solver calls a checker makes."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hhmat.harness import (
     InstanceSpec,
     TrialResult,
     generate_instance,
+    instance_to_json,
     random_hermitian,
     run_instance,
     run_suite,
@@ -187,6 +190,17 @@ def test_t4_needs_a_unital_map():
         check_theorem_t4(from_descriptor("exp"), half, a, b, (0.25, 2.0))
 
 
+def test_t4_with_a_factor_that_is_no_isometry_is_a_skip():
+    # a compression is a one-factor congruence sum, judged by Phi(I) alone
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", map_desc="compress:2")
+    inst = instance_to_json(generate_instance("t4", spec, 0))
+    assert run_instance(inst).status == "pass"
+    [factor] = inst["map"]["factors"]
+    factor["re"] = (1.01 * np.array(factor["re"])).tolist()
+    assert run_instance(json.loads(json.dumps(inst))) == TrialResult(
+        "skip", None, "Phi(I) is not I (distance 0.0201); a unital map is needed")
+
+
 def test_power_norm_on_a_non_psd_input_is_a_skip():
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
     inst = generate_instance("power_norm", spec, 0)
@@ -197,12 +211,10 @@ def test_power_norm_on_a_non_psd_input_is_a_skip():
     assert result.detail == "A has negative eigenvalue -2.500e-01"
 
 
-@pytest.mark.parametrize("theorem", ["power_norm", "norm_chain"])
-def test_power_norm_with_no_norm_spec_is_a_skip(theorem):
-    # nothing to judge used to pass with margin inf (power_norm) or name
-    # non-PSD terms as the cause (norm_chain)
+def test_norm_chain_with_no_norm_spec_is_a_skip():
+    # nothing to judge used to name non-PSD terms as the cause
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
-    inst = {**generate_instance(theorem, spec, 0), "specs": []}
+    inst = {**generate_instance("norm_chain", spec, 0), "specs": []}
     result = run_instance(inst)
     assert (result.status, result.margin, result.detail) == ("skip", None, "no norm spec to judge")
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_rng, random_hermitian_raw, random_psd
-from hhmat.errors import BadParams, DimMismatch, NotOrthonormal
+from hhmat.errors import BadParams, DimMismatch
 from hhmat.matcore import eig, hermitian_from
 from hhmat.orders import loewner_leq
 from hhmat.plmaps import (
     UNITAL_TOL,
-    Compression,
     CongruenceSum,
     IdentityMap,
     Pinching,
@@ -25,8 +24,8 @@ def _sample_maps(n, rng):
                            + 1j * rng.standard_normal((2 * n, n)))[0][:, :n]
     return {
         "identity": IdentityMap(n),
-        "compression": Compression(np.linalg.qr(
-            rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1)))[0][:, :n - 1]),
+        "compression": CongruenceSum((np.linalg.qr(
+            rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1)))[0],)),
         "pinching": Pinching(((0,), tuple(range(1, n)))),
         "congruence": CongruenceSum((stacked[:n], stacked[n:])),
     }
@@ -39,7 +38,7 @@ class TestApply:
 
     def test_corner_compression(self):
         a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
-        phi = Compression(np.array([[1.0], [0.0]], dtype=complex))
+        phi = CongruenceSum((np.array([[1.0], [0.0]], dtype=complex),))
         out = phi.apply(a)
         assert out.dim == 1
         assert out.entries[0, 0] == pytest.approx(2.0)
@@ -61,10 +60,6 @@ class TestApply:
         with pytest.raises(DimMismatch):
             IdentityMap(3).apply(hermitian_from(np.eye(2)))
 
-    def test_bad_isometry_rejected(self):
-        with pytest.raises(NotOrthonormal):
-            Compression(np.ones((3, 2), dtype=complex))
-
     def test_bad_partition_rejected(self):
         with pytest.raises(DimMismatch):
             Pinching(((0, 1), (1, 2)))
@@ -72,17 +67,18 @@ class TestApply:
 
 class TestUnitality:
     def test_identity_unital(self):
-        assert unitality_status(IdentityMap(3)).identity_distance <= UNITAL_TOL
+        assert unitality_status(IdentityMap(3).identity_image()).identity_distance <= UNITAL_TOL
 
     def test_compression_unital(self):
         rng = make_rng(1)
         v = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0][:, :2]
-        assert unitality_status(Compression(v)).identity_distance <= UNITAL_TOL
+        report = unitality_status(CongruenceSum((v,)).identity_image())
+        assert report.identity_distance <= UNITAL_TOL
 
     def test_halved_identity_subunital(self):
         # Phi(I) = I/4: 0 < Phi(I) <= I
         phi = CongruenceSum((np.eye(2, dtype=complex) / 2.0,))
-        report = unitality_status(phi)
+        report = unitality_status(phi.identity_image())
         assert report.lambda_max == pytest.approx(0.25, abs=1e-12)
         assert report.lambda_min == pytest.approx(0.25, abs=1e-12)
         assert report.identity_distance == pytest.approx(0.75, abs=1e-12)
@@ -90,14 +86,14 @@ class TestUnitality:
     def test_inflating_congruence_neither(self):
         # Phi(I) = 2I is above I
         phi = CongruenceSum((np.sqrt(2.0) * np.eye(2, dtype=complex),))
-        report = unitality_status(phi)
+        report = unitality_status(phi.identity_image())
         assert report.lambda_max == pytest.approx(2.0, abs=1e-12)
         assert report.identity_distance == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficient_identity_image_neither(self):
         # Phi(I) PSD but singular: not strictly positive
         phi = CongruenceSum((np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),))
-        report = unitality_status(phi)
+        report = unitality_status(phi.identity_image())
         assert (report.lambda_min, report.lambda_max) == (0.0, 1.0)
         assert report.identity_distance == 1.0
 
@@ -109,11 +105,8 @@ class TestUnitality:
             phi = CongruenceSum((s * _sample_maps(max(n, 2), rng)["congruence"].factors[0],))
             gap = phi.identity_image().entries - np.eye(phi.target_dim)
             expected = float(np.max(np.abs(np.linalg.eigvalsh(gap))))
-            assert unitality_status(phi).identity_distance == pytest.approx(expected, abs=1e-14)
-
-    def test_identity_image_gives_the_maps_report(self):
-        for phi in _sample_maps(4, make_rng(11)).values():
-            assert unitality_status(phi.identity_image()) == unitality_status(phi)
+            report = unitality_status(phi.identity_image())
+            assert report.identity_distance == pytest.approx(expected, abs=1e-14)
 
     def test_one_solver_call(self, monkeypatch):
         calls = []
@@ -121,8 +114,9 @@ class TestUnitality:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
         maps = _sample_maps(4, make_rng(10))
         for phi in maps.values():
+            image = phi.identity_image()
             calls.clear()
-            unitality_status(phi)
+            unitality_status(image)
             assert len(calls) == 1
 
 
@@ -192,7 +186,8 @@ class TestSerialization:
                                             r"of shape \(3, 2\)"):
             factor_from_json({**literal, "rows": 3})
 
-    @pytest.mark.parametrize("obj", [{"kind": "diag_block", "maps": []}, {"n": 2}])
+    @pytest.mark.parametrize("obj", [{"kind": "diag_block", "maps": []}, {"n": 2},
+                                     {"kind": "compression", "v": factor_to_json(np.eye(2, 1))}])
     def test_unknown_kind_raises_bad_params(self, obj):
         with pytest.raises(BadParams, match="unknown map kind"):
             map_from_json(obj)
