@@ -23,12 +23,11 @@ from .hhcheck import (
 from .matcore import (
     EigenSystem,
     HermitianMatrix,
-    NormSpec,
     apply_function,
     eig,
-    hermitian_from,
     matrix_from_json,
     matrix_to_json,
+    norm_spec,
     random_hermitian,
     ui_norm,
 )

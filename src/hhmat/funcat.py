@@ -325,7 +325,7 @@ def _star_probe_violation(f, a: float, b: float) -> dict | None:
     for x0 in xs:
         diag = np.diag(np.concatenate(([x0], xs)))
         witness = _midpoint_violation(
-            f, matcore.hermitian_from(diag + star), matcore.hermitian_from(diag - star))
+            f, matcore.HermitianMatrix(diag + star), matcore.HermitianMatrix(diag - star))
         if witness is not None:
             return witness
     return None

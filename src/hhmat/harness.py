@@ -21,9 +21,9 @@ import numpy as np
 from . import hhcheck
 from .errors import BadParams, Error, HypothesisUnmet, UnknownTheorem
 from .funcat import from_descriptor, working_interval
-from .matcore import (HermitianMatrix, NormSpec, array_from_json, array_to_json, count_field,
-                      hermitian_from, json_field, list_field, matrix_from_json, matrix_to_json,
-                      number_field, random_hermitian, str_field)
+from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, json_field,
+                      list_field, matrix_from_json, matrix_to_json, number_field,
+                      random_hermitian, str_field)
 from .plmaps import (CongruenceSum, IdentityMap, Pinching, PositiveLinearMap, factor_from_json,
                      map_from_json)
 from .segquad import QuadratureSpec
@@ -166,10 +166,8 @@ def _build_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Po
 
 def default_norm_specs(m: int) -> list[str]:
     """Every Ky Fan norm of an m x m matrix, the trace and Frobenius norms
-    and the operator norm, as norm spec strings."""
-    specs = [NormSpec.ky_fan(k) for k in range(1, m + 1)]
-    specs += [NormSpec.schatten(1.0), NormSpec.schatten(2.0), NormSpec.operator()]
-    return [str(spec) for spec in specs]
+    and the operator norm, as norm spec strings (see matcore.norm_spec)."""
+    return [f"kyfan:{k}" for k in range(1, m + 1)] + ["schatten:1", "schatten:2", "operator"]
 
 
 def instance_to_json(obj):
@@ -255,8 +253,8 @@ def _gen_t3(spec, rng, phi) -> dict:
     basis = _random_isometry(spec.n, spec.n, rng)
     da = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
     db = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
-    return {"a": matrix_to_json(hermitian_from((basis * da) @ basis.conj().T)),
-            "b": matrix_to_json(hermitian_from((basis * db) @ basis.conj().T))}
+    return {"a": matrix_to_json(HermitianMatrix((basis * da) @ basis.conj().T)),
+            "b": matrix_to_json(HermitianMatrix((basis * db) @ basis.conj().T))}
 
 
 def _gen_power_norm(spec, rng, phi) -> dict:
@@ -285,9 +283,9 @@ def _run_bourin(inst, f, phi, quad):
 
 def _run_norm_chain(inst, f, phi, quad):
     a, b = _load_pair(inst)
-    specs = [NormSpec.parse(s) for s in list_field(inst, "specs", str)]
     interval = tuple(number_field(inst, "interval", (2,)).tolist())
-    return hhcheck.check_norm_chain_corollary(f, phi, a, b, specs, interval, quad)
+    return hhcheck.check_norm_chain_corollary(
+        f, phi, a, b, list_field(inst, "specs", str), interval, quad)
 
 
 THEOREMS: dict[str, Theorem] = {

@@ -26,7 +26,7 @@ import numpy as np
 from . import orders, plmaps
 from .errors import BadInterval, BadParams, HypothesisUnmet
 from .funcat import ScalarFunction, working_interval
-from .matcore import (HermitianMatrix, apply_function, eig, eig_many, hermitian_from,
+from .matcore import (HermitianMatrix, apply_function, eig, eig_many, norm_spec,
                       spectrum_outside, ui_norm)
 from .orders import DEFAULT_TOL, OrderVerdict
 from .plmaps import PositiveLinearMap
@@ -135,7 +135,7 @@ def _map_case_reasons(
     return reasons
 
 
-def _norm_link(lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec) -> OrderVerdict:
+def _norm_link(lhs_m: HermitianMatrix, rhs_m: HermitianMatrix, spec: str) -> OrderVerdict:
     """|||lhs_m||| <= |||rhs_m||| in the norm spec."""
     lhs, rhs = ui_norm(lhs_m, spec), ui_norm(rhs_m, spec)
     return orders.judge(rhs - lhs, max(lhs, rhs))
@@ -165,7 +165,7 @@ def check_scalar_hh(
         raise HypothesisUnmet(f"[{x}, {y}] is not inside domain {f.domain} of {f.name}")
     width = y - x
     t0 = width * f((x + y) / 2.0)
-    t1 = width * segment_integral(f, hermitian_from([[y]]), hermitian_from([[x]]), quad).trace
+    t1 = width * segment_integral(f, HermitianMatrix([[y]]), HermitianMatrix([[x]]), quad).trace
     t2 = width * (f(x) + f(y)) / 2.0
     scale = max(abs(t0), abs(t1), abs(t2))
     return ChainReport({"scaled_midpoint<=integral": orders.judge(t1 - t0, scale),
@@ -455,14 +455,16 @@ def check_norm_chain_corollary(
     phi: PositiveLinearMap,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    specs,
+    specs: list[str],
     interval: tuple[float, float],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
     """Three-term norm chain: |||f((Phi(A)+Phi(B))/2)||| <= |||Phi(segment
     integral)||| <= alpha |||(f(Phi(A))+f(Phi(B)))/2|||, two links per norm
-    spec, labelled "<spec>:link0" and "<spec>:link1".
+    spec string, labelled "<spec>:link0" and "<spec>:link1".
 
+    Each spec is read at Phi's target size (matcore.norm_spec) before any
+    hypothesis, so a malformed one raises BadSpec whatever the hypotheses.
     The hypotheses are those of check_theorem_t4 (see _converse_hypotheses):
     the second link is the converse bound, which needs a unital map.  Norm
     monotonicity from the underlying matrix orders needs PSD displayed
@@ -474,6 +476,8 @@ def check_norm_chain_corollary(
     pins it: its margin oracle recomputes each link from the instance's
     "specs", and its tests trace and delete matcore.ui_norm.
     """
+    for spec in specs:
+        norm_spec(spec, phi.target_dim)
     _check_hypotheses([] if specs else ["no norm spec to judge"])
     pa, pb, alpha = _converse_hypotheses(f, phi, a, b, interval)
     m0 = apply_function(f, (pa + pb) / 2.0)

@@ -1,5 +1,6 @@
 """Dense Hermitian matrices: construction, random draws, eigendecomposition,
-functional calculus and the unitarily invariant norm family.
+functional calculus and the unitarily invariant norms, each named by a spec
+string whose one reading is norm_spec.
 
 Values are immutable and every operation but random_hermitian is pure, so
 everything here is safe to call from concurrent workers.  A matrix caches its
@@ -141,62 +142,11 @@ class EigenSystem:
         return sigma
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Selector for a unitarily invariant norm.
-
-    kind is one of "kyfan" (needs k), "schatten" (needs p >= 1) or "operator".
-    """
-
-    kind: str
-    k: int | None = None
-    p: float | None = None
-
-    @staticmethod
-    def ky_fan(k: int) -> "NormSpec":
-        return NormSpec("kyfan", k=k)
-
-    @staticmethod
-    def schatten(p: float) -> "NormSpec":
-        return NormSpec("schatten", p=float(p))
-
-    @staticmethod
-    def operator() -> "NormSpec":
-        return NormSpec("operator")
-
-    @staticmethod
-    def parse(text: str) -> "NormSpec":
-        """Parse "kyfan:K", "schatten:P" or "operator"; BadSpec otherwise."""
-        head, _, arg = text.partition(":")
-        try:
-            if head == "kyfan":
-                return NormSpec.ky_fan(int(arg))
-            if head == "schatten":
-                return NormSpec.schatten(float(arg))
-        except ValueError:  # a number field that does not parse
-            pass
-        if head == "operator" and not arg:
-            return NormSpec.operator()
-        raise BadSpec(f"cannot parse norm spec {text!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "kyfan":
-            return f"kyfan:{self.k}"
-        if self.kind == "schatten":
-            return f"schatten:{self.p:g}"
-        return "operator"
-
-
 def check_same_dim(a: HermitianMatrix, b: HermitianMatrix):
     """DimMismatch naming both sizes, not numpy's broadcasting ValueError,
     when a and b differ in size; the one same-size check of the package."""
     if a.dim != b.dim:
         raise DimMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-
-
-def hermitian_from(raw) -> HermitianMatrix:
-    """Build a HermitianMatrix from any square complex grid, symmetrizing."""
-    return HermitianMatrix(np.asarray(raw, dtype=complex))
 
 
 def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatrix:
@@ -217,17 +167,17 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     lo = omega + SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     hi = Omega - SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     if n == 1:
-        return hermitian_from([[rng.uniform(lo, hi)]])
+        return HermitianMatrix([[rng.uniform(lo, hi)]])
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
     w = np.linalg.eigvalsh(h)
     span = float(w[-1] - w[0])
     if span < 1e-12:
-        return hermitian_from(np.diag(np.linspace(lo, hi, n)))
+        return HermitianMatrix(np.diag(np.linspace(lo, hi, n)))
     s = (hi - lo) / span
     h *= s
     h[np.diag_indices(n)] += lo - s * w[0]
-    return hermitian_from(h)
+    return HermitianMatrix(h)
 
 
 def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None) -> HermitianMatrix:
@@ -235,7 +185,7 @@ def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None) -> Her
 
     The constructor's exactness test always passes on such an array, so it
     is skipped, and so is the copy: the array itself becomes the read-only
-    entries, with residual 0.  Only for (R + R*)/2 and for real combinations
+    entries, with residual 0.  Only for R/2 + (R/2)* and for real combinations
     of exactly Hermitian matrices (see segment_matrices); anything else goes
     through the constructor.  ``spectral_pair`` is apply_function's
     (values, vectors) of the result, kept as a reference for eig();
@@ -416,32 +366,50 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     es = h._eigen  # cached by spectrum_outside's eig(h)
     fvals = f.eval_array(f.domain.clip(es.values))
     result = (es.vectors * fvals) @ es.vectors.conj().T
-    # (R + R*)/2 is exactly Hermitian whatever the rounding in R.
-    result += result.conj().T
+    # R/2 + (R/2)* is exactly Hermitian whatever the rounding in R; halving
+    # first (exact but for subnormal entries) cannot overflow near the float max.
     result /= 2.0
+    result += result.conj().T
     return _exact_hermitian(result, (fvals, es.vectors))
 
 
-def ui_norm(h: HermitianMatrix, spec: NormSpec) -> float:
-    """Evaluate a unitarily invariant norm of a Hermitian matrix.
+def norm_spec(spec: str, dim: int) -> tuple[str, int | float | None]:
+    """The one rule for what a norm spec string means at size dim x dim:
+    "kyfan:k" is ("kyfan", k) for an integer 1 <= k <= dim, "schatten:p" is
+    ("schatten", p) for a finite p >= 1 and "operator" is ("operator", None).
+    Anything else raises BadSpec naming the spec."""
+    kind, _, arg = spec.partition(":")
+    try:
+        if kind == "kyfan" and 1 <= int(arg) <= dim:
+            return kind, int(arg)
+        if kind == "schatten" and 1.0 <= float(arg) < np.inf:
+            return kind, float(arg)
+    except ValueError:  # a number field that does not parse
+        pass
+    if spec == "operator":
+        return kind, None
+    raise BadSpec(f"norm spec {spec!r} is not kyfan:k (k an integer in 1..{dim}), "
+                  f"schatten:p (p finite, >= 1) or operator")
 
-    kyfan:k  sum of the k largest singular values
-    schatten:p  (sum of sigma_i^p)^(1/p), p >= 1
-    operator  largest singular value
-    """
-    n = h.dim
-    if spec.kind == "kyfan":
-        if spec.k is None or not (1 <= int(spec.k) <= n):
-            raise BadSpec(f"Ky Fan k must be in 1..{n}, got {spec.k}")
-        return float(np.sum(eig(h).singular_values[: int(spec.k)]))
-    if spec.kind == "schatten":
-        if spec.p is None or spec.p < 1.0:
-            raise BadSpec(f"Schatten p must be >= 1, got {spec.p}")
-        sigma = eig(h).singular_values
-        return float(np.sum(sigma ** spec.p) ** (1.0 / spec.p))
-    if spec.kind == "operator":
-        return float(eig(h).singular_values[0]) if n else 0.0
-    raise BadSpec(f"unknown norm kind {spec.kind!r}")
+
+def ui_norm(h: HermitianMatrix, spec: str) -> float:
+    """The unitarily invariant norm of H that a spec string names (see
+    norm_spec): kyfan:k sums the k largest singular values, schatten:p is
+    (sum of sigma_i^p)^(1/p) and operator is the largest.  A value that
+    overflows, as Schatten 1e308 does on a singular value above 1, raises
+    BadSpec naming the spec, and numpy warns of nothing."""
+    kind, arg = norm_spec(spec, h.dim)
+    sigma = eig(h).singular_values
+    with np.errstate(over="ignore"):
+        if kind == "kyfan":
+            value = float(np.sum(sigma[:arg]))
+        elif kind == "schatten":
+            value = float(np.sum(sigma ** arg) ** (1.0 / arg))
+        else:
+            value = float(sigma[0]) if h.dim else 0.0
+    if not np.isfinite(value):
+        raise BadSpec(f"norm spec {spec!r} gives {value} on a {h.dim}x{h.dim} matrix")
+    return value
 
 
 # -- array literal format ----------------------------------------------------
@@ -525,7 +493,7 @@ def array_from_json(obj, shape: tuple[int, ...], what: str) -> np.ndarray:
 def matrix_from_json(obj: dict) -> HermitianMatrix:
     """Load a HermitianMatrix from its literal (see array_from_json)."""
     n = count_field(obj, "n", "matrix literal")
-    return hermitian_from(array_from_json(obj, (n, n), "matrix"))
+    return HermitianMatrix(array_from_json(obj, (n, n), "matrix"))
 
 
 def matrix_to_json(h: HermitianMatrix) -> dict:

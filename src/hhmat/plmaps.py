@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadParams, DimMismatch
 from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, eig,
-                      hermitian_from, list_field)
+                      list_field)
 
 UNITAL_TOL = 1e-10
 SUBUNITAL_POSITIVITY_TOL = 1e-12
@@ -34,7 +34,7 @@ class PositiveLinearMap:
         raise NotImplementedError
 
     def identity_image(self) -> HermitianMatrix:
-        return self.apply(hermitian_from(np.eye(self.source_dim)))
+        return self.apply(HermitianMatrix(np.eye(self.source_dim)))
 
     def check_source(self, a: HermitianMatrix):
         if a.dim != self.source_dim:

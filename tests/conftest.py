@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hhmat.matcore import SPECTRUM_SHRINK, EigenSystem, HermitianMatrix, hermitian_from
+from hhmat.matcore import SPECTRUM_SHRINK, EigenSystem, HermitianMatrix
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -24,7 +24,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian_raw(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_from(scale * (g + g.conj().T) / 2.0)
+    return HermitianMatrix(scale * (g + g.conj().T) / 2.0)
 
 
 def random_hermitian_reference(n: int, omega: float, Omega: float,
@@ -36,7 +36,7 @@ def random_hermitian_reference(n: int, omega: float, Omega: float,
     lo = omega + SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     hi = Omega - SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     if n == 1:
-        return hermitian_from([[rng.uniform(lo, hi)]])
+        return HermitianMatrix([[rng.uniform(lo, hi)]])
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
@@ -45,12 +45,12 @@ def random_hermitian_reference(n: int, omega: float, Omega: float,
         w = np.linspace(lo, hi, n)
     else:
         w = lo + (w - w[0]) * ((hi - lo) / span)
-    return hermitian_from((v * w) @ v.conj().T)
+    return HermitianMatrix((v * w) @ v.conj().T)
 
 
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_from(scale * (g @ g.conj().T) / n)
+    return HermitianMatrix(scale * (g @ g.conj().T) / n)
 
 
 def conjugate_by(h: HermitianMatrix, u: np.ndarray) -> HermitianMatrix:

@@ -260,11 +260,11 @@ class TestValidateFlags:
         assert str(err.value) == message
 
     def test_grid_tests_near_the_float_max_raise_no_warning(self):
-        # f reaches 1e308 here, so the midpoint test must halve before it adds
+        # f reaches 1e308 here, so the midpoint test and apply_function's
+        # Hermitian part must halve before they add
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert validate_flags(from_descriptor("power:2"), (0.0, 1e154),
-                                  claims={"operator_convex": None}) is None
+            assert validate_flags(from_descriptor("power:2"), (0.0, 1e154)) is None
 
     # power:3 is not convex on [-1, 1] and power:2 not increasing there
     @pytest.mark.parametrize("desc, flag", [("power:3", "convex"), ("power:2", "increasing")])

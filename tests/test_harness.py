@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from hhmat.harness import (
     run_instance,
     run_suite,
 )
-from hhmat.matcore import eig, hermitian_from
+from hhmat.matcore import HermitianMatrix, eig
 from hhmat.orders import OrderVerdict
 from hhmat.plmaps import CongruenceSum
 
@@ -156,7 +157,16 @@ def test_a_worker_count_below_1_is_refused(workers):
         run_suite(InstanceSpec(trials=1), "t1", workers=workers)
 
 
-@pytest.mark.parametrize("bad", ["kyfan:abc", "schatten:x"])
+MALFORMED_NORM_SPECS = ["kyfan:abc", "schatten:x", "kyfan:0", "kyfan:4", "kyfan:2.5", "schatten:0.5",
+                        "schatten:nan", "schatten:inf", "operator:1", "frobenius"]
+
+
+def _bad_spec_detail(bad: str, dim: int) -> str:
+    return (f"BadSpec: norm spec {bad!r} is not kyfan:k (k an integer in 1..{dim}), "
+            "schatten:p (p finite, >= 1) or operator")
+
+
+@pytest.mark.parametrize("bad", MALFORMED_NORM_SPECS)
 def test_replayed_malformed_norm_spec_is_a_failed_trial(bad):
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
     inst = generate_instance("norm_chain", spec, 0)
@@ -164,7 +174,28 @@ def test_replayed_malformed_norm_spec_is_a_failed_trial(bad):
     inst["specs"] = inst["specs"][:1] + [bad]
     [(_, result)] = replay(inst)
     assert (result.status, result.margin) == ("fail", None)
-    assert result.detail == f"BadSpec: cannot parse norm spec {bad!r}"
+    assert result.detail == _bad_spec_detail(bad, 3)
+
+
+@pytest.mark.parametrize("bad", ["kyfan:9", *MALFORMED_NORM_SPECS])
+def test_a_malformed_norm_spec_fails_whatever_the_hypotheses(bad):
+    # power:2(0) = 0 is not positive, so this instance skips with good specs
+    spec = InstanceSpec(n=3, interval=(0.0, 2.0), function="power:2", trials=1, seed=0)
+    inst = generate_instance("norm_chain", spec, 0)
+    assert run_instance(inst).status == "skip"
+    result = run_instance({**inst, "specs": inst["specs"] + [bad]})
+    assert (result.status, result.margin, result.detail) == ("fail", None, _bad_spec_detail(bad, 3))
+
+
+def test_replayed_overflowing_norm_spec_is_a_failed_trial():
+    # the chain's terms have singular values above exp(0.5) > 1
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
+    inst = generate_instance("norm_chain", spec, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_instance({**inst, "specs": ["schatten:1e308"]})
+    assert (result.status, result.margin) == ("fail", None)
+    assert result.detail == "BadSpec: norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
 
 
 def test_replayed_instance_missing_a_field_is_a_failed_trial():
@@ -241,7 +272,7 @@ def test_compress_is_a_one_factor_congruence_sum():
     assert phi.to_jsonable()["kind"] == "congruence"
     [v] = phi.factors
     a = random_hermitian_raw(4, make_rng(1))
-    expected = hermitian_from(v.conj().T @ a.entries @ v)
+    expected = HermitianMatrix(v.conj().T @ a.entries @ v)
     assert phi.apply(a).entries.tobytes() == expected.entries.tobytes()
 
 

@@ -22,7 +22,7 @@ from hhmat.harness import (
     run_suite,
 )
 from hhmat.hhcheck import check_theorem_t4, mond_pecaric_alpha
-from hhmat.matcore import hermitian_from, matrix_to_json
+from hhmat.matcore import HermitianMatrix, matrix_to_json
 from hhmat.plmaps import CongruenceSum, IdentityMap
 from hhmat.segquad import segment_integral
 
@@ -135,10 +135,10 @@ def test_norm_chain_on_a_supplied_interval_tests_containment():
 def test_the_working_interval_stretches_as_a_domain_does():
     # [1, 1.5] is stretched by 1e-9 * 0.5 at each end, as spectra against a
     # domain of that width are: 3e-10 beyond Omega is inside, 7e-10 is not
-    f, phi, b = from_descriptor("exp"), IdentityMap(2), hermitian_from(np.diag([1.1, 1.2]))
-    inside = hermitian_from(np.diag([1.5 + 3e-10, 1.2]))
+    f, phi, b = from_descriptor("exp"), IdentityMap(2), HermitianMatrix(np.diag([1.1, 1.2]))
+    inside = HermitianMatrix(np.diag([1.5 + 3e-10, 1.2]))
     assert check_theorem_t4(f, phi, inside, b, interval=(1.0, 1.5)).holds
-    beyond = hermitian_from(np.diag([1.5 + 7e-10, 1.2]))
+    beyond = HermitianMatrix(np.diag([1.5 + 7e-10, 1.2]))
     with pytest.raises(HypothesisUnmet) as err:
         check_theorem_t4(f, phi, beyond, b, interval=(1.0, 1.5))
     assert str(err.value) == ("spectrum of A leaves [1.0, 1.5]; "
@@ -205,7 +205,7 @@ def test_power_norm_on_a_non_psd_input_is_a_skip():
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
     inst = generate_instance("power_norm", spec, 0)
     assert run_instance(inst).status == "pass"
-    inst["a"] = matrix_to_json(hermitian_from(np.diag([1.0, 0.5, -0.25])))
+    inst["a"] = matrix_to_json(HermitianMatrix(np.diag([1.0, 0.5, -0.25])))
     result = run_instance(inst)
     assert (result.status, result.margin) == ("skip", None)
     assert result.detail == "A has negative eigenvalue -2.500e-01"
@@ -246,9 +246,9 @@ def test_an_undeclared_flag_is_an_unmet_hypothesis(check, message):
 
 def test_map_case_reasons_name_each_unmet_condition():
     f = from_descriptor("exp")
-    inflating = hermitian_from(np.diag([2.0, 1.0]))
-    singular = hermitian_from(np.diag([1.0, 0.0]))
-    quarter = hermitian_from(np.eye(2) / 4.0)  # 0 < Phi(I) <= I: case (ii)
+    inflating = HermitianMatrix(np.diag([2.0, 1.0]))
+    singular = HermitianMatrix(np.diag([1.0, 0.0]))
+    quarter = HermitianMatrix(np.eye(2) / 4.0)  # 0 < Phi(I) <= I: case (ii)
     assert hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), quarter,
                                      strict_positive=True) == []
     assert hhcheck._map_case_reasons(f, quarter, strict_positive=True) == [
@@ -262,7 +262,7 @@ def test_map_case_reasons_name_each_unmet_condition():
     assert hhcheck._map_case_reasons(f, singular, subunital_ok=False) == [
         "Phi(I) is not I (distance 1); a unital map is needed"]
     # a unital map does not admit case (i) when unital_ok is False
-    assert hhcheck._map_case_reasons(f, hermitian_from(np.eye(2)), unital_ok=False) == [
+    assert hhcheck._map_case_reasons(f, HermitianMatrix(np.eye(2)), unital_ok=False) == [
         "exp(0) <= 0 is not declared"]
 
 

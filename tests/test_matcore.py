@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,17 +26,17 @@ from hhmat.errors import (
     NonSquareError,
     SpectrumOutOfDomain,
 )
+from hhmat.harness import default_norm_specs
 from hhmat.matcore import (
     SPECTRUM_SHRINK,
     HermitianMatrix,
-    NormSpec,
     apply_function,
     array_from_json,
     array_to_json,
     eig,
-    hermitian_from,
     matrix_from_json,
     matrix_to_json,
+    norm_spec,
     random_hermitian,
     segment_matrices,
     ui_norm,
@@ -44,38 +45,38 @@ from hhmat.matcore import (
 
 class TestConstruction:
     def test_hermitian_input_kept_verbatim(self):
-        h = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
+        h = HermitianMatrix([[2.0, 1.0], [1.0, 1.0]])
         np.testing.assert_array_equal(h.entries, np.array([[2, 1], [1, 1]], dtype=complex))
         assert h.asymmetry_residual == 0.0
 
     def test_zero_matrix(self):
-        h = hermitian_from(np.zeros((2, 2)))
+        h = HermitianMatrix(np.zeros((2, 2)))
         assert h.asymmetry_residual == 0.0
         assert h.trace == 0.0
 
     def test_complex_hermitian_fixed_point(self):
         raw = np.array([[1.0, 1j], [-1j, 1.0]])
-        h = hermitian_from(raw)
+        h = HermitianMatrix(raw)
         np.testing.assert_array_equal(h.entries, raw)
 
     def test_small_asymmetry_symmetrized_and_recorded(self):
         raw = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
-        h = hermitian_from(raw)
+        h = HermitianMatrix(raw)
         assert 0.0 < h.asymmetry_residual < 1e-11
         np.testing.assert_array_equal(h.entries, h.entries.conj().T)
 
     def test_excess_asymmetry_rejected(self):
         with pytest.raises(ExcessAsymmetryError):
-            hermitian_from([[0.0, 1.0], [0.0, 0.0]])
+            HermitianMatrix([[0.0, 1.0], [0.0, 0.0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
-            hermitian_from([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+            HermitianMatrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(NonFiniteEntries):
-            eig(hermitian_from([[bad, 0], [0, 1]]))
+            eig(HermitianMatrix([[bad, 0], [0, 1]]))
 
     # Every entry point that pairs two matrices raises the one same-size
     # error, matcore.check_same_dim's, before numpy sees the shapes.
@@ -98,31 +99,31 @@ class TestConstruction:
         for module in (matcore, orders, segquad):
             monkeypatch.setattr(module, "check_same_dim",
                                 lambda a, b: calls.append((a.dim, b.dim)) or check(a, b))
-        a, b = hermitian_from(np.eye(3)), hermitian_from(np.eye(2))
+        a, b = HermitianMatrix(np.eye(3)), HermitianMatrix(np.eye(2))
         with pytest.raises(DimMismatch) as err:
             self.PAIRED[op](a, b)
         assert str(err.value) == "dimensions differ: 3 vs 2"
         assert calls == [(3, 2)]
 
     def test_entries_immutable(self):
-        h = hermitian_from(np.eye(2))
+        h = HermitianMatrix(np.eye(2))
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
 
 
 class TestEig:
     def test_diagonal_sorted_descending(self):
-        es = eig(hermitian_from(np.diag([1.0, 3.0, 2.0])))
+        es = eig(HermitianMatrix(np.diag([1.0, 3.0, 2.0])))
         np.testing.assert_allclose(es.values, [3.0, 2.0, 1.0], atol=1e-14)
 
     def test_two_by_two_against_quadratic_formula(self):
-        h = hermitian_from([[1.5, 0.5], [0.5, 0.5]])
+        h = HermitianMatrix([[1.5, 0.5], [0.5, 0.5]])
         expected = eig2x2(h.entries)  # (2 +- sqrt(2)) / 2
         np.testing.assert_allclose(eig(h).values, expected, atol=1e-13)
         np.testing.assert_allclose(expected, [(2 + math.sqrt(2)) / 2, (2 - math.sqrt(2)) / 2])
 
     def test_identity_spectrum(self):
-        es = eig(hermitian_from(np.eye(4)))
+        es = eig(HermitianMatrix(np.eye(4)))
         np.testing.assert_allclose(es.values, np.ones(4), atol=1e-14)
 
     def test_reconstruction_and_orthonormality_random(self):
@@ -221,25 +222,25 @@ class TestApplyFunction:
         np.testing.assert_allclose(out.entries, h.entries, atol=1e-12)
 
     def test_cube_of_midpoint_matches_fixed_value(self):
-        a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
-        b = hermitian_from([[1.0, 0.0], [0.0, 0.0]])
+        a = HermitianMatrix([[2.0, 1.0], [1.0, 1.0]])
+        b = HermitianMatrix([[1.0, 0.0], [0.0, 0.0]])
         mid = (a + b) / 2.0
         out = apply_function(funcat.builtin("cube"), mid)
         np.testing.assert_allclose(
             out.entries.real, [[17 / 4, 7 / 4], [7 / 4, 3 / 4]], atol=1e-13)
 
     def test_square_on_diagonal(self):
-        out = apply_function(funcat.builtin("power", 2), hermitian_from(np.diag([-1.0, 2.0])))
+        out = apply_function(funcat.builtin("power", 2), HermitianMatrix(np.diag([-1.0, 2.0])))
         np.testing.assert_allclose(out.entries.real, np.diag([1.0, 4.0]), atol=1e-13)
 
     def test_spectrum_out_of_domain(self):
-        h = hermitian_from(np.diag([-1.0, 2.0]))
+        h = HermitianMatrix(np.diag([-1.0, 2.0]))
         with pytest.raises(SpectrumOutOfDomain) as err:
             apply_function(funcat.builtin("cube"), h)
         assert any(x < 0 for x in err.value.offending)
 
     def test_spectrum_outside_lists_the_offending_eigenvalues(self):
-        h = hermitian_from(np.diag([-1.0, 2.0, -3.0]))
+        h = HermitianMatrix(np.diag([-1.0, 2.0, -3.0]))
         cube = funcat.builtin("cube")  # domain [0, inf)
         assert matcore.spectrum_outside(cube.domain, h) == [-1.0, -3.0]
         assert matcore.spectrum_outside(funcat.builtin("exp").domain, h) == []
@@ -261,7 +262,7 @@ class TestApplyFunction:
         near = [x + d * max(1.0, abs(x)) for x in ends for d in (0.0, -1e-10, 1e-10, -1e-6, 1e-6)]
         for _ in range(40):
             pool = near + list(rng.uniform(-3.0, 3.0, size=4))
-            h = hermitian_from(np.diag(rng.choice(pool, size=int(rng.integers(1, 6)))))
+            h = HermitianMatrix(np.diag(rng.choice(pool, size=int(rng.integers(1, 6)))))
             values = eig(h).values
             outside = matcore.spectrum_outside(f.domain, h)
             assert outside == values[~f.domain.contains_array(values)].tolist()
@@ -280,9 +281,9 @@ class TestApplyFunction:
                               ((0.5 - 6e-10, 0.7), [0.5 - 6e-10]),
                               ((0.7, 0.9 + 6e-10), [0.9 + 6e-10]),
                               ((0.4, 1.0), [1.0, 0.4])]:
-            h = hermitian_from(np.diag([ends[0], 0.7, ends[1]]))
+            h = HermitianMatrix(np.diag([ends[0], 0.7, ends[1]]))
             assert matcore.spectrum_outside(working, h) == outside
-        assert matcore.spectrum_outside(working, hermitian_from(np.zeros((0, 0)))) == []
+        assert matcore.spectrum_outside(working, HermitianMatrix(np.zeros((0, 0)))) == []
 
     def test_spectral_mapping_property(self):
         rng = make_rng(7)
@@ -309,7 +310,7 @@ class TestApplyFunction:
 
 def _with_spectrum(values, rng) -> HermitianMatrix:
     u = random_unitary(len(values), rng)
-    return hermitian_from((u * np.asarray(values, dtype=float)) @ u.conj().T)
+    return HermitianMatrix((u * np.asarray(values, dtype=float)) @ u.conj().T)
 
 
 class TestDecompositionOfFunctionValues:
@@ -424,12 +425,10 @@ class TestRandomHermitian:
 class TestNorms:
     def test_singular_values_are_sorted_once_per_decomposition(self, monkeypatch):
         h = random_hermitian_raw(6, make_rng(24))
-        specs = [NormSpec.ky_fan(k) for k in range(1, 7)]
-        specs += [NormSpec.schatten(1), NormSpec.schatten(2.5), NormSpec.operator()]
+        specs = [f"kyfan:{k}" for k in range(1, 7)] + ["schatten:1", "schatten:2.5", "operator"]
         sigma = np.sort(np.abs(eig(h).values))[::-1]
-        expected = [float(np.sum(sigma[:spec.k])) if spec.kind == "kyfan"
-                    else float(np.sum(sigma ** spec.p) ** (1.0 / spec.p))
-                    if spec.kind == "schatten" else float(sigma[0]) for spec in specs]
+        expected = [float(np.sum(sigma[:k])) for k in range(1, 7)]
+        expected += [float(np.sum(sigma ** p) ** (1.0 / p)) for p in (1.0, 2.5)] + [float(sigma[0])]
         sorts = []
         sort = np.sort
         monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
@@ -437,36 +436,41 @@ class TestNorms:
         assert len(sorts) == 1
 
     def test_ky_fan_example(self):
-        h = hermitian_from(np.diag([3.0, 1.0, -2.0]))
-        assert ui_norm(h, NormSpec.ky_fan(2)) == pytest.approx(5.0, abs=1e-13)
+        h = HermitianMatrix(np.diag([3.0, 1.0, -2.0]))
+        assert ui_norm(h, "kyfan:2") == pytest.approx(5.0, abs=1e-13)
 
     def test_trace_norm_example(self):
-        h = hermitian_from(np.diag([3.0, 1.0, -2.0]))
-        assert ui_norm(h, NormSpec.schatten(1)) == pytest.approx(6.0, abs=1e-13)
+        h = HermitianMatrix(np.diag([3.0, 1.0, -2.0]))
+        assert ui_norm(h, "schatten:1") == pytest.approx(6.0, abs=1e-13)
 
     def test_operator_norm_example(self):
-        h = hermitian_from(np.diag([3.0, 1.0, -2.0]))
-        assert ui_norm(h, NormSpec.operator()) == pytest.approx(3.0, abs=1e-13)
+        h = HermitianMatrix(np.diag([3.0, 1.0, -2.0]))
+        assert ui_norm(h, "operator") == pytest.approx(3.0, abs=1e-13)
 
-    def test_bad_specs(self):
-        h = hermitian_from(np.eye(3))
-        with pytest.raises(BadSpec):
-            ui_norm(h, NormSpec.ky_fan(4))
-        with pytest.raises(BadSpec):
-            ui_norm(h, NormSpec.ky_fan(0))
-        with pytest.raises(BadSpec):
-            ui_norm(h, NormSpec.schatten(0.5))
-        with pytest.raises(BadSpec):
-            ui_norm(h, NormSpec("frobenius"))
-        with pytest.raises(BadSpec):
-            NormSpec.parse("nuclear:1")
-        for text in ("kyfan:abc", "kyfan:1.5", "kyfan:", "schatten:x", "operator:2"):
-            with pytest.raises(BadSpec, match="cannot parse norm spec"):
-                NormSpec.parse(text)
+    def test_norm_spec_reads_each_form(self):
+        assert norm_spec("kyfan:3", 3) == ("kyfan", 3)
+        assert norm_spec("schatten:2.5", 3) == ("schatten", 2.5)
+        assert norm_spec("operator", 3) == ("operator", None)
 
-    def test_parse_roundtrip(self):
-        for text in ("kyfan:2", "schatten:1", "schatten:2", "operator"):
-            assert str(NormSpec.parse(text)) == text
+    @pytest.mark.parametrize("spec", [
+        "kyfan:0", "kyfan:4", "kyfan:abc", "kyfan:2.5", "kyfan:", "schatten:0.5", "schatten:nan",
+        "schatten:inf", "schatten:x", "operator:1", "frobenius", "nuclear:1"])
+    def test_a_spec_outside_the_rule_raises_bad_spec_naming_it(self, spec):
+        h = HermitianMatrix(np.eye(3))
+        message = (f"norm spec {spec!r} is not kyfan:k (k an integer in 1..3), "
+                   "schatten:p (p finite, >= 1) or operator")
+        for read in (lambda: norm_spec(spec, 3), lambda: ui_norm(h, spec)):
+            with pytest.raises(BadSpec) as err:
+                read()
+            assert str(err.value) == message
+
+    def test_an_overflowing_norm_raises_bad_spec_and_no_warning(self):
+        h = HermitianMatrix(np.diag([3.0, 1.0, -2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadSpec) as err:
+                ui_norm(h, "schatten:1e308")
+        assert str(err.value) == "norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
 
     def test_unitary_invariance(self):
         rng = make_rng(23)
@@ -475,9 +479,7 @@ class TestNorms:
             h = random_hermitian_raw(n, rng, scale=float(rng.uniform(0.1, 5.0)))
             u = random_unitary(n, rng)
             hu = conjugate_by(h, u)
-            specs = [NormSpec.ky_fan(k) for k in range(1, n + 1)]
-            specs += [NormSpec.schatten(1), NormSpec.schatten(2), NormSpec.operator()]
-            for spec in specs:
+            for spec in default_norm_specs(n):
                 base = ui_norm(h, spec)
                 rotated = ui_norm(hu, spec)
                 assert abs(base - rotated) <= 1e-9 * max(1.0, base)
@@ -505,7 +507,7 @@ class TestMatrixLiteral:
                 im = obj.get("im")
                 raw[i, j] = (float(Fraction(obj["re"][i][j]))
                              + (1j * float(Fraction(im[i][j])) if im else 0.0))
-        return hermitian_from(raw).entries
+        return HermitianMatrix(raw).entries
 
     def test_float_grids_match_the_per_entry_rationals_bit_for_bit(self):
         rng = make_rng(11)

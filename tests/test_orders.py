@@ -10,7 +10,7 @@ from conftest import (
     random_unitary,
 )
 from hhmat.errors import DimMismatch
-from hhmat.matcore import NormSpec, eig, hermitian_from, ui_norm
+from hhmat.matcore import HermitianMatrix, eig, ui_norm
 from hhmat.orders import (
     DEFAULT_TOL,
     eigen_dominance,
@@ -20,8 +20,8 @@ from hhmat.orders import (
 )
 from hhmat.plmaps import CongruenceSum
 
-SEGMENT_INTEGRAL_CUBE = hermitian_from([[31 / 6, 5 / 2], [5 / 2, 4 / 3]])
-ENDPOINT_AVG_CUBE = hermitian_from([[7.0, 4.0], [4.0, 5 / 2]])
+SEGMENT_INTEGRAL_CUBE = HermitianMatrix([[31 / 6, 5 / 2], [5 / 2, 4 / 3]])
+ENDPOINT_AVG_CUBE = HermitianMatrix([[7.0, 4.0], [4.0, 5 / 2]])
 
 
 class TestLoewner:
@@ -29,15 +29,15 @@ class TestLoewner:
         # b rebuilds a from its eigensystem; the gap is rounding, about 1e-16
         # of entries near 1e8, and is judged on that scale
         g = make_rng(0).standard_normal((4, 4))
-        a = hermitian_from(1e8 * (g + g.T) / 2.0)
+        a = HermitianMatrix(1e8 * (g + g.T) / 2.0)
         es = eig(a)
-        b = hermitian_from((es.vectors * es.values) @ es.vectors.conj().T)
+        b = HermitianMatrix((es.vectors * es.values) @ es.vectors.conj().T)
         verdict = loewner_leq(a, b)
         assert verdict.margin < -DEFAULT_TOL
         assert verdict.holds
 
     def test_zero_below_identity(self):
-        verdict = loewner_leq(hermitian_from(np.zeros((2, 2))), hermitian_from(np.eye(2)))
+        verdict = loewner_leq(HermitianMatrix(np.zeros((2, 2))), HermitianMatrix(np.eye(2)))
         assert verdict.holds and verdict.margin == pytest.approx(1.0, abs=1e-14)
 
     def test_cube_gap_fails(self):
@@ -55,21 +55,21 @@ class TestLoewner:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            loewner_leq(hermitian_from(np.eye(2)), hermitian_from(np.eye(3)))
+            loewner_leq(HermitianMatrix(np.eye(2)), HermitianMatrix(np.eye(3)))
 
 
 class TestEigenDominance:
     def test_diagonal_example(self):
-        verdict = eigen_dominance(hermitian_from(np.diag([1.0, 0.0])),
-                                  hermitian_from(np.diag([2.0, 1.0])))
+        verdict = eigen_dominance(HermitianMatrix(np.diag([1.0, 0.0])),
+                                  HermitianMatrix(np.diag([2.0, 1.0])))
         assert verdict.holds and verdict.margin == pytest.approx(1.0, abs=1e-14)
 
     def test_fails_at_second_index(self):
-        b = hermitian_from([[1.0, 1.0], [1.0, -0.5]])
+        b = HermitianMatrix([[1.0, 1.0], [1.0, -0.5]])
         # quadratic-formula oracle: trace 0.5 and det -1.5 give (1.5, -1.0)
         lam = eig2x2(b.entries)
         np.testing.assert_allclose(lam, [1.5, -1.0], atol=1e-14)
-        verdict = eigen_dominance(hermitian_from(np.zeros((2, 2))), b)
+        verdict = eigen_dominance(HermitianMatrix(np.zeros((2, 2))), b)
         assert not verdict.holds
         assert verdict.witness == 1
         assert verdict.margin == pytest.approx(-1.0, abs=1e-12)
@@ -83,23 +83,23 @@ class TestEigenDominance:
 class TestWeakMajorization:
     def test_entrywise_dominated(self):
         # deficits [0, 1]
-        verdict = weak_majorization(hermitian_from(np.diag([3.0, 1.0])),
-                                    hermitian_from(np.diag([3.0, 2.0])))
+        verdict = weak_majorization(HermitianMatrix(np.diag([3.0, 1.0])),
+                                    HermitianMatrix(np.diag([3.0, 2.0])))
         assert verdict.holds and verdict.witness is None
         assert verdict.margin == pytest.approx(0.0, abs=1e-14)
 
     def test_top_sum_exceeds(self):
         # deficits [-1, 1]
-        verdict = weak_majorization(hermitian_from(np.diag([4.0, 0.0])),
-                                    hermitian_from(np.diag([3.0, 2.0])))
+        verdict = weak_majorization(HermitianMatrix(np.diag([4.0, 0.0])),
+                                    HermitianMatrix(np.diag([3.0, 2.0])))
         assert not verdict.holds
         assert verdict.margin == pytest.approx(-1.0)
         assert verdict.witness == 0
 
     def test_witness_is_the_index_of_the_smallest_deficit(self):
         # partial sums [3, 6, 6] against [3, 5, 7]: deficits [0, -1, 1]
-        verdict = weak_majorization(hermitian_from(np.diag([3.0, 3.0, 0.0])),
-                                    hermitian_from(np.diag([3.0, 2.0, 2.0])))
+        verdict = weak_majorization(HermitianMatrix(np.diag([3.0, 3.0, 0.0])),
+                                    HermitianMatrix(np.diag([3.0, 2.0, 2.0])))
         assert not verdict.holds
         assert verdict.margin == pytest.approx(-1.0, abs=1e-14)
         assert verdict.witness == 1
@@ -113,23 +113,23 @@ class TestWeakMajorization:
 
 class TestUnitaryWitness:
     def test_aligned_diagonals(self):
-        a = hermitian_from(np.diag([1.0, 0.0]))
-        b = hermitian_from(np.diag([2.0, 1.0]))
+        a = HermitianMatrix(np.diag([1.0, 0.0]))
+        b = HermitianMatrix(np.diag([2.0, 1.0]))
         u = unitary_witness(a, b)
         assert u is not None
         assert loewner_leq(a, conjugate_by(b, u)).holds
 
     def test_permutation_case(self):
-        a = hermitian_from(np.diag([1.0, 0.0]))
-        b = hermitian_from([[0.0, 0.0], [0.0, 2.0]])
+        a = HermitianMatrix(np.diag([1.0, 0.0]))
+        b = HermitianMatrix([[0.0, 0.0], [0.0, 2.0]])
         u = unitary_witness(a, b)
         conj = conjugate_by(b, u)
         np.testing.assert_allclose(conj.entries.real, np.diag([2.0, 0.0]), atol=1e-12)
         assert loewner_leq(a, conj).holds
 
     def test_no_witness_when_dominance_fails(self):
-        a = hermitian_from(np.diag([4.0, 0.0]))
-        b = hermitian_from(np.diag([3.0, 2.0]))
+        a = HermitianMatrix(np.diag([4.0, 0.0]))
+        b = HermitianMatrix(np.diag([3.0, 2.0]))
         assert unitary_witness(a, b) is None
 
     def test_soundness_on_random_dominance_pairs(self):
@@ -143,7 +143,7 @@ class TestUnitaryWitness:
             from hhmat.matcore import eig
             values = eig(a).values + shifts
             u0 = random_unitary(n, rng)
-            b = hermitian_from((u0 * values) @ u0.conj().T)
+            b = HermitianMatrix((u0 * values) @ u0.conj().T)
             u = unitary_witness(a, b)
             assert u is not None
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-9
@@ -161,12 +161,12 @@ class TestFrameSum:
     exceeds the sum of the k largest eigenvalues."""
 
     def test_eigenvector_frame_attains_maximum(self):
-        h = hermitian_from(np.diag([3.0, 2.0, 1.0]))
+        h = HermitianMatrix(np.diag([3.0, 2.0, 1.0]))
         frame = np.eye(3)[:, :2]
         assert top_k_frame_sum(h, frame) == pytest.approx(5.0, abs=1e-13)
 
     def test_suboptimal_frame(self):
-        h = hermitian_from(np.diag([3.0, 2.0, 1.0]))
+        h = HermitianMatrix(np.diag([3.0, 2.0, 1.0]))
         frame = np.eye(3)[:, 1:]
         assert top_k_frame_sum(h, frame) == pytest.approx(3.0, abs=1e-13)
 
@@ -189,7 +189,7 @@ def ky_fan_scan(a, b):
     the partial-sum verdict with the Ky Fan norm verdict)."""
     psa, psb = np.cumsum(eig(a).values), np.cumsum(eig(b).values)
     scale = max(1.0, float(np.max(np.abs(psa))), float(np.max(np.abs(psb))))
-    margins = np.array([ui_norm(b, NormSpec.ky_fan(k)) - ui_norm(a, NormSpec.ky_fan(k))
+    margins = np.array([ui_norm(b, f"kyfan:{k}") - ui_norm(a, f"kyfan:{k}")
                         for k in range(1, a.dim + 1)])
     agreement = (margins >= -DEFAULT_TOL * scale) == (psb - psa >= -DEFAULT_TOL * scale)
     return weak_majorization(a, b), margins, agreement
@@ -202,8 +202,8 @@ class TestKyFanScan:
 
     def test_ordered_diagonals_agree(self):
         # partial sums [1, 2] against [2, 2.5]
-        verdict, margins, agreement = ky_fan_scan(hermitian_from(np.diag([1.0, 1.0])),
-                                                  hermitian_from(np.diag([2.0, 0.5])))
+        verdict, margins, agreement = ky_fan_scan(HermitianMatrix(np.diag([1.0, 1.0])),
+                                                  HermitianMatrix(np.diag([2.0, 0.5])))
         assert verdict.holds and agreement.all()
         np.testing.assert_allclose(margins, [1.0, 0.5])
         assert verdict.margin == pytest.approx(0.5)
@@ -213,16 +213,16 @@ class TestKyFanScan:
         assert ky_fan_scan(h, h)[2].all()
 
     def test_consistent_failure(self):
-        report, margins, agreement = ky_fan_scan(hermitian_from(np.diag([4.0, 0.0])),
-                                                 hermitian_from(np.diag([3.0, 2.0])))
+        report, margins, agreement = ky_fan_scan(HermitianMatrix(np.diag([4.0, 0.0])),
+                                                 HermitianMatrix(np.diag([3.0, 2.0])))
         assert not report.holds
         assert margins[0] < 0
         assert agreement.all()  # both views fail at k=1 together
 
     def test_indefinite_inputs_can_disagree(self):
         # partial sums say diag(0, -3) is majorized by I; the k=1 norms disagree
-        _, margins, agreement = ky_fan_scan(hermitian_from(np.diag([0.0, -3.0])),
-                                            hermitian_from(np.eye(2)))
+        _, margins, agreement = ky_fan_scan(HermitianMatrix(np.diag([0.0, -3.0])),
+                                            HermitianMatrix(np.eye(2)))
         assert margins[0] == pytest.approx(-2.0)
         assert not agreement.all()
 
@@ -253,6 +253,6 @@ class TestOrderChain:
             shifts = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
             from hhmat.matcore import eig
             u0 = random_unitary(n, rng)
-            b = hermitian_from((u0 * (eig(a).values + shifts)) @ u0.conj().T)
+            b = HermitianMatrix((u0 * (eig(a).values + shifts)) @ u0.conj().T)
             assert eigen_dominance(a, b).holds
             assert weak_majorization(a, b).holds

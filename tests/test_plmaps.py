@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_rng, random_hermitian_raw, random_psd
 from hhmat.errors import BadParams, DimMismatch
-from hhmat.matcore import eig, hermitian_from
+from hhmat.matcore import HermitianMatrix, eig
 from hhmat.orders import loewner_leq
 from hhmat.plmaps import (
     UNITAL_TOL,
@@ -33,18 +33,18 @@ def _sample_maps(n, rng):
 
 class TestApply:
     def test_identity_map(self):
-        a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
+        a = HermitianMatrix([[2.0, 1.0], [1.0, 1.0]])
         assert IdentityMap(2).apply(a) is a
 
     def test_corner_compression(self):
-        a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
+        a = HermitianMatrix([[2.0, 1.0], [1.0, 1.0]])
         phi = CongruenceSum((np.array([[1.0], [0.0]], dtype=complex),))
         out = phi.apply(a)
         assert out.dim == 1
         assert out.entries[0, 0] == pytest.approx(2.0)
 
     def test_resolution_of_identity_congruence(self):
-        a = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
+        a = HermitianMatrix([[2.0, 1.0], [1.0, 1.0]])
         x = np.eye(2, dtype=complex) / np.sqrt(2.0)
         phi = CongruenceSum((x, x))
         np.testing.assert_allclose(phi.apply(a).entries, a.entries, atol=1e-14)
@@ -58,7 +58,7 @@ class TestApply:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            IdentityMap(3).apply(hermitian_from(np.eye(2)))
+            IdentityMap(3).apply(HermitianMatrix(np.eye(2)))
 
     def test_bad_partition_rejected(self):
         with pytest.raises(DimMismatch):

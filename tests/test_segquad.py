@@ -15,7 +15,7 @@ from hhmat.errors import (
     SpectrumOutOfDomain,
 )
 from hhmat.funcat import CATALOG_DESCRIPTORS, builtin, from_descriptor
-from hhmat.matcore import apply_function, hermitian_from
+from hhmat.matcore import HermitianMatrix, apply_function
 from hhmat.segquad import (
     QuadratureSpec,
     poly_segment_oracle,
@@ -23,8 +23,8 @@ from hhmat.segquad import (
     segment_integral,
 )
 
-A_FIXED = hermitian_from([[2.0, 1.0], [1.0, 1.0]])
-B_FIXED = hermitian_from([[1.0, 0.0], [0.0, 0.0]])
+A_FIXED = HermitianMatrix([[2.0, 1.0], [1.0, 1.0]])
+B_FIXED = HermitianMatrix([[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestSpec:
@@ -78,7 +78,7 @@ class TestSegmentIntegral:
         for desc in CATALOG_DESCRIPTORS:
             f = from_descriptor(desc)
             lo = f.domain.lo if math.isfinite(f.domain.lo) else -1.0
-            a = random_psd(3, rng) + (lo + 0.3) * hermitian_from(np.eye(3))
+            a = random_psd(3, rng) + (lo + 0.3) * HermitianMatrix(np.eye(3))
             out = segment_integral(f, a, a)
             expected = apply_function(f, a)
             scale = max(1.0, float(np.max(np.abs(expected.entries))))
@@ -91,14 +91,14 @@ class TestSegmentIntegral:
         assert out.asymmetry_residual == 0.0
 
     def test_domain_violation_raises(self):
-        indefinite = hermitian_from(np.diag([1.0, -1.0]))
-        pd = hermitian_from(np.diag([1.0, 2.0]))
+        indefinite = HermitianMatrix(np.diag([1.0, -1.0]))
+        pd = HermitianMatrix(np.diag([1.0, 2.0]))
         with pytest.raises(SpectrumOutOfDomain):
             segment_integral(builtin("inverse"), indefinite, pd)
 
     def test_domain_error_names_the_endpoint_and_its_eigenvalues(self):
-        indefinite = hermitian_from(np.diag([1.0, -1.0]))
-        pd = hermitian_from(np.diag([1.0, 2.0]))
+        indefinite = HermitianMatrix(np.diag([1.0, -1.0]))
+        pd = HermitianMatrix(np.diag([1.0, 2.0]))
         for a, b, label in ((indefinite, pd, "t=1"), (pd, indefinite, "t=0")):
             with pytest.raises(SpectrumOutOfDomain) as err:
                 segment_integral(builtin("inverse"), a, b)
@@ -171,8 +171,8 @@ class TestBatchedChecks:
         # Skip the endpoint checks: the node check alone must catch the
         # nodes t < 1/2, where tA + (1-t)B = diag(2t - 1, 1) leaves (0, inf).
         monkeypatch.setattr(segquad, "_check_spectrum_in_domain", lambda *args: None)
-        a = hermitian_from(np.diag([1.0, 1.0]))
-        b = hermitian_from(np.diag([-1.0, 1.0]))
+        a = HermitianMatrix(np.diag([1.0, 1.0]))
+        b = HermitianMatrix(np.diag([-1.0, 1.0]))
         with pytest.raises(SpectrumOutOfDomain, match="outside domain") as err:
             segment_integral(builtin("inverse"), a, b, QuadratureSpec(nodes=16))
         # the first node, t0 = (1 + x0) / 2, is the first to fail
@@ -269,7 +269,7 @@ class TestWordOracle:
             out.entries.real, [[31 / 6, 5 / 2], [5 / 2, 4 / 3]], atol=1e-13)
 
     def test_equal_identity_inputs(self):
-        eye = hermitian_from(np.eye(2))
+        eye = HermitianMatrix(np.eye(2))
         out = poly_segment_oracle(2, eye, eye)
         np.testing.assert_allclose(out.entries, np.eye(2), atol=1e-15)
 
