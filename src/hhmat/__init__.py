@@ -41,7 +41,6 @@ from .orders import (
 from .plmaps import (
     CongruenceSum,
     IdentityMap,
-    Pinching,
     PositiveLinearMap,
     unitality_status,
 )

@@ -24,7 +24,7 @@ from .funcat import from_descriptor, working_interval
 from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, json_field,
                       list_field, matrix_from_json, matrix_to_json, number_field,
                       random_hermitian, str_field)
-from .plmaps import (CongruenceSum, IdentityMap, Pinching, PositiveLinearMap, factor_from_json,
+from .plmaps import (CongruenceSum, IdentityMap, PositiveLinearMap, factor_from_json,
                      map_from_json)
 from .segquad import QuadratureSpec
 
@@ -111,12 +111,14 @@ def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Posi
     """Build a positive linear map from n x n to m x m matrices from a descriptor.
 
     identity | compress[:m] | pinch[:b1,b2,...] | congruence[:k] |
-    subcongruence[:k] | congruence:<file.json>.  Random choices draw from
-    ``rng``; explicit parameters are deterministic.  Every written count
-    must be an integer >= 1 (BadParams).  m = None leaves the target size
-    to the descriptor; a map whose target size is not a given m (identity
-    and pinch with m != n, compress:<k> with k != m, a factor file of
-    another size) raises BadParams rather than dropping m.
+    subcongruence[:k] | congruence:<file.json>.  Each but identity is a
+    CongruenceSum; pinch is A -> sum_b P_b A P_b over the projections P_b
+    onto its blocks.  Random choices draw from ``rng``; explicit parameters
+    are deterministic.  Every written count must be an integer >= 1
+    (BadParams).  m = None leaves the target size to the descriptor; a map
+    whose target size is not a given m (identity and pinch with m != n,
+    compress:<k> with k != m, a factor file of another size) raises
+    BadParams rather than dropping m.
     """
     phi = _build_map(desc, n, m, rng)
     if m is not None and phi.target_dim != m:
@@ -143,12 +145,11 @@ def _build_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Po
             sizes = [_descriptor_count(desc, s) for s in arg.split(",")]
             if sum(sizes) != n:
                 raise BadParams(f"pinch block sizes {sizes} do not sum to {n}")
-            blocks, start = [], 0
-            for size in sizes:
-                blocks.append(tuple(range(start, start + size)))
-                start += size
-            return Pinching(tuple(blocks))
-        return Pinching(_random_partition(n, rng))
+            blocks = [range(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+        else:
+            blocks = _random_partition(n, rng)
+        return CongruenceSum(tuple(np.diag(np.isin(np.arange(n), b)).astype(complex)
+                                   for b in blocks))
     if kind in ("congruence", "subcongruence"):
         if kind == "congruence" and arg.endswith(".json"):
             return _congruence_from_file(arg)

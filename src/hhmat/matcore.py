@@ -396,15 +396,19 @@ def ui_norm(h: HermitianMatrix, spec: str) -> float:
     """The unitarily invariant norm of H that a spec string names (see
     norm_spec): kyfan:k sums the k largest singular values, schatten:p is
     (sum of sigma_i^p)^(1/p) and operator is the largest.  A value that
-    overflows, as Schatten 1e308 does on a singular value above 1, raises
+    overflows (Schatten 1e308 on a singular value above 1), or a Schatten
+    power sum of a nonzero H below the smallest normal float, raises
     BadSpec naming the spec, and numpy warns of nothing."""
     kind, arg = norm_spec(spec, h.dim)
     sigma = eig(h).singular_values
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         if kind == "kyfan":
             value = float(np.sum(sigma[:arg]))
         elif kind == "schatten":
-            value = float(np.sum(sigma ** arg) ** (1.0 / arg))
+            power_sum = np.sum(sigma ** arg)
+            if power_sum < np.finfo(float).tiny and np.any(sigma):
+                raise BadSpec(f"norm spec {spec!r} underflows on a {h.dim}x{h.dim} matrix")
+            value = float(power_sum ** (1.0 / arg))
         else:
             value = float(sigma[0]) if h.dim else 0.0
     if not np.isfinite(value):

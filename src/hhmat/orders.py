@@ -1,13 +1,15 @@
 """Order relations between Hermitian matrices, and the one tolerance rule.
 
 Three nested orders: the Loewner order (difference is PSD), entrywise
-dominance of descending eigenvalue vectors, and weak majorization of the
-eigenvalue partial sums.
+dominance of descending eigenvalue vectors, which holds exactly when
+a <= U* b U for some unitary U (Weyl's monotonicity principle; Bhatia,
+Matrix Analysis, Ch. III), and weak majorization of the partial sums.
 
 Every comparison in the package, these orders and the scalar, trace, norm
 and PSD comparisons of the checkers alike, reduces to a signed margin and a
 magnitude scale of its operands and is judged by judge(): it holds when
-margin >= -tol * max(1, scale).  That rule is written nowhere else.
+margin >= -DEFAULT_TOL * max(1, scale).  That rule and its one tolerance
+are written nowhere else.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ class OrderVerdict:
     margin is signed: the smallest eigenvalue of the gap (Loewner), the
     smallest entrywise surplus (dominance), the smallest partial-sum deficit
     (weak majorization), or rhs - lhs of a scalar or norm comparison.
-    holds is margin >= -tol * max(1, scale), scale being the magnitude of
-    the operands.  witness, kept only when the comparison fails, locates
-    the failure.
+    holds is margin >= -DEFAULT_TOL * max(1, scale), scale being the
+    magnitude of the operands.  witness, kept only when the comparison
+    fails, locates the failure.
     """
 
     holds: bool
@@ -38,20 +40,20 @@ class OrderVerdict:
     witness: object | None = None
 
 
-def judge(margin: float, scale: float, tol: float = DEFAULT_TOL, witness=None) -> OrderVerdict:
-    """The one tolerance rule: margin >= -tol * max(1, scale)."""
-    holds = bool(margin >= -tol * max(1.0, scale))
+def judge(margin: float, scale: float, witness=None) -> OrderVerdict:
+    """The one tolerance rule: margin >= -DEFAULT_TOL * max(1, scale)."""
+    holds = bool(margin >= -DEFAULT_TOL * max(1.0, scale))
     return OrderVerdict(holds=holds, margin=margin, witness=None if holds else witness)
 
 
-def loewner_leq(a: HermitianMatrix, b: HermitianMatrix, tol: float = DEFAULT_TOL) -> OrderVerdict:
+def loewner_leq(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
     """Is a <= b in the Loewner order: is b - a PSD to a tolerance scaled by the
     larger of the gap's spectral radius and the largest entry of |a| and |b|?"""
     check_same_dim(a, b)
     gap = eig(b - a)
     scale = max(gap.spectral_radius, float(np.max(np.abs(a.entries))),
                 float(np.max(np.abs(b.entries))))
-    return judge(float(gap.values[-1]), scale, tol, witness=gap.vectors[:, -1])
+    return judge(float(gap.values[-1]), scale, witness=gap.vectors[:, -1])
 
 
 def eigen_dominance(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
@@ -77,7 +79,8 @@ def weak_majorization(a: HermitianMatrix, b: HermitianMatrix) -> OrderVerdict:
 
 
 def unitary_witness(a: HermitianMatrix, b: HermitianMatrix) -> np.ndarray | None:
-    """A unitary U with a <= U* b U, or None when eigenvalue dominance fails.
+    """A unitary U with a <= U* b U, or None when eigenvalue dominance fails:
+    the constructive form of eigen_dominance, which the checkers judge.
 
     Pairing eigenvectors by descending eigenvalue gives U = V_b V_a*; then
     U* b U = V_a diag(lambda(b)) V_a*, which dominates a exactly when the

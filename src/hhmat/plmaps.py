@@ -1,13 +1,14 @@
 """Positive linear maps between matrix algebras.
 
-Maps are represented structurally by their factors (congruence sums,
-pinchings and the identity), so application is exact and cheap; no dense
-superoperator form is kept.  A compression A -> V* A V to an isometry V is
-the one-factor congruence sum (V,), the one-term Kraus form of Choi (Linear
-Algebra Appl. 10, 1975).  No map is judged at construction: whether one is
-unital or subunital is read off its identity image Phi(I) by the checkers
-(hhcheck._map_case_reasons), so a factor that is not an isometry is a map
-whose hypotheses fail, not a malformed one.
+A map is the identity or a congruence sum A -> sum_i X_i* A X_i, the Kraus
+form every positive linear map used here takes (Choi, Linear Algebra Appl.
+10, 1975), so application is exact and cheap; no dense superoperator form
+is kept.  A compression A -> V* A V to an isometry V is the one-factor sum
+(V,); a pinching A -> sum_b P_b A P_b is the sum of its block projections.
+No map is judged at construction: whether one is unital or subunital is
+read off its identity image Phi(I) by the checkers
+(hhcheck._map_case_reasons), so a factor that is not an isometry, or
+overlapping projections, make a map whose hypotheses fail.
 """
 
 from __future__ import annotations
@@ -58,34 +59,6 @@ class IdentityMap(PositiveLinearMap):
 
     def to_jsonable(self) -> dict:
         return {"kind": "identity", "n": self.n}
-
-
-@dataclass(frozen=True, eq=False)
-class Pinching(PositiveLinearMap):
-    """Block-diagonal truncation along a partition of the index set."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
-        flat = sorted(i for b in blocks for i in b)
-        n = len(flat)
-        if flat != list(range(n)) or any(len(b) == 0 for b in blocks):
-            raise DimMismatch(f"blocks {blocks} are not a partition of 0..{n - 1}")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "source_dim", n)
-        object.__setattr__(self, "target_dim", n)
-
-    def apply(self, a: HermitianMatrix) -> HermitianMatrix:
-        self.check_source(a)
-        out = np.zeros_like(a.entries)
-        for b in self.blocks:
-            idx = np.ix_(b, b)
-            out[idx] = a.entries[idx]
-        return HermitianMatrix(out)
-
-    def to_jsonable(self) -> dict:
-        return {"kind": "pinching", "blocks": [list(b) for b in self.blocks]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +135,6 @@ def map_from_json(obj) -> PositiveLinearMap:
     what = f"{kind} map literal"
     if kind == "identity":
         return IdentityMap(count_field(obj, "n", what))
-    if kind == "pinching":
-        blocks = list_field(obj, "blocks", list, what)
-        if not all(type(i) is int for b in blocks for i in b):  # no bools or floats
-            raise BadParams(f"{what} field 'blocks' is not a list of lists of int")
-        return Pinching(tuple(map(tuple, blocks)))
     if kind == "congruence":
         return CongruenceSum(tuple(map(factor_from_json, list_field(obj, "factors", dict, what))))
     raise BadParams(f"unknown map kind {kind!r}")

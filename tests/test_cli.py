@@ -278,7 +278,6 @@ def _without(literal: dict, key: str) -> dict:
 FACTOR = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
 MAP_LITERALS = {
     "identity": ("n", {"kind": "identity", "n": 2}),
-    "pinching": ("blocks", {"kind": "pinching", "blocks": [[0], [1]]}),
     "congruence": ("factors", {"kind": "congruence", "factors": [FACTOR]}),
 }
 
@@ -299,8 +298,8 @@ MAP_LITERALS = {
     (_replaced("jensen", "x", {"re": [1.0]}),
      "BadParams: vector literal field 're' is not a number grid of shape (2,)"),
     (_replaced("t4", "map", 5), "BadParams: map literal 5 is not an object"),
-    (_replaced("t4", "map", {"kind": "pinching", "blocks": 5}),
-     "BadParams: pinching map literal field 'blocks' is not a list of list"),
+    (_replaced("t4", "map", {"kind": "pinching", "blocks": [[0], [1]]}),
+     "BadParams: unknown map kind 'pinching'"),
     (_replaced("t4", "map", {"kind": "identity", "n": "x"}),
      "BadParams: identity map literal field 'n' is not a positive integer: 'x'"),
     (_replaced("t4", "map", {"kind": "congruence", "factors": [{**FACTOR, "rows": 3}]}),
@@ -326,10 +325,6 @@ MAP_LITERALS = {
     (_replaced("bourin", "maps", 5), "BadParams: instance field 'maps' is not a list of dict"),
     *[(_replaced("t4", "f", f), "BadParams: instance field 'f' is not a string")
       for f in (5, None, True, [1], {})],
-    *[(_replaced("t4", "map", {"kind": "pinching", "blocks": blocks}),
-       "BadParams: pinching map literal field 'blocks' is not a list of lists of int")
-      for blocks in ([[None], [1, 2]], [["a"], [1, 2]], [[1.5], [0, 2]], [[0.5], [1, 2]],
-                     [[True], [0, 2]])],
 ])
 def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
     inst = _instance("t4")

@@ -198,6 +198,19 @@ def test_replayed_overflowing_norm_spec_is_a_failed_trial():
     assert result.detail == "BadSpec: norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
 
 
+@pytest.mark.parametrize("norm", ["schatten:5000", "schatten:1100"])
+def test_replayed_underflowing_norm_spec_is_a_failed_trial(norm):
+    # the chain's terms have singular values below exp(-1) < 1
+    spec = InstanceSpec(n=3, interval=(-3.0, -1.0), function="exp", trials=1, seed=0)
+    inst = generate_instance("norm_chain", spec, 0)
+    assert run_instance(inst).status == "pass"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_instance({**inst, "specs": [norm]})
+    assert (result.status, result.margin) == ("fail", None)
+    assert result.detail == f"BadSpec: norm spec {norm!r} underflows on a 3x3 matrix"
+
+
 def test_replayed_instance_missing_a_field_is_a_failed_trial():
     [(_, result)] = replay({"theorem": "t4", "f": "exp"})
     assert (result.status, result.margin) == ("fail", None)

@@ -76,11 +76,11 @@ def _count_calls(monkeypatch, owner, name) -> list:
     return calls
 
 
-def test_unital_bourin_trial_makes_k_plus_3_solver_calls(monkeypatch):
-    # the solver decomposes each A_i, the argument sum, the sum of
-    # Phi_i(f(A_i)) and the witness gap; f(argument sum) takes its
-    # argument's decomposition and the identity images, summing to I, none.
-    # The A_i go to the solver in one call, the other three one call each.
+def test_unital_bourin_trial_makes_k_plus_2_solver_calls(monkeypatch):
+    # the solver decomposes each A_i, the argument sum and the sum of
+    # Phi_i(f(A_i)); f(argument sum) takes its argument's decomposition and
+    # the identity images, summing to I, none.  The A_i go to the solver in
+    # one call, the other two one call each.
     spec = InstanceSpec(n=5, interval=(0.5, 2.0), function="exp", trials=1, seed=4)
     inst = generate_instance("bourin", spec, 0)
     assert len(inst["a_list"]) == 3
@@ -88,8 +88,8 @@ def test_unital_bourin_trial_makes_k_plus_3_solver_calls(monkeypatch):
     derived = _count_calls(monkeypatch, matcore, "_derived_eigen")
     result = run_instance(inst)
     assert result.status == "pass"
-    assert sum(len(stack) for (stack,) in eigh) == 3 + 3
-    assert [len(stack) for (stack,) in eigh] == [3, 1, 1, 1]
+    assert sum(len(stack) for (stack,) in eigh) == 3 + 2
+    assert [len(stack) for (stack,) in eigh] == [3, 1, 1]
     assert len(derived) == 1
 
 
@@ -199,6 +199,19 @@ def test_t4_with_a_factor_that_is_no_isometry_is_a_skip():
     factor["re"] = (1.01 * np.array(factor["re"])).tolist()
     assert run_instance(json.loads(json.dumps(inst))) == TrialResult(
         "skip", None, "Phi(I) is not I (distance 0.0201); a unital map is needed")
+
+
+def test_t4_with_overlapping_block_projections_is_a_skip():
+    # a pinching is the congruence sum of its block projections; projections
+    # onto {0, 1} and {1, 2} overlap, so Phi(I) = diag(1, 2, 1)
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp")
+    inst = instance_to_json(generate_instance("t4", spec, 0))
+    inst["map"] = {"kind": "congruence", "factors": [
+        {"rows": 3, "cols": 3, "re": np.diag(np.isin(range(3), block)).astype(float).tolist()}
+        for block in ((0, 1), (1, 2))]}
+    result = run_instance(json.loads(json.dumps(inst)))
+    assert (result.status, result.margin) == ("skip", None)
+    assert result.detail.startswith("Phi(I) is not I (distance 1); a unital map is needed")
 
 
 def test_power_norm_on_a_non_psd_input_is_a_skip():

@@ -472,6 +472,16 @@ class TestNorms:
                 ui_norm(h, "schatten:1e308")
         assert str(err.value) == "norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
 
+    def test_an_underflowing_schatten_sum_raises_bad_spec_and_no_warning(self):
+        # 0.5**2000 and 0.25**2000 are 0 in floating point, not the norm 0.5
+        h = HermitianMatrix(np.diag([0.5, 0.25]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadSpec) as err:
+                ui_norm(h, "schatten:2000")
+            assert ui_norm(HermitianMatrix(np.zeros((2, 2))), "schatten:2000") == 0.0
+        assert str(err.value) == "norm spec 'schatten:2000' underflows on a 2x2 matrix"
+
     def test_unitary_invariance(self):
         rng = make_rng(23)
         for _ in range(40):

@@ -147,7 +147,7 @@ class TestUnitaryWitness:
             u = unitary_witness(a, b)
             assert u is not None
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-9
-            assert loewner_leq(a, conjugate_by(b, u), 1e-8).holds
+            assert loewner_leq(a, conjugate_by(b, u)).holds
 
 
 def top_k_frame_sum(h, frame) -> float:

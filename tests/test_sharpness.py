@@ -1,9 +1,13 @@
-"""Sharpness controls for the converse bound: its constant alpha is attained.
+"""Sharpness controls: the converse constant alpha is attained, and each
+bound is an equality where it must be.
 
 A random pass cannot show that a checker compares the paper's inequality
 and not a weaker one.  These tests pin alpha to closed forms, judge an
 instance at which the converse bound is an equality, and shrink alpha by a
-relative 1e-6 to see the same comparison fail.
+relative 1e-6 to see the same comparison fail.  They also judge the
+equality instances of the midpoint, trace, power-norm, Jensen and
+unitary-orbit bounds: A = B with Phi = id, x an eigenvector of A, and a
+single unitary congruence.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_rng, random_unitary
 from hhmat import hhcheck
 from hhmat.funcat import from_descriptor
 from hhmat.harness import default_norm_specs
-from hhmat.matcore import HermitianMatrix
-from hhmat.plmaps import CongruenceSum
+from hhmat.matcore import HermitianMatrix, eig, random_hermitian
+from hhmat.plmaps import CongruenceSum, IdentityMap
 
 INTERVALS = [(0.2, 3.0), (0.5, 2.0), (1.0, 5.0)]
 # Margins of the equality instances measured 1.3e-15 at most.
@@ -82,3 +87,54 @@ def test_a_shrunk_alpha_fails_at_the_equality_instance(desc, interval, monkeypat
     assert not verdict.holds and verdict.margin < -SHRINK / 2.0
     chain = hhcheck.check_norm_chain_corollary(f, phi, a, a, default_norm_specs(1), interval)
     assert not chain.holds and chain.margin == verdict.margin
+
+
+# -- equality instances of the other bounds -------------------------------------
+
+# Margins at these instances measured 3.1e-15 at most relative to max(1, max|f(lambda(A))|).
+RELATIVE_EQUALITY_TOL = 1e-13
+SIZES = [1, 3, 6]
+CONVEX_CASES = [("exp", (0.5, 2.0)), ("inverse", (0.2, 3.0)), ("power:2", (0.5, 2.0)),
+                ("xlogx", (0.1, 3.0))]
+
+
+def _at_equality(desc: str, interval, n: int):
+    """(f, A, the equality bound on |margin|) for a random A with spectrum
+    inside the interval."""
+    f = from_descriptor(desc)
+    a = random_hermitian(n, *interval, make_rng(n))
+    scale = max(1.0, max(abs(f(float(lam))) for lam in eig(a).values))
+    return f, a, RELATIVE_EQUALITY_TOL * scale
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc, interval", CONVEX_CASES)
+def test_the_midpoint_bounds_are_equalities_at_a_equal_b(desc, interval, n):
+    # the segment from A to A is constant, so each side is f(A)
+    f, a, tol = _at_equality(desc, interval, n)
+    verdicts = [hhcheck.check_theorem_t1(f, IdentityMap(n), a, a),
+                hhcheck.check_trace_corollary(f, a, a)]
+    if f.power is not None:
+        verdicts.append(hhcheck.check_power_norm_corollary(f, IdentityMap(n), a, a))
+    for verdict in verdicts:
+        assert verdict.holds and abs(verdict.margin) <= tol
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc, interval", CONVEX_CASES)
+def test_jensen_is_an_equality_at_an_eigenvector(desc, interval, n):
+    # <A x, x> = lambda and <f(A) x, x> = f(lambda)
+    f, a, tol = _at_equality(desc, interval, n)
+    for x in eig(a).vectors.T:
+        verdict = hhcheck.check_jensen_map(f, IdentityMap(n), a, x)
+        assert verdict.holds and abs(verdict.margin) <= tol
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc", ["exp", "power:2@0,inf"])
+def test_bourin_is_an_equality_under_one_unitary_congruence(desc, n):
+    # f(U* A U) = U* f(A) U: the two sides are unitarily similar
+    f, a, tol = _at_equality(desc, (0.5, 2.0), n)
+    phi = CongruenceSum((random_unitary(n, make_rng(10 + n)),))
+    verdict = hhcheck.check_bourin_t2(f, [phi], [a])
+    assert verdict.holds and abs(verdict.margin) <= tol
