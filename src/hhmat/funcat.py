@@ -1,7 +1,7 @@
 """Catalog of scalar test functions with declared analytic flags.
 
 Theorem checkers gate their hypotheses on the declared flags (convex,
-increasing, positive, operator convex, f(0) <= 0).  The catalog is fixed so
+increasing, operator convex, f(0) <= 0).  The catalog is fixed so
 the flag assignments stay auditable; validate_flags tests the flags
 declared (or claimed) true on an interval by deterministic grid and matrix
 tests, and refutes the first one that fails with a witness.
@@ -102,7 +102,6 @@ class Flags:
 
     convex: bool | None = None
     increasing: bool | None = None
-    positive: bool | None = None
     operator_convex: bool | None = None
     f0_nonpositive: bool | None = None
 
@@ -154,17 +153,12 @@ def _power_flags(r: float, dom: Interval) -> Flags:
     return Flags(
         convex=True if (nonneg or even) else False,
         increasing=True if (nonneg or odd) else False,
-        positive=dom.lo > 0.0 or (dom.lo == 0.0 and dom.lo_open),
         operator_convex=1.0 <= r <= 2.0,
     )
 
 
-def _affine_flags(a: float, b: float, dom: Interval) -> Flags:
-    if dom.bounded:
-        positive = min(a * dom.lo + b, a * dom.hi + b) > 0.0
-    else:
-        positive = a == 0.0 and b > 0.0
-    return Flags(convex=True, increasing=a >= 0.0, positive=positive, operator_convex=True)
+def _affine_flags(a: float) -> Flags:
+    return Flags(convex=True, increasing=a >= 0.0, operator_convex=True)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -200,32 +194,32 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     elif name == "identity":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
-        label, fn, flags = "identity", np.positive, _affine_flags(1.0, 0.0, dom)
+        label, fn, flags = "identity", np.positive, _affine_flags(1.0)
     elif name == "affine":
         _require_params(name, params, 2)
         a, b = float(params[0]), float(params[1])
         dom = _restrict(Interval(), domain, name)
-        label, fn, flags = f"affine:{a:g},{b:g}", lambda x: a * x + b, _affine_flags(a, b, dom)
+        label, fn, flags = f"affine:{a:g},{b:g}", lambda x: a * x + b, _affine_flags(a)
     elif name == "exp":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
         label, fn = "exp", np.exp
-        flags = Flags(convex=True, increasing=True, positive=True, operator_convex=False)
+        flags = Flags(convex=True, increasing=True, operator_convex=False)
     elif name == "neg_sqrt":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
         label, fn = "neg_sqrt", _neg_sqrt
-        flags = Flags(convex=True, increasing=False, positive=False, operator_convex=True)
+        flags = Flags(convex=True, increasing=False, operator_convex=True)
     elif name == "inverse":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0, lo_open=True), domain, name)
         label, fn = "inverse", np.reciprocal
-        flags = Flags(convex=True, increasing=False, positive=True, operator_convex=True)
+        flags = Flags(convex=True, increasing=False, operator_convex=True)
     elif name == "xlogx":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
         label, fn = "xlogx", _xlogx
-        flags = Flags(convex=True, increasing=False, positive=False, operator_convex=True)
+        flags = Flags(convex=True, increasing=False, operator_convex=True)
     else:
         raise UnknownName(f"no catalog entry named {name!r}")
     f0 = bool(fn(np.float64(0.0)) <= 0.0) if dom.contains_interval(0.0, 0.0) else None
@@ -336,19 +330,26 @@ def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
     """Test on ``interval`` each flag of f that is declared true, or made
     true by ``claims`` (which overrides the declarations), and raise
     FlagContradicted with a witness for the first one a test refutes.  To
-    get a witness against a flag declared false, claim it true.
+    get a witness against a flag declared false, claim it true.  The flags
+    are convex, increasing, operator_convex and f0_nonpositive; a claim
+    that names none of them raises BadParams.
 
     The interval must be a working interval (see working_interval) inside
     the domain of f, on which f is finite (BadParams; numpy's own warnings
     are off while f is evaluated).  Convexity is the midpoint test on every
     pair of grid points, monotonicity the largest drop from a grid point to
-    a later one, positivity the grid minimum, f0_nonpositive the value at 0
-    when the domain holds 0, and operator convexity the star probe of
-    _star_probe_violation.  A grid test's witness is its worst pair or
-    point.  An operator-convexity witness {"a", "b", "margin"} holds the
-    pair as matrix literals, which matrix_from_json reads back to the same
-    matrices and so the same margin.
+    a later one, f0_nonpositive the value at 0 when the domain holds 0, and
+    operator convexity the star probe of _star_probe_violation.  A grid
+    test's witness is its worst pair or point.  An operator-convexity
+    witness {"a", "b", "margin"} holds the pair as matrix literals, which
+    matrix_from_json reads back to the same matrices and so the same margin.
     """
+    claimed = asdict(f.flags)
+    unknown = sorted(set(claims or {}) - set(claimed))
+    if unknown:
+        raise BadParams(f"no flag named {', '.join(map(repr, unknown))}; "
+                        f"the flags are {', '.join(claimed)}")
+    claimed.update(claims or {})
     working = working_interval(*interval)
     a, b = working.lo, working.hi
     if not f.domain.contains_interval(a, b):
@@ -359,7 +360,6 @@ def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
     if not np.all(np.isfinite(vals)):
         raise BadParams(f"{f.name} is not finite on [{a}, {b}]")
     tol = FLAG_TEST_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    claimed = {**asdict(f.flags), **(claims or {})}
 
     def refute(flag: str, witness):
         if witness is not None:
@@ -378,9 +378,6 @@ def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
         w = int(np.argmax(drops))
         top = float(grid[np.argmax(vals[:w + 1])])
         refute("increasing", (top, float(grid[w + 1]), float(drops[w])) if drops[w] > tol else None)
-    if claimed["positive"]:  # strict positivity on the grid
-        w = int(np.argmin(vals))
-        refute("positive", (float(grid[w]), float(vals[w])) if vals[w] <= 0.0 else None)
     if claimed["operator_convex"]:
         refute("operator_convex", _star_probe_violation(f, a, b))
     if claimed["f0_nonpositive"] and f.domain.contains(0.0):

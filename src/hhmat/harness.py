@@ -362,7 +362,8 @@ def run_instance(inst: dict) -> TrialResult:
     or a fail as it holds, with its margin.  An unmet hypothesis makes a
     skip.  Any other package error, a missing or malformed field included,
     makes a failed trial whose detail names the error; only an unknown
-    theorem id raises (UnknownTheorem).
+    theorem id raises (UnknownTheorem).  numpy's own warnings are off in
+    the checker: a value that overflows fails as a package error.
     """
     try:
         entry = _theorem(json_field(inst, "theorem"))
@@ -372,7 +373,8 @@ def run_instance(inst: dict) -> TrialResult:
                   else QuadratureSpec.rtol))
         f = from_descriptor(str_field(inst, "f"))
         phi = map_from_json(json_field(inst, "map")) if entry.takes_map else None
-        report = entry.run(inst, f, phi, quad)
+        with np.errstate(all="ignore"):
+            report = entry.run(inst, f, phi, quad)
     except HypothesisUnmet as exc:
         return TrialResult("skip", None, str(exc))
     except UnknownTheorem:

@@ -39,7 +39,6 @@ from .segquad import (
     segment_sum,
 )
 
-UNITARY_TOL = 1e-9
 ALPHA_GRID_POINTS = 10_000
 ALPHA_XTOL = 1e-12
 # (f, omega, Omega) keys kept by the mond_pecaric_alpha memo.
@@ -112,21 +111,25 @@ def _map_case_reasons(
     and f(0) <= 0 declared.  subunital_ok=False admits case (i) only;
     unital_ok=False admits case (ii) only.
 
-    Phi(I) within UNITAL_TOL of I in the Frobenius norm is unital with no
-    decomposition: that norm bounds the operator-norm distance that
-    unitality_status measures, so unitality_status runs only past this test.
+    Each comparison is orders.judge's, at the scale of Phi(I)'s spectral
+    radius: Phi(I) = I when its operator-norm distance to I is 0, Phi(I) <= I
+    when 1 - lambda_max >= 0, and Phi(I) is strictly positive unless
+    lambda_min <= 0.  The Frobenius distance, which bounds the operator-norm
+    one, is judged first at scale 1, so a unital Phi(I) needs no
+    decomposition.
     """
-    if unital_ok and np.linalg.norm(image.entries - np.eye(image.dim)) <= plmaps.UNITAL_TOL:
+    if unital_ok and orders.judge(-np.linalg.norm(image.entries - np.eye(image.dim)), 1.0).holds:
         return []
     rep = plmaps.unitality_status(image)
-    if unital_ok and rep.identity_distance <= plmaps.UNITAL_TOL:
+    scale = max(abs(rep.lambda_max), abs(rep.lambda_min))
+    if unital_ok and orders.judge(-rep.identity_distance, scale).holds:
         return []
     if not subunital_ok:
         return [f"{label} is not I (distance {rep.identity_distance:.3g}); a unital map is needed"]
     reasons = []
-    if rep.lambda_max > 1.0 + plmaps.UNITAL_TOL:
+    if not orders.judge(1.0 - rep.lambda_max, scale).holds:
         reasons.append(f"{label} has top eigenvalue {rep.lambda_max:.6g} > 1")
-    if strict_positive and rep.lambda_min <= plmaps.SUBUNITAL_POSITIVITY_TOL:
+    if strict_positive and orders.judge(-rep.lambda_min, scale).holds:
         reasons.append(f"{label} is not strictly positive")
     if not f.domain.contains(0.0):
         reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
@@ -189,11 +192,11 @@ def check_jensen_map(
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a})
     x = np.asarray(x, dtype=complex).ravel()
     norm = float(np.linalg.norm(x))
-    if norm > 1.0 + UNITARY_TOL:
+    if not orders.judge(1.0 - norm, norm).holds:
         reasons.append(f"||x|| = {norm:.6g} exceeds 1")
     # case (i) needs a unit vector; otherwise case (ii), even for a unital map
     reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True,
-                                 unital_ok=abs(norm - 1.0) <= UNITARY_TOL)
+                                 unital_ok=orders.judge(-abs(norm - 1.0), norm).holds)
     _check_hypotheses(reasons)
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))

@@ -21,9 +21,6 @@ from .errors import BadParams, DimMismatch
 from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, eig,
                       list_field)
 
-UNITAL_TOL = 1e-10
-SUBUNITAL_POSITIVITY_TOL = 1e-12
-
 
 class PositiveLinearMap:
     """Base class; subclasses implement apply() on Hermitian inputs."""

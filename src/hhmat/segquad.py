@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadParams, NoConvergence, RTooLarge
+from .errors import BadParams, NoConvergence, NonFiniteEntries, RTooLarge
 from .funcat import ScalarFunction
 from .matcore import (HermitianMatrix, apply_function, check_same_dim, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
@@ -104,8 +104,12 @@ def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gauss_pass(f: ScalarFunction, nodes: int, points, like: np.ndarray) -> np.ndarray:
     """The `nodes`-node Gauss-Legendre sum, its points drawn from `points`,
-    a segment_points stream positioned at this rule's nodes."""
-    return _weighted_sum(f, _gauss_rule(nodes)[1], points, like)
+    a segment_points stream positioned at this rule's nodes.  A sum that is
+    not finite raises NonFiniteEntries, as no later pass could settle."""
+    total = _weighted_sum(f, _gauss_rule(nodes)[1], points, like)
+    if not np.isfinite(total).all():
+        raise NonFiniteEntries(f"the {nodes}-node quadrature sum of {f.name} is not finite")
+    return total
 
 
 def segment_integral(
@@ -120,21 +124,15 @@ def segment_integral(
     the endpoints and at every quadrature node (the segment's spectral
     bounds are convex in t, so a dense check is unnecessary at these
     tolerances).  The node count doubles until successive results agree to
-    rtol in relative max-entry norm, capped at NODE_CAP.
+    rtol in relative max-entry norm, capped at NODE_CAP; the first pass
+    whose sum is not finite (f overflowing) raises NonFiniteEntries.
 
-    Nodes are decomposed in stacks (see segment_points): one solver call
-    per stack, with the reconstruction and orthonormality checks still
-    applied to every node's matrix; f is then applied to each node by
-    apply_function, which checks that node's spectrum against the domain.
-    Each pass draws its points from a stream handed to it.  Every integral
-    evaluates its first two rules (QuadratureSpec keeps the second within
-    NODE_CAP), so both draw from one opening stream over their concatenated
-    nodes (spec.nodes, then twice that): at small n one solver call
-    decomposes all of them, while each pass still sums its own nodes in
-    rule order.  Each later rule gets a stream of its own.  A stack holds
-    at most STACK_ENTRY_BUDGET entries because the solver's temporaries
-    grow with the stack; the budget keeps the opening pair in one stack at
-    small n and, as the stream is lazy, bounds peak memory at large n.
+    Nodes are decomposed in stacks (see segment_points), and f is applied
+    to each node by apply_function, which checks its spectrum against the
+    domain.  The first two rules (QuadratureSpec keeps the second within
+    NODE_CAP) draw from one opening stream over their concatenated nodes,
+    so at small n one solver call decomposes both, while each pass still
+    sums its own nodes in rule order; each later rule gets its own stream.
     """
     check_same_dim(a, b)
     _check_spectrum_in_domain(f, a, "the t=1 endpoint")

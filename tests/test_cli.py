@@ -47,6 +47,16 @@ def test_suite_that_judges_nothing_says_so_and_exits_0(capsys):
     assert captured.err == "warning: the t4 suite judged none of its 5 trials\n"
 
 
+def test_overflowing_suite_fails_every_trial_quietly(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    code = cli.main(["verify", "--theorem", "t1", "--f", "power:2", "--interval", "0,1e155",
+                     "--n", "3", "--trials", "2", "--json", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    records = json.loads(path.read_text())["records"]
+    assert [r["detail"].partition(":")[0] for r in records] == ["NonFiniteEntries"] * 2
+
+
 def test_skip_reasons_are_ordered_by_count_then_text():
     records = [{"trial": i, "verdict": "skip", "margin": None, "detail": d}
                for i, d in enumerate(["b", "c", "a", "b", "d", "c"])]

@@ -138,21 +138,21 @@ class TestCatalog:
 
     def test_exp_flags(self):
         f = builtin("exp")
-        assert f.flags.convex and f.flags.increasing and f.flags.positive
+        assert f.flags.convex and f.flags.increasing
         assert f.flags.operator_convex is False
         assert f.flags.f0_nonpositive is False
 
     def test_inverse_flags(self):
         f = builtin("inverse")
         assert f.domain.lo_open
-        assert f.flags.operator_convex and f.flags.convex and f.flags.positive
+        assert f.flags.operator_convex and f.flags.convex
         assert f.flags.increasing is False
         assert f(4.0) == 0.25
 
     def test_neg_sqrt_flags(self):
         f = builtin("neg_sqrt")
         assert f.flags.operator_convex and f.flags.convex
-        assert f.flags.increasing is False and f.flags.positive is False
+        assert f.flags.increasing is False
         assert f(4.0) == -2.0
 
     def test_xlogx_flags_and_zero_limit(self):
@@ -229,10 +229,13 @@ class TestValidateFlags:
         # exp is increasing, and claiming it is not finds no witness
         assert validate_flags(builtin("exp"), (-1.0, 1.0), claims={"increasing": False}) is None
 
-    def test_declared_true_positivity_contradicted(self):
-        with pytest.raises(FlagContradicted) as err:
-            validate_flags(builtin("identity"), (-1.0, 1.0), claims={"positive": True})
-        assert err.value.flag == "positive"
+    @pytest.mark.parametrize("key", ["convx", "positive"])
+    def test_a_claim_that_names_no_flag_is_refused(self, key):
+        # a misspelt claim, or one of a flag the catalog does not declare,
+        # must not read as a pass
+        with pytest.raises(BadParams, match=rf"^no flag named '{key}'; the flags are convex, "
+                                            r"increasing, operator_convex, f0_nonpositive$"):
+            validate_flags(builtin("exp"), (0.5, 2.0), claims={key: True, "convex": True})
 
     def test_identity_on_a_wide_interval_is_operator_convex(self):
         # the star probe's gaps carry rounding of operands near 1e8
@@ -318,19 +321,20 @@ def test_operator_convexity_witness_replays_to_the_same_margin(desc, interval):
 
 # Flags of each catalog entry, and of its restrictions to [0, 2] and [0.5, 2],
 # as they were when each entry wrote f0_nonpositive by hand: convex,
-# increasing, positive, operator_convex, f0_nonpositive as T, F or - (None).
+# increasing, operator_convex, f0_nonpositive as T, F or - (None).  f's
+# positivity is no flag: the converse bound judges it on its working interval.
 HAND_WRITTEN_FLAGS = {
-    "identity": "TTFTT", "identity@0,2": "TTFTT", "identity@0.5,2": "TTTT-",
-    "affine:2,0.5": "TTFTF", "affine:2,0.5@0,2": "TTTTF", "affine:2,0.5@0.5,2": "TTTT-",
-    "power:1.5": "TTFTT", "power:1.5@0,2": "TTFTT", "power:1.5@0.5,2": "TTTT-",
-    "power:2": "TFFTT", "power:2@0,2": "TTFTT", "power:2@0.5,2": "TTTT-",
-    "power:2@0,inf": "TTFTT",
-    "power:4": "TFFFT", "power:4@0,2": "TTFFT", "power:4@0.5,2": "TTTF-",
-    "cube": "TTFFT", "cube@0,2": "TTFFT", "cube@0.5,2": "TTTF-",
-    "exp": "TTTFF", "exp@0,2": "TTTFF", "exp@0.5,2": "TTTFF",
-    "neg_sqrt": "TFFTT", "neg_sqrt@0,2": "TFFTT", "neg_sqrt@0.5,2": "TFFT-",
-    "inverse": "TFTT-", "inverse@0,2": "TFTT-", "inverse@0.5,2": "TFTT-",
-    "xlogx": "TFFTT", "xlogx@0,2": "TFFTT", "xlogx@0.5,2": "TFFT-",
+    "identity": "TTTT", "identity@0,2": "TTTT", "identity@0.5,2": "TTT-",
+    "affine:2,0.5": "TTTF", "affine:2,0.5@0,2": "TTTF", "affine:2,0.5@0.5,2": "TTT-",
+    "power:1.5": "TTTT", "power:1.5@0,2": "TTTT", "power:1.5@0.5,2": "TTT-",
+    "power:2": "TFTT", "power:2@0,2": "TTTT", "power:2@0.5,2": "TTT-",
+    "power:2@0,inf": "TTTT",
+    "power:4": "TFFT", "power:4@0,2": "TTFT", "power:4@0.5,2": "TTF-",
+    "cube": "TTFT", "cube@0,2": "TTFT", "cube@0.5,2": "TTF-",
+    "exp": "TTFF", "exp@0,2": "TTFF", "exp@0.5,2": "TTFF",
+    "neg_sqrt": "TFTT", "neg_sqrt@0,2": "TFTT", "neg_sqrt@0.5,2": "TFT-",
+    "inverse": "TFT-", "inverse@0,2": "TFT-", "inverse@0.5,2": "TFT-",
+    "xlogx": "TFTT", "xlogx@0,2": "TFTT", "xlogx@0.5,2": "TFT-",
 }
 
 
@@ -345,7 +349,7 @@ def test_f0_nonpositive_rule_keeps_every_flag_but_exp_off_zero():
         if now != before:
             changed[desc] = (before, now)
     # exp(0) = 1 > 0 is no fact about f on [0.5, 2], which holds no 0
-    assert changed == {"exp@0.5,2": ("TTTFF", "TTTF-")}
+    assert changed == {"exp@0.5,2": ("TTFF", "TTF-")}
 
 
 # The per-point formulas the catalog used before its entries were written as

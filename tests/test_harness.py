@@ -198,6 +198,18 @@ def test_replayed_overflowing_norm_spec_is_a_failed_trial():
     assert result.detail == "BadSpec: norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
 
 
+def test_an_overflowing_integrand_fails_each_trial_with_no_warning():
+    # power:2 of spectra near 1e155 overflows: no numpy warning leaves the
+    # trial, and the quadrature fails at its first pass, not at NODE_CAP
+    spec = InstanceSpec(n=3, interval=(0.0, 1e155), function="power:2", trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_suite(spec, "t1")
+    detail = "NonFiniteEntries: the 16-node quadrature sum of power:2 is not finite"
+    assert [(r["verdict"], r["margin"], r["detail"]) for r in report.records] == [
+        ("fail", None, detail)] * 2
+
+
 @pytest.mark.parametrize("norm", ["schatten:5000", "schatten:1100"])
 def test_replayed_underflowing_norm_spec_is_a_failed_trial(norm):
     # the chain's terms have singular values below exp(-1) < 1

@@ -279,6 +279,41 @@ def test_map_case_reasons_name_each_unmet_condition():
         "exp(0) <= 0 is not declared"]
 
 
+@pytest.mark.parametrize("n", [1, 4, 9])  # at n = 9 the Frobenius test fails, so eig decides
+@pytest.mark.parametrize("excess, unital", [(5e-10, True), (2e-9, False)])
+def test_unital_edge_is_the_judgement_tolerance(n, excess, unital):
+    # Phi(I) = (1 + excess) I is I under orders.judge: excess <= DEFAULT_TOL * max(1, 1 + excess)
+    image = HermitianMatrix((1.0 + excess) * np.eye(n))
+    reasons = hhcheck._map_case_reasons(from_descriptor("exp"), image, subunital_ok=False)
+    assert reasons == ([] if unital else
+                       [f"Phi(I) is not I (distance {excess:.3g}); a unital map is needed"])
+
+
+@pytest.mark.parametrize("lam_min, strict", [(5e-10, False), (2e-9, True), (0.0, False),
+                                             (-2e-9, False)])
+def test_strict_positivity_edge_is_the_judgement_tolerance(lam_min, strict):
+    # lambda_min(Phi(I)) is 0 under orders.judge when it is at most DEFAULT_TOL * max(1, scale)
+    image = HermitianMatrix(np.diag([0.5, lam_min]))
+    reasons = hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), image,
+                                        strict_positive=True)
+    assert reasons == ([] if strict else ["Phi(I) is not strictly positive"])
+
+
+@pytest.mark.parametrize("excess, unit", [(5e-10, True), (2e-9, False)])
+def test_jensen_unit_vector_edge_is_the_judgement_tolerance(excess, unit):
+    # ||x|| = 1 + excess: a unit vector (case (i)) within DEFAULT_TOL, else ||x|| > 1
+    rng = make_rng(8)
+    a = random_hermitian(3, 0.5, 2.0, rng)
+    x = np.ones(3) * (1.0 + excess) / np.sqrt(3.0)
+    f = from_descriptor("exp")  # f(0) > 0, so only case (i) can hold
+    if unit:
+        assert hhcheck.check_jensen_map(f, IdentityMap(3), a, x).holds
+    else:
+        with pytest.raises(HypothesisUnmet) as info:
+            hhcheck.check_jensen_map(f, IdentityMap(3), a, x)
+        assert info.value.reasons == ["||x|| = 1 exceeds 1", "exp(0) <= 0 is not declared"]
+
+
 def test_jensen_with_a_short_vector_needs_case_ii():
     rng = make_rng(8)
     a = random_hermitian(3, 0.5, 2.0, rng)

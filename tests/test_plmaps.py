@@ -9,7 +9,6 @@ from hhmat.harness import make_map
 from hhmat.matcore import HermitianMatrix, eig
 from hhmat.orders import loewner_leq
 from hhmat.plmaps import (
-    UNITAL_TOL,
     CongruenceSum,
     IdentityMap,
     factor_from_json,
@@ -66,13 +65,13 @@ class TestApply:
 
 class TestUnitality:
     def test_identity_unital(self):
-        assert unitality_status(IdentityMap(3).identity_image()).identity_distance <= UNITAL_TOL
+        assert unitality_status(IdentityMap(3).identity_image()).identity_distance == 0.0
 
     def test_compression_unital(self):
         rng = make_rng(1)
         v = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))[0][:, :2]
         report = unitality_status(CongruenceSum((v,)).identity_image())
-        assert report.identity_distance <= UNITAL_TOL
+        assert report.identity_distance <= 1e-14  # V*V = I to rounding
 
     def test_halved_identity_subunital(self):
         # Phi(I) = I/4: 0 < Phi(I) <= I

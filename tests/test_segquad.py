@@ -11,6 +11,7 @@ from hhmat.errors import (
     BadParams,
     ConvergenceFailure,
     NoConvergence,
+    NonFiniteEntries,
     RTooLarge,
     SpectrumOutOfDomain,
 )
@@ -111,6 +112,22 @@ class TestSegmentIntegral:
         a, b = random_hermitian_raw(2, rng), random_hermitian_raw(2, rng)
         with pytest.raises(NoConvergence):
             segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=4, rtol=1e-300))
+
+    def test_a_sum_that_is_not_finite_stops_after_the_first_pass(self, monkeypatch):
+        # squares of eigenvalues near 1e155 overflow; a NaN pass never settles,
+        # so doubling on would only reach NoConvergence at NODE_CAP
+        calls = []
+
+        def counted(f, h):
+            calls.append(h)
+            return apply_function(f, h)
+
+        monkeypatch.setattr(segquad, "apply_function", counted)
+        a, b = HermitianMatrix(np.diag([1e155, 2e155])), HermitianMatrix(np.diag([3e155, 5e154]))
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteEntries, match="^the 16-node quadrature sum of power:2 is not finite$"):
+            segment_integral(from_descriptor("power:2"), a, b)
+        assert len(calls) == QuadratureSpec().nodes
 
 
 def _eigh_spoiling_one_matrix(monkeypatch, spoil):
