@@ -10,7 +10,6 @@ from .hhcheck import (
     check_bourin_t2,
     check_jensen_map,
     check_norm_chain_corollary,
-    check_power_norm_corollary,
     check_refinement_chain,
     check_scalar_hh,
     check_theorem_t1,

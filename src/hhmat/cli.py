@@ -28,6 +28,12 @@ def _interval(text: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
+def _outcome_line(inst: dict, status: str, margin: float | None, detail: str) -> str:
+    """A trial's outcome, as verify prints a failed one and replay every one."""
+    shown = "n/a" if margin is None else f"{margin:.3e}"
+    return f"{inst.get('theorem')} seed={inst.get('seed')}: {status} margin={shown} {detail}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hhmat")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,7 +84,9 @@ def main(argv=None) -> int:
                 print(f"warning: the {args.theorem} suite judged none of its "
                       f"{report.trials} trials", file=sys.stderr)
             for fail in report.failures:
-                print(f"  FAIL trial {fail['trial']}: instance below")
+                rec = report.records[fail["trial"]]
+                print("  " + _outcome_line(fail["instance"], rec["verdict"], rec["margin"],
+                                           rec.get("detail", "")))
                 print("  " + json.dumps(fail["instance"], sort_keys=True))
             if args.json_out:
                 with open(args.json_out, "w", encoding="utf-8") as fh:
@@ -118,9 +126,7 @@ def main(argv=None) -> int:
                 print("no failed trials to replay")
             bad = 0
             for inst, result in results:
-                margin = "n/a" if result.margin is None else f"{result.margin:.3e}"
-                print(f"{inst.get('theorem')} seed={inst.get('seed')}: "
-                      f"{result.status} margin={margin} {result.detail}")
+                print(_outcome_line(inst, result.status, result.margin, result.detail))
                 bad += result.status == "fail"
             return 1 if bad else 0
     except Error as exc:

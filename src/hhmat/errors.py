@@ -18,7 +18,7 @@ class ExcessAsymmetryError(Error):
 
 
 class NonFiniteEntries(Error):
-    """Raw input has a NaN or infinite entry."""
+    """A matrix entry, a quadrature sum or a judged margin is NaN or infinite."""
 
 
 class ConvergenceFailure(Error):

@@ -260,7 +260,7 @@ def _gen_t3(spec, rng, phi) -> dict:
 
 def _gen_power_norm(spec, rng, phi) -> dict:
     # f must be a power; PSD inputs are required, so clamp the window at zero
-    hhcheck.require_power(from_descriptor(spec.function))
+    hhcheck.psd_power(from_descriptor(spec.function))
     return _pair(spec, rng, lo=working_interval(max(spec.interval[0], 0.0), spec.interval[1]).lo)
 
 
@@ -296,8 +296,8 @@ THEOREMS: dict[str, Theorem] = {
         f, phi, *_load_pair(inst), quad)),
     "trace": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_trace_corollary(
         f, *_load_pair(inst), quad), takes_map=False),
-    "power_norm": Theorem(_gen_power_norm, lambda inst, f, phi, quad:
-                          hhcheck.check_power_norm_corollary(f, phi, *_load_pair(inst), quad)),
+    "power_norm": Theorem(_gen_power_norm, lambda inst, f, phi, quad: hhcheck.check_theorem_t1(
+        hhcheck.psd_power(f), phi, *_load_pair(inst), quad)),
     "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
     "t3": Theorem(_gen_t3, lambda inst, f, phi, quad: hhcheck.check_theorem_t3(
         f, phi, *_load_pair(inst), quad)),

@@ -16,10 +16,12 @@ are written nowhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteEntries
 from .matcore import HermitianMatrix, check_same_dim, eig
 
 DEFAULT_TOL = 1e-9
@@ -43,7 +45,10 @@ class OrderVerdict:
 
 
 def judge(margin: float, scale: float, witness=None) -> OrderVerdict:
-    """The one tolerance rule: margin >= -DEFAULT_TOL * max(1, scale)."""
+    """The one tolerance rule: margin >= -DEFAULT_TOL * max(1, scale).  A
+    margin that is not finite is no verdict: NonFiniteEntries."""
+    if not math.isfinite(margin):
+        raise NonFiniteEntries(f"the margin {margin} is not finite")
     holds = bool(margin >= -DEFAULT_TOL * max(1.0, scale))
     return OrderVerdict(holds=holds, margin=margin, witness=None if holds else witness)
 

@@ -113,7 +113,41 @@ def test_suite_with_failures_prints_and_writes_replayable_instances(tmp_path, ca
     printed = [json.loads(line) for line in out.splitlines() if line.startswith("  {")]
     assert printed == [fail["instance"] for fail in json.loads(report.read_text())["failures"]]
     assert len(printed) == 2
+    # each instance follows the line replay prints for it, which used to carry no detail
+    said = [line for line in out.splitlines() if line.startswith("  t4 ")]
+    assert said == [f"  t4 seed=[0, {k}]: fail margin=n/a DimMismatch: map expects dim 4, got 3"
+                    for k in range(2)]
     assert cli.main(["replay", str(report)]) == 1
+    assert capsys.readouterr().out.splitlines() == [line[2:] for line in said]
+
+
+def _refuse_constant(text):
+    raise ValueError(f"not JSON: {text}")
+
+
+def test_a_margin_that_is_not_finite_fails_with_a_detail(tmp_path, capsys):
+    # <x, A x>^2 overflows on both sides: the margin was NaN, recorded as a
+    # bare NaN with no detail
+    path = tmp_path / "jensen.json"
+    code = cli.main(["verify", "--theorem", "jensen", "--f", "power:2@0,inf", "--interval",
+                     "0,1e155", "--n", "3", "--trials", "2", "--json", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    detail = "NonFiniteEntries: the margin nan is not finite"
+    assert f"  jensen seed=[0, 1]: fail margin=n/a {detail}\n" in out
+    report = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    assert [(r["margin"], r["detail"]) for r in report["records"]] == [(None, detail)] * 2
+    assert report["worst_margin"] is None
+
+
+def test_power_norm_outside_the_domain_of_f_skips_and_exits_0(capsys):
+    # spectra in [0, 5] leave [0, 3]: each trial used to fail with SpectrumOutOfDomain
+    code = cli.main(["verify", "--theorem", "power_norm", "--f", "power:2@-1,3",
+                     "--interval", "0,5", "--trials", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert " skips=3 failures=0 judged=0/3 " in out
+    assert "\n  skipped: 3x spectrum of A leaves domain [0, 3] of power:2; " in out
 
 
 def test_replay_of_a_passing_instance_exits_0(tmp_path):
@@ -456,6 +490,12 @@ def test_alpha_on_an_interval_that_is_not_one_exits_2(interval, message, capsys)
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+# 0 is no grid point of [-1, 1]: alpha used to be 3.6e25 and the exit 0
+def test_alpha_on_an_interval_holding_a_zero_of_f_exits_2(capsys):
+    assert cli.main(["alpha", "--f", "power:2", "--interval", "-1,1"]) == 2
+    assert capsys.readouterr().err == "error: power:2(0) = 0 is not positive\n"
 
 
 # a separate value starting with '-' used to read as an option

@@ -86,15 +86,24 @@ def test_power_norm_with_power_1_is_refused_up_front():
         run_suite(InstanceSpec(n=3, trials=5, function="power:1"), "power_norm")
 
 
+# power_norm is t1 on psd_power(f), which is f itself when f's domain holds no negative point
 @pytest.mark.parametrize("function", ["cube", "power:2@0,inf", "power:1.5"])
 def test_power_norm_judges_the_loaded_function(monkeypatch, function):
     seen = []
-    check = hhcheck.check_power_norm_corollary
-    monkeypatch.setattr(hhcheck, "check_power_norm_corollary",
+    check = hhcheck.check_theorem_t1
+    monkeypatch.setattr(hhcheck, "check_theorem_t1",
                         lambda f, *args: seen.append(f) or check(f, *args))
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function=function, trials=2)
     assert run_suite(spec, "power_norm").passes == 2
     assert seen == [from_descriptor(function)] * 2
+
+
+@pytest.mark.parametrize("function, domain, power", [
+    ("power:2", "[0, inf]", 2.0), ("power:4@-1,3", "[0, 3]", 4.0)])
+def test_psd_power_restricts_a_power_to_the_psd_cone(function, domain, power):
+    f = hhcheck.psd_power(from_descriptor(function))
+    assert (str(f.domain), f.power) == (domain, power)
+    assert f.flags.increasing and not from_descriptor(function).flags.increasing  # recomputed
 
 
 def test_replayed_power_norm_with_a_non_power_function_is_a_failed_trial():

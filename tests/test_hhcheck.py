@@ -61,6 +61,17 @@ def test_errors_are_not_memoized():
     assert mond_pecaric_alpha.cache_info().currsize == size
 
 
+# 0 is no grid point of these intervals, and alpha used to be about 3.6e25
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (-0.5, 2.0)])
+def test_an_interval_holding_a_zero_of_f_inside_has_no_alpha(interval):
+    with pytest.raises(BadInterval, match=r"^power:2\(0\) = 0 is not positive$"):
+        mond_pecaric_alpha(from_descriptor("power:2"), *interval)
+    for theorem in ("t4", "norm_chain"):
+        report = run_suite(InstanceSpec(interval=interval, seed=1, trials=5), theorem)
+        assert (report.skips, report.failure_count) == (5, 0)
+        assert {rec["detail"] for rec in report.records} == {"power:2(0) = 0 is not positive"}
+
+
 def test_interval_outside_the_domain_is_an_unmet_hypothesis():
     rng = make_rng(5)
     a, b = random_psd(3, rng), random_psd(3, rng)
@@ -215,17 +226,17 @@ def test_t4_with_overlapping_block_projections_is_a_skip():
 
 
 def test_power_norm_on_a_non_psd_input_is_a_skip():
+    # power_norm is t1 on power:2 restricted to [0, inf)
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
     inst = generate_instance("power_norm", spec, 0)
     assert run_instance(inst).status == "pass"
     inst["a"] = matrix_to_json(HermitianMatrix(np.diag([1.0, 0.5, -0.25])))
     result = run_instance(inst)
     assert (result.status, result.margin) == ("skip", None)
-    assert result.detail == "A has negative eigenvalue -2.500e-01"
+    assert result.detail == "spectrum of A leaves domain [0, inf] of power:2"
 
 
 def test_norm_chain_with_no_norm_spec_is_a_skip():
-    # nothing to judge used to name non-PSD terms as the cause
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
     inst = {**generate_instance("norm_chain", spec, 0), "specs": []}
     result = run_instance(inst)

@@ -9,11 +9,12 @@ from conftest import (
     random_psd,
     random_unitary,
 )
-from hhmat.errors import DimMismatch
+from hhmat.errors import DimMismatch, NonFiniteEntries
 from hhmat.matcore import HermitianMatrix, eig, ui_norm
 from hhmat.orders import (
     DEFAULT_TOL,
     eigen_dominance,
+    judge,
     loewner_leq,
     unitary_witness,
     weak_majorization,
@@ -22,6 +23,14 @@ from hhmat.plmaps import CongruenceSum
 
 SEGMENT_INTEGRAL_CUBE = HermitianMatrix([[31 / 6, 5 / 2], [5 / 2, 4 / 3]])
 ENDPOINT_AVG_CUBE = HermitianMatrix([[7.0, 4.0], [4.0, 5 / 2]])
+
+
+class TestJudge:
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+    def test_a_margin_that_is_not_finite_is_no_verdict(self, margin):
+        # a NaN margin used to fail and +inf to pass, neither with a detail
+        with pytest.raises(NonFiniteEntries, match=rf"^the margin {margin} is not finite$"):
+            judge(margin, 1.0)
 
 
 class TestLoewner:

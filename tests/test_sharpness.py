@@ -7,7 +7,8 @@ instance at which the converse bound is an equality, and shrink alpha by a
 relative 1e-6 to see the same comparison fail.  They also judge the
 equality instances of the midpoint, trace, power-norm, Jensen and
 unitary-orbit bounds: A = B with Phi = id, x an eigenvector of A, and a
-single unitary congruence.
+single unitary congruence; and of the refinement chain, the scalar bound and
+t3, at an increasing affine f.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from conftest import make_rng, random_unitary
 from hhmat import hhcheck
 from hhmat.funcat import from_descriptor
-from hhmat.harness import default_norm_specs
+from hhmat.harness import default_norm_specs, make_map
 from hhmat.matcore import HermitianMatrix, eig, random_hermitian
 from hhmat.plmaps import CongruenceSum, IdentityMap
 
@@ -50,6 +51,15 @@ def kantorovich(lo: float, hi: float) -> float:
 def test_alpha_equals_its_closed_form(desc, closed_form, interval):
     alpha = hhcheck.mond_pecaric_alpha(from_descriptor(desc), *interval).alpha
     assert alpha == pytest.approx(closed_form(*interval), rel=1e-14)
+
+
+# f is positive but small near an end: alpha is 5e7 and 1.7e13; the power's
+# argmax sqrt(1e-8 * 2) is resolved to a relative 1.3e-11
+@pytest.mark.parametrize("desc, closed_form, interval", [
+    ("power:2", kantorovich, (1e-8, 2.0)), ("exp", exp_chord_ratio, (-30.0, 5.0))])
+def test_alpha_near_a_zero_of_f_equals_its_closed_form(desc, closed_form, interval):
+    alpha = hhcheck.mond_pecaric_alpha(from_descriptor(desc), *interval).alpha
+    assert alpha == pytest.approx(closed_form(*interval), rel=1e-10)
 
 
 def _equality_instance(desc: str, lo: float, hi: float):
@@ -114,8 +124,8 @@ def test_the_midpoint_bounds_are_equalities_at_a_equal_b(desc, interval, n):
     f, a, tol = _at_equality(desc, interval, n)
     verdicts = [hhcheck.check_theorem_t1(f, IdentityMap(n), a, a),
                 hhcheck.check_trace_corollary(f, a, a)]
-    if f.power is not None:
-        verdicts.append(hhcheck.check_power_norm_corollary(f, IdentityMap(n), a, a))
+    if f.power is not None:  # the power_norm suite
+        verdicts.append(hhcheck.check_theorem_t1(hhcheck.psd_power(f), IdentityMap(n), a, a))
     for verdict in verdicts:
         assert verdict.holds and abs(verdict.margin) <= tol
 
@@ -138,3 +148,45 @@ def test_bourin_is_an_equality_under_one_unitary_congruence(desc, n):
     phi = CongruenceSum((random_unitary(n, make_rng(10 + n)),))
     verdict = hhcheck.check_bourin_t2(f, [phi], [a])
     assert verdict.holds and abs(verdict.margin) <= tol
+
+
+# An increasing affine f makes every link of the chain, the scalar bound and
+# t3 an equality: the Riemann sums, the quadrature and the endpoint average
+# of an affine integrand are exact, and f(Phi(X)) = Phi(f(X)) for a unital Phi.
+# Their margins measured 1.2e-15 at most relative to max(1, max|f(lambda)|).
+AFFINE = "affine:2,0.5"
+
+
+def _affine_pair(n: int):
+    """(f, A, B, the equality bound on |margin|) for the affine f and a random
+    pair with spectra in [-1, 2]."""
+    f = from_descriptor(AFFINE)
+    rng = make_rng(20 + n)
+    a, b = random_hermitian(n, -1.0, 2.0, rng), random_hermitian(n, -1.0, 2.0, rng)
+    scale = max(1.0, max(abs(f(float(lam))) for h in (a, b) for lam in eig(h).values))
+    return f, a, b, RELATIVE_EQUALITY_TOL * scale
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_refinement_chain_is_an_equality_for_affine_f(n):
+    f, a, b, tol = _affine_pair(n)
+    chain = hhcheck.check_refinement_chain(f, a, b, 2, 2)
+    assert chain.holds and all(abs(link.margin) <= tol for link in chain.links.values())
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_t3_is_an_equality_for_affine_f_under_a_unital_map(n):
+    # the uniform hypothesis then holds with U = I as an equality at every t
+    f, a, b, tol = _affine_pair(n)
+    phi = make_map("congruence:2", n, None, make_rng(30 + n))
+    verdict = hhcheck.check_theorem_t3(f, phi, a, b)
+    assert verdict.holds and abs(verdict.margin) <= tol
+
+
+# the scalar bound is the 1x1 case, so it takes an interval, not a size
+@pytest.mark.parametrize("x, y", [(-1.0, 2.0), (0.25, 0.5), (-0.75, -0.5)])
+def test_the_scalar_bound_is_an_equality_for_affine_f(x, y):
+    f = from_descriptor(AFFINE)
+    report = hhcheck.check_scalar_hh(f, x, y)
+    tol = RELATIVE_EQUALITY_TOL * max(1.0, abs(f(x)), abs(f(y)))
+    assert report.holds and all(abs(link.margin) <= tol for link in report.links.values())
