@@ -11,7 +11,6 @@ from .hhcheck import (
     check_jensen_map,
     check_norm_chain_corollary,
     check_refinement_chain,
-    check_scalar_hh,
     check_theorem_t1,
     check_theorem_t3,
     check_theorem_t4,

@@ -88,8 +88,8 @@ class Interval:
 
 
 def working_interval(lo: float, hi: float) -> Interval:
-    """[lo, hi] as a working interval (of a suite, a converse bound or a
-    scalar trial): BadInterval unless non-empty (no NaN end) and of finite length."""
+    """[lo, hi] as a working interval (of a suite or a converse bound):
+    BadInterval unless non-empty (no NaN end) and of finite length."""
     working = Interval(float(lo), float(hi))
     if not math.isfinite(working.hi - working.lo):
         raise BadInterval(f"interval [{working.lo}, {working.hi}] is not finite")

@@ -222,13 +222,6 @@ def _load_pair(inst: dict) -> tuple[HermitianMatrix, HermitianMatrix]:
     return matrix_from_json(json_field(inst, "a")), matrix_from_json(json_field(inst, "b"))
 
 
-def _gen_scalar(spec, rng, phi) -> dict:
-    lo, hi = spec.interval
-    width = hi - lo
-    return {"xy": [float(rng.uniform(lo, lo + 0.4 * width)),
-                   float(rng.uniform(lo + 0.6 * width, hi))]}
-
-
 def _gen_jensen(spec, rng, phi) -> dict:
     a = matrix_to_json(random_hermitian(spec.n, *spec.interval, rng))
     x = rng.standard_normal(phi.target_dim) + 1j * rng.standard_normal(phi.target_dim)
@@ -264,11 +257,6 @@ def _gen_power_norm(spec, rng, phi) -> dict:
     return _pair(spec, rng, lo=working_interval(max(spec.interval[0], 0.0), spec.interval[1]).lo)
 
 
-def _run_scalar(inst, f, phi, quad):
-    x, y = number_field(inst, "xy", (2,)).tolist()
-    return hhcheck.check_scalar_hh(f, x, y, quad)
-
-
 def _run_jensen(inst, f, phi, quad):
     a = matrix_from_json(json_field(inst, "a"))
     phi.check_source(a)  # before x is read at phi's target dimension
@@ -290,7 +278,6 @@ def _run_norm_chain(inst, f, phi, quad):
 
 
 THEOREMS: dict[str, Theorem] = {
-    "scalar": Theorem(_gen_scalar, _run_scalar, takes_map=False),
     "jensen": Theorem(_gen_jensen, _run_jensen),
     "t1": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_theorem_t1(
         f, phi, *_load_pair(inst), quad)),

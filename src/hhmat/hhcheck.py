@@ -139,32 +139,6 @@ def _map_case_reasons(
     return reasons
 
 
-# -- scalar two-sided bound ------------------------------------------------------
-
-def check_scalar_hh(
-    f: ScalarFunction,
-    x: float,
-    y: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> ChainReport:
-    """Scalar two-sided mean-value bound for a convex function on [x, y]:
-    (y-x) f((x+y)/2) <= integral of f over [x, y] <= (y-x) (f(x)+f(y))/2.
-
-    The bound is the 1x1 case of the matrix one: the integral is (y-x) times
-    the segment integral from B = [x] (t=0) to A = [y] (t=1)."""
-    _check_hypotheses(_require_flag(f, "convex"))
-    working_interval(x, y)
-    if not f.domain.contains_interval(x, y):
-        raise HypothesisUnmet(f"[{x}, {y}] is not inside domain {f.domain} of {f.name}")
-    width = y - x
-    t0 = width * f((x + y) / 2.0)
-    t1 = width * segment_integral(f, HermitianMatrix([[y]]), HermitianMatrix([[x]]), quad).trace
-    t2 = width * (f(x) + f(y)) / 2.0
-    scale = max(abs(t0), abs(t1), abs(t2))
-    return ChainReport({"scaled_midpoint<=integral": orders.judge(t1 - t0, scale),
-                        "integral<=scaled_endpoint_average": orders.judge(t2 - t1, scale)})
-
-
 # -- quadratic-form comparison under a positive map --------------------------------
 
 def check_jensen_map(
@@ -194,7 +168,7 @@ def check_jensen_map(
     return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)))
 
 
-# -- weak-majorization midpoint bound ----------------------------------------------
+# -- midpoint bound: weak majorization, and the two-sided trace chain -------------
 
 def check_theorem_t1(
     f: ScalarFunction,
@@ -221,13 +195,21 @@ def check_trace_corollary(
     a: HermitianMatrix,
     b: HermitianMatrix,
     quad: QuadratureSpec = QuadratureSpec(),
-) -> OrderVerdict:
-    """Trace form of the midpoint bound: Tr f((A+B)/2) <= Tr of the segment
-    integral.  Checked directly rather than through the partial sums."""
+) -> ChainReport:
+    """Trace form of the two-sided bound: Tr f((A+B)/2) <= Tr of the segment
+    integral <= Tr (f(A)+f(B))/2.  g(t) = Tr f(tA + (1-t)B) is convex for
+    convex f (Carlen, Trace inequalities and quantum entropy, 2010, Thm
+    2.10), so this is the classical Hermite-Hadamard chain of g on [0, 1],
+    checked directly rather than through the partial sums.  At n = 1, with
+    A = [y] and B = [x], it is the scalar bound on [x, y] divided by y - x."""
     _check_hypotheses(_require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b}))
-    lhs = apply_function(f, (a + b) / 2.0).trace
-    rhs = segment_integral(f, a, b, quad).trace
-    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)))
+    mid = apply_function(f, (a + b) / 2.0).trace
+    integral = segment_integral(f, a, b, quad).trace
+    ends = (apply_function(f, a).trace + apply_function(f, b).trace) / 2.0
+    return ChainReport({
+        "midpoint<=integral": orders.judge(integral - mid, max(abs(mid), abs(integral))),
+        "integral<=endpoint_average": orders.judge(ends - integral,
+                                                   max(abs(integral), abs(ends)))})
 
 
 def psd_power(f: ScalarFunction) -> ScalarFunction:

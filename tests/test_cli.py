@@ -255,6 +255,21 @@ def test_counterexample_is_not_a_verify_theorem(capsys):
     assert "invalid choice: 'counterexample'" in capsys.readouterr().err
 
 
+def test_the_scalar_suite_is_gone(tmp_path, capsys):
+    # the scalar bound is the trace suite at n = 1
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--theorem", "scalar"])
+    assert info.value.code == 2
+    assert "invalid choice: 'scalar'" in capsys.readouterr().err
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"theorem": "scalar", "f": "exp", "interval": [0.5, 2.0],
+                                "seed": [0, 0], "xy": [0.6, 1.8]}))
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown theorem id 'scalar'")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 # each ended in a traceback, or ran as something else, before it was refused
 @pytest.mark.parametrize("args", [
     ["--map", "compress:abc"], ["--map", "pinch:a"], ["--map", "congruence:x"],
@@ -279,7 +294,7 @@ def test_malformed_verify_options_exit_2(args, capsys):
     assert captured.out == ""
 
 
-MAP_FREE = ("scalar", "trace", "bourin", "chain")
+MAP_FREE = ("trace", "bourin", "chain")
 
 
 def test_the_registry_marks_the_map_free_suites():
@@ -301,9 +316,9 @@ def test_explicit_identity_map_is_accepted_by_a_map_free_suite():
                      "--trials", "2"]) == 0
 
 
-def _instance(theorem: str) -> dict:
+def _instance(theorem: str, n: int = 2) -> dict:
     function = "power:2" if theorem == "power_norm" else "exp"  # power_norm needs a power
-    spec = InstanceSpec(n=2, interval=(0.5, 2.0), function=function, trials=1, seed=0)
+    spec = InstanceSpec(n=n, interval=(0.5, 2.0), function=function, trials=1, seed=0)
     return instance_to_json(generate_instance(theorem, spec, 0))
 
 
@@ -363,8 +378,6 @@ MAP_LITERALS = {
     (_replaced("norm_chain", "specs", 5), "BadParams: instance field 'specs' is not a list of str"),
     (_replaced("norm_chain", "specs", [5]),
      "BadParams: instance field 'specs' is not a list of str"),
-    (_replaced("scalar", "xy", [1.0]),
-     "BadParams: instance field 'xy' is not a number grid of shape (2,)"),
     (_replaced("chain", "k", "x"), "BadParams: instance field 'k' is not a positive integer: 'x'"),
     (_replaced("bourin", "maps", 5), "BadParams: instance field 'maps' is not a list of dict"),
     *[(_replaced("t4", "f", f), "BadParams: instance field 'f' is not a string")
@@ -396,18 +409,20 @@ def test_replayed_identity_map_of_another_dimension_is_a_dim_mismatch(tmp_path, 
     assert captured.err == ""
 
 
-def test_replayed_scalar_quadrature_that_cannot_settle_is_a_failed_trial(tmp_path, capsys):
+# at n = 1 the trace chain is the scalar Hermite-Hadamard bound
+def test_replayed_1x1_trace_quadrature_that_cannot_settle_is_a_failed_trial(tmp_path, capsys):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps({**_instance("scalar"), "quad_nodes": 4, "quad_rtol": 1e-300}))
+    path.write_text(json.dumps({**_instance("trace", n=1), "quad_nodes": 4, "quad_rtol": 1e-300}))
     assert cli.main(["replay", str(path)]) == 1
     assert capsys.readouterr().out.startswith(
-        "scalar seed=[0, 0]: fail margin=n/a NoConvergence: quadrature did not settle")
+        "trace seed=[0, 0]: fail margin=n/a NoConvergence: quadrature did not settle")
 
 
-def test_scalar_suite_honours_its_quadrature_options(capsys):
-    args = ["verify", "--theorem", "scalar", "--f", "exp", "--interval", "0.5,2", "--trials", "3"]
+def test_1x1_trace_suite_honours_its_quadrature_options(capsys):
+    args = ["verify", "--theorem", "trace", "--n", "1", "--f", "exp", "--interval", "0.5,2",
+            "--trials", "3"]
     assert cli.main(args) == 0
-    assert "scalar: trials=3 passes=3 skips=0 failures=0" in capsys.readouterr().out
+    assert "trace: trials=3 passes=3 skips=0 failures=0" in capsys.readouterr().out
     # a pass can still settle bit for bit; the others hit the node cap
     assert cli.main(args + ["--quad-rtol", "1e-300"]) == 1
     assert "failures=0" not in capsys.readouterr().out

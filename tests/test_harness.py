@@ -310,7 +310,7 @@ def test_compress_is_a_one_factor_congruence_sum():
     assert phi.apply(a).entries.tobytes() == expected.entries.tobytes()
 
 
-@pytest.mark.parametrize("theorem", ["scalar", "trace", "bourin", "chain"])
+@pytest.mark.parametrize("theorem", ["trace", "bourin", "chain"])
 def test_a_map_free_suite_refuses_an_m_other_than_n(theorem):
     with pytest.raises(BadParams, match=f"^the {theorem} suite takes no map, "
                                         "so m=3 cannot differ from n=4$"):

@@ -254,11 +254,11 @@ def test_unital_identity_image_needs_no_decomposition(monkeypatch):
 
 
 @pytest.mark.parametrize("check, message", [
-    (lambda a, b: hhcheck.check_scalar_hh(from_descriptor("power:3"), -1.0, 1.0),
+    (lambda a, b: hhcheck.check_trace_corollary(from_descriptor("power:3"), a, b),
      "power:3 is not declared convex"),
     (lambda a, b: hhcheck.check_refinement_chain(from_descriptor("exp"), a, b, 2, 1),
      "exp is not declared operator convex"),
-], ids=["scalar", "chain"])
+], ids=["trace", "chain"])
 def test_an_undeclared_flag_is_an_unmet_hypothesis(check, message):
     rng = make_rng(10)
     a, b = (random_hermitian(3, 0.5, 2.0, rng) for _ in range(2))
@@ -350,13 +350,8 @@ def test_bourin_with_subunital_maps_needs_f0_nonpositive():
     ("power:2", 1 / 3 - 1 / 4, 1 / 2 - 1 / 3),
     ("exp", np.e - 1.0 - np.exp(0.5), (1.0 + np.e) / 2.0 - (np.e - 1.0)),
 ], ids=["power:2", "exp"])
-def test_scalar_bound_integrates_as_the_1x1_segment_integral(desc, below, above):
-    links = hhcheck.check_scalar_hh(from_descriptor(desc), 0.0, 1.0).links
-    assert links["scaled_midpoint<=integral"].margin == pytest.approx(below, abs=1e-13)
-    assert links["integral<=scaled_endpoint_average"].margin == pytest.approx(above, abs=1e-13)
-
-
-@pytest.mark.parametrize("x, y", [(1.0, 0.0), (1.0, 1.0)])
-def test_scalar_bound_needs_x_below_y(x, y):
-    with pytest.raises(BadInterval):
-        hhcheck.check_scalar_hh(builtin("exp"), x, y)
+def test_the_1x1_trace_chain_is_the_scalar_bound_in_closed_form(desc, below, above):
+    links = hhcheck.check_trace_corollary(from_descriptor(desc), HermitianMatrix([[1.0]]),
+                                          HermitianMatrix([[0.0]])).links
+    assert links["midpoint<=integral"].margin == pytest.approx(below, abs=1e-13)
+    assert links["integral<=endpoint_average"].margin == pytest.approx(above, abs=1e-13)

@@ -16,6 +16,11 @@ the order of the pairs.  Largest move 2.2e-15.
 
 Phase: jensen reads x only through <Y x, x>, which x -> e^{i theta} x keeps.
 Largest move 2.2e-15.
+
+Implication: with Phi = id, t1's n-th partial-sum deficit is the trace
+chain's midpoint link, so t1's margin, its smallest deficit, is at most
+that link's margin on the same pair.  Largest excess over 300 pairs (these
+functions, n in {1, 3, 6}) 0.
 """
 
 from __future__ import annotations
@@ -26,8 +31,12 @@ import numpy as np
 import pytest
 
 from conftest import conjugate_by, make_rng, random_unitary
+from hhmat import hhcheck
+from hhmat.funcat import from_descriptor
 from hhmat.harness import THEOREMS, InstanceSpec, generate_instance, run_instance
-from hhmat.matcore import array_from_json, array_to_json, matrix_from_json, matrix_to_json
+from hhmat.matcore import (apply_function, array_from_json, array_to_json, matrix_from_json,
+                           matrix_to_json, random_hermitian)
+from hhmat.plmaps import IdentityMap
 
 # A function each pair suite judges on [0.5, 2] (none skips there).
 PAIR_SUITES = {"t1": "exp", "trace": "exp", "power_norm": "power:2", "t3": "exp",
@@ -88,3 +97,18 @@ def test_a_phase_on_the_jensen_vector_keeps_the_verdict_and_margin(seed, theta):
         inst = generate_instance("jensen", spec, index)
         x = array_from_json(inst["x"], (N,), "vector")
         _judged_alike(inst, {"x": array_to_json(cmath.exp(1j * theta) * x)})
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("desc, interval", [
+    ("exp", (0.5, 2.0)), ("inverse", (0.2, 3.0)), ("power:2", (-1.0, 2.0)),
+    ("xlogx", (0.1, 3.0)), ("power:4", (-1.0, 2.0))])
+def test_t1_margin_is_at_most_the_trace_midpoint_margin(desc, interval, n):
+    f = from_descriptor(desc)
+    rng = make_rng(40 + n)
+    for _ in range(4):
+        a, b = random_hermitian(n, *interval, rng), random_hermitian(n, *interval, rng)
+        t1 = hhcheck.check_theorem_t1(f, IdentityMap(n), a, b)
+        link = hhcheck.check_trace_corollary(f, a, b).links["midpoint<=integral"]
+        scale = max(1.0, abs(apply_function(f, a).trace), abs(apply_function(f, b).trace))
+        assert t1.margin <= link.margin + MARGIN_ATOL * scale

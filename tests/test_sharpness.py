@@ -7,8 +7,10 @@ instance at which the converse bound is an equality, and shrink alpha by a
 relative 1e-6 to see the same comparison fail.  They also judge the
 equality instances of the midpoint, trace, power-norm, Jensen and
 unitary-orbit bounds: A = B with Phi = id, x an eigenvector of A, and a
-single unitary congruence; and of the refinement chain, the scalar bound and
-t3, at an increasing affine f.
+single unitary congruence; and of the refinement chain, the trace chain
+(whose 1x1 case is the scalar bound) and t3, at an increasing affine f.
+At A = B the trace chain's integral, scaled by 1 -+ 1e-6, fails its left
+or its right link.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from conftest import make_rng, random_unitary
 from hhmat import hhcheck
 from hhmat.funcat import from_descriptor
 from hhmat.harness import default_norm_specs, make_map
-from hhmat.matcore import HermitianMatrix, eig, random_hermitian
+from hhmat.matcore import HermitianMatrix, apply_function, eig, random_hermitian
 from hhmat.plmaps import CongruenceSum, IdentityMap
 
 INTERVALS = [(0.2, 3.0), (0.5, 2.0), (1.0, 5.0)]
@@ -150,10 +152,11 @@ def test_bourin_is_an_equality_under_one_unitary_congruence(desc, n):
     assert verdict.holds and abs(verdict.margin) <= tol
 
 
-# An increasing affine f makes every link of the chain, the scalar bound and
-# t3 an equality: the Riemann sums, the quadrature and the endpoint average
-# of an affine integrand are exact, and f(Phi(X)) = Phi(f(X)) for a unital Phi.
-# Their margins measured 1.2e-15 at most relative to max(1, max|f(lambda)|).
+# An increasing affine f makes every link of the refinement chain, the trace
+# chain and t3 an equality: the Riemann sums, the quadrature and the endpoint
+# average of an affine integrand are exact, and f(Phi(X)) = Phi(f(X)) for a
+# unital Phi.  Their margins measured 1.6e-15 at most relative to
+# max(1, max|f(lambda)|) (the trace chain at n = 6).
 AFFINE = "affine:2,0.5"
 
 
@@ -168,10 +171,11 @@ def _affine_pair(n: int):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_the_refinement_chain_is_an_equality_for_affine_f(n):
+def test_the_refinement_and_trace_chains_are_equalities_for_affine_f(n):
     f, a, b, tol = _affine_pair(n)
-    chain = hhcheck.check_refinement_chain(f, a, b, 2, 2)
-    assert chain.holds and all(abs(link.margin) <= tol for link in chain.links.values())
+    for chain in (hhcheck.check_refinement_chain(f, a, b, 2, 2),
+                  hhcheck.check_trace_corollary(f, a, b)):
+        assert chain.holds and all(abs(link.margin) <= tol for link in chain.links.values())
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -183,10 +187,21 @@ def test_t3_is_an_equality_for_affine_f_under_a_unital_map(n):
     assert verdict.holds and abs(verdict.margin) <= tol
 
 
-# the scalar bound is the 1x1 case, so it takes an interval, not a size
-@pytest.mark.parametrize("x, y", [(-1.0, 2.0), (0.25, 0.5), (-0.75, -0.5)])
-def test_the_scalar_bound_is_an_equality_for_affine_f(x, y):
-    f = from_descriptor(AFFINE)
-    report = hhcheck.check_scalar_hh(f, x, y)
-    tol = RELATIVE_EQUALITY_TOL * max(1.0, abs(f(x)), abs(f(y)))
-    assert report.holds and all(abs(link.margin) <= tol for link in report.links.values())
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc, interval", EQUALITY_CASES)
+@pytest.mark.parametrize("factor, failing, holding", [
+    (1.0 - SHRINK, "midpoint<=integral", "integral<=endpoint_average"),
+    (1.0 + SHRINK, "integral<=endpoint_average", "midpoint<=integral"),
+], ids=["shrunk", "grown"])
+def test_a_scaled_integral_fails_one_trace_link_at_a_equal_b(desc, interval, n, factor,
+                                                              failing, holding, monkeypatch):
+    # f is positive here, so scaling the integral by 1 -+ 1e-6 moves it below
+    # the midpoint value or above the endpoint average by 1e-6 Tr f(A)
+    f, a, _ = _at_equality(desc, interval, n)
+    exact = hhcheck.segment_integral
+    monkeypatch.setattr(hhcheck, "segment_integral",
+                        lambda f, a, b, quad: factor * exact(f, a, b, quad))
+    links = hhcheck.check_trace_corollary(f, a, a).links
+    assert not links[failing].holds
+    assert links[failing].margin < -SHRINK / 2.0 * apply_function(f, a).trace
+    assert links[holding].holds
