@@ -110,13 +110,12 @@ class Flags:
 class ScalarFunction:
     """A catalog function.  ``fn`` is its one formula, written with numpy
     operations so it maps a float array elementwise; the scalar call and
-    ``eval_array`` both go through it.  ``power`` is r for t^r, else None."""
+    ``eval_array`` both go through it."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     domain: Interval
     flags: Flags
-    power: float | None = None
 
     def __call__(self, x: float) -> float:
         return float(self.fn(np.float64(x)))
@@ -178,7 +177,6 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     power(2) is increasing on [0, inf) but not on all of R).  f0_nonpositive
     is f(0) <= 0 when the domain holds 0, and None otherwise.
     """
-    power = None
     if name == "power":
         _require_params(name, params, 1)
         r = float(params[0])
@@ -186,11 +184,11 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
             raise BadParams(f"power exponent must be >= 1 for guaranteed convexity, got {r}")
         natural = Interval() if _is_integral(r) else Interval(lo=0.0)
         dom = _restrict(natural, domain, name)
-        label, fn, flags, power = f"power:{r:g}", _power_eval(r), _power_flags(r, dom), r
+        label, fn, flags = f"power:{r:g}", _power_eval(r), _power_flags(r, dom)
     elif name == "cube":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
-        label, fn, flags, power = "cube", _power_eval(3.0), _power_flags(3.0, dom), 3.0
+        label, fn, flags = "cube", _power_eval(3.0), _power_flags(3.0, dom)
     elif name == "identity":
         _require_params(name, params, 0)
         dom = _restrict(Interval(), domain, name)
@@ -223,7 +221,7 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     else:
         raise UnknownName(f"no catalog entry named {name!r}")
     f0 = bool(fn(np.float64(0.0)) <= 0.0) if dom.contains_interval(0.0, 0.0) else None
-    return ScalarFunction(label, fn, dom, replace(flags, f0_nonpositive=f0), power)
+    return ScalarFunction(label, fn, dom, replace(flags, f0_nonpositive=f0))
 
 
 def _restrict(natural: Interval, domain: tuple[float, float] | None, name: str) -> Interval:

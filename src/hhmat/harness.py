@@ -211,11 +211,10 @@ class Theorem:
     takes_map: bool = True
 
 
-def _pair(spec: InstanceSpec, rng: np.random.Generator, phi=None, lo: float | None = None) -> dict:
-    """A random pair A, B with spectra in the spec interval (above lo if given)."""
-    lo, hi = (spec.interval[0] if lo is None else lo), spec.interval[1]
-    return {"a": matrix_to_json(random_hermitian(spec.n, lo, hi, rng)),
-            "b": matrix_to_json(random_hermitian(spec.n, lo, hi, rng))}
+def _pair(spec: InstanceSpec, rng: np.random.Generator, phi=None) -> dict:
+    """A random pair A, B with spectra in the spec interval."""
+    return {"a": matrix_to_json(random_hermitian(spec.n, *spec.interval, rng)),
+            "b": matrix_to_json(random_hermitian(spec.n, *spec.interval, rng))}
 
 
 def _load_pair(inst: dict) -> tuple[HermitianMatrix, HermitianMatrix]:
@@ -251,12 +250,6 @@ def _gen_t3(spec, rng, phi) -> dict:
             "b": matrix_to_json(HermitianMatrix((basis * db) @ basis.conj().T))}
 
 
-def _gen_power_norm(spec, rng, phi) -> dict:
-    # f must be a power; PSD inputs are required, so clamp the window at zero
-    hhcheck.psd_power(from_descriptor(spec.function))
-    return _pair(spec, rng, lo=working_interval(max(spec.interval[0], 0.0), spec.interval[1]).lo)
-
-
 def _run_jensen(inst, f, phi, quad):
     a = matrix_from_json(json_field(inst, "a"))
     phi.check_source(a)  # before x is read at phi's target dimension
@@ -283,8 +276,6 @@ THEOREMS: dict[str, Theorem] = {
         f, phi, *_load_pair(inst), quad)),
     "trace": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_trace_corollary(
         f, *_load_pair(inst), quad), takes_map=False),
-    "power_norm": Theorem(_gen_power_norm, lambda inst, f, phi, quad: hhcheck.check_theorem_t1(
-        hhcheck.psd_power(f), phi, *_load_pair(inst), quad)),
     "bourin": Theorem(_gen_bourin, _run_bourin, takes_map=False),
     "t3": Theorem(_gen_t3, lambda inst, f, phi, quad: hhcheck.check_theorem_t3(
         f, phi, *_load_pair(inst), quad)),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import orders, plmaps
 from .errors import BadInterval, BadParams, HypothesisUnmet
-from .funcat import ScalarFunction, builtin, working_interval
+from .funcat import ScalarFunction, working_interval
 # eig is unused here but stays bound: the benchmark's tracing test restores hhcheck.eig
 from .matcore import (HermitianMatrix, apply_function, eig, eig_many, norm_spec,  # noqa: F401
                       spectrum_outside, ui_norm)
@@ -180,7 +180,11 @@ def check_theorem_t1(
     """Eigenvalues of f((Phi(A)+Phi(B))/2) are weakly majorized by those of
     Phi(integral of f along the segment from B to A): the verdict of
     orders.weak_majorization, witnessed by the index of the partial sum with
-    the smallest deficit."""
+    the smallest deficit.  For PSD A, B and f = t^r on [0, inf) both sides
+    are PSD, so by Ky Fan dominance (Bhatia, Matrix Analysis, Thm IV.2.2) it
+    is the power-norm corollary |||((Phi(A)+Phi(B))/2)^r||| <= |||Phi(segment
+    integral of t^r)||| in every unitarily invariant norm: run ``hhmat verify
+    --theorem t1 --f power:r@0,<hi> --interval max(lo,0),hi``."""
     pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
     reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b})
     reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True)
@@ -210,20 +214,6 @@ def check_trace_corollary(
         "midpoint<=integral": orders.judge(integral - mid, max(abs(mid), abs(integral))),
         "integral<=endpoint_average": orders.judge(ends - integral,
                                                    max(abs(integral), abs(ends)))})
-
-
-def psd_power(f: ScalarFunction) -> ScalarFunction:
-    """f = t^r on [0, inf) and its domain, rebuilt by builtin so that its
-    flags are recomputed; BadParams unless f is a power with r > 1.  The
-    power_norm suite is t1 on it: for PSD A and B both sides are PSD, so by
-    Ky Fan dominance (Bhatia, Matrix Analysis, Thm IV.2.2) t1's weak
-    majorization is |||((Phi(A)+Phi(B))/2)^r||| <= |||Phi(segment integral
-    of t^r)||| in every unitarily invariant norm."""
-    if f.power is None:
-        raise BadParams(f"power-norm suite needs a power function, got {f.name!r}")
-    if not f.power > 1.0:
-        raise BadParams(f"power norm comparison needs r > 1, got {f.power}")
-    return f if f.domain.lo >= 0.0 else builtin("power", f.power, domain=(0.0, f.domain.hi))
 
 
 # -- monotone-convex endpoint bound (unitary conjugate form) -----------------------
@@ -427,8 +417,8 @@ def check_norm_chain_corollary(
     working interval (mond_pecaric_alpha), which holds every spectrum along
     both segments; a unital positive map keeps the integral so; alpha >= 1.
 
-    By Ky Fan dominance the Ky Fan links alone decide every norm, as in the
-    power_norm suite (see psd_power).  The norm list stays because the
+    By Ky Fan dominance the Ky Fan links alone decide every norm, as in
+    check_theorem_t1's power-norm corollary.  The norm list stays because the
     benchmark pins it: its margin oracle recomputes each link from the
     instance's "specs", and its tests trace and delete matcore.ui_norm.
     """

@@ -140,9 +140,9 @@ def test_a_margin_that_is_not_finite_fails_with_a_detail(tmp_path, capsys):
     assert report["worst_margin"] is None
 
 
-def test_power_norm_outside_the_domain_of_f_skips_and_exits_0(capsys):
-    # spectra in [0, 5] leave [0, 3]: each trial used to fail with SpectrumOutOfDomain
-    code = cli.main(["verify", "--theorem", "power_norm", "--f", "power:2@-1,3",
+def test_t1_on_a_psd_power_outside_the_domain_of_f_skips_and_exits_0(capsys):
+    # the power-norm corollary: spectra in [0, 5] leave [0, 3], so every trial skips
+    code = cli.main(["verify", "--theorem", "t1", "--f", "power:2@0,3",
                      "--interval", "0,5", "--trials", "3"])
     out = capsys.readouterr().out
     assert code == 0
@@ -159,12 +159,13 @@ def test_replay_of_a_passing_instance_exits_0(tmp_path):
 
 # the generator refuses it in the first trial, in a worker process too
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_power_norm_with_a_non_power_function_exits_2(workers, capsys):
-    code = cli.main(["verify", "--theorem", "power_norm", "--f", "exp", "--trials", "3",
-                     "--workers", workers])
+def test_a_spec_the_generator_refuses_exits_2(workers, capsys):
+    code = cli.main(["verify", "--theorem", "t1", "--n", "4", "--map", "compress:9",
+                     "--trials", "3", "--workers", workers])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ") and "needs a power function" in captured.err
+    assert captured.err == ("error: map descriptor 'compress:9' asks for m=9 > n=4: "
+                            "an isometry into C^4 has at most 4 columns\n")
     assert captured.out == ""
 
 
@@ -213,11 +214,10 @@ def test_replay_of_a_missing_or_non_json_file_exits_2(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
-# exp meets every hypothesis on [0.5, 2] except the operator convexity the
-# chain needs and the power the power-norm corollary needs
+# exp meets every hypothesis on [0.5, 2] except the operator convexity the chain needs
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_verify_judges_every_trial(theorem, capsys):
-    function = "power:2" if theorem in ("chain", "power_norm") else "exp"
+    function = "power:2" if theorem == "chain" else "exp"
     code = cli.main(["verify", "--theorem", theorem, "--f", function, "--interval", "0.5,2",
                      "--n", "3", "--trials", "4", "--seed", "2"])
     out = capsys.readouterr().out
@@ -255,18 +255,25 @@ def test_counterexample_is_not_a_verify_theorem(capsys):
     assert "invalid choice: 'counterexample'" in capsys.readouterr().err
 
 
-def test_the_scalar_suite_is_gone(tmp_path, capsys):
-    # the scalar bound is the trace suite at n = 1
+# the scalar bound is the trace suite at n = 1, and the power-norm corollary
+# is t1 on PSD powers; each id is refused, and so is a replay of its instance
+@pytest.mark.parametrize("instance", [
+    {"theorem": "scalar", "f": "exp", "interval": [0.5, 2.0], "seed": [0, 0], "xy": [0.6, 1.8]},
+    {"theorem": "power_norm", "f": "power:2", "interval": [0.5, 2.0], "seed": [0, 0],
+     "map": {"kind": "identity", "n": 1}, "a": {"n": 1, "re": [[0.6562052965369458]]},
+     "b": {"n": 1, "re": [[1.7567325732413939]]}},
+], ids=["scalar", "power_norm"])
+def test_a_folded_suite_is_gone(instance, tmp_path, capsys):
+    theorem = instance["theorem"]
     with pytest.raises(SystemExit) as info:
-        cli.main(["verify", "--theorem", "scalar"])
+        cli.main(["verify", "--theorem", theorem])
     assert info.value.code == 2
-    assert "invalid choice: 'scalar'" in capsys.readouterr().err
-    path = tmp_path / "scalar.json"
-    path.write_text(json.dumps({"theorem": "scalar", "f": "exp", "interval": [0.5, 2.0],
-                                "seed": [0, 0], "xy": [0.6, 1.8]}))
+    assert f"invalid choice: '{theorem}'" in capsys.readouterr().err
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
     assert cli.main(["replay", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: unknown theorem id 'scalar'")
+    assert captured.err.startswith(f"error: unknown theorem id '{theorem}'")
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
@@ -317,8 +324,7 @@ def test_explicit_identity_map_is_accepted_by_a_map_free_suite():
 
 
 def _instance(theorem: str, n: int = 2) -> dict:
-    function = "power:2" if theorem == "power_norm" else "exp"  # power_norm needs a power
-    spec = InstanceSpec(n=n, interval=(0.5, 2.0), function=function, trials=1, seed=0)
+    spec = InstanceSpec(n=n, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
     return instance_to_json(generate_instance(theorem, spec, 0))
 
 
@@ -395,7 +401,7 @@ def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit,
 
 
 @pytest.mark.parametrize("n", [10**19, 3])
-@pytest.mark.parametrize("theorem", ["t1", "t3", "jensen", "power_norm", "t4", "norm_chain"])
+@pytest.mark.parametrize("theorem", ["t1", "t3", "jensen", "t4", "norm_chain"])
 def test_replayed_identity_map_of_another_dimension_is_a_dim_mismatch(tmp_path, capsys,
                                                                       theorem, n):
     # the instance's matrices are 2x2; no identity of size n is built

@@ -120,13 +120,6 @@ class TestCatalog:
         assert f.domain.lo == 0.0
         assert f.flags.operator_convex is True
 
-    @pytest.mark.parametrize("desc, power", [
-        ("power:1.5", 1.5), ("power:2@0,inf", 2.0), ("cube", 3.0), ("exp", None),
-        ("identity", None), ("affine:2,0.5", None),
-    ])
-    def test_power_is_the_exponent_of_a_power(self, desc, power):
-        assert from_descriptor(desc).power == power
-
     def test_power_below_one_rejected(self):
         with pytest.raises(BadParams):
             builtin("power", 0.5)

@@ -17,13 +17,11 @@ import hhmat
 from conftest import make_rng, random_hermitian_raw
 from hhmat import hhcheck
 from hhmat.errors import BadInterval, BadParams, UnknownTheorem
-from hhmat.funcat import from_descriptor
 from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
     InstanceSpec,
     Theorem,
-    TrialResult,
     generate_instance,
     make_map,
     replay,
@@ -75,45 +73,19 @@ def test_interval_outside_the_domain_skips_every_trial(theorem):
     assert all("not inside domain" in rec["detail"] for rec in report.records)
 
 
-def test_power_norm_with_a_non_power_function_is_refused_up_front():
-    with pytest.raises(BadParams, match="needs a power function"):
-        run_suite(InstanceSpec(n=3, trials=5, function="exp"), "power_norm")
+# an instance recorded before the power-norm corollary became t1 on PSD powers
+POWER_NORM_INSTANCE = {
+    "theorem": "power_norm", "f": "power:2", "interval": [0.5, 2.0], "seed": [0, 0],
+    "quad_nodes": 16, "quad_rtol": 1e-11, "map": {"kind": "identity", "n": 1},
+    "a": {"n": 1, "re": [[0.6562052965369458]]}, "b": {"n": 1, "re": [[1.7567325732413939]]}}
 
 
-def test_power_norm_with_power_1_is_refused_up_front():
-    # each trial used to fail with the checker's BadParams
-    with pytest.raises(BadParams, match=r"^power norm comparison needs r > 1, got 1.0$"):
-        run_suite(InstanceSpec(n=3, trials=5, function="power:1"), "power_norm")
+def test_a_replayed_power_norm_instance_names_an_unknown_theorem():
+    with pytest.raises(UnknownTheorem, match=r"^unknown theorem id 'power_norm'; "):
+        replay(POWER_NORM_INSTANCE)
 
 
-# power_norm is t1 on psd_power(f), which is f itself when f's domain holds no negative point
-@pytest.mark.parametrize("function", ["cube", "power:2@0,inf", "power:1.5"])
-def test_power_norm_judges_the_loaded_function(monkeypatch, function):
-    seen = []
-    check = hhcheck.check_theorem_t1
-    monkeypatch.setattr(hhcheck, "check_theorem_t1",
-                        lambda f, *args: seen.append(f) or check(f, *args))
-    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function=function, trials=2)
-    assert run_suite(spec, "power_norm").passes == 2
-    assert seen == [from_descriptor(function)] * 2
-
-
-@pytest.mark.parametrize("function, domain, power", [
-    ("power:2", "[0, inf]", 2.0), ("power:4@-1,3", "[0, 3]", 4.0)])
-def test_psd_power_restricts_a_power_to_the_psd_cone(function, domain, power):
-    f = hhcheck.psd_power(from_descriptor(function))
-    assert (str(f.domain), f.power) == (domain, power)
-    assert f.flags.increasing and not from_descriptor(function).flags.increasing  # recomputed
-
-
-def test_replayed_power_norm_with_a_non_power_function_is_a_failed_trial():
-    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1)
-    inst = {**generate_instance("power_norm", spec, 0), "f": "exp"}
-    assert run_instance(inst) == TrialResult(
-        "fail", None, "BadParams: power-norm suite needs a power function, got 'exp'")
-
-
-@pytest.mark.parametrize("theorem", ["t4", "chain", "power_norm"])
+@pytest.mark.parametrize("theorem", ["t4", "chain"])
 def test_malformed_function_descriptor_is_refused_up_front(theorem):
     with pytest.raises(BadParams, match="cannot parse function descriptor"):
         run_suite(InstanceSpec(n=3, trials=5, function="power:abc"), theorem)

@@ -225,10 +225,10 @@ def test_t4_with_overlapping_block_projections_is_a_skip():
     assert result.detail.startswith("Phi(I) is not I (distance 1); a unital map is needed")
 
 
-def test_power_norm_on_a_non_psd_input_is_a_skip():
-    # power_norm is t1 on power:2 restricted to [0, inf)
-    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2", trials=1, seed=0)
-    inst = generate_instance("power_norm", spec, 0)
+def test_t1_on_a_psd_power_with_a_non_psd_input_is_a_skip():
+    # the power-norm corollary is t1 on power:2 restricted to [0, inf)
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="power:2@0,inf", trials=1, seed=0)
+    inst = generate_instance("t1", spec, 0)
     assert run_instance(inst).status == "pass"
     inst["a"] = matrix_to_json(HermitianMatrix(np.diag([1.0, 0.5, -0.25])))
     result = run_instance(inst)

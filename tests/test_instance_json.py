@@ -94,9 +94,8 @@ def _bits(margin):
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_replayed_json_gives_the_in_suite_result_bit_for_bit(theorem):
-    # exp meets every hypothesis here except the operator convexity the
-    # chain needs and the power the power-norm corollary needs
-    function = "power:2" if theorem in ("chain", "power_norm") else "exp"
+    # exp meets every hypothesis here except the operator convexity the chain needs
+    function = "power:2" if theorem == "chain" else "exp"
     spec = InstanceSpec(n=3, interval=(0.5, 2.0), function=function, map_desc="congruence",
                         seed=5)
     for index in range(3):

@@ -5,12 +5,17 @@ A random pass cannot show that a checker compares the paper's inequality
 and not a weaker one.  These tests pin alpha to closed forms, judge an
 instance at which the converse bound is an equality, and shrink alpha by a
 relative 1e-6 to see the same comparison fail.  They also judge the
-equality instances of the midpoint, trace, power-norm, Jensen and
-unitary-orbit bounds: A = B with Phi = id, x an eigenvector of A, and a
-single unitary congruence; and of the refinement chain, the trace chain
-(whose 1x1 case is the scalar bound) and t3, at an increasing affine f.
-At A = B the trace chain's integral, scaled by 1 -+ 1e-6, fails its left
-or its right link.
+equality instances of the midpoint (whose power case is the power-norm
+corollary), trace, Jensen and unitary-orbit bounds: A = B with Phi = id, x
+an eigenvector of A, and a single unitary congruence; and of the
+refinement chain, the trace chain (whose 1x1 case is the scalar bound) and
+t3, at an increasing affine f.
+
+Each bound also has a scaled control: one side of an equality instance,
+moved by a relative 1e-6, must fail.  At A = B the integral, scaled by
+1 -+ 1e-6, fails t1, t3, the trace chain's left or right link and the
+refinement chain's link on either side of it; f(A), shrunk by 1e-6, fails
+Jensen at each eigenvector and, on one side alone, the unitary-orbit bound.
 """
 
 from __future__ import annotations
@@ -124,11 +129,8 @@ def _at_equality(desc: str, interval, n: int):
 def test_the_midpoint_bounds_are_equalities_at_a_equal_b(desc, interval, n):
     # the segment from A to A is constant, so each side is f(A)
     f, a, tol = _at_equality(desc, interval, n)
-    verdicts = [hhcheck.check_theorem_t1(f, IdentityMap(n), a, a),
-                hhcheck.check_trace_corollary(f, a, a)]
-    if f.power is not None:  # the power_norm suite
-        verdicts.append(hhcheck.check_theorem_t1(hhcheck.psd_power(f), IdentityMap(n), a, a))
-    for verdict in verdicts:
+    for verdict in (hhcheck.check_theorem_t1(f, IdentityMap(n), a, a),
+                    hhcheck.check_trace_corollary(f, a, a)):
         assert verdict.holds and abs(verdict.margin) <= tol
 
 
@@ -205,3 +207,79 @@ def test_a_scaled_integral_fails_one_trace_link_at_a_equal_b(desc, interval, n, 
     assert not links[failing].holds
     assert links[failing].margin < -SHRINK / 2.0 * apply_function(f, a).trace
     assert links[holding].holds
+
+
+# -- scaled controls: an equality instance with one side moved fails ------------
+
+# The least negative control margin measured -2.8e-7 (jensen, power:2 on [0.5, 2]).
+CONTROL_MARGIN = -1e-7
+# operator convex and positive, as the refinement chain needs
+CHAIN_CASES = [("inverse", (0.2, 3.0)), ("power:2@0,inf", (0.5, 2.0))]
+INCREASING = ["exp", "power:2@0,inf"]
+
+
+def _scale(monkeypatch, name: str, factor: float, only=None):
+    """Rebind hhcheck.<name>, which takes f and a matrix first, to factor
+    times its exact value: for that matrix alone when `only` is given."""
+    exact = getattr(hhcheck, name)
+    monkeypatch.setattr(hhcheck, name, lambda f, h, *rest: (
+        factor * exact(f, h, *rest) if only is None or h is only else exact(f, h, *rest)))
+
+
+def _fails(verdict):
+    assert not verdict.holds and verdict.margin < CONTROL_MARGIN
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc, interval", EQUALITY_CASES)
+def test_a_shrunk_integral_fails_t1_at_a_equal_b(desc, interval, n, monkeypatch):
+    f, a, _ = _at_equality(desc, interval, n)
+    assert hhcheck.check_theorem_t1(f, IdentityMap(n), a, a).holds
+    _scale(monkeypatch, "segment_integral", 1.0 - SHRINK)
+    _fails(hhcheck.check_theorem_t1(f, IdentityMap(n), a, a))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc, interval", CHAIN_CASES)
+@pytest.mark.parametrize("factor, failing", [
+    (1.0 - SHRINK, "midpoint_riemann<=integral"), (1.0 + SHRINK, "integral<=trapezoid_riemann"),
+], ids=["shrunk", "grown"])
+def test_a_scaled_integral_fails_one_refinement_link_at_a_equal_b(desc, interval, n, factor,
+                                                                   failing, monkeypatch):
+    f, a, _ = _at_equality(desc, interval, n)
+    assert hhcheck.check_refinement_chain(f, a, a, 2, 2).holds
+    _scale(monkeypatch, "segment_integral", factor)
+    links = hhcheck.check_refinement_chain(f, a, a, 2, 2).links
+    assert [label for label, link in links.items() if not link.holds] == [failing]
+    _fails(links[failing])
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc", INCREASING)
+def test_a_grown_integral_fails_t3_at_a_equal_b(desc, n, monkeypatch):
+    f, a, _ = _at_equality(desc, (0.5, 2.0), n)
+    assert hhcheck.check_theorem_t3(f, IdentityMap(n), a, a).holds
+    _scale(monkeypatch, "segment_integral", 1.0 + SHRINK)
+    _fails(hhcheck.check_theorem_t3(f, IdentityMap(n), a, a))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc, interval", EQUALITY_CASES)
+def test_a_shrunk_f_of_a_fails_jensen_at_each_eigenvector(desc, interval, n, monkeypatch):
+    f, a, _ = _at_equality(desc, interval, n)
+    vectors = eig(a).vectors.T
+    assert all(hhcheck.check_jensen_map(f, IdentityMap(n), a, x).holds for x in vectors)
+    _scale(monkeypatch, "apply_function", 1.0 - SHRINK)
+    for x in vectors:
+        _fails(hhcheck.check_jensen_map(f, IdentityMap(n), a, x))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("desc", INCREASING)
+def test_a_shrunk_f_of_a_fails_bourin_under_one_unitary_congruence(desc, n, monkeypatch):
+    # f(A_1) on the right shrinks; f of the sum on the left does not
+    f, a, _ = _at_equality(desc, (0.5, 2.0), n)
+    phi = CongruenceSum((random_unitary(n, make_rng(10 + n)),))
+    assert hhcheck.check_bourin_t2(f, [phi], [a]).holds
+    _scale(monkeypatch, "apply_function", 1.0 - SHRINK, only=a)
+    _fails(hhcheck.check_bourin_t2(f, [phi], [a]))
