@@ -38,9 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hhmat")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Spec options left out keep the InstanceSpec defaults.
+    # Spec options left out keep the InstanceSpec defaults.  No abbreviation,
+    # so that --p is refused rather than read as --panels.
     verify = sub.add_parser("verify", help="run a randomized checker suite",
-                            argument_default=argparse.SUPPRESS)
+                            argument_default=argparse.SUPPRESS, allow_abbrev=False)
     verify.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     verify.add_argument("--n", type=int)
     verify.add_argument("--m", type=int)
@@ -49,13 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--interval", type=_interval)
     verify.add_argument("--trials", type=int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--k", type=int, dest="chain_k", metavar="K", help="chain: k**p panels")
-    verify.add_argument("--p", type=int, dest="chain_p", metavar="P", help="chain: k**p panels")
+    verify.add_argument("--panels", type=int, help="chain: Riemann sum panel count")
     verify.add_argument("--quad-nodes", type=int)
     verify.add_argument("--quad-rtol", type=float)
     verify.add_argument("--workers", type=int, default=1)
     verify.add_argument("--json", dest="json_out", default=None)
-    verify.add_argument("--csv", dest="csv_out", default=None)
 
     alpha = sub.add_parser("alpha", help="chord-ratio constant of a catalog function")
     alpha.add_argument("--f", required=True)
@@ -91,8 +90,6 @@ def main(argv=None) -> int:
             if args.json_out:
                 with open(args.json_out, "w", encoding="utf-8") as fh:
                     fh.write(report.to_json())
-            if args.csv_out:
-                report.write_csv(args.csv_out)
             return 0 if not report.failures else 1
         if args.command == "alpha":
             f = from_descriptor(args.f)

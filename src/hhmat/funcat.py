@@ -1,17 +1,18 @@
 """Catalog of scalar test functions with declared analytic flags.
 
 Theorem checkers gate their hypotheses on the declared flags (convex,
-increasing, operator convex, f(0) <= 0).  The catalog is fixed so
-the flag assignments stay auditable; validate_flags tests the flags
-declared (or claimed) true on an interval by deterministic grid and matrix
-tests, and refutes the first one that fails with a witness.
+increasing, operator convex); a value of f, such as f(0), is read off f
+itself.  The catalog is fixed so the flag assignments stay auditable;
+validate_flags tests the flags declared (or claimed) true on an interval by
+deterministic grid and matrix tests, and refutes the first one that fails
+with a witness.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -98,12 +99,11 @@ def working_interval(lo: float, hi: float) -> Interval:
 
 @dataclass(frozen=True)
 class Flags:
-    """Tri-state analytic declarations: True, False, or None for unknown."""
+    """Analytic declarations, each True or False."""
 
-    convex: bool | None = None
-    increasing: bool | None = None
-    operator_convex: bool | None = None
-    f0_nonpositive: bool | None = None
+    convex: bool
+    increasing: bool
+    operator_convex: bool
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,7 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
 
     Supported names: power(r), exp, identity, cube, neg_sqrt, inverse,
     xlogx, affine(a, b).  Restricting the domain recomputes flags (e.g.
-    power(2) is increasing on [0, inf) but not on all of R).  f0_nonpositive
-    is f(0) <= 0 when the domain holds 0, and None otherwise.
+    power(2) is increasing on [0, inf) but not on all of R).
     """
     if name == "power":
         _require_params(name, params, 1)
@@ -220,8 +219,7 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
         flags = Flags(convex=True, increasing=False, operator_convex=True)
     else:
         raise UnknownName(f"no catalog entry named {name!r}")
-    f0 = bool(fn(np.float64(0.0)) <= 0.0) if dom.contains_interval(0.0, 0.0) else None
-    return ScalarFunction(label, fn, dom, replace(flags, f0_nonpositive=f0))
+    return ScalarFunction(label, fn, dom, flags)
 
 
 def _restrict(natural: Interval, domain: tuple[float, float] | None, name: str) -> Interval:
@@ -329,18 +327,18 @@ def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
     true by ``claims`` (which overrides the declarations), and raise
     FlagContradicted with a witness for the first one a test refutes.  To
     get a witness against a flag declared false, claim it true.  The flags
-    are convex, increasing, operator_convex and f0_nonpositive; a claim
-    that names none of them raises BadParams.
+    are convex, increasing and operator_convex; a claim that names none of
+    them raises BadParams.
 
     The interval must be a working interval (see working_interval) inside
     the domain of f, on which f is finite (BadParams; numpy's own warnings
     are off while f is evaluated).  Convexity is the midpoint test on every
     pair of grid points, monotonicity the largest drop from a grid point to
-    a later one, f0_nonpositive the value at 0 when the domain holds 0, and
-    operator convexity the star probe of _star_probe_violation.  A grid
-    test's witness is its worst pair or point.  An operator-convexity
-    witness {"a", "b", "margin"} holds the pair as matrix literals, which
-    matrix_from_json reads back to the same matrices and so the same margin.
+    a later one, and operator convexity the star probe of
+    _star_probe_violation.  A grid test's witness is its worst pair or
+    point.  An operator-convexity witness {"a", "b", "margin"} holds the
+    pair as matrix literals, which matrix_from_json reads back to the same
+    matrices and so the same margin.
     """
     claimed = asdict(f.flags)
     unknown = sorted(set(claims or {}) - set(claimed))
@@ -378,6 +376,3 @@ def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
         refute("increasing", (top, float(grid[w + 1]), float(drops[w])) if drops[w] > tol else None)
     if claimed["operator_convex"]:
         refute("operator_convex", _star_probe_violation(f, a, b))
-    if claimed["f0_nonpositive"] and f.domain.contains(0.0):
-        v0 = f(0.0)
-        refute("f0_nonpositive", (0.0, float(v0)) if v0 > tol else None)

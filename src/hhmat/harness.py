@@ -8,7 +8,6 @@ instances become JSON (instance_to_json) only where they leave the process.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import time
@@ -43,8 +42,7 @@ class InstanceSpec:
     map_desc: str = "identity"
     trials: int = 100
     seed: int = 0
-    chain_k: int = 2
-    chain_p: int = 1
+    panels: int = 2
     quad_nodes: int = QuadratureSpec.nodes
     quad_rtol: float = QuadratureSpec.rtol
 
@@ -53,7 +51,7 @@ class InstanceSpec:
             raise BadParams(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
         if self.trials < 1:
             raise BadParams(f"trial count must be >= 1, got {self.trials}")
-        hhcheck.chain_panels(self.chain_k, self.chain_p)  # BadParams when out of range
+        hhcheck.chain_panels(self.panels)  # BadParams when out of range
         working_interval(*self.interval)  # BadInterval: trials draw spectra inside it
         QuadratureSpec(self.quad_nodes, self.quad_rtol)  # BadParams when out of range
 
@@ -282,9 +280,9 @@ THEOREMS: dict[str, Theorem] = {
     "t4": Theorem(_pair, lambda inst, f, phi, quad: hhcheck.check_theorem_t4(
         f, phi, *_load_pair(inst), tuple(number_field(inst, "interval", (2,)).tolist()), quad)),
     "chain": Theorem(
-        lambda spec, rng, phi: {**_pair(spec, rng), "k": spec.chain_k, "p": spec.chain_p},
+        lambda spec, rng, phi: {**_pair(spec, rng), "panels": spec.panels},
         lambda inst, f, phi, quad: hhcheck.check_refinement_chain(
-            f, *_load_pair(inst), count_field(inst, "k"), count_field(inst, "p"), quad),
+            f, *_load_pair(inst), count_field(inst, "panels"), quad),
         takes_map=False),
     "norm_chain": Theorem(
         lambda spec, rng, phi: {**_pair(spec, rng), "specs": default_norm_specs(phi.target_dim)},
@@ -412,16 +410,6 @@ class SuiteReport:
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
-    def write_csv(self, path: str):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theorem", "trial", "seed", "verdict", "margin"])
-            for rec in self.records:
-                writer.writerow([
-                    self.theorem, rec["trial"], rec["seed"], rec["verdict"],
-                    "" if rec["margin"] is None else repr(rec["margin"]),
-                ])
-
     @property
     def judged(self) -> int:
         """Trials that met their hypotheses and so were judged pass or fail."""
@@ -466,8 +454,8 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     one raises its package error (BadParams, UnknownName) up front; so does
     a suite that takes no map given one other than the identity, or given
     an m other than n (BadParams).  A spec the theorem's generator refuses
-    (a malformed map descriptor, an m the map cannot honour, a power_norm
-    function that is not a power with r > 1) raises from the first trial.
+    (a malformed map descriptor, an m the map cannot honour) raises from the
+    first trial.
     A worker count below 1 is refused (BadParams).  Records keep trial
     order, as the serial loop and Executor.map both do.
     """

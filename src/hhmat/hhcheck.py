@@ -78,7 +78,7 @@ class AlphaResult:
 # -- hypothesis helpers ---------------------------------------------------------
 
 def _require_flag(f: ScalarFunction, flag: str) -> list[str]:
-    if getattr(f.flags, flag) is not True:
+    if not getattr(f.flags, flag):
         return [f"{f.name} is not declared {flag.replace('_', ' ')}"]
     return []
 
@@ -109,8 +109,9 @@ def _map_case_reasons(
     """Empty list when the identity image Phi(I) (for a sum of maps, the sum
     of their identity images) meets case (i), Phi(I) = I, or case (ii),
     Phi(I) <= I (and strictly positive when asked) with 0 in the domain of f
-    and f(0) <= 0 declared.  subunital_ok=False admits case (i) only;
-    unital_ok=False admits case (ii) only.
+    and f(0) <= 0, read off f itself (a NaN value fails).
+    subunital_ok=False admits case (i) only; unital_ok=False admits case
+    (ii) only.
 
     Each comparison is orders.judge's, at the scale of Phi(I)'s spectral
     radius: Phi(I) = I when its operator-norm distance to I is 0, Phi(I) <= I
@@ -134,8 +135,8 @@ def _map_case_reasons(
         reasons.append(f"{label} is not strictly positive")
     if not f.domain.contains(0.0):
         reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
-    elif f.flags.f0_nonpositive is not True:
-        reasons.append(f"{f.name}(0) <= 0 is not declared")
+    elif not f(0.0) <= 0.0:
+        reasons.append(f"{f.name}(0) = {f(0.0):g} is not <= 0")
     return reasons
 
 
@@ -436,41 +437,37 @@ def check_norm_chain_corollary(
 
 # -- five-term refinement chain for operator convex functions ----------------------
 
-def chain_panels(k: int, p: int) -> int:
-    """k**p, the refinement chain's panel count; BadParams unless k, p >= 1
-    and k**p <= NODE_CAP.  The bound is decided without forming k**p, which
-    a replayed p can make huge: for k >= 2, k**p > NODE_CAP as soon as p
-    reaches NODE_CAP.bit_length()."""
-    if k < 1 or p < 1:
-        raise BadParams(f"k and p must be >= 1, got k={k}, p={p}")
-    if k ** min(p, NODE_CAP.bit_length()) > NODE_CAP:
-        raise BadParams(f"the chain's k**p panels must be at most {NODE_CAP}, got k={k}, p={p}")
-    return k ** p
+def chain_panels(panels: int) -> int:
+    """The refinement chain's panel count; BadParams unless
+    1 <= panels <= NODE_CAP.  A replayed count is compared as a Python int,
+    so however large it is refused without being formed into an array."""
+    if not 1 <= panels <= NODE_CAP:
+        raise BadParams(f"the chain's panel count must be in 1..{NODE_CAP}, got {panels}")
+    return panels
 
 
 def check_refinement_chain(
     f: ScalarFunction,
     a: HermitianMatrix,
     b: HermitianMatrix,
-    k: int,
-    p: int,
+    panels: int,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> ChainReport:
     """Five-term chain for operator convex f: the midpoint value, a midpoint
-    Riemann sum over k^p panels, the segment integral, the matching trapezoid
-    sum, and the endpoint average, each below the next in the Loewner order.
-    k and p are bounded as chain_panels documents.
+    Riemann sum over ``panels`` equal panels, the segment integral, the
+    matching trapezoid sum, and the endpoint average, each below the next in
+    the Loewner order.  The panel count is bounded as chain_panels documents.
     """
     _check_hypotheses(_require_flag(f, "operator_convex"))
-    n_panels = chain_panels(int(k), int(p))
+    n_panels = chain_panels(int(panels))
     _check_hypotheses(_spectra_reasons(f, {"A": a, "B": b}))
-    panels = np.arange(n_panels)
+    index = np.arange(n_panels)
     l0 = apply_function(f, 0.5 * a + 0.5 * b)
-    mids = (2 * panels + 1) / (2.0 * n_panels)
+    mids = (2 * index + 1) / (2.0 * n_panels)
     l1 = HermitianMatrix(segment_sum(f, a, b, mids, np.ones(n_panels))) / n_panels
     l2 = segment_integral(f, a, b, quad)
     # trapezoid: both endpoints once, every interior panel edge twice
-    edges = np.concatenate(([0.0, 1.0], panels[1:] / n_panels))
+    edges = np.concatenate(([0.0, 1.0], index[1:] / n_panels))
     edge_weights = np.concatenate(([1.0, 1.0], np.full(n_panels - 1, 2.0)))
     l3 = HermitianMatrix(segment_sum(f, a, b, edges, edge_weights)) / (2.0 * n_panels)
     l4 = (apply_function(f, a) + apply_function(f, b)) / 2.0

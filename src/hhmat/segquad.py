@@ -147,7 +147,7 @@ def segment_integral(
         refined = _gauss_pass(f, nodes, points, a.entries)
         scale = max(1.0, float(np.max(np.abs(refined))))
         if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
-            return HermitianMatrix((refined + refined.conj().T) / 2.0)
+            return HermitianMatrix(refined)
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
                 f"quadrature did not settle to rtol={spec.rtol:g} below {NODE_CAP} nodes"

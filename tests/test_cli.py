@@ -6,7 +6,6 @@ violation (or a recorded failure on replay); 2: usage error.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -225,25 +224,25 @@ def test_verify_judges_every_trial(theorem, capsys):
     assert " skips=0 failures=0 " in out
 
 
-def test_verify_passes_k_and_p_to_the_chain_instances(monkeypatch, capsys):
+def test_verify_passes_the_panel_count_to_the_chain_instances(monkeypatch, capsys):
     seen = []
     check = hhcheck.check_refinement_chain
 
-    def spy(f, a, b, k, p, *args):
-        seen.append((k, p))
-        return check(f, a, b, k, p, *args)
+    def spy(f, a, b, panels, *args):
+        seen.append(panels)
+        return check(f, a, b, panels, *args)
 
     monkeypatch.setattr(hhcheck, "check_refinement_chain", spy)
     code = cli.main(["verify", "--theorem", "chain", "--f", "power:2", "--interval", "0.5,2",
-                     "--k", "3", "--p", "2", "--n", "3", "--trials", "2"])
+                     "--panels", "9", "--n", "3", "--trials", "2"])
     assert code == 0
-    assert seen == [(3, 2), (3, 2)]
+    assert seen == [9, 9]
     assert "chain: trials=2 passes=2" in capsys.readouterr().out
 
 
 def test_chain_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit) as info:
-        cli.main(["chain", "--f", "power:2", "--k", "2", "--p", "1"])
+        cli.main(["chain", "--f", "power:2", "--panels", "2"])
     assert info.value.code == 2
     assert "invalid choice: 'chain'" in capsys.readouterr().err
 
@@ -282,15 +281,15 @@ def test_a_folded_suite_is_gone(instance, tmp_path, capsys):
     ["--map", "compress:abc"], ["--map", "pinch:a"], ["--map", "congruence:x"],
     ["--map", "congruence:2.5"], ["--map", "compress:0"], ["--map", "subcongruence:-1"],
     ["--n", "4", "--m", "9", "--map", "compress"],
-    ["--theorem", "chain", "--f", "power:2", "--k", "0"],
+    ["--theorem", "chain", "--f", "power:2", "--panels", "0"],
     ["--n", "4", "--m", "2", "--map", "pinch"], ["--n", "4", "--m", "2", "--map", "identity"],
     ["--theorem", "trace", "--m", "3"], ["--n", "4", "--map", "compress:9"],
-    ["--theorem", "chain", "--f", "power:2", "--k", "2", "--p", "70"],
+    ["--theorem", "chain", "--f", "power:2", "--panels", "1025"],
     ["--theorem", "t4", "--quad-nodes", "600"], ["--theorem", "t4", "--interval", "0.5,inf"],
     ["--workers", "-2"], ["--workers", "0"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
-        "subcongruence:-1", "m>n", "k=0", "pinch-m", "identity-m", "map-free-m",
-        "compress:9", "k**p>cap", "quad-nodes>cap/2", "interval-inf", "workers=-2",
+        "subcongruence:-1", "m>n", "panels=0", "pinch-m", "identity-m", "map-free-m",
+        "compress:9", "panels>cap", "quad-nodes>cap/2", "interval-inf", "workers=-2",
         "workers=0"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
@@ -384,7 +383,8 @@ MAP_LITERALS = {
     (_replaced("norm_chain", "specs", 5), "BadParams: instance field 'specs' is not a list of str"),
     (_replaced("norm_chain", "specs", [5]),
      "BadParams: instance field 'specs' is not a list of str"),
-    (_replaced("chain", "k", "x"), "BadParams: instance field 'k' is not a positive integer: 'x'"),
+    (_replaced("chain", "panels", "x"),
+     "BadParams: instance field 'panels' is not a positive integer: 'x'"),
     (_replaced("bourin", "maps", 5), "BadParams: instance field 'maps' is not a list of dict"),
     *[(_replaced("t4", "f", f), "BadParams: instance field 'f' is not a string")
       for f in (5, None, True, [1], {})],
@@ -536,20 +536,29 @@ def test_an_interval_option_without_a_value_is_a_usage_error(capsys):
     assert "error: argument --interval: invalid _interval value: ''" in capsys.readouterr().err
 
 
-def test_verify_writes_one_csv_row_per_trial(tmp_path):
+def test_verify_writes_one_json_record_per_trial(tmp_path):
     # t3 under a random pinching: 4 passes and 2 trials whose uniform
     # unitary hypothesis fails
-    paths = {ext: tmp_path / f"report.{ext}" for ext in ("json", "csv")}
+    path = tmp_path / "report.json"
     assert cli.main(["verify", "--theorem", "t3", "--f", "exp", "--interval", "0.5,2",
                      "--map", "pinch", "--n", "3", "--trials", "6", "--seed", "1",
-                     "--json", str(paths["json"]), "--csv", str(paths["csv"])]) == 0
-    records = json.loads(paths["json"].read_text())["records"]
-    with open(paths["csv"], newline="", encoding="utf-8") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == ["theorem", "trial", "seed", "verdict", "margin"]
-    assert [row[:4] for row in rows] == [
-        ["t3", str(rec["trial"]), rec["seed"], rec["verdict"]] for rec in records]
-    assert sorted(row[3] for row in rows) == ["pass"] * 4 + ["skip"] * 2
-    for row, rec in zip(rows, records):
-        assert row[4] == ("" if rec["verdict"] == "skip" else repr(rec["margin"]))
-        assert rec["margin"] is None or float(row[4]) == rec["margin"]
+                     "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["theorem"] == "t3"
+    assert [(rec["trial"], rec["seed"]) for rec in report["records"]] == [
+        (i, f"1:{i}") for i in range(6)]
+    assert sorted(rec["verdict"] for rec in report["records"]) == ["pass"] * 4 + ["skip"] * 2
+    for rec in report["records"]:
+        assert (rec["margin"] is None) == (rec["verdict"] == "skip")
+
+
+# the chain's panel count is one option, and a report has one file format
+@pytest.mark.parametrize("args", [["--k", "2"], ["--p", "2"], ["--csv", "x"]],
+                         ids=["k", "p", "csv"])
+def test_removed_verify_options_exit_2(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--theorem", "chain", "--trials", "1", *args])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

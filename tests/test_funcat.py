@@ -93,7 +93,7 @@ class TestCatalog:
         f = builtin("identity")
         assert f.flags.convex and f.flags.operator_convex
         assert f.flags.increasing
-        assert f.flags.f0_nonpositive  # f(0) = 0
+        assert f(0.0) <= 0  # f(0) = 0
         assert f(3.5) == 3.5
 
     def test_cube_flags(self):
@@ -101,7 +101,7 @@ class TestCatalog:
         assert f.domain.lo == 0.0
         assert f.flags.convex and f.flags.increasing
         assert f.flags.operator_convex is False
-        assert f.flags.f0_nonpositive
+        assert f(0.0) <= 0
         assert f(2.0) == 8.0
 
     def test_power_two_is_operator_convex(self):
@@ -133,7 +133,7 @@ class TestCatalog:
         f = builtin("exp")
         assert f.flags.convex and f.flags.increasing
         assert f.flags.operator_convex is False
-        assert f.flags.f0_nonpositive is False
+        assert f(0.0) == 1.0
 
     def test_inverse_flags(self):
         f = builtin("inverse")
@@ -160,7 +160,7 @@ class TestCatalog:
         assert f.flags.convex and f.flags.operator_convex and f.flags.increasing
         g = builtin("affine", -1.0, 0.0)
         assert g.flags.increasing is False
-        assert g.flags.f0_nonpositive is True
+        assert g(0.0) <= 0
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
@@ -222,12 +222,13 @@ class TestValidateFlags:
         # exp is increasing, and claiming it is not finds no witness
         assert validate_flags(builtin("exp"), (-1.0, 1.0), claims={"increasing": False}) is None
 
-    @pytest.mark.parametrize("key", ["convx", "positive"])
+    @pytest.mark.parametrize("key", ["convx", "positive", "f0_nonpositive"])
     def test_a_claim_that_names_no_flag_is_refused(self, key):
-        # a misspelt claim, or one of a flag the catalog does not declare,
-        # must not read as a pass
+        # a misspelt claim, or one of a flag the catalog does not declare
+        # (f(0) <= 0 is read off f where a checker needs it), must not read
+        # as a pass
         with pytest.raises(BadParams, match=rf"^no flag named '{key}'; the flags are convex, "
-                                            r"increasing, operator_convex, f0_nonpositive$"):
+                                            r"increasing, operator_convex$"):
             validate_flags(builtin("exp"), (0.5, 2.0), claims={key: True, "convex": True})
 
     def test_identity_on_a_wide_interval_is_operator_convex(self):
@@ -313,36 +314,32 @@ def test_operator_convexity_witness_replays_to_the_same_margin(desc, interval):
 
 
 # Flags of each catalog entry, and of its restrictions to [0, 2] and [0.5, 2],
-# as they were when each entry wrote f0_nonpositive by hand: convex,
-# increasing, operator_convex, f0_nonpositive as T, F or - (None).  f's
-# positivity is no flag: the converse bound judges it on its working interval.
+# as they were when each entry wrote its flags by hand: convex, increasing,
+# operator_convex as T or F.  f's positivity and the sign of f(0) are no
+# flags: the checkers judge them where they need them.
 HAND_WRITTEN_FLAGS = {
-    "identity": "TTTT", "identity@0,2": "TTTT", "identity@0.5,2": "TTT-",
-    "affine:2,0.5": "TTTF", "affine:2,0.5@0,2": "TTTF", "affine:2,0.5@0.5,2": "TTT-",
-    "power:1.5": "TTTT", "power:1.5@0,2": "TTTT", "power:1.5@0.5,2": "TTT-",
-    "power:2": "TFTT", "power:2@0,2": "TTTT", "power:2@0.5,2": "TTT-",
-    "power:2@0,inf": "TTTT",
-    "power:4": "TFFT", "power:4@0,2": "TTFT", "power:4@0.5,2": "TTF-",
-    "cube": "TTFT", "cube@0,2": "TTFT", "cube@0.5,2": "TTF-",
-    "exp": "TTFF", "exp@0,2": "TTFF", "exp@0.5,2": "TTFF",
-    "neg_sqrt": "TFTT", "neg_sqrt@0,2": "TFTT", "neg_sqrt@0.5,2": "TFT-",
-    "inverse": "TFT-", "inverse@0,2": "TFT-", "inverse@0.5,2": "TFT-",
-    "xlogx": "TFTT", "xlogx@0,2": "TFTT", "xlogx@0.5,2": "TFT-",
+    "identity": "TTT", "identity@0,2": "TTT", "identity@0.5,2": "TTT",
+    "affine:2,0.5": "TTT", "affine:2,0.5@0,2": "TTT", "affine:2,0.5@0.5,2": "TTT",
+    "power:1.5": "TTT", "power:1.5@0,2": "TTT", "power:1.5@0.5,2": "TTT",
+    "power:2": "TFT", "power:2@0,2": "TTT", "power:2@0.5,2": "TTT",
+    "power:2@0,inf": "TTT",
+    "power:4": "TFF", "power:4@0,2": "TTF", "power:4@0.5,2": "TTF",
+    "cube": "TTF", "cube@0,2": "TTF", "cube@0.5,2": "TTF",
+    "exp": "TTF", "exp@0,2": "TTF", "exp@0.5,2": "TTF",
+    "neg_sqrt": "TFT", "neg_sqrt@0,2": "TFT", "neg_sqrt@0.5,2": "TFT",
+    "inverse": "TFT", "inverse@0,2": "TFT", "inverse@0.5,2": "TFT",
+    "xlogx": "TFT", "xlogx@0,2": "TFT", "xlogx@0.5,2": "TFT",
 }
 
 
-def test_f0_nonpositive_rule_keeps_every_flag_but_exp_off_zero():
+def test_every_catalog_entry_keeps_its_hand_written_flags():
     restricted = {d.partition("@")[0] + dom
                   for d in CATALOG_DESCRIPTORS for dom in ("@0,2", "@0.5,2")}
     assert set(HAND_WRITTEN_FLAGS) == set(CATALOG_DESCRIPTORS) | restricted
-    code = {True: "T", False: "F", None: "-"}
-    changed = {}
-    for desc, before in HAND_WRITTEN_FLAGS.items():
-        now = "".join(code[v] for v in asdict(from_descriptor(desc).flags).values())
-        if now != before:
-            changed[desc] = (before, now)
-    # exp(0) = 1 > 0 is no fact about f on [0.5, 2], which holds no 0
-    assert changed == {"exp@0.5,2": ("TTFF", "TTF-")}
+    code = {True: "T", False: "F"}
+    now = {desc: "".join(code[v] for v in asdict(from_descriptor(desc).flags).values())
+           for desc in HAND_WRITTEN_FLAGS}
+    assert now == HAND_WRITTEN_FLAGS
 
 
 # The per-point formulas the catalog used before its entries were written as

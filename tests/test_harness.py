@@ -97,32 +97,33 @@ def test_counterexample_is_not_a_suite():
         run_suite(InstanceSpec(trials=1), "counterexample")
 
 
-@pytest.mark.parametrize("field", ["chain_k", "chain_p"])
-def test_chain_counts_below_1_are_refused(field):
-    with pytest.raises(BadParams, match="k and p must be >= 1"):
-        InstanceSpec(**{field: 0})
+@pytest.mark.parametrize("panels", [0, 1025, 2 ** 70, 10 ** 30])
+def test_chain_panel_counts_outside_1_to_the_node_cap_are_refused(panels):
+    with pytest.raises(BadParams, match=rf"panel count must be in 1\.\.1024, got {panels}$"):
+        InstanceSpec(panels=panels)
 
 
-@pytest.mark.parametrize("k, p", [(2, 11), (2, 70), (33, 2), (1025, 1)])
-def test_chain_panels_beyond_the_node_cap_are_refused(k, p):
-    with pytest.raises(BadParams, match=rf"k\*\*p panels must be at most 1024, got k={k}, p={p}"):
-        InstanceSpec(chain_k=k, chain_p=p)
+@pytest.mark.parametrize("panels", [1, 1024])
+def test_chain_panel_counts_up_to_the_node_cap_are_accepted(panels):
+    assert hhcheck.chain_panels(panels) == panels
+    InstanceSpec(panels=panels)
 
 
-@pytest.mark.parametrize("k, p", [(2, 10), (32, 2), (1024, 1), (1, 10 ** 9)])
-def test_chain_panels_up_to_the_node_cap_are_accepted(k, p):
-    assert hhcheck.chain_panels(k, p) == k ** p <= 1024
-    InstanceSpec(chain_k=k, chain_p=p)
-
-
-@pytest.mark.parametrize("p", [70, 10 ** 30])
-def test_replayed_chain_beyond_the_node_cap_is_a_failed_trial(p):
-    # 2**70 panels used to end in numpy's "Maximum allowed size exceeded";
-    # the bound is decided without forming 2**p
+def test_replayed_chain_beyond_the_node_cap_is_a_failed_trial():
+    # the count is compared as a Python int, never formed into an array
     inst = generate_instance("chain", InstanceSpec(n=3, interval=(0.5, 2.0), trials=1), 0)
-    result = run_instance({**inst, "k": 2, "p": p})
+    result = run_instance({**inst, "panels": 10 ** 30})
     assert (result.status, result.margin) == ("fail", None)
-    assert result.detail == f"BadParams: the chain's k**p panels must be at most 1024, got k=2, p={p}"
+    assert result.detail == f"BadParams: the chain's panel count must be in 1..1024, got {10 ** 30}"
+
+
+def test_a_replayed_chain_with_k_and_p_fields_is_a_failed_trial():
+    # an instance in the older (k, p) form is never read as another panel count
+    inst = generate_instance("chain", InstanceSpec(n=3, interval=(0.5, 2.0), trials=1), 0)
+    del inst["panels"]
+    result = run_instance({**inst, "k": 2, "p": 2})
+    assert (result.status, result.margin) == ("fail", None)
+    assert result.detail == "BadParams: instance has no field 'panels'"
 
 
 @pytest.mark.parametrize("interval", [(0.5, np.inf), (-np.inf, 2.0), (-np.inf, np.inf)])

@@ -11,7 +11,7 @@ import pytest
 from conftest import make_rng, random_psd
 from hhmat import hhcheck, matcore, plmaps
 from hhmat.errors import BadInterval, HypothesisUnmet
-from hhmat.funcat import builtin, from_descriptor
+from hhmat.funcat import Interval, ScalarFunction, builtin, from_descriptor
 from hhmat.harness import (
     InstanceSpec,
     TrialResult,
@@ -256,7 +256,7 @@ def test_unital_identity_image_needs_no_decomposition(monkeypatch):
 @pytest.mark.parametrize("check, message", [
     (lambda a, b: hhcheck.check_trace_corollary(from_descriptor("power:3"), a, b),
      "power:3 is not declared convex"),
-    (lambda a, b: hhcheck.check_refinement_chain(from_descriptor("exp"), a, b, 2, 1),
+    (lambda a, b: hhcheck.check_refinement_chain(from_descriptor("exp"), a, b, 2),
      "exp is not declared operator convex"),
 ], ids=["trace", "chain"])
 def test_an_undeclared_flag_is_an_unmet_hypothesis(check, message):
@@ -276,9 +276,9 @@ def test_map_case_reasons_name_each_unmet_condition():
     assert hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), quarter,
                                      strict_positive=True) == []
     assert hhcheck._map_case_reasons(f, quarter, strict_positive=True) == [
-        "exp(0) <= 0 is not declared"]
+        "exp(0) = 1 is not <= 0"]
     assert hhcheck._map_case_reasons(f, inflating) == [
-        "Phi(I) has top eigenvalue 2 > 1", "exp(0) <= 0 is not declared"]
+        "Phi(I) has top eigenvalue 2 > 1", "exp(0) = 1 is not <= 0"]
     assert hhcheck._map_case_reasons(from_descriptor("power:2"), singular,
                                      strict_positive=True) == ["Phi(I) is not strictly positive"]
     assert hhcheck._map_case_reasons(from_descriptor("inverse"), singular) == [
@@ -287,7 +287,7 @@ def test_map_case_reasons_name_each_unmet_condition():
         "Phi(I) is not I (distance 1); a unital map is needed"]
     # a unital map does not admit case (i) when unital_ok is False
     assert hhcheck._map_case_reasons(f, HermitianMatrix(np.eye(2)), unital_ok=False) == [
-        "exp(0) <= 0 is not declared"]
+        "exp(0) = 1 is not <= 0"]
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])  # at n = 9 the Frobenius test fails, so eig decides
@@ -322,14 +322,14 @@ def test_jensen_unit_vector_edge_is_the_judgement_tolerance(excess, unit):
     else:
         with pytest.raises(HypothesisUnmet) as info:
             hhcheck.check_jensen_map(f, IdentityMap(3), a, x)
-        assert info.value.reasons == ["||x|| = 1 exceeds 1", "exp(0) <= 0 is not declared"]
+        assert info.value.reasons == ["||x|| = 1 exceeds 1", "exp(0) = 1 is not <= 0"]
 
 
 def test_jensen_with_a_short_vector_needs_case_ii():
     rng = make_rng(8)
     a = random_hermitian(3, 0.5, 2.0, rng)
     x = np.ones(3) / 3.0  # norm < 1
-    with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) <= 0 is not declared$"):
+    with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) = 1 is not <= 0$"):
         hhcheck.check_jensen_map(from_descriptor("exp"), IdentityMap(3), a, x)
     verdict = hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
     assert verdict.holds
@@ -339,10 +339,26 @@ def test_bourin_with_subunital_maps_needs_f0_nonpositive():
     rng = make_rng(9)
     maps = [CongruenceSum((np.eye(3) / 2.0,)), CongruenceSum((np.eye(3) / 2.0,))]
     a_list = [random_hermitian(3, 0.5, 2.0, rng) for _ in maps]
-    with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) <= 0 is not declared$"):
+    with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) = 1 is not <= 0$"):
         hhcheck.check_bourin_t2(from_descriptor("exp"), maps, a_list)
     report = hhcheck.check_bourin_t2(from_descriptor("power:2@0,inf"), maps, a_list)
     assert report.holds and report.margin >= 0.0
+
+
+def test_f0_is_judged_on_a_domain_whose_lower_end_is_within_the_stretch_above_0():
+    # 0 is in the domain of power:1.5@1e-12,2 by the endpoint stretch alone,
+    # and f(0) = 0, so the subunital case (ii) is met
+    spec = InstanceSpec(n=3, interval=(0.0, 2.0), function="power:1.5@1e-12,2",
+                        map_desc="subcongruence", trials=4, seed=3)
+    report = run_suite(spec, "t1")
+    assert (report.passes, report.judged) == (4, 4)
+
+
+def test_a_nan_f0_is_not_at_most_0():
+    f = ScalarFunction("nan_at_0", lambda x: np.where(x == 0.0, np.nan, x * x),
+                       Interval(0.0, 2.0), from_descriptor("power:2@0,2").flags)
+    assert hhcheck._map_case_reasons(f, HermitianMatrix(np.eye(2) / 2.0)) == [
+        "nan_at_0(0) = nan is not <= 0"]
 
 
 @pytest.mark.parametrize("desc, below, above", [

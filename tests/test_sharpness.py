@@ -175,7 +175,7 @@ def _affine_pair(n: int):
 @pytest.mark.parametrize("n", SIZES)
 def test_the_refinement_and_trace_chains_are_equalities_for_affine_f(n):
     f, a, b, tol = _affine_pair(n)
-    for chain in (hhcheck.check_refinement_chain(f, a, b, 2, 2),
+    for chain in (hhcheck.check_refinement_chain(f, a, b, 4),
                   hhcheck.check_trace_corollary(f, a, b)):
         assert chain.holds and all(abs(link.margin) <= tol for link in chain.links.values())
 
@@ -247,9 +247,9 @@ def test_a_shrunk_integral_fails_t1_at_a_equal_b(desc, interval, n, monkeypatch)
 def test_a_scaled_integral_fails_one_refinement_link_at_a_equal_b(desc, interval, n, factor,
                                                                    failing, monkeypatch):
     f, a, _ = _at_equality(desc, interval, n)
-    assert hhcheck.check_refinement_chain(f, a, a, 2, 2).holds
+    assert hhcheck.check_refinement_chain(f, a, a, 4).holds
     _scale(monkeypatch, "segment_integral", factor)
-    links = hhcheck.check_refinement_chain(f, a, a, 2, 2).links
+    links = hhcheck.check_refinement_chain(f, a, a, 4).links
     assert [label for label, link in links.items() if not link.holds] == [failing]
     _fails(links[failing])
 
