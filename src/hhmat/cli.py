@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             argument_default=argparse.SUPPRESS, allow_abbrev=False)
     verify.add_argument("--theorem", required=True, choices=THEOREM_IDS)
     verify.add_argument("--n", type=int)
-    verify.add_argument("--m", type=int)
     verify.add_argument("--f", dest="function", metavar="F")
     verify.add_argument("--map", dest="map_desc", metavar="MAP")
     verify.add_argument("--interval", type=_interval)

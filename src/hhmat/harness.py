@@ -33,10 +33,10 @@ CONGRUENCE_FILE_MEMO_SIZE = 8
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Configuration for one randomized suite."""
+    """Configuration for one randomized suite.  map_desc alone sets the
+    map's target size (see make_map)."""
 
     n: int = 4
-    m: int | None = None
     interval: tuple[float, float] = (0.0, 2.0)
     function: str = "power:2"
     map_desc: str = "identity"
@@ -47,8 +47,8 @@ class InstanceSpec:
     quad_rtol: float = QuadratureSpec.rtol
 
     def __post_init__(self):
-        if self.n < 1 or (self.m is not None and self.m < 1):
-            raise BadParams(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
+        if self.n < 1:
+            raise BadParams(f"dimension must be >= 1, got n={self.n}")
         if self.trials < 1:
             raise BadParams(f"trial count must be >= 1, got {self.trials}")
         hhcheck.chain_panels(self.panels)  # BadParams when out of range
@@ -62,9 +62,7 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _random_isometry(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """A random n x m matrix with orthonormal columns; BadParams if m > n."""
-    if m > n:
-        raise BadParams(f"an isometry into C^{n} has at most {n} columns, got m={m}")
+    """A random n x m matrix with orthonormal columns, for m <= n."""
     g = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     q, _ = np.linalg.qr(g)
     return q[:, :m]
@@ -98,46 +96,39 @@ def _congruence_from_file(path: str) -> CongruenceSum:
     return CongruenceSum(tuple(factor_from_json(obj) for obj in literals))
 
 
-def _descriptor_count(desc: str, text: str) -> int:
-    """A count written in a map descriptor: an integer >= 1, else BadParams."""
+def _descriptor_count(desc: str, text: str, most: tuple[str, int] | None = None) -> int:
+    """A count written in a map descriptor: an integer >= 1, and for a target
+    size m with most = (name, rows) at most rows, the columns an isometry
+    into C^rows can have; else BadParams naming the descriptor."""
     if not (text.isdecimal() and int(text) >= 1):
         raise BadParams(f"map descriptor {desc!r} needs integer counts >= 1, got {text!r}")
+    if most and int(text) > most[1]:
+        raise BadParams(f"map descriptor {desc!r} asks for m={text} > {most[0]}={most[1]}: "
+                        f"an isometry into C^{most[1]} has at most {most[1]} columns")
     return int(text)
 
 
-def make_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> PositiveLinearMap:
-    """Build a positive linear map from n x n to m x m matrices from a descriptor.
+def make_map(desc: str, n: int, rng: np.random.Generator) -> PositiveLinearMap:
+    """Build a positive linear map on n x n matrices from a descriptor.
 
-    identity | compress[:m] | pinch[:b1,b2,...] | congruence[:k] |
-    subcongruence[:k] | congruence:<file.json>.  Each but identity is a
+    identity | compress[:m] | pinch[:b1,b2,...] | congruence[:k[,m]] |
+    subcongruence[:k[,m]] | congruence:<file.json>.  Each but identity is a
     CongruenceSum; pinch is A -> sum_b P_b A P_b over the projections P_b
-    onto its blocks.  Random choices draw from ``rng``; explicit parameters
-    are deterministic.  Every written count must be an integer >= 1
-    (BadParams).  m = None leaves the target size to the descriptor; a map
-    whose target size is not a given m (identity and pinch with m != n,
-    compress:<k> with k != m, a factor file of another size) raises
-    BadParams rather than dropping m.
+    onto its blocks.  The descriptor alone sets the target size: C^m for
+    compress:m (m <= n) and congruence:k,m (m <= k*n), a drawn m for a
+    random compress, the factors' column count for a file, else n.  Random
+    choices draw from ``rng``; explicit parameters are deterministic.  Every
+    written count must be an integer >= 1, and a congruence sum takes at
+    most two (BadParams naming the descriptor).
     """
-    phi = _build_map(desc, n, m, rng)
-    if m is not None and phi.target_dim != m:
-        raise BadParams(f"map descriptor {desc!r} maps into C^{phi.target_dim}, "
-                        f"so it cannot honour m={m}")
-    return phi
-
-
-def _build_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> PositiveLinearMap:
     kind, _, arg = desc.partition(":")
     if kind == "identity":
         return IdentityMap(n)
     if kind == "compress":
         if arg:
-            target = _descriptor_count(desc, arg)
-            if target > n:
-                raise BadParams(f"map descriptor {desc!r} asks for m={target} > n={n}: "
-                                f"an isometry into C^{n} has at most {n} columns")
+            target = _descriptor_count(desc, arg, ("n", n))
             return CongruenceSum((np.eye(n, target, dtype=complex),))
-        target = m if m is not None else int(rng.integers(1, n + 1))
-        return CongruenceSum((_random_isometry(n, target, rng),))
+        return CongruenceSum((_random_isometry(n, int(rng.integers(1, n + 1)), rng),))
     if kind == "pinch":
         if arg:
             sizes = [_descriptor_count(desc, s) for s in arg.split(",")]
@@ -151,8 +142,11 @@ def _build_map(desc: str, n: int, m: int | None, rng: np.random.Generator) -> Po
     if kind in ("congruence", "subcongruence"):
         if kind == "congruence" and arg.endswith(".json"):
             return _congruence_from_file(arg)
-        k = _descriptor_count(desc, arg) if arg else int(rng.integers(1, 4))
-        target = m if m is not None else n
+        counts = arg.split(",") if arg else []
+        if len(counts) > 2:
+            raise BadParams(f"map descriptor {desc!r} takes at most two counts, k and m")
+        k = _descriptor_count(desc, counts[0]) if counts else int(rng.integers(1, 4))
+        target = _descriptor_count(desc, counts[1], ("k*n", k * n)) if counts[1:] else n
         stacked = _random_isometry(k * n, target, rng)
         factors = tuple(stacked[i * n:(i + 1) * n, :] for i in range(k))
         if kind == "subcongruence":
@@ -228,13 +222,11 @@ def _gen_jensen(spec, rng, phi) -> dict:
 
 
 def _gen_bourin(spec, rng, phi) -> dict:
-    # k single-factor congruence maps whose identity images sum to I_n
-    n, k = spec.n, int(rng.integers(1, 4))
-    stacked = _random_isometry(k * n, n, rng)
-    maps = [CongruenceSum((stacked[i * n:(i + 1) * n, :],)) for i in range(k)]
-    return {"maps": [m.to_jsonable() for m in maps],
-            "a_list": [matrix_to_json(random_hermitian(n, *spec.interval, rng))
-                       for _ in range(k)]}
+    # the one-factor maps of a random unital congruence sum: their identity images sum to I_n
+    factors = make_map("congruence", spec.n, rng).factors
+    return {"maps": [CongruenceSum((x,)).to_jsonable() for x in factors],
+            "a_list": [matrix_to_json(random_hermitian(spec.n, *spec.interval, rng))
+                       for _ in factors]}
 
 
 def _gen_t3(spec, rng, phi) -> dict:
@@ -320,7 +312,7 @@ def generate_instance(theorem: str, spec: InstanceSpec, index: int) -> dict:
     }
     phi = None
     if entry.takes_map:
-        phi = make_map(spec.map_desc, spec.n, spec.m, rng)
+        phi = make_map(spec.map_desc, spec.n, rng)
         inst["map"] = phi.to_jsonable()
     inst.update(entry.generate(spec, rng, phi))
     return inst
@@ -452,10 +444,9 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
 
     The function descriptor is parsed before any trial runs, so a malformed
     one raises its package error (BadParams, UnknownName) up front; so does
-    a suite that takes no map given one other than the identity, or given
-    an m other than n (BadParams).  A spec the theorem's generator refuses
-    (a malformed map descriptor, an m the map cannot honour) raises from the
-    first trial.
+    a suite that takes no map given one other than the identity (BadParams).
+    A spec the theorem's generator refuses (a malformed map descriptor)
+    raises from the first trial.
     A worker count below 1 is refused (BadParams).  Records keep trial
     order, as the serial loop and Executor.map both do.
     """
@@ -465,9 +456,6 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     from_descriptor(spec.function)
     if not entry.takes_map and spec.map_desc != "identity":
         raise BadParams(f"the {theorem} suite takes no map, got {spec.map_desc!r}")
-    if not entry.takes_map and spec.m not in (None, spec.n):
-        raise BadParams(f"the {theorem} suite takes no map, so m={spec.m} cannot differ "
-                        f"from n={spec.n}")
     start = time.perf_counter()
     jobs = [(spec, theorem, i) for i in range(spec.trials)]
     if workers > 1:

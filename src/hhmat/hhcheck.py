@@ -103,15 +103,14 @@ def _map_case_reasons(
     *,
     strict_positive: bool = False,
     subunital_ok: bool = True,
-    unital_ok: bool = True,
     label: str = "Phi(I)",
 ) -> list[str]:
     """Empty list when the identity image Phi(I) (for a sum of maps, the sum
-    of their identity images) meets case (i), Phi(I) = I, or case (ii),
-    Phi(I) <= I (and strictly positive when asked) with 0 in the domain of f
-    and f(0) <= 0, read off f itself (a NaN value fails).
-    subunital_ok=False admits case (i) only; unital_ok=False admits case
-    (ii) only.
+    of their identity images; for jensen, the 1x1 psi(I)) meets case (i),
+    Phi(I) = I, or case (ii), Phi(I) <= I (and strictly positive when asked)
+    with 0 in the domain of f and f(0) <= 0, read off f itself once with
+    numpy's warnings off (a NaN value fails).  subunital_ok=False admits
+    case (i) only.
 
     Each comparison is orders.judge's, at the scale of Phi(I)'s spectral
     radius: Phi(I) = I when its operator-norm distance to I is 0, Phi(I) <= I
@@ -120,11 +119,11 @@ def _map_case_reasons(
     one, is judged first at scale 1, so a unital Phi(I) needs no
     decomposition.
     """
-    if unital_ok and orders.judge(-np.linalg.norm(image.entries - np.eye(image.dim)), 1.0).holds:
+    if orders.judge(-np.linalg.norm(image.entries - np.eye(image.dim)), 1.0).holds:
         return []
     rep = plmaps.unitality_status(image)
     scale = max(abs(rep.lambda_max), abs(rep.lambda_min))
-    if unital_ok and orders.judge(-rep.identity_distance, scale).holds:
+    if orders.judge(-rep.identity_distance, scale).holds:
         return []
     if not subunital_ok:
         return [f"{label} is not I (distance {rep.identity_distance:.3g}); a unital map is needed"]
@@ -134,10 +133,10 @@ def _map_case_reasons(
     if strict_positive and orders.judge(-rep.lambda_min, scale).holds:
         reasons.append(f"{label} is not strictly positive")
     if not f.domain.contains(0.0):
-        reasons.append(f"0 is outside the domain {f.domain} of {f.name}")
-    elif not f(0.0) <= 0.0:
-        reasons.append(f"{f.name}(0) = {f(0.0):g} is not <= 0")
-    return reasons
+        return reasons + [f"0 is outside the domain {f.domain} of {f.name}"]
+    with np.errstate(all="ignore"):
+        f0 = f(0.0)
+    return reasons + ([] if f0 <= 0.0 else [f"{f.name}(0) = {f0:g} is not <= 0"])
 
 
 # -- quadratic-form comparison under a positive map --------------------------------
@@ -148,20 +147,18 @@ def check_jensen_map(
     a: HermitianMatrix,
     x: np.ndarray,
 ) -> OrderVerdict:
-    """f(<Phi(A)x, x>) <= <Phi(f(A))x, x> for convex f.
-
-    Hypotheses: (i) Phi unital and x a unit vector, or (ii) ||x|| <= 1 with
-    0 in the domain, f(0) <= 0, and 0 < Phi(I) <= I.
+    """f(psi(A)) <= psi(f(A)) for convex f and the positive functional
+    psi(X) = <Phi(X)x, x>: Jensen's inequality for the spectral measure of A
+    under psi (Choi, Illinois J. Math. 18, 1974).  Hypotheses, on the 1x1
+    identity image psi(I) = <Phi(I)x, x> as t1 judges Phi(I): (i) psi(I) = 1,
+    or (ii) 0 < psi(I) <= 1 with 0 in the domain and f(0) <= 0.
     """
     pa = phi.apply(a)  # DimMismatch before Phi(I) is built
-    reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a})
     x = np.asarray(x, dtype=complex).ravel()
-    norm = float(np.linalg.norm(x))
-    if not orders.judge(1.0 - norm, norm).holds:
-        reasons.append(f"||x|| = {norm:.6g} exceeds 1")
-    # case (i) needs a unit vector; otherwise case (ii), even for a unital map
-    reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True,
-                                 unital_ok=orders.judge(-abs(norm - 1.0), norm).holds)
+    psi_id = float((x.conj() @ phi.identity_image().entries @ x).real)
+    reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a})
+    reasons += _map_case_reasons(f, HermitianMatrix([[psi_id]]), strict_positive=True,
+                                 label="psi(I)")
     _check_hypotheses(reasons)
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))
@@ -236,9 +233,8 @@ def check_bourin_t2(
     arg = functools.reduce(operator.add, (phi.apply(h) for phi, h in zip(maps, a_list)))
     reasons = _require_flag(f, "convex") + _require_flag(f, "increasing")
     reasons += _spectra_reasons(f, {f"A_{i}": h for i, h in enumerate(a_list)})
-    _check_hypotheses(reasons)
     id_sum = functools.reduce(operator.add, (phi.identity_image() for phi in maps))
-    _check_hypotheses(_map_case_reasons(f, id_sum, label="sum of Phi_i(I)"))
+    _check_hypotheses(reasons + _map_case_reasons(f, id_sum, label="sum of Phi_i(I)"))
     val = functools.reduce(operator.add, (phi.apply(apply_function(f, h))
                                           for phi, h in zip(maps, a_list)))
     return orders.eigen_dominance(apply_function(f, arg), val)

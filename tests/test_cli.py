@@ -280,17 +280,17 @@ def test_a_folded_suite_is_gone(instance, tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--map", "compress:abc"], ["--map", "pinch:a"], ["--map", "congruence:x"],
     ["--map", "congruence:2.5"], ["--map", "compress:0"], ["--map", "subcongruence:-1"],
-    ["--n", "4", "--m", "9", "--map", "compress"],
+    ["--n", "4", "--map", "congruence:1,9"],
     ["--theorem", "chain", "--f", "power:2", "--panels", "0"],
-    ["--n", "4", "--m", "2", "--map", "pinch"], ["--n", "4", "--m", "2", "--map", "identity"],
-    ["--theorem", "trace", "--m", "3"], ["--n", "4", "--map", "compress:9"],
+    ["--map", "congruence:2,3,1"], ["--map", "subcongruence:1,2,3"],
+    ["--n", "4", "--map", "compress:9"],
     ["--theorem", "chain", "--f", "power:2", "--panels", "1025"],
     ["--theorem", "t4", "--quad-nodes", "600"], ["--theorem", "t4", "--interval", "0.5,inf"],
     ["--workers", "-2"], ["--workers", "0"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
-        "subcongruence:-1", "m>n", "panels=0", "pinch-m", "identity-m", "map-free-m",
-        "compress:9", "panels>cap", "quad-nodes>cap/2", "interval-inf", "workers=-2",
-        "workers=0"])
+        "subcongruence:-1", "m>k*n", "panels=0", "congruence-third-count",
+        "subcongruence-third-count", "compress:9", "panels>cap", "quad-nodes>cap/2",
+        "interval-inf", "workers=-2", "workers=0"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--trials", "3", *args])
@@ -444,13 +444,19 @@ def test_verify_with_a_congruence_read_from_a_file(tmp_path, capsys, monkeypatch
     loads = []
     load = json.load
     monkeypatch.setattr(json, "load", lambda fh: loads.append(fh.name) or load(fh))
-    phi = make_map(f"congruence:{path}", 3, None, rng)
+    phi = make_map(f"congruence:{path}", 3, rng)
     assert isinstance(phi, CongruenceSum)
     assert all(np.array_equal(x, y) for x, y in zip(phi.factors, factors, strict=True))
     assert cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--n", "3", "--trials", "5", "--map", f"congruence:{path}"]) == 0
     assert "t1: trials=5 passes=5 skips=0 failures=0" in capsys.readouterr().out
     assert loads == [str(path)]  # read by make_map above, by no trial again
+
+
+def test_verify_under_a_congruence_into_a_given_size_judges_every_trial(capsys):
+    assert cli.main(["verify", "--theorem", "jensen", "--f", "exp", "--interval", "0.5,2",
+                     "--map", "congruence:2,3", "--trials", "3"]) == 0
+    assert " judged=3/3 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content, message", [
@@ -552,9 +558,10 @@ def test_verify_writes_one_json_record_per_trial(tmp_path):
         assert (rec["margin"] is None) == (rec["verdict"] == "skip")
 
 
-# the chain's panel count is one option, and a report has one file format
-@pytest.mark.parametrize("args", [["--k", "2"], ["--p", "2"], ["--csv", "x"]],
-                         ids=["k", "p", "csv"])
+# the chain's panel count is one option, a report has one file format, and
+# a map's target size is set by its descriptor
+@pytest.mark.parametrize("args", [["--k", "2"], ["--p", "2"], ["--csv", "x"], ["--m", "2"]],
+                         ids=["k", "p", "csv", "m"])
 def test_removed_verify_options_exit_2(args, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as info:

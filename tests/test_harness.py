@@ -3,6 +3,8 @@ theorem registry."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from hhmat.harness import (
     InstanceSpec,
     Theorem,
     generate_instance,
+    instance_to_json,
     make_map,
     replay,
     run_instance,
@@ -248,44 +251,60 @@ def test_replay_of_a_malformed_failures_entry_is_refused():
         replay({"failures": [{"trial": 0}]})
 
 
-@pytest.mark.parametrize("desc, m, target", [
-    ("identity", 2, 4), ("pinch", 2, 4), ("pinch:1,3", 3, 4), ("compress:2", 3, 2),
+@pytest.mark.parametrize("desc, target", [
+    ("identity", 4), ("pinch", 4), ("pinch:1,3", 4), ("compress:2", 2), ("congruence", 4),
+    ("congruence:2", 4), ("congruence:2,3", 3), ("congruence:1,4", 4), ("congruence:3,12", 12),
+    ("subcongruence:2,3", 3), ("subcongruence:1,1", 1),
 ])
-def test_a_map_that_cannot_honour_m_is_refused(desc, m, target):
-    with pytest.raises(BadParams, match=rf"^map descriptor '{desc}' maps into C\^{target}, "
-                                        rf"so it cannot honour m={m}$"):
-        make_map(desc, 4, m, make_rng(0))
+def test_the_descriptor_sets_the_target_size(desc, target):
+    phi = make_map(desc, 4, make_rng(0))
+    assert (phi.source_dim, phi.target_dim) == (4, target)
 
 
-@pytest.mark.parametrize("desc, m", [
-    ("identity", None), ("identity", 4), ("pinch", 4), ("compress:2", 2), ("compress", 3),
-    ("congruence", 2), ("subcongruence:2", 3),
+@pytest.mark.parametrize("desc, message", [
+    ("congruence:2,3,1", "takes at most two counts, k and m"),
+    ("subcongruence:1,1,1", "takes at most two counts, k and m"),
+    ("congruence:2,9", "asks for m=9 > k*n=8: an isometry into C^8 has at most 8 columns"),
+    ("subcongruence:1,5", "asks for m=5 > k*n=4: an isometry into C^4 has at most 4 columns"),
+    ("congruence:2,0", "needs integer counts >= 1, got '0'"),
+    ("congruence:,3", "needs integer counts >= 1, got ''"),
 ])
-def test_a_map_that_honours_m_is_built(desc, m):
-    phi = make_map(desc, 4, m, make_rng(0))
-    assert (phi.source_dim, phi.target_dim) == (4, 4 if m is None else m)
+def test_a_third_count_or_an_m_beyond_k_n_names_the_descriptor(desc, message):
+    with pytest.raises(BadParams) as err:
+        make_map(desc, 4, make_rng(0))
+    assert str(err.value) == f"map descriptor {desc!r} {message}"
+
+
+# sha256 of json.dumps(instance, sort_keys=True) for trial 0 of an exp
+# suite on [0.5, 2] at n=4, recorded from the same suites run with the
+# removed m option: t1 and jensen with map compress and m=2, and with map
+# congruence:2 and m=3
+@pytest.mark.parametrize("theorem, desc, digest", [
+    ("t1", "congruence:1,2", "36ba91341a6bc97d45c29c42577f45e359f428539618f92054f88b851369c068"),
+    ("jensen", "congruence:1,2",
+     "06513aaa4701f8206cbab8ed2704de2454f131cf45673fc56a83c77b7432835a"),
+    ("t1", "congruence:2,3", "77bc32fecb17600089bd48b693f399e5db16a5727edc8659a2ebd7daaf81fa67"),
+    ("jensen", "congruence:2,3",
+     "09c1486a65fca533878541a27080e6914df700ad60bc5b5ad7954deb686f649e"),
+])
+def test_a_congruence_with_m_gives_the_instance_the_m_option_gave(theorem, desc, digest):
+    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="exp", map_desc=desc)
+    text = json.dumps(instance_to_json(generate_instance(theorem, spec, 0)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_compress_beyond_n_columns_names_the_descriptor():
     with pytest.raises(BadParams) as err:
-        make_map("compress:9", 4, None, make_rng(0))
+        make_map("compress:9", 4, make_rng(0))
     assert str(err.value) == ("map descriptor 'compress:9' asks for m=9 > n=4: "
                               "an isometry into C^4 has at most 4 columns")
 
 
 def test_compress_is_a_one_factor_congruence_sum():
-    phi = make_map("compress:2", 4, None, make_rng(0))
+    phi = make_map("compress:2", 4, make_rng(0))
     assert isinstance(phi, CongruenceSum) and len(phi.factors) == 1
     assert phi.to_jsonable()["kind"] == "congruence"
     [v] = phi.factors
     a = random_hermitian_raw(4, make_rng(1))
     expected = HermitianMatrix(v.conj().T @ a.entries @ v)
     assert phi.apply(a).entries.tobytes() == expected.entries.tobytes()
-
-
-@pytest.mark.parametrize("theorem", ["trace", "bourin", "chain"])
-def test_a_map_free_suite_refuses_an_m_other_than_n(theorem):
-    with pytest.raises(BadParams, match=f"^the {theorem} suite takes no map, "
-                                        "so m=3 cannot differ from n=4$"):
-        run_suite(InstanceSpec(n=4, m=3, trials=1, function="power:2"), theorem)
-    assert run_suite(InstanceSpec(n=4, m=4, trials=1, function="power:2"), theorem).trials == 1

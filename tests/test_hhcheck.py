@@ -4,6 +4,7 @@ helpers, and the solver calls a checker makes."""
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -285,9 +286,6 @@ def test_map_case_reasons_name_each_unmet_condition():
         "0 is outside the domain (0, inf] of inverse"]
     assert hhcheck._map_case_reasons(f, singular, subunital_ok=False) == [
         "Phi(I) is not I (distance 1); a unital map is needed"]
-    # a unital map does not admit case (i) when unital_ok is False
-    assert hhcheck._map_case_reasons(f, HermitianMatrix(np.eye(2)), unital_ok=False) == [
-        "exp(0) = 1 is not <= 0"]
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])  # at n = 9 the Frobenius test fails, so eig decides
@@ -311,18 +309,18 @@ def test_strict_positivity_edge_is_the_judgement_tolerance(lam_min, strict):
 
 
 @pytest.mark.parametrize("excess, unit", [(5e-10, True), (2e-9, False)])
-def test_jensen_unit_vector_edge_is_the_judgement_tolerance(excess, unit):
-    # ||x|| = 1 + excess: a unit vector (case (i)) within DEFAULT_TOL, else ||x|| > 1
+def test_jensen_psi_of_i_edge_is_the_judgement_tolerance(excess, unit):
+    # psi(I) = <x, x> = 1 + excess under the identity: 1 (case (i)) within DEFAULT_TOL, else > 1
     rng = make_rng(8)
     a = random_hermitian(3, 0.5, 2.0, rng)
-    x = np.ones(3) * (1.0 + excess) / np.sqrt(3.0)
+    x = np.ones(3) * np.sqrt((1.0 + excess) / 3.0)
     f = from_descriptor("exp")  # f(0) > 0, so only case (i) can hold
     if unit:
         assert hhcheck.check_jensen_map(f, IdentityMap(3), a, x).holds
     else:
         with pytest.raises(HypothesisUnmet) as info:
             hhcheck.check_jensen_map(f, IdentityMap(3), a, x)
-        assert info.value.reasons == ["||x|| = 1 exceeds 1", "exp(0) = 1 is not <= 0"]
+        assert info.value.reasons == ["psi(I) has top eigenvalue 1 > 1", "exp(0) = 1 is not <= 0"]
 
 
 def test_jensen_with_a_short_vector_needs_case_ii():
@@ -333,6 +331,33 @@ def test_jensen_with_a_short_vector_needs_case_ii():
         hhcheck.check_jensen_map(from_descriptor("exp"), IdentityMap(3), a, x)
     verdict = hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
     assert verdict.holds
+
+
+def test_jensen_judges_a_long_vector_under_a_subunital_map_by_psi_of_i():
+    # ||x|| = 1.5 and Phi(I) = I/4, so psi(I) = 0.5625: case (ii)
+    rng = make_rng(8)
+    a = random_hermitian(3, 0.5, 2.0, rng)
+    phi = CongruenceSum((np.eye(3) / 2.0,))
+    x = np.ones(3) * 1.5 / np.sqrt(3.0)
+    verdict = hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), phi, a, x)
+    assert verdict.holds and verdict.margin >= 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HypothesisUnmet) as info:
+            hhcheck.check_jensen_map(from_descriptor("inverse@1e-12,2"), phi, a, x)
+    assert info.value.reasons == ["inverse(0) = inf is not <= 0"]
+    # the same vector under the identity has psi(I) = 2.25
+    with pytest.raises(HypothesisUnmet, match=r"^psi\(I\) has top eigenvalue 2\.25 > 1$"):
+        hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
+
+
+def test_f0_is_read_with_numpy_warnings_off():
+    # 0 is in the domain of inverse@1e-12,2 by the endpoint stretch, where 1/0 warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reasons = hhcheck._map_case_reasons(from_descriptor("inverse@1e-12,2"),
+                                            HermitianMatrix(np.eye(2) / 2))
+    assert reasons == ["inverse(0) = inf is not <= 0"]
 
 
 def test_bourin_with_subunital_maps_needs_f0_nonpositive():

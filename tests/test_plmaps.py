@@ -25,7 +25,7 @@ def _sample_maps(n, rng):
         "identity": IdentityMap(n),
         "compression": CongruenceSum((np.linalg.qr(
             rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1)))[0],)),
-        "pinching": make_map(f"pinch:1,{n - 1}", n, None, rng),
+        "pinching": make_map(f"pinch:1,{n - 1}", n, rng),
         "congruence": CongruenceSum((stacked[:n], stacked[n:])),
     }
 
@@ -51,7 +51,7 @@ class TestApply:
     def test_pinching_is_the_congruence_sum_of_its_block_projections(self):
         rng = make_rng(0)
         a = random_hermitian_raw(4, rng)
-        phi = make_map("pinch:2,2", 4, None, rng)
+        phi = make_map("pinch:2,2", 4, rng)
         assert isinstance(phi, CongruenceSum) and phi.to_jsonable()["kind"] == "congruence"
         expected = np.zeros_like(a.entries)
         for block in (slice(0, 2), slice(2, 4)):

@@ -184,7 +184,7 @@ def test_the_refinement_and_trace_chains_are_equalities_for_affine_f(n):
 def test_t3_is_an_equality_for_affine_f_under_a_unital_map(n):
     # the uniform hypothesis then holds with U = I as an equality at every t
     f, a, b, tol = _affine_pair(n)
-    phi = make_map("congruence:2", n, None, make_rng(30 + n))
+    phi = make_map("congruence:2", n, make_rng(30 + n))
     verdict = hhcheck.check_theorem_t3(f, phi, a, b)
     assert verdict.holds and abs(verdict.margin) <= tol
 
