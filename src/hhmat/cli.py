@@ -7,7 +7,7 @@
     (LO may start with '-': --interval -1,2 is --interval=-1,2)
 
 Exit codes: 0 all checks passed or were hypothesis-skipped, 1 at least one
-inequality violation, 2 usage error.
+inequality violation, 2 usage error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from . import harness, hhcheck
-from .errors import Error
+from .errors import BadParams, Error
 from .funcat import from_descriptor
 from .harness import InstanceSpec, THEOREM_IDS
 
@@ -115,8 +115,7 @@ def main(argv=None) -> int:
                 with open(args.file, "r", encoding="utf-8") as fh:
                     payload = json.load(fh)
             except (OSError, ValueError) as exc:  # unreadable, or not JSON
-                print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-                return 2
+                raise BadParams(f"cannot read {args.file}: {exc}") from None
             results = harness.replay(payload)
             if not results:
                 print("no failed trials to replay")
@@ -125,7 +124,7 @@ def main(argv=None) -> int:
                 print(_outcome_line(inst, result.status, result.margin, result.detail))
                 bad += result.status == "fail"
             return 1 if bad else 0
-    except Error as exc:
+    except (Error, OSError) as exc:  # OSError: a --json file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

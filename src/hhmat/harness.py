@@ -51,6 +51,8 @@ class InstanceSpec:
             raise BadParams(f"dimension must be >= 1, got n={self.n}")
         if self.trials < 1:
             raise BadParams(f"trial count must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise BadParams(f"seed must be >= 0, got {self.seed}")
         hhcheck.chain_panels(self.panels)  # BadParams when out of range
         working_interval(*self.interval)  # BadInterval: trials draw spectra inside it
         QuadratureSpec(self.quad_nodes, self.quad_rtol)  # BadParams when out of range
@@ -480,7 +482,8 @@ def replay(obj: dict) -> list[tuple[dict, TrialResult]]:
     if not isinstance(obj, dict):
         raise BadParams("replay input is not a JSON object")
     if "failures" in obj:
-        instances = [json_field(fail, "instance", "failure entry") for fail in obj["failures"]]
+        instances = [json_field(fail, "instance", "failure entry")
+                     for fail in list_field(obj, "failures", dict, "report")]
     elif "instance" in obj:
         instances = [obj["instance"]]
     elif "theorem" in obj:

@@ -77,47 +77,43 @@ class AlphaResult:
 
 # -- hypothesis helpers ---------------------------------------------------------
 
-def _require_flag(f: ScalarFunction, flag: str) -> list[str]:
-    if not getattr(f.flags, flag):
-        return [f"{f.name} is not declared {flag.replace('_', ' ')}"]
-    return []
-
-
 def _check_hypotheses(reasons: list[str]):
     """Raise HypothesisUnmet listing every failed hypothesis, if any failed."""
     if reasons:
         raise HypothesisUnmet(*reasons)
 
 
-def _spectra_reasons(f: ScalarFunction, mats: dict[str, HermitianMatrix]) -> list[str]:
-    """A reason for each labelled matrix whose spectrum leaves the domain of
-    f, the matrices decomposed in one eig_many call."""
+def _hypothesis_reasons(f: ScalarFunction, flags: tuple, mats: dict) -> list[str]:
+    """A reason for each flag f is not declared, then one for each labelled
+    matrix whose spectrum leaves the domain of f, the matrices decomposed in
+    one eig_many call."""
     eig_many(list(mats.values()))
-    return [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
-            for label, h in mats.items() if spectrum_outside(f.domain, h)]
+    return ([f"{f.name} is not declared {flag.replace('_', ' ')}"
+             for flag in flags if not getattr(f.flags, flag)]
+            + [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
+               for label, h in mats.items() if spectrum_outside(f.domain, h)])
 
 
 def _map_case_reasons(
     f: ScalarFunction,
     image: HermitianMatrix,
     *,
-    strict_positive: bool = False,
     subunital_ok: bool = True,
     label: str = "Phi(I)",
 ) -> list[str]:
     """Empty list when the identity image Phi(I) (for a sum of maps, the sum
     of their identity images; for jensen, the 1x1 psi(I)) meets case (i),
-    Phi(I) = I, or case (ii), Phi(I) <= I (and strictly positive when asked)
-    with 0 in the domain of f and f(0) <= 0, read off f itself once with
-    numpy's warnings off (a NaN value fails).  subunital_ok=False admits
-    case (i) only.
-
-    Each comparison is orders.judge's, at the scale of Phi(I)'s spectral
-    radius: Phi(I) = I when its operator-norm distance to I is 0, Phi(I) <= I
-    when 1 - lambda_max >= 0, and Phi(I) is strictly positive unless
-    lambda_min <= 0.  The Frobenius distance, which bounds the operator-norm
-    one, is judged first at scale 1, so a unital Phi(I) needs no
-    decomposition.
+    Phi(I) = I, or case (ii), Phi(I) <= I with 0 in the domain of f and
+    f(0) <= 0, read off f once with numpy's warnings off (a NaN value fails).
+    subunital_ok=False admits case (i) only.  Case (ii) is case (i) for
+    Psi(X (+) y) = Phi(X) + y(I - Phi(I)), positive and unital on M_n (+) C
+    as a Kraus sum has Phi(I) >= 0: at A (+) 0 and B (+) 0 its right side
+    Psi(R (+) f(0)) = Phi(R) + f(0)(I - Phi(I)) is <= Phi(R).  The Loewner
+    order keeps eigenvalue dominance (Weyl), so weak majorization and the 1x1
+    jensen comparison, where psi(I) = 0 forces psi = 0 and f(0) <= 0.  Each
+    comparison is orders.judge's at the scale of Phi(I)'s spectral radius; the
+    Frobenius distance to I, a bound on the operator-norm one, is judged first
+    at scale 1, so a unital Phi(I) needs no decomposition.
     """
     if orders.judge(-np.linalg.norm(image.entries - np.eye(image.dim)), 1.0).holds:
         return []
@@ -130,8 +126,6 @@ def _map_case_reasons(
     reasons = []
     if not orders.judge(1.0 - rep.lambda_max, scale).holds:
         reasons.append(f"{label} has top eigenvalue {rep.lambda_max:.6g} > 1")
-    if strict_positive and orders.judge(-rep.lambda_min, scale).holds:
-        reasons.append(f"{label} is not strictly positive")
     if not f.domain.contains(0.0):
         return reasons + [f"0 is outside the domain {f.domain} of {f.name}"]
     with np.errstate(all="ignore"):
@@ -150,16 +144,14 @@ def check_jensen_map(
     """f(psi(A)) <= psi(f(A)) for convex f and the positive functional
     psi(X) = <Phi(X)x, x>: Jensen's inequality for the spectral measure of A
     under psi (Choi, Illinois J. Math. 18, 1974).  Hypotheses, on the 1x1
-    identity image psi(I) = <Phi(I)x, x> as t1 judges Phi(I): (i) psi(I) = 1,
-    or (ii) 0 < psi(I) <= 1 with 0 in the domain and f(0) <= 0.
+    identity image psi(I) = <Phi(I)x, x> as t1 judges Phi(I) (see
+    _map_case_reasons): (i) psi(I) = 1, or (ii) psi(I) <= 1 with f(0) <= 0.
     """
     pa = phi.apply(a)  # DimMismatch before Phi(I) is built
     x = np.asarray(x, dtype=complex).ravel()
     psi_id = float((x.conj() @ phi.identity_image().entries @ x).real)
-    reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a})
-    reasons += _map_case_reasons(f, HermitianMatrix([[psi_id]]), strict_positive=True,
-                                 label="psi(I)")
-    _check_hypotheses(reasons)
+    _check_hypotheses(_hypothesis_reasons(f, ("convex",), {"A": a})
+                      + _map_case_reasons(f, HermitianMatrix([[psi_id]]), label="psi(I)"))
     pfa = phi.apply(apply_function(f, a))
     lhs = f(float((x.conj() @ pa.entries @ x).real))
     rhs = float((x.conj() @ pfa.entries @ x).real)
@@ -176,7 +168,8 @@ def check_theorem_t1(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> OrderVerdict:
     """Eigenvalues of f((Phi(A)+Phi(B))/2) are weakly majorized by those of
-    Phi(integral of f along the segment from B to A): the verdict of
+    Phi(integral of f along the segment from B to A), for Phi(I) = I or for
+    Phi(I) <= I with f(0) <= 0 (see _map_case_reasons): the verdict of
     orders.weak_majorization, witnessed by the index of the partial sum with
     the smallest deficit.  For PSD A, B and f = t^r on [0, inf) both sides
     are PSD, so by Ky Fan dominance (Bhatia, Matrix Analysis, Thm IV.2.2) it
@@ -184,9 +177,8 @@ def check_theorem_t1(
     integral of t^r)||| in every unitarily invariant norm: run ``hhmat verify
     --theorem t1 --f power:r@0,<hi> --interval max(lo,0),hi``."""
     pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
-    reasons = _require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b})
-    reasons += _map_case_reasons(f, phi.identity_image(), strict_positive=True)
-    _check_hypotheses(reasons)
+    _check_hypotheses(_hypothesis_reasons(f, ("convex",), {"A": a, "B": b})
+                      + _map_case_reasons(f, phi.identity_image()))
     lhs = apply_function(f, (pa + pb) / 2.0)
     rhs = phi.apply(segment_integral(f, a, b, quad))
     return orders.weak_majorization(lhs, rhs)
@@ -204,7 +196,7 @@ def check_trace_corollary(
     2.10), so this is the classical Hermite-Hadamard chain of g on [0, 1],
     checked directly rather than through the partial sums.  At n = 1, with
     A = [y] and B = [x], it is the scalar bound on [x, y] divided by y - x."""
-    _check_hypotheses(_require_flag(f, "convex") + _spectra_reasons(f, {"A": a, "B": b}))
+    _check_hypotheses(_hypothesis_reasons(f, ("convex",), {"A": a, "B": b}))
     mid = apply_function(f, (a + b) / 2.0).trace
     integral = segment_integral(f, a, b, quad).trace
     ends = (apply_function(f, a).trace + apply_function(f, b).trace) / 2.0
@@ -231,8 +223,8 @@ def check_bourin_t2(
         raise BadParams("need equally many maps and matrices, at least one each")
     # DimMismatch before Phi_i(I) is built: a map of another source or target size
     arg = functools.reduce(operator.add, (phi.apply(h) for phi, h in zip(maps, a_list)))
-    reasons = _require_flag(f, "convex") + _require_flag(f, "increasing")
-    reasons += _spectra_reasons(f, {f"A_{i}": h for i, h in enumerate(a_list)})
+    reasons = _hypothesis_reasons(f, ("convex", "increasing"),
+                                  {f"A_{i}": h for i, h in enumerate(a_list)})
     id_sum = functools.reduce(operator.add, (phi.identity_image() for phi in maps))
     _check_hypotheses(reasons + _map_case_reasons(f, id_sum, label="sum of Phi_i(I)"))
     val = functools.reduce(operator.add, (phi.apply(apply_function(f, h))
@@ -257,10 +249,8 @@ def check_theorem_t3(
     failing point raises HypothesisUnmet rather than judging the conclusion.
     """
     pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
-    reasons = _require_flag(f, "convex") + _require_flag(f, "increasing")
-    reasons += _spectra_reasons(f, {"A": a, "B": b})
-    reasons += _map_case_reasons(f, phi.identity_image())
-    _check_hypotheses(reasons)
+    _check_hypotheses(_hypothesis_reasons(f, ("convex", "increasing"), {"A": a, "B": b})
+                      + _map_case_reasons(f, phi.identity_image()))
     grid = np.linspace(0.0, 1.0, 33)
     pfa, pfb = phi.apply(apply_function(f, a)), phi.apply(apply_function(f, b))
     for t, point in zip(grid, segment_points(pa, pb, grid)):
@@ -359,7 +349,7 @@ def _converse_hypotheses(
     """
     pa, pb = phi.apply(a), phi.apply(b)
     mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
-    reasons = _require_flag(f, "convex") + _spectra_reasons(f, mats)
+    reasons = _hypothesis_reasons(f, ("convex",), mats)
     reasons += _map_case_reasons(f, phi.identity_image(), subunital_ok=False)
     try:
         working = working_interval(*interval)
@@ -454,9 +444,10 @@ def check_refinement_chain(
     matching trapezoid sum, and the endpoint average, each below the next in
     the Loewner order.  The panel count is bounded as chain_panels documents.
     """
-    _check_hypotheses(_require_flag(f, "operator_convex"))
-    n_panels = chain_panels(int(panels))
-    _check_hypotheses(_spectra_reasons(f, {"A": a, "B": b}))
+    mats = {"A": a, "B": b} if f.flags.operator_convex else {}  # else the flag is the one reason
+    reasons = _hypothesis_reasons(f, ("operator_convex",), mats)
+    n_panels = chain_panels(int(panels)) if mats else 0  # the panel count before the spectra
+    _check_hypotheses(reasons)
     index = np.arange(n_panels)
     l0 = apply_function(f, 0.5 * a + 0.5 * b)
     mids = (2 * index + 1) / (2.0 * n_panels)

@@ -6,9 +6,8 @@ a <= U* b U for some unitary U (Weyl's monotonicity principle; Bhatia,
 Matrix Analysis, Ch. III), and weak majorization of the partial sums.
 
 Every comparison in the package, these orders, the trace, Jensen and norm
-comparisons of the checkers, and their map and vector hypotheses
-(Phi(I) = I, Phi(I) <= I, Phi(I) strictly positive, ||x|| <= 1 and
-||x|| = 1) alike, reduces to a signed margin and a magnitude scale of its
+comparisons of the checkers, and their map hypotheses (Phi(I) = I and
+Phi(I) <= I) alike, reduces to a signed margin and a magnitude scale of its
 operands and is judged by judge(): it holds when
 margin >= -DEFAULT_TOL * max(1, scale).  That rule and its one tolerance
 are written nowhere else.

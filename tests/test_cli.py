@@ -286,11 +286,11 @@ def test_a_folded_suite_is_gone(instance, tmp_path, capsys):
     ["--n", "4", "--map", "compress:9"],
     ["--theorem", "chain", "--f", "power:2", "--panels", "1025"],
     ["--theorem", "t4", "--quad-nodes", "600"], ["--theorem", "t4", "--interval", "0.5,inf"],
-    ["--workers", "-2"], ["--workers", "0"],
+    ["--workers", "-2"], ["--workers", "0"], ["--seed", "-1"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
         "subcongruence:-1", "m>k*n", "panels=0", "congruence-third-count",
         "subcongruence-third-count", "compress:9", "panels>cap", "quad-nodes>cap/2",
-        "interval-inf", "workers=-2", "workers=0"])
+        "interval-inf", "workers=-2", "workers=0", "seed<0"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--trials", "3", *args])
@@ -497,6 +497,28 @@ def test_replay_of_a_failure_entry_without_an_instance_exits_2(tmp_path, capsys)
     path.write_text(json.dumps({"failures": [{"trial": 0}]}))
     assert cli.main(["replay", str(path)]) == 2
     assert "error: failure entry has no field 'instance'" in capsys.readouterr().err
+
+
+# it ended in a TypeError traceback and exit 1, the code of a violation
+def test_replay_of_a_report_whose_failures_are_not_a_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"failures": 5}))
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: report field 'failures' is not a list of dict\n"
+    assert captured.out == ""
+
+
+# each printed its result, then ended in a FileNotFoundError traceback and exit 1
+@pytest.mark.parametrize("args", [
+    ["verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2", "--trials", "2"],
+    ["counterexample"],
+], ids=["verify", "counterexample"])
+def test_a_json_file_that_cannot_be_written_exits_2(args, tmp_path, capsys):
+    assert cli.main([*args, "--json", str(tmp_path / "missing" / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_alpha_prints_the_chord_ratio_constant(capsys):

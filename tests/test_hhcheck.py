@@ -273,15 +273,12 @@ def test_map_case_reasons_name_each_unmet_condition():
     f = from_descriptor("exp")
     inflating = HermitianMatrix(np.diag([2.0, 1.0]))
     singular = HermitianMatrix(np.diag([1.0, 0.0]))
-    quarter = HermitianMatrix(np.eye(2) / 4.0)  # 0 < Phi(I) <= I: case (ii)
-    assert hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), quarter,
-                                     strict_positive=True) == []
-    assert hhcheck._map_case_reasons(f, quarter, strict_positive=True) == [
-        "exp(0) = 1 is not <= 0"]
+    quarter = HermitianMatrix(np.eye(2) / 4.0)  # Phi(I) <= I: case (ii)
+    assert hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), quarter) == []
+    assert hhcheck._map_case_reasons(f, quarter) == ["exp(0) = 1 is not <= 0"]
     assert hhcheck._map_case_reasons(f, inflating) == [
         "Phi(I) has top eigenvalue 2 > 1", "exp(0) = 1 is not <= 0"]
-    assert hhcheck._map_case_reasons(from_descriptor("power:2"), singular,
-                                     strict_positive=True) == ["Phi(I) is not strictly positive"]
+    assert hhcheck._map_case_reasons(from_descriptor("power:2"), singular) == []
     assert hhcheck._map_case_reasons(from_descriptor("inverse"), singular) == [
         "0 is outside the domain (0, inf] of inverse"]
     assert hhcheck._map_case_reasons(f, singular, subunital_ok=False) == [
@@ -298,14 +295,20 @@ def test_unital_edge_is_the_judgement_tolerance(n, excess, unital):
                        [f"Phi(I) is not I (distance {excess:.3g}); a unital map is needed"])
 
 
-@pytest.mark.parametrize("lam_min, strict", [(5e-10, False), (2e-9, True), (0.0, False),
-                                             (-2e-9, False)])
-def test_strict_positivity_edge_is_the_judgement_tolerance(lam_min, strict):
-    # lambda_min(Phi(I)) is 0 under orders.judge when it is at most DEFAULT_TOL * max(1, scale)
-    image = HermitianMatrix(np.diag([0.5, lam_min]))
-    reasons = hhcheck._map_case_reasons(from_descriptor("power:2@0,inf"), image,
-                                        strict_positive=True)
-    assert reasons == ([] if strict else ["Phi(I) is not strictly positive"])
+@pytest.mark.parametrize("desc", ["power:2@0,inf", "xlogx", "neg_sqrt", "affine:2,-0.5"])
+def test_a_singular_subunital_map_is_judged_by_t1_and_jensen(desc):
+    # Phi(I) = diag(1, 1, 0) <= I and f(0) <= 0: case (ii), with no strictly positive Phi(I)
+    f = from_descriptor(desc)
+    phi = CongruenceSum((np.diag([1.0, 1.0, 0.0]).astype(complex),))
+    rng = make_rng(11)
+    for _ in range(5):
+        a, b = (random_hermitian(3, 0.1, 2.0, rng) for _ in range(2))
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        assert hhcheck.check_theorem_t1(f, phi, a, b).holds
+        assert hhcheck.check_jensen_map(f, phi, a, x / np.linalg.norm(x)).holds
+    # e_3 spans the kernel of Phi(I): psi(I) = 0, and the comparison reads f(0) <= 0
+    verdict = hhcheck.check_jensen_map(f, phi, a, np.array([0.0, 0.0, 1.0]))
+    assert verdict.holds and verdict.margin == -f(0.0)
 
 
 @pytest.mark.parametrize("excess, unit", [(5e-10, True), (2e-9, False)])
@@ -349,6 +352,19 @@ def test_jensen_judges_a_long_vector_under_a_subunital_map_by_psi_of_i():
     # the same vector under the identity has psi(I) = 2.25
     with pytest.raises(HypothesisUnmet, match=r"^psi\(I\) has top eigenvalue 2\.25 > 1$"):
         hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
+
+
+def test_the_converse_bound_needs_a_unital_map():
+    # Phi(X) = X/2, A = B = 2I on [0.5, 2]: Phi(f(A)) = 2I exceeds alpha f(Phi(A)) = 1.5625 I
+    f = from_descriptor("power:2@0,inf")
+    alpha = mond_pecaric_alpha(f, 0.5, 2.0).alpha
+    assert alpha == pytest.approx(1.5625, abs=1e-12)
+    phi = CongruenceSum((np.eye(2) / np.sqrt(2.0),))
+    a = HermitianMatrix(2.0 * np.eye(2))
+    gap = alpha * matcore.apply_function(f, phi.apply(a)) - phi.apply(matcore.apply_function(f, a))
+    assert np.allclose(gap.entries, (1.5625 - 2.0) * np.eye(2))
+    with pytest.raises(HypothesisUnmet, match=r"a unital map is needed$"):
+        check_theorem_t4(f, phi, a, a, (0.5, 2.0))
 
 
 def test_f0_is_read_with_numpy_warnings_off():
