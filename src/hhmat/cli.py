@@ -13,6 +13,7 @@ inequality violation, 2 usage error or an output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields
@@ -32,6 +33,14 @@ def _outcome_line(inst: dict, status: str, margin: float | None, detail: str) ->
     """A trial's outcome, as verify prints a failed one and replay every one."""
     shown = "n/a" if margin is None else f"{margin:.3e}"
     return f"{inst.get('theorem')} seed={inst.get('seed')}: {status} margin={shown} {detail}"
+
+
+def _output_file(path: str | None):
+    """The --json file, opened before any work so that a path that cannot
+    be written ends the command before its first trial.  Append mode
+    creates a missing file and keeps an existing one as it is until the
+    caller truncates it and writes; without --json, a context of None."""
+    return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +85,11 @@ def main(argv=None) -> int:
         if args.command == "verify":
             spec = InstanceSpec(**{field.name: getattr(args, field.name)
                                    for field in fields(InstanceSpec) if hasattr(args, field.name)})
-            report = harness.run_suite(spec, args.theorem, workers=args.workers)
+            with _output_file(args.json_out) as out:
+                report = harness.run_suite(spec, args.theorem, workers=args.workers)
+                if out is not None:
+                    out.truncate(0)
+                    out.write(report.to_json())
             print(report.summary())
             if report.judged == 0:
                 print(f"warning: the {args.theorem} suite judged none of its "
@@ -86,9 +99,6 @@ def main(argv=None) -> int:
                 print("  " + _outcome_line(fail["instance"], rec["verdict"], rec["margin"],
                                            rec.get("detail", "")))
                 print("  " + json.dumps(fail["instance"], sort_keys=True))
-            if args.json_out:
-                with open(args.json_out, "w", encoding="utf-8") as fh:
-                    fh.write(report.to_json())
             return 0 if not report.failures else 1
         if args.command == "alpha":
             f = from_descriptor(args.f)
@@ -97,7 +107,11 @@ def main(argv=None) -> int:
                   f"interval=[{result.omega:g},{result.Omega:g}]")
             return 0
         if args.command == "counterexample":
-            payload = hhcheck.reproduce_counterexample()
+            with _output_file(args.json_out) as out:
+                payload = hhcheck.reproduce_counterexample()
+                if out is not None:
+                    out.truncate(0)
+                    json.dump(payload, out, sort_keys=True)
             for key in ("mid_cubed", "segment_integral", "endpoint_average"):
                 print(f"{key}: {payload[key]}")
             print(f"left gap det = {payload['left_gap_det']} "
@@ -106,9 +120,6 @@ def main(argv=None) -> int:
                   f"(right inequality fails: {payload['right_fails']})")
             print("counterexample reproduced exactly" if payload["passes"]
                   else "counterexample reproduction FAILED")
-            if args.json_out:
-                with open(args.json_out, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, sort_keys=True)
             return 0 if payload["passes"] else 1
         if args.command == "replay":
             try:
@@ -124,7 +135,7 @@ def main(argv=None) -> int:
                 print(_outcome_line(inst, result.status, result.margin, result.detail))
                 bad += result.status == "fail"
             return 1 if bad else 0
-    except (Error, OSError) as exc:  # OSError: a --json file that cannot be written
+    except (Error, OSError) as exc:  # OSError: a --json file that cannot be opened or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -247,6 +247,13 @@ def check_theorem_t3(
 
     The uniform hypothesis is verified with U = I at 33 evenly spaced t; a
     failing point raises HypothesisUnmet rather than judging the conclusion.
+
+    With U = I the conclusion follows from the hypothesis by integration:
+    integrating the comparison over t in [0, 1] gives the Loewner order
+    integral <= (Phi(f(A)) + Phi(f(B)))/2, and by Weyl's monotonicity
+    principle the Loewner order implies eigenvalue dominance.  So, with its
+    hypotheses met, this check can fail only where its 33-point grid misses
+    a point of the segment or its quadrature errs.
     """
     pa, pb = phi.apply(a), phi.apply(b)  # DimMismatch before Phi(I) is built
     _check_hypotheses(_hypothesis_reasons(f, ("convex", "increasing"), {"A": a, "B": b})

@@ -4,8 +4,13 @@ string whose one reading is norm_spec.
 
 Values are immutable and every operation but random_hermitian is pure, so
 everything here is safe to call from concurrent workers.  A matrix caches its
-own eigendecomposition on first use; two workers racing to fill the cache
-compute the same result, so the race is harmless.
+own eigendecomposition on first use, and a stack of segment points the
+images of its matrices under f (see SpectralStack).  Each cache is one
+reference, filled whole: two workers racing to fill it each use a whole
+result for their own arguments, so the race is harmless.
+
+f(H) has one formula, map_stack's, which maps a whole stack of decomposed
+matrices at once; apply_function reads one matrix's image from it.
 """
 
 from __future__ import annotations
@@ -60,6 +65,9 @@ class HermitianMatrix:
     # from which eig() derives this matrix's decomposition without a solver.
     _spectral_pair: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, init=False, repr=False)
+    # Set by segment_matrices: (the SpectralStack this matrix was decomposed
+    # in, its index there), from which apply_function reads f(H).
+    _stack: "tuple[SpectralStack, int] | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         raw = np.asarray(self.entries, dtype=complex)
@@ -180,7 +188,8 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     return HermitianMatrix(h)
 
 
-def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None) -> HermitianMatrix:
+def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None,
+                     stack=None) -> HermitianMatrix:
     """Wrap a square complex array that is exactly Hermitian by construction.
 
     The constructor's exactness test always passes on such an array, so it
@@ -189,19 +198,40 @@ def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None) -> Her
     of exactly Hermitian matrices (see segment_matrices); anything else goes
     through the constructor.  ``spectral_pair`` is apply_function's
     (values, vectors) of the result, kept as a reference for eig();
-    ``eigen`` is the matrix's validated EigenSystem, when already known.
+    ``eigen`` is the matrix's validated EigenSystem, when already known, and
+    ``stack`` its (SpectralStack, index), when it was decomposed in one.
     """
     entries.flags.writeable = False
     h = object.__new__(HermitianMatrix)
     h.__dict__.update(entries=entries, asymmetry_residual=0.0, _eigen=eigen,
-                      _spectral_pair=spectral_pair)
+                      _spectral_pair=spectral_pair, _stack=stack)
     return h
+
+
+class SpectralStack:
+    """The validated decompositions of a stack of k Hermitian matrices,
+    (values, vectors) as eig_stack returns them, and the images of its
+    matrices under the last f applied to any of them (see apply_function).
+
+    The image cache ``mapped`` is one reference to a tuple (f, inside,
+    fvals, images) of f and map_stack's results for it, replaced whole and
+    never attribute by attribute.  A worker reads it once, so two workers
+    racing to fill it, even for different functions, each use the tuple of
+    their own f; the race costs at most a second kernel call.
+    """
+
+    __slots__ = ("values", "vectors", "mapped")
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray):
+        self.values, self.vectors, self.mapped = values, vectors, None
 
 
 def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[HermitianMatrix]:
     """The matrices tA + (1-t)B for t in ts, built in one array expression
     and decomposed from that array in one solver call (see eig_stack); each
-    comes with its decomposition cached, as eig() would leave it.
+    comes with its decomposition cached, as eig() would leave it, and with
+    the SpectralStack they share, from which apply_function maps them all
+    at once.
 
     Multiplying by a real scalar and adding act on real and imaginary parts
     separately and commute with conjugation, so these matrices are exactly
@@ -210,13 +240,15 @@ def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[Hermiti
     t = np.asarray(ts, dtype=float)[:, None, None]
     stack = t * a.entries + (1.0 - t) * b.entries
     values, vectors = eig_stack(stack)
-    return [_exact_hermitian(m, eigen=EigenSystem(values=w, vectors=v))
-            for m, w, v in zip(stack, values, vectors)]
+    shared = SpectralStack(values, vectors)
+    return [_exact_hermitian(m, eigen=EigenSystem(values=w, vectors=v), stack=(shared, i))
+            for i, (m, w, v) in enumerate(zip(stack, values, vectors))]
 
 
 def _ct(stack: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return np.conj(np.swapaxes(stack, -1, -2))
+    """Conjugate transpose of every matrix in a stack, as a transposed
+    view of the conjugate: conjugating a contiguous array is the fast way."""
+    return stack.conj().swapaxes(-1, -2)
 
 
 def _check_reconstruction(values: np.ndarray, vectors: np.ndarray, vectors_ct: np.ndarray,
@@ -350,27 +382,64 @@ def check_spectrum_in_domain(f: "ScalarFunction", h: HermitianMatrix, label: str
         )
 
 
-def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
-    """Functional calculus f(H) via the spectral decomposition.
+def map_stack(f: "ScalarFunction", values: np.ndarray,
+              vectors: np.ndarray) -> tuple[list[bool], np.ndarray, np.ndarray]:
+    """The one formula for f(H), applied to a whole stack of k Hermitian
+    matrices from their validated decompositions (values and vectors of
+    shapes (k, n) and (k, n, n), as eig_stack returns them).
 
-    Requires the spectrum of H to lie in the domain of f (see
-    spectrum_outside: when it fits, only its two extreme eigenvalues are
-    tested); check_spectrum_in_domain raises SpectrumOutOfDomain otherwise.
+    Returns (inside, fvals, images).  ``inside[i]`` tells whether the
+    spectrum of matrix i lies in f's domain, by the one membership rule
+    (see spectrum_outside) asked of the two extreme eigenvalues of every
+    matrix at once.  ``fvals[i]`` is f of its eigenvalues, clipped into the
+    domain, from one eval_array call over every matrix inside; a matrix
+    outside gets zeros, so f is never evaluated off its domain.
+    ``images[i]`` is V f(Lambda) V*, all from one stacked matmul; R/2 +
+    (R/2)* is exactly Hermitian whatever the rounding in R, and halving
+    first (exact but for subnormal entries) cannot overflow near the float
+    max.
+    """
+    domain = f.domain
+    ends = domain.contains_array(values[:, ::max(1, values.shape[1] - 1)])
+    if ends.all():
+        inside, fvals = [True] * len(values), f.eval_array(domain.clip(values))
+    else:
+        inside = ends.all(axis=1).tolist()
+        fvals = np.zeros(values.shape)
+        fvals[inside] = f.eval_array(domain.clip(values[inside]))
+    images = (vectors * fvals[:, None, :]) @ _ct(vectors)
+    images /= 2.0
+    images += _ct(images)
+    return inside, fvals, images
+
+
+def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
+    """Functional calculus f(H) via the spectral decomposition, by map_stack.
+
+    A matrix that segment_matrices made reads its image from its
+    SpectralStack, mapped whole on the first call for f; any other matrix
+    is mapped as a stack of one, made from eig(H), which nothing else reads
+    and so nothing caches.  A spectrum outside the domain of f raises
+    SpectrumOutOfDomain from check_spectrum_in_domain, naming H's offending
+    eigenvalues.
 
     The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
     which eig() turns into its decomposition, checked, if it is ever asked
     for; a result that is never decomposed pays nothing more.
     """
-    if spectrum_outside(f.domain, h):
+    if h._stack is None:
+        es = eig(h)
+        vectors, i = es.vectors[None], 0
+        inside, fvals, images = map_stack(f, es.values[None], vectors)
+    else:
+        stack, i = h._stack
+        vectors, mapped = stack.vectors, stack.mapped
+        if mapped is None or mapped[0] is not f:
+            mapped = stack.mapped = (f, *map_stack(f, stack.values, vectors))
+        _, inside, fvals, images = mapped
+    if not inside[i]:
         check_spectrum_in_domain(f, h)
-    es = h._eigen  # cached by spectrum_outside's eig(h)
-    fvals = f.eval_array(f.domain.clip(es.values))
-    result = (es.vectors * fvals) @ es.vectors.conj().T
-    # R/2 + (R/2)* is exactly Hermitian whatever the rounding in R; halving
-    # first (exact but for subnormal entries) cannot overflow near the float max.
-    result /= 2.0
-    result += result.conj().T
-    return _exact_hermitian(result, (fvals, es.vectors))
+    return _exact_hermitian(images[i], (fvals[i], vectors[i]))
 
 
 def norm_spec(spec: str, dim: int) -> tuple[str, int | float | None]:

@@ -11,8 +11,14 @@ and decomposed a stack at a time, at most STACK_ENTRY_BUDGET entries a
 stack; every quadrature pass sums the stream it is handed.  Every integral
 evaluates its first two rules, so one opening stream serves both: at small
 n their nodes share one solver call, and at large n the stream still holds
-one stack at a time.  Each later rule gets a stream of its own.  f is
-applied node by node, each node's spectrum checked against its domain.
+one stack at a time.  Each later rule gets a stream of its own.
+
+f reaches the nodes a stack at a time: the first apply_function call on a
+node maps its whole stack (matcore.map_stack: one domain test, one
+eval_array call and one stacked matmul), and each later node of the stack
+reads its image from there.  Each node still makes its own apply_function
+call, in rule order, and a node outside f's domain raises from its own
+call.
 """
 
 from __future__ import annotations
@@ -127,12 +133,13 @@ def segment_integral(
     rtol in relative max-entry norm, capped at NODE_CAP; the first pass
     whose sum is not finite (f overflowing) raises NonFiniteEntries.
 
-    Nodes are decomposed in stacks (see segment_points), and f is applied
-    to each node by apply_function, which checks its spectrum against the
-    domain.  The first two rules (QuadratureSpec keeps the second within
-    NODE_CAP) draw from one opening stream over their concatenated nodes,
-    so at small n one solver call decomposes both, while each pass still
-    sums its own nodes in rule order; each later rule gets its own stream.
+    Nodes are decomposed and mapped by f in stacks (see segment_points and
+    matcore.apply_function); each node's apply_function call checks its
+    spectrum against the domain.  The first two rules (QuadratureSpec keeps
+    the second within NODE_CAP) draw from one opening stream over their
+    concatenated nodes, so at small n one solver call decomposes both,
+    while each pass still sums its own nodes in rule order; each later rule
+    gets its own stream.
     """
     check_same_dim(a, b)
     _check_spectrum_in_domain(f, a, "the t=1 endpoint")

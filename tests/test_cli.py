@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import wide_factor_map
-from hhmat import cli, hhcheck
+from hhmat import cli, harness, hhcheck
 from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
@@ -157,6 +157,32 @@ def test_replay_of_a_passing_instance_exits_0(tmp_path):
 
 
 # the generator refuses it in the first trial, in a worker process too
+@pytest.mark.parametrize("args, work", [
+    (["verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2", "--trials", "2"],
+     (harness, "run_suite")),
+    (["counterexample"], (hhcheck, "reproduce_counterexample")),
+], ids=["verify", "counterexample"])
+def test_a_json_file_that_cannot_be_opened_stops_the_command_before_it_runs(
+        args, work, tmp_path, capsys, monkeypatch):
+    # the file is opened first, so no trial runs and no summary is printed
+    ran = []
+    real = getattr(*work)
+    monkeypatch.setattr(*work, lambda *a, **k: ran.append(a) or real(*a, **k))
+    assert cli.main([*args, "--json", str(tmp_path / "missing" / "out.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert ran == []
+
+
+def test_a_json_file_is_replaced_once_the_suite_ends(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("an earlier report, longer than the one that replaces it " * 100)
+    args = ["verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2", "--trials", "2"]
+    assert cli.main([*args, "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["passes"] == 2
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_spec_the_generator_refuses_exits_2(workers, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--n", "4", "--map", "compress:9",

@@ -117,6 +117,23 @@ def test_t4_trial_makes_three_solver_calls_at_small_n(monkeypatch, map_desc, ope
     assert [len(stack) for (stack,) in eigh] == [operands, 16 + 32, 1]
 
 
+@pytest.mark.parametrize("theorem, function, stack_sizes", [
+    # t3: f(A) and f(B), the 33 grid points in one stack, then the opening
+    # quadrature pair in another
+    ("t3", "exp", [1, 1, 33, 48]),
+    # the chain with 2 panels: the midpoint, the 2 midpoint Riemann nodes,
+    # the quadrature pair, the 3 trapezoid nodes, then f(A) and f(B)
+    ("chain", "inverse", [1, 2, 48, 3, 1, 1]),
+])
+def test_every_segment_stream_is_mapped_a_stack_at_a_time(monkeypatch, theorem, function,
+                                                           stack_sizes):
+    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function=function, seed=3)
+    inst = generate_instance(theorem, spec, 0)
+    mapped = _count_calls(monkeypatch, matcore, "map_stack")
+    assert run_instance(inst).status == "pass"
+    assert [values.shape[0] for _, values, _ in mapped] == stack_sizes
+
+
 def test_t4_builds_no_decomposition_of_a_function_value(monkeypatch):
     rng = make_rng(6)
     a, b = (random_hermitian(4, 0.5, 2.0, rng) for _ in range(2))

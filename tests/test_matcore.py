@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -387,6 +389,147 @@ class TestDecompositionOfFunctionValues:
             assert other._spectral_pair is None
             fresh = np.linalg.eigvalsh(other.entries)[::-1]
             np.testing.assert_allclose(eig(other).values, fresh, atol=1e-12)
+
+
+def _lone(node: HermitianMatrix) -> HermitianMatrix:
+    """The same matrix with the same decomposition, outside any stack."""
+    return matcore._exact_hermitian(node.entries, eigen=eig(node))
+
+
+def _in_domain_pair(f, n: int, seed: int):
+    lo = 0.2 if f.domain.lo >= 0.0 else -1.0
+    return random_hermitian(n, lo, 2.0, seed), random_hermitian(n, lo, 2.0, seed + 1)
+
+
+class TestStackKernel:
+    """apply_function maps a stack of segment points in one map_stack call;
+    a lone matrix is a stack of one, so both give the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    @pytest.mark.parametrize("desc", funcat.CATALOG_DESCRIPTORS)
+    def test_node_images_equal_lone_images_bit_for_bit(self, desc, n):
+        f = funcat.from_descriptor(desc)
+        a, b = _in_domain_pair(f, n, 41)
+        ts = np.concatenate([[1.0, 0.0], make_rng(42).uniform(0.0, 1.0, size=7)])
+        for node in segment_matrices(a, b, ts):
+            image, lone = apply_function(f, node), apply_function(f, _lone(node))
+            assert image.entries.tobytes() == lone.entries.tobytes()
+            for x, y in zip(image._spectral_pair, lone._spectral_pair):
+                assert x.tobytes() == y.tobytes()
+            assert not image.entries.flags.writeable and image.asymmetry_residual == 0.0
+            assert _exactly_hermitian(image.entries)
+
+    def test_a_stack_is_mapped_once_per_function(self, monkeypatch):
+        calls = []
+        real = matcore.map_stack
+        monkeypatch.setattr(matcore, "map_stack",
+                            lambda f, w, v: calls.append((f.name, w.shape[0])) or real(f, w, v))
+        exp, square = funcat.builtin("exp"), funcat.builtin("power", 2)
+        a, b = _in_domain_pair(exp, 3, 43)
+        nodes = segment_matrices(a, b, np.linspace(0.0, 1.0, 5))
+        for f in (exp, square):
+            for node in nodes:
+                apply_function(f, node)
+        apply_function(exp, a)
+        assert calls == [("exp", 5), ("power:2", 5), ("exp", 1)]
+
+    def test_images_belong_to_the_function_that_made_them(self):
+        # two functions taking turns on one stack: each call gets its own f's image
+        fs = [funcat.from_descriptor(d) for d in ("exp", "inverse", "exp", "power:2")]
+        a, b = _in_domain_pair(fs[1], 4, 44)
+        nodes = segment_matrices(a, b, np.linspace(0.0, 1.0, 6))
+        for i, node in enumerate(nodes):
+            for f in fs[i % 2:] + fs[:i % 2]:
+                assert (apply_function(f, node).entries.tobytes()
+                        == apply_function(f, _lone(node)).entries.tobytes())
+
+    def test_a_fill_for_another_function_during_a_fill_is_harmless(self, monkeypatch):
+        # A worker filling the cache for g while another fills it for f: the
+        # cache is one reference, so each keeps its own f's images, and the
+        # stack never pairs one function with another's images.
+        f, g = funcat.builtin("exp"), funcat.builtin("power", 2)
+        a, b = _in_domain_pair(f, 3, 45)
+        nodes = segment_matrices(a, b, np.linspace(0.0, 1.0, 4))
+        real = matcore.map_stack
+        during = []
+
+        def racing(h, w, v):
+            out = real(h, w, v)
+            if h is f and not during:
+                during.append(apply_function(g, nodes[1]))
+            return out
+
+        monkeypatch.setattr(matcore, "map_stack", racing)
+        first = apply_function(f, nodes[0])
+        expected = [(f, nodes[0], first), (g, nodes[1], during[0]),
+                    (g, nodes[2], apply_function(g, nodes[2])),
+                    (f, nodes[3], apply_function(f, nodes[3]))]
+        for h, node, image in expected:
+            assert image.entries.tobytes() == apply_function(h, _lone(node)).entries.tobytes()
+
+    def test_threads_sharing_a_stack_each_get_their_own_functions_images(self):
+        # more threads than cores, switching often, two functions on one
+        # stack: a lost or mixed cache update would hand a thread the other
+        # function's image
+        fs = (funcat.builtin("exp"), funcat.builtin("power", 2))
+        a, b = _in_domain_pair(fs[0], 3, 46)
+        nodes = segment_matrices(a, b, np.linspace(0.0, 1.0, 8))
+        expected = {(j, i): apply_function(f, _lone(node)).entries.tobytes()
+                    for j, f in enumerate(fs) for i, node in enumerate(nodes)}
+        wrong, done = [], []
+
+        def work(k):
+            for step in range(300):
+                j, i = (k + step) % 2, step % len(nodes)
+                if apply_function(fs[j], nodes[i]).entries.tobytes() != expected[j, i]:
+                    wrong.append((k, step))
+            done.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and wrong == []
+
+    @pytest.mark.parametrize("desc", ["inverse", "neg_sqrt"])
+    def test_a_later_node_outside_the_domain_raises_for_itself(self, desc):
+        # tA + (1-t)B = diag(2t - 1, 1): the last node's eigenvalue -0.5 leaves
+        # [0, inf) and (0, inf); no warning escapes from f at that node, and
+        # the nodes before it still return their images
+        f = funcat.from_descriptor(desc)
+        a, b = HermitianMatrix(np.diag([1.0, 1.0])), HermitianMatrix(np.diag([-1.0, 1.0]))
+        nodes = segment_matrices(a, b, [1.0, 0.75, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for node, diag in zip(nodes, ([1.0, 1.0], [0.5, 1.0])):
+                image = apply_function(f, node)
+                np.testing.assert_allclose(image.entries, np.diag(f.eval_array(diag)), atol=1e-15)
+            with pytest.raises(SpectrumOutOfDomain) as err:
+                apply_function(f, nodes[2])
+        assert err.value.offending == [-0.5]
+        assert str(err.value) == (f"eigenvalues [-0.5] of the argument lie outside "
+                                  f"domain {f.domain} of {f.name}")
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_either_extreme_eigenvalue_outside_refuses_the_node(self, end):
+        # [0.5, 2] stretches by 1.5e-9: a node just beyond one end is refused,
+        # whichever end it crosses, and its neighbours inside are mapped
+        f = funcat.from_descriptor("power:2@0.5,2")
+        beyond = 0.5 - 1e-6 if end == "lo" else 2.0 + 1e-6
+        a = HermitianMatrix(np.diag([1.0, 1.5, 1.2]))
+        b = HermitianMatrix(np.diag([1.0, 1.5, 1.2]) + np.diag([beyond - 1.0, 0.0, 0.0]))
+        nodes = segment_matrices(a, b, [1.0, 0.0])
+        apply_function(f, nodes[0])
+        with pytest.raises(SpectrumOutOfDomain) as err:
+            apply_function(f, nodes[1])
+        assert err.value.offending == [pytest.approx(beyond, abs=1e-15)]
 
 
 class TestRandomHermitian:

@@ -15,7 +15,7 @@ from hhmat.errors import (
     RTooLarge,
     SpectrumOutOfDomain,
 )
-from hhmat.funcat import CATALOG_DESCRIPTORS, builtin, from_descriptor
+from hhmat.funcat import CATALOG_DESCRIPTORS, ScalarFunction, builtin, from_descriptor
 from hhmat.matcore import HermitianMatrix, apply_function
 from hhmat.segquad import (
     QuadratureSpec,
@@ -215,6 +215,42 @@ def test_stacks_stay_within_the_entry_budget(monkeypatch, n, stack_sizes):
     # large n they go one matrix at a time
     assert seen == stack_sizes
     assert max(seen) * n * n <= max(segquad.STACK_ENTRY_BUDGET, n * n)
+
+
+@pytest.mark.parametrize("n, stack_sizes", [(4, [48]), (48, [1] * 48)])
+def test_f_is_applied_once_per_stack(monkeypatch, n, stack_sizes):
+    # one map_stack call, one eval_array call, per stack of nodes; each node
+    # still makes its own apply_function call
+    mapped, evaluated, applied = [], [], []
+    real_map, real_eval = matcore.map_stack, ScalarFunction.eval_array
+    monkeypatch.setattr(matcore, "map_stack",
+                        lambda f, w, v: mapped.append(w.shape[0]) or real_map(f, w, v))
+    monkeypatch.setattr(ScalarFunction, "eval_array",
+                        lambda f, xs: evaluated.append(xs.shape) or real_eval(f, xs))
+    monkeypatch.setattr(segquad, "apply_function",
+                        lambda f, h: applied.append(h) or apply_function(f, h))
+    rng = make_rng(8)
+    a, b = random_hermitian_raw(n, rng), random_hermitian_raw(n, rng)
+    segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=16, rtol=1e-6))
+    assert mapped == stack_sizes
+    assert evaluated == [(size, n) for size in stack_sizes]
+    assert len(applied) == 48
+
+
+def test_quadrature_sums_equal_the_lone_node_sums_bit_for_bit():
+    # the opening pair's 16 + 32 nodes share one stack; summing the images
+    # of the same nodes each mapped as a stack of one gives the same bits
+    rng = make_rng(11)
+    a, b = random_psd(4, rng), random_psd(4, rng)
+    ts, ws = (np.concatenate(parts) for parts in zip(segquad._gauss_rule(16),
+                                                     segquad._gauss_rule(32)))
+    for desc in CATALOG_DESCRIPTORS:
+        f = from_descriptor(desc)
+        nodes = list(segquad.segment_points(a, b, ts))
+        lone = [matcore._exact_hermitian(h.entries, eigen=matcore.eig(h)) for h in nodes]
+        stacked = segquad._weighted_sum(f, ws, iter(nodes), a.entries)
+        alone = segquad._weighted_sum(f, ws, iter(lone), a.entries)
+        assert stacked.tobytes() == alone.tobytes(), desc
 
 
 def test_large_points_are_decomposed_one_stack_at_a_time(monkeypatch):
