@@ -44,6 +44,11 @@ class Interval:
     def bounded(self) -> bool:
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
+    @property
+    def whole_line(self) -> bool:
+        """True for the real line, where contains_array refuses only NaN."""
+        return self.lo == -math.inf and self.hi == math.inf
+
     def contains(self, x: float) -> bool:
         return bool(self.contains_array(x))
 
@@ -54,11 +59,13 @@ class Interval:
         this is a NaN test.
         """
         xs = np.asarray(xs, dtype=float)
-        inside = ~np.isnan(xs)
+        # Every comparison with NaN is False, so each test refuses NaN.
         if self.lo_open:
-            inside &= xs > self.lo
+            inside = xs > self.lo
         elif self.lo > -math.inf:
-            inside &= xs >= self.lo - self._pad(xs)
+            inside = xs >= self.lo - self._pad(xs)
+        else:
+            inside = xs == xs
         if self.hi < math.inf:
             inside &= xs <= self.hi + self._pad(xs)
         return inside
@@ -79,7 +86,7 @@ class Interval:
     def clip(self, xs: np.ndarray) -> np.ndarray:
         """Points admitted by contains_array, moved into [lo, hi]; the real
         line moves none."""
-        if self.lo == -math.inf and self.hi == math.inf:
+        if self.whole_line:
             return xs
         return np.minimum(np.maximum(xs, self.lo), self.hi)
 

@@ -20,9 +20,9 @@ import numpy as np
 from . import hhcheck
 from .errors import BadParams, Error, HypothesisUnmet, UnknownTheorem
 from .funcat import from_descriptor, working_interval
-from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, json_field,
-                      list_field, matrix_from_json, matrix_to_json, number_field,
-                      random_hermitian, str_field)
+from .matcore import (HermitianMatrix, _hermitian_part, array_from_json, array_to_json,
+                      count_field, json_field, list_field, matrix_from_json, matrix_to_json,
+                      number_field, random_hermitian, str_field)
 from .plmaps import (CongruenceSum, IdentityMap, PositiveLinearMap, factor_from_json,
                      map_from_json)
 from .segquad import QuadratureSpec
@@ -238,8 +238,8 @@ def _gen_t3(spec, rng, phi) -> dict:
     basis = _random_isometry(spec.n, spec.n, rng)
     da = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
     db = np.sort(rng.uniform(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), spec.n))
-    return {"a": matrix_to_json(HermitianMatrix((basis * da) @ basis.conj().T)),
-            "b": matrix_to_json(HermitianMatrix((basis * db) @ basis.conj().T))}
+    return {"a": matrix_to_json(_hermitian_part((basis * da) @ basis.conj().T)),
+            "b": matrix_to_json(_hermitian_part((basis * db) @ basis.conj().T))}
 
 
 def _run_jensen(inst, f, phi, quad):

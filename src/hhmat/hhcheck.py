@@ -458,12 +458,12 @@ def check_refinement_chain(
     index = np.arange(n_panels)
     l0 = apply_function(f, 0.5 * a + 0.5 * b)
     mids = (2 * index + 1) / (2.0 * n_panels)
-    l1 = HermitianMatrix(segment_sum(f, a, b, mids, np.ones(n_panels))) / n_panels
+    l1 = segment_sum(f, a, b, mids, np.ones(n_panels)) / n_panels
     l2 = segment_integral(f, a, b, quad)
     # trapezoid: both endpoints once, every interior panel edge twice
     edges = np.concatenate(([0.0, 1.0], index[1:] / n_panels))
     edge_weights = np.concatenate(([1.0, 1.0], np.full(n_panels - 1, 2.0)))
-    l3 = HermitianMatrix(segment_sum(f, a, b, edges, edge_weights)) / (2.0 * n_panels)
+    l3 = segment_sum(f, a, b, edges, edge_weights) / (2.0 * n_panels)
     l4 = (apply_function(f, a) + apply_function(f, b)) / 2.0
     terms = (l0, l1, l2, l3, l4)
     labels = ("midpoint", "midpoint_riemann", "integral", "trapezoid_riemann", "endpoint_average")

@@ -11,6 +11,17 @@ result for their own arguments, so the race is harmless.
 
 f(H) has one formula, map_stack's, which maps a whole stack of decomposed
 matrices at once; apply_function reads one matrix's image from it.
+
+The HermitianMatrix constructor judges input from outside the package
+(matrix literals, caller-supplied arrays): it compares the array with its
+conjugate transpose, symmetrizes and copies.  Arrays the package computes
+are exactly Hermitian by construction, as real combinations of Hermitian
+matrices and R/2 + (R/2)* are, so the internal builder _exact_hermitian
+(and _hermitian_part for a product), which plmaps, segquad and harness use
+too, wraps them with a finiteness check and nothing more.  Segment points
+and images of f are wrapped with no check at all (_wrap): a point that is
+not finite fails its decomposition, and an image is judged where it is
+used.
 """
 
 from __future__ import annotations
@@ -54,7 +65,8 @@ class HermitianMatrix:
     (M + M*)/2, which is exactly Hermitian in floating point, and records how
     far the raw input was from symmetric.  Inputs with a NaN or infinite
     entry, and inputs whose skew part exceeds
-    ``ASYMMETRY_RTOL * max(1, max|entry|)``, are rejected.
+    ``ASYMMETRY_RTOL * max(1, max|entry|)``, are rejected.  Matrices the
+    package computes skip the constructor (see _exact_hermitian).
     """
 
     entries: np.ndarray
@@ -89,7 +101,7 @@ class HermitianMatrix:
                     f"asymmetry residual {residual:.3e} exceeds "
                     f"{ASYMMETRY_RTOL:.0e} * {scale:.3e}"
                 )
-        herm.flags.writeable = False
+        herm.setflags(write=False)
         object.__setattr__(self, "entries", herm)
         object.__setattr__(self, "asymmetry_residual", residual)
 
@@ -105,22 +117,22 @@ class HermitianMatrix:
     # little arithmetic sugar keeps checker code close to the formulas.
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         check_same_dim(self, other)
-        return HermitianMatrix(self.entries + other.entries)
+        return _exact_hermitian(self.entries + other.entries)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         check_same_dim(self, other)
-        return HermitianMatrix(self.entries - other.entries)
+        return _exact_hermitian(self.entries - other.entries)
 
     def __mul__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.entries * float(scalar))
+        return _exact_hermitian(self.entries * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(self.entries / float(scalar))
+        return _exact_hermitian(self.entries / float(scalar))
 
     def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self.entries)
+        return _exact_hermitian(-self.entries)
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim}, residual={self.asymmetry_residual:.2e})"
@@ -146,7 +158,7 @@ class EigenSystem:
         """|values| in descending order, read-only; sorted once per
         decomposition, however many norms are read off it."""
         sigma = np.sort(np.abs(self.values))[::-1]
-        sigma.flags.writeable = False
+        sigma.setflags(write=False)
         return sigma
 
 
@@ -175,37 +187,75 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     lo = omega + SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     hi = Omega - SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     if n == 1:
-        return HermitianMatrix([[rng.uniform(lo, hi)]])
+        return _exact_hermitian(np.array([[rng.uniform(lo, hi)]], dtype=complex))
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     h = (g + g.conj().T) / 2.0
     w = np.linalg.eigvalsh(h)
     span = float(w[-1] - w[0])
     if span < 1e-12:
-        return HermitianMatrix(np.diag(np.linspace(lo, hi, n)))
+        return _exact_hermitian(np.diag(np.linspace(lo, hi, n)).astype(complex))
     s = (hi - lo) / span
     h *= s
     h[np.diag_indices(n)] += lo - s * w[0]
-    return HermitianMatrix(h)
+    return _exact_hermitian(h)
 
 
-def _exact_hermitian(entries: np.ndarray, spectral_pair=None, eigen=None,
-                     stack=None) -> HermitianMatrix:
-    """Wrap a square complex array that is exactly Hermitian by construction.
-
-    The constructor's exactness test always passes on such an array, so it
-    is skipped, and so is the copy: the array itself becomes the read-only
-    entries, with residual 0.  Only for R/2 + (R/2)* and for real combinations
-    of exactly Hermitian matrices (see segment_matrices); anything else goes
-    through the constructor.  ``spectral_pair`` is apply_function's
-    (values, vectors) of the result, kept as a reference for eig();
-    ``eigen`` is the matrix's validated EigenSystem, when already known, and
-    ``stack`` its (SpectralStack, index), when it was decomposed in one.
-    """
-    entries.flags.writeable = False
+def _wrap(entries: np.ndarray, spectral_pair=None, eigen=None, stack=None) -> HermitianMatrix:
+    """A HermitianMatrix on ``entries`` itself, with residual 0 and no check
+    at all; the caller has made the array read-only.  Only for arrays that
+    are exactly Hermitian by construction and need no finiteness check:
+    the segment points of segment_matrices (a point that is not finite
+    fails its decomposition) and the images of apply_function (an image
+    that overflows is judged where it is used).  ``spectral_pair`` is
+    apply_function's (values, vectors) of the result, kept as a reference
+    for eig(); ``eigen`` is the matrix's validated EigenSystem, when already
+    known, and ``stack`` its (SpectralStack, index), when it was decomposed
+    in one."""
     h = object.__new__(HermitianMatrix)
-    h.__dict__.update(entries=entries, asymmetry_residual=0.0, _eigen=eigen,
-                      _spectral_pair=spectral_pair, _stack=stack)
+    object.__setattr__(h, "__dict__", {"entries": entries, "asymmetry_residual": 0.0,
+                                       "_eigen": eigen, "_spectral_pair": spectral_pair,
+                                       "_stack": stack})
     return h
+
+
+def _exact_hermitian(entries: np.ndarray, eigen=None) -> HermitianMatrix:
+    """The one builder for square complex arrays the package computes that
+    are exactly Hermitian by construction: real combinations of exactly
+    Hermitian matrices (h + k, 2.5 * h, sH + cI, weighted sums of images of
+    f), the identity and R/2 + (R/2)* (see _hermitian_part).
+
+    The constructor judges input from outside the package; its exactness
+    test always passes on such an array, so it is skipped, and so is the
+    copy: the array itself becomes the read-only entries, with residual 0.
+    Only finiteness is checked, as the constructor does: an array with a
+    NaN or infinite entry (a sum or scaling that overflowed) raises
+    NonFiniteEntries.  ``eigen`` is the matrix's validated EigenSystem, when
+    already known.
+    """
+    if not np.isfinite(entries).all():
+        raise NonFiniteEntries("matrix entries must be finite, got NaN or infinity")
+    entries.setflags(write=False)
+    return _wrap(entries, eigen=eigen)
+
+
+def _symmetrize(r: np.ndarray) -> np.ndarray:
+    """R/2 + (R/2)* of every matrix in a stack (or of one matrix), in place,
+    returning r.  The sum of a matrix and its conjugate transpose is exactly
+    Hermitian whatever the rounding in R; halving first (exact but for
+    subnormal entries) cannot overflow near the float max.  It is the
+    constructor's (R + R*)/2, and R itself when R is exactly Hermitian, bit
+    for bit but for subnormal entries and the signs of zeros."""
+    r /= 2.0
+    r += _ct(r)
+    return r
+
+
+def _hermitian_part(r: np.ndarray) -> HermitianMatrix:
+    """The Hermitian part of a square complex array the package computed,
+    a product such as a congruence X* A X that rounding left a little off
+    Hermitian: R/2 + (R/2)* formed in r's own memory (see _symmetrize) and
+    built by _exact_hermitian."""
+    return _exact_hermitian(_symmetrize(r))
 
 
 class SpectralStack:
@@ -228,10 +278,12 @@ class SpectralStack:
 
 def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[HermitianMatrix]:
     """The matrices tA + (1-t)B for t in ts, built in one array expression
-    and decomposed from that array in one solver call (see eig_stack); each
-    comes with its decomposition cached, as eig() would leave it, and with
-    the SpectralStack they share, from which apply_function maps them all
-    at once.
+    and decomposed from that array in one solver call (see eig_stack).
+    Each is a thin node: a read-only view of its entries and its
+    (SpectralStack, index), and nothing else.  apply_function maps a whole
+    stack at once from there, and eig() makes a node's EigenSystem from its
+    stack row, with no solver call and no copy, the first time anything
+    asks for it.
 
     Multiplying by a real scalar and adding act on real and imaginary parts
     separately and commute with conjugation, so these matrices are exactly
@@ -240,9 +292,9 @@ def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[Hermiti
     t = np.asarray(ts, dtype=float)[:, None, None]
     stack = t * a.entries + (1.0 - t) * b.entries
     values, vectors = eig_stack(stack)
+    stack.setflags(write=False)  # and so every node's view of it
     shared = SpectralStack(values, vectors)
-    return [_exact_hermitian(m, eigen=EigenSystem(values=w, vectors=v), stack=(shared, i))
-            for i, (m, w, v) in enumerate(zip(stack, values, vectors))]
+    return [_wrap(m, stack=(shared, i)) for i, m in enumerate(stack)]
 
 
 def _ct(stack: np.ndarray) -> np.ndarray:
@@ -293,13 +345,14 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors_ct = _ct(vectors)
     _check_reconstruction(values, vectors, vectors_ct, stack)
     gram = vectors_ct @ vectors
-    gram -= np.eye(values.shape[1])
+    n = values.shape[1]
+    gram.reshape(len(values), n * n)[:, ::n + 1] -= 1.0  # minus I, on each diagonal
     ortho_err = np.max(np.abs(gram), axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(~(ortho_err <= EIG_ORTHO_TOL))
     if bad.size:
         raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
-    values.flags.writeable = False
-    vectors.flags.writeable = False
+    values.setflags(write=False)
+    vectors.setflags(write=False)
     return values, vectors
 
 
@@ -312,20 +365,28 @@ def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-fvals, kind="stable")
     values, vectors = fvals[order], vectors[:, order]
     _check_reconstruction(values[None], vectors[None], _ct(vectors[None]), h.entries[None])
-    values.flags.writeable = False
-    vectors.flags.writeable = False
+    values.setflags(write=False)
+    vectors.setflags(write=False)
     return values, vectors
 
 
 def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
     """Eigendecompositions of matrices of any sizes, validated and cached as
-    eig() documents.  A result of apply_function takes its decomposition
-    from its argument's (see eig); the other matrices not yet decomposed go
-    to the solver one stack per size (see eig_stack), in the order their
-    sizes first appear, each once however often it is listed."""
-    todo = list({id(h): h for h in hs if h._eigen is None}.values())
-    found = [(h, *_derived_eigen(h)) for h in todo if h._spectral_pair is not None]
-    solve = [h for h in todo if h._spectral_pair is None]
+    eig() documents.  A segment point reads its decomposition from its
+    stack row (read-only views, validated by eig_stack) and a result of
+    apply_function takes its own from its argument's (see eig); the other
+    matrices not yet decomposed go to the solver one stack per size (see
+    eig_stack), in the order their sizes first appear, each once however
+    often it is listed."""
+    found, solve = [], []
+    for h in {id(h): h for h in hs if h._eigen is None}.values():
+        if h._stack is not None:
+            stack, i = h._stack
+            found.append((h, stack.values[i], stack.vectors[i]))
+        elif h._spectral_pair is not None:
+            found.append((h, *_derived_eigen(h)))
+        else:
+            solve.append(h)
     for dim in dict.fromkeys(h.dim for h in solve):
         same_size = [h for h in solve if h.dim == dim]
         found += zip(same_size, *eig_stack(np.stack([h.entries for h in same_size])))
@@ -342,6 +403,10 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
     cached on ``h``, so each matrix is decomposed and validated once.  A 0x0
     matrix has the empty decomposition.
+
+    A segment point (see segment_matrices) is not sent to the solver
+    either: its decomposition is its row of the stack it was decomposed in,
+    validated there.
 
     A result R = f(H) of apply_function is not sent to the solver: by the
     spectral mapping theorem its eigenvalues are f of H's, with H's
@@ -390,26 +455,26 @@ def map_stack(f: "ScalarFunction", values: np.ndarray,
 
     Returns (inside, fvals, images).  ``inside[i]`` tells whether the
     spectrum of matrix i lies in f's domain, by the one membership rule
-    (see spectrum_outside) asked of the two extreme eigenvalues of every
-    matrix at once.  ``fvals[i]`` is f of its eigenvalues, clipped into the
+    (see spectrum_outside) asked of every eigenvalue of the stack at once,
+    which decides as asking the extremes does and needs no strided view;
+    the real line admits every validated spectrum unasked.  ``fvals[i]`` is f of its eigenvalues, clipped into the
     domain, from one eval_array call over every matrix inside; a matrix
     outside gets zeros, so f is never evaluated off its domain.
-    ``images[i]`` is V f(Lambda) V*, all from one stacked matmul; R/2 +
-    (R/2)* is exactly Hermitian whatever the rounding in R, and halving
-    first (exact but for subnormal entries) cannot overflow near the float
-    max.
+    ``images[i]`` is V f(Lambda) V*, all from one stacked matmul, made
+    exactly Hermitian as R/2 + (R/2)* (see _symmetrize); the images are
+    read-only.
     """
     domain = f.domain
-    ends = domain.contains_array(values[:, ::max(1, values.shape[1] - 1)])
-    if ends.all():
+    # The real line refuses only NaN, which no validated decomposition holds.
+    ends = None if domain.whole_line else domain.contains_array(values)
+    if ends is None or np.count_nonzero(ends) == ends.size:  # all inside: no per-matrix verdict
         inside, fvals = [True] * len(values), f.eval_array(domain.clip(values))
     else:
         inside = ends.all(axis=1).tolist()
         fvals = np.zeros(values.shape)
         fvals[inside] = f.eval_array(domain.clip(values[inside]))
-    images = (vectors * fvals[:, None, :]) @ _ct(vectors)
-    images /= 2.0
-    images += _ct(images)
+    images = _symmetrize((vectors * fvals[:, None, :]) @ _ct(vectors))
+    images.setflags(write=False)
     return inside, fvals, images
 
 
@@ -423,23 +488,26 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     SpectrumOutOfDomain from check_spectrum_in_domain, naming H's offending
     eigenvalues.
 
-    The result keeps a reference to (f of H's eigenvalues, H's eigenvectors),
-    which eig() turns into its decomposition, checked, if it is ever asked
-    for; a result that is never decomposed pays nothing more.
+    The result is a read-only view of its image, with no finiteness check:
+    an f that overflows is judged where its image is used.  It keeps a
+    reference to (f of H's eigenvalues, H's eigenvectors), which eig()
+    turns into its decomposition, checked, if it is ever asked for; a
+    result that is never decomposed pays nothing more.
     """
     if h._stack is None:
-        es = eig(h)
-        vectors, i = es.vectors[None], 0
-        inside, fvals, images = map_stack(f, es.values[None], vectors)
+        es, i = eig(h), 0
+        inside, fvals, images = map_stack(f, es.values[None], es.vectors[None])
+        vectors = es.vectors
     else:
         stack, i = h._stack
-        vectors, mapped = stack.vectors, stack.mapped
+        mapped = stack.mapped
         if mapped is None or mapped[0] is not f:
-            mapped = stack.mapped = (f, *map_stack(f, stack.values, vectors))
+            mapped = stack.mapped = (f, *map_stack(f, stack.values, stack.vectors))
         _, inside, fvals, images = mapped
+        vectors = stack.vectors[i]
     if not inside[i]:
         check_spectrum_in_domain(f, h)
-    return _exact_hermitian(images[i], (fvals[i], vectors[i]))
+    return _wrap(images[i], (fvals[i], vectors))
 
 
 def norm_spec(spec: str, dim: int) -> tuple[str, int | float | None]:

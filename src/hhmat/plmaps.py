@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, DimMismatch
-from .matcore import (HermitianMatrix, array_from_json, array_to_json, count_field, eig,
-                      list_field)
+from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, array_from_json,
+                      array_to_json, count_field, eig, list_field)
 
 
 class PositiveLinearMap:
@@ -32,7 +32,7 @@ class PositiveLinearMap:
         raise NotImplementedError
 
     def identity_image(self) -> HermitianMatrix:
-        return self.apply(HermitianMatrix(np.eye(self.source_dim)))
+        return self.apply(_exact_hermitian(np.eye(self.source_dim, dtype=complex)))
 
     def check_source(self, a: HermitianMatrix):
         if a.dim != self.source_dim:
@@ -83,7 +83,7 @@ class CongruenceSum(PositiveLinearMap):
         acc = np.zeros((self.target_dim, self.target_dim), dtype=complex)
         for x in self.factors:
             acc += x.conj().T @ a.entries @ x
-        return HermitianMatrix(acc)
+        return _hermitian_part(acc)
 
     def to_jsonable(self) -> dict:
         return {"kind": "congruence", "factors": [factor_to_json(x) for x in self.factors]}

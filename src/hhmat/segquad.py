@@ -18,7 +18,11 @@ node maps its whole stack (matcore.map_stack: one domain test, one
 eval_array call and one stacked matmul), and each later node of the stack
 reads its image from there.  Each node still makes its own apply_function
 call, in rule order, and a node outside f's domain raises from its own
-call.
+call.  A node is thin (its entries and its stack, see
+matcore.segment_matrices): no pass asks for its decomposition, and a
+node that leaves the domain names its eigenvalues from its stack row.
+The integral and every weighted sum are real combinations of exactly
+Hermitian images, built without the constructor's round trip.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ import numpy as np
 
 from .errors import BadParams, NoConvergence, NonFiniteEntries, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import (HermitianMatrix, apply_function, check_same_dim, segment_matrices,
+from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, apply_function,
+                      check_same_dim, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
@@ -81,7 +86,7 @@ def _weighted_sum(f: ScalarFunction, weights: np.ndarray, points, like: np.ndarr
     """Entries of the sum over j of weights[j] * f(points[j]), drawing one
     point from the iterator `points` per weight and no more."""
     acc = np.zeros_like(like)
-    for weight, point in zip(weights, points):
+    for weight, point in zip(weights.tolist(), points):
         acc += weight * apply_function(f, point).entries
     return acc
 
@@ -92,9 +97,11 @@ def segment_sum(
     b: HermitianMatrix,
     ts: np.ndarray,
     weights: np.ndarray,
-) -> np.ndarray:
-    """Entries of the sum over j of weights[j] * f(ts[j] A + (1 - ts[j]) B)."""
-    return _weighted_sum(f, weights, segment_points(a, b, ts), a.entries)
+) -> HermitianMatrix:
+    """The sum over j of weights[j] * f(ts[j] A + (1 - ts[j]) B), a real
+    combination of exactly Hermitian images; NonFiniteEntries when it
+    overflows."""
+    return _exact_hermitian(_weighted_sum(f, weights, segment_points(a, b, ts), a.entries))
 
 
 @functools.lru_cache(maxsize=16)
@@ -154,7 +161,7 @@ def segment_integral(
         refined = _gauss_pass(f, nodes, points, a.entries)
         scale = max(1.0, float(np.max(np.abs(refined))))
         if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
-            return HermitianMatrix(refined)
+            return _exact_hermitian(refined)
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
                 f"quadrature did not settle to rtol={spec.rtol:g} below {NODE_CAP} nodes"
@@ -188,8 +195,7 @@ def poly_segment_oracle(r: int, a: HermitianMatrix, b: HermitianMatrix) -> Hermi
     j! (r-j)! / (r+1)! times the matrix product w; no quadrature involved.
     """
     check_same_dim(a, b)
-    total = _word_integral(a.entries, b.entries, r, exact=False)
-    return HermitianMatrix((total + total.conj().T) / 2.0)
+    return _hermitian_part(_word_integral(a.entries, b.entries, r, exact=False))
 
 
 def poly_segment_oracle_exact(r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

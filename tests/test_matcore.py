@@ -28,7 +28,7 @@ from hhmat.errors import (
     NonSquareError,
     SpectrumOutOfDomain,
 )
-from hhmat.harness import default_norm_specs
+from hhmat.harness import default_norm_specs, make_map
 from hhmat.matcore import (
     SPECTRUM_SHRINK,
     HermitianMatrix,
@@ -43,6 +43,7 @@ from hhmat.matcore import (
     segment_matrices,
     ui_norm,
 )
+from hhmat.plmaps import CongruenceSum, IdentityMap
 
 
 class TestConstruction:
@@ -530,6 +531,154 @@ class TestStackKernel:
         with pytest.raises(SpectrumOutOfDomain) as err:
             apply_function(f, nodes[1])
         assert err.value.offending == [pytest.approx(beyond, abs=1e-15)]
+
+
+class TestThinNodes:
+    """A node of segment_matrices is its entries view and its (SpectralStack,
+    index); eig() makes its EigenSystem from its stack row when first asked."""
+
+    def test_a_node_is_not_decomposed_until_asked(self):
+        f = funcat.builtin("exp")
+        a, b = _in_domain_pair(f, 4, 61)
+        nodes = segment_matrices(a, b, np.linspace(0.0, 1.0, 5))
+        assert [node._eigen for node in nodes] == [None] * 5
+        for node in nodes:
+            apply_function(f, node)  # mapping reads the stack, not the node's decomposition
+        assert [node._eigen for node in nodes] == [None] * 5
+        es = eig(nodes[2])
+        assert nodes[2]._eigen is es and eig(nodes[2]) is es
+        assert [node._eigen is None for node in nodes] == [True, True, False, True, True]
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_a_nodes_decomposition_is_its_stack_row_bit_for_bit(self, n):
+        a, b = _in_domain_pair(funcat.builtin("exp"), n, 62)
+        ts = make_rng(63).uniform(0.0, 1.0, size=7)
+        for i, node in enumerate(segment_matrices(a, b, ts)):
+            stack, index = node._stack
+            es = eig(node)
+            assert index == i
+            assert es.values.tobytes() == stack.values[i].tobytes()
+            assert es.vectors.tobytes() == stack.vectors[i].tobytes()
+            # read-only views of the stack's arrays, not copies
+            assert np.shares_memory(es.values, stack.values)
+            assert np.shares_memory(es.vectors, stack.vectors)
+            assert not es.values.flags.writeable and not es.vectors.flags.writeable
+            # and the decomposition of this node, not of a neighbour
+            scale = max(1.0, es.spectral_radius)
+            assert np.max(np.abs(reconstruct(es) - node.entries)) <= 1e-12 * scale
+
+    def test_eig_many_over_one_stacks_nodes_calls_no_solver(self, monkeypatch):
+        a, b = _in_domain_pair(funcat.builtin("exp"), 3, 64)
+        nodes = segment_matrices(a, b, np.linspace(0.0, 1.0, 6))
+        calls = []
+        real = matcore.eig_stack
+        monkeypatch.setattr(matcore, "eig_stack", lambda s: calls.append(s.shape) or real(s))
+        listed = nodes + nodes[:2]
+        found = matcore.eig_many(listed)
+        assert calls == []
+        assert [es is node._eigen for es, node in zip(found, listed)] == [True] * 8
+        # a matrix from outside the stack still goes to the solver, alone
+        matcore.eig_many(nodes + [random_hermitian_raw(3, make_rng(65))])
+        assert calls == [(1, 3, 3)]
+
+    def test_a_node_outside_the_domain_names_its_own_eigenvalues(self, monkeypatch):
+        # tA + (1-t)B = diag(2t - 1, 4t - 2): the nodes at t = 0.25 and 0.4
+        # leave [0, inf), each with its own eigenvalues, and naming them
+        # takes no solver call
+        f = funcat.from_descriptor("neg_sqrt")
+        a, b = HermitianMatrix(np.diag([1.0, 2.0])), HermitianMatrix(np.diag([-1.0, -2.0]))
+        nodes = segment_matrices(a, b, [0.9, 0.25, 0.4])
+        calls = []
+        real = matcore.eig_stack
+        monkeypatch.setattr(matcore, "eig_stack", lambda s: calls.append(s.shape) or real(s))
+        apply_function(f, nodes[0])
+        for node, offending in ((nodes[1], [-0.5, -1.0]), (nodes[2], [-0.2, -0.4])):
+            with pytest.raises(SpectrumOutOfDomain) as err:
+                apply_function(f, node)
+            assert err.value.offending == [pytest.approx(x, abs=1e-15) for x in offending]
+            assert node._eigen is not None
+        assert nodes[0]._eigen is None and calls == []
+
+
+class TestExactBuilder:
+    """Matrices the package builds skip the constructor's comparison and copy
+    (matcore._exact_hermitian) but keep its finiteness check; the constructor
+    still judges input from outside."""
+
+    @staticmethod
+    def _built(rng):
+        """(label, result, what the constructor makes of the same raw array)."""
+        h, k = random_hermitian(4, 0.5, 2.0, rng), random_hermitian(4, 0.5, 2.0, rng)
+        out = [("h + k", h + k, h.entries + k.entries),
+               ("h - k", h - k, h.entries - k.entries),
+               ("2.5 * h", 2.5 * h, h.entries * 2.5),
+               ("h * 3", h * 3, h.entries * 3.0),
+               ("h / 3", h / 3.0, h.entries / 3.0),
+               ("-h", -h, -h.entries),
+               ("identity image", IdentityMap(4).identity_image(), np.eye(4))]
+        for desc in ("congruence", "compress", "pinch", "subcongruence", "congruence:2,3"):
+            phi = make_map(desc, 4, rng)
+            for label, arg in ((desc, h), (f"{desc} identity image", HermitianMatrix(np.eye(4)))):
+                raw = sum(x.conj().T @ arg.entries @ x for x in phi.factors)
+                image = phi.apply(arg) if arg is h else phi.identity_image()
+                out.append((label, image, raw))
+        f = funcat.builtin("exp")
+        integral = segquad.segment_integral(f, h, k)
+        out.append(("segment_integral", integral, integral.entries.copy()))
+        total = segquad.segment_sum(f, h, k, np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+        out.append(("segment_sum", total, total.entries.copy()))
+        oracle = segquad.poly_segment_oracle(3, h, k)
+        words = segquad._word_integral(h.entries, k.entries, 3, exact=False)
+        out.append(("poly_segment_oracle", oracle, words))
+        for n in (1, 4):
+            out.append((f"random_hermitian n={n}", random_hermitian(n, -1.0, 3.0, rng), None))
+        return out
+
+    def test_every_built_result_is_exactly_hermitian_and_read_only(self):
+        rng = make_rng(71)
+        for _ in range(20):
+            for label, m, raw in self._built(rng):
+                assert _exactly_hermitian(m.entries), label
+                assert not m.entries.flags.writeable, label
+                assert m.asymmetry_residual == 0.0, label
+                assert m._spectral_pair is None and m._stack is None, label
+                if raw is not None:
+                    # the bits the constructor would have kept
+                    assert m.entries.tobytes() == HermitianMatrix(raw).entries.tobytes(), label
+
+    def test_unital_images_of_the_identity_are_the_identity(self):
+        for desc in ("congruence", "compress:4", "pinch"):
+            image = make_map(desc, 4, make_rng(72)).identity_image()
+            np.testing.assert_allclose(image.entries, np.eye(4), atol=1e-14)
+
+    def test_a_result_that_overflows_raises(self):
+        h = HermitianMatrix([[2.0, 1.0j], [-1.0j, 3.0]])
+        big = HermitianMatrix(np.diag([1e308, 1.0]))
+        tiny = 1e-308
+        with np.errstate(all="ignore"):
+            for build in (lambda: h * 1e308, lambda: 1e308 * h, lambda: h / tiny,
+                          lambda: big + big, lambda: big - (-big), lambda: -(big * 10.0),
+                          lambda: CongruenceSum((1e200 * np.eye(2),)).apply(h),
+                          lambda: CongruenceSum((np.eye(2), 1e200 * np.eye(2))).apply(h),
+                          lambda: CongruenceSum((1e200 * np.eye(2),)).identity_image()):
+                with pytest.raises(NonFiniteEntries, match="must be finite"):
+                    build()
+
+    def test_outside_input_is_still_judged(self):
+        with pytest.raises(ExcessAsymmetryError):
+            HermitianMatrix([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ExcessAsymmetryError):
+            matrix_from_json({"n": 2, "re": [[1.0, 2.0], [0.0, 1.0]]})
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteEntries):
+                HermitianMatrix([[bad, 0.0], [0.0, 1.0]])
+            with pytest.raises(NonFiniteEntries):
+                matrix_from_json({"n": 1, "re": [[1.0]], "im": [[bad]]})
+        # a caller's nearly Hermitian array is symmetrized, and a copy kept
+        raw = np.array([[1.0, 2.0 + 1e-12], [2.0, 1.0]], dtype=complex)
+        h = HermitianMatrix(raw)
+        assert h.asymmetry_residual > 0.0 and not np.shares_memory(h.entries, raw)
+        assert raw.flags.writeable
 
 
 class TestRandomHermitian:

@@ -197,6 +197,47 @@ class TestBatchedChecks:
         assert err.value.offending == [pytest.approx(2.0 * t0 - 1.0)]
 
 
+class TestThinNodes:
+    """The quadrature's nodes carry their stack and nothing else: no pass
+    asks for a node's decomposition, and naming a node's eigenvalues reads
+    them from its stack row."""
+
+    @pytest.mark.parametrize("n", [4, 48])
+    def test_no_node_is_decomposed_by_the_integral(self, monkeypatch, n):
+        made = []
+        build = segquad.segment_matrices
+
+        def building(a, b, ts):
+            nodes = build(a, b, ts)
+            made.extend(nodes)
+            return nodes
+
+        monkeypatch.setattr(segquad, "segment_matrices", building)
+        rng = make_rng(12)
+        a, b = random_psd(n, rng), random_psd(n, rng)
+        out = segment_integral(builtin("exp"), a, b, QuadratureSpec(nodes=16, rtol=1e-6))
+        assert len(made) == 48 and [node._eigen for node in made] == [None] * 48
+        assert all(node._stack is not None for node in made)
+        # the integral is built exactly Hermitian and read-only
+        assert bool((out.entries == out.entries.conj().T).all())
+        assert not out.entries.flags.writeable and out.asymmetry_residual == 0.0
+
+    def test_a_node_outside_the_domain_names_its_eigenvalues_from_its_stack(self, monkeypatch):
+        # as above, but the error is raised with no further solver call: the
+        # failing node's eigenvalues are its row of the opening stack
+        monkeypatch.setattr(segquad, "_check_spectrum_in_domain", lambda *args: None)
+        stacks = []
+        real = matcore.eig_stack
+        monkeypatch.setattr(matcore, "eig_stack", lambda s: stacks.append(len(s)) or real(s))
+        a = HermitianMatrix(np.diag([1.0, 1.0]))
+        b = HermitianMatrix(np.diag([-1.0, 1.0]))
+        with pytest.raises(SpectrumOutOfDomain) as err:
+            segment_integral(builtin("inverse"), a, b, QuadratureSpec(nodes=16))
+        t0 = (1.0 + np.polynomial.legendre.leggauss(16)[0][0]) / 2.0
+        assert err.value.offending == [pytest.approx(2.0 * t0 - 1.0)]
+        assert stacks == [16 + 32]
+
+
 @pytest.mark.parametrize("n, stack_sizes", [(4, [48]), (48, [1] * 48)])
 def test_stacks_stay_within_the_entry_budget(monkeypatch, n, stack_sizes):
     real_eigh = np.linalg.eigh
