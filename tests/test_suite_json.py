@@ -7,7 +7,9 @@ refuses.  It was recorded before the spectral path began to decompose a
 quadrature's first two rules in one stream, each checker's operands in one
 solver call and to read the domain off the extreme eigenvalues; a change to
 how results are computed, not to what they are, must leave every byte as
-it was.
+it was.  The n=1 size, whose 1x1 sums (trace's scalar case among them)
+are the ones a pairwise sum would round differently, was recorded before
+the quadrature began to sum a stack's images in one pass.
 
 Regenerate the file, only when a change is meant to alter results, with
 
@@ -26,7 +28,7 @@ from hhmat.harness import THEOREM_IDS, InstanceSpec, run_suite
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "suite_sha256.json"
 SPEC = {"functions": ["exp", "power:2", "inverse", "xlogx"],
-        "sizes": [[6, [0.0, 2.0]], [4, [0.5, 2.0]]],
+        "sizes": [[6, [0.0, 2.0]], [4, [0.5, 2.0]], [1, [0.5, 2.0]]],
         "maps": ["identity", "pinch", "congruence"],
         "seed": 3, "trials": 6}
 
