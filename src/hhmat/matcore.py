@@ -240,12 +240,19 @@ def _exact_hermitian(entries: np.ndarray, eigen=None) -> HermitianMatrix:
 
 def _symmetrize(r: np.ndarray) -> np.ndarray:
     """R/2 + (R/2)* of every matrix in a stack (or of one matrix), in place,
-    returning r.  The sum of a matrix and its conjugate transpose is exactly
+    returning r, a complex array as the package computes it (each row
+    contiguous).  The sum of a matrix and its conjugate transpose is exactly
     Hermitian whatever the rounding in R; halving first (exact but for
     subnormal entries) cannot overflow near the float max.  It is the
     constructor's (R + R*)/2, and R itself when R is exactly Hermitian, bit
-    for bit but for subnormal entries and the signs of zeros."""
-    r /= 2.0
+    for bit but for subnormal entries and the signs of zeros.
+
+    Each real and imaginary part is halved as a float: dividing by 2.0
+    would run as complex division, which costs several times more and
+    mixes each part with the other (re + im*0), so it gives other signs of
+    zeros and other non-finite parts."""
+    parts = r.view(float)
+    parts *= 0.5
     r += _ct(r)
     return r
 
@@ -303,17 +310,23 @@ def _ct(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
-def _check_reconstruction(values: np.ndarray, vectors: np.ndarray, vectors_ct: np.ndarray,
-                          stack: np.ndarray):
-    """Raise ConvergenceFailure unless each vectors[i] diag(values[i])
-    vectors[i]* matches stack[i] to EIG_RECON_RTOL relative to max(1, its
-    spectral radius); ``vectors_ct`` is _ct(vectors)."""
-    # initial=0.0 leaves every maximum of absolute values unchanged and
-    # gives 0 for 0x0 matrices, whose decomposition is empty.
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
+def _reconstruction_errors(values: np.ndarray, vectors: np.ndarray, vectors_ct: np.ndarray,
+                           stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(error, scale) of each matrix of a stack: the largest entry of
+    |vectors[i] diag(values[i]) vectors[i]* - stack[i]| and max(1, its
+    spectral radius), which EIG_RECON_RTOL is relative to; ``vectors_ct``
+    is _ct(vectors)."""
+    # initial= gives each maximum its floor (1 for the scale, 0 for the
+    # error), which also serves 0x0 matrices, whose decomposition is empty.
+    scale = np.maximum.reduce(np.abs(values), axis=1, initial=1.0)
     recon = (vectors * values[:, None, :]) @ vectors_ct
     recon -= stack
-    recon_err = np.max(np.abs(recon), axis=(1, 2), initial=0.0)
+    return np.maximum.reduce(np.abs(recon), axis=(1, 2), initial=0.0), scale
+
+
+def _check_reconstruction(recon_err: np.ndarray, scale: np.ndarray):
+    """Raise ConvergenceFailure naming the first matrix whose reconstruction
+    error exceeds EIG_RECON_RTOL * its scale (see _reconstruction_errors)."""
     # Negated <= so that a NaN error (a NaN from the solver) fails too.
     bad = np.flatnonzero(~(recon_err <= EIG_RECON_RTOL * scale))
     if bad.size:
@@ -331,8 +344,10 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Every matrix is validated as eig() documents: reconstruction to
     ``EIG_RECON_RTOL`` relative to max(1, its spectral radius) and
-    orthonormality to ``EIG_ORTHO_TOL``.  The first matrix that fails raises
-    ConvergenceFailure.  Both arrays are read-only.
+    orthonormality to ``EIG_ORTHO_TOL``.  One test of every matrix's two
+    errors decides the stack; only when it fails are the errors read for
+    the ConvergenceFailure, a reconstruction failure first, naming the first
+    matrix that fails.  Both arrays are read-only.
     """
     try:
         w, v = np.linalg.eigh(stack)
@@ -340,17 +355,21 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(f"eigh failed: {exc}") from exc
     # eigh returns ascending order; a stable flip gives descending while
     # preserving solver order inside ties.
-    values = np.ascontiguousarray(w[:, ::-1].astype(float))
+    values = np.ascontiguousarray(w[:, ::-1])
     vectors = np.ascontiguousarray(v[:, :, ::-1])
     vectors_ct = _ct(vectors)
-    _check_reconstruction(values, vectors, vectors_ct, stack)
+    recon_err, scale = _reconstruction_errors(values, vectors, vectors_ct, stack)
     gram = vectors_ct @ vectors
-    n = values.shape[1]
-    gram.reshape(len(values), n * n)[:, ::n + 1] -= 1.0  # minus I, on each diagonal
-    ortho_err = np.max(np.abs(gram), axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(~(ortho_err <= EIG_ORTHO_TOL))
-    if bad.size:
-        raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
+    k, n = values.shape
+    gram.reshape(k, n * n)[:, ::n + 1] -= 1.0  # minus I, on each diagonal
+    ortho_err = np.maximum.reduce(np.abs(gram), axis=(1, 2), initial=0.0)
+    # A NaN error compares False, so it fails the test too.
+    passed = (recon_err <= EIG_RECON_RTOL * scale) & (ortho_err <= EIG_ORTHO_TOL)
+    if np.count_nonzero(passed) != k:
+        _check_reconstruction(recon_err, scale)
+        bad = np.flatnonzero(~(ortho_err <= EIG_ORTHO_TOL))
+        if bad.size:
+            raise ConvergenceFailure(f"eigenvectors not orthonormal: {ortho_err[bad[0]]:.3e}")
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors
@@ -364,7 +383,8 @@ def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     fvals, vectors = h._spectral_pair
     order = np.argsort(-fvals, kind="stable")
     values, vectors = fvals[order], vectors[:, order]
-    _check_reconstruction(values[None], vectors[None], _ct(vectors[None]), h.entries[None])
+    _check_reconstruction(*_reconstruction_errors(values[None], vectors[None], _ct(vectors[None]),
+                                                  h.entries[None]))
     values.setflags(write=False)
     vectors.setflags(write=False)
     return values, vectors

@@ -22,7 +22,11 @@ call.  A node is thin (its entries and its stack, see
 matcore.segment_matrices): no pass asks for its decomposition, and a
 node that leaves the domain names its eigenvalues from its stack row.
 The integral and every weighted sum are real combinations of exactly
-Hermitian images, built without the constructor's round trip.
+Hermitian images, built without the constructor's round trip.  A weighted
+sum adds its images in rule order, a run of images at a time in one
+np.cumsum, which adds in order and so gives the bits of adding one image
+at a time; np.add.reduce would not, as it sums a run of 1x1 images
+pairwise (see _weighted_sum).
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ WORD_CAP = 6  # 2**6 = 64 words
 # solver call.  The solver and its validation keep several temporaries the
 # size of the stack, so an unbounded stack at large n shows up in peak
 # memory; 4096 entries put every node of a small-n quadrature pass in one
-# stack while a large-n pass goes one or a few matrices at a time.
+# stack while a large-n pass goes one or a few matrices at a time.  A
+# weighted sum adds its images in runs of at most as many entries.
 STACK_ENTRY_BUDGET = 4096
 
 
@@ -84,10 +89,29 @@ def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
 
 def _weighted_sum(f: ScalarFunction, weights: np.ndarray, points, like: np.ndarray) -> np.ndarray:
     """Entries of the sum over j of weights[j] * f(points[j]), drawing one
-    point from the iterator `points` per weight and no more."""
+    point from the iterator `points` per weight and no more.
+
+    Each point gets its own apply_function call, its domain verdict, in
+    rule order.  The images are summed a run at a time, a run holding as
+    many entries as a stack of segment_points at most, and the total is
+    the per-point loop's ((0 + w_0 f_0) + w_1 f_1) + ... to the bit: the
+    running sum is added to the first of the run's weighted images and
+    np.cumsum, which adds along its axis in order, carries it through the
+    rest.  np.add.reduce would not do: along a contiguous axis, as a run of
+    1x1 images has, it sums pairwise, which rounds otherwise.  A run of
+    one, every point at large n, is the loop's one in-place add."""
+    run_length = max(1, STACK_ENTRY_BUDGET // max(1, like.size))
     acc = np.zeros_like(like)
-    for weight, point in zip(weights.tolist(), points):
-        acc += weight * apply_function(f, point).entries
+    for start in range(0, len(weights), run_length):
+        run = weights[start:start + run_length]
+        images = [apply_function(f, point).entries for _, point in zip(run, points)]
+        if len(images) == 1:
+            acc += float(run[0]) * images[0]
+            continue
+        terms = np.array(images)
+        terms *= run[:, None, None]
+        terms[0] += acc
+        acc = np.cumsum(terms, axis=0, out=terms)[-1]
     return acc
 
 

@@ -173,6 +173,44 @@ class TestEig:
         with pytest.raises(ConvergenceFailure, match="not orthonormal: nan"):
             eig(random_hermitian_raw(3, make_rng(5)))
 
+    @staticmethod
+    def _stack48():
+        rng = make_rng(6)
+        return np.stack([random_hermitian_raw(4, rng).entries for _ in range(48)])
+
+    def test_a_stack_reports_the_first_reconstruction_failure_before_any_other(self, monkeypatch):
+        # Row 5 fails orthonormality alone (V S with diag(w / s^2) still
+        # rebuilds H), rows 20 and 30 fail reconstruction by 1e-6 and 1e-3:
+        # the one test of the stack fails, and the text names row 20's error.
+        def spoil(w, v):
+            s = 1.0 + 1e-6
+            v[5, :, 0] *= s
+            w[5, 0] /= s * s
+            w[20, 0] += 1e-6
+            w[30, 0] += 1e-3
+
+        self._patch_eigh(monkeypatch, spoil)
+        with pytest.raises(ConvergenceFailure, match="^eigendecomposition reconstruction error") as err:
+            matcore.eig_stack(self._stack48())
+        figure = float(str(err.value).split()[3])
+        assert 1e-7 < figure < 1e-5
+        # with reconstruction unchecked, row 5's orthonormality is reported
+        monkeypatch.setattr(matcore, "_check_reconstruction", lambda *args: None)
+        with pytest.raises(ConvergenceFailure, match="^eigenvectors not orthonormal: "):
+            matcore.eig_stack(self._stack48())
+
+    @pytest.mark.parametrize("part, text", [("values", "reconstruction error nan"),
+                                            ("vectors", "not orthonormal: nan")])
+    def test_a_nan_in_one_row_of_a_stack_fails(self, monkeypatch, part, text):
+        def spoil(w, v):
+            (w if part == "values" else v)[17, 0] = np.nan
+
+        self._patch_eigh(monkeypatch, spoil)
+        if part == "vectors":  # a NaN vector fails reconstruction first
+            monkeypatch.setattr(matcore, "_check_reconstruction", lambda *args: None)
+        with pytest.raises(ConvergenceFailure, match=text):
+            matcore.eig_stack(self._stack48())
+
     def test_empty_matrix_has_the_empty_decomposition(self):
         es = eig(HermitianMatrix(np.zeros((0, 0))))
         assert es.values.shape == (0,)
@@ -645,6 +683,16 @@ class TestExactBuilder:
                 if raw is not None:
                     # the bits the constructor would have kept
                     assert m.entries.tobytes() == HermitianMatrix(raw).entries.tobytes(), label
+
+    def test_halving_keeps_the_real_and_imaginary_parts_apart(self):
+        # Each part is halved as a float: a part beside an infinite one stays
+        # finite, where complex division by 2 makes (3 + inf*0) / 2 a NaN, and
+        # a zero keeps its sign.
+        r = np.array([[1.0, complex(3.0, math.inf)], [complex(3.0, -math.inf), complex(-0.0, 0.0)]])
+        expected = np.array([[1.0, complex(3.0, math.inf)],
+                             [complex(3.0, -math.inf), complex(-0.0, 0.0)]])
+        assert matcore._symmetrize(r) is r
+        assert r.tobytes() == expected.tobytes()
 
     def test_unital_images_of_the_identity_are_the_identity(self):
         for desc in ("congruence", "compress:4", "pinch"):

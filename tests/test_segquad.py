@@ -278,20 +278,35 @@ def test_f_is_applied_once_per_stack(monkeypatch, n, stack_sizes):
     assert len(applied) == 48
 
 
-def test_quadrature_sums_equal_the_lone_node_sums_bit_for_bit():
-    # the opening pair's 16 + 32 nodes share one stack; summing the images
-    # of the same nodes each mapped as a stack of one gives the same bits
-    rng = make_rng(11)
-    a, b = random_psd(4, rng), random_psd(4, rng)
-    ts, ws = (np.concatenate(parts) for parts in zip(segquad._gauss_rule(16),
-                                                     segquad._gauss_rule(32)))
+def _loop_sum(f, weights, points, like):
+    """The reference sum: acc += weights[j] * f(points[j]), one image at a
+    time in rule order."""
+    acc = np.zeros_like(like)
+    for weight, point in zip(weights.tolist(), points):
+        acc += weight * apply_function(f, point).entries
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 10, 48])
+def test_quadrature_sums_equal_the_per_node_loop_bit_for_bit(n):
+    # The opening pair's passes, 16 then 32 nodes drawn from one stream (a
+    # stack holds 40 points at n=10, so there the 32-node pass spans two
+    # stacks), give the loop's bits, for segment points and for the same
+    # points as lone matrices, each mapped as a stack of one.  A pairwise
+    # sum, such as np.add.reduce over a run of 1x1 images, rounds otherwise.
+    rng = make_rng(11 + n)
+    a, b = random_psd(n, rng), random_psd(n, rng)
+    (ts16, ws16), (ts32, ws32) = segquad._gauss_rule(16), segquad._gauss_rule(32)
     for desc in CATALOG_DESCRIPTORS:
         f = from_descriptor(desc)
-        nodes = list(segquad.segment_points(a, b, ts))
+        nodes = list(segquad.segment_points(a, b, np.concatenate([ts16, ts32])))
         lone = [matcore._exact_hermitian(h.entries, eigen=matcore.eig(h)) for h in nodes]
-        stacked = segquad._weighted_sum(f, ws, iter(nodes), a.entries)
-        alone = segquad._weighted_sum(f, ws, iter(lone), a.entries)
-        assert stacked.tobytes() == alone.tobytes(), desc
+        for points in (nodes, lone):
+            stream = iter(points)
+            sums = [segquad._weighted_sum(f, ws, stream, a.entries) for ws in (ws16, ws32)]
+            loops = [_loop_sum(f, ws16, points[:16], a.entries),
+                     _loop_sum(f, ws32, points[16:], a.entries)]
+            assert [s.tobytes() for s in sums] == [x.tobytes() for x in loops], desc
 
 
 def test_large_points_are_decomposed_one_stack_at_a_time(monkeypatch):
