@@ -27,7 +27,7 @@ used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -337,6 +337,16 @@ def _check_reconstruction(recon_err: np.ndarray, scale: np.ndarray):
         )
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, made once per size: subtracting it
+    from a stack of Gram matrices costs less than building it each time or
+    subtracting 1 from each strided diagonal."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a (k, n, n) stack of Hermitian matrices in one solver
     call.  Returns (values, vectors) of shapes (k, n) and (k, n, n), with
@@ -361,7 +371,7 @@ def eig_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     recon_err, scale = _reconstruction_errors(values, vectors, vectors_ct, stack)
     gram = vectors_ct @ vectors
     k, n = values.shape
-    gram.reshape(k, n * n)[:, ::n + 1] -= 1.0  # minus I, on each diagonal
+    gram -= _identity(n)
     ortho_err = np.maximum.reduce(np.abs(gram), axis=(1, 2), initial=0.0)
     # A NaN error compares False, so it fails the test too.
     passed = (recon_err <= EIG_RECON_RTOL * scale) & (ortho_err <= EIG_ORTHO_TOL)
@@ -528,6 +538,20 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     if not inside[i]:
         check_spectrum_in_domain(f, h)
     return _wrap(images[i], (fvals[i], vectors))
+
+
+def _stacked_images(points: "list[HermitianMatrix]", images: "list[np.ndarray]") -> np.ndarray:
+    """``images``, the entries of apply_function's images of ``points``
+    under one f, as one (k, n, n) array to read.  Points that segment_matrices
+    made, consecutive in one stack and in its order, have their images in
+    consecutive rows of the stack's image array, and the result is a view
+    of those rows; for other points it is a new array."""
+    first, last = points[0]._stack, points[-1]._stack
+    if first is not None and last is not None and first[0] is last[0]:
+        mapped = first[0].mapped[3]
+        if images[0].base is mapped and last[1] - first[1] == len(points) - 1:
+            return mapped[first[1]:last[1] + 1]
+    return np.array(images)
 
 
 def norm_spec(spec: str, dim: int) -> tuple[str, int | float | None]:

@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import BadParams, NoConvergence, NonFiniteEntries, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, apply_function,
-                      check_same_dim, segment_matrices,
+from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, _stacked_images,
+                      apply_function, check_same_dim, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
 
 NODE_CAP = 1024  # refinement stops doubling at 2**10 nodes
@@ -104,12 +104,12 @@ def _weighted_sum(f: ScalarFunction, weights: np.ndarray, points, like: np.ndarr
     acc = np.zeros_like(like)
     for start in range(0, len(weights), run_length):
         run = weights[start:start + run_length]
-        images = [apply_function(f, point).entries for _, point in zip(run, points)]
+        nodes = [point for _, point in zip(run, points)]
+        images = [apply_function(f, point).entries for point in nodes]
         if len(images) == 1:
             acc += float(run[0]) * images[0]
             continue
-        terms = np.array(images)
-        terms *= run[:, None, None]
+        terms = run[:, None, None] * _stacked_images(nodes, images)
         terms[0] += acc
         acc = np.cumsum(terms, axis=0, out=terms)[-1]
     return acc
