@@ -72,6 +72,12 @@ class QuadratureSpec:
             raise BadParams(f"rtol must be positive, got {self.rtol}")
 
 
+def _stack_length(n: int) -> int:
+    """How many n x n matrices a stack of STACK_ENTRY_BUDGET entries holds,
+    and at least one."""
+    return max(1, STACK_ENTRY_BUDGET // max(1, n * n))
+
+
 def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
     """Yield the matrices tA + (1-t)B for t in ts, already decomposed.
 
@@ -82,7 +88,7 @@ def segment_points(a: HermitianMatrix, b: HermitianMatrix, ts: np.ndarray):
     large points holds few of them at once.
     """
     check_same_dim(a, b)
-    step = max(1, STACK_ENTRY_BUDGET // max(1, a.dim * a.dim))
+    step = _stack_length(a.dim)
     for start in range(0, len(ts), step):
         yield from segment_matrices(a, b, ts[start:start + step])
 
@@ -93,14 +99,15 @@ def _weighted_sum(f: ScalarFunction, weights: np.ndarray, points, like: np.ndarr
 
     Each point gets its own apply_function call, its domain verdict, in
     rule order.  The images are summed a run at a time, a run holding as
-    many entries as a stack of segment_points at most, and the total is
-    the per-point loop's ((0 + w_0 f_0) + w_1 f_1) + ... to the bit: the
-    running sum is added to the first of the run's weighted images and
-    np.cumsum, which adds along its axis in order, carries it through the
-    rest.  np.add.reduce would not do: along a contiguous axis, as a run of
-    1x1 images has, it sums pairwise, which rounds otherwise.  A run of
-    one, every point at large n, is the loop's one in-place add."""
-    run_length = max(1, STACK_ENTRY_BUDGET // max(1, like.size))
+    many entries as a stack of segment_points at most, read as one array
+    (see matcore._stacked_images).  The total is the per-point loop's
+    ((0 + w_0 f_0) + w_1 f_1) + ... to the bit: the running sum is added to
+    the first of the run's weighted images, and np.cumsum, which adds along
+    its axis in order, carries it through the rest.  np.add.reduce would
+    not do: along a contiguous axis, as a run of 1x1 images has, it sums
+    pairwise, which rounds otherwise.  A run of one, every point at large
+    n, is the loop's one in-place add."""
+    run_length = _stack_length(like.shape[0])
     acc = np.zeros_like(like)
     for start in range(0, len(weights), run_length):
         run = weights[start:start + run_length]
