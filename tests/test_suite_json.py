@@ -11,7 +11,12 @@ it was.  The n=1 size, whose 1x1 sums (trace's scalar case among them)
 are the ones a pairwise sum would round differently, was recorded before
 the quadrature began to sum a stack's images in one pass.
 
-Regenerate the file, only when a change is meant to alter results, with
+``data/suite_sha256_n48.json`` holds the same for SPEC_N48, every theorem
+id at n=48 (seed 3, 2 trials), where a decomposition stack and a
+quadrature run hold one matrix each; it was recorded before every solver
+call began to give its matrices a stack of their own.
+
+Regenerate both files, only when a change is meant to alter results, with
 
     PYTHONPATH=src python tests/test_suite_json.py
 """
@@ -26,22 +31,26 @@ from pathlib import Path
 from hhmat.errors import Error
 from hhmat.harness import THEOREM_IDS, InstanceSpec, run_suite
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "suite_sha256.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "suite_sha256.json"
 SPEC = {"functions": ["exp", "power:2", "inverse", "xlogx"],
         "sizes": [[6, [0.0, 2.0]], [4, [0.5, 2.0]], [1, [0.5, 2.0]]],
         "maps": ["identity", "pinch", "congruence"],
         "seed": 3, "trials": 6}
+GOLDEN_N48 = DATA / "suite_sha256_n48.json"
+SPEC_N48 = {"functions": ["exp"], "sizes": [[48, [0.5, 2.0]]],
+            "maps": ["identity", "congruence"], "seed": 3, "trials": 2}
 
 
-def _outcomes() -> dict[str, str]:
+def _outcomes(pinned: dict) -> dict[str, str]:
     out = {}
     for theorem in THEOREM_IDS:
-        for function in SPEC["functions"]:
-            for n, interval in SPEC["sizes"]:
-                for map_desc in SPEC["maps"]:
+        for function in pinned["functions"]:
+            for n, interval in pinned["sizes"]:
+                for map_desc in pinned["maps"]:
                     spec = InstanceSpec(n=n, interval=tuple(interval), function=function,
-                                        map_desc=map_desc, trials=SPEC["trials"],
-                                        seed=SPEC["seed"])
+                                        map_desc=map_desc, trials=pinned["trials"],
+                                        seed=pinned["seed"])
                     key = f"{theorem} {function} n={n} {interval} {map_desc}"
                     try:
                         text = run_suite(spec, theorem).to_json()
@@ -55,12 +64,19 @@ def _outcomes() -> dict[str, str]:
 def test_suite_json_matches_the_recorded_bytes():
     data = json.loads(GOLDEN.read_text())
     assert data["spec"] == SPEC
-    assert _outcomes() == data["outcomes"]
+    assert _outcomes(SPEC) == data["outcomes"]
+
+
+def test_n48_suite_json_matches_the_recorded_bytes():
+    data = json.loads(GOLDEN_N48.read_text())
+    assert data["spec"] == SPEC_N48
+    assert _outcomes(SPEC_N48) == data["outcomes"]
 
 
 def write_golden():
-    GOLDEN.write_text(json.dumps({"spec": SPEC, "outcomes": _outcomes()}, indent=1,
-                                 sort_keys=True) + "\n")
+    for path, pinned in ((GOLDEN, SPEC), (GOLDEN_N48, SPEC_N48)):
+        path.write_text(json.dumps({"spec": pinned, "outcomes": _outcomes(pinned)}, indent=1,
+                                   sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
