@@ -477,15 +477,24 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     )
 
 
+def _instance_field(obj: dict, what: str) -> dict:
+    """obj["instance"]; BadParams naming the `what` entry when it is missing
+    or not a JSON object."""
+    inst = json_field(obj, "instance", what)
+    if not isinstance(inst, dict):
+        raise BadParams(f"{what} field 'instance' is not a JSON object")
+    return inst
+
+
 def replay(obj: dict) -> list[tuple[dict, TrialResult]]:
     """Re-run instances from a report, a failure entry, or a bare instance."""
     if not isinstance(obj, dict):
         raise BadParams("replay input is not a JSON object")
     if "failures" in obj:
-        instances = [json_field(fail, "instance", "failure entry")
+        instances = [_instance_field(fail, "failure entry")
                      for fail in list_field(obj, "failures", dict, "report")]
     elif "instance" in obj:
-        instances = [obj["instance"]]
+        instances = [_instance_field(obj, "replay input")]
     elif "theorem" in obj:
         instances = [obj]
     else:

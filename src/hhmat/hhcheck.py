@@ -83,6 +83,14 @@ def _check_hypotheses(reasons: list[str]):
         raise HypothesisUnmet(*reasons)
 
 
+def _labels_outside(interval, mats: dict) -> list[str]:
+    """The labels of the matrices whose spectra leave the interval, each
+    distinct matrix tested once: the identity map's images are A and B
+    themselves."""
+    outside = {h: spectrum_outside(interval, h) for h in dict.fromkeys(mats.values())}
+    return [label for label, h in mats.items() if outside[h]]
+
+
 def _hypothesis_reasons(f: ScalarFunction, flags: tuple, mats: dict) -> list[str]:
     """A reason for each flag f is not declared, then one for each labelled
     matrix whose spectrum leaves the domain of f, the matrices decomposed in
@@ -91,7 +99,7 @@ def _hypothesis_reasons(f: ScalarFunction, flags: tuple, mats: dict) -> list[str
     return ([f"{f.name} is not declared {flag.replace('_', ' ')}"
              for flag in flags if not getattr(f.flags, flag)]
             + [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
-               for label, h in mats.items() if spectrum_outside(f.domain, h)])
+               for label in _labels_outside(f.domain, mats)])
 
 
 def _map_case_reasons(
@@ -361,7 +369,7 @@ def _converse_hypotheses(
     try:
         working = working_interval(*interval)
         reasons += [f"spectrum of {label} leaves [{working.lo}, {working.hi}]"
-                    for label, h in mats.items() if spectrum_outside(working, h)]
+                    for label in _labels_outside(working, mats)]
         _check_hypotheses(reasons)
         return pa, pb, mond_pecaric_alpha(f, working.lo, working.hi).alpha
     except BadInterval as exc:  # reasons is empty past _check_hypotheses

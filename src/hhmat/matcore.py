@@ -4,13 +4,17 @@ string whose one reading is norm_spec.
 
 Values are immutable and every operation but random_hermitian is pure, so
 everything here is safe to call from concurrent workers.  A matrix caches its
-own eigendecomposition on first use, and a stack of segment points the
-images of its matrices under f (see SpectralStack).  Each cache is one
-reference, filled whole: two workers racing to fill it each use a whole
-result for their own arguments, so the race is harmless.
+own eigendecomposition on first use, and the stack it was decomposed in the
+images and results of its matrices under f (see SpectralStack).  Each cache
+is one reference, filled whole: two workers racing to fill it each use a
+whole result for their own arguments, so the race is harmless.
 
-f(H) has one formula, map_stack's, which maps a whole stack of decomposed
-matrices at once; apply_function reads one matrix's image from it.
+Every solver call is a stack: segment_matrices decomposes its points in
+one, eig_many one per size, eig a lone matrix in a stack of one, and the
+decomposition eig derives for f(H) is a stack of one too.  Each matrix so
+decomposed is a row of its SpectralStack.  f(H) has one formula,
+map_stack's, which maps a whole stack at once, once per f; apply_function
+hands each matrix its row's result.
 
 The HermitianMatrix constructor judges input from outside the package
 (matrix literals, caller-supplied arrays): it compares the array with its
@@ -18,10 +22,10 @@ conjugate transpose, symmetrizes and copies.  Arrays the package computes
 are exactly Hermitian by construction, as real combinations of Hermitian
 matrices and R/2 + (R/2)* are, so the internal builder _exact_hermitian
 (and _hermitian_part for a product), which plmaps, segquad and harness use
-too, wraps them with a finiteness check and nothing more.  Segment points
-and images of f are wrapped with no check at all (_wrap): a point that is
-not finite fails its decomposition, and an image is judged where it is
-used.
+too, wraps them with a finiteness check and nothing more.  Segment points,
+images of f and segquad's integral are wrapped with no check at all
+(_wrap): a point that is not finite fails its decomposition, an image is
+judged where it is used, and the integral's quadrature pass checked it.
 """
 
 from __future__ import annotations
@@ -77,8 +81,9 @@ class HermitianMatrix:
     # from which eig() derives this matrix's decomposition without a solver.
     _spectral_pair: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, init=False, repr=False)
-    # Set by segment_matrices: (the SpectralStack this matrix was decomposed
-    # in, its index there), from which apply_function reads f(H).
+    # Set when the matrix is decomposed (segment_matrices, eig_many, eig):
+    # (the SpectralStack it was decomposed in, its row there), from which
+    # apply_function reads f(H).
     _stack: "tuple[SpectralStack, int] | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -172,9 +177,10 @@ def check_same_dim(a: HermitianMatrix, b: HermitianMatrix):
 def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatrix:
     """Random Hermitian matrix with spectrum strictly inside [omega, Omega].
 
-    A complex Gaussian is symmetrized, then affinely rescaled so the extreme
-    eigenvalues land a random 1-10% of the interval width inside each
-    endpoint.  ``seed`` may be an int or a Generator.
+    A complex Gaussian G is replaced by its Hermitian part G/2 + (G/2)*
+    (see _symmetrize), then affinely rescaled so the extreme eigenvalues
+    land a random 1-10% of the interval width inside each endpoint.
+    ``seed`` may be an int or a Generator.
 
     The rescaling s*w + c of the eigenvalues w of H is s*H + c*I, so only
     the extreme eigenvalues are solved for.  s*H + c*I is exactly Hermitian,
@@ -188,8 +194,7 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     hi = Omega - SPECTRUM_SHRINK * width * rng.uniform(0.1, 1.0)
     if n == 1:
         return _exact_hermitian(np.array([[rng.uniform(lo, hi)]], dtype=complex))
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
+    h = _symmetrize(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     w = np.linalg.eigvalsh(h)
     span = float(w[-1] - w[0])
     if span < 1e-12:
@@ -200,21 +205,18 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
     return _exact_hermitian(h)
 
 
-def _wrap(entries: np.ndarray, spectral_pair=None, eigen=None, stack=None) -> HermitianMatrix:
-    """A HermitianMatrix on ``entries`` itself, with residual 0 and no check
-    at all; the caller has made the array read-only.  Only for arrays that
-    are exactly Hermitian by construction and need no finiteness check:
-    the segment points of segment_matrices (a point that is not finite
-    fails its decomposition) and the images of apply_function (an image
-    that overflows is judged where it is used).  ``spectral_pair`` is
-    apply_function's (values, vectors) of the result, kept as a reference
-    for eig(); ``eigen`` is the matrix's validated EigenSystem, when already
-    known, and ``stack`` its (SpectralStack, index), when it was decomposed
-    in one."""
+def _wrap(fields: dict) -> HermitianMatrix:
+    """A HermitianMatrix whose instance dict is ``fields``: "entries", an
+    array the caller has made read-only, used as it is, with residual 0 and
+    no check at all, and whichever of "_eigen", "_spectral_pair" and
+    "_stack" the matrix has; the class defaults serve the rest.  Only for
+    arrays that are exactly Hermitian by construction and need no
+    finiteness check: the segment points of segment_matrices (a point that
+    is not finite fails its decomposition), the images of apply_function
+    (an image that overflows is judged where it is used) and the integral
+    of segquad (its quadrature pass checked it)."""
     h = object.__new__(HermitianMatrix)
-    object.__setattr__(h, "__dict__", {"entries": entries, "asymmetry_residual": 0.0,
-                                       "_eigen": eigen, "_spectral_pair": spectral_pair,
-                                       "_stack": stack})
+    h.__dict__.update(fields)  # the frozen class refuses attribute assignment
     return h
 
 
@@ -230,12 +232,15 @@ def _exact_hermitian(entries: np.ndarray, eigen=None) -> HermitianMatrix:
     Only finiteness is checked, as the constructor does: an array with a
     NaN or infinite entry (a sum or scaling that overflowed) raises
     NonFiniteEntries.  ``eigen`` is the matrix's validated EigenSystem, when
-    already known.
+    already known, which becomes a stack of one.
     """
     if not np.isfinite(entries).all():
         raise NonFiniteEntries("matrix entries must be finite, got NaN or infinity")
     entries.setflags(write=False)
-    return _wrap(entries, eigen=eigen)
+    if eigen is None:
+        return _wrap({"entries": entries})
+    stack = SpectralStack(eigen.values[None], eigen.vectors[None])
+    return _wrap({"entries": entries, "_eigen": eigen, "_stack": (stack, 0)})
 
 
 def _symmetrize(r: np.ndarray) -> np.ndarray:
@@ -267,20 +272,34 @@ def _hermitian_part(r: np.ndarray) -> HermitianMatrix:
 
 class SpectralStack:
     """The validated decompositions of a stack of k Hermitian matrices,
-    (values, vectors) as eig_stack returns them, and the images of its
-    matrices under the last f applied to any of them (see apply_function).
+    (values, vectors) as eig_stack returns them, and the images and results
+    of its matrices under the last f applied to any of them (see
+    apply_function).  Every solver call makes one (see eig), and each
+    matrix it decomposed holds its (stack, row).
 
-    The image cache ``mapped`` is one reference to a tuple (f, inside,
-    fvals, images) of f and map_stack's results for it, replaced whole and
-    never attribute by attribute.  A worker reads it once, so two workers
-    racing to fill it, even for different functions, each use the tuple of
-    their own f; the race costs at most a second kernel call.
+    The cache ``mapped`` is one reference to a tuple (f, inside, images,
+    results), replaced whole and never attribute by attribute: f,
+    map_stack's domain verdicts and images for it, and f(H) of every row,
+    built in the same pass (see _mapped).  A repeated call for f on one row
+    returns the same result object.  A worker reads the cache once, so two
+    workers racing to fill it, even for different functions, each use the
+    tuple of their own f; the race costs at most a second kernel call.
     """
 
     __slots__ = ("values", "vectors", "mapped")
 
     def __init__(self, values: np.ndarray, vectors: np.ndarray):
         self.values, self.vectors, self.mapped = values, vectors, None
+
+
+def _as_stack(hs: "list[HermitianMatrix]", values: np.ndarray, vectors: np.ndarray):
+    """Make the matrices ``hs``, whose validated decompositions are the
+    rows of (values, vectors), the rows of one SpectralStack, each with its
+    EigenSystem."""
+    stack = SpectralStack(values, vectors)
+    for i, h in enumerate(hs):
+        object.__setattr__(h, "_stack", (stack, i))
+        object.__setattr__(h, "_eigen", EigenSystem(values=values[i], vectors=vectors[i]))
 
 
 def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[HermitianMatrix]:
@@ -301,7 +320,7 @@ def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[Hermiti
     values, vectors = eig_stack(stack)
     stack.setflags(write=False)  # and so every node's view of it
     shared = SpectralStack(values, vectors)
-    return [_wrap(m, stack=(shared, i)) for i, m in enumerate(stack)]
+    return [_wrap({"entries": m, "_stack": (shared, i)}) for i, m in enumerate(stack)]
 
 
 def _ct(stack: np.ndarray) -> np.ndarray:
@@ -407,21 +426,22 @@ def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
     apply_function takes its own from its argument's (see eig); the other
     matrices not yet decomposed go to the solver one stack per size (see
     eig_stack), in the order their sizes first appear, each once however
-    often it is listed."""
-    found, solve = [], []
+    often it is listed, and each size's matrices become the rows of one
+    SpectralStack."""
+    solve = []
     for h in {id(h): h for h in hs if h._eigen is None}.values():
         if h._stack is not None:
             stack, i = h._stack
-            found.append((h, stack.values[i], stack.vectors[i]))
+            object.__setattr__(h, "_eigen", EigenSystem(values=stack.values[i],
+                                                        vectors=stack.vectors[i]))
         elif h._spectral_pair is not None:
-            found.append((h, *_derived_eigen(h)))
+            values, vectors = _derived_eigen(h)
+            _as_stack([h], values[None], vectors[None])
         else:
             solve.append(h)
     for dim in dict.fromkeys(h.dim for h in solve):
         same_size = [h for h in solve if h.dim == dim]
-        found += zip(same_size, *eig_stack(np.stack([h.entries for h in same_size])))
-    for h, w, v in found:
-        object.__setattr__(h, "_eigen", EigenSystem(values=w, vectors=v))
+        _as_stack(same_size, *eig_stack(np.stack([h.entries for h in same_size])))
     return [h._eigen for h in hs]
 
 
@@ -432,7 +452,9 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     ``EIG_RECON_RTOL`` relative to max(1, spectral radius) and the eigenvector
     matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
     cached on ``h``, so each matrix is decomposed and validated once.  A 0x0
-    matrix has the empty decomposition.
+    matrix has the empty decomposition.  A matrix not yet decomposed goes
+    to the solver alone, as a stack of one (see eig_stack), and becomes that
+    SpectralStack's row, as the matrices of eig_many's stacks do.
 
     A segment point (see segment_matrices) is not sent to the solver
     either: its decomposition is its row of the stack it was decomposed in,
@@ -444,11 +466,14 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     or non-monotone f pairs them correctly) and the vectors permuted to
     match; the rebuilt matrix must match R's entries to ``EIG_RECON_RTOL``
     as above, or ConvergenceFailure is raised.  The vectors are H's, already
-    checked orthonormal.
+    checked orthonormal.  This decomposition is a stack of one too.
     """
-    if h._eigen is not None:
-        return h._eigen
-    return eig_many([h])[0]
+    if h._eigen is None:
+        if h._stack is None and h._spectral_pair is None:
+            _as_stack([h], *eig_stack(h.entries[None]))
+        else:
+            eig_many([h])
+    return h._eigen
 
 
 def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> list[float]:
@@ -508,15 +533,27 @@ def map_stack(f: "ScalarFunction", values: np.ndarray,
     return inside, fvals, images
 
 
+def _mapped(f: "ScalarFunction", stack: SpectralStack) -> tuple:
+    """The cache tuple (f, inside, images, results) of a stack under f (see
+    SpectralStack): map_stack's verdicts and images, and the result of
+    every row, a read-only view of its image keeping a reference to (f of
+    the row's eigenvalues, its eigenvectors)."""
+    inside, fvals, images = map_stack(f, stack.values, stack.vectors)
+    results = [_wrap({"entries": image, "_spectral_pair": pair})
+               for image, pair in zip(images, zip(fvals, stack.vectors))]
+    return f, inside, images, results
+
+
 def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     """Functional calculus f(H) via the spectral decomposition, by map_stack.
 
-    A matrix that segment_matrices made reads its image from its
-    SpectralStack, mapped whole on the first call for f; any other matrix
-    is mapped as a stack of one, made from eig(H), which nothing else reads
-    and so nothing caches.  A spectrum outside the domain of f raises
-    SpectrumOutOfDomain from check_spectrum_in_domain, naming H's offending
-    eigenvalues.
+    Every decomposed matrix is a row of a SpectralStack (see eig), and a
+    matrix not yet decomposed is decomposed first.  The first call for f on
+    any row maps the whole stack and builds every row's result in that one
+    pass; each call then gets its own row's domain verdict and result, and
+    a repeated call on one row returns the same result object.  A spectrum
+    outside the domain of f raises SpectrumOutOfDomain from
+    check_spectrum_in_domain, naming H's offending eigenvalues.
 
     The result is a read-only view of its image, with no finiteness check:
     an f that overflows is judged where its image is used.  It keeps a
@@ -525,30 +562,26 @@ def apply_function(f: "ScalarFunction", h: HermitianMatrix) -> HermitianMatrix:
     result that is never decomposed pays nothing more.
     """
     if h._stack is None:
-        es, i = eig(h), 0
-        inside, fvals, images = map_stack(f, es.values[None], es.vectors[None])
-        vectors = es.vectors
-    else:
-        stack, i = h._stack
-        mapped = stack.mapped
-        if mapped is None or mapped[0] is not f:
-            mapped = stack.mapped = (f, *map_stack(f, stack.values, stack.vectors))
-        _, inside, fvals, images = mapped
-        vectors = stack.vectors[i]
+        eig(h)
+    stack, i = h._stack
+    mapped = stack.mapped
+    if mapped is None or mapped[0] is not f:
+        mapped = stack.mapped = _mapped(f, stack)
+    _, inside, _, results = mapped
     if not inside[i]:
         check_spectrum_in_domain(f, h)
-    return _wrap(images[i], (fvals[i], vectors))
+    return results[i]
 
 
 def _stacked_images(points: "list[HermitianMatrix]", images: "list[np.ndarray]") -> np.ndarray:
     """``images``, the entries of apply_function's images of ``points``
-    under one f, as one (k, n, n) array to read.  Points that segment_matrices
-    made, consecutive in one stack and in its order, have their images in
-    consecutive rows of the stack's image array, and the result is a view
-    of those rows; for other points it is a new array."""
-    first, last = points[0]._stack, points[-1]._stack
-    if first is not None and last is not None and first[0] is last[0]:
-        mapped = first[0].mapped[3]
+    under one f, as one (k, n, n) array to read.  Points consecutive in one
+    stack and in its order have their images in consecutive rows of the
+    stack's image array, and the result is a view of those rows; for other
+    points it is a new array."""
+    first, last = points[0]._stack, points[-1]._stack  # set by apply_function
+    if first[0] is last[0]:
+        mapped = first[0].mapped[2]
         if images[0].base is mapped and last[1] - first[1] == len(points) - 1:
             return mapped[first[1]:last[1] + 1]
     return np.array(images)

@@ -16,7 +16,7 @@ one stack at a time.  Each later rule gets a stream of its own.
 f reaches the nodes a stack at a time: the first apply_function call on a
 node maps its whole stack (matcore.map_stack: one domain test, one
 eval_array call and one stacked matmul), and each later node of the stack
-reads its image from there.  Each node still makes its own apply_function
+reads its result from there.  Each node still makes its own apply_function
 call, in rule order, and a node outside f's domain raises from its own
 call.  A node is thin (its entries and its stack, see
 matcore.segment_matrices): no pass asks for its decomposition, and a
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BadParams, NoConvergence, NonFiniteEntries, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, _stacked_images,
+from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, _stacked_images, _wrap,
                       apply_function, check_same_dim, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
 
@@ -111,7 +111,7 @@ def _weighted_sum(f: ScalarFunction, weights: np.ndarray, points, like: np.ndarr
     acc = np.zeros_like(like)
     for start in range(0, len(weights), run_length):
         run = weights[start:start + run_length]
-        nodes = [point for _, point in zip(run, points)]
+        nodes = list(itertools.islice(points, len(run)))
         images = [apply_function(f, point).entries for point in nodes]
         if len(images) == 1:
             acc += float(run[0]) * images[0]
@@ -144,6 +144,15 @@ def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     ts.flags.writeable = False
     ws.flags.writeable = False
     return ts, ws
+
+
+@functools.lru_cache(maxsize=16)
+def _opening_nodes(nodes: int) -> np.ndarray:
+    """The read-only nodes of the `nodes`-node rule followed by those of its
+    double: the points of an integral's opening stream."""
+    ts = np.concatenate([_gauss_rule(nodes)[0], _gauss_rule(2 * nodes)[0]])
+    ts.flags.writeable = False
+    return ts
 
 
 def _gauss_pass(f: ScalarFunction, nodes: int, points, like: np.ndarray) -> np.ndarray:
@@ -183,8 +192,7 @@ def segment_integral(
     _check_spectrum_in_domain(f, a, "the t=1 endpoint")
     _check_spectrum_in_domain(f, b, "the t=0 endpoint")
     nodes = spec.nodes
-    opening = segment_points(a, b, np.concatenate([_gauss_rule(nodes)[0],
-                                                   _gauss_rule(2 * nodes)[0]]))
+    opening = segment_points(a, b, _opening_nodes(nodes))
     current = _gauss_pass(f, nodes, opening, a.entries)
     while True:
         nodes *= 2
@@ -192,7 +200,8 @@ def segment_integral(
         refined = _gauss_pass(f, nodes, points, a.entries)
         scale = max(1.0, float(np.max(np.abs(refined))))
         if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
-            return _exact_hermitian(refined)
+            refined.setflags(write=False)  # its pass found it finite
+            return _wrap({"entries": refined})
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
                 f"quadrature did not settle to rtol={spec.rtol:g} below {NODE_CAP} nodes"

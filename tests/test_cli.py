@@ -535,6 +535,21 @@ def test_replay_of_a_report_whose_failures_are_not_a_list_exits_2(tmp_path, caps
     assert captured.out == ""
 
 
+# each ended in an AttributeError traceback from the line printing the outcome
+@pytest.mark.parametrize("payload, what", [
+    ({"instance": 5}, "replay input"),
+    ({"instance": [1, 2]}, "replay input"),
+    ({"failures": [{"instance": 7}]}, "failure entry"),
+], ids=["number", "list", "failure-entry"])
+def test_replay_of_an_instance_that_is_not_an_object_exits_2(tmp_path, capsys, payload, what):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what} field 'instance' is not a JSON object\n"
+    assert captured.out == ""
+
+
 # each printed its result, then ended in a FileNotFoundError traceback and exit 1
 @pytest.mark.parametrize("args", [
     ["verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2", "--trials", "2"],

@@ -118,12 +118,13 @@ def test_t4_trial_makes_three_solver_calls_at_small_n(monkeypatch, map_desc, ope
 
 
 @pytest.mark.parametrize("theorem, function, stack_sizes", [
-    # t3: f(A) and f(B), the 33 grid points in one stack, then the opening
-    # quadrature pair in another
-    ("t3", "exp", [1, 1, 33, 48]),
+    # t3: f(A) and f(B) in one stack (A and B were decomposed in one solver
+    # call), the 33 grid points in another, then the opening quadrature pair
+    ("t3", "exp", [2, 33, 48]),
     # the chain with 2 panels: the midpoint, the 2 midpoint Riemann nodes,
-    # the quadrature pair, the 3 trapezoid nodes, then f(A) and f(B)
-    ("chain", "inverse", [1, 2, 48, 3, 1, 1]),
+    # the quadrature pair, the 3 trapezoid nodes, then f(A) and f(B) in one
+    # stack, as in t3
+    ("chain", "inverse", [1, 2, 48, 3, 2]),
 ])
 def test_every_segment_stream_is_mapped_a_stack_at_a_time(monkeypatch, theorem, function,
                                                            stack_sizes):
