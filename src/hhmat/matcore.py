@@ -9,10 +9,12 @@ images and results of its matrices under f (see SpectralStack).  Each cache
 is one reference, filled whole: two workers racing to fill it each use a
 whole result for their own arguments, so the race is harmless.
 
-Every solver call is a stack: segment_matrices decomposes its points in
-one, eig_many one per size, eig a lone matrix in a stack of one, and the
-decomposition eig derives for f(H) is a stack of one too.  Each matrix so
-decomposed is a row of its SpectralStack.  f(H) has one formula,
+Every decomposed matrix is a row of a stack: segment_matrices decomposes
+its points in one solver call and one stack, eig_many makes one solver
+call per size and one stack per size and group of its caller, eig a lone
+matrix in a stack of one, and the decomposition eig derives for f(H) is a
+stack of one too.  Each matrix so decomposed is a row of its
+SpectralStack.  f(H) has one formula,
 map_stack's, which maps a whole stack at once, once per f; apply_function
 hands each matrix its row's result.
 
@@ -30,8 +32,10 @@ judged where it is used, and the integral's quadrature pass checked it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -220,7 +224,7 @@ def _wrap(fields: dict) -> HermitianMatrix:
     return h
 
 
-def _exact_hermitian(entries: np.ndarray, eigen=None) -> HermitianMatrix:
+def _exact_hermitian(entries: np.ndarray) -> HermitianMatrix:
     """The one builder for square complex arrays the package computes that
     are exactly Hermitian by construction: real combinations of exactly
     Hermitian matrices (h + k, 2.5 * h, sH + cI, weighted sums of images of
@@ -231,16 +235,12 @@ def _exact_hermitian(entries: np.ndarray, eigen=None) -> HermitianMatrix:
     copy: the array itself becomes the read-only entries, with residual 0.
     Only finiteness is checked, as the constructor does: an array with a
     NaN or infinite entry (a sum or scaling that overflowed) raises
-    NonFiniteEntries.  ``eigen`` is the matrix's validated EigenSystem, when
-    already known, which becomes a stack of one.
+    NonFiniteEntries.
     """
     if not np.isfinite(entries).all():
         raise NonFiniteEntries("matrix entries must be finite, got NaN or infinity")
     entries.setflags(write=False)
-    if eigen is None:
-        return _wrap({"entries": entries})
-    stack = SpectralStack(eigen.values[None], eigen.vectors[None])
-    return _wrap({"entries": entries, "_eigen": eigen, "_stack": (stack, 0)})
+    return _wrap({"entries": entries})
 
 
 def _symmetrize(r: np.ndarray) -> np.ndarray:
@@ -272,10 +272,11 @@ def _hermitian_part(r: np.ndarray) -> HermitianMatrix:
 
 class SpectralStack:
     """The validated decompositions of a stack of k Hermitian matrices,
-    (values, vectors) as eig_stack returns them, and the images and results
-    of its matrices under the last f applied to any of them (see
-    apply_function).  Every solver call makes one (see eig), and each
-    matrix it decomposed holds its (stack, row).
+    (values, vectors) as eig_stack returns them (or views of some of their
+    rows, see eig_many), and the images and results of its matrices under
+    the last f applied to any of them (see apply_function).  Every
+    decomposition makes one (see eig), and each matrix it decomposed holds
+    its (stack, row).
 
     The cache ``mapped`` is one reference to a tuple (f, inside, images,
     results), replaced whole and never attribute by attribute: f,
@@ -419,30 +420,41 @@ def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
+def eig_many(*groups: "list[HermitianMatrix]") -> list[EigenSystem]:
     """Eigendecompositions of matrices of any sizes, validated and cached as
-    eig() documents.  A segment point reads its decomposition from its
-    stack row (read-only views, validated by eig_stack) and a result of
-    apply_function takes its own from its argument's (see eig); the other
-    matrices not yet decomposed go to the solver one stack per size (see
-    eig_stack), in the order their sizes first appear, each once however
-    often it is listed, and each size's matrices become the rows of one
-    SpectralStack."""
-    solve = []
-    for h in {id(h): h for h in hs if h._eigen is None}.values():
-        if h._stack is not None:
-            stack, i = h._stack
-            object.__setattr__(h, "_eigen", EigenSystem(values=stack.values[i],
-                                                        vectors=stack.vectors[i]))
-        elif h._spectral_pair is not None:
-            values, vectors = _derived_eigen(h)
-            _as_stack([h], values[None], vectors[None])
-        else:
-            solve.append(h)
-    for dim in dict.fromkeys(h.dim for h in solve):
-        same_size = [h for h in solve if h.dim == dim]
-        _as_stack(same_size, *eig_stack(np.stack([h.entries for h in same_size])))
-    return [h._eigen for h in hs]
+    eig() documents, listed in one or more groups; returns those of every
+    group's matrices, in order.  A segment point reads its decomposition
+    from its stack row (read-only views, validated by eig_stack) and a
+    result of apply_function takes its own from its argument's (see eig);
+    the other matrices not yet decomposed go to the solver one stack per
+    size (see eig_stack), in the order their sizes first appear, each once
+    however often it is listed.  Each group's matrices of one size become
+    the rows of one SpectralStack, over views of that solver call's rows,
+    so f maps only a group its caller applies f to together (see
+    apply_function)."""
+    solve = {}  # id -> (the first group listing the matrix, the matrix)
+    for g, group in enumerate(groups):
+        for h in group:
+            if h._eigen is not None or id(h) in solve:
+                continue
+            if h._stack is not None:
+                stack, i = h._stack
+                object.__setattr__(h, "_eigen", EigenSystem(values=stack.values[i],
+                                                            vectors=stack.vectors[i]))
+            elif h._spectral_pair is not None:
+                values, vectors = _derived_eigen(h)
+                _as_stack([h], values[None], vectors[None])
+            else:
+                solve[id(h)] = (g, h)
+    for dim in dict.fromkeys(h.dim for _, h in solve.values()):
+        same_size = [gh for gh in solve.values() if gh[1].dim == dim]
+        values, vectors = eig_stack(np.array([h.entries for _, h in same_size]))
+        start = 0
+        for _, run in itertools.groupby(same_size, key=itemgetter(0)):
+            hs = [h for _, h in run]  # a group's matrices of one size are consecutive
+            _as_stack(hs, values[start:start + len(hs)], vectors[start:start + len(hs)])
+            start += len(hs)
+    return [h._eigen for group in groups for h in group]
 
 
 def eig(h: HermitianMatrix) -> EigenSystem:
@@ -453,8 +465,8 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     matrix must be orthonormal entrywise to ``EIG_ORTHO_TOL``.  The result is
     cached on ``h``, so each matrix is decomposed and validated once.  A 0x0
     matrix has the empty decomposition.  A matrix not yet decomposed goes
-    to the solver alone, as a stack of one (see eig_stack), and becomes that
-    SpectralStack's row, as the matrices of eig_many's stacks do.
+    to the solver through eig_many, as a stack of one, and becomes that
+    SpectralStack's row.
 
     A segment point (see segment_matrices) is not sent to the solver
     either: its decomposition is its row of the stack it was decomposed in,
@@ -469,10 +481,7 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     checked orthonormal.  This decomposition is a stack of one too.
     """
     if h._eigen is None:
-        if h._stack is None and h._spectral_pair is None:
-            _as_stack([h], *eig_stack(h.entries[None]))
-        else:
-            eig_many([h])
+        eig_many([h])
     return h._eigen
 
 

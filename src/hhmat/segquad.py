@@ -146,15 +146,6 @@ def _gauss_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return ts, ws
 
 
-@functools.lru_cache(maxsize=16)
-def _opening_nodes(nodes: int) -> np.ndarray:
-    """The read-only nodes of the `nodes`-node rule followed by those of its
-    double: the points of an integral's opening stream."""
-    ts = np.concatenate([_gauss_rule(nodes)[0], _gauss_rule(2 * nodes)[0]])
-    ts.flags.writeable = False
-    return ts
-
-
 def _gauss_pass(f: ScalarFunction, nodes: int, points, like: np.ndarray) -> np.ndarray:
     """The `nodes`-node Gauss-Legendre sum, its points drawn from `points`,
     a segment_points stream positioned at this rule's nodes.  A sum that is
@@ -192,7 +183,8 @@ def segment_integral(
     _check_spectrum_in_domain(f, a, "the t=1 endpoint")
     _check_spectrum_in_domain(f, b, "the t=0 endpoint")
     nodes = spec.nodes
-    opening = segment_points(a, b, _opening_nodes(nodes))
+    opening = segment_points(a, b, np.concatenate([_gauss_rule(nodes)[0],
+                                                   _gauss_rule(2 * nodes)[0]]))
     current = _gauss_pass(f, nodes, opening, a.entries)
     while True:
         nodes *= 2

@@ -412,6 +412,30 @@ class TestDecompositionOfFunctionValues:
             scale = max(1.0, es.spectral_radius)
             assert np.max(np.abs(reconstruct(es) - h.entries)) <= 1e-12 * scale
 
+    def test_groups_share_a_solver_call_and_map_apart(self, monkeypatch):
+        rng = make_rng(36)
+        a, b, c, d = (random_hermitian_raw(3, rng) for _ in range(4))
+        calls, rows = [], []
+        real_stack, real_map = matcore.eig_stack, matcore.map_stack
+        monkeypatch.setattr(matcore, "eig_stack", lambda s: calls.append(s.shape) or real_stack(s))
+        monkeypatch.setattr(matcore, "map_stack",
+                            lambda f, w, v: rows.append(len(w)) or real_map(f, w, v))
+        found = matcore.eig_many([a, b], [c, a, d])
+        # one solver call; a stays in the first group that lists it
+        assert calls == [(4, 3, 3)]
+        assert [es is h._eigen for es, h in zip(found, (a, b, c, a, d))] == [True] * 5
+        assert a._stack[0] is b._stack[0] is not c._stack[0] is d._stack[0]
+        assert [h._stack[1] for h in (a, b, c, d)] == [0, 1, 0, 1]
+        # views of the one call's arrays
+        for part in ("values", "vectors"):
+            base = getattr(a._stack[0], part).base
+            assert base is not None and getattr(c._stack[0], part).base is base
+        f = funcat.builtin("exp")
+        alone = apply_function(f, _lone(d))
+        assert apply_function(f, d).entries.tobytes() == alone.entries.tobytes()
+        apply_function(f, c)
+        assert rows == [1, 2]  # the lone copy, then c and d, not a and b
+
     def test_altered_entries_fail_the_reconstruction_check(self):
         out = apply_function(funcat.builtin("exp"), random_hermitian_raw(4, make_rng(33)))
         altered = out.entries.copy()
@@ -431,8 +455,10 @@ class TestDecompositionOfFunctionValues:
 
 
 def _lone(node: HermitianMatrix) -> HermitianMatrix:
-    """The same matrix with the same decomposition, outside any stack."""
-    return matcore._exact_hermitian(node.entries, eigen=eig(node))
+    """The same matrix with the same decomposition, in a stack of one."""
+    es, lone = eig(node), matcore._exact_hermitian(node.entries)
+    matcore._as_stack([lone], es.values[None], es.vectors[None])
+    return lone
 
 
 def _in_domain_pair(f, n: int, seed: int):

@@ -287,6 +287,13 @@ def _loop_sum(f, weights, points, like):
     return acc
 
 
+def _lone(node: HermitianMatrix) -> HermitianMatrix:
+    """The same matrix with the same decomposition, in a stack of one."""
+    es, lone = matcore.eig(node), matcore._exact_hermitian(node.entries)
+    matcore._as_stack([lone], es.values[None], es.vectors[None])
+    return lone
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 10, 48])
 def test_quadrature_sums_equal_the_per_node_loop_bit_for_bit(n):
     # The opening pair's passes, 16 then 32 nodes drawn from one stream (a
@@ -300,7 +307,7 @@ def test_quadrature_sums_equal_the_per_node_loop_bit_for_bit(n):
     for desc in CATALOG_DESCRIPTORS:
         f = from_descriptor(desc)
         nodes = list(segquad.segment_points(a, b, np.concatenate([ts16, ts32])))
-        lone = [matcore._exact_hermitian(h.entries, eigen=matcore.eig(h)) for h in nodes]
+        lone = [_lone(h) for h in nodes]
         for points in (nodes, lone):
             stream = iter(points)
             sums = [segquad._weighted_sum(f, ws, stream, a.entries) for ws in (ws16, ws32)]
