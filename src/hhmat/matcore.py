@@ -212,13 +212,13 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
 def _wrap(fields: dict) -> HermitianMatrix:
     """A HermitianMatrix whose instance dict is ``fields``: "entries", an
     array the caller has made read-only, used as it is, with residual 0 and
-    no check at all, and whichever of "_eigen", "_spectral_pair" and
-    "_stack" the matrix has; the class defaults serve the rest.  Only for
-    arrays that are exactly Hermitian by construction and need no
-    finiteness check: the segment points of segment_matrices (a point that
-    is not finite fails its decomposition), the images of apply_function
-    (an image that overflows is judged where it is used) and the integral
-    of segquad (its quadrature pass checked it)."""
+    no check at all, and "_spectral_pair" or "_stack" when the matrix has
+    one; the class defaults serve the rest.  Only for arrays that are
+    exactly Hermitian by construction and need no finiteness check: the
+    segment points of segment_matrices (a point that is not finite fails
+    its decomposition), the images of apply_function (an image that
+    overflows is judged where it is used) and the integral of segquad (its
+    quadrature pass checked it)."""
     h = object.__new__(HermitianMatrix)
     h.__dict__.update(fields)  # the frozen class refuses attribute assignment
     return h
