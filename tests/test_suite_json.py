@@ -16,7 +16,15 @@ id at n=48 (seed 3, 2 trials), where a decomposition stack and a
 quadrature run hold one matrix each; it was recorded before every solver
 call began to give its matrices a stack of their own.
 
-Regenerate both files, only when a change is meant to alter results, with
+``data/suite_sha256_maps.json`` holds the same for SPEC_MAPS, every theorem
+id at n=4 (seed 3, 6 trials) under the maps SPEC leaves out: a compression
+and a congruence sum to another size, where Phi(A) and Phi(B) are
+decomposed in a stack of their own size apart from A and B, and a
+subunital congruence sum, which t1, t3 and jensen judge under case (ii)
+for power:2@0,inf.  It was recorded before the spectral core stopped
+letting the checkers group their operands into stacks.
+
+Regenerate the three files, only when a change is meant to alter results, with
 
     PYTHONPATH=src python tests/test_suite_json.py
 """
@@ -40,6 +48,10 @@ SPEC = {"functions": ["exp", "power:2", "inverse", "xlogx"],
 GOLDEN_N48 = DATA / "suite_sha256_n48.json"
 SPEC_N48 = {"functions": ["exp"], "sizes": [[48, [0.5, 2.0]]],
             "maps": ["identity", "congruence"], "seed": 3, "trials": 2}
+GOLDEN_MAPS = DATA / "suite_sha256_maps.json"
+SPEC_MAPS = {"functions": ["exp", "power:2@0,inf"], "sizes": [[4, [0.5, 2.0]]],
+             "maps": ["compress:2", "congruence:2,3", "subcongruence"],
+             "seed": 3, "trials": 6}
 
 
 def _outcomes(pinned: dict) -> dict[str, str]:
@@ -73,8 +85,14 @@ def test_n48_suite_json_matches_the_recorded_bytes():
     assert _outcomes(SPEC_N48) == data["outcomes"]
 
 
+def test_resizing_and_subunital_map_suite_json_matches_the_recorded_bytes():
+    data = json.loads(GOLDEN_MAPS.read_text())
+    assert data["spec"] == SPEC_MAPS
+    assert _outcomes(SPEC_MAPS) == data["outcomes"]
+
+
 def write_golden():
-    for path, pinned in ((GOLDEN, SPEC), (GOLDEN_N48, SPEC_N48)):
+    for path, pinned in ((GOLDEN, SPEC), (GOLDEN_N48, SPEC_N48), (GOLDEN_MAPS, SPEC_MAPS)):
         path.write_text(json.dumps({"spec": pinned, "outcomes": _outcomes(pinned)}, indent=1,
                                    sort_keys=True) + "\n")
 
