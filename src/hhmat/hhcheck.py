@@ -91,13 +91,11 @@ def _labels_outside(interval, mats: dict) -> list[str]:
     return [label for label, h in mats.items() if outside[h]]
 
 
-def _hypothesis_reasons(f: ScalarFunction, flags: tuple, *groups: dict) -> list[str]:
+def _hypothesis_reasons(f: ScalarFunction, flags: tuple, mats: dict) -> list[str]:
     """A reason for each flag f is not declared, then one for each labelled
     matrix whose spectrum leaves the domain of f, the matrices decomposed in
-    one eig_many call, each group of them a stack of its own: f maps a
-    stack whole, so a group is the matrices f is applied to together."""
-    eig_many(*(list(mats.values()) for mats in groups))
-    mats = {label: h for mats in groups for label, h in mats.items()}
+    one eig_many call, which alone decides how they are stacked."""
+    eig_many(list(mats.values()))
     return ([f"{f.name} is not declared {flag.replace('_', ' ')}"
              for flag in flags if not getattr(f.flags, flag)]
             + [f"spectrum of {label} leaves domain {f.domain} of {f.name}"
@@ -365,14 +363,13 @@ def _converse_hypotheses(
     mond_pecaric_alpha).  Each is an unmet hypothesis.
     """
     pa, pb = phi.apply(a), phi.apply(b)
-    # Two groups: f maps Phi(A) and Phi(B) together, and A and B not at all.
-    operands, images = {"A": a, "B": b}, {"Phi(A)": pa, "Phi(B)": pb}
-    reasons = _hypothesis_reasons(f, ("convex",), operands, images)
+    mats = {"A": a, "B": b, "Phi(A)": pa, "Phi(B)": pb}
+    reasons = _hypothesis_reasons(f, ("convex",), mats)
     reasons += _map_case_reasons(f, phi.identity_image(), subunital_ok=False)
     try:
         working = working_interval(*interval)
         reasons += [f"spectrum of {label} leaves [{working.lo}, {working.hi}]"
-                    for label in _labels_outside(working, operands | images)]
+                    for label in _labels_outside(working, mats)]
         _check_hypotheses(reasons)
         return pa, pb, mond_pecaric_alpha(f, working.lo, working.hi).alpha
     except BadInterval as exc:  # reasons is empty past _check_hypotheses

@@ -4,19 +4,18 @@ string whose one reading is norm_spec.
 
 Values are immutable and every operation but random_hermitian is pure, so
 everything here is safe to call from concurrent workers.  A matrix caches its
-own eigendecomposition on first use, and the stack it was decomposed in the
-images and results of its matrices under f (see SpectralStack).  Each cache
-is one reference, filled whole: two workers racing to fill it each use a
-whole result for their own arguments, so the race is harmless.
+stack row and the EigenSystem made from it, and the stack it was decomposed
+in the images and results of its matrices under f (see SpectralStack).
+Each cache is one reference, filled whole: two workers racing to fill it
+each use a whole result for their own arguments, so the race is harmless.
 
-Every decomposed matrix is a row of a stack: segment_matrices decomposes
-its points in one solver call and one stack, eig_many makes one solver
-call per size and one stack per size and group of its caller, eig a lone
-matrix in a stack of one, and the decomposition eig derives for f(H) is a
-stack of one too.  Each matrix so decomposed is a row of its
-SpectralStack.  f(H) has one formula,
-map_stack's, which maps a whole stack at once, once per f; apply_function
-hands each matrix its row's result.
+This module alone decides how matrices are stacked: every decomposed matrix
+is a row of a SpectralStack, and _as_stack is the one way any matrix gets
+its decomposition.  segment_matrices decomposes its points in one solver
+call and one stack, eig_many (and eig, through it) makes one solver call
+and one stack per size, and the decomposition derived for f(H) is a stack
+of one.  f(H) has one formula, map_stack's, which maps a whole stack at
+once, once per f; apply_function hands each matrix its row's result.
 
 The HermitianMatrix constructor judges input from outside the package
 (matrix literals, caller-supplied arrays): it compares the array with its
@@ -24,18 +23,16 @@ conjugate transpose, symmetrizes and copies.  Arrays the package computes
 are exactly Hermitian by construction, as real combinations of Hermitian
 matrices and R/2 + (R/2)* are, so the internal builder _exact_hermitian
 (and _hermitian_part for a product), which plmaps, segquad and harness use
-too, wraps them with a finiteness check and nothing more.  Segment points,
-images of f and segquad's integral are wrapped with no check at all
-(_wrap): a point that is not finite fails its decomposition, an image is
-judged where it is used, and the integral's quadrature pass checked it.
+too, wraps them with a finiteness check and nothing more.  Segment points
+and images of f are wrapped with no check at all (_wrap, used only here): a
+point that is not finite fails its decomposition, and an image is judged
+where it is used.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -79,15 +76,16 @@ class HermitianMatrix:
 
     entries: np.ndarray
     asymmetry_residual: float = 0.0
-    # Filled by eig() on first use; entries are read-only, so it stays valid.
+    # Filled from the matrix's stack row (see _row_eigen) the first time eig()
+    # or eig_many() asks; entries are read-only, so it stays valid.
     _eigen: "EigenSystem | None" = field(default=None, init=False, repr=False)
     # Set by apply_function on f(H): (f of H's eigenvalues, H's eigenvectors),
     # from which eig() derives this matrix's decomposition without a solver.
     _spectral_pair: "tuple[np.ndarray, np.ndarray] | None" = field(
         default=None, init=False, repr=False)
-    # Set when the matrix is decomposed (segment_matrices, eig_many, eig):
-    # (the SpectralStack it was decomposed in, its row there), from which
-    # apply_function reads f(H).
+    # Set by _as_stack when the matrix is decomposed: (the SpectralStack it
+    # was decomposed in, its row there), from which apply_function reads f(H)
+    # and _row_eigen its decomposition.
     _stack: "tuple[SpectralStack, int] | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -212,13 +210,12 @@ def random_hermitian(n: int, omega: float, Omega: float, seed) -> HermitianMatri
 def _wrap(fields: dict) -> HermitianMatrix:
     """A HermitianMatrix whose instance dict is ``fields``: "entries", an
     array the caller has made read-only, used as it is, with residual 0 and
-    no check at all, and "_spectral_pair" or "_stack" when the matrix has
-    one; the class defaults serve the rest.  Only for arrays that are
-    exactly Hermitian by construction and need no finiteness check: the
-    segment points of segment_matrices (a point that is not finite fails
-    its decomposition), the images of apply_function (an image that
-    overflows is judged where it is used) and the integral of segquad (its
-    quadrature pass checked it)."""
+    no check at all, and "_spectral_pair" when the matrix has one; the
+    class defaults serve the rest.  Only for arrays that are exactly
+    Hermitian by construction and need no finiteness check, and only in
+    this module: the segment points of segment_matrices (a point that is
+    not finite fails its decomposition) and the images of apply_function
+    (an image that overflows is judged where it is used)."""
     h = object.__new__(HermitianMatrix)
     h.__dict__.update(fields)  # the frozen class refuses attribute assignment
     return h
@@ -272,11 +269,10 @@ def _hermitian_part(r: np.ndarray) -> HermitianMatrix:
 
 class SpectralStack:
     """The validated decompositions of a stack of k Hermitian matrices,
-    (values, vectors) as eig_stack returns them (or views of some of their
-    rows, see eig_many), and the images and results of its matrices under
-    the last f applied to any of them (see apply_function).  Every
-    decomposition makes one (see eig), and each matrix it decomposed holds
-    its (stack, row).
+    (values, vectors) as eig_stack returns them, and the images and results
+    of its matrices under the last f applied to any of them (see
+    apply_function).  Only _as_stack makes one, and each of its matrices
+    holds its (stack, row).
 
     The cache ``mapped`` is one reference to a tuple (f, inside, images,
     results), replaced whole and never attribute by attribute: f,
@@ -294,23 +290,31 @@ class SpectralStack:
 
 
 def _as_stack(hs: "list[HermitianMatrix]", values: np.ndarray, vectors: np.ndarray):
-    """Make the matrices ``hs``, whose validated decompositions are the
-    rows of (values, vectors), the rows of one SpectralStack, each with its
-    EigenSystem."""
+    """The one way a matrix gets its decomposition: make the matrices
+    ``hs``, whose validated decompositions are the rows of (values,
+    vectors), the rows of one SpectralStack, setting only each matrix's
+    (stack, row).  Its EigenSystem is made from that row when first asked
+    for (see _row_eigen)."""
     stack = SpectralStack(values, vectors)
     for i, h in enumerate(hs):
         object.__setattr__(h, "_stack", (stack, i))
-        object.__setattr__(h, "_eigen", EigenSystem(values=values[i], vectors=vectors[i]))
+
+
+def _row_eigen(h: HermitianMatrix) -> EigenSystem:
+    """The EigenSystem of a matrix with a stack row, read-only views of that
+    row, made and cached on h: no solver call and no copy."""
+    stack, i = h._stack
+    es = EigenSystem(values=stack.values[i], vectors=stack.vectors[i])
+    object.__setattr__(h, "_eigen", es)
+    return es
 
 
 def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[HermitianMatrix]:
     """The matrices tA + (1-t)B for t in ts, built in one array expression
     and decomposed from that array in one solver call (see eig_stack).
     Each is a thin node: a read-only view of its entries and its
-    (SpectralStack, index), and nothing else.  apply_function maps a whole
-    stack at once from there, and eig() makes a node's EigenSystem from its
-    stack row, with no solver call and no copy, the first time anything
-    asks for it.
+    (SpectralStack, index) from _as_stack, and nothing else.  apply_function
+    maps a whole stack at once from there.
 
     Multiplying by a real scalar and adding act on real and imaginary parts
     separately and commute with conjugation, so these matrices are exactly
@@ -320,8 +324,9 @@ def segment_matrices(a: HermitianMatrix, b: HermitianMatrix, ts) -> list[Hermiti
     stack = t * a.entries + (1.0 - t) * b.entries
     values, vectors = eig_stack(stack)
     stack.setflags(write=False)  # and so every node's view of it
-    shared = SpectralStack(values, vectors)
-    return [_wrap({"entries": m, "_stack": (shared, i)}) for i, m in enumerate(stack)]
+    nodes = [_wrap({"entries": m}) for m in stack]
+    _as_stack(nodes, values, vectors)
+    return nodes
 
 
 def _ct(stack: np.ndarray) -> np.ndarray:
@@ -420,41 +425,26 @@ def _derived_eigen(h: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def eig_many(*groups: "list[HermitianMatrix]") -> list[EigenSystem]:
+def eig_many(hs: "list[HermitianMatrix]") -> list[EigenSystem]:
     """Eigendecompositions of matrices of any sizes, validated and cached as
-    eig() documents, listed in one or more groups; returns those of every
-    group's matrices, in order.  A segment point reads its decomposition
-    from its stack row (read-only views, validated by eig_stack) and a
-    result of apply_function takes its own from its argument's (see eig);
-    the other matrices not yet decomposed go to the solver one stack per
-    size (see eig_stack), in the order their sizes first appear, each once
-    however often it is listed.  Each group's matrices of one size become
-    the rows of one SpectralStack, over views of that solver call's rows,
-    so f maps only a group its caller applies f to together (see
-    apply_function)."""
-    solve = {}  # id -> (the first group listing the matrix, the matrix)
-    for g, group in enumerate(groups):
-        for h in group:
-            if h._eigen is not None or id(h) in solve:
-                continue
-            if h._stack is not None:
-                stack, i = h._stack
-                object.__setattr__(h, "_eigen", EigenSystem(values=stack.values[i],
-                                                            vectors=stack.vectors[i]))
-            elif h._spectral_pair is not None:
-                values, vectors = _derived_eigen(h)
-                _as_stack([h], values[None], vectors[None])
-            else:
-                solve[id(h)] = (g, h)
-    for dim in dict.fromkeys(h.dim for _, h in solve.values()):
-        same_size = [gh for gh in solve.values() if gh[1].dim == dim]
-        values, vectors = eig_stack(np.array([h.entries for _, h in same_size]))
-        start = 0
-        for _, run in itertools.groupby(same_size, key=itemgetter(0)):
-            hs = [h for _, h in run]  # a group's matrices of one size are consecutive
-            _as_stack(hs, values[start:start + len(hs)], vectors[start:start + len(hs)])
-            start += len(hs)
-    return [h._eigen for group in groups for h in group]
+    eig() documents, in the order listed.  A matrix with a stack row (a
+    segment point, or one decomposed before) reads its decomposition from
+    that row (see _row_eigen), and a result of apply_function takes its own
+    from its argument's, as a stack of one (see eig).  The other matrices
+    go to the solver one stack per size (see eig_stack), in the order their
+    sizes first appear, each once however often it is listed, and each
+    size's matrices become the rows of one SpectralStack."""
+    solve = []
+    for h in {id(h): h for h in hs if h._stack is None}.values():
+        if h._spectral_pair is not None:
+            values, vectors = _derived_eigen(h)
+            _as_stack([h], values[None], vectors[None])
+        else:
+            solve.append(h)
+    for dim in dict.fromkeys(h.dim for h in solve):
+        same_size = [h for h in solve if h.dim == dim]
+        _as_stack(same_size, *eig_stack(np.array([h.entries for h in same_size])))
+    return [h._eigen or _row_eigen(h) for h in hs]
 
 
 def eig(h: HermitianMatrix) -> EigenSystem:
@@ -468,34 +458,27 @@ def eig(h: HermitianMatrix) -> EigenSystem:
     to the solver through eig_many, as a stack of one, and becomes that
     SpectralStack's row.
 
-    A segment point (see segment_matrices) is not sent to the solver
-    either: its decomposition is its row of the stack it was decomposed in,
-    validated there.
+    A matrix with a stack row, a segment point (see segment_matrices) among
+    them, is not sent to the solver: its decomposition is its row of the
+    stack it was decomposed in, validated there.
 
-    A result R = f(H) of apply_function is not sent to the solver: by the
-    spectral mapping theorem its eigenvalues are f of H's, with H's
+    A result R = f(H) of apply_function is not sent to the solver either:
+    by the spectral mapping theorem its eigenvalues are f of H's, with H's
     eigenvectors.  The values are sorted descending (stably, so a decreasing
     or non-monotone f pairs them correctly) and the vectors permuted to
     match; the rebuilt matrix must match R's entries to ``EIG_RECON_RTOL``
     as above, or ConvergenceFailure is raised.  The vectors are H's, already
     checked orthonormal.  This decomposition is a stack of one too.
     """
-    if h._eigen is None:
-        eig_many([h])
-    return h._eigen
+    return h._eigen or eig_many([h])[0]
 
 
 def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> list[float]:
     """The eigenvalues of H outside the interval (a domain or a working
     interval), descending; [] when the spectrum fits.  The one membership
-    rule for spectra: Interval.contains_array, stretch included, admits a
-    point whenever it admits a smaller and a larger one, so it is asked only
-    of the two extreme eigenvalues of the validated, descending spectrum,
-    and of every eigenvalue only when an extreme is outside."""
+    rule for spectra: Interval.contains_array, stretch included, asked of
+    every eigenvalue of the validated decomposition."""
     values = eig(h).values
-    ends = interval.contains_array(values[::max(1, values.size - 1)])
-    if not values.size or ends[0] and ends[-1]:
-        return []
     return values[~interval.contains_array(values)].tolist()
 
 
@@ -519,11 +502,12 @@ def map_stack(f: "ScalarFunction", values: np.ndarray,
 
     Returns (inside, fvals, images).  ``inside[i]`` tells whether the
     spectrum of matrix i lies in f's domain, by the one membership rule
-    (see spectrum_outside) asked of every eigenvalue of the stack at once,
-    which decides as asking the extremes does and needs no strided view;
-    the real line admits every validated spectrum unasked.  ``fvals[i]`` is f of its eigenvalues, clipped into the
-    domain, from one eval_array call over every matrix inside; a matrix
-    outside gets zeros, so f is never evaluated off its domain.
+    (see spectrum_outside) asked of every eigenvalue of the stack at once;
+    the real line admits every validated spectrum unasked, and a stack all
+    inside needs no per-matrix verdict.  ``fvals[i]`` is f of its
+    eigenvalues, clipped into the domain, from one eval_array call over
+    every matrix inside; a matrix outside gets zeros, so f is never
+    evaluated off its domain.
     ``images[i]`` is V f(Lambda) V*, all from one stacked matmul, made
     exactly Hermitian as R/2 + (R/2)* (see _symmetrize); the images are
     read-only.

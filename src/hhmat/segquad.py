@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BadParams, NoConvergence, NonFiniteEntries, RTooLarge
 from .funcat import ScalarFunction
-from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, _stacked_images, _wrap,
+from .matcore import (HermitianMatrix, _exact_hermitian, _hermitian_part, _stacked_images,
                       apply_function, check_same_dim, segment_matrices,
                       check_spectrum_in_domain as _check_spectrum_in_domain)
 
@@ -192,8 +192,7 @@ def segment_integral(
         refined = _gauss_pass(f, nodes, points, a.entries)
         scale = max(1.0, float(np.max(np.abs(refined))))
         if float(np.max(np.abs(refined - current))) <= spec.rtol * scale:
-            refined.setflags(write=False)  # its pass found it finite
-            return _wrap({"entries": refined})
+            return _exact_hermitian(refined)
         if 2 * nodes > NODE_CAP:
             raise NoConvergence(
                 f"quadrature did not settle to rtol={spec.rtol:g} below {NODE_CAP} nodes"

@@ -394,8 +394,8 @@ class TestDecompositionOfFunctionValues:
         assert calls == [out]
 
     def test_mixed_sizes_make_one_solver_call_per_size(self, monkeypatch):
-        real_eigh = np.linalg.eigh
-        stacks = []
+        real_eigh, real_stack = np.linalg.eigh, matcore.eig_stack
+        stacks, solved = [], []
 
         def recording(stack):
             stacks.append(stack.shape)
@@ -404,6 +404,7 @@ class TestDecompositionOfFunctionValues:
         rng = make_rng(35)
         hs = [random_hermitian_raw(n, rng) for n in (3, 2, 3, 4, 2)]
         monkeypatch.setattr(matcore.np.linalg, "eigh", recording)
+        monkeypatch.setattr(matcore, "eig_stack", lambda s: solved.append(real_stack(s)) or solved[-1])
         found = matcore.eig_many(hs + [hs[0]])
         # sizes in the order they first appear, each matrix decomposed once
         assert stacks == [(2, 3, 3), (2, 2, 2), (1, 4, 4)]
@@ -411,30 +412,14 @@ class TestDecompositionOfFunctionValues:
         for h, es in zip(hs, found):
             scale = max(1.0, es.spectral_radius)
             assert np.max(np.abs(reconstruct(es) - h.entries)) <= 1e-12 * scale
-
-    def test_groups_share_a_solver_call_and_map_apart(self, monkeypatch):
-        rng = make_rng(36)
-        a, b, c, d = (random_hermitian_raw(3, rng) for _ in range(4))
-        calls, rows = [], []
-        real_stack, real_map = matcore.eig_stack, matcore.map_stack
-        monkeypatch.setattr(matcore, "eig_stack", lambda s: calls.append(s.shape) or real_stack(s))
-        monkeypatch.setattr(matcore, "map_stack",
-                            lambda f, w, v: rows.append(len(w)) or real_map(f, w, v))
-        found = matcore.eig_many([a, b], [c, a, d])
-        # one solver call; a stays in the first group that lists it
-        assert calls == [(4, 3, 3)]
-        assert [es is h._eigen for es, h in zip(found, (a, b, c, a, d))] == [True] * 5
-        assert a._stack[0] is b._stack[0] is not c._stack[0] is d._stack[0]
-        assert [h._stack[1] for h in (a, b, c, d)] == [0, 1, 0, 1]
-        # views of the one call's arrays
-        for part in ("values", "vectors"):
-            base = getattr(a._stack[0], part).base
-            assert base is not None and getattr(c._stack[0], part).base is base
-        f = funcat.builtin("exp")
-        alone = apply_function(f, _lone(d))
-        assert apply_function(f, d).entries.tobytes() == alone.entries.tobytes()
-        apply_function(f, c)
-        assert rows == [1, 2]  # the lone copy, then c and d, not a and b
+        # each size's matrices are the rows, in listing order, of one
+        # SpectralStack over that size's one solver call, and read views of it
+        for (values, vectors), same_size in zip(solved, ([hs[0], hs[2]], [hs[1], hs[4]], [hs[3]])):
+            stack = same_size[0]._stack[0]
+            assert [h._stack for h in same_size] == [(stack, i) for i in range(len(same_size))]
+            assert stack.values is values and stack.vectors is vectors
+            for h in same_size:
+                assert h._eigen.values.base is values and h._eigen.vectors.base is vectors
 
     def test_altered_entries_fail_the_reconstruction_check(self):
         out = apply_function(funcat.builtin("exp"), random_hermitian_raw(4, make_rng(33)))
