@@ -136,8 +136,12 @@ class ScalarFunction:
 
 
 def _require_params(name: str, params: tuple, count: int):
+    """BadParams unless there are `count` parameters, each finite."""
     if len(params) != count:
         raise BadParams(f"{name} expects {count} parameter(s), got {len(params)}")
+    for p in params:
+        if not math.isfinite(p):
+            raise BadParams(f"{name} parameter {p} is not finite")
 
 
 def _is_integral(r: float) -> bool:

@@ -216,6 +216,19 @@ def test_malformed_function_descriptor_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("f, message", [
+    ("power:inf", "power parameter inf is not finite"),
+    ("affine:nan,0", "affine parameter nan is not finite"),
+    ("affine:inf,0", "affine parameter inf is not finite"),
+    ("affine:1,nan", "affine parameter nan is not finite")])
+def test_a_function_parameter_that_is_not_finite_exits_2(f, message, capsys):
+    # these used to run, every trial failing with NonFiniteEntries
+    code = cli.main(["verify", "--theorem", "t1", "--f", f, "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("option", [["--quad-nodes", "0"], ["--quad-nodes", "2048"],
                                     ["--quad-rtol", "0"]])
 def test_quadrature_out_of_range_exits_2(option, capsys):
@@ -414,6 +427,7 @@ MAP_LITERALS = {
     (_replaced("bourin", "maps", 5), "BadParams: instance field 'maps' is not a list of dict"),
     *[(_replaced("t4", "f", f), "BadParams: instance field 'f' is not a string")
       for f in (5, None, True, [1], {})],
+    (_replaced("t4", "f", "affine:nan,0"), "BadParams: affine parameter nan is not finite"),
 ])
 def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
     inst = _instance("t4")

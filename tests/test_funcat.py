@@ -170,6 +170,19 @@ class TestCatalog:
         with pytest.raises(BadParams):
             builtin("affine", 1.0)
 
+    @pytest.mark.parametrize("name, params", [
+        ("power", (math.inf,)), ("power", (math.nan,)), ("affine", (math.nan, 0.0)),
+        ("affine", (math.inf, 0.0)), ("affine", (1.0, math.nan)), ("affine", (1.0, -math.inf))])
+    def test_a_parameter_that_is_not_finite_is_refused(self, name, params):
+        with pytest.raises(BadParams, match=rf"^{name} parameter -?(nan|inf) is not finite$"):
+            builtin(name, *params)
+
+    @pytest.mark.parametrize("text", ["power:inf", "power:nan", "affine:nan,0", "affine:inf,0",
+                                      "affine:1,nan", "affine:1,-inf@0,1"])
+    def test_a_descriptor_with_a_parameter_that_is_not_finite_is_refused(self, text):
+        with pytest.raises(BadParams, match="parameter -?(nan|inf) is not finite"):
+            from_descriptor(text)
+
     def test_domain_restriction_must_nest(self):
         with pytest.raises(BadParams):
             builtin("cube", domain=(-1.0, 1.0))
