@@ -222,7 +222,7 @@ def test_malformed_function_descriptor_exits_2(capsys):
     ("affine:inf,0", "affine parameter inf is not finite"),
     ("affine:1,nan", "affine parameter nan is not finite")])
 def test_a_function_parameter_that_is_not_finite_exits_2(f, message, capsys):
-    # these used to run, every trial failing with NonFiniteEntries
+    # a usage error, not a suite whose every trial fails with NonFiniteEntries
     code = cli.main(["verify", "--theorem", "t1", "--f", f, "--trials", "2"])
     captured = capsys.readouterr()
     assert code == 2
