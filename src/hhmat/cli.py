@@ -7,7 +7,10 @@
     (LO may start with '-': --interval -1,2 is --interval=-1,2)
 
 Exit codes: 0 all checks passed or were hypothesis-skipped, 1 at least one
-inequality violation, 2 usage error or an output file that cannot be written.
+inequality violation (on replay, a failed trial), 2 a usage error, an output
+file that cannot be written, or input the command refuses: a malformed
+function or map descriptor, suite option or interval, or a replay file that
+cannot be read or holds no instance.  Refused input prints one "error:" line.
 """
 
 from __future__ import annotations

@@ -120,11 +120,13 @@ def make_map(desc: str, n: int, rng: np.random.Generator) -> PositiveLinearMap:
     compress:m (m <= n) and congruence:k,m (m <= k*n), a drawn m for a
     random compress, the factors' column count for a file, else n.  Random
     choices draw from ``rng``; explicit parameters are deterministic.  Every
-    written count must be an integer >= 1, and a congruence sum takes at
-    most two (BadParams naming the descriptor).
+    written count must be an integer >= 1, a congruence sum takes at most
+    two, and identity takes none (BadParams naming the descriptor).
     """
     kind, _, arg = desc.partition(":")
     if kind == "identity":
+        if arg:
+            raise BadParams(f"map descriptor {desc!r} takes no argument")
         return IdentityMap(n)
     if kind == "compress":
         if arg:

@@ -60,7 +60,8 @@ STACK_ENTRY_BUDGET = 4096
 class QuadratureSpec:
     """Gauss-Legendre starting node count and the rtol its doubling stops at.
     Every integral evaluates the starting rule and its double, so the start
-    is at most NODE_CAP // 2."""
+    is at most NODE_CAP // 2.  An rtol of 1 or more would stop the doubling
+    at its first comparison however far the two passes differ."""
 
     nodes: int = 16
     rtol: float = 1e-11
@@ -68,8 +69,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 1 <= self.nodes <= NODE_CAP // 2:
             raise BadParams(f"node count must be in 1..{NODE_CAP // 2}, got {self.nodes}")
-        if not self.rtol > 0.0:
-            raise BadParams(f"rtol must be positive, got {self.rtol}")
+        if not 0.0 < self.rtol < 1.0:
+            raise BadParams(f"rtol must be in (0, 1), got {self.rtol}")
 
 
 def _stack_length(n: int) -> int:

@@ -1,12 +1,19 @@
 """Exit codes and output of the command line interface.
 
 0: every check passed or was hypothesis-skipped; 1: at least one inequality
-violation (or a recorded failure on replay); 2: usage error.
+violation (or a recorded failure on replay); 2: usage error or input the
+command refuses, with one "error:" line on stderr.  Every contract of the
+installed console script is checked here, in process through cli.main, except
+the one run of ``python -m hhmat`` that reaches __main__ and sys.argv.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +32,8 @@ from hhmat.harness import (
 )
 from hhmat.matcore import matrix_to_json
 from hhmat.plmaps import CongruenceSum, factor_to_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_passing_suite_exits_0(capsys):
@@ -90,7 +99,9 @@ def test_replay_of_a_failing_instance_exits_1(tmp_path, capsys, theorem):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance_to_json(inst)))
     assert cli.main(["replay", str(path)]) == 1
-    assert f"{theorem} seed=[0, 0]: fail margin=n/a DimMismatch" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith(f"{theorem} seed=[0, 0]: fail margin=n/a DimMismatch")
+    assert out.count("\n") == 1
 
 
 def test_replay_of_an_instance_missing_a_field_exits_1(tmp_path, capsys):
@@ -149,11 +160,17 @@ def test_t1_on_a_psd_power_outside_the_domain_of_f_skips_and_exits_0(capsys):
     assert "\n  skipped: 3x spectrum of A leaves domain [0, 3] of power:2; " in out
 
 
-def test_replay_of_a_passing_instance_exits_0(tmp_path):
-    spec = InstanceSpec(n=3, interval=(0.5, 2.0), function="exp", trials=1, seed=0)
+@pytest.mark.parametrize("theorem, n, map_desc", [
+    ("t4", 3, "identity"), ("t4", 4, "compress:2"), ("t1", 4, "pinch:2,2"),
+], ids=["t4", "t4-compress:2", "t1-pinch:2,2"])
+def test_replay_of_a_passing_instance_exits_0(tmp_path, capsys, theorem, n, map_desc):
+    spec = InstanceSpec(n=n, interval=(0.5, 2.0), function="exp", map_desc=map_desc, trials=1,
+                        seed=0)
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance_to_json(generate_instance("t4", spec, 0))))
+    path.write_text(json.dumps(instance_to_json(generate_instance(theorem, spec, 0))))
     assert cli.main(["replay", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{theorem} seed=[0, 0]: pass margin=") and out.count("\n") == 1
 
 
 # the generator refuses it in the first trial, in a worker process too
@@ -229,13 +246,16 @@ def test_a_function_parameter_that_is_not_finite_exits_2(f, message, capsys):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+# an rtol of 1 or more would stop the node doubling at its first comparison
 @pytest.mark.parametrize("option", [["--quad-nodes", "0"], ["--quad-nodes", "2048"],
-                                    ["--quad-rtol", "0"]])
+                                    ["--quad-rtol", "0"], ["--quad-rtol", "inf"],
+                                    ["--quad-rtol", "1"]])
 def test_quadrature_out_of_range_exits_2(option, capsys):
     code = cli.main(["verify", "--theorem", "t4", "--f", "exp", "--trials", "3", *option])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith("error: ") and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_replay_of_a_missing_or_non_json_file_exits_2(tmp_path, capsys):
@@ -253,11 +273,31 @@ def test_replay_of_a_missing_or_non_json_file_exits_2(tmp_path, capsys):
 
 
 # exp meets every hypothesis on [0.5, 2] except the operator convexity the chain needs
-@pytest.mark.parametrize("theorem", THEOREM_IDS)
-def test_verify_judges_every_trial(theorem, capsys):
-    function = "power:2" if theorem == "chain" else "exp"
-    code = cli.main(["verify", "--theorem", theorem, "--f", function, "--interval", "0.5,2",
-                     "--n", "3", "--trials", "4", "--seed", "2"])
+JUDGED_SUITES = [
+    *[pytest.param(["--theorem", theorem, "--f", "power:2" if theorem == "chain" else "exp",
+                    "--interval", "0.5,2", "--n", "3", "--trials", "4", "--seed", "2"], id=theorem)
+      for theorem in THEOREM_IDS],
+    # at the default size and seed, under maps that resize, and with a chain of 4 panels
+    pytest.param(["--theorem", "t4", "--f", "exp", "--interval", "0.5,2", "--n", "4",
+                  "--map", "compress:2", "--trials", "3"], id="t4-compress:2"),
+    pytest.param(["--theorem", "t1", "--f", "exp", "--interval", "0.5,2", "--n", "4",
+                  "--map", "pinch:2,2", "--trials", "3"], id="t1-pinch:2,2"),
+    pytest.param(["--theorem", "bourin", "--f", "exp", "--interval", "0.5,2", "--trials", "3"],
+                 id="bourin-n4"),
+    pytest.param(["--theorem", "norm_chain", "--f", "exp", "--interval", "0.5,2", "--n", "4",
+                  "--trials", "3"], id="norm_chain-n4"),
+    pytest.param(["--theorem", "chain", "--f", "inverse", "--interval", "0.2,3", "--panels", "4",
+                  "--trials", "3"], id="chain-inverse"),
+    # a singular subunital map, Phi(I) = diag(1, 1, 0), is judged under f(0) <= 0
+    pytest.param(["--theorem", "t1", "--f", "power:2@0,inf", "--interval", "0,2", "--n", "3",
+                  "--map", f"congruence:{DATA / 'singular_factor.json'}", "--trials", "3"],
+                 id="t1-singular-subunital"),
+]
+
+
+@pytest.mark.parametrize("args", JUDGED_SUITES)
+def test_verify_judges_every_trial(args, capsys):
+    code = cli.main(["verify", *args])
     out = capsys.readouterr().out
     assert code == 0
     assert " skips=0 failures=0 " in out
@@ -325,11 +365,11 @@ def test_a_folded_suite_is_gone(instance, tmp_path, capsys):
     ["--n", "4", "--map", "compress:9"],
     ["--theorem", "chain", "--f", "power:2", "--panels", "1025"],
     ["--theorem", "t4", "--quad-nodes", "600"], ["--theorem", "t4", "--interval", "0.5,inf"],
-    ["--workers", "-2"], ["--workers", "0"], ["--seed", "-1"],
+    ["--workers", "-2"], ["--workers", "0"], ["--seed", "-1"], ["--map", "identity:3"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
         "subcongruence:-1", "m>k*n", "panels=0", "congruence-third-count",
         "subcongruence-third-count", "compress:9", "panels>cap", "quad-nodes>cap/2",
-        "interval-inf", "workers=-2", "workers=0", "seed<0"])
+        "interval-inf", "workers=-2", "workers=0", "seed<0", "identity:3"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--trials", "3", *args])
@@ -376,6 +416,12 @@ def _replaced(theorem: str, key: str, value):
 
 def _without(literal: dict, key: str) -> dict:
     return {k: v for k, v in literal.items() if k != key}
+
+
+def _older_chain(inst):
+    """A chain instance in its older (k, p) form, which is never read as a panel count."""
+    inst.clear()
+    inst.update(_without(_instance("chain"), "panels"), k=2, p=1)
 
 
 FACTOR = {"rows": 2, "cols": 2, "re": [[1.0, 0.0], [0.0, 1.0]]}
@@ -428,6 +474,11 @@ MAP_LITERALS = {
     *[(_replaced("t4", "f", f), "BadParams: instance field 'f' is not a string")
       for f in (5, None, True, [1], {})],
     (_replaced("t4", "f", "affine:nan,0"), "BadParams: affine parameter nan is not finite"),
+    (_replaced("norm_chain", "specs", ["schatten:nan"]),
+     "BadSpec: norm spec 'schatten:nan' is not kyfan:k (k an integer in 1..2), "
+     "schatten:p (p finite, >= 1) or operator"),
+    (_older_chain, "BadParams: instance has no field 'panels'"),
+    (_replaced("t4", "quad_rtol", float("inf")), "BadParams: rtol must be in (0, 1), got inf"),
 ])
 def test_replay_of_a_malformed_literal_is_a_failed_trial(tmp_path, capsys, edit, detail):
     inst = _instance("t4")
@@ -513,6 +564,7 @@ def test_verify_with_an_unreadable_congruence_file_exits_2(tmp_path, capsys, con
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
     assert str(path) in captured.err and captured.out == ""
 
 
@@ -599,7 +651,8 @@ def test_alpha_on_an_interval_that_is_not_one_exits_2(interval, message, capsys)
 # 0 is no grid point of [-1, 1]: alpha used to be 3.6e25 and the exit 0
 def test_alpha_on_an_interval_holding_a_zero_of_f_exits_2(capsys):
     assert cli.main(["alpha", "--f", "power:2", "--interval", "-1,1"]) == 2
-    assert capsys.readouterr().err == "error: power:2(0) = 0 is not positive\n"
+    captured = capsys.readouterr()
+    assert captured.err == "error: power:2(0) = 0 is not positive\n" and captured.out == ""
 
 
 # a separate value starting with '-' used to read as an option
@@ -646,3 +699,22 @@ def test_removed_verify_options_exit_2(args, tmp_path, capsys, monkeypatch):
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# the one path through __main__ and cli.main(argv=None), which reads sys.argv
+def test_python_m_hhmat_verifies_then_replays_its_report(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def hhmat(*args):
+        return subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "hhmat", *args],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+
+    verify = hhmat("verify", "--theorem", "t4", "--f", "exp", "--interval", "0.5,2",
+                   "--trials", "3", "--json", "r.json")
+    assert (verify.returncode, verify.stderr) == (0, "")
+    assert verify.stdout.startswith("t4: trials=3 passes=3 skips=0 failures=0 judged=3/3 ")
+    assert json.loads((tmp_path / "r.json").read_text())["passes"] == 3
+    replay = hhmat("replay", "r.json")
+    assert (replay.returncode, replay.stdout, replay.stderr) == (
+        0, "no failed trials to replay\n", "")

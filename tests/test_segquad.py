@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -42,6 +43,10 @@ class TestSpec:
             QuadratureSpec(nodes=513)
         with pytest.raises(BadParams):
             QuadratureSpec(rtol=0.0)
+        # an rtol of 1 or more stops the doubling at its first comparison; NaN orders with nothing
+        for rtol in (1.0, 1e300, float("inf"), float("nan")):
+            with pytest.raises(BadParams, match=re.escape(f"rtol must be in (0, 1), got {rtol}")):
+                QuadratureSpec(rtol=rtol)
 
 
 class TestSegmentIntegral:
