@@ -8,7 +8,6 @@ from .hhcheck import (
     AlphaResult,
     ChainReport,
     check_bourin_t2,
-    check_jensen_map,
     check_norm_chain_corollary,
     check_refinement_chain,
     check_theorem_t1,
@@ -41,6 +40,7 @@ from .plmaps import (
     IdentityMap,
     PositiveLinearMap,
     unitality_status,
+    vector_state,
 )
 from .segquad import QuadratureSpec, poly_segment_oracle, segment_integral
 

@@ -5,6 +5,7 @@
     hhmat counterexample [--json FILE]    reproduce the fixed 2x2 counterexample
     hhmat replay FILE                     re-run instances from a report file
     (LO may start with '-': --interval -1,2 is --interval=-1,2)
+    (--workers N is a cap: at most min(N, trials, usable CPUs) processes start)
 
 Exit codes: 0 all checks passed or were hypothesis-skipped, 1 at least one
 inequality violation (on replay, a failed trial), 2 a usage error, an output
@@ -64,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--panels", type=int, help="chain: Riemann sum panel count")
     verify.add_argument("--quad-nodes", type=int)
     verify.add_argument("--quad-rtol", type=float)
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="a cap: at most min(N, trials, usable CPUs) processes start")
     verify.add_argument("--json", dest="json_out", default=None)
 
     alpha = sub.add_parser("alpha", help="chord-ratio constant of a catalog function")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .matcore import (HermitianMatrix, _hermitian_part, array_from_json, array_t
                       count_field, json_field, list_field, matrix_from_json, matrix_to_json,
                       number_field, random_hermitian, str_field)
 from .plmaps import (CongruenceSum, IdentityMap, PositiveLinearMap, factor_from_json,
-                     map_from_json)
+                     map_from_json, vector_state)
 from .segquad import QuadratureSpec
 
 # Factor files whose congruence sums _congruence_from_file keeps.
@@ -162,9 +163,9 @@ def make_map(desc: str, n: int, rng: np.random.Generator) -> PositiveLinearMap:
 
 
 def default_norm_specs(m: int) -> list[str]:
-    """Every Ky Fan norm of an m x m matrix, the trace and Frobenius norms
-    and the operator norm, as norm spec strings (see matcore.norm_spec)."""
-    return [f"kyfan:{k}" for k in range(1, m + 1)] + ["schatten:1", "schatten:2", "operator"]
+    """Every Ky Fan norm of an m x m matrix (the trace and operator norms are
+    kyfan:m and kyfan:1) and the Frobenius norm, as norm spec strings."""
+    return [f"kyfan:{k}" for k in range(1, m + 1)] + ["schatten:2"]
 
 
 def instance_to_json(obj):
@@ -248,7 +249,7 @@ def _run_jensen(inst, f, phi, quad):
     a = matrix_from_json(json_field(inst, "a"))
     phi.check_source(a)  # before x is read at phi's target dimension
     x = array_from_json(json_field(inst, "x"), (phi.target_dim,), "vector")
-    return hhcheck.check_jensen_map(f, phi, a, x)
+    return hhcheck.check_bourin_t2(f, [vector_state(phi, x)], [a])
 
 
 def _run_bourin(inst, f, phi, quad):
@@ -443,6 +444,11 @@ def _run_one(args) -> tuple[dict, dict | None]:
     return record, failure
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all where there is no affinity mask)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport:
     """Run the named checker over seeded trials; deterministic per root seed.
 
@@ -451,8 +457,10 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
     a suite that takes no map given one other than the identity (BadParams).
     A spec the theorem's generator refuses (a malformed map descriptor)
     raises from the first trial.
-    A worker count below 1 is refused (BadParams).  Records keep trial
-    order, as the serial loop and Executor.map both do.
+    A worker count below 1 is refused (BadParams); above it is a cap: at
+    most min(workers, trials, usable CPUs) processes start, and one runs
+    the serial loop.  Records keep trial order, as the serial loop and
+    Executor.map both do.
     """
     entry = _theorem(theorem)
     if workers < 1:
@@ -462,6 +470,7 @@ def run_suite(spec: InstanceSpec, theorem: str, workers: int = 1) -> SuiteReport
         raise BadParams(f"the {theorem} suite takes no map, got {spec.map_desc!r}")
     start = time.perf_counter()
     jobs = [(spec, theorem, i) for i in range(spec.trials)]
+    workers = min(workers, spec.trials, _usable_cpus())
     if workers > 1:
         # Imported here: it loads multiprocessing, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor

@@ -110,15 +110,15 @@ def _map_case_reasons(
     label: str = "Phi(I)",
 ) -> list[str]:
     """Empty list when the identity image Phi(I) (for a sum of maps, the sum
-    of their identity images; for jensen, the 1x1 psi(I)) meets case (i),
-    Phi(I) = I, or case (ii), Phi(I) <= I with 0 in the domain of f and
-    f(0) <= 0, read off f once with numpy's warnings off (a NaN value fails).
-    subunital_ok=False admits case (i) only.  Case (ii) is case (i) for
+    of their identity images) meets case (i), Phi(I) = I, or case (ii),
+    Phi(I) <= I with 0 in the domain of f and f(0) <= 0, read off f once
+    with numpy's warnings off (a NaN value fails).  subunital_ok=False
+    admits case (i) only.  Case (ii) is case (i) for
     Psi(X (+) y) = Phi(X) + y(I - Phi(I)), positive and unital on M_n (+) C
     as a Kraus sum has Phi(I) >= 0: at A (+) 0 and B (+) 0 its right side
     Psi(R (+) f(0)) = Phi(R) + f(0)(I - Phi(I)) is <= Phi(R).  The Loewner
-    order keeps eigenvalue dominance (Weyl), so weak majorization and the 1x1
-    jensen comparison, where psi(I) = 0 forces psi = 0 and f(0) <= 0.  Each
+    order keeps eigenvalue dominance (Weyl), so weak majorization; a 1x1
+    Phi(I) = 0 forces Phi = 0, and the comparison reads f(0) <= 0.  Each
     comparison is orders.judge's at the scale of Phi(I)'s spectral radius; the
     Frobenius distance to I, a bound on the operator-norm one, is judged first
     at scale 1, so a unital Phi(I) needs no decomposition.
@@ -139,31 +139,6 @@ def _map_case_reasons(
     with np.errstate(all="ignore"):
         f0 = f(0.0)
     return reasons + ([] if f0 <= 0.0 else [f"{f.name}(0) = {f0:g} is not <= 0"])
-
-
-# -- quadratic-form comparison under a positive map --------------------------------
-
-def check_jensen_map(
-    f: ScalarFunction,
-    phi: PositiveLinearMap,
-    a: HermitianMatrix,
-    x: np.ndarray,
-) -> OrderVerdict:
-    """f(psi(A)) <= psi(f(A)) for convex f and the positive functional
-    psi(X) = <Phi(X)x, x>: Jensen's inequality for the spectral measure of A
-    under psi (Choi, Illinois J. Math. 18, 1974).  Hypotheses, on the 1x1
-    identity image psi(I) = <Phi(I)x, x> as t1 judges Phi(I) (see
-    _map_case_reasons): (i) psi(I) = 1, or (ii) psi(I) <= 1 with f(0) <= 0.
-    """
-    pa = phi.apply(a)  # DimMismatch before Phi(I) is built
-    x = np.asarray(x, dtype=complex).ravel()
-    psi_id = float((x.conj() @ phi.identity_image().entries @ x).real)
-    _check_hypotheses(_hypothesis_reasons(f, ("convex",), {"A": a})
-                      + _map_case_reasons(f, HermitianMatrix([[psi_id]]), label="psi(I)"))
-    pfa = phi.apply(apply_function(f, a))
-    lhs = f(float((x.conj() @ pa.entries @ x).real))
-    rhs = float((x.conj() @ pfa.entries @ x).real)
-    return orders.judge(rhs - lhs, max(abs(lhs), abs(rhs)))
 
 
 # -- midpoint bound: weak majorization, and the two-sided trace chain -------------
@@ -225,13 +200,17 @@ def check_bourin_t2(
     for increasing convex f.  Such a U exists exactly when the eigenvalues
     are dominated (see orders), so the verdict is orders.eigen_dominance of
     the two sides; orders.unitary_witness constructs U.
+
+    Into 1x1 matrices U is a phase: the comparison is Jensen's inequality
+    for the functionals Phi_i (Choi, Illinois J. Math. 18, 1974), which asks
+    f to be convex only.  The jensen suite is this case (plmaps.vector_state).
     """
     maps, a_list = list(maps), list(a_list)
     if len(maps) != len(a_list) or not maps:
         raise BadParams("need equally many maps and matrices, at least one each")
     # DimMismatch before Phi_i(I) is built: a map of another source or target size
     arg = functools.reduce(operator.add, (phi.apply(h) for phi, h in zip(maps, a_list)))
-    reasons = _hypothesis_reasons(f, ("convex", "increasing"),
+    reasons = _hypothesis_reasons(f, ("convex", "increasing") if arg.dim > 1 else ("convex",),
                                   {f"A_{i}": h for i, h in enumerate(a_list)})
     id_sum = functools.reduce(operator.add, (phi.identity_image() for phi in maps))
     _check_hypotheses(reasons + _map_case_reasons(f, id_sum, label="sum of Phi_i(I)"))

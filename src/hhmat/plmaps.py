@@ -89,6 +89,15 @@ class CongruenceSum(PositiveLinearMap):
         return {"kind": "congruence", "factors": [factor_to_json(x) for x in self.factors]}
 
 
+def vector_state(phi: PositiveLinearMap, x) -> CongruenceSum:
+    """The positive functional psi(X) = <Phi(X)x, x> as a map into 1x1
+    matrices: as <X_i* A X_i x, x> = (X_i x)* A (X_i x), the congruence sum
+    of Phi's factors times x, or of x alone for the identity map."""
+    x = np.asarray(x, dtype=complex).reshape(-1, 1)
+    return CongruenceSum((x,) if isinstance(phi, IdentityMap) else
+                         tuple(factor @ x for factor in phi.factors))
+
+
 @dataclass(frozen=True)
 class UnitalityReport:
     """The extreme eigenvalues of Phi(I) and its operator-norm distance to I."""

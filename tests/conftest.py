@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
+from hhmat import hhcheck
 from hhmat.matcore import SPECTRUM_SHRINK, EigenSystem, HermitianMatrix
+from hhmat.plmaps import vector_state
 
 
 def make_rng(seed: int = 0) -> np.random.Generator:
@@ -20,6 +22,13 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     # normalize phases so the factorization is unique
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def check_jensen(f, phi, a: HermitianMatrix, x):
+    """Jensen's inequality f(<Phi(A)x, x>) <= <Phi(f(A))x, x> as the jensen
+    suite judges it: bourin's comparison into 1x1 matrices, for the
+    functional plmaps.vector_state(Phi, x)."""
+    return hhcheck.check_bourin_t2(f, [vector_state(phi, x)], [a])
 
 
 def random_hermitian_raw(n: int, rng: np.random.Generator, scale: float = 1.0) -> HermitianMatrix:

@@ -135,16 +135,21 @@ def _refuse_constant(text):
     raise ValueError(f"not JSON: {text}")
 
 
-def test_a_margin_that_is_not_finite_fails_with_a_detail(tmp_path, capsys):
-    # <x, A x>^2 overflows on both sides: the margin was NaN, recorded as a
-    # bare NaN with no detail
-    path = tmp_path / "jensen.json"
-    code = cli.main(["verify", "--theorem", "jensen", "--f", "power:2@0,inf", "--interval",
-                     "0,1e155", "--n", "3", "--trials", "2", "--json", str(path)])
+@pytest.mark.parametrize("theorem, interval, detail", [
+    # <f(A) x, x> overflows: the functional's image of f(A) has no finite entry
+    ("jensen", "0,1e155", "NonFiniteEntries: matrix entries must be finite, got NaN or infinity"),
+    # each eigenvalue of f is finite, the traces are not: inf - inf is the margin
+    ("trace", "1e154,1.3e154", "NonFiniteEntries: the margin nan is not finite"),
+])
+def test_a_margin_that_is_not_finite_fails_with_a_detail(theorem, interval, detail,
+                                                         tmp_path, capsys):
+    # such a margin was NaN, recorded as a bare NaN with no detail
+    path = tmp_path / f"{theorem}.json"
+    code = cli.main(["verify", "--theorem", theorem, "--f", "power:2@0,inf", "--interval",
+                     interval, "--n", "3", "--trials", "2", "--json", str(path)])
     out = capsys.readouterr().out
     assert code == 1
-    detail = "NonFiniteEntries: the margin nan is not finite"
-    assert f"  jensen seed=[0, 1]: fail margin=n/a {detail}\n" in out
+    assert f"  {theorem} seed=[0, 1]: fail margin=n/a {detail}\n" in out
     report = json.loads(path.read_text(), parse_constant=_refuse_constant)
     assert [(r["margin"], r["detail"]) for r in report["records"]] == [(None, detail)] * 2
     assert report["worst_margin"] is None
@@ -284,6 +289,9 @@ JUDGED_SUITES = [
                   "--map", "pinch:2,2", "--trials", "3"], id="t1-pinch:2,2"),
     pytest.param(["--theorem", "bourin", "--f", "exp", "--interval", "0.5,2", "--trials", "3"],
                  id="bourin-n4"),
+    # into 1x1 matrices bourin is Jensen's inequality, which asks no increasing f
+    pytest.param(["--theorem", "bourin", "--f", "inverse", "--interval", "0.5,2", "--n", "1",
+                  "--trials", "4"], id="bourin-n1-inverse"),
     pytest.param(["--theorem", "norm_chain", "--f", "exp", "--interval", "0.5,2", "--n", "4",
                   "--trials", "3"], id="norm_chain-n4"),
     pytest.param(["--theorem", "chain", "--f", "inverse", "--interval", "0.2,3", "--panels", "4",

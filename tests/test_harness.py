@@ -3,8 +3,10 @@ theorem registry."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import pytest
 
 import hhmat
 from conftest import make_rng, random_hermitian_raw
-from hhmat import hhcheck
+from hhmat import harness, hhcheck
 from hhmat.errors import BadInterval, BadParams, UnknownTheorem
 from hhmat.harness import (
     THEOREM_IDS,
@@ -140,6 +142,38 @@ def test_an_unbounded_suite_interval_is_refused(interval):
 def test_a_worker_count_below_1_is_refused(workers):
     with pytest.raises(BadParams, match=f"worker count must be >= 1, got {workers}"):
         run_suite(InstanceSpec(trials=1), "t1", workers=workers)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 64])  # None: this machine's own count
+def test_the_worker_count_is_a_cap(cpus, monkeypatch):
+    asked = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the worker count asked
+        for and runs the jobs in this process, so that no process starts."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    if cpus is not None:
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    most = min(3, harness._usable_cpus())
+    spec = InstanceSpec(n=2, interval=(0.5, 2.0), function="exp", trials=3, seed=5)
+    report = run_suite(spec, "t1", workers=10**6)
+    assert report.passes == 3
+    assert asked == ([most] if most > 1 else [])  # one process is the serial loop
+    assert multiprocessing.active_children() == []
+    assert report.to_json() == run_suite(spec, "t1", workers=1).to_json()
 
 
 MALFORMED_NORM_SPECS = ["kyfan:abc", "schatten:x", "kyfan:0", "kyfan:4", "kyfan:2.5", "schatten:0.5",

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_rng, random_psd
+from conftest import check_jensen, make_rng, random_psd
 from hhmat import hhcheck, matcore, plmaps
 from hhmat.errors import BadInterval, HypothesisUnmet
 from hhmat.funcat import Interval, ScalarFunction, builtin, from_descriptor
@@ -323,9 +323,9 @@ def test_a_singular_subunital_map_is_judged_by_t1_and_jensen(desc):
         a, b = (random_hermitian(3, 0.1, 2.0, rng) for _ in range(2))
         x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert hhcheck.check_theorem_t1(f, phi, a, b).holds
-        assert hhcheck.check_jensen_map(f, phi, a, x / np.linalg.norm(x)).holds
+        assert check_jensen(f, phi, a, x / np.linalg.norm(x)).holds
     # e_3 spans the kernel of Phi(I): psi(I) = 0, and the comparison reads f(0) <= 0
-    verdict = hhcheck.check_jensen_map(f, phi, a, np.array([0.0, 0.0, 1.0]))
+    verdict = check_jensen(f, phi, a, np.array([0.0, 0.0, 1.0]))
     assert verdict.holds and verdict.margin == -f(0.0)
 
 
@@ -337,11 +337,12 @@ def test_jensen_psi_of_i_edge_is_the_judgement_tolerance(excess, unit):
     x = np.ones(3) * np.sqrt((1.0 + excess) / 3.0)
     f = from_descriptor("exp")  # f(0) > 0, so only case (i) can hold
     if unit:
-        assert hhcheck.check_jensen_map(f, IdentityMap(3), a, x).holds
+        assert check_jensen(f, IdentityMap(3), a, x).holds
     else:
         with pytest.raises(HypothesisUnmet) as info:
-            hhcheck.check_jensen_map(f, IdentityMap(3), a, x)
-        assert info.value.reasons == ["psi(I) has top eigenvalue 1 > 1", "exp(0) = 1 is not <= 0"]
+            check_jensen(f, IdentityMap(3), a, x)
+        assert info.value.reasons == ["sum of Phi_i(I) has top eigenvalue 1 > 1",
+                                      "exp(0) = 1 is not <= 0"]
 
 
 def test_jensen_with_a_short_vector_needs_case_ii():
@@ -349,8 +350,8 @@ def test_jensen_with_a_short_vector_needs_case_ii():
     a = random_hermitian(3, 0.5, 2.0, rng)
     x = np.ones(3) / 3.0  # norm < 1
     with pytest.raises(HypothesisUnmet, match=r"^exp\(0\) = 1 is not <= 0$"):
-        hhcheck.check_jensen_map(from_descriptor("exp"), IdentityMap(3), a, x)
-    verdict = hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
+        check_jensen(from_descriptor("exp"), IdentityMap(3), a, x)
+    verdict = check_jensen(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
     assert verdict.holds
 
 
@@ -360,16 +361,16 @@ def test_jensen_judges_a_long_vector_under_a_subunital_map_by_psi_of_i():
     a = random_hermitian(3, 0.5, 2.0, rng)
     phi = CongruenceSum((np.eye(3) / 2.0,))
     x = np.ones(3) * 1.5 / np.sqrt(3.0)
-    verdict = hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), phi, a, x)
+    verdict = check_jensen(from_descriptor("power:2@0,inf"), phi, a, x)
     assert verdict.holds and verdict.margin >= 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(HypothesisUnmet) as info:
-            hhcheck.check_jensen_map(from_descriptor("inverse@1e-12,2"), phi, a, x)
+            check_jensen(from_descriptor("inverse@1e-12,2"), phi, a, x)
     assert info.value.reasons == ["inverse(0) = inf is not <= 0"]
     # the same vector under the identity has psi(I) = 2.25
-    with pytest.raises(HypothesisUnmet, match=r"^psi\(I\) has top eigenvalue 2\.25 > 1$"):
-        hhcheck.check_jensen_map(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
+    with pytest.raises(HypothesisUnmet, match=r"^sum of Phi_i\(I\) has top eigenvalue 2\.25 > 1$"):
+        check_jensen(from_descriptor("power:2@0,inf"), IdentityMap(3), a, x)
 
 
 def test_the_converse_bound_needs_a_unital_map():

@@ -7,8 +7,10 @@ descriptor in SPEC, at n=3, seeds 0-1 and trial indices 0-2, recorded when
 random_hermitian began to shift and scale its GUE matrix (s*H + c*I) rather
 than rebuild it from its eigensystem.  That moved the entries of the 288
 instances with a random_hermitian draw by at most 1.8e-15 and left every
-other field byte-identical.  The JSON form that instance_to_json gives must
-match those bytes exactly.
+other field byte-identical.  The norm_chain entries were recorded again
+when the trace and operator norms, kyfan:m and kyfan:1 bit for bit, left
+the "specs" field.  The JSON form that instance_to_json gives must match
+those bytes exactly.
 
 Regenerate the file, only when a change is meant to alter instances, with
 

@@ -9,7 +9,10 @@ solver call and to read the domain off the extreme eigenvalues; a change to
 how results are computed, not to what they are, must leave every byte as
 it was.  The n=1 size, whose 1x1 sums (trace's scalar case among them)
 are the ones a pairwise sum would round differently, was recorded before
-the quadrature began to sum a stack's images in one pass.
+the quadrature began to sum a stack's images in one pass.  Its jensen
+suites and bourin's n=1 suites were recorded again when jensen became
+bourin's comparison into 1x1 matrices, which moved jensen margins in their
+last bits and judges bourin at n=1 without an increasing f.
 
 ``data/suite_sha256_n48.json`` holds the same for SPEC_N48, every theorem
 id at n=48 (seed 3, 2 trials), where a decomposition stack and a
@@ -22,7 +25,8 @@ and a congruence sum to another size, where Phi(A) and Phi(B) are
 decomposed in a stack of their own size apart from A and B, and a
 subunital congruence sum, which t1, t3 and jensen judge under case (ii)
 for power:2@0,inf.  It was recorded before the spectral core stopped
-letting the checkers group their operands into stacks.
+letting the checkers group their operands into stacks, and its jensen
+suites again with SPEC's.
 
 Regenerate the three files, only when a change is meant to alter results, with
 
