@@ -10,8 +10,9 @@
 Exit codes: 0 all checks passed or were hypothesis-skipped, 1 at least one
 inequality violation (on replay, a failed trial), 2 a usage error, an output
 file that cannot be written, or input the command refuses: a malformed
-function or map descriptor, suite option or interval, or a replay file that
-cannot be read or holds no instance.  Refused input prints one "error:" line.
+function or map descriptor, suite option or interval, a size whose matrices
+cannot be allocated, or a replay file that cannot be read or holds no
+instance.  Refused input prints one "error:" line.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def main(argv=None) -> int:
                 print(_outcome_line(inst, result.status, result.margin, result.detail))
                 bad += result.status == "fail"
             return 1 if bad else 0
-    except (Error, OSError) as exc:  # OSError: a --json file that cannot be opened or written
+    # OSError: a --json file that cannot be opened or written; MemoryError: an --n
+    # whose matrices numpy refuses to allocate
+    except (Error, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -374,10 +374,13 @@ def test_a_folded_suite_is_gone(instance, tmp_path, capsys):
     ["--theorem", "chain", "--f", "power:2", "--panels", "1025"],
     ["--theorem", "t4", "--quad-nodes", "600"], ["--theorem", "t4", "--interval", "0.5,inf"],
     ["--workers", "-2"], ["--workers", "0"], ["--seed", "-1"], ["--map", "identity:3"],
+    # 71 PiB a draw, which numpy refuses before it takes any memory; never test an n
+    # whose matrices could be allocated
+    ["--n", "100000000"],
 ], ids=["compress:abc", "pinch:a", "congruence:x", "congruence:2.5", "compress:0",
         "subcongruence:-1", "m>k*n", "panels=0", "congruence-third-count",
         "subcongruence-third-count", "compress:9", "panels>cap", "quad-nodes>cap/2",
-        "interval-inf", "workers=-2", "workers=0", "seed<0", "identity:3"])
+        "interval-inf", "workers=-2", "workers=0", "seed<0", "identity:3", "n=10**8"])
 def test_malformed_verify_options_exit_2(args, capsys):
     code = cli.main(["verify", "--theorem", "t1", "--f", "exp", "--interval", "0.5,2",
                      "--trials", "3", *args])

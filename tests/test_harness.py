@@ -4,8 +4,6 @@ theorem registry."""
 from __future__ import annotations
 
 import concurrent.futures
-import hashlib
-import json
 import multiprocessing
 import os
 import subprocess
@@ -27,7 +25,6 @@ from hhmat.harness import (
     InstanceSpec,
     Theorem,
     generate_instance,
-    instance_to_json,
     make_map,
     replay,
     run_instance,
@@ -61,13 +58,15 @@ class TestEigenCache:
             np.testing.assert_allclose(es.values, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("theorem", ["t4", "norm_chain"])
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_suite_json_is_identical_across_worker_counts(theorem):
-    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="exp", trials=8, seed=11)
+    # exp meets every hypothesis here except the operator convexity the chain needs
+    function = "power:2" if theorem == "chain" else "exp"
+    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function=function, trials=8, seed=11)
     serial = run_suite(spec, theorem, workers=1)
-    parallel = run_suite(spec, theorem, workers=2)
     assert serial.passes == spec.trials
-    assert serial.to_json() == parallel.to_json()
+    assert serial.to_json() == run_suite(spec, theorem, workers=1).to_json()
+    assert serial.to_json() == run_suite(spec, theorem, workers=2).to_json()
 
 
 @pytest.mark.parametrize("theorem", ["t4", "norm_chain"])
@@ -307,24 +306,6 @@ def test_a_third_count_or_an_m_beyond_k_n_names_the_descriptor(desc, message):
     with pytest.raises(BadParams) as err:
         make_map(desc, 4, make_rng(0))
     assert str(err.value) == f"map descriptor {desc!r} {message}"
-
-
-# sha256 of json.dumps(instance, sort_keys=True) for trial 0 of an exp
-# suite on [0.5, 2] at n=4, recorded from the same suites run with the
-# removed m option: t1 and jensen with map compress and m=2, and with map
-# congruence:2 and m=3
-@pytest.mark.parametrize("theorem, desc, digest", [
-    ("t1", "congruence:1,2", "36ba91341a6bc97d45c29c42577f45e359f428539618f92054f88b851369c068"),
-    ("jensen", "congruence:1,2",
-     "06513aaa4701f8206cbab8ed2704de2454f131cf45673fc56a83c77b7432835a"),
-    ("t1", "congruence:2,3", "77bc32fecb17600089bd48b693f399e5db16a5727edc8659a2ebd7daaf81fa67"),
-    ("jensen", "congruence:2,3",
-     "09c1486a65fca533878541a27080e6914df700ad60bc5b5ad7954deb686f649e"),
-])
-def test_a_congruence_with_m_gives_the_instance_the_m_option_gave(theorem, desc, digest):
-    spec = InstanceSpec(n=4, interval=(0.5, 2.0), function="exp", map_desc=desc)
-    text = json.dumps(instance_to_json(generate_instance(theorem, spec, 0)), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_compress_beyond_n_columns_names_the_descriptor():

@@ -1,28 +1,9 @@
 """Trials run from arrays; instances become JSON only where they leave the
-process.
-
-``data/instance_sha256.json`` holds the sha256 of
-``json.dumps(instance, sort_keys=True)`` for every theorem id and each map
-descriptor in SPEC, at n=3, seeds 0-1 and trial indices 0-2, recorded when
-random_hermitian began to shift and scale its GUE matrix (s*H + c*I) rather
-than rebuild it from its eigensystem.  That moved the entries of the 288
-instances with a random_hermitian draw by at most 1.8e-15 and left every
-other field byte-identical.  The norm_chain entries were recorded again
-when the trace and operator norms, kyfan:m and kyfan:1 bit for bit, left
-the "specs" field.  The JSON form that instance_to_json gives must match
-those bytes exactly.
-
-Regenerate the file, only when a change is meant to alter instances, with
-
-    PYTHONPATH=src python tests/test_instance_json.py
-"""
+process.  test_golden.py pins the instances each seed draws."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,32 +18,6 @@ from hhmat.harness import (
     run_instance,
     run_suite,
 )
-
-GOLDEN = Path(__file__).resolve().parent / "data" / "instance_sha256.json"
-# compress:2 has a real factor, whose literal has no "im"
-SPEC = {"n": 3, "maps": ["identity", "compress", "compress:2", "pinch", "congruence",
-                         "subcongruence"],
-        "seeds": [0, 1], "indices": [0, 1, 2]}
-
-
-def _hashes() -> dict[str, str]:
-    out = {}
-    for theorem in THEOREM_IDS:
-        for map_desc in SPEC["maps"]:
-            for seed in SPEC["seeds"]:
-                spec = InstanceSpec(n=SPEC["n"], map_desc=map_desc, seed=seed)
-                for index in SPEC["indices"]:
-                    inst = instance_to_json(generate_instance(theorem, spec, index))
-                    text = json.dumps(inst, sort_keys=True)
-                    key = f"{theorem} {map_desc} {seed} {index}"
-                    out[key] = hashlib.sha256(text.encode()).hexdigest()
-    return out
-
-
-def test_json_form_matches_the_recorded_bytes():
-    data = json.loads(GOLDEN.read_text())
-    assert data["spec"] == SPEC
-    assert _hashes() == data["sha256"]
 
 
 def _grids(obj):
@@ -121,12 +76,3 @@ def test_failure_records_are_plain_json_and_independent_of_worker_count(tmp_path
         [(_, result)] = replay(fail)
         assert result.status == "fail"
         assert result.detail == serial.records[fail["trial"]]["detail"]
-
-
-def write_golden():
-    GOLDEN.write_text(json.dumps({"spec": SPEC, "sha256": _hashes()}, indent=1, sort_keys=True)
-                      + "\n")
-
-
-if __name__ == "__main__":
-    sys.exit(write_golden())

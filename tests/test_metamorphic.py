@@ -26,6 +26,17 @@ chain's midpoint link, so t1's margin, its smallest deficit, is at most
 that link's margin on the same pair.  Largest excess over 300 pairs (these
 functions, n in {1, 3, 6}) 0.
 
+Order implications: for any Hermitian pair of one size n, Weyl's
+inequalities lambda_j(B) >= lambda_j(A) + lambda_min(B - A) put the
+Loewner margin of A <= B at most the eigenvalue-dominance margin g, and
+summing the first k dominance gaps puts the k-th weak-majorization deficit
+at least k g, so the weak-majorization margin at least min(g, n g).  Bound
+1e-12 n max(1, |lambda(A)|, |lambda(B)|); largest excess 0 over the pairs
+tested (seeded pairs at n in {1, 3, 6, 16} and the two sides of t4
+instances), where n=1 gives equality.  Taking the Loewner margin from the
+gap's largest eigenvalue, or summing B's eigenvalues in ascending order for
+weak majorization, fails every case but n=1.
+
 Power homogeneity: for f = t^r on [0, inf) and PSD A, B, f(cX) = c^r f(X)
 for every term, so (A, B) -> (cA, cB) with c > 0 scales t1's margin and both
 trace links by c^r.  Bound 1e-12 c^r max(1, Tr f(A), Tr f(B)); largest move
@@ -41,12 +52,12 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import conjugate_by, make_rng, random_unitary
-from hhmat import hhcheck
+from conftest import conjugate_by, make_rng, random_hermitian_raw, random_psd, random_unitary
+from hhmat import hhcheck, orders
 from hhmat.funcat import from_descriptor
 from hhmat.harness import THEOREMS, InstanceSpec, generate_instance, run_instance
-from hhmat.matcore import (apply_function, array_from_json, array_to_json, matrix_from_json,
-                           matrix_to_json, random_hermitian)
+from hhmat.matcore import (apply_function, array_from_json, array_to_json, eig,
+                           matrix_from_json, matrix_to_json, random_hermitian)
 from hhmat.plmaps import IdentityMap
 
 # A function each pair suite judges on [0.5, 2] (none skips there).
@@ -121,6 +132,45 @@ def test_t1_margin_is_at_most_the_trace_midpoint_margin(desc, interval, n):
         link = hhcheck.check_trace_corollary(f, a, b).links["midpoint<=integral"]
         scale = max(1.0, abs(apply_function(f, a).trace), abs(apply_function(f, b).trace))
         assert t1.margin <= link.margin + MARGIN_ATOL * scale
+
+
+def _check_order_implications(a, b):
+    """Loewner margin <= g and weak-majorization margin >= min(g, n g) for
+    a <= b: see Order implications above."""
+    loewner = orders.loewner_leq(a, b).margin
+    g = orders.eigen_dominance(a, b).margin
+    weak = orders.weak_majorization(a, b).margin
+    n = a.dim
+    scale = n * max(1.0, float(np.max(np.abs(eig(a).values))),
+                    float(np.max(np.abs(eig(b).values))))
+    assert loewner <= g + MARGIN_ATOL * scale
+    assert weak >= min(g, n * g) - MARGIN_ATOL * scale
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 16])
+def test_the_order_margins_imply_one_another_on_random_pairs(n):
+    rng = make_rng(60 + n)
+    for _ in range(10):
+        a = random_hermitian_raw(n, rng)
+        _check_order_implications(a, random_hermitian_raw(n, rng))
+        # a <= b, where every margin is at least 0
+        _check_order_implications(a, a + random_psd(n, rng))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_order_margins_imply_one_another_on_the_sides_of_t4(seed, monkeypatch):
+    sides = []
+    loewner_leq = orders.loewner_leq
+    monkeypatch.setattr(orders, "loewner_leq",
+                        lambda a, b: sides.append((a, b)) or loewner_leq(a, b))
+    spec = InstanceSpec(n=N, interval=(0.5, 2.0), function="exp", map_desc="congruence",
+                        seed=seed)
+    for index in range(4):
+        assert run_instance(generate_instance("t4", spec, index)).status == "pass"
+    monkeypatch.undo()
+    assert len(sides) == 4
+    for a, b in sides:
+        _check_order_implications(a, b)
 
 
 def _homogeneous_margins(f, a, b) -> list[float]:
