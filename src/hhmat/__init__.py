@@ -27,6 +27,7 @@ from .matcore import (
     norm_spec,
     random_hermitian,
     ui_norm,
+    ui_norms,
 )
 from .orders import (
     OrderVerdict,

@@ -31,6 +31,7 @@ where it is used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
@@ -580,11 +581,14 @@ def _stacked_images(points: "list[HermitianMatrix]", images: "list[np.ndarray]")
     return np.array(images)
 
 
+@lru_cache(maxsize=1024)
 def norm_spec(spec: str, dim: int) -> tuple[str, int | float | None]:
     """The one rule for what a norm spec string means at size dim x dim:
     "kyfan:k" is ("kyfan", k) for an integer 1 <= k <= dim, "schatten:p" is
     ("schatten", p) for a finite p >= 1 and "operator" is ("operator", None).
-    Anything else raises BadSpec naming the spec."""
+    Anything else raises BadSpec naming the spec.  Memoized, as a norm chain
+    reads each spec once for each of its terms; a spec that raises is not
+    kept, so it raises each time it is read."""
     kind, _, arg = spec.partition(":")
     try:
         if kind == "kyfan" and 1 <= int(arg) <= dim:
@@ -599,28 +603,41 @@ def norm_spec(spec: str, dim: int) -> tuple[str, int | float | None]:
                   f"schatten:p (p finite, >= 1) or operator")
 
 
-def ui_norm(h: HermitianMatrix, spec: str) -> float:
-    """The unitarily invariant norm of H that a spec string names (see
-    norm_spec): kyfan:k sums the k largest singular values, schatten:p is
-    (sum of sigma_i^p)^(1/p) and operator is the largest.  A value that
+def ui_norms(h: HermitianMatrix, specs: "list[str]") -> list[float]:
+    """The unitarily invariant norms of H that spec strings name (see
+    norm_spec), in the order listed, read off one pass over its singular
+    values: kyfan:k is the k-th entry of their running sum, the sum of the
+    k largest; schatten:p is (sum of sigma_i^p)^(1/p); operator is the
+    largest, kyfan:1.  Every spec is read before any norm is formed, so a
+    malformed one raises BadSpec naming the first such spec.  A value that
     overflows (Schatten 1e308 on a singular value above 1), or a Schatten
-    power sum of a nonzero H below the smallest normal float, raises
-    BadSpec naming the spec, and numpy warns of nothing."""
-    kind, arg = norm_spec(spec, h.dim)
+    power sum of a nonzero H below the smallest normal float, raises BadSpec
+    naming the first spec to give one, and numpy warns of nothing."""
+    parsed = [norm_spec(spec, h.dim) for spec in specs]
     sigma = eig(h).singular_values
+    values = []
     with np.errstate(over="ignore", under="ignore"):
-        if kind == "kyfan":
-            value = float(np.sum(sigma[:arg]))
-        elif kind == "schatten":
-            power_sum = np.sum(sigma ** arg)
-            if power_sum < np.finfo(float).tiny and np.any(sigma):
-                raise BadSpec(f"norm spec {spec!r} underflows on a {h.dim}x{h.dim} matrix")
-            value = float(power_sum ** (1.0 / arg))
-        else:
-            value = float(sigma[0]) if h.dim else 0.0
-    if not np.isfinite(value):
-        raise BadSpec(f"norm spec {spec!r} gives {value} on a {h.dim}x{h.dim} matrix")
-    return value
+        partial = np.cumsum(sigma).tolist()  # kyfan:k is partial[k - 1]
+        for spec, (kind, arg) in zip(specs, parsed):
+            if kind == "kyfan":
+                value = partial[arg - 1]
+            elif kind == "schatten":
+                power_sum = np.sum(sigma ** arg)
+                if power_sum < np.finfo(float).tiny and np.any(sigma):
+                    raise BadSpec(f"norm spec {spec!r} underflows on a {h.dim}x{h.dim} matrix")
+                value = float(power_sum ** (1.0 / arg))
+            else:
+                value = partial[0] if h.dim else 0.0
+            if not math.isfinite(value):
+                raise BadSpec(f"norm spec {spec!r} gives {value} on a {h.dim}x{h.dim} matrix")
+            values.append(value)
+    return values
+
+
+def ui_norm(h: HermitianMatrix, spec: str) -> float:
+    """The unitarily invariant norm of H that a spec string names: the one
+    norm of ui_norms, with its BadSpec refusals."""
+    return ui_norms(h, [spec])[0]
 
 
 # -- array literal format ----------------------------------------------------

@@ -9,6 +9,8 @@ the one run of ``python -m hhmat`` that reaches __main__ and sys.argv.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -17,9 +19,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import wide_factor_map
 from hhmat import cli, harness, hhcheck
+from hhmat.funcat import CATALOG_DESCRIPTORS
 from hhmat.harness import (
     THEOREM_IDS,
     THEOREMS,
@@ -710,6 +715,55 @@ def test_removed_verify_options_exit_2(args, tmp_path, capsys, monkeypatch):
     assert info.value.code == 2
     assert f"unrecognized arguments: {' '.join(args)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# the parts of a verify command, well formed and not: intervals that are
+# empty, reversed or not finite, descriptors that do not parse or do not fit
+VERIFY_PARTS = {
+    "theorem": (THEOREM_IDS, ["scalar", "power_norm"]),
+    "function": ([*CATALOG_DESCRIPTORS, "power:400", "power:1.5@0,inf"],
+                 ["power:abc", "power:", "power:inf", "affine:1", "exp@2,1", "power:2@0,nan",
+                  "nope", ""]),
+    "interval": (["0.5,2", "0,2", "-1,2", "0.1,3", "0,10", "0,1e308"],
+                 ["2,1", "1,1", "nan,1", "0,inf", "-inf,0", "", ",", "x,1"]),
+    "map": (["identity", "pinch", "congruence", "compress", "compress:2", "congruence:1,2",
+             "congruence:2,3", "subcongruence"],
+            ["compress:9", "identity:2", "congruence:0", "bogus", ""]),
+}
+VERIFY_OPTIONS = ([("--seed", "3"), ("--panels", "3"), ("--quad-nodes", "8"),
+                   ("--quad-rtol", "1e-9")],
+                  [("--seed", "-1"), ("--trials", "0"), ("--panels", "0"), ("--quad-nodes", "0"),
+                   ("--quad-rtol", "1"), ("--quad-rtol", "nan")])
+
+
+@st.composite
+def verify_argv(draw) -> list[str]:
+    """A verify command of size 1-6, well formed about half the time, else
+    with one malformed part or option."""
+    broken = draw(st.none() | st.sampled_from([*VERIFY_PARTS, "option"]))
+    theorem, function, interval, map_desc = (
+        draw(st.sampled_from(VERIFY_PARTS[part][part == broken])) for part in VERIFY_PARTS)
+    options = draw(st.lists(st.sampled_from(VERIFY_OPTIONS[0]), max_size=2))
+    if broken == "option":
+        options.append(draw(st.sampled_from(VERIFY_OPTIONS[1])))
+    return ["verify", "--theorem", theorem, "--f", function, "--interval", interval,
+            "--n", str(draw(st.integers(1, 6))), "--map", map_desc, "--trials", "2",
+            *[word for option in options for word in option]]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(verify_argv())
+def test_any_verify_command_exits_0_1_or_2_with_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 2:
+        assert sum("error: " in line for line in err.getvalue().splitlines()) == 1, argv
 
 
 # the one path through __main__ and cli.main(argv=None), which reads sys.argv

@@ -42,6 +42,10 @@ Regenerate every golden file, only when a change is meant to alter results,
 with
 
     PYTHONPATH=src python tests/test_golden.py
+
+A regeneration writes each recorded suite, case and instance back
+unchanged when the new one matches it, so its diff holds only the values
+that moved past their tolerance.
 """
 
 from __future__ import annotations
@@ -203,7 +207,15 @@ def test_refused_suites_stay_refused():
         assert f"{type(info.value).__name__}: {info.value}" == case["error"]
 
 
+def _kept(new, recorded):
+    """The value to write: the recorded one, unchanged, when the new value
+    matches it (see mismatches), so a regeneration rewrites only values
+    that moved past their tolerance; else the new one."""
+    return recorded if recorded is not None and not mismatches(new, recorded) else new
+
+
 def _write_margins():
+    recorded = {(case["theorem"], case["function"]): case for case in _load()["cases"]}
     cases, refused = [], []
     for theorem in THEOREM_IDS:
         for function in CATALOG_DESCRIPTORS:
@@ -213,7 +225,8 @@ def _write_margins():
                 refused.append({"theorem": theorem, "function": function,
                                 "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            cases.append({"theorem": theorem, "function": function, "records": records})
+            case = {"theorem": theorem, "function": function, "records": records}
+            cases.append(_kept(case, recorded.get((theorem, function))))
     # one suite a line keeps the file reviewable
     lines = ",\n".join(json.dumps(case) for case in cases)
     GOLDEN.write_text(f'{{"spec": {json.dumps(SPEC)},\n"refused": {json.dumps(refused)},\n'
@@ -223,12 +236,15 @@ def _write_margins():
 def write_golden():
     _write_margins()
     for path, (values, sets) in GOLDEN_SETS.items():
+        recorded = json.loads(path.read_text()) if path.exists() else {}
         blocks = []
         for name, pinned in sets.items():
+            kept = recorded.get(name, {}).get("values", {})
             # one value a line, as in golden_margins.json
-            lines = ",\n".join(f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
-                               for theorem in pinned.get("theorems", THEOREM_IDS)
-                               for key, value in values(pinned, theorem).items())
+            lines = ",\n".join(f"{json.dumps(key)}: "
+                                f"{json.dumps(_kept(value, kept.get(key)), sort_keys=True)}"
+                                for theorem in pinned.get("theorems", THEOREM_IDS)
+                                for key, value in values(pinned, theorem).items())
             blocks.append(f'{json.dumps(name)}: {{"spec": {json.dumps(pinned)},\n'
                           f'"values": {{\n{lines}\n}}}}')
         path.write_text("{" + ",\n".join(blocks) + "}\n")

@@ -262,6 +262,29 @@ def test_norm_chain_with_no_norm_spec_is_a_skip():
     assert (result.status, result.margin, result.detail) == ("skip", None, "no norm spec to judge")
 
 
+@pytest.mark.parametrize("map_desc", ["identity", "pinch", "congruence"])
+@pytest.mark.parametrize("n", [2, 9, 48])
+def test_each_ky_fan_link_is_the_partial_sum_deficit_of_its_terms(monkeypatch, n, map_desc):
+    # every term of the chain is PSD, so its Ky Fan k-norm is its k-th
+    # eigenvalue partial sum (Ky Fan dominance decides every norm by these)
+    terms, reports = [], []
+    ui_norms, check = hhcheck.ui_norms, hhcheck.check_norm_chain_corollary
+    monkeypatch.setattr(hhcheck, "ui_norms", lambda h, specs: terms.append(h) or ui_norms(h, specs))
+    monkeypatch.setattr(hhcheck, "check_norm_chain_corollary",
+                        lambda *args: reports.append(check(*args)) or reports[-1])
+    spec = InstanceSpec(n=n, interval=(0.5, 2.0), function="exp", map_desc=map_desc, seed=11)
+    for index in range(2):
+        assert run_instance(generate_instance("norm_chain", spec, index)).status == "pass"
+    assert len(terms) == 3 * len(reports) == 6
+    for i, report in enumerate(reports):
+        sums = [np.cumsum(matcore.eig(m).values) for m in terms[3 * i:3 * i + 3]]
+        for k in range(1, n + 1):
+            for link in (0, 1):
+                lo, hi = sums[link][k - 1], sums[link + 1][k - 1]
+                margin = report.links[f"kyfan:{k}:link{link}"].margin
+                assert abs(margin - (hi - lo)) <= 1e-12 * max(1.0, lo, hi)
+
+
 def test_unital_identity_image_needs_no_decomposition(monkeypatch):
     def refuse(image):
         raise AssertionError("unitality_status called on a unital image")

@@ -42,6 +42,7 @@ from hhmat.matcore import (
     random_hermitian,
     segment_matrices,
     ui_norm,
+    ui_norms,
 )
 from hhmat.plmaps import CongruenceSum, IdentityMap
 
@@ -773,18 +774,31 @@ class TestRandomHermitian:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _at_each_position(spec: str) -> list[list[str]]:
+    """spec alone, then first, between and last among norms that read well."""
+    good = ["kyfan:1", "schatten:2", "operator"]
+    return [[spec]] + [good[:i] + [spec] + good[i:] for i in range(len(good) + 1)]
+
+
 class TestNorms:
     def test_singular_values_are_sorted_once_per_decomposition(self, monkeypatch):
-        h = random_hermitian_raw(6, make_rng(24))
-        specs = [f"kyfan:{k}" for k in range(1, 7)] + ["schatten:1", "schatten:2.5", "operator"]
-        sigma = np.sort(np.abs(eig(h).values))[::-1]
-        expected = [float(np.sum(sigma[:k])) for k in range(1, 7)]
-        expected += [float(np.sum(sigma ** p) ** (1.0 / p)) for p in (1.0, 2.5)] + [float(sigma[0])]
-        sorts = []
+        # from k = 8 on, numpy's unrolled np.sum can round apart from the
+        # running sum; kyfan:k is the running sum's k-th entry, bit for bit
         sort = np.sort
-        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
-        assert [ui_norm(h, spec) for spec in specs * 3] == expected * 3  # bit for bit
-        assert len(sorts) == 1
+        for n in (6, 9):
+            h = random_hermitian_raw(n, make_rng(24))
+            specs = [f"kyfan:{k}" for k in range(1, n + 1)] + ["schatten:1", "schatten:2.5",
+                                                               "operator"]
+            sigma = sort(np.abs(eig(h).values))[::-1]
+            expected = np.cumsum(sigma).tolist()
+            expected += [float(np.sum(sigma ** p) ** (1.0 / p)) for p in (1.0, 2.5)]
+            expected += [float(sigma[0])]
+            sorts = []
+            monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or sort(*a, **k))
+            assert [ui_norm(h, spec) for spec in specs * 3] == expected * 3  # bit for bit
+            assert ui_norms(h, specs * 3) == expected * 3
+            assert len(sorts) == 1
+            monkeypatch.undo()
 
     def test_ky_fan_example(self):
         h = HermitianMatrix(np.diag([3.0, 1.0, -2.0]))
@@ -810,28 +824,32 @@ class TestNorms:
         h = HermitianMatrix(np.eye(3))
         message = (f"norm spec {spec!r} is not kyfan:k (k an integer in 1..3), "
                    "schatten:p (p finite, >= 1) or operator")
-        for read in (lambda: norm_spec(spec, 3), lambda: ui_norm(h, spec)):
+        reads = [lambda: norm_spec(spec, 3), lambda: ui_norm(h, spec)]
+        reads += [lambda at=at: ui_norms(h, at) for at in _at_each_position(spec)]
+        for read in reads:
             with pytest.raises(BadSpec) as err:
                 read()
             assert str(err.value) == message
 
     def test_an_overflowing_norm_raises_bad_spec_and_no_warning(self):
         h = HermitianMatrix(np.diag([3.0, 1.0, -2.0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BadSpec) as err:
-                ui_norm(h, "schatten:1e308")
-        assert str(err.value) == "norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
+        for specs in _at_each_position("schatten:1e308"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BadSpec) as err:
+                    ui_norms(h, specs)
+            assert str(err.value) == "norm spec 'schatten:1e308' gives inf on a 3x3 matrix"
 
     def test_an_underflowing_schatten_sum_raises_bad_spec_and_no_warning(self):
         # 0.5**2000 and 0.25**2000 are 0 in floating point, not the norm 0.5
         h = HermitianMatrix(np.diag([0.5, 0.25]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BadSpec) as err:
-                ui_norm(h, "schatten:2000")
-            assert ui_norm(HermitianMatrix(np.zeros((2, 2))), "schatten:2000") == 0.0
-        assert str(err.value) == "norm spec 'schatten:2000' underflows on a 2x2 matrix"
+        for specs in _at_each_position("schatten:2000"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BadSpec) as err:
+                    ui_norms(h, specs)
+                assert ui_norm(HermitianMatrix(np.zeros((2, 2))), "schatten:2000") == 0.0
+            assert str(err.value) == "norm spec 'schatten:2000' underflows on a 2x2 matrix"
 
     def test_unitary_invariance(self):
         rng = make_rng(23)

@@ -37,6 +37,16 @@ instances), where n=1 gives equality.  Taking the Loewner margin from the
 gap's largest eigenvalue, or summing B's eigenvalues in ascending order for
 weak majorization, fails every case but n=1.
 
+Chain implication: with Phi = id, the chain's midpoint <= midpoint_riemann
+and midpoint_riemann <= integral links are Loewner margins of the gaps
+R - M and I - R, whose sum is I - M, so lambda_min(I - M) is at least
+their sum s (Weyl).  The order implications above then put t1's margin,
+the weak-majorization margin of M against I, at least min(s, n s).
+Bound 1e-12 n max(1, |lambda(A)|, |lambda(B)|); largest excess 0 over 200
+pairs (these operator convex functions, n in {1, 3, 6, 16}), where n=1
+gives equality.  Taking the Loewner margin from the gap's largest
+eigenvalue fails the relation.
+
 Power homogeneity: for f = t^r on [0, inf) and PSD A, B, f(cX) = c^r f(X)
 for every term, so (A, B) -> (cA, cB) with c > 0 scales t1's margin and both
 trace links by c^r.  Bound 1e-12 c^r max(1, Tr f(A), Tr f(B)); largest move
@@ -132,6 +142,23 @@ def test_t1_margin_is_at_most_the_trace_midpoint_margin(desc, interval, n):
         link = hhcheck.check_trace_corollary(f, a, b).links["midpoint<=integral"]
         scale = max(1.0, abs(apply_function(f, a).trace), abs(apply_function(f, b).trace))
         assert t1.margin <= link.margin + MARGIN_ATOL * scale
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 16])
+@pytest.mark.parametrize("desc, interval", [
+    ("inverse", (0.2, 3.0)), ("power:1.5", (0.5, 3.0)), ("xlogx", (0.1, 2.0)),
+    ("power:2", (-1.0, 2.0)), ("neg_sqrt", (0.0, 2.0))])
+def test_the_chain_midpoint_links_bound_t1_from_below(desc, interval, n):
+    f = from_descriptor(desc)
+    rng = make_rng(70 + n)
+    for _ in range(10):
+        a, b = random_hermitian(n, *interval, rng), random_hermitian(n, *interval, rng)
+        links = hhcheck.check_refinement_chain(f, a, b, 2).links
+        s = links["midpoint<=midpoint_riemann"].margin + links["midpoint_riemann<=integral"].margin
+        t1 = hhcheck.check_theorem_t1(f, IdentityMap(n), a, b).margin
+        scale = n * max(1.0, float(np.max(np.abs(eig(a).values))),
+                        float(np.max(np.abs(eig(b).values))))
+        assert t1 >= min(s, n * s) - MARGIN_ATOL * scale
 
 
 def _check_order_implications(a, b):
