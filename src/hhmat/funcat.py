@@ -20,12 +20,6 @@ import numpy as np
 from . import matcore, orders
 from .errors import BadInterval, BadParams, FlagContradicted, UnknownName
 
-# Relative endpoint stretch used for domain membership of computed spectra.
-DOMAIN_STRETCH_RTOL = 1e-9
-# Tolerance for the midpoint-convexity and monotonicity grid tests.
-FLAG_TEST_RTOL = 1e-10
-_FLOAT_MAX = float(np.finfo(float).max)
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -41,10 +35,6 @@ class Interval:
             raise BadInterval(f"empty interval [{self.lo}, {self.hi}]")
 
     @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
-    @property
     def whole_line(self) -> bool:
         """True for the real line, where contains_array refuses only NaN."""
         return self.lo == -math.inf and self.hi == math.inf
@@ -53,31 +43,14 @@ class Interval:
         return bool(self.contains_array(x))
 
     def contains_array(self, xs: np.ndarray) -> np.ndarray:
-        """Elementwise membership of an array of points.
-
-        Only finite endpoints are compared against, so on the real line
-        this is a NaN test.
-        """
+        """Elementwise membership of an array of points.  A closed end admits
+        points within orders.tolerance(|end|) beyond it, as eigenvalue
+        rounding follows a matrix's magnitude, not the interval's width; an
+        open lower end is strict, and NaN is never inside."""
         xs = np.asarray(xs, dtype=float)
         # Every comparison with NaN is False, so each test refuses NaN.
-        if self.lo_open:
-            inside = xs > self.lo
-        elif self.lo > -math.inf:
-            inside = xs >= self.lo - self._pad(xs)
-        else:
-            inside = xs == xs
-        if self.hi < math.inf:
-            inside &= xs <= self.hi + self._pad(xs)
-        return inside
-
-    def _pad(self, xs: np.ndarray) -> float | np.ndarray:
-        # Numerically computed spectra may fall marginally outside closed
-        # endpoints; stretch by a small amount relative to the interval
-        # length (or to the point's own scale on half-lines, capped so that
-        # an infinite point gets a finite stretch and stays outside).
-        if self.bounded:
-            return DOMAIN_STRETCH_RTOL * (self.hi - self.lo)
-        return DOMAIN_STRETCH_RTOL * np.maximum(1.0, np.minimum(np.abs(xs), _FLOAT_MAX))
+        inside = xs > self.lo if self.lo_open else xs >= self.lo - orders.tolerance(abs(self.lo))
+        return inside & (xs <= self.hi + orders.tolerance(abs(self.hi)))
 
     def contains_interval(self, a: float, b: float) -> bool:
         lo_ok = a > self.lo if self.lo_open else a >= self.lo
@@ -152,7 +125,7 @@ def _power_eval(r: float) -> Callable[[np.ndarray], np.ndarray]:
     if _is_integral(r):
         k = float(round(r))
         return lambda x: x ** k
-    # Spectra admitted by the domain stretch may sit just below 0.
+    # Spectra admitted by a closed end's slack may sit just below 0.
     return lambda x: np.maximum(x, 0.0) ** r
 
 
@@ -185,7 +158,8 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
 
     Supported names: power(r), exp, identity, cube, neg_sqrt, inverse,
     xlogx, affine(a, b).  Restricting the domain recomputes flags (e.g.
-    power(2) is increasing on [0, inf) but not on all of R).
+    power(2) is increasing on [0, inf) but not on all of R, and xlogx is
+    increasing on any domain inside [1/e, inf)).
     """
     if name == "power":
         _require_params(name, params, 1)
@@ -226,8 +200,9 @@ def builtin(name: str, *params: float, domain: tuple[float, float] | None = None
     elif name == "xlogx":
         _require_params(name, params, 0)
         dom = _restrict(Interval(lo=0.0), domain, name)
+        # x log x is increasing exactly on [1/e, inf), where log x + 1 >= 0
         label, fn = "xlogx", _xlogx
-        flags = Flags(convex=True, increasing=False, operator_convex=True)
+        flags = Flags(convex=True, increasing=dom.lo >= math.exp(-1.0), operator_convex=True)
     else:
         raise UnknownName(f"no catalog entry named {name!r}")
     return ScalarFunction(label, fn, dom, flags)
@@ -366,7 +341,7 @@ def validate_flags(f: ScalarFunction, interval: tuple[float, float], *,
         vals = f.eval_array(grid)
     if not np.all(np.isfinite(vals)):
         raise BadParams(f"{f.name} is not finite on [{a}, {b}]")
-    tol = FLAG_TEST_RTOL * max(1.0, float(np.max(np.abs(vals))))
+    tol = orders.tolerance(float(np.max(np.abs(vals))))
 
     def refute(flag: str, witness):
         if witness is not None:

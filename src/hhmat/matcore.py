@@ -477,8 +477,10 @@ def eig(h: HermitianMatrix) -> EigenSystem:
 def spectrum_outside(interval: "Interval", h: HermitianMatrix) -> list[float]:
     """The eigenvalues of H outside the interval (a domain or a working
     interval), descending; [] when the spectrum fits.  The one membership
-    rule for spectra: Interval.contains_array, stretch included, asked of
-    every eigenvalue of the validated decomposition."""
+    rule for spectra: Interval.contains_array, which admits
+    orders.tolerance(|end|) beyond a closed end, asked of every eigenvalue
+    of the validated decomposition.  That one tolerance rule also judges
+    every order comparison and validate_flags' grid tests."""
     values = eig(h).values
     return values[~interval.contains_array(values)].tolist()
 

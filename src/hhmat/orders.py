@@ -9,8 +9,10 @@ Every comparison in the package, these orders, the trace, Jensen and norm
 comparisons of the checkers, and their map hypotheses (Phi(I) = I and
 Phi(I) <= I) alike, reduces to a signed margin and a magnitude scale of its
 operands and is judged by judge(): it holds when
-margin >= -DEFAULT_TOL * max(1, scale).  That rule and its one tolerance
-are written nowhere else.
+margin >= -tolerance(scale) = -DEFAULT_TOL * max(1, scale).  The same
+slack judges spectrum membership (Interval.contains_array admits points
+within tolerance(|end|) beyond a closed end) and funcat.validate_flags'
+grid tests.  That rule and its one tolerance are written nowhere else.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ class OrderVerdict:
     margin is signed: the smallest eigenvalue of the gap (Loewner), the
     smallest entrywise surplus (dominance), the smallest partial-sum deficit
     (weak majorization), or rhs - lhs of a scalar or norm comparison.
-    holds is margin >= -DEFAULT_TOL * max(1, scale), scale being the
-    magnitude of the operands.  witness, kept only when the comparison
-    fails, locates the failure.
+    holds is margin >= -tolerance(scale), scale being the magnitude of the
+    operands.  witness, kept only when the comparison fails, locates the
+    failure.
     """
 
     holds: bool
@@ -43,12 +45,18 @@ class OrderVerdict:
     witness: object | None = None
 
 
+def tolerance(scale: float) -> float:
+    """The slack of a comparison whose operands have magnitude ``scale``:
+    DEFAULT_TOL * max(1, scale), infinite for an infinite scale."""
+    return DEFAULT_TOL * max(1.0, scale)
+
+
 def judge(margin: float, scale: float, witness=None) -> OrderVerdict:
-    """The one tolerance rule: margin >= -DEFAULT_TOL * max(1, scale).  A
-    margin that is not finite is no verdict: NonFiniteEntries."""
+    """The one tolerance rule: margin >= -tolerance(scale).  A margin that
+    is not finite is no verdict: NonFiniteEntries."""
     if not math.isfinite(margin):
         raise NonFiniteEntries(f"the margin {margin} is not finite")
-    holds = bool(margin >= -DEFAULT_TOL * max(1.0, scale))
+    holds = bool(margin >= -tolerance(scale))
     return OrderVerdict(holds=holds, margin=margin, witness=None if holds else witness)
 
 

@@ -10,8 +10,10 @@ the one run of ``python -m hhmat`` that reaches __main__ and sys.argv.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +172,22 @@ def test_t1_on_a_psd_power_outside_the_domain_of_f_skips_and_exits_0(capsys):
     assert "\n  skipped: 3x spectrum of A leaves domain [0, 3] of power:2; " in out
 
 
+# A domain's closed end admits orders.tolerance(|end|) beyond it, not a share
+# of its width: [0, 1e8] once admitted spectra down to -0.1, clipped f there,
+# and t1, trace and chain read 6 NoConvergence failures each and jensen 20
+# passes.  Restricted or not, neg_sqrt skips the spectra that leave [0, inf).
+@pytest.mark.parametrize("theorem, passes, skips", [
+    ("t1", 14, 6), ("trace", 14, 6), ("jensen", 16, 4), ("chain", 14, 6)])
+def test_a_wide_restricted_domain_skips_the_spectra_that_leave_it(theorem, passes, skips,
+                                                                  capsys):
+    for f, domain in (("neg_sqrt@0,1e8", "[0, 1e+08]"), ("neg_sqrt", "[0, inf]")):
+        assert cli.main(["verify", "--theorem", theorem, "--f", f, "--interval", "-0.05,2",
+                         "--trials", "20", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f" trials=20 passes={passes} skips={skips} failures=0 " in out
+        assert f" leaves domain {domain} of neg_sqrt" in out
+
+
 @pytest.mark.parametrize("theorem, n, map_desc", [
     ("t4", 3, "identity"), ("t4", 4, "compress:2"), ("t1", 4, "pinch:2,2"),
 ], ids=["t4", "t4-compress:2", "t1-pinch:2,2"])
@@ -299,6 +317,9 @@ JUDGED_SUITES = [
                   "--trials", "4"], id="bourin-n1-inverse"),
     pytest.param(["--theorem", "norm_chain", "--f", "exp", "--interval", "0.5,2", "--n", "4",
                   "--trials", "3"], id="norm_chain-n4"),
+    # x log x is increasing on [1/e, inf), so xlogx@1,3 declares it
+    pytest.param(["--theorem", "bourin", "--f", "xlogx@1,3", "--interval", "1,3", "--n", "4",
+                  "--trials", "4"], id="bourin-xlogx@1,3"),
     pytest.param(["--theorem", "chain", "--f", "inverse", "--interval", "0.2,3", "--panels", "4",
                   "--trials", "3"], id="chain-inverse"),
     # a singular subunital map, Phi(I) = diag(1, 1, 0), is judged under f(0) <= 0
@@ -717,6 +738,26 @@ def test_removed_verify_options_exit_2(args, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def _run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr; argparse's usage error is its
+    SystemExit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(argv: list[str], code: int, out: str, err: str):
+    """Exit 0, 1 or 2 and no traceback; exit 2 prints exactly one error line."""
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert sum("error: " in line for line in err.splitlines()) == 1, argv
+
+
 # the parts of a verify command, well formed and not: intervals that are
 # empty, reversed or not finite, descriptors that do not parse or do not fit
 VERIFY_PARTS = {
@@ -754,16 +795,101 @@ def verify_argv(draw) -> list[str]:
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(verify_argv())
 def test_any_verify_command_exits_0_1_or_2_with_no_traceback(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage error
-            code = exc.code
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
-    if code == 2:
-        assert sum("error: " in line for line in err.getvalue().splitlines()) == 1, argv
+    _assert_exit_contract(argv, *_run_cli(argv))
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_documents() -> tuple[str, ...]:
+    """Valid replay inputs, as JSON text: a bare instance of every theorem, a
+    failure entry, and the report of a suite that fails."""
+    instances = [instance_to_json(generate_instance(
+        theorem, InstanceSpec(n=2, interval=(0.5, 2.0),
+                              function="power:2" if theorem == "chain" else "exp"), 0))
+        for theorem in THEOREM_IDS]
+    report = harness.run_suite(InstanceSpec(n=2, interval=(0.0, 10.0), function="power:400",
+                                            trials=1), "t1").to_jsonable()
+    return tuple(json.dumps(doc) for doc in
+                 [*instances, {"trial": 0, "instance": instances[0]}, report])
+
+
+def _json_paths(doc, prefix=()) -> list[tuple]:
+    """The key path of every value inside doc, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) \
+        else ()
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(_json_paths(value, prefix + (key,)))
+    return paths
+
+
+# values of another type, and numbers that are not finite or do not fit a float
+REPLACEMENTS = [None, True, 0, -1, 2.5, "x", "", [], {}, [[1.0]], {"re": [[1.0]]},
+                math.nan, math.inf, -math.inf, 1e308, -1e308, 2**63, 10**400, -10**400]
+
+
+@st.composite
+def edited_replay_document(draw) -> str:
+    """A valid replay document with one to three fields deleted, retyped,
+    nested, or set to NaN or a huge number."""
+    doc = json.loads(draw(st.sampled_from(_replay_documents())))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = _json_paths(doc)
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = functools.reduce(lambda node, k: node[k], parents, doc)
+        edit = draw(st.sampled_from(["delete", "nest", "replace"]))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "nest":
+            parent[key] = draw(st.sampled_from([[parent[key]], {"v": parent[key]}]))
+        else:
+            parent[key] = draw(st.sampled_from(REPLACEMENTS))
+    return json.dumps(doc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(edited_replay_document())
+def test_replay_of_any_edited_document_exits_0_1_or_2_with_no_traceback(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "edited.json"
+    path.write_text(text)
+    _assert_exit_contract([text], *_run_cli(["replay", str(path)]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(st.sampled_from(["missing directory", "directory", "new file", "existing file"]),
+       st.sampled_from(["out.json", "ce", ".json"]))
+def test_counterexample_json_to_any_path_exits_0_or_2_with_no_traceback(tmp_path_factory, kind,
+                                                                         name):
+    base = tmp_path_factory.mktemp("counterexample")
+    path = {"missing directory": base / "missing" / name, "directory": base,
+            "new file": base / name, "existing file": base / name}[kind]
+    if kind == "existing file":
+        path.write_text("older content, longer than nothing")
+    code, out, err = _run_cli(["counterexample", "--json", str(path)])
+    _assert_exit_contract([kind, name], code, out, err)
+    assert code == (0 if kind.endswith("file") else 2), (kind, code)
+    if code == 0:
+        assert json.loads(path.read_text())["passes"] is True
+
+
+# power:400 overflows on [0, 10], so each trial fails with NonFiniteEntries
+def test_replay_of_a_failing_report_reproduces_each_failed_record(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--theorem", "t1", "--f", "power:400", "--interval", "0,10",
+                     "--trials", "3", "--json", str(path)]) == 1
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    failed = [report["records"][fail["trial"]] for fail in report["failures"]]
+    assert len(failed) == 3
+    replayed = harness.replay(report)
+    assert [(result.status, result.margin, result.detail) for _, result in replayed] == [
+        (rec["verdict"], rec["margin"], rec.get("detail", "")) for rec in failed]
+    assert cli.main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        cli._outcome_line(fail["instance"], rec["verdict"], rec["margin"], rec.get("detail", ""))
+        for fail, rec in zip(report["failures"], failed)]
 
 
 # the one path through __main__ and cli.main(argv=None), which reads sys.argv

@@ -5,6 +5,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hhmat import funcat
 from hhmat.errors import BadInterval, BadParams, FlagContradicted, UnknownName
@@ -19,7 +21,7 @@ class TestInterval:
     def test_contains_with_endpoint_stretch(self):
         j = Interval(0.0, 2.0)
         assert j.contains(0.0) and j.contains(2.0)
-        assert j.contains(-1e-10)  # inside the stretch
+        assert j.contains(-1e-10)  # inside the slack
         assert not j.contains(-1e-6)
 
     def test_open_endpoint_is_strict(self):
@@ -72,20 +74,64 @@ class TestInterval:
     def test_working_interval_is_the_closed_interval(self):
         assert working_interval(0, 2) == Interval(0.0, 2.0)
 
-    # Membership of POINTS, one digit per point, under the stretched rule.
+    # Membership of POINTS, one digit per point: a closed end admits points
+    # within orders.tolerance(|end|) beyond it (1e-9 at 0, 2e-9 at 2).
     @pytest.mark.parametrize("interval, expected", [
-        (Interval(0.0, 2.0), "0111111100000"),
+        (Interval(0.0, 2.0), "0011111100000"),
         (Interval(lo=0.0), "0011111111010"),
         (Interval(0.0, math.inf, lo_open=True), "0000111111010"),
         (Interval(), "1111111111110"),
     ])
-    def test_contains_array_applies_the_stretched_rule(self, interval, expected):
+    def test_contains_array_admits_the_tolerance_of_each_end(self, interval, expected):
         points = [-1e-6, -2e-9, -1e-10, 0.0, 1e-300, 1.0, 2.0, 2.0 + 1e-9, 3.0,
                   3.0 - 1e-15, -1e12, 1e12, math.nan]
         got = interval.contains_array(np.array(points[:12]).reshape(3, 4))
         assert got.shape == (3, 4)
         assert "".join("1" if x else "0" for x in got.ravel()) == expected[:12]
         assert "".join("1" if interval.contains(x) else "0" for x in points) == expected
+
+
+def _admits(interval: Interval, x: float) -> bool:
+    """The membership rule written out: a closed finite end admits x within
+    1e-9 * max(1, |end|) beyond it, an open lower end is strict, an infinite
+    end admits every number, and NaN is never inside."""
+    lo, hi = interval.lo, interval.hi
+    if math.isnan(x):
+        return False
+    if interval.lo_open:
+        above_lo = x > lo
+    else:
+        above_lo = lo == -math.inf or x >= lo - 1e-9 * max(1.0, abs(lo))
+    return above_lo and (hi == math.inf or x <= hi + 1e-9 * max(1.0, abs(hi)))
+
+
+@st.composite
+def intervals(draw) -> Interval:
+    """Closed intervals, intervals with an open lower end, half-lines and the
+    line, with ends of magnitude 0 to 1e8 and widths 1e-10 to 1e8."""
+    end = draw(st.sampled_from([0.0, 1.0]) | st.floats(-12.0, 8.0).map(lambda e: 10.0 ** e))
+    lo = end * draw(st.sampled_from([1.0, -1.0]))
+    hi = lo + 10.0 ** draw(st.floats(-10.0, 8.0))
+    assume(lo < hi)
+    kind = draw(st.sampled_from(["closed", "open", "lower", "open lower", "upper", "line"]))
+    return {"closed": Interval(lo, hi), "open": Interval(lo, hi, lo_open=True),
+            "lower": Interval(lo=lo), "open lower": Interval(lo=lo, lo_open=True),
+            "upper": Interval(hi=hi), "line": Interval()}[kind]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(intervals())
+def test_membership_is_the_one_tolerance_rule_at_each_end(interval):
+    points = [-math.inf, math.inf, math.nan]
+    for end in (interval.lo, interval.hi):
+        if math.isfinite(end):
+            slack = 1e-9 * max(1.0, abs(end))
+            for edge in (end - slack, end + slack):  # the last points admitted past each end
+                points += [edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)]
+            points += [end + k * slack for k in (-2.0, -0.5, 0.0, 0.5, 2.0)]
+    expected = [_admits(interval, x) for x in points]
+    assert interval.contains_array(np.array(points)).tolist() == expected
+    assert [interval.contains(x) for x in points] == expected
 
 
 class TestCatalog:
@@ -154,6 +200,18 @@ class TestCatalog:
         assert f(0.0) == 0.0
         assert f(1.0) == 0.0
         assert f(math.e) == pytest.approx(math.e)
+
+    def test_xlogx_is_increasing_on_a_domain_inside_1_over_e_to_inf(self):
+        # log x + 1 >= 0 exactly for x >= 1/e
+        assert from_descriptor("xlogx@1,3").flags.increasing
+        assert builtin("xlogx", domain=(math.exp(-1.0), 2.0)).flags.increasing
+        assert not builtin("xlogx", domain=(0.36, 2.0)).flags.increasing
+        assert not from_descriptor("xlogx@0.1,3").flags.increasing
+        assert validate_flags(from_descriptor("xlogx@1,3"), (1.0, 3.0)) is None
+        with pytest.raises(FlagContradicted) as err:
+            validate_flags(from_descriptor("xlogx@0.1,3"), (0.1, 3.0), claims={"increasing": True})
+        assert err.value.flag == "increasing"
+        assert err.value.witness[0] == 0.1 and err.value.witness[1] < 1.0
 
     def test_affine_flags(self):
         f = builtin("affine", 2.0, 0.5)
@@ -329,7 +387,8 @@ def test_operator_convexity_witness_replays_to_the_same_margin(desc, interval):
 # Flags of each catalog entry, and of its restrictions to [0, 2] and [0.5, 2],
 # as they were when each entry wrote its flags by hand: convex, increasing,
 # operator_convex as T or F.  f's positivity and the sign of f(0) are no
-# flags: the checkers judge them where they need them.
+# flags: the checkers judge them where they need them.  One flag has moved
+# since: xlogx is increasing on [1/e, inf), so xlogx@0.5,2 declares it.
 HAND_WRITTEN_FLAGS = {
     "identity": "TTT", "identity@0,2": "TTT", "identity@0.5,2": "TTT",
     "affine:2,0.5": "TTT", "affine:2,0.5@0,2": "TTT", "affine:2,0.5@0.5,2": "TTT",
@@ -341,7 +400,7 @@ HAND_WRITTEN_FLAGS = {
     "exp": "TTF", "exp@0,2": "TTF", "exp@0.5,2": "TTF",
     "neg_sqrt": "TFT", "neg_sqrt@0,2": "TFT", "neg_sqrt@0.5,2": "TFT",
     "inverse": "TFT", "inverse@0,2": "TFT", "inverse@0.5,2": "TFT",
-    "xlogx": "TFT", "xlogx@0,2": "TFT", "xlogx@0.5,2": "TFT",
+    "xlogx": "TFT", "xlogx@0,2": "TFT", "xlogx@0.5,2": "TTT",
 }
 
 
@@ -375,7 +434,7 @@ MAX_ULP = 4
 
 def _domain_grid(f, lo: float, hi: float) -> np.ndarray:
     """Points over [lo, hi] with both endpoints, 0 when f admits it, and a
-    point just below a closed lower endpoint inside the domain stretch."""
+    point just below a closed lower endpoint inside its slack."""
     points = list(np.linspace(lo, hi, 201))
     if f.domain.contains(0.0):
         points.append(0.0)

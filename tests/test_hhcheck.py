@@ -162,13 +162,14 @@ def test_norm_chain_on_a_supplied_interval_tests_containment():
     assert sum("leaves [0.5, 2.0]" in detail for detail in details) == 37
 
 
-def test_the_working_interval_stretches_as_a_domain_does():
-    # [1, 1.5] is stretched by 1e-9 * 0.5 at each end, as spectra against a
-    # domain of that width are: 3e-10 beyond Omega is inside, 7e-10 is not
+def test_the_working_interval_admits_spectra_as_a_domain_does():
+    # a closed end of [1, 1.5] admits orders.tolerance(|end|) beyond it, as a
+    # domain's end does: 1e-9 below 1 and 1.5e-9 above Omega = 1.5, whatever
+    # the width; 1.2e-9 beyond Omega is inside, 1.8e-9 is not
     f, phi, b = from_descriptor("exp"), IdentityMap(2), HermitianMatrix(np.diag([1.1, 1.2]))
-    inside = HermitianMatrix(np.diag([1.5 + 3e-10, 1.2]))
-    assert check_theorem_t4(f, phi, inside, b, interval=(1.0, 1.5)).holds
-    beyond = HermitianMatrix(np.diag([1.5 + 7e-10, 1.2]))
+    for a in ([1.5 + 1.2e-9, 1.2], [1.0 - 0.8e-9, 1.2]):
+        assert check_theorem_t4(f, phi, HermitianMatrix(np.diag(a)), b, interval=(1.0, 1.5)).holds
+    beyond = HermitianMatrix(np.diag([1.5 + 1.8e-9, 1.2]))
     with pytest.raises(HypothesisUnmet) as err:
         check_theorem_t4(f, phi, beyond, b, interval=(1.0, 1.5))
     assert str(err.value) == ("spectrum of A leaves [1.0, 1.5]; "
@@ -410,7 +411,7 @@ def test_the_converse_bound_needs_a_unital_map():
 
 
 def test_f0_is_read_with_numpy_warnings_off():
-    # 0 is in the domain of inverse@1e-12,2 by the endpoint stretch, where 1/0 warns
+    # 0 is in the domain of inverse@1e-12,2 by its lower end's slack, where 1/0 warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reasons = hhcheck._map_case_reasons(from_descriptor("inverse@1e-12,2"),
@@ -429,7 +430,7 @@ def test_bourin_with_subunital_maps_needs_f0_nonpositive():
 
 
 def test_f0_is_judged_on_a_domain_whose_lower_end_is_within_the_stretch_above_0():
-    # 0 is in the domain of power:1.5@1e-12,2 by the endpoint stretch alone,
+    # 0 is in the domain of power:1.5@1e-12,2 by its lower end's slack alone,
     # and f(0) = 0, so the subunital case (ii) is met
     spec = InstanceSpec(n=3, interval=(0.0, 2.0), function="power:1.5@1e-12,2",
                         map_desc="subcongruence", trials=4, seed=3)

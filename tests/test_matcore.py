@@ -295,7 +295,7 @@ class TestApplyFunction:
     @pytest.mark.parametrize("desc", funcat.CATALOG_DESCRIPTORS + ("power:2@0.5,2",))
     def test_extreme_eigenvalues_decide_as_the_whole_spectrum(self, desc):
         # Spectra with points on, just inside and just outside each finite
-        # endpoint, within and beyond its stretch: spectrum_outside lists
+        # endpoint, within and beyond its slack: spectrum_outside lists
         # what a whole-spectrum membership test lists, and apply_function
         # refuses exactly those spectra, naming the same points.
         f = funcat.from_descriptor(desc)
@@ -316,12 +316,12 @@ class TestApplyFunction:
                 apply_function(f, h)
 
     def test_spectrum_outside_a_working_interval_narrower_than_1(self):
-        # [0.5, 0.9] stretches by 1e-9 * 0.4 at each end, as a domain of that
-        # width does, not by 1e-9
+        # each end of [0.5, 0.9] admits orders.tolerance(|end|) = 1e-9 beyond
+        # it, as a domain's end does, not a share of the width
         working = funcat.Interval(0.5, 0.9)
-        for ends, outside in [((0.5, 0.9), []), ((0.5 - 3e-10, 0.9 + 3e-10), []),
-                              ((0.5 - 6e-10, 0.7), [0.5 - 6e-10]),
-                              ((0.7, 0.9 + 6e-10), [0.9 + 6e-10]),
+        for ends, outside in [((0.5, 0.9), []), ((0.5 - 8e-10, 0.9 + 8e-10), []),
+                              ((0.5 - 1.2e-9, 0.7), [0.5 - 1.2e-9]),
+                              ((0.7, 0.9 + 1.2e-9), [0.9 + 1.2e-9]),
                               ((0.4, 1.0), [1.0, 0.4])]:
             h = HermitianMatrix(np.diag([ends[0], 0.7, ends[1]]))
             assert matcore.spectrum_outside(working, h) == outside
@@ -570,8 +570,9 @@ class TestStackKernel:
 
     @pytest.mark.parametrize("end", ["lo", "hi"])
     def test_either_extreme_eigenvalue_outside_refuses_the_node(self, end):
-        # [0.5, 2] stretches by 1.5e-9: a node just beyond one end is refused,
-        # whichever end it crosses, and its neighbours inside are mapped
+        # [0.5, 2] admits 1e-9 below 0.5 and 2e-9 above 2: a node 1e-6 beyond
+        # one end is refused, whichever end it crosses, and its neighbours
+        # inside are mapped
         f = funcat.from_descriptor("power:2@0.5,2")
         beyond = 0.5 - 1e-6 if end == "lo" else 2.0 + 1e-6
         a = HermitianMatrix(np.diag([1.0, 1.5, 1.2]))
