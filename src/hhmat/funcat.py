@@ -45,12 +45,13 @@ class Interval:
     def contains_array(self, xs: np.ndarray) -> np.ndarray:
         """Elementwise membership of an array of points.  A closed end admits
         points within orders.tolerance(|end|) beyond it, as eigenvalue
-        rounding follows a matrix's magnitude, not the interval's width; an
-        open lower end is strict, and NaN is never inside."""
+        rounding follows a matrix's magnitude, not the interval's width; a
+        finite end admits only finite points, an open lower end is strict,
+        and NaN is never inside."""
         xs = np.asarray(xs, dtype=float)
         # Every comparison with NaN is False, so each test refuses NaN.
-        inside = xs > self.lo if self.lo_open else xs >= self.lo - orders.tolerance(abs(self.lo))
-        return inside & (xs <= self.hi + orders.tolerance(abs(self.hi)))
+        inside = xs > self.lo if self.lo_open else xs >= _stretch(self.lo, -1.0)
+        return inside & (xs <= _stretch(self.hi, 1.0))
 
     def contains_interval(self, a: float, b: float) -> bool:
         lo_ok = a > self.lo if self.lo_open else a >= self.lo
@@ -66,6 +67,14 @@ class Interval:
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         return f"{left}{self.lo:g}, {self.hi:g}]"
+
+
+def _stretch(end: float, out: float) -> float:
+    """A closed end moved outward (out = +1 up, -1 down) by
+    orders.tolerance(|end|).  A finite end whose stretch overflows, as one at
+    the largest float does, stays where it is, so it admits no infinity."""
+    moved = end + out * orders.tolerance(abs(end))
+    return end if math.isfinite(end) and not math.isfinite(moved) else moved
 
 
 def working_interval(lo: float, hi: float) -> Interval:

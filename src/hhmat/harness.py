@@ -9,7 +9,6 @@ instances become JSON (instance_to_json) only where they leave the process.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import time
 from collections import Counter
@@ -89,6 +88,8 @@ def _congruence_from_file(path: str) -> CongruenceSum:
     naming the file when it cannot be read, is not JSON or holds no list; a
     malformed literal raises as factor_from_json does.  Errors are not
     memoized."""
+    import json  # only a factor file and SuiteReport.to_json need json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             literals = json.load(fh)
@@ -405,6 +406,8 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
+        import json  # kept off the trial path, as in _congruence_from_file
+
         return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
 
     @property

@@ -19,7 +19,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -465,17 +464,7 @@ def check_refinement_chain(
 
 # -- the fixed 2x2 counterexample ---------------------------------------------------
 
-F = Fraction
-
-COUNTEREXAMPLE_A = np.array([[F(2), F(1)], [F(1), F(1)]], dtype=object)
-COUNTEREXAMPLE_B = np.array([[F(1), F(0)], [F(0), F(0)]], dtype=object)
-
-EXPECTED_MID_CUBED = np.array([[F(17, 4), F(7, 4)], [F(7, 4), F(3, 4)]], dtype=object)
-EXPECTED_SEGMENT_INTEGRAL = np.array([[F(31, 6), F(5, 2)], [F(5, 2), F(4, 3)]], dtype=object)
-EXPECTED_ENDPOINT_AVG = np.array([[F(7), F(4)], [F(4), F(5, 2)]], dtype=object)
-
-
-def _det2(m: np.ndarray) -> Fraction:
+def _det2(m: np.ndarray):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
@@ -489,15 +478,21 @@ def reproduce_counterexample() -> dict:
     gap (positive-semidefiniteness would force all principal minors to be
     nonnegative), so both one-sided inequalities are refuted exactly.
     """
-    a, b = COUNTEREXAMPLE_A, COUNTEREXAMPLE_B
+    from fractions import Fraction as F  # only the exact counterexample needs fractions
+
+    a = np.array([[F(2), F(1)], [F(1), F(1)]], dtype=object)
+    b = np.array([[F(1), F(0)], [F(0), F(0)]], dtype=object)
+    expected_mid_cubed = np.array([[F(17, 4), F(7, 4)], [F(7, 4), F(3, 4)]], dtype=object)
+    expected_integral = np.array([[F(31, 6), F(5, 2)], [F(5, 2), F(4, 3)]], dtype=object)
+    expected_endpoint = np.array([[F(7), F(4)], [F(4), F(5, 2)]], dtype=object)
     mid = (a + b) * F(1, 2)
     mid_cubed = mid.dot(mid).dot(mid)
     integral = poly_segment_oracle_exact(3, a, b)
     endpoint = (a.dot(a).dot(a) + b.dot(b).dot(b)) * F(1, 2)
     left_det, right_det = _det2(integral - mid_cubed), _det2(endpoint - integral)
-    matches = [bool(np.all(mid_cubed == EXPECTED_MID_CUBED)),
-               bool(np.all(integral == EXPECTED_SEGMENT_INTEGRAL)),
-               bool(np.all(endpoint == EXPECTED_ENDPOINT_AVG))]
+    matches = [bool(np.all(mid_cubed == expected_mid_cubed)),
+               bool(np.all(integral == expected_integral)),
+               bool(np.all(endpoint == expected_endpoint))]
 
     def grid(m):
         return [[str(x) for x in row] for row in m.tolist()]

@@ -48,6 +48,17 @@ class TestInterval:
         assert lower.contains_array(np.array([-math.inf, math.inf])).tolist() == [False, True]
         assert upper.contains_array(np.array([-math.inf, math.inf])).tolist() == [True, False]
 
+    def test_a_closed_end_at_the_largest_float_admits_no_infinity(self):
+        # the end's stretch overflows to inf there; a finite end stays finite
+        big = float(np.finfo(float).max)
+        upper, lower = Interval(0.0, big), Interval(-big, 0.0)
+        assert not upper.contains(math.inf) and upper.contains(big)
+        assert not lower.contains(-math.inf) and lower.contains(-big)
+        points = np.array([-math.inf, -big, big, math.inf])
+        assert upper.contains_array(points).tolist() == [False, False, True, False]
+        assert lower.contains_array(points).tolist() == [False, True, False, False]
+        assert not Interval(0.0, 1e308).contains(math.inf)
+
     def test_real_line_clips_nothing(self):
         xs = np.array([-1e300, 0.0, 1e300])
         assert Interval().clip(xs) is xs
@@ -93,16 +104,16 @@ class TestInterval:
 
 def _admits(interval: Interval, x: float) -> bool:
     """The membership rule written out: a closed finite end admits x within
-    1e-9 * max(1, |end|) beyond it, an open lower end is strict, an infinite
-    end admits every number, and NaN is never inside."""
+    1e-9 * max(1, |end|) beyond it and no infinity, an open lower end is
+    strict, an infinite end admits every number, and NaN is never inside."""
     lo, hi = interval.lo, interval.hi
     if math.isnan(x):
         return False
     if interval.lo_open:
         above_lo = x > lo
     else:
-        above_lo = lo == -math.inf or x >= lo - 1e-9 * max(1.0, abs(lo))
-    return above_lo and (hi == math.inf or x <= hi + 1e-9 * max(1.0, abs(hi)))
+        above_lo = lo == -math.inf or -math.inf < x >= lo - 1e-9 * max(1.0, abs(lo))
+    return above_lo and (hi == math.inf or math.inf > x <= hi + 1e-9 * max(1.0, abs(hi)))
 
 
 @st.composite

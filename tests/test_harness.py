@@ -255,6 +255,28 @@ def test_import_does_not_load_the_process_pool():
     assert done.stdout.strip() == "False"
 
 
+def test_a_trial_loads_no_polynomial_fractions_or_json():
+    # numpy.polynomial, fractions (with decimal) and json each cost milliseconds to
+    # import; only the exact counterexample, factor files and suite JSON need the
+    # last two, and the Gauss-Legendre rule is computed in segquad
+    src = Path(hhmat.__file__).resolve().parent.parent
+    code = "\n".join([
+        "import sys, hhmat",
+        "from hhmat import harness",
+        "spec = harness.InstanceSpec(interval=(0.5, 2.0), function='exp', trials=1, seed=0)",
+        "for theorem in harness.THEOREM_IDS:",
+        "    print(harness.run_instance(harness.generate_instance(theorem, spec, 0)).status)",
+        "heavy = ('numpy.polynomial', 'fractions', 'decimal', 'json')",
+        "print([m for m in heavy if m in sys.modules])",
+        "print(hhmat.reproduce_counterexample()['passes'])",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    *statuses, loaded, passes = done.stdout.splitlines()
+    assert len(statuses) == len(THEOREM_IDS) and "fail" not in statuses
+    assert (loaded, passes) == ("[]", "True")
+
+
 def test_theorem_ids_are_the_registry_keys():
     assert THEOREM_IDS == tuple(THEOREMS)
     assert [f.name for f in fields(Theorem)] == ["generate", "run", "takes_map"]

@@ -3,6 +3,7 @@ import re
 import weakref
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from hhmat.errors import (
 from hhmat.funcat import CATALOG_DESCRIPTORS, ScalarFunction, builtin, from_descriptor
 from hhmat.matcore import HermitianMatrix, apply_function
 from hhmat.segquad import (
+    NODE_CAP,
     QuadratureSpec,
     poly_segment_oracle,
     poly_segment_oracle_exact,
@@ -47,6 +49,58 @@ class TestSpec:
         for rtol in (1.0, 1e300, float("inf"), float("nan")):
             with pytest.raises(BadParams, match=re.escape(f"rtol must be in (0, 1), got {rtol}")):
                 QuadratureSpec(rtol=rtol)
+
+
+def _legendre_mp(n: int, x):
+    """P_n(x) and P_n'(x) in mpmath, by the three-term recurrence."""
+    p_prev, p = mpmath.mpf(1), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+def _reference_rule(n: int) -> tuple[list, list]:
+    """The n-node Gauss-Legendre nodes and weights on [0, 1] to 40 digits.
+    Each root x >= 0 of P_n starts at Tricomi's guess cos(pi (j + 3/4) /
+    (n + 1/2)), is settled by Newton's method in floats and then by one
+    Newton step at 40 digits (quadratic, so about 30 digits); its weight is
+    1 / ((1 - x^2) P_n'(x)^2) on [0, 1].  The roots x < 0 are the mirror
+    images."""
+    with mpmath.workdps(40):
+        x = np.cos(math.pi * (np.arange((n + 1) // 2) + 0.75) / (n + 0.5))
+        for _ in range(10):
+            p_prev, p = np.ones_like(x), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            x = x - p * (x * x - 1) / (n * (x * p - p_prev))
+        ts, ws = [], []
+        for guess in x.tolist():
+            root = mpmath.mpf(guess)
+            p, dp = _legendre_mp(n, root)
+            root -= p / dp
+            _, dp = _legendre_mp(n, root)
+            ts.append((1 - root) / 2)
+            ws.append(1 / ((1 - root * root) * dp * dp))
+        return ts + [1 - t for t in reversed(ts[:n // 2])], ws + ws[:n // 2][::-1]
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(8)])
+def test_gauss_rule_matches_a_40_digit_reference(n):
+    ts, ws = segquad._gauss_rule(n)
+    ref_ts, ref_ws = _reference_rule(n)
+    with mpmath.workdps(40):
+        assert max(abs(mpmath.mpf(t) - ref) for t, ref in zip(ts.tolist(), ref_ts)) <= 5e-16
+        assert max(abs(mpmath.mpf(w) / ref - 1) for w, ref in zip(ws.tolist(), ref_ws)) <= 1e-13
+    assert ws.tolist() == ws[::-1].tolist()
+    assert abs(math.fsum(ws.tolist()) - 1.0) <= 1e-15
+    assert not ts.flags.writeable and not ws.flags.writeable
+
+
+def test_gauss_rule_at_the_node_cap_is_ordered_and_positive():
+    ts, ws = segquad._gauss_rule(NODE_CAP)
+    assert len(ts) == len(ws) == NODE_CAP
+    assert 0.0 < ts[0] and ts[-1] < 1.0 and bool(np.all(np.diff(ts) > 0.0))
+    assert bool(np.all(ws > 0.0))
 
 
 class TestSegmentIntegral:
@@ -198,7 +252,7 @@ class TestBatchedChecks:
         with pytest.raises(SpectrumOutOfDomain, match="outside domain") as err:
             segment_integral(builtin("inverse"), a, b, QuadratureSpec(nodes=16))
         # the first node, t0 = (1 + x0) / 2, is the first to fail
-        t0 = (1.0 + np.polynomial.legendre.leggauss(16)[0][0]) / 2.0
+        t0 = segquad._gauss_rule(16)[0][0]
         assert err.value.offending == [pytest.approx(2.0 * t0 - 1.0)]
 
 
@@ -238,7 +292,7 @@ class TestThinNodes:
         b = HermitianMatrix(np.diag([-1.0, 1.0]))
         with pytest.raises(SpectrumOutOfDomain) as err:
             segment_integral(builtin("inverse"), a, b, QuadratureSpec(nodes=16))
-        t0 = (1.0 + np.polynomial.legendre.leggauss(16)[0][0]) / 2.0
+        t0 = segquad._gauss_rule(16)[0][0]
         assert err.value.offending == [pytest.approx(2.0 * t0 - 1.0)]
         assert stacks == [16 + 32]
 
